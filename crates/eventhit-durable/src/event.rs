@@ -30,9 +30,10 @@ pub enum SessionEvent {
         /// Feature dimension of the stream's frames.
         dim: u32,
     },
-    /// A batch of frames was accepted into the stream's lane. Logged
-    /// *before* the frames are fed, so the log never under-counts state
-    /// the client may have observed.
+    /// A batch of frames was accepted into the stream's lane. Written
+    /// ahead of the batch's `DecisionEmitted` records and durable before
+    /// the batch is acknowledged, so the log never under-counts state the
+    /// client may have observed.
     FramesPushed {
         /// The stream the frames belong to.
         stream_id: u32,
@@ -69,6 +70,13 @@ impl SessionEvent {
     /// Serializes the event to its log payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the event's log payload to `out` — what the store's write
+    /// path frames in place, so a batch's floats are copied once.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             SessionEvent::StreamAdmitted { stream_id, dim } => {
                 out.push(TAG_STREAM_ADMITTED);
@@ -84,6 +92,7 @@ impl SessionEvent {
                 out.extend_from_slice(&stream_id.to_le_bytes());
                 out.extend_from_slice(&dim.to_le_bytes());
                 out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+                out.reserve(data.len() * 4);
                 for &v in data {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
@@ -107,7 +116,6 @@ impl SessionEvent {
                 out.extend_from_slice(&stream_id.to_le_bytes());
             }
         }
-        out
     }
 
     /// Deserializes an event from a log payload.
@@ -131,10 +139,16 @@ impl SessionEvent {
                         "frame batch length is not a multiple of its dimension",
                     ));
                 }
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(cur.f32()?);
-                }
+                // Bounds-check the whole run once (so a lying count
+                // allocates nothing), then convert it in one pass.
+                let raw = cur.take(
+                    n.checked_mul(4)
+                        .ok_or(DurableError::Format("frame batch length overflows"))?,
+                )?;
+                let data = raw
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+                    .collect();
                 SessionEvent::FramesPushed {
                     stream_id,
                     dim,

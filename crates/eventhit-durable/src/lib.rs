@@ -8,15 +8,15 @@
 //! - [`log`]: an append-only session event log. Every state-changing
 //!   serving operation (stream admitted, frames pushed, decision emitted,
 //!   model reloaded, stream closed) is framed as
-//!   `[payload_len u32][crc32 u32][payload]` and appended before it is
-//!   acknowledged.
+//!   `[payload_len u32][crc32 u32][payload]`, written in application
+//!   order, and synced before it is acknowledged.
 //! - [`snapshot`]: periodic checkpoints of the complete dynamic lane
 //!   state, so recovery replays a bounded log tail instead of the whole
 //!   session history. Snapshots are written atomically (temp file +
 //!   rename) and carry their own checksum.
 //! - [`store`]: the recovery path. [`store::DurableStore::open`] loads
 //!   the newest valid snapshot, scans the log tail, *truncates a torn
-//!   final record* (the expected artifact of a crash mid-append), and
+//!   final record* (the expected artifact of a crash mid-write), and
 //!   [`store::replay`] re-feeds the tail through real predictors —
 //!   verifying along the way that every recomputed decision matches the
 //!   fingerprint logged before the crash.
@@ -42,11 +42,11 @@ pub mod store;
 pub use event::{decision_fingerprint, SessionEvent};
 pub use log::{scan, Scan, Tail};
 pub use snapshot::{LaneSnapshot, Snapshot};
-pub use store::{replay, DurableStore, Recovery, Replayed, ReplayedLane};
+pub use store::{replay, CommitHandle, DurableStore, Recovery, Replayed, ReplayedLane};
 
 use std::fmt;
 
-/// Everything that can go wrong opening, appending to, or replaying a
+/// Everything that can go wrong opening, writing to, or replaying a
 /// durable session directory.
 #[derive(Debug)]
 pub enum DurableError {
@@ -79,6 +79,10 @@ pub enum DurableError {
     },
     /// A core-layer operation (model load, state restore) failed.
     Core(eventhit_core::CoreError),
+    /// An earlier write or sync of this log failed. The store is
+    /// fail-stop: nothing more is written or reported durable until the
+    /// directory is reopened (and its tail repaired) by a new process.
+    LogFailed,
 }
 
 impl fmt::Display for DurableError {
@@ -100,6 +104,10 @@ impl fmt::Display for DurableError {
                  not match its recorded fingerprint"
             ),
             DurableError::Core(e) => write!(f, "durable core error: {e}"),
+            DurableError::LogFailed => write!(
+                f,
+                "the session log failed an earlier write or sync; the store is stopped"
+            ),
         }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! - **Torn tail** — the file ends mid-record (header shorter than 8
 //!   bytes, or fewer payload bytes than the header declares). This is the
-//!   *expected* artifact of a crash during `append` and is recoverable:
+//!   *expected* artifact of a crash during a log write and is recoverable:
 //!   every record before the tear is intact, and the tear is truncated
 //!   away on reopen. Note a pure truncation can *only* produce a torn
 //!   tail, never a checksum failure — the CRC is read from the header,
@@ -23,16 +23,38 @@ use eventhit_telemetry::crc32;
 /// instruction to allocate.
 pub const MAX_RECORD_BYTES: u32 = 1 << 26;
 
-/// Frames one payload as a log record: `[len][crc32][payload]`.
+/// Frames one record at the end of `buf`: reserves the header, lets
+/// `fill` append the payload, then patches the length and CRC in. The
+/// write path frames a whole batch into one reusable buffer this way, so
+/// an event is encoded exactly once and never copied again. A payload
+/// beyond [`MAX_RECORD_BYTES`] is an error and leaves `buf` as it was.
+pub fn frame_into(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> DurableResult<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 8]);
+    fill(buf);
+    let payload = &buf[start + 8..];
+    let Some(len) = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_RECORD_BYTES)
+    else {
+        buf.truncate(start);
+        return Err(DurableError::Format(
+            "record payload exceeds MAX_RECORD_BYTES",
+        ));
+    };
+    let crc = crc32(payload);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Frames one payload as a log record: `[len][crc32][payload]`. Panics on
+/// a payload beyond [`MAX_RECORD_BYTES`]; the store's write path uses
+/// [`frame_into`], which returns the error instead.
 pub fn frame_record(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_RECORD_BYTES as usize,
-        "record payload exceeds MAX_RECORD_BYTES"
-    );
     let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(payload).to_le_bytes());
-    rec.extend_from_slice(payload);
+    frame_into(&mut rec, |buf| buf.extend_from_slice(payload))
+        .expect("record payload exceeds MAX_RECORD_BYTES");
     rec
 }
 
@@ -46,12 +68,13 @@ pub enum Tail {
     Torn,
 }
 
-/// The result of scanning a log image: the committed payloads, the byte
-/// offset of the last record boundary, and how the image ends.
+/// The result of scanning a log image: the committed payloads (borrowed
+/// from the image — a scan copies nothing), the byte offset of the last
+/// record boundary, and how the image ends.
 #[derive(Debug)]
-pub struct Scan {
+pub struct Scan<'a> {
     /// Payloads of every fully-committed record, in append order.
-    pub payloads: Vec<Vec<u8>>,
+    pub payloads: Vec<&'a [u8]>,
     /// Bytes of the image covered by committed records; also the offset
     /// to truncate to when the tail is torn.
     pub valid_bytes: u64,
@@ -64,7 +87,7 @@ pub struct Scan {
 /// Returns [`DurableError::Corrupt`] only for a *fully present* record
 /// whose CRC does not match — a tear (truncated header or payload) is
 /// reported through [`Tail::Torn`], never as an error.
-pub fn scan(bytes: &[u8]) -> DurableResult<Scan> {
+pub fn scan(bytes: &[u8]) -> DurableResult<Scan<'_>> {
     let mut payloads = Vec::new();
     let mut pos: usize = 0;
     loop {
@@ -105,7 +128,7 @@ pub fn scan(bytes: &[u8]) -> DurableResult<Scan> {
         if got != expected {
             return Err(DurableError::Corrupt { offset: pos as u64 });
         }
-        payloads.push(payload.to_vec());
+        payloads.push(payload);
         pos += 8 + len as usize;
     }
 }
@@ -128,10 +151,8 @@ mod tests {
         let scan = scan(&image).unwrap();
         assert_eq!(scan.tail, Tail::Clean);
         assert_eq!(scan.valid_bytes, image.len() as u64);
-        assert_eq!(
-            scan.payloads,
-            vec![b"alpha".to_vec(), Vec::new(), b"gamma-gamma".to_vec()]
-        );
+        let expected: [&[u8]; 3] = [b"alpha", b"", b"gamma-gamma"];
+        assert_eq!(scan.payloads, expected);
     }
 
     #[test]
@@ -149,12 +170,12 @@ mod tests {
         // Cutting exactly at the boundary is a clean one-record log.
         let at_boundary = scan(&image[..boundary]).unwrap();
         assert_eq!(at_boundary.tail, Tail::Clean);
-        assert_eq!(at_boundary.payloads, vec![b"first".to_vec()]);
+        assert_eq!(at_boundary.payloads, [b"first"]);
         for cut in boundary + 1..image.len() {
             let scan = scan(&image[..cut]).unwrap();
             assert_eq!(scan.tail, Tail::Torn, "cut at {cut}");
             assert_eq!(scan.valid_bytes, boundary as u64, "cut at {cut}");
-            assert_eq!(scan.payloads, vec![b"first".to_vec()], "cut at {cut}");
+            assert_eq!(scan.payloads, [b"first"], "cut at {cut}");
         }
     }
 
@@ -168,6 +189,25 @@ mod tests {
             Err(DurableError::Corrupt { offset }) => assert_eq!(offset, boundary as u64),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn frame_into_appends_records_and_matches_frame_record() {
+        let mut buf = Vec::new();
+        frame_into(&mut buf, |b| b.extend_from_slice(b"alpha")).unwrap();
+        frame_into(&mut buf, |b| b.extend_from_slice(b"beta")).unwrap();
+        assert_eq!(buf, log_of(&[b"alpha", b"beta"]));
+    }
+
+    #[test]
+    fn oversized_payload_is_an_error_and_leaves_the_buffer_alone() {
+        let mut buf = frame_record(b"kept");
+        let before = buf.clone();
+        let err = frame_into(&mut buf, |b| {
+            b.resize(b.len() + MAX_RECORD_BYTES as usize + 1, 0)
+        });
+        assert!(matches!(err, Err(DurableError::Format(_))));
+        assert_eq!(buf, before);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! different decisions.
 
 use crate::event::SessionEvent;
-use crate::log::{frame_record, scan, Tail};
+use crate::log::{frame_into, scan, Tail};
 use crate::snapshot::Snapshot;
 use crate::state_io;
 use crate::{decision_fingerprint, DurableError, DurableResult};
@@ -29,25 +29,109 @@ use eventhit_core::{ConformalState, EventHit};
 use eventhit_telemetry::Telemetry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 const LOG_FILE: &str = "session.evlog";
 
-/// An open durable session directory with an append handle on its log.
+/// An open durable session directory with a write handle on its log.
+///
+/// Committing is two steps. [`DurableStore::write`] frames a batch of
+/// events into one buffer and hands it to the file with one `write_all`
+/// — the caller holds whatever lock orders its state changes, so log
+/// order is application order. [`CommitHandle::wait_durable`] then makes
+/// a sequence number crash-safe, *outside* that lock: one `sync_data`
+/// covers every record written before it started, whoever wrote it.
+/// [`DurableStore::append`] is the two back to back.
 ///
 /// Opened with [`DurableStore::open_with_telemetry`], the store reports
-/// its own health: `durable.appends` / `durable.append_bytes` /
-/// `durable.commit_seconds` for the append path, `durable.snapshot_builds`
-/// / `durable.snapshot_prunes` for checkpoints, and
-/// `durable.replay_records` / `durable.torn_bytes_truncated` for what
-/// recovery found on disk.
+/// its own health: `durable.appends` / `durable.append_bytes` count
+/// records written, `durable.syncs` / `durable.commit_seconds` the
+/// flushes that made them durable, `durable.snapshot_builds` /
+/// `durable.snapshot_prunes` checkpoints, and `durable.replay_records` /
+/// `durable.torn_bytes_truncated` what recovery found on disk.
 pub struct DurableStore {
     dir: PathBuf,
+    commit: Arc<CommitHandle>,
+    /// Framing buffer, reused across writes.
+    buf: Vec<u8>,
+}
+
+/// The log file and how much of it is crash-safe, shared by everyone who
+/// must wait for a commit.
+///
+/// Sequence numbers are event counts: record `n` is the `n`-th event of
+/// the log's lifetime ([`DurableStore::events_applied`] after it was
+/// written). The handle is fail-stop: the first failed write or sync
+/// marks it failed, and every later [`DurableStore::write`] and
+/// [`CommitHandle::wait_durable`] returns [`DurableError::LogFailed`] —
+/// after a failed `fsync` the kernel may have dropped the dirty pages, so
+/// retrying would report bytes durable that are not.
+pub struct CommitHandle {
     log: fs::File,
-    events_applied: u64,
+    /// Sequence of the last record whose `write_all` returned.
+    written: AtomicU64,
+    /// The commit lock: whoever holds it is the one flushing.
+    state: Mutex<CommitState>,
+    failed: AtomicBool,
     telemetry: Arc<Telemetry>,
+}
+
+struct CommitState {
+    /// Sequence covered by the last successful `sync_data`.
+    durable: u64,
+    /// Fault injection: syncs left until one fails (0 = unarmed).
+    sync_fault_in: u64,
+}
+
+impl CommitHandle {
+    /// Returns once every record up to `seq` is on disk. Returns at once
+    /// if a flush already covered `seq`; otherwise takes the commit lock
+    /// and flushes everything written so far — so sessions that queued
+    /// behind a flush usually find their records covered by it.
+    pub fn wait_durable(&self, seq: u64) -> DurableResult<()> {
+        let Ok(mut state) = self.state.lock() else {
+            self.failed.store(true, Ordering::SeqCst);
+            return Err(DurableError::LogFailed);
+        };
+        if self.failed.load(Ordering::SeqCst) {
+            return Err(DurableError::LogFailed);
+        }
+        if state.durable >= seq {
+            return Ok(());
+        }
+        // Read before the flush starts: every record up to `target` had
+        // its `write_all` return before this load, so the flush covers it.
+        let target = self.written.load(Ordering::SeqCst);
+        debug_assert!(seq <= target, "waiting for a record nobody wrote");
+        let sync_start = self.telemetry.now();
+        let synced = match state.sync_fault_in {
+            1 => Err(io::Error::other("injected sync fault")),
+            _ => self.log.sync_data(),
+        };
+        state.sync_fault_in = state.sync_fault_in.saturating_sub(1);
+        if let Err(e) = synced {
+            self.failed.store(true, Ordering::SeqCst);
+            return Err(e.into());
+        }
+        self.telemetry
+            .observe("durable.commit_seconds", self.telemetry.now() - sync_start);
+        self.telemetry.add("durable.syncs", 1);
+        state.durable = target;
+        Ok(())
+    }
+
+    /// Test hook (the PR 2 fault-injector pattern, for the disk): the
+    /// `nth` sync from now fails (1 = the next one), as a full or dying
+    /// disk would make it.
+    #[doc(hidden)]
+    pub fn fail_sync_at(&self, nth: u64) {
+        if let Ok(mut state) = self.state.lock() {
+            state.sync_fault_in = nth;
+        }
+    }
 }
 
 /// What [`DurableStore::open`] found on disk — the inputs to [`replay`].
@@ -76,7 +160,7 @@ impl DurableStore {
     /// [`DurableStore::open`] with a telemetry recorder. Recovery facts
     /// are recorded immediately (`durable.replay_records` events pending
     /// replay, `durable.torn_bytes_truncated` bytes dropped from a torn
-    /// tail); the append and snapshot paths report through the same
+    /// tail); the write, sync and snapshot paths report through the same
     /// recorder for the store's lifetime.
     pub fn open_with_telemetry(
         dir: impl AsRef<Path>,
@@ -88,36 +172,37 @@ impl DurableStore {
 
         let bytes = match fs::read(&log_path) {
             Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
+        // Every record is checksummed; payloads stay borrowed from the
+        // file image, and only the tail the snapshot does not cover is
+        // decoded into events.
         let scanned = scan(&bytes)?;
         let torn_tail = scanned.tail == Tail::Torn;
-
-        let mut events = Vec::with_capacity(scanned.payloads.len());
-        for payload in &scanned.payloads {
-            events.push(SessionEvent::decode(payload)?);
-        }
+        let events_applied = scanned.payloads.len() as u64;
 
         let log = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&log_path)?;
         if torn_tail {
-            // Drop the half-written record so the next append starts on
+            // Drop the half-written record so the next write starts on
             // a committed boundary.
             log.set_len(scanned.valid_bytes)?;
         }
 
         let snapshot = Snapshot::load_latest(&dir)?;
         let skip = snapshot.as_ref().map_or(0, |s| s.events_applied);
-        if skip > events.len() as u64 {
+        if skip > events_applied {
             return Err(DurableError::Format(
                 "snapshot claims more events than the log holds",
             ));
         }
-        let tail = events.split_off(skip as usize);
-        let events_applied = skip + tail.len() as u64;
+        let tail = scanned.payloads[skip as usize..]
+            .iter()
+            .map(|payload| SessionEvent::decode(payload))
+            .collect::<DurableResult<Vec<_>>>()?;
 
         if !tail.is_empty() {
             telemetry.add("durable.replay_records", tail.len() as u64);
@@ -132,9 +217,18 @@ impl DurableStore {
         Ok((
             DurableStore {
                 dir,
-                log,
-                events_applied,
-                telemetry,
+                commit: Arc::new(CommitHandle {
+                    log,
+                    written: AtomicU64::new(events_applied),
+                    // What `open` read back is what the disk holds.
+                    state: Mutex::new(CommitState {
+                        durable: events_applied,
+                        sync_fault_in: 0,
+                    }),
+                    failed: AtomicBool::new(false),
+                    telemetry,
+                }),
+                buf: Vec::new(),
             },
             Recovery {
                 snapshot,
@@ -145,29 +239,53 @@ impl DurableStore {
         ))
     }
 
-    /// Appends one event, flushing it to disk before returning — after
-    /// `append` returns, the event survives a crash. Each append counts
-    /// under `durable.appends` / `durable.append_bytes`, and the
-    /// write-plus-sync interval lands in the `durable.commit_seconds`
-    /// histogram.
-    pub fn append(&mut self, event: &SessionEvent) -> DurableResult<()> {
-        let rec = frame_record(&event.encode());
-        let commit_start = self.telemetry.now();
-        self.log.write_all(&rec)?;
-        self.log.sync_data()?;
-        self.telemetry.observe(
-            "durable.commit_seconds",
-            self.telemetry.now() - commit_start,
-        );
-        self.telemetry.add("durable.appends", 1);
-        self.telemetry.add("durable.append_bytes", rec.len() as u64);
-        self.events_applied += 1;
-        Ok(())
+    /// Writes `events` to the log as one batch — framed into one buffer,
+    /// one `write_all` — and returns the sequence number of the last one.
+    /// Nothing is durable yet: pass the number to
+    /// [`CommitHandle::wait_durable`] before acting on the write. Each
+    /// record counts under `durable.appends` / `durable.append_bytes`.
+    ///
+    /// Any error (an oversized record included) marks the log failed: the
+    /// caller's state may already be ahead of the file.
+    pub fn write(&mut self, events: &[SessionEvent]) -> DurableResult<u64> {
+        if self.commit.failed.load(Ordering::SeqCst) {
+            return Err(DurableError::LogFailed);
+        }
+        self.buf.clear();
+        let framed = events
+            .iter()
+            .try_for_each(|event| frame_into(&mut self.buf, |buf| event.encode_into(buf)));
+        let written = framed.and_then(|()| Ok((&self.commit.log).write_all(&self.buf)?));
+        if let Err(e) = written {
+            self.commit.failed.store(true, Ordering::SeqCst);
+            return Err(e);
+        }
+        // Published only now: a flush that reads `written` must find every
+        // record up to it already handed to the file.
+        let seq = self.events_applied() + events.len() as u64;
+        self.commit.written.store(seq, Ordering::SeqCst);
+        let telemetry = &self.commit.telemetry;
+        telemetry.add("durable.appends", events.len() as u64);
+        telemetry.add("durable.append_bytes", self.buf.len() as u64);
+        Ok(seq)
     }
 
-    /// Total committed events (snapshot-covered + appended).
+    /// Writes one event and waits for it to be durable — after `append`
+    /// returns, the event survives a crash.
+    pub fn append(&mut self, event: &SessionEvent) -> DurableResult<()> {
+        let seq = self.write(std::slice::from_ref(event))?;
+        self.commit.wait_durable(seq)
+    }
+
+    /// The handle to wait for commits on, shareable across threads.
+    pub fn commit_handle(&self) -> Arc<CommitHandle> {
+        Arc::clone(&self.commit)
+    }
+
+    /// Total events written to the log (snapshot-covered + written since
+    /// open); the sequence number of the newest record.
     pub fn events_applied(&self) -> u64 {
-        self.events_applied
+        self.commit.written.load(Ordering::SeqCst)
     }
 
     /// The session directory this store owns.
@@ -175,14 +293,23 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Publishes a checkpoint (atomically; older snapshots pruned).
+    /// Publishes a checkpoint (atomically; older snapshots pruned), after
+    /// making sure the log on disk holds every event the snapshot covers
+    /// — a snapshot ahead of the log is a directory recovery refuses.
     /// Builds count under `durable.snapshot_builds`, pruned older files
     /// under `durable.snapshot_prunes`.
     pub fn write_snapshot(&self, snapshot: &Snapshot) -> DurableResult<PathBuf> {
+        if snapshot.events_applied > self.events_applied() {
+            return Err(DurableError::Format(
+                "snapshot claims more events than the log holds",
+            ));
+        }
+        self.commit.wait_durable(snapshot.events_applied)?;
         let (path, pruned) = snapshot.write_with_prune_count(&self.dir)?;
-        self.telemetry.add("durable.snapshot_builds", 1);
+        let telemetry = &self.commit.telemetry;
+        telemetry.add("durable.snapshot_builds", 1);
         if pruned > 0 {
-            self.telemetry.add("durable.snapshot_prunes", pruned);
+            telemetry.add("durable.snapshot_prunes", pruned);
         }
         Ok(path)
     }
@@ -239,8 +366,8 @@ pub struct Replayed {
 /// decision checked against its logged fingerprint.
 ///
 /// Decisions recomputed during replay whose emission was never committed
-/// (a crash can land between the `FramesPushed` append and the
-/// `DecisionEmitted` append) are *discarded*: the frames count toward
+/// (a crash can keep a batch's `FramesPushed` record and lose some of its
+/// `DecisionEmitted` records) are *discarded*: the frames count toward
 /// `next_seq`, but the decision is not retransmitted. Clients observe an
 /// at-most-once decision stream across a crash; see DESIGN.md §14.
 pub fn replay(
@@ -375,6 +502,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::frame_record;
     use crate::snapshot::LaneSnapshot;
     use eventhit_core::{task, ExperimentConfig, Strategy, TaskRun};
     use std::sync::OnceLock;
@@ -395,8 +523,8 @@ mod tests {
         std::env::temp_dir().join(format!("evstore-{tag}-{}", std::process::id()))
     }
 
-    /// Feeds `rows` into the store + a live predictor the way the durable
-    /// server does: log the batch first, then feed, then log decisions.
+    /// Feeds `rows` into the store + a live predictor, one durable event
+    /// at a time: log the batch, feed it, log each decision.
     fn serve_rows(
         store: &mut DurableStore,
         lane: &mut ReplayedLane,
@@ -479,6 +607,156 @@ mod tests {
         let (_, recovery) = DurableStore::open(&dir).unwrap();
         assert_eq!(recovery.tail.len(), 3);
         assert!(!recovery.torn_tail);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_share_flushes_and_never_return_early() {
+        const THREADS: u32 = 8;
+        const WRITES: u64 = 500;
+        let dir = tmp("group");
+        let _ = fs::remove_dir_all(&dir);
+        let telemetry = Arc::new(Telemetry::new());
+        let (store, _) = DurableStore::open_with_telemetry(&dir, Arc::clone(&telemetry)).unwrap();
+        let commit = store.commit_handle();
+        // The store behind a mutex, as the serving hub keeps it: write
+        // under the lock, wait for the flush outside it.
+        let store = Mutex::new(store);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let written: Vec<(u64, SessionEvent)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (store, commit, start) = (&store, &commit, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..WRITES)
+                            .map(|i| {
+                                let event = SessionEvent::DecisionEmitted {
+                                    stream_id: thread,
+                                    anchor: i,
+                                    fingerprint: i ^ 0xA5A5,
+                                };
+                                let seq = store
+                                    .lock()
+                                    .unwrap()
+                                    .write(std::slice::from_ref(&event))
+                                    .unwrap();
+                                commit.wait_durable(seq).unwrap();
+                                let durable = commit.state.lock().unwrap().durable;
+                                assert!(durable >= seq, "returned at {durable}, before {seq}");
+                                (seq, event)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread"))
+                .collect()
+        });
+        drop(store);
+
+        let snap = telemetry.snapshot();
+        let total = THREADS as u64 * WRITES;
+        assert_eq!(snap.counter("durable.appends"), Some(total));
+        let syncs = snap.counter("durable.syncs").unwrap();
+        assert!(
+            (1..=total).contains(&syncs),
+            "{syncs} syncs for {total} records"
+        );
+
+        // Dense, and ordered as written: sequence number n is the n-th
+        // record of the log.
+        let (_, recovery) = DurableStore::open(&dir).unwrap();
+        assert_eq!(recovery.tail.len() as u64, total);
+        let mut seqs: Vec<u64> = written.iter().map(|(seq, _)| *seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=total).collect::<Vec<_>>());
+        for (seq, event) in &written {
+            assert_eq!(&recovery.tail[*seq as usize - 1], event);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_sync_stops_the_store_for_good() {
+        let dir = tmp("failstop");
+        let _ = fs::remove_dir_all(&dir);
+        let closed = |stream_id| SessionEvent::StreamClosed { stream_id };
+        let (mut store, _) = DurableStore::open(&dir).unwrap();
+        let commit = store.commit_handle();
+        commit.fail_sync_at(2);
+        store.append(&closed(1)).unwrap();
+        // The injected fault surfaces as the I/O error it stands for...
+        assert!(matches!(store.append(&closed(2)), Err(DurableError::Io(_))));
+        // ...and from then on nothing is written, synced or snapshotted,
+        // not even what an earlier flush already covered.
+        assert!(matches!(
+            store.write(&[closed(3)]),
+            Err(DurableError::LogFailed)
+        ));
+        assert!(matches!(
+            commit.wait_durable(1),
+            Err(DurableError::LogFailed)
+        ));
+        let snapshot = Snapshot {
+            events_applied: 1,
+            reload_fingerprint: None,
+            lanes: Vec::new(),
+        };
+        assert!(matches!(
+            store.write_snapshot(&snapshot),
+            Err(DurableError::LogFailed)
+        ));
+        assert_eq!(store.events_applied(), 2);
+        drop(store);
+        assert!(Snapshot::load_latest(&dir).unwrap().is_none());
+        // A new process reopens the directory and carries on.
+        let (mut store, recovery) = DurableStore::open(&dir).unwrap();
+        assert_eq!(recovery.tail[0], closed(1));
+        store.append(&closed(4)).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_oversized_record_fails_the_write_without_touching_the_file() {
+        let dir = tmp("oversized");
+        let _ = fs::remove_dir_all(&dir);
+        let (mut store, _) = DurableStore::open(&dir).unwrap();
+        store
+            .append(&SessionEvent::StreamClosed { stream_id: 1 })
+            .unwrap();
+        let huge = SessionEvent::FramesPushed {
+            stream_id: 1,
+            dim: 1,
+            data: vec![0.0; crate::log::MAX_RECORD_BYTES as usize / 4],
+        };
+        assert!(matches!(
+            store.write(&[SessionEvent::StreamClosed { stream_id: 2 }, huge]),
+            Err(DurableError::Format(_))
+        ));
+        drop(store);
+        let (_, recovery) = DurableStore::open(&dir).unwrap();
+        assert_eq!(recovery.tail, [SessionEvent::StreamClosed { stream_id: 1 }]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_ahead_of_the_store_is_refused() {
+        let dir = tmp("ahead");
+        let _ = fs::remove_dir_all(&dir);
+        let (store, _) = DurableStore::open(&dir).unwrap();
+        let snapshot = Snapshot {
+            events_applied: 1,
+            reload_fingerprint: None,
+            lanes: Vec::new(),
+        };
+        assert!(matches!(
+            store.write_snapshot(&snapshot),
+            Err(DurableError::Format(_))
+        ));
+        assert!(Snapshot::load_latest(&dir).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

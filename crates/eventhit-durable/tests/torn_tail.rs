@@ -1,11 +1,14 @@
-//! Property test for crash-tail recovery: truncating the session log at
-//! EVERY byte offset of the final record must recover exactly the
-//! fully-committed prefix — never panic, never lose a committed record,
+//! Property tests for crash-tail recovery: truncating the session log at
+//! EVERY byte offset of the final record — or of a final multi-record
+//! batch written by one `DurableStore::write` — must recover exactly the
+//! longest whole-record prefix: never panic, never lose a whole record,
 //! never report bit damage for a pure truncation.
 
-use eventhit_durable::event::SessionEvent;
+use eventhit_core::streaming::OnlinePredictor;
+use eventhit_core::{task, ExperimentConfig, Strategy, TaskRun};
+use eventhit_durable::event::{decision_fingerprint, SessionEvent};
 use eventhit_durable::log::{frame_record, scan, Tail};
-use eventhit_durable::store::DurableStore;
+use eventhit_durable::store::{replay, DurableStore};
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
@@ -119,6 +122,111 @@ fn store_reopens_and_appends_after_every_tail_truncation() {
             again.tail.last(),
             Some(&SessionEvent::StreamClosed { stream_id: 1 })
         );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash can cut a batched write anywhere: one `write` call puts a
+/// `FramesPushed` and its `DecisionEmitted` records into the file with a
+/// single `write_all`, and nothing says the disk kept all of it.
+#[test]
+fn every_truncation_offset_of_a_final_batch_recovers_the_whole_record_prefix() {
+    let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(71));
+    let boot = |_stream: u32| {
+        OnlinePredictor::new(
+            run.model.clone(),
+            run.state.clone(),
+            Strategy::Ehcr { c: 0.9, alpha: 0.5 },
+        )
+    };
+    // Enough frames in one batch for two decisions.
+    let frames = run.window + run.horizon + 1;
+    let dim = run.features.cols() as u32;
+    let mut lane = boot(0);
+    let mut data = Vec::new();
+    let mut decided = Vec::new();
+    for r in 0..frames {
+        data.extend_from_slice(run.features.row(r));
+        decided.extend(lane.push_frame(run.features.row(r).to_vec()));
+    }
+    assert_eq!(decided.len(), 2, "the batch must carry two decisions");
+    let mut batch = vec![SessionEvent::FramesPushed {
+        stream_id: 0,
+        dim,
+        data,
+    }];
+    batch.extend(decided.iter().map(|d| SessionEvent::DecisionEmitted {
+        stream_id: 0,
+        anchor: d.anchor,
+        fingerprint: decision_fingerprint(d),
+    }));
+
+    // The image under test: a committed record, then the batch as one
+    // `write` put it in the file.
+    let dir: PathBuf = std::env::temp_dir().join(format!("evtorn-batch-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let log_path = dir.join("session.evlog");
+    let admitted = SessionEvent::StreamAdmitted { stream_id: 0, dim };
+    {
+        let (mut store, _) = DurableStore::open(&dir).unwrap();
+        store.append(&admitted).unwrap();
+        let seq = store.write(&batch).unwrap();
+        assert_eq!(seq, 4, "the sequence number of the batch's last record");
+    }
+    let image = fs::read(&log_path).unwrap();
+    let mut evs = vec![admitted];
+    evs.extend(batch);
+    assert_eq!(
+        image,
+        image_of(&evs),
+        "a batched write must produce the bytes record-at-a-time framing does"
+    );
+    // Byte offsets at which each record ends.
+    let ends: Vec<usize> = (1..=evs.len()).map(|n| image_of(&evs[..n]).len()).collect();
+
+    for cut in ends[0]..=image.len() {
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        let on_boundary = ends.contains(&cut);
+        let scanned = scan(&image[..cut]).unwrap_or_else(|e| {
+            panic!("cut at {cut}: pure truncation must never be an error, got {e}")
+        });
+        let expect_tail = if on_boundary { Tail::Clean } else { Tail::Torn };
+        assert_eq!(scanned.tail, expect_tail, "cut at {cut}");
+        assert_eq!(scanned.payloads.len(), whole, "cut at {cut}");
+        assert_eq!(scanned.valid_bytes, ends[whole - 1] as u64, "cut at {cut}");
+
+        // The store level costs a replay through the real model: every
+        // offset from the end of the frames record on, a sample before.
+        if cut < ends[1] && cut % 257 != 0 {
+            continue;
+        }
+        fs::write(&log_path, &image[..cut]).unwrap();
+        let (mut store, recovery) = DurableStore::open(&dir).unwrap();
+        assert_eq!(recovery.torn_tail, !on_boundary, "cut at {cut}");
+        assert_eq!(recovery.tail, evs[..whole], "cut at {cut}");
+        assert_eq!(
+            fs::metadata(&log_path).unwrap().len(),
+            ends[whole - 1] as u64
+        );
+
+        // Frames kept, decision lost: the lane is rebuilt with the frames
+        // counted and the lost decision not (the at-most-once gap).
+        let replayed = replay(&dir, &recovery, &mut |stream| boot(stream)).unwrap();
+        let lane = &replayed.lanes[&0];
+        let (want_frames, want_decisions) = match whole {
+            1 => (0, 0),
+            n => (frames as u64, n as u64 - 2),
+        };
+        assert_eq!(lane.frames, want_frames, "cut at {cut}");
+        assert_eq!(lane.decisions, want_decisions, "cut at {cut}");
+
+        // Repaired: the log takes new writes on the whole-record boundary.
+        store
+            .append(&SessionEvent::StreamClosed { stream_id: 0 })
+            .unwrap();
+        let (_, again) = DurableStore::open(&dir).unwrap();
+        assert!(!again.torn_tail);
+        assert_eq!(again.tail.len(), whole + 1, "cut at {cut}");
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -47,7 +47,8 @@ use eventhit_core::streaming::{HorizonDecision, OnlinePredictor};
 use eventhit_core::SamplingPolicy;
 use eventhit_core::{ConformalState, EventHit};
 use eventhit_durable::{
-    decision_fingerprint, replay, DurableError, DurableStore, LaneSnapshot, SessionEvent, Snapshot,
+    decision_fingerprint, replay, CommitHandle, DurableError, DurableStore, LaneSnapshot,
+    SessionEvent, Snapshot,
 };
 use eventhit_parallel::Pool;
 use eventhit_telemetry::{SlowDecision, Telemetry};
@@ -204,9 +205,11 @@ struct ActiveReload {
     fingerprint: u64,
 }
 
-/// Global durable state, one per server. A single mutex serializes every
-/// state-changing request across sessions — appends hit the log in
-/// application order, which is exactly the order replay re-applies them.
+/// A shard's durable state. A single mutex serializes every
+/// state-changing request across sessions — records are written to the
+/// log in application order, which is exactly the order replay re-applies
+/// them. Writes happen under the mutex; the flush that makes them durable
+/// does not (see [`DurableShard`]).
 struct DurableHub {
     store: DurableStore,
     lanes: BTreeMap<u32, Lane>,
@@ -220,6 +223,8 @@ impl DurableHub {
     /// snapshot. Lane iteration order (ascending stream id) makes the
     /// snapshot bytes deterministic for a given state. Cadence checks
     /// that decide not to snapshot count under `durable.snapshot_skips`.
+    /// The store syncs the log up to `events` before it publishes the
+    /// file, so a snapshot never claims events the disk does not hold.
     fn maybe_snapshot(&mut self, t: &Telemetry) -> Result<(), DurableError> {
         if self.snapshot_every == 0 {
             return Ok(());
@@ -305,8 +310,34 @@ impl ShardNames {
 /// shard-bound.
 struct Shard {
     admission: Arc<AdmissionController>,
-    durable: Option<Mutex<DurableHub>>,
+    durable: Option<DurableShard>,
     names: ShardNames,
+}
+
+/// The durable half of a shard: the hub its sessions mutate under one
+/// mutex, and the log's commit handle they wait on *after* leaving it —
+/// so one session's flush overlaps the other sessions' decode, predictor
+/// work and replies instead of queueing them behind the disk.
+struct DurableShard {
+    hub: Mutex<DurableHub>,
+    commit: Arc<CommitHandle>,
+}
+
+impl DurableShard {
+    /// Locks the hub. A session that panicked mid-update poisoned it and
+    /// left lanes possibly ahead of the log: every later session of the
+    /// shard ends with this error instead of panicking in turn.
+    fn lock(&self) -> io::Result<MutexGuard<'_, DurableHub>> {
+        self.hub.lock().map_err(|_| {
+            io::Error::other("durable hub poisoned by a panicked session; the shard is stopped")
+        })
+    }
+
+    /// Blocks until every record up to `seq` is on disk — the gate in
+    /// front of every reply that acknowledges a state change.
+    fn wait_durable(&self, seq: u64) -> io::Result<()> {
+        self.commit.wait_durable(seq).map_err(durable_io)
+    }
 }
 
 struct Shared {
@@ -336,13 +367,19 @@ fn durable_io(e: DurableError) -> io::Error {
     io::Error::other(e.to_string())
 }
 
-fn lock_hub(shard: &Shard) -> MutexGuard<'_, DurableHub> {
+/// The shard's durable half; an error on a server bound without one.
+fn durable_of(shard: &Shard) -> io::Result<&DurableShard> {
     shard
         .durable
         .as_ref()
-        .expect("durable loop requires a hub")
-        .lock()
-        .expect("durable hub poisoned")
+        .ok_or_else(|| io::Error::other("durable request on a shard without a session log"))
+}
+
+/// The session drives `stream_id` but its shard's hub holds no such lane.
+fn lane_missing(stream_id: u32) -> io::Error {
+    io::Error::other(format!(
+        "stream {stream_id} is owned by this session but missing from its shard's hub"
+    ))
 }
 
 /// Shard `i`'s slice of the fleet-wide stream cap: an even partition of
@@ -462,13 +499,16 @@ impl Server {
                         fingerprint: r.fingerprint,
                     });
                     let events = store.events_applied();
-                    Some(Mutex::new(DurableHub {
-                        store,
-                        lanes,
-                        reload,
-                        snapshot_every: opts.snapshot_every,
-                        events_at_last_snapshot: events,
-                    }))
+                    Some(DurableShard {
+                        commit: store.commit_handle(),
+                        hub: Mutex::new(DurableHub {
+                            store,
+                            lanes,
+                            reload,
+                            snapshot_every: opts.snapshot_every,
+                            events_at_last_snapshot: events,
+                        }),
+                    })
                 }
             };
             shards.push(Shard {
@@ -552,10 +592,11 @@ impl Server {
     /// The new weights and their *refitted* conformal state (see
     /// `TaskRun::state_for_model` — reusing the old state would void the
     /// coverage guarantees) are persisted beside the session log, a
-    /// `ModelReloaded` event is committed, and every live lane swaps in
-    /// place keeping its window and anchor cadence. Returns the weight
-    /// fingerprint the reload is journaled under; replay after a crash
-    /// reproduces pre- and post-reload decisions exactly.
+    /// `ModelReloaded` event is written, and every live lane swaps in
+    /// place keeping its window and anchor cadence. Returns — once the
+    /// event is durable on every shard — the weight fingerprint the
+    /// reload is journaled under; replay after a crash reproduces pre-
+    /// and post-reload decisions exactly.
     pub fn reload_model(&self, mut model: EventHit, state: ConformalState) -> io::Result<u64> {
         if !self.shared.is_durable() {
             return Err(io::Error::new(
@@ -568,13 +609,15 @@ impl Server {
         // is a pure function of the weights, so all shards agree on it.
         let mut fingerprint = 0;
         for shard in &self.shared.shards {
-            let mut hub = lock_hub(shard);
+            let durable = durable_of(shard)?;
+            let mut hub = durable.lock()?;
             fingerprint = hub
                 .store
                 .save_reload(&mut model, &state)
                 .map_err(durable_io)?;
-            hub.store
-                .append(&SessionEvent::ModelReloaded { fingerprint })
+            let seq = hub
+                .store
+                .write(&[SessionEvent::ModelReloaded { fingerprint }])
                 .map_err(durable_io)?;
             for lane in hub.lanes.values_mut() {
                 lane.predictor
@@ -586,9 +629,24 @@ impl Server {
                 state: state.clone(),
                 fingerprint,
             });
+            drop(hub);
+            durable.wait_durable(seq)?;
         }
         self.shared.telemetry.add("serve.model_reloads", 1);
         Ok(fingerprint)
+    }
+
+    /// Test hook: makes the `nth` log sync from now on `shard` fail (see
+    /// `CommitHandle::fail_sync_at`), to drive the fail-stop path.
+    #[doc(hidden)]
+    pub fn fail_durable_sync_at(&self, shard: u32, nth: u64) -> io::Result<()> {
+        let shard = self
+            .shared
+            .shards
+            .get(shard as usize)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no such shard"))?;
+        durable_of(shard)?.commit.fail_sync_at(nth);
+        Ok(())
     }
 
     /// Serves sessions until the process exits: every pool worker loops
@@ -639,12 +697,15 @@ fn serve_session(shared: &Shared, sock: TcpStream) {
         // (possibly after a server restart) picks up exactly where this
         // connection stopped. Each stream parks in its owning shard's
         // hub.
+        // A hub that cannot be locked (poisoned) keeps its lanes attached:
+        // they may be ahead of the log and must never be resumed.
         for id in &owned {
-            let mut hub = lock_hub(shared.shard_of(*id));
-            if let Some(lane) = hub.lanes.get_mut(id) {
-                lane.slot = None;
+            if let Ok(mut hub) = durable_of(shared.shard_of(*id)).and_then(DurableShard::lock) {
+                if let Some(lane) = hub.lanes.get_mut(id) {
+                    lane.slot = None;
+                }
+                t.add("serve.streams_parked", 1);
             }
-            t.add("serve.streams_parked", 1);
         }
         outcome
     } else {
@@ -911,11 +972,13 @@ fn session_loop(
     }
 }
 
-/// The request loop for durable servers. Lanes live in the global
+/// The request loop for durable servers. Lanes live in their shard's
 /// [`DurableHub`] (they must survive the session); this session drives
-/// the subset in `owned`. Every state change is appended to the log
-/// *before* the reply is written, so anything a client ever observed is
-/// recoverable after a crash.
+/// the subset in `owned`. Every state change is written to the log under
+/// the hub mutex and synced *before* the reply is written, so anything a
+/// client ever observed is recoverable after a crash. A failed write or
+/// sync ends the session with no reply (and stops the shard: see
+/// [`CommitHandle`]).
 fn durable_session_loop(
     shared: &Shared,
     sock: &TcpStream,
@@ -940,7 +1003,8 @@ fn durable_session_loop(
         match msg {
             Message::OpenStream { stream_id } => {
                 let shard = shared.shard_of(stream_id);
-                let mut hub = lock_hub(shard);
+                let durable = durable_of(shard)?;
+                let mut hub = durable.lock()?;
                 if hub.lanes.contains_key(&stream_id) {
                     // Durable ids are global: the stream exists (maybe
                     // parked by a dead session). Opening would fork its
@@ -984,8 +1048,9 @@ fn durable_session_loop(
                 }
                 predictor.set_telemetry(Arc::clone(t));
                 let dim = predictor.input_dim() as u32;
-                hub.store
-                    .append(&SessionEvent::StreamAdmitted { stream_id, dim })
+                let seq = hub
+                    .store
+                    .write(&[SessionEvent::StreamAdmitted { stream_id, dim }])
                     .map_err(durable_io)?;
                 hub.lanes.insert(
                     stream_id,
@@ -1001,6 +1066,7 @@ fn durable_session_loop(
                 );
                 drop(hub);
                 owned.insert(stream_id);
+                durable.wait_durable(seq)?;
                 t.add("serve.streams_opened", 1);
                 t.add(shard.names.streams_opened, 1);
                 write_message(&mut chan, &Message::StreamOpened { stream_id })?;
@@ -1011,7 +1077,8 @@ fn durable_session_loop(
                 last_seq,
             } => {
                 let shard = shared.shard_of(stream_id);
-                let mut hub = lock_hub(shard);
+                let durable = durable_of(shard)?;
+                let mut hub = durable.lock()?;
                 let Some(lane) = hub.lanes.get_mut(&stream_id) else {
                     drop(hub);
                     reject(
@@ -1075,8 +1142,12 @@ fn durable_session_loop(
                 };
                 lane.slot = Some(slot);
                 let next_seq = lane.frames;
+                // `next_seq` may count a batch a dead session wrote and
+                // never synced: wait for everything written on the shard.
+                let seq = hub.store.events_applied();
                 drop(hub);
                 owned.insert(stream_id);
+                durable.wait_durable(seq)?;
                 t.add("serve.streams_resumed", 1);
                 write_message(
                     &mut chan,
@@ -1127,17 +1198,20 @@ fn durable_session_loop(
                     )?;
                     continue;
                 }
-                let mut hub = lock_hub(shared.shard_of(stream_id));
-                hub.store
-                    .append(&SessionEvent::StreamClosed { stream_id })
-                    .map_err(durable_io)?;
+                let durable = durable_of(shared.shard_of(stream_id))?;
+                let mut hub = durable.lock()?;
                 let lane = hub
                     .lanes
                     .remove(&stream_id)
-                    .expect("owned streams exist in the hub");
+                    .ok_or_else(|| lane_missing(stream_id))?;
+                let seq = hub
+                    .store
+                    .write(&[SessionEvent::StreamClosed { stream_id }])
+                    .map_err(durable_io)?;
                 hub.maybe_snapshot(t).map_err(durable_io)?;
                 drop(hub);
                 owned.remove(&stream_id);
+                durable.wait_durable(seq)?;
                 t.add("serve.streams_closed", 1);
                 write_message(
                     &mut chan,
@@ -1480,10 +1554,13 @@ fn submit_plain(
     Ok(true)
 }
 
-/// Shared `SubmitFrames` / `SubmitTraced` handling for durable sessions:
-/// frames are committed to the session log *before* they are fed, every
-/// emitted decision is journaled, and the journaling work is recorded
-/// under the `durable_commit` stage. `Ok(false)` ends the session.
+/// Shared `SubmitFrames` / `SubmitTraced` handling for durable sessions.
+/// Under the hub mutex the batch is fed and then written to the session
+/// log as one record batch (`FramesPushed` followed by a
+/// `DecisionEmitted` per decision — one `write_all`); outside it the
+/// session waits for the one flush that makes the batch durable, and
+/// only then replies. Write plus wait is the `durable_commit` stage.
+/// `Ok(false)` ends the session.
 #[allow(clippy::too_many_arguments)]
 fn submit_durable(
     shared: &Shared,
@@ -1507,11 +1584,12 @@ fn submit_durable(
         )?;
         return Ok(true);
     }
-    let mut hub = lock_hub(shared.shard_of(stream_id));
+    let durable = durable_of(shared.shard_of(stream_id))?;
+    let mut hub = durable.lock()?;
     let lane = hub
         .lanes
         .get_mut(&stream_id)
-        .expect("owned streams exist in the hub");
+        .ok_or_else(|| lane_missing(stream_id))?;
     let expected = lane.predictor.input_dim() as u32;
     if dim != expected {
         drop(hub);
@@ -1554,28 +1632,13 @@ fn submit_durable(
         )?;
         return Ok(true);
     }
-    // Committed before fed: a crash after this append replays the batch,
-    // so `next_seq` can never run behind a reply the client already saw.
-    let commit_start = t.now();
-    hub.store
-        .append(&SessionEvent::FramesPushed {
-            stream_id,
-            dim,
-            data: data.clone(),
-        })
-        .map_err(durable_io)?;
-    let mut commit = t.now() - commit_start;
-    let lane = hub
-        .lanes
-        .get_mut(&stream_id)
-        .expect("owned streams exist in the hub");
     let batch: Vec<Vec<f32>> = data
         .chunks(dim.max(1) as usize)
         .map(<[f32]>::to_vec)
         .collect();
     lane.queue
         .try_enqueue(batch)
-        .expect("free space was checked");
+        .map_err(|_| io::Error::other("frame queue refused a batch it had room for"))?;
     let enqueued_at = t.now();
     let drain_start = t.now();
     let drained = drain_lane(lane, trace);
@@ -1583,19 +1646,27 @@ fn submit_durable(
     observe_stage(t, "queue_wait", drain_start - enqueued_at, trace);
     lane.frames += rows as u64;
     lane.decisions += drained.len() as u64;
-    let commit_resume = t.now();
-    for d in &drained {
-        hub.store
-            .append(&SessionEvent::DecisionEmitted {
-                stream_id,
-                anchor: d.anchor,
-                fingerprint: decision_fingerprint(d),
-            })
-            .map_err(durable_io)?;
-    }
+    // Fed, then written, all under the mutex: the log holds the batch and
+    // its decisions in application order, contiguously. Nothing is
+    // acknowledged until the flush below covers `seq`, so a crash in
+    // between loses only work no client ever saw.
+    let commit_start = t.now();
+    let mut events = Vec::with_capacity(1 + drained.len());
+    events.push(SessionEvent::FramesPushed {
+        stream_id,
+        dim,
+        data,
+    });
+    events.extend(drained.iter().map(|d| SessionEvent::DecisionEmitted {
+        stream_id,
+        anchor: d.anchor,
+        fingerprint: decision_fingerprint(d),
+    }));
+    let seq = hub.store.write(&events).map_err(durable_io)?;
     hub.maybe_snapshot(t).map_err(durable_io)?;
-    commit += t.now() - commit_resume;
     drop(hub);
+    durable.wait_durable(seq)?;
+    let commit = t.now() - commit_start;
     observe_stage(t, "durable_commit", commit, trace);
     let decisions: Vec<WireDecision> = drained.iter().map(decision_to_wire).collect();
     count_batch(shared, stream_id, rows, decisions.len());

@@ -3,8 +3,9 @@
 //! durable directory, and clients reconnect with `Resume` — the combined
 //! decision stream must be bit-identical to an uninterrupted in-process
 //! `run_lanes` pass, at 1 and 4 workers. Plus model hot-reload across a
-//! crash, durable-specific admission rules, and the client's typed
-//! `Disconnected` error.
+//! crash, an injected log-sync failure (the shard must stop without ever
+//! acknowledging the failed commit), durable-specific admission rules,
+//! and the client's typed `Disconnected` error.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -330,6 +331,248 @@ fn hot_reload_mid_serve_survives_kill_and_recover() {
         "post-crash decisions must match the uninterrupted hot-reload \
          reference bit for bit"
     );
+}
+
+/// Snapshot files in `dir`, as the event counts their names carry.
+fn snapshot_event_counts(dir: &PathBuf) -> Vec<u64> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|entry| {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let events = name.strip_prefix("snap-")?.strip_suffix(".evsn")?;
+            Some(
+                events
+                    .parse()
+                    .expect("snapshot name carries its event count"),
+            )
+        })
+        .collect()
+}
+
+/// A log sync fails mid-serve. The commit rule under test: the client
+/// whose commit failed is disconnected and never sees a reply; the
+/// failure is sticky for every session of the shard; no snapshot claims
+/// more than the last good sync; and a new server over the directory
+/// resumes at or past everything that was ever acknowledged, deciding
+/// bit-identically to an uninterrupted `run_lanes` pass from there.
+///
+/// `snapshot_every == 1` puts the failing sync inside the snapshot
+/// barrier (under the hub mutex), `0` in the session's own wait after it
+/// left the mutex. With more than one worker a second session is
+/// attached to the shard while the sync fails; with one it connects after.
+fn sync_fault_scenario(workers: usize, snapshot_every: u64) {
+    let t = trained();
+    let rows = t.features.rows().min(1500);
+    let batch = 97;
+    let fault_round = 4;
+    let dim = t.features.cols() as u32;
+    let concurrent = workers > 1;
+
+    let lanes: Vec<StreamLane> = (0..2)
+        .map(|i| StreamLane {
+            stream_id: i,
+            predictor: predictor(),
+            features: t.features.clone(),
+            from: 0,
+        })
+        .collect();
+    let baseline: Vec<LaneDecision> = with_workers(workers, || run_lanes(lanes, &Pool::current()))
+        .into_iter()
+        .filter(|d| d.decision.anchor < rows as u64)
+        .collect();
+
+    let dir = fresh_dir(&format!("syncfault{workers}-{snapshot_every}"));
+    let cfg = durable_cfg(&dir, snapshot_every);
+    let server = Arc::new(Server::bind(cfg.clone(), Box::new(|_| predictor())).expect("bind"));
+    let addr = server.local_addr().unwrap();
+    let handle = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve_sessions(2, &Pool::new(workers)))
+    };
+
+    // Phase A: both streams served and acknowledged up to the fault.
+    let mut served: Vec<LaneDecision> = Vec::new();
+    let mut acked = [0usize; 2];
+    // Log events behind those acknowledgements: one per open, one per
+    // batch, one per decision — the sequence the last good sync covered.
+    let mut acked_events = 0u64;
+    let mut victim = ServeClient::connect(addr).expect("connect victim");
+    victim.open_stream(0).unwrap().expect_ok("open 0");
+    acked_events += 1;
+    let mut bystander = concurrent.then(|| {
+        let mut c = ServeClient::connect(addr).expect("connect bystander");
+        c.open_stream(1).unwrap().expect_ok("open 1");
+        c
+    });
+    acked_events += bystander.is_some() as u64;
+    for _ in 0..fault_round {
+        let clients = std::iter::once(&mut victim).chain(bystander.as_mut());
+        for (i, client) in clients.enumerate() {
+            let before = served.len();
+            feed(
+                client,
+                i as u32,
+                &t.features,
+                acked[i],
+                acked[i] + batch,
+                &mut served,
+            );
+            acked[i] += batch;
+            acked_events += 1 + (served.len() - before) as u64;
+        }
+    }
+
+    // The next sync on the shard fails.
+    server.fail_durable_sync_at(0, 1).unwrap();
+    let row_data = |at: usize| {
+        let mut data = Vec::new();
+        for r in at..at + batch {
+            data.extend_from_slice(t.features.row(r));
+        }
+        data
+    };
+    let err = victim
+        .submit(0, dim, row_data(acked[0]))
+        .expect_err("a failed commit must never be acknowledged");
+    assert!(
+        is_disconnected(&err),
+        "victim must read a disconnect, got {err:?}"
+    );
+    drop(victim);
+
+    // Sticky: the shard's other session fails on its next state change.
+    let err = match bystander.take() {
+        Some(mut c) => c.submit(1, dim, row_data(acked[1])).map(|_| ()),
+        None => {
+            let mut c = ServeClient::connect(addr).expect("connect after the fault");
+            // Neither a fresh stream nor the parked one (whose memory is
+            // ahead of the disk) can be had from this server any more.
+            c.resume_stream(0, acked[0] as u64).map(|_| ())
+        }
+    }
+    .expect_err("a stopped shard must not acknowledge anything");
+    assert!(
+        is_disconnected(&err),
+        "bystander must read a disconnect, got {err:?}"
+    );
+    handle.join().expect("server thread");
+    drop(server);
+
+    let newest = snapshot_event_counts(&dir).into_iter().max();
+    assert!(
+        newest.unwrap_or(0) <= acked_events,
+        "snapshot at {newest:?} events, but the last good sync covered {acked_events}"
+    );
+    if snapshot_every == 1 {
+        assert_eq!(
+            newest,
+            Some(acked_events),
+            "the last acked batch did snapshot"
+        );
+    }
+
+    // Phase B: a new process over the same directory.
+    let streams = if concurrent { 2 } else { 1 };
+    let (addr, handle) = spawn_server(cfg, 1, workers);
+    let mut client = ServeClient::connect(addr).expect("connect B");
+    let mut resumed = Vec::new();
+    for (i, &acked) in acked.iter().enumerate().take(streams) {
+        let next = client
+            .resume_stream(i as u32, acked as u64)
+            .expect("resume I/O")
+            .expect_ok("resume") as usize;
+        assert!(
+            next >= acked,
+            "stream {i}: next_seq {next} below acked {acked}"
+        );
+        // Frames the log kept beyond the last acknowledgement were decided
+        // in the dead server's memory; those decisions are the documented
+        // at-most-once gap.
+        let mut at = next;
+        while at < rows {
+            let hi = (at + batch).min(rows);
+            feed(&mut client, i as u32, &t.features, at, hi, &mut served);
+            at = hi;
+        }
+        client.close_stream(i as u32).unwrap().expect_ok("close");
+        resumed.push(next);
+    }
+    drop(client);
+    handle.join().expect("server B thread");
+
+    served.sort_by_key(|d| (d.decision.anchor, d.stream_id));
+    let expected: Vec<LaneDecision> = baseline
+        .into_iter()
+        .filter(|d| {
+            d.stream_id < streams
+                && !(acked[d.stream_id]..resumed[d.stream_id])
+                    .contains(&(d.decision.anchor as usize))
+        })
+        .collect();
+    assert_eq!(
+        served, expected,
+        "decisions around the failed sync must match run_lanes bit for bit"
+    );
+}
+
+#[test]
+fn an_acknowledged_request_costs_at_most_one_sync() {
+    let t = trained();
+    let dir = fresh_dir("onesync");
+    // Snapshots every other event: some submits meet the flush inside the
+    // snapshot barrier, and must not flush again on the way out.
+    let cfg = durable_cfg(&dir, 2);
+    let telemetry = Arc::new(eventhit::telemetry::Telemetry::new());
+    let server =
+        Server::bind_with_telemetry(cfg, Box::new(|_| predictor()), Arc::clone(&telemetry))
+            .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve_sessions(1, &Pool::new(1)));
+
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.open_stream(0).unwrap().expect_ok("open");
+    let mut served = Vec::new();
+    let batch = 64;
+    let submits = 12;
+    for k in 0..submits {
+        feed(
+            &mut client,
+            0,
+            &t.features,
+            k * batch,
+            (k + 1) * batch,
+            &mut served,
+        );
+    }
+    client.close_stream(0).unwrap().expect_ok("close");
+    drop(client);
+    handle.join().expect("server thread");
+
+    assert!(!served.is_empty(), "the run must emit decisions");
+    let snap = telemetry.snapshot();
+    let requests = 2 + submits as u64; // open + submits + close
+    assert_eq!(
+        snap.counter("durable.appends"),
+        Some(requests + served.len() as u64),
+        "one record per open, batch, decision and close"
+    );
+    let syncs = snap.counter("durable.syncs").expect("syncs are counted");
+    assert!(
+        syncs <= requests,
+        "{syncs} syncs for {requests} acknowledged requests"
+    );
+}
+
+#[test]
+fn sync_fault_is_fail_stop_at_1_worker() {
+    sync_fault_scenario(1, 0);
+    sync_fault_scenario(1, 1);
+}
+
+#[test]
+fn sync_fault_is_fail_stop_at_4_workers() {
+    sync_fault_scenario(4, 0);
+    sync_fault_scenario(4, 1);
 }
 
 #[test]
