@@ -39,7 +39,7 @@ fn drive(p: &mut OnlinePredictor, features: &eventhit_nn::matrix::Matrix) -> usi
     let mut decisions = 0;
     for i in 0..FRAMES_PER_ITER {
         let r = i % features.rows();
-        if p.push_frame(features.row(r).to_vec()).is_some() {
+        if p.push_frame(features.row(r)).is_some() {
             decisions += 1;
         }
     }

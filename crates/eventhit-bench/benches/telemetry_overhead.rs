@@ -80,7 +80,7 @@ fn drive(p: &mut OnlinePredictor, run: &TaskRun, traced: bool) -> usize {
             p.set_trace(Some((i / BATCH) as u64 + 1));
         }
         let r = i % features.rows();
-        if p.push_frame(features.row(r).to_vec()).is_some() {
+        if p.push_frame(features.row(r)).is_some() {
             decisions += 1;
         }
     }

@@ -317,7 +317,7 @@ impl TaskRun {
     }
 
     /// Rebuilds a split's records with their gated windows and scores
-    /// them, batching maximal runs of equal window lengths.
+    /// them.
     fn sampled_split(
         &self,
         records: &[Record],
@@ -326,7 +326,7 @@ impl TaskRun {
     ) -> Vec<ScoredRecord> {
         let gated =
             crate::sampling::sampled_records(&self.model, &self.features, records, policy, lane);
-        crate::sampling::score_sampled_records(&self.model, &gated, 128, lane)
+        score_records_lane(&self.model, &gated, 128, lane)
     }
 
     /// Predictions of a strategy over the test split.

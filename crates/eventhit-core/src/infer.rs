@@ -5,7 +5,7 @@ use eventhit_nn::quant::InferenceLane;
 use eventhit_parallel::{DeterministicReduce, Pool};
 use eventhit_video::records::{EventLabel, Record};
 
-use crate::model::EventHit;
+use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
 
 /// Per-event scores of one record: the existence score `b_k` and the
 /// per-offset occurrence scores `θ_{k,1..H}` (index `v - 1` holds offset
@@ -34,10 +34,11 @@ pub struct ScoredRecord {
 
 /// Runs the model over `records` in minibatches and collects scores.
 ///
-/// Batches score in parallel on the ambient [`Pool::current`]; every
-/// record's scores come out of the same forward arithmetic on the same
-/// batch as the sequential path, so the result is bit-identical for any
-/// worker count.
+/// The model is compiled once per call (see [`InferencePlan`]) and
+/// every record is scored on its own through the plan, so batching only
+/// decides how the work is split: minibatches score in parallel on the
+/// ambient [`Pool::current`], and the result is bit-identical for any
+/// batch size and worker count.
 pub fn score_records(model: &EventHit, records: &[Record], batch_size: usize) -> Vec<ScoredRecord> {
     score_records_with(model, records, batch_size, &Pool::current())
 }
@@ -53,10 +54,10 @@ pub fn score_records_with(
     score_records_lane_with(model, records, batch_size, InferenceLane::Exact, pool)
 }
 
-/// [`score_records`] on an explicit [`InferenceLane`]: `Exact` runs the
-/// trained f32 forward, `Quantized` snapshots the model onto the int8
-/// fast lane once (amortized over all minibatches) and scores on it.
-/// Either lane is bit-identical across worker counts.
+/// [`score_records`] on an explicit [`InferenceLane`]: `Exact` compiles
+/// the model onto packed f32 panels, `Quantized` onto the int8 fast
+/// lane — once either way, amortized over all records. Records may have
+/// different window lengths (the adaptive-window calibration path).
 pub fn score_records_lane(
     model: &EventHit,
     records: &[Record],
@@ -74,21 +75,65 @@ pub fn score_records_lane_with(
     lane: InferenceLane,
     pool: &Pool,
 ) -> Vec<ScoredRecord> {
-    match lane {
-        InferenceLane::Exact => score_chunks(records, batch_size, pool, |batch| {
-            model.forward_inference(batch)
-        }),
-        InferenceLane::Quantized => {
-            let quantized = model.quantized();
-            score_chunks(records, batch_size, pool, move |batch| {
-                quantized.forward_inference(batch)
-            })
-        }
+    assert!(batch_size > 0);
+    let plan = InferencePlan::compile(model, lane);
+    let chunks: Vec<&[Record]> = records.chunks(batch_size).collect();
+    let reduce = DeterministicReduce::with_capacity(chunks.len());
+    pool.run_tasks(chunks, |ci, chunk| {
+        let mut scratch = plan.scratch();
+        let scored: Vec<ScoredRecord> = chunk
+            .iter()
+            .map(|record| score_record(&plan, record, &mut scratch))
+            .collect();
+        reduce.submit(ci, scored);
+    });
+    let mut out = Vec::with_capacity(records.len());
+    for part in reduce.into_ordered() {
+        out.extend(part);
+    }
+    out
+}
+
+/// Scores one window on `plan` into `scores`, one [`EventScores`] per
+/// event head. `scores` is overwritten in place: once it has held a
+/// window's scores, scoring the next one allocates nothing.
+pub fn score_window_into<'a>(
+    plan: &InferencePlan,
+    rows: impl IntoIterator<Item = &'a [f32]>,
+    scratch: &mut InferenceScratch,
+    scores: &mut Vec<EventScores>,
+) {
+    let outputs = plan.forward(rows, scratch);
+    scores.resize_with(plan.config().num_events, || EventScores {
+        b: 0.0,
+        theta: Vec::new(),
+    });
+    for (s, head) in scores.iter_mut().zip(outputs.chunks_exact(plan.head_len())) {
+        s.b = head[0] as f64;
+        s.theta.clear();
+        s.theta.extend_from_slice(&head[1..]);
+    }
+}
+
+/// Scores one record on `plan`, keeping its anchor and labels.
+pub fn score_record(
+    plan: &InferencePlan,
+    record: &Record,
+    scratch: &mut InferenceScratch,
+) -> ScoredRecord {
+    let mut scores = Vec::new();
+    score_window_into(plan, window_rows(&record.covariates), scratch, &mut scores);
+    ScoredRecord {
+        anchor: record.anchor,
+        scores,
+        labels: record.labels.clone(),
     }
 }
 
 /// Assembles the [`ScoredRecord`] of row `i` from a set of per-head
-/// forward outputs (`outputs[k]: batch x (1 + H)`).
+/// forward outputs (`outputs[k]: batch x (1 + H)`), as
+/// [`EventHit::forward_inference`] and
+/// [`InferencePlan::forward_inference`] return them.
 pub fn scored_from_outputs(outputs: &[Matrix], i: usize, record: &Record) -> ScoredRecord {
     let scores = outputs
         .iter()
@@ -105,34 +150,6 @@ pub fn scored_from_outputs(outputs: &[Matrix], i: usize, record: &Record) -> Sco
         scores,
         labels: record.labels.clone(),
     }
-}
-
-/// Shared minibatch scaffold: chunk, forward with `f`, merge in record
-/// order via [`DeterministicReduce`].
-fn score_chunks(
-    records: &[Record],
-    batch_size: usize,
-    pool: &Pool,
-    f: impl Fn(&[&Record]) -> Vec<Matrix> + Sync,
-) -> Vec<ScoredRecord> {
-    assert!(batch_size > 0);
-    let chunks: Vec<&[Record]> = records.chunks(batch_size).collect();
-    let reduce = DeterministicReduce::with_capacity(chunks.len());
-    pool.run_tasks(chunks, |ci, chunk| {
-        let batch: Vec<&Record> = chunk.iter().collect();
-        let outputs = f(&batch);
-        let scored: Vec<ScoredRecord> = chunk
-            .iter()
-            .enumerate()
-            .map(|(i, record)| scored_from_outputs(&outputs, i, record))
-            .collect();
-        reduce.submit(ci, scored);
-    });
-    let mut out = Vec::with_capacity(records.len());
-    for part in reduce.into_ordered() {
-        out.extend(part);
-    }
-    out
 }
 
 /// A predicted occurrence interval for one event in one horizon.
@@ -293,5 +310,31 @@ mod tests {
         for (a, b) in scored.iter().zip(&scored_full) {
             assert_eq!(a.scores, b.scores);
         }
+        // Nor does compiling: the plan's scores are the batched reference
+        // forward's, bit for bit.
+        let batch: Vec<&Record> = records.iter().collect();
+        let outputs = model.forward_inference(&batch);
+        for (i, (s, r)) in scored.iter().zip(&records).enumerate() {
+            assert_eq!(s.scores, scored_from_outputs(&outputs, i, r).scores);
+        }
+    }
+
+    #[test]
+    fn score_window_into_reuses_its_output() {
+        use crate::model::{EventHit, EventHitConfig};
+        let model = EventHit::new(EventHitConfig::new(3, 4, 6, 2), 1);
+        let plan = InferencePlan::compile(&model, InferenceLane::Exact);
+        let mut scratch = plan.scratch();
+        let mut scores = Vec::new();
+        let window = Matrix::filled(4, 3, 0.25);
+        score_window_into(&plan, window_rows(&window), &mut scratch, &mut scores);
+        let first = scores.clone();
+        let theta_at = scores[0].theta.as_ptr();
+        let other = Matrix::filled(2, 3, -0.5);
+        score_window_into(&plan, window_rows(&other), &mut scratch, &mut scores);
+        assert_ne!(scores, first);
+        assert_eq!(scores[0].theta.as_ptr(), theta_at, "theta buffer reused");
+        score_window_into(&plan, window_rows(&window), &mut scratch, &mut scores);
+        assert_eq!(scores, first, "no state leaks between windows");
     }
 }

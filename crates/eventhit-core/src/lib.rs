@@ -47,7 +47,7 @@ pub use experiment::{ExperimentConfig, TaskRun};
 pub use faults::{FaultConfig, FaultInjector, FaultKind, FaultTrace};
 pub use infer::{EventScores, IntervalPrediction, ScoredRecord};
 pub use metrics::{evaluate, try_evaluate, EvalOutcome};
-pub use model::{EventHit, EventHitConfig, QuantizedEventHit};
+pub use model::{EventHit, EventHitConfig, InferencePlan, InferenceScratch};
 pub use pipeline::{ConformalState, Strategy};
 pub use report::TelemetrySnapshot;
 pub use resilient::{

@@ -13,9 +13,9 @@ use eventhit_nn::matrix::Matrix;
 
 use crate::ci::{CiConfig, CostReport};
 use crate::error::CoreError;
-use crate::infer::score_records;
+use crate::infer::score_record;
 use crate::metrics::MissAttribution;
-use crate::model::EventHit;
+use crate::model::{EventHit, InferencePlan, InferenceScratch};
 use crate::pipeline::{ConformalState, Strategy};
 use crate::resilient::{
     DegradationMode, DegradationTag, FailReason, ResilienceStats, ResilientCiClient,
@@ -92,9 +92,11 @@ impl MarshalResult {
     }
 }
 
-/// The online marshaller. Owns the trained model and calibration state.
+/// The online marshaller. Owns the trained model — compiled once for
+/// exact-lane inference — and the calibration state.
 pub struct Marshaller {
-    model: EventHit,
+    plan: InferencePlan,
+    scratch: InferenceScratch,
     state: ConformalState,
     strategy: Strategy,
     window: usize,
@@ -125,8 +127,10 @@ impl Marshaller {
         horizon: usize,
         ci: CiConfig,
     ) -> Self {
+        let plan = model.packed();
         Marshaller {
-            model,
+            scratch: plan.scratch(),
+            plan,
             state,
             strategy,
             window,
@@ -211,8 +215,8 @@ impl Marshaller {
         while anchor + self.horizon as u64 <= to {
             horizons += 1;
             let record = extract_record(stream, features, anchor, self.window, self.horizon);
-            let scored = score_records(&self.model, std::slice::from_ref(&record), 1);
-            let preds = self.state.predict(&scored[0], &self.strategy);
+            let scored = score_record(&self.plan, &record, &mut self.scratch);
+            let preds = self.state.predict(&scored, &self.strategy);
 
             // A relayed frame is paid for once even when several events'
             // intervals overlap: the CI call covers all event models.
@@ -316,8 +320,8 @@ impl Marshaller {
         while anchor + self.horizon as u64 <= to {
             horizons += 1;
             let record = extract_record(stream, features, anchor, self.window, self.horizon);
-            let scored = score_records(&self.model, std::slice::from_ref(&record), 1);
-            let preds = self.state.predict(&scored[0], &self.strategy);
+            let scored = score_record(&self.plan, &record, &mut self.scratch);
+            let preds = self.state.predict(&scored, &self.strategy);
 
             for (k, label) in record.labels.iter().enumerate() {
                 if label.present {

@@ -12,13 +12,15 @@ use eventhit_rng::rngs::StdRng;
 use eventhit_rng::SeedableRng;
 
 use eventhit_nn::activation::Activation;
-use eventhit_nn::dense::{Dense, QuantizedDense};
+use eventhit_nn::cell::CellState;
+use eventhit_nn::dense::{Dense, PackedDense, QuantizedDense};
 use eventhit_nn::dropout::Dropout;
-use eventhit_nn::gru::{Gru, QuantizedGru};
+use eventhit_nn::gru::{Gru, PackedGru, QuantizedGru};
 use eventhit_nn::init::Init;
-use eventhit_nn::lstm::{Lstm, QuantizedLstm};
+use eventhit_nn::lstm::{Lstm, PackedLstm, QuantizedLstm};
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::optimizer::ParamMut;
+use eventhit_nn::quant::InferenceLane;
 
 use eventhit_video::records::Record;
 
@@ -134,13 +136,31 @@ impl Encoder {
             Encoder::Gru(_) => EncoderKind::Gru,
         }
     }
+
+    fn clear_cache(&mut self) {
+        match self {
+            Encoder::Lstm(l) => l.clear_cache(),
+            Encoder::Gru(g) => g.clear_cache(),
+        }
+    }
+
+    fn cache_len(&self) -> usize {
+        match self {
+            Encoder::Lstm(l) => l.cache_len(),
+            Encoder::Gru(g) => g.cache_len(),
+        }
+    }
 }
 
-/// The EventHit network.
+/// The EventHit network, in its trainable form: parameters, gradient
+/// accumulators, and (between a `forward` and the end of training) the
+/// last batch's activations for backprop.
 ///
-/// Cloning copies the full parameter set plus training state (RNG,
-/// caches); multi-stream lanes clone a trained model so each lane can
-/// score independently on its own thread.
+/// Serving does not run this type. [`EventHit::packed`] /
+/// [`EventHit::quantized`] compile it once into an [`InferencePlan`]
+/// (weights only, repacked for row-at-a-time inference) and predictors
+/// keep the plan; [`EventHit::forward_inference`] stays as the batched
+/// reference the plan is tested against.
 #[derive(Clone)]
 pub struct EventHit {
     config: EventHitConfig,
@@ -223,8 +243,29 @@ impl EventHit {
     }
 
     /// Switches dropout between training and inference behaviour.
+    /// Leaving training also drops every layer's backprop cache (the last
+    /// batch's activations), so a trained model — and every clone made of
+    /// it — carries parameters and gradient buffers only. The next
+    /// [`EventHit::forward`] refills the caches.
     pub fn set_training(&mut self, training: bool) {
         self.dropout.set_training(training);
+        if !training {
+            self.encoder.clear_cache();
+            self.shared_fc.clear_cache();
+            for head in &mut self.heads {
+                head.clear_cache();
+            }
+            self.cache_concat = None;
+        }
+    }
+
+    /// Values held in backprop caches across all layers: the last
+    /// forward batch's activations, `0` once training has ended.
+    pub fn training_cache_len(&self) -> usize {
+        self.encoder.cache_len()
+            + self.shared_fc.cache_len()
+            + self.heads.iter().map(Dense::cache_len).sum::<usize>()
+            + self.cache_concat.as_ref().map_or(0, Matrix::len)
     }
 
     /// Assembles the LSTM input sequence from a batch of records:
@@ -310,20 +351,49 @@ impl EventHit {
         params
     }
 
-    /// Snapshots the trained network onto the int8 quantized inference
-    /// lane (see [`eventhit_nn::quant::InferenceLane`]). Every weight
-    /// matrix is quantized once; the snapshot is immutable, `Send + Sync`,
-    /// and cheap to clone, so build it before a scoring loop and reuse it.
-    pub fn quantized(&self) -> QuantizedEventHit {
+    /// Compiles the trained network for exact-lane inference: every
+    /// weight matrix repacked k-major once (see [`eventhit_nn::packed`]).
+    /// The plan's forward is bit-identical to
+    /// [`EventHit::forward_inference`], row for row.
+    pub fn packed(&self) -> InferencePlan {
         let encoder = match &self.encoder {
-            Encoder::Lstm(l) => QuantizedEncoder::Lstm(l.quantized()),
-            Encoder::Gru(g) => QuantizedEncoder::Gru(g.quantized()),
+            Encoder::Lstm(l) => PlanEncoder::Lstm(l.packed()),
+            Encoder::Gru(g) => PlanEncoder::Gru(g.packed()),
         };
-        QuantizedEventHit {
+        InferencePlan {
             config: self.config.clone(),
+            lane: InferenceLane::Exact,
             encoder,
-            shared_fc: self.shared_fc.quantized(),
-            heads: self.heads.iter().map(Dense::quantized).collect(),
+            shared_fc: PlanDense::Packed(self.shared_fc.packed()),
+            heads: self
+                .heads
+                .iter()
+                .map(|h| PlanDense::Packed(h.packed()))
+                .collect(),
+        }
+    }
+
+    /// Snapshots the trained network onto the int8 quantized inference
+    /// lane (see [`InferenceLane`]): every weight matrix quantized once.
+    /// Scores approximate the exact lane's within the per-row
+    /// quantization step; pair with conformal recalibration on quantized
+    /// scores (see `TaskRun::state_for_lane`) to keep the coverage
+    /// guarantee.
+    pub fn quantized(&self) -> InferencePlan {
+        let encoder = match &self.encoder {
+            Encoder::Lstm(l) => PlanEncoder::QuantizedLstm(l.quantized()),
+            Encoder::Gru(g) => PlanEncoder::QuantizedGru(g.quantized()),
+        };
+        InferencePlan {
+            config: self.config.clone(),
+            lane: InferenceLane::Quantized,
+            encoder,
+            shared_fc: PlanDense::Quantized(self.shared_fc.quantized()),
+            heads: self
+                .heads
+                .iter()
+                .map(|h| PlanDense::Quantized(h.quantized()))
+                .collect(),
         }
     }
 }
@@ -362,57 +432,179 @@ fn batch_sequence(config: &EventHitConfig, records: &[&Record]) -> Vec<Matrix> {
         .collect()
 }
 
-/// The quantized recurrent encoder, mirroring [`Encoder`].
+/// The plan's recurrent encoder: either lane of either cell.
 #[derive(Clone)]
-enum QuantizedEncoder {
-    Lstm(QuantizedLstm),
-    Gru(QuantizedGru),
+enum PlanEncoder {
+    Lstm(PackedLstm),
+    Gru(PackedGru),
+    QuantizedLstm(QuantizedLstm),
+    QuantizedGru(QuantizedGru),
 }
 
-impl QuantizedEncoder {
-    fn forward(&self, xs: &[Matrix]) -> Matrix {
+impl PlanEncoder {
+    fn step(&self, x: &[f32], state: &mut CellState) {
         match self {
-            QuantizedEncoder::Lstm(l) => l.forward(xs),
-            QuantizedEncoder::Gru(g) => g.forward(xs),
+            PlanEncoder::Lstm(l) => l.step(x, state),
+            PlanEncoder::Gru(g) => g.step(x, state),
+            PlanEncoder::QuantizedLstm(l) => l.step(x, state),
+            PlanEncoder::QuantizedGru(g) => g.step(x, state),
         }
     }
 }
 
-/// An int8-weight snapshot of a trained [`EventHit`]: the quantized
-/// inference lane. Produced by [`EventHit::quantized`]; runs the same
-/// architecture with `i8` weight panels and f32 accumulation, so scores
-/// approximate the exact lane's within the per-row quantization step.
-/// Pair with conformal recalibration on quantized scores (see
-/// `TaskRun::state_for_lane`) to keep the coverage guarantee.
+/// One of the plan's dense layers, on either lane.
 #[derive(Clone)]
-pub struct QuantizedEventHit {
-    config: EventHitConfig,
-    encoder: QuantizedEncoder,
-    shared_fc: QuantizedDense,
-    heads: Vec<QuantizedDense>,
+enum PlanDense {
+    Packed(PackedDense),
+    Quantized(QuantizedDense),
 }
 
-impl QuantizedEventHit {
+impl PlanDense {
+    fn forward_into(&self, x: &[f32], xq: &mut Vec<i8>, out: &mut [f32]) {
+        match self {
+            PlanDense::Packed(d) => d.forward_into(x, out),
+            PlanDense::Quantized(d) => d.forward_into(x, xq, out),
+        }
+    }
+}
+
+/// Per-lane buffers an [`InferencePlan`] forward works in, sized once
+/// from the plan ([`InferencePlan::scratch`]) and reused for every
+/// window scored after that.
+#[derive(Clone, Debug)]
+pub struct InferenceScratch {
+    cell: CellState,
+    /// The head input `z ⊕ X_n`.
+    concat: Vec<f32>,
+    /// Quantized activations of the dense layers (int8 lane only).
+    xq: Vec<i8>,
+    /// The head outputs, `K x (1 + H)` row-major.
+    out: Vec<f32>,
+}
+
+/// A trained [`EventHit`] compiled for inference on one
+/// [`InferenceLane`]: weights only — no gradients, no caches — laid out
+/// for scoring one window at a time. Built once by
+/// [`InferencePlan::compile`] (or [`EventHit::packed`] /
+/// [`EventHit::quantized`]), immutable and `Send + Sync` afterwards, so
+/// build it before a scoring loop and share it.
+///
+/// The exact lane reproduces [`EventHit::forward_inference`] bit for
+/// bit; the quantized lane approximates it within the int8 step.
+#[derive(Clone)]
+pub struct InferencePlan {
+    config: EventHitConfig,
+    lane: InferenceLane,
+    encoder: PlanEncoder,
+    shared_fc: PlanDense,
+    heads: Vec<PlanDense>,
+}
+
+impl InferencePlan {
+    /// Compiles `model` for `lane`.
+    pub fn compile(model: &EventHit, lane: InferenceLane) -> Self {
+        match lane {
+            InferenceLane::Exact => model.packed(),
+            InferenceLane::Quantized => model.quantized(),
+        }
+    }
+
     /// The network configuration (shared with the source model).
     pub fn config(&self) -> &EventHitConfig {
         &self.config
     }
 
-    /// Quantized inference forward pass, mirroring
-    /// [`EventHit::forward_inference`]: one `batch x (1 + H)` sigmoid
-    /// output per event head. Pure `&self` and sequential per batch, so
-    /// results are bit-identical across worker counts.
+    /// The lane this plan scores on.
+    pub fn lane(&self) -> InferenceLane {
+        self.lane
+    }
+
+    /// Output values per event head: `1 + H`.
+    pub fn head_len(&self) -> usize {
+        1 + self.config.horizon
+    }
+
+    /// Buffers for [`InferencePlan::forward`], sized for this plan.
+    pub fn scratch(&self) -> InferenceScratch {
+        let cfg = &self.config;
+        InferenceScratch {
+            cell: CellState::new(cfg.hidden_dim),
+            concat: vec![0.0; cfg.shared_dim + cfg.input_dim],
+            xq: Vec::with_capacity(cfg.shared_dim + cfg.input_dim),
+            out: vec![0.0; cfg.num_events * self.head_len()],
+        }
+    }
+
+    /// Scores one collection window. `rows` are its frames' features,
+    /// oldest first — between 1 and `M` of them (a shrunken adaptive
+    /// window runs the encoder for fewer steps). Returns the sigmoid
+    /// outputs of all heads, `K x (1 + H)` row-major, borrowed from
+    /// `scratch`. Allocates nothing; sequential, so bit-identical at any
+    /// worker count.
+    ///
+    /// # Panics
+    /// Panics if `rows` yields no row, more than `M` rows, or a row that
+    /// is not `D` long, or if `scratch` came from a differently shaped
+    /// plan.
+    pub fn forward<'s, 'a>(
+        &self,
+        rows: impl IntoIterator<Item = &'a [f32]>,
+        scratch: &'s mut InferenceScratch,
+    ) -> &'s [f32] {
+        let cfg = &self.config;
+        let InferenceScratch {
+            cell,
+            concat,
+            xq,
+            out,
+        } = scratch;
+        cell.reset();
+        let mut last: Option<&[f32]> = None;
+        let mut m = 0;
+        for x in rows {
+            assert_eq!(x.len(), cfg.input_dim, "window row dimensionality mismatch");
+            self.encoder.step(x, cell);
+            last = Some(x);
+            m += 1;
+        }
+        assert!(
+            m >= 1 && m <= cfg.window,
+            "window length {m} outside [1, {}]",
+            cfg.window
+        );
+        let (z, x_last) = concat.split_at_mut(cfg.shared_dim);
+        self.shared_fc.forward_into(cell.hidden(), xq, z);
+        x_last.copy_from_slice(last.expect("at least one row was stepped"));
+        for (head, scores) in self.heads.iter().zip(out.chunks_exact_mut(self.head_len())) {
+            head.forward_into(concat, xq, scores);
+        }
+        out
+    }
+
+    /// Scores a batch of records, one `batch x (1 + H)` matrix per event
+    /// head — the shape [`EventHit::forward_inference`] returns, for
+    /// callers that want matrices and tests that compare the two.
+    /// Records may have different window lengths: each is scored on its
+    /// own.
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
-        let xs = batch_sequence(&self.config, records);
-        let h = self.encoder.forward(&xs);
-        let z = self.shared_fc.forward(&h);
-        let concat = z.hcat(&xs[xs.len() - 1]);
-        self.heads
-            .iter()
-            .map(|head| head.forward(&concat))
-            .collect()
+        let head_len = self.head_len();
+        let mut outputs = vec![Matrix::zeros(records.len(), head_len); self.heads.len()];
+        let mut scratch = self.scratch();
+        for (i, record) in records.iter().enumerate() {
+            let scores = self.forward(window_rows(&record.covariates), &mut scratch);
+            for (head, row) in outputs.iter_mut().zip(scores.chunks_exact(head_len)) {
+                head.set_row(i, row);
+            }
+        }
+        outputs
     }
+}
+
+/// The rows of a covariate matrix, oldest first, as
+/// [`InferencePlan::forward`] takes them.
+pub fn window_rows(covariates: &Matrix) -> impl Iterator<Item = &[f32]> + Clone {
+    (0..covariates.rows()).map(|t| covariates.row(t))
 }
 
 #[cfg(test)]
@@ -551,6 +743,122 @@ mod tests {
         let r = record(2, 4, 0.3);
         let outs = q.forward_inference(&[&r]);
         assert_eq!(outs[0].shape(), (1, 11));
+    }
+
+    /// A model of `kind` trained for a few epochs on random windows, and
+    /// the windows. Odd layer sizes, so the packed tiles have ragged
+    /// edges: 4*7 = 28 / 3*7 = 21 gate outputs, 1 + 10 = 11 head outputs.
+    fn trained(kind: EncoderKind) -> (EventHit, Vec<Record>) {
+        use crate::train::{train, TrainConfig};
+        use eventhit_rng::Rng;
+        let cfg = EventHitConfig {
+            hidden_dim: 7,
+            dropout: 0.2,
+            ..tiny_config()
+        };
+        let mut rng = StdRng::seed_from_u64(41);
+        let records: Vec<Record> = (0..24)
+            .map(|i| {
+                let present = i % 3 == 0;
+                let data = (0..cfg.window * cfg.input_dim)
+                    .map(|_| rng.random_range(-1.0f32..1.0) + if present { 0.5 } else { 0.0 })
+                    .collect();
+                let label = EventLabel {
+                    present,
+                    start: 2,
+                    end: 6,
+                    censored: false,
+                };
+                Record {
+                    anchor: i,
+                    covariates: Matrix::from_vec(cfg.window, cfg.input_dim, data),
+                    labels: vec![if present { label } else { EventLabel::absent() }; 2],
+                }
+            })
+            .collect();
+        let mut model = EventHit::with_encoder(cfg, kind, 9);
+        let train_cfg = TrainConfig {
+            epochs: 3,
+            batch_size: 8,
+            ..TrainConfig::default()
+        };
+        train(&mut model, &records, &train_cfg);
+        (model, records)
+    }
+
+    /// `record` cut down to its newest `m` rows.
+    fn newest(record: &Record, m: usize) -> Record {
+        let rows: Vec<usize> = (record.covariates.rows() - m..record.covariates.rows()).collect();
+        Record {
+            covariates: record.covariates.select_rows(&rows),
+            ..record.clone()
+        }
+    }
+
+    #[test]
+    fn packed_plan_is_bit_identical_to_forward_inference_at_every_window_length() {
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let (model, records) = trained(kind);
+            let plan = model.packed();
+            assert_eq!(plan.lane(), InferenceLane::Exact);
+            let mut scratch = plan.scratch();
+            for m in 1..=model.config().window {
+                let cut: Vec<Record> = records.iter().map(|r| newest(r, m)).collect();
+                let batch: Vec<&Record> = cut.iter().collect();
+                let want = model.forward_inference(&batch);
+                assert_eq!(plan.forward_inference(&batch), want, "{kind:?} m={m}");
+                // The slice form, one window at a time on a reused scratch.
+                for (i, r) in cut.iter().enumerate() {
+                    let got = plan.forward(window_rows(&r.covariates), &mut scratch);
+                    for (k, head) in got.chunks_exact(plan.head_len()).enumerate() {
+                        assert_eq!(head, want[k].row(i), "{kind:?} m={m} record {i} head {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantized_plan_tracks_the_exact_one() {
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let (model, records) = trained(kind);
+            let batch: Vec<&Record> = records.iter().collect();
+            let exact = model.packed().forward_inference(&batch);
+            let plan = model.quantized();
+            assert_eq!(plan.lane(), InferenceLane::Quantized);
+            let quant = plan.forward_inference(&batch);
+            for (e, q) in exact.iter().zip(&quant) {
+                for (a, b) in e.as_slice().iter().zip(q.as_slice()) {
+                    assert!((a - b).abs() < 0.05, "{kind:?}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trained_model_carries_no_backprop_cache() {
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let (mut model, records) = trained(kind);
+            assert_eq!(model.training_cache_len(), 0, "{kind:?}");
+            // Inference works without the caches and leaves none behind...
+            let batch: Vec<&Record> = records.iter().take(4).collect();
+            let outs = model.forward_inference(&batch);
+            assert_eq!(model.training_cache_len(), 0);
+            // ...and a forward refills them, so backward still works.
+            model.zero_grad();
+            assert_eq!(model.forward(&batch), outs, "dropout is off after training");
+            assert!(model.training_cache_len() > 0);
+            model.backward(&outs);
+            assert!(model.params_mut().iter().all(|p| p.grad.max_abs() > 0.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window length 6 outside [1, 5]")]
+    fn plan_rejects_a_window_longer_than_the_model_was_built_for() {
+        let plan = EventHit::new(tiny_config(), 9).packed();
+        let r = record(6, 4, 0.1);
+        plan.forward(window_rows(&r.covariates), &mut plan.scratch());
     }
 
     #[test]

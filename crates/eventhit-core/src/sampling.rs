@@ -46,10 +46,9 @@
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
 use eventhit_video::online::WindowBuffer;
-use eventhit_video::records::{EventLabel, Record};
+use eventhit_video::records::Record;
 
-use crate::infer::{score_records_lane, ScoredRecord};
-use crate::model::EventHit;
+use crate::model::{window_rows, EventHit, InferencePlan};
 
 /// Raw-score existence threshold used for the window-adaptation hit
 /// indicator (`hit = max_k b_k >= HIT_TAU1`). Deliberately taken from
@@ -287,7 +286,8 @@ pub fn mean_abs_delta(a: &[f32], b: &[f32]) -> f32 {
 /// needs: static-but-noisy windows read near zero, windows that event
 /// content has entered read near the event amplitude. Windows of
 /// different shapes never carry (`f32::INFINITY`). Costs `2·m·d` adds
-/// per call — noise against the ~50 µs encoder forward it can elide.
+/// per call — noise against the tens of microseconds of encoder forward
+/// it can elide.
 pub fn window_drift(a: &Matrix, b: &Matrix) -> f32 {
     let (m, d) = (a.rows(), a.cols());
     if m != b.rows() || d != b.cols() || m == 0 || d == 0 {
@@ -525,9 +525,13 @@ pub fn sampled_records(
     }
 
     let gate = policy.gate().cloned().expect("non-Fixed policy has a gate");
-    let adaptive = matches!(policy, SamplingPolicy::Adaptive { .. });
-    let quantized = (adaptive && lane == InferenceLane::Quantized).then(|| model.quantized());
-    let num_events = cfg.num_events;
+    // Only the adaptive policy scores here (the hit EMA needs raw
+    // scores), on the plan deployment compiles for the same lane.
+    let mut scorer = matches!(policy, SamplingPolicy::Adaptive { .. }).then(|| {
+        let plan = InferencePlan::compile(model, lane);
+        let scratch = plan.scratch();
+        (plan, scratch)
+    });
 
     let mut sampler = Sampler::new(policy.clone(), window);
     let mut buffer = WindowBuffer::new(window, d);
@@ -539,7 +543,7 @@ pub fn sampled_records(
         let feats = features.row(row as usize);
         let warmed = buffer.is_full();
         if sampler.admit(feats, warmed) {
-            buffer.push(feats.to_vec());
+            buffer.push(feats);
         }
         // The online anchor cadence (identical under every policy: the
         // warmup frames are always admitted, so the buffer fills at
@@ -561,20 +565,11 @@ pub fn sampled_records(
                     memo.as_mut().expect("carried implies memo").run += 1;
                 } else {
                     let covariates = candidate;
-                    let hit = adaptive && {
-                        let rec = Record {
-                            anchor: row,
-                            covariates: covariates.clone(),
-                            labels: vec![EventLabel::absent(); num_events],
-                        };
-                        let outputs = match &quantized {
-                            Some(q) => q.forward_inference(&[&rec]),
-                            None => model.forward_inference(&[&rec]),
-                        };
-                        outputs
-                            .iter()
-                            .any(|head| f64::from(head.row(0)[0]) >= HIT_TAU1)
-                    };
+                    let hit = scorer.as_mut().is_some_and(|(plan, scratch)| {
+                        plan.forward(window_rows(&covariates), scratch)
+                            .chunks_exact(plan.head_len())
+                            .any(|head| f64::from(head[0]) >= HIT_TAU1)
+                    });
                     memo = Some(SimMemo {
                         m,
                         covariates,
@@ -604,37 +599,6 @@ pub fn sampled_records(
     out.into_iter()
         .map(|r| r.expect("every requested anchor visited"))
         .collect()
-}
-
-/// Scores records whose windows may have *different* row counts (the
-/// output of [`sampled_records`] under an adaptive policy): maximal runs
-/// of equal-length windows are batched through
-/// [`score_records_lane`], preserving
-/// record order. With uniform windows this is exactly one
-/// `score_records_lane` call.
-pub fn score_sampled_records(
-    model: &EventHit,
-    records: &[Record],
-    batch_size: usize,
-    lane: InferenceLane,
-) -> Vec<ScoredRecord> {
-    let mut out = Vec::with_capacity(records.len());
-    let mut start = 0;
-    while start < records.len() {
-        let m = records[start].covariates.rows();
-        let mut end = start + 1;
-        while end < records.len() && records[end].covariates.rows() == m {
-            end += 1;
-        }
-        out.extend(score_records_lane(
-            model,
-            &records[start..end],
-            batch_size,
-            lane,
-        ));
-        start = end;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -21,14 +21,14 @@ use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
 use eventhit_telemetry::{fnv1a, Telemetry};
 use eventhit_video::online::WindowBuffer;
-use eventhit_video::records::{EventLabel, Record};
+use eventhit_video::records::EventLabel;
 
 use crate::error::{CoreError, CoreResult};
-use crate::infer::{score_records, scored_from_outputs, IntervalPrediction, ScoredRecord};
-use crate::model::{EventHit, QuantizedEventHit};
+use crate::infer::{score_window_into, IntervalPrediction, ScoredRecord};
+use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
 use crate::pipeline::{ConformalState, Strategy};
 use crate::resilient::{BreakerState, DegradationTag, ResilientCiClient};
-use crate::sampling::{Sampler, SamplingPolicy, HIT_TAU1};
+use crate::sampling::{window_drift, Sampler, SamplingPolicy, HIT_TAU1};
 
 /// A relay decision emitted at a prediction anchor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,13 +101,22 @@ impl PredictorState {
 }
 
 /// Push-based online predictor: feed frames, get one decision per horizon.
+///
+/// The predictor keeps the model only in compiled form (an
+/// [`InferencePlan`] for its lane, built once at construction and again
+/// on [`OnlinePredictor::reload_model`]); the trainable [`EventHit`] it
+/// was built from — gradients, optimizer-facing buffers — is dropped.
+/// After the first anchor has sized the reusable buffers, a non-anchor
+/// frame allocates nothing and a `Fixed`-policy anchor allocates only
+/// the decision it returns.
 pub struct OnlinePredictor {
-    model: EventHit,
-    /// Int8 snapshot of `model`, built once at construction when the lane
-    /// is [`InferenceLane::Quantized`] so per-frame scoring never pays the
-    /// quantization cost.
-    quantized: Option<QuantizedEventHit>,
-    lane: InferenceLane,
+    /// The one scorer: the model compiled for this predictor's lane.
+    plan: InferencePlan,
+    /// The plan's working buffers, reused by every anchor.
+    scratch: InferenceScratch,
+    /// The anchor being decided: scores are overwritten in place, labels
+    /// stay absent (a live stream has no ground truth).
+    scored: ScoredRecord,
     state: ConformalState,
     strategy: Strategy,
     buffer: WindowBuffer,
@@ -196,11 +205,8 @@ impl OnlinePredictor {
         lane: InferenceLane,
         policy: SamplingPolicy,
     ) -> Self {
-        let cfg = model.config().clone();
-        let quantized = match lane {
-            InferenceLane::Exact => None,
-            InferenceLane::Quantized => Some(model.quantized()),
-        };
+        let plan = InferencePlan::compile(&model, lane);
+        let cfg = plan.config();
         OnlinePredictor {
             buffer: WindowBuffer::new(cfg.window, cfg.input_dim),
             horizon: cfg.horizon as u64,
@@ -209,9 +215,13 @@ impl OnlinePredictor {
             stream_pos: 0,
             carry: None,
             skipped_flushed: 0,
-            model,
-            quantized,
-            lane,
+            scratch: plan.scratch(),
+            scored: ScoredRecord {
+                anchor: 0,
+                scores: Vec::new(),
+                labels: vec![EventLabel::absent(); state.num_events()],
+            },
+            plan,
             state,
             strategy,
             telemetry: None,
@@ -221,7 +231,7 @@ impl OnlinePredictor {
 
     /// The inference lane this predictor scores on.
     pub fn lane(&self) -> InferenceLane {
-        self.lane
+        self.plan.lane()
     }
 
     /// The sampling policy this predictor runs.
@@ -236,7 +246,7 @@ impl OnlinePredictor {
     /// policy to factory-built predictors here); switching mid-stream is
     /// deterministic but re-warms the gate from the next frame.
     pub fn set_policy(&mut self, policy: SamplingPolicy) {
-        self.sampler = Sampler::new(policy, self.model.config().window);
+        self.sampler = Sampler::new(policy, self.plan.config().window);
         self.carry = None;
         self.skipped_flushed = 0;
     }
@@ -261,7 +271,7 @@ impl OnlinePredictor {
     /// serving frontends to validate submissions before feeding the
     /// window buffer.
     pub fn input_dim(&self) -> usize {
-        self.model.config().input_dim
+        self.plan.config().input_dim
     }
 
     /// Exports the predictor's dynamic state (see [`PredictorState`]).
@@ -285,7 +295,7 @@ impl OnlinePredictor {
     /// mismatched row counts or dimensionalities are rejected with a typed
     /// error before anything is mutated.
     pub fn restore_state(&mut self, st: &PredictorState) -> CoreResult<()> {
-        let cfg = self.model.config();
+        let cfg = self.plan.config();
         if st.rows.len() > cfg.window {
             return Err(CoreError::ShapeMismatch {
                 what: "restored window rows",
@@ -313,8 +323,7 @@ impl OnlinePredictor {
                 st.countdown, self.horizon
             )));
         }
-        self.buffer =
-            WindowBuffer::restore(cfg.window, cfg.input_dim, st.rows.clone(), st.frames_seen);
+        self.buffer = WindowBuffer::restore(cfg.window, cfg.input_dim, &st.rows, st.frames_seen);
         self.countdown = st.countdown;
         self.stream_pos = st.frames_seen;
         // Sampling state is not part of the snapshot (see
@@ -335,10 +344,10 @@ impl OnlinePredictor {
     /// replays exactly. The new model must share the shape-relevant
     /// config (input dim, window, horizon, events); pair it with a state
     /// refitted for it (see `TaskRun::state_for_model`) or the coverage
-    /// guarantees are void. On the quantized lane the int8 snapshot is
-    /// rebuilt from the new weights.
+    /// guarantees are void. The new weights are compiled for the
+    /// predictor's lane here, once.
     pub fn reload_model(&mut self, model: EventHit, state: ConformalState) -> CoreResult<()> {
-        let old = self.model.config();
+        let old = self.plan.config();
         let new = model.config();
         if (new.input_dim, new.window, new.horizon, new.num_events)
             != (old.input_dim, old.window, old.horizon, old.num_events)
@@ -363,11 +372,9 @@ impl OnlinePredictor {
                 got: state.num_events(),
             });
         }
-        self.quantized = match self.lane {
-            InferenceLane::Exact => None,
-            InferenceLane::Quantized => Some(model.quantized()),
-        };
-        self.model = model;
+        self.plan = InferencePlan::compile(&model, self.plan.lane());
+        // Hidden and latent sizes may differ between the two models.
+        self.scratch = self.plan.scratch();
         self.state = state;
         Ok(())
     }
@@ -396,22 +403,6 @@ impl OnlinePredictor {
         self.trace = trace;
     }
 
-    /// Scores one record on the predictor's lane. The quantized lane uses
-    /// the snapshot built at construction, so the per-frame cost is the
-    /// int8 forward alone.
-    fn score_one(&self, record: &Record) -> ScoredRecord {
-        match &self.quantized {
-            None => {
-                let mut scored = score_records(&self.model, std::slice::from_ref(record), 1);
-                scored.remove(0)
-            }
-            Some(q) => {
-                let outputs = q.forward_inference(&[record]);
-                scored_from_outputs(&outputs, 0, record)
-            }
-        }
-    }
-
     /// Feeds one frame's features. Returns a decision when this frame is a
     /// prediction anchor.
     ///
@@ -420,8 +411,8 @@ impl OnlinePredictor {
     /// anchor cadence) advances, the window buffer does not. An anchor
     /// whose candidate window drifted less than the gate threshold from
     /// the last scored anchor's window (per-dimension window means, see
-    /// [`window_drift`](crate::sampling::window_drift)) reuses that
-    /// anchor's predictions without a model forward. Carried predictions
+    /// [`window_drift`]) reuses that anchor's predictions without a model
+    /// forward. Carried predictions
     /// are an approximation the conformal guarantee still covers,
     /// because calibration replays the identical carry rule on the
     /// calibration split (see
@@ -430,13 +421,18 @@ impl OnlinePredictor {
     /// and the policy, so decisions are bit-reproducible at any worker
     /// count. The gate stays open until the window first fills, so
     /// warmup is identical under every policy.
-    pub fn push_frame(&mut self, features: Vec<f32>) -> Option<HorizonDecision> {
+    pub fn push_frame(&mut self, features: impl AsRef<[f32]>) -> Option<HorizonDecision> {
+        self.push_row(features.as_ref())
+    }
+
+    /// [`OnlinePredictor::push_frame`] on the borrowed row.
+    fn push_row(&mut self, features: &[f32]) -> Option<HorizonDecision> {
         if let Some(t) = &self.telemetry {
             t.add("stream.frames", 1);
         }
         self.stream_pos += 1;
         let warmed = self.buffer.is_full();
-        if self.sampler.admit(&features, warmed) {
+        if self.sampler.admit(features, warmed) {
             self.buffer.push(features);
         }
         if !self.buffer.is_full() {
@@ -451,45 +447,53 @@ impl OnlinePredictor {
         let started = self.telemetry.as_deref().map(Telemetry::now);
         let anchor = self.stream_pos - 1;
         let m = self.sampler.window_len();
-        let gated = !self.sampler.policy().is_fixed();
-        // Under the Fixed policy skip building the candidate window until
-        // the Record needs it — there is never a memo to drift against.
-        let candidate = gated.then(|| self.buffer.covariates_last(m));
-        let carried = match (&candidate, &self.carry, self.sampler.policy().gate()) {
-            (Some(cand), Some(c), Some(g)) if c.m == m => {
-                g.carries(crate::sampling::window_drift(cand, &c.covariates), c.run)
-            }
-            _ => false,
-        };
+        self.scored.anchor = anchor;
         let mut scored_at = None;
-        if carried {
-            self.carry.as_mut().expect("carried implies memo").run += 1;
-        } else {
-            let covariates = candidate.unwrap_or_else(|| self.buffer.covariates_last(m));
-            let record = Record {
-                anchor,
-                covariates,
-                labels: vec![EventLabel::absent(); self.state.num_events()],
-            };
-            let scored = self.score_one(&record);
-            scored_at = self.telemetry.as_deref().map(Telemetry::now);
-            let hit = scored.scores.iter().any(|s| s.b >= HIT_TAU1);
-            let predictions = self.state.predict(&scored, &self.strategy);
-            self.carry = Some(CarriedAnchor {
-                predictions,
-                hit,
-                m,
-                covariates: record.covariates,
-                run: 0,
-            });
-        }
-        let memo = self.carry.as_ref().expect("anchor scored or carried");
+        let (predictions, hit) = match self.sampler.policy().gate() {
+            // Fixed: every anchor is scored, straight off the ring — no
+            // candidate window to build and no memo to keep.
+            None => {
+                score_window_into(
+                    &self.plan,
+                    self.buffer.last_rows(m),
+                    &mut self.scratch,
+                    &mut self.scored.scores,
+                );
+                scored_at = self.telemetry.as_deref().map(Telemetry::now);
+                let hit = self.scored.scores.iter().any(|s| s.b >= HIT_TAU1);
+                (self.state.predict(&self.scored, &self.strategy), hit)
+            }
+            Some(gate) => {
+                let candidate = self.buffer.covariates_last(m);
+                let carried = matches!(&self.carry, Some(c) if c.m == m
+                    && gate.carries(window_drift(&candidate, &c.covariates), c.run));
+                if carried {
+                    self.carry.as_mut().expect("carried implies memo").run += 1;
+                } else {
+                    score_window_into(
+                        &self.plan,
+                        window_rows(&candidate),
+                        &mut self.scratch,
+                        &mut self.scored.scores,
+                    );
+                    scored_at = self.telemetry.as_deref().map(Telemetry::now);
+                    self.carry = Some(CarriedAnchor {
+                        predictions: self.state.predict(&self.scored, &self.strategy),
+                        hit: self.scored.scores.iter().any(|s| s.b >= HIT_TAU1),
+                        m,
+                        covariates: candidate,
+                        run: 0,
+                    });
+                }
+                let memo = self.carry.as_ref().expect("anchor scored or carried");
+                (memo.predictions.clone(), memo.hit)
+            }
+        };
         let decision = HorizonDecision {
             anchor,
-            predictions: memo.predictions.clone(),
+            predictions,
             degradation: DegradationTag::None,
         };
-        let hit = memo.hit;
         self.sampler.observe_hit(hit);
         if let (Some(t), Some(t0)) = (&self.telemetry, started) {
             t.add("stream.decisions", 1);
@@ -540,7 +544,7 @@ impl OnlinePredictor {
     /// the anchor frame to the client's simulated clock.
     pub fn push_frame_resilient(
         &mut self,
-        features: Vec<f32>,
+        features: impl AsRef<[f32]>,
         client: &mut ResilientCiClient,
         stream_fps: f64,
     ) -> Option<HorizonDecision> {
@@ -557,7 +561,7 @@ impl OnlinePredictor {
     pub fn run_over(&mut self, features: &Matrix, from: usize) -> Vec<HorizonDecision> {
         let mut out = Vec::new();
         for r in from..features.rows() {
-            if let Some(d) = self.push_frame(features.row(r).to_vec()) {
+            if let Some(d) = self.push_frame(features.row(r)) {
                 out.push(d);
             }
         }
@@ -583,7 +587,7 @@ mod tests {
         let n = window + horizon * 3 + 10;
         let mut anchors = Vec::new();
         for r in 0..n {
-            if let Some(d) = online.push_frame(features.row(r).to_vec()) {
+            if let Some(d) = online.push_frame(features.row(r)) {
                 anchors.push(d.anchor);
             }
         }
@@ -645,7 +649,7 @@ mod tests {
 
         let n = window + horizon * 2 + 1;
         let decisions = (0..n)
-            .filter_map(|r| online.push_frame(features.row(r).to_vec()))
+            .filter_map(|r| online.push_frame(features.row(r)))
             .count();
         let snap = tel.snapshot();
         assert_eq!(snap.counter("stream.frames"), Some(n as u64));
@@ -673,12 +677,12 @@ mod tests {
 
         let mut straight = OnlinePredictor::new(run.model.clone(), run.state.clone(), strategy);
         let baseline: Vec<_> = (0..n)
-            .filter_map(|r| straight.push_frame(features.row(r).to_vec()))
+            .filter_map(|r| straight.push_frame(features.row(r)))
             .collect();
 
         let mut first = OnlinePredictor::new(run.model.clone(), run.state.clone(), strategy);
         let mut decisions: Vec<_> = (0..cut)
-            .filter_map(|r| first.push_frame(features.row(r).to_vec()))
+            .filter_map(|r| first.push_frame(features.row(r)))
             .collect();
         let st = first.export_state();
         assert_eq!(st.fingerprint(), first.export_state().fingerprint());
@@ -687,9 +691,28 @@ mod tests {
         let mut resumed = OnlinePredictor::new(run.model, run.state, strategy);
         resumed.restore_state(&st).unwrap();
         assert_eq!(resumed.export_state(), st, "restore must round-trip");
-        decisions.extend((cut..n).filter_map(|r| resumed.push_frame(features.row(r).to_vec())));
+        decisions.extend((cut..n).filter_map(|r| resumed.push_frame(features.row(r))));
 
         assert_eq!(decisions, baseline);
+    }
+
+    #[test]
+    fn fingerprint_of_a_wrapped_ring_is_the_deque_versions() {
+        // Eleven frames through a four-slot ring leave it wrapped with the
+        // oldest row in slot 3. The constant is what the `VecDeque`-backed
+        // buffer produced for the same frames (computed at the commit
+        // before the flat ring), so snapshots written then still verify.
+        let mut buf = WindowBuffer::new(4, 3);
+        for i in 0..11u32 {
+            buf.push([i as f32 * 0.25 - 1.0, (i * i) as f32, -(i as f32) / 3.0]);
+        }
+        let st = PredictorState {
+            rows: buf.snapshot_rows(),
+            frames_seen: buf.frames_seen(),
+            countdown: 2,
+        };
+        assert_eq!(st.rows[0][1], 49.0, "oldest buffered frame is frame 7");
+        assert_eq!(st.fingerprint(), 0x4598_609b_8fce_bf7d);
     }
 
     #[test]
@@ -729,7 +752,7 @@ mod tests {
                 p.reload_model(run_b.model.clone(), run_b.state.clone())
                     .unwrap();
             }
-            if let Some(d) = p.push_frame(features.row(r).to_vec()) {
+            if let Some(d) = p.push_frame(features.row(r)) {
                 anchors.push(d.anchor);
             }
         }
@@ -809,8 +832,7 @@ mod tests {
         let features = run.features.clone();
         let mut tags = Vec::new();
         for r in 0..features.rows().min(2000) {
-            if let Some(d) = online.push_frame_resilient(features.row(r).to_vec(), &mut client, 1e9)
-            {
+            if let Some(d) = online.push_frame_resilient(features.row(r), &mut client, 1e9) {
                 // Enormous fps => decision time ~0, inside the open window.
                 tags.push(d.degradation);
             }

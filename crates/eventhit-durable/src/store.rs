@@ -447,7 +447,7 @@ pub fn replay(
                     ));
                 }
                 for row in data.chunks(*dim as usize) {
-                    if let Some(d) = lane.predictor.push_frame(row.to_vec()) {
+                    if let Some(d) = lane.predictor.push_frame(row) {
                         pending.entry(*stream_id).or_default().push_back(d);
                     }
                     lane.frames += 1;
@@ -542,7 +542,7 @@ mod tests {
             .unwrap();
         let mut out = Vec::new();
         for row in rows {
-            if let Some(d) = lane.predictor.push_frame(row.clone()) {
+            if let Some(d) = lane.predictor.push_frame(row) {
                 store
                     .append(&SessionEvent::DecisionEmitted {
                         stream_id,
@@ -774,7 +774,7 @@ mod tests {
         let mut reference = boot_lane(0);
         let expected: Vec<_> = rows
             .iter()
-            .filter_map(|r| reference.push_frame(r.clone()))
+            .filter_map(|r| reference.push_frame(r))
             .collect();
 
         // Serve the prefix durably, snapshotting part-way, then "crash".
@@ -894,7 +894,7 @@ mod tests {
                     .reload_model(other.model.clone(), other.state.clone())
                     .unwrap();
             }
-            if let Some(d) = reference.push_frame(row.clone()) {
+            if let Some(d) = reference.push_frame(row) {
                 expected.push(d);
             }
         }

@@ -147,7 +147,7 @@ fn every_truncation_offset_of_a_final_batch_recovers_the_whole_record_prefix() {
     let mut decided = Vec::new();
     for r in 0..frames {
         data.extend_from_slice(run.features.row(r));
-        decided.extend(lane.push_frame(run.features.row(r).to_vec()));
+        decided.extend(lane.push_frame(run.features.row(r)));
     }
     assert_eq!(decided.len(), 2, "the batch must carry two decisions");
     let mut batch = vec![SessionEvent::FramesPushed {

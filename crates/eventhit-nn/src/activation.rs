@@ -66,6 +66,17 @@ pub enum Activation {
 }
 
 impl Activation {
+    /// Applies the activation to one value.
+    #[inline]
+    pub fn eval(self, x: f32) -> f32 {
+        match self {
+            Activation::Linear => x,
+            Activation::Sigmoid => sigmoid(x),
+            Activation::Tanh => tanh(x),
+            Activation::Relu => relu(x),
+        }
+    }
+
     /// Applies the activation elementwise.
     pub fn apply(self, m: &Matrix) -> Matrix {
         match self {

@@ -6,7 +6,8 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::matrix::Matrix;
 use crate::optimizer::ParamMut;
-use crate::quant::{affine_t_quant, QuantizedMatrix};
+use crate::packed::PackedAffine;
+use crate::quant::QuantizedAffine;
 
 /// A fully connected layer `y = act(x W^T + b)`.
 ///
@@ -109,15 +110,42 @@ impl Dense {
         self.act.apply(&self.affine(x))
     }
 
+    /// Compiles the layer for exact-lane inference: weights repacked
+    /// `[k][out]` once (see [`crate::packed`]); the result is immutable,
+    /// carries no gradients or caches, and its forward is bit-identical
+    /// to [`Dense::forward_inference`].
+    pub fn packed(&self) -> PackedDense {
+        PackedDense {
+            affine: PackedAffine::pack(&self.w, self.b.as_slice()),
+            act: self.act,
+        }
+    }
+
     /// Snapshots the layer onto the int8 fast lane (see
     /// [`crate::quant::InferenceLane`]). Weights are quantized once;
     /// the returned layer is immutable and cheap to clone.
     pub fn quantized(&self) -> QuantizedDense {
         QuantizedDense {
-            qw: QuantizedMatrix::quantize(&self.w),
-            b: self.b.clone(),
+            affine: QuantizedAffine::quantize(&self.w, self.b.as_slice()),
             act: self.act,
         }
+    }
+
+    /// Drops the forward caches (the last batch's input, pre-activation
+    /// and output). The next [`Dense::forward`] refills them.
+    pub fn clear_cache(&mut self) {
+        self.cache_x = None;
+        self.cache_pre = None;
+        self.cache_out = None;
+    }
+
+    /// Values the forward caches hold (`0` after [`Dense::clear_cache`]).
+    pub fn cache_len(&self) -> usize {
+        [&self.cache_x, &self.cache_pre, &self.cache_out]
+            .into_iter()
+            .flatten()
+            .map(Matrix::len)
+            .sum()
     }
 
     /// Backward pass. `grad_out` is dL/d(output), shape `batch x out`.
@@ -174,32 +202,68 @@ impl Dense {
     }
 }
 
+/// A [`Dense`] layer compiled for exact-lane inference:
+/// `y = act(x W^T + b)` over k-major packed weights, written into a
+/// caller-provided slice.
+#[derive(Clone)]
+pub struct PackedDense {
+    affine: PackedAffine,
+    act: Activation,
+}
+
+impl PackedDense {
+    /// Input dimensionality.
+    pub fn input_dim(&self) -> usize {
+        self.affine.in_dim()
+    }
+
+    /// Output dimensionality.
+    pub fn output_dim(&self) -> usize {
+        self.affine.out_dim()
+    }
+
+    /// Forward pass of one row into `out`; allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` has the wrong length.
+    pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
+        self.affine.forward_into(x, out);
+        for o in out {
+            *o = self.act.eval(*o);
+        }
+    }
+}
+
 /// An int8-weight snapshot of a [`Dense`] layer: the quantized inference
-/// fast lane (`y = act(x Wq^T + b)` with f32 accumulation).
+/// fast lane (`y = act(x Wq^T + b)` with integer accumulation).
 #[derive(Clone)]
 pub struct QuantizedDense {
-    qw: QuantizedMatrix,
-    b: Matrix,
+    affine: QuantizedAffine,
     act: Activation,
 }
 
 impl QuantizedDense {
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
-        self.qw.cols()
+        self.affine.in_dim()
     }
 
     /// Output dimensionality.
     pub fn output_dim(&self) -> usize {
-        self.qw.rows()
+        self.affine.out_dim()
     }
 
-    /// Quantized forward pass (`x: batch x in`). Pure `&self` and
-    /// sequential, so results are bit-identical across worker counts.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.input_dim(), "dense input dim mismatch");
-        self.act
-            .apply(&affine_t_quant(x, &self.qw, self.b.as_slice()))
+    /// Quantized forward pass of one row into `out`; `xq` is reused
+    /// scratch for the quantized activations. Sequential, so results are
+    /// bit-identical across worker counts.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` has the wrong length.
+    pub fn forward_into(&self, x: &[f32], xq: &mut Vec<i8>, out: &mut [f32]) {
+        self.affine.forward_into(x, xq, out);
+        for o in out {
+            *o = self.act.eval(*o);
+        }
     }
 }
 
@@ -273,18 +337,56 @@ mod tests {
     }
 
     #[test]
+    fn packed_forward_is_bit_identical_to_inference_forward() {
+        for act in [
+            Activation::Linear,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Relu,
+        ] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let layer = Dense::new(9, 41, act, Init::XavierUniform, &mut rng);
+            let x = Matrix::uniform(4, 9, -1.0, 1.0, &mut rng);
+            let want = layer.forward_inference(&x);
+            let packed = layer.packed();
+            let mut out = vec![0.0; 41];
+            for r in 0..x.rows() {
+                packed.forward_into(x.row(r), &mut out);
+                assert_eq!(out, want.row(r), "act={act:?}");
+            }
+        }
+    }
+
+    #[test]
     fn quantized_forward_tracks_exact_forward() {
         let mut rng = StdRng::seed_from_u64(6);
         let layer = Dense::new(9, 5, Activation::Tanh, Init::XavierUniform, &mut rng);
         let x = Matrix::uniform(4, 9, -1.0, 1.0, &mut rng);
         let exact = layer.forward_inference(&x);
-        let quant = layer.quantized().forward(&x);
-        assert_eq!(quant.shape(), exact.shape());
-        for (a, b) in exact.as_slice().iter().zip(quant.as_slice()) {
-            // tanh is 1-Lipschitz; pre-activation error is bounded by
-            // sum|x| * step/2 per unit, far below 0.05 at these dims.
-            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        let quant = layer.quantized();
+        let (mut xq, mut out) = (Vec::new(), vec![0.0; 5]);
+        for r in 0..x.rows() {
+            quant.forward_into(x.row(r), &mut xq, &mut out);
+            for (a, b) in exact.row(r).iter().zip(&out) {
+                // tanh is 1-Lipschitz; pre-activation error is bounded by
+                // sum|x| * step/2 per unit, far below 0.05 at these dims.
+                assert!((a - b).abs() < 0.05, "{a} vs {b}");
+            }
         }
+    }
+
+    #[test]
+    fn clear_cache_drops_the_last_batch_and_forward_refills_it() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut layer = Dense::new(3, 2, Activation::Sigmoid, Init::XavierUniform, &mut rng);
+        let x = Matrix::uniform(4, 3, -1.0, 1.0, &mut rng);
+        let y = layer.forward(&x);
+        assert_eq!(layer.cache_len(), 4 * 3 + 2 * 4 * 2);
+        layer.clear_cache();
+        assert_eq!(layer.cache_len(), 0);
+        assert_eq!(layer.forward_inference(&x), y);
+        layer.forward(&x);
+        assert_eq!(layer.backward(&y).shape(), (4, 3));
     }
 
     #[test]

@@ -35,9 +35,14 @@ impl Dropout {
         self.p
     }
 
-    /// Switches between training (stochastic) and inference (identity) mode.
+    /// Switches between training (stochastic) and inference (identity)
+    /// mode. Leaving training drops the cached mask: inference forwards
+    /// never read it.
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
+        if !training {
+            self.mask = None;
+        }
     }
 
     /// True when in training mode.

@@ -16,10 +16,12 @@
 use eventhit_rng::Rng;
 
 use crate::activation::{sigmoid, tanh};
+use crate::cell::{gru_cell, CellState};
 use crate::init::Init;
 use crate::matrix::Matrix;
 use crate::optimizer::ParamMut;
-use crate::quant::{affine_t_quant, QuantizedMatrix};
+use crate::packed::PackedAffine;
+use crate::quant::QuantizedAffine;
 
 /// Per-timestep forward cache needed by BPTT.
 #[derive(Clone)]
@@ -221,6 +223,19 @@ impl Gru {
         dxs
     }
 
+    /// Compiles the layer for exact-lane inference: both `[r|z|n]`
+    /// weight blocks repacked `[k][out]` once (see [`crate::packed`]).
+    /// The result is immutable, carries no gradients or caches, and
+    /// stepping it is bit-identical to [`Gru::forward_inference`].
+    pub fn packed(&self) -> PackedGru {
+        PackedGru {
+            input_dim: self.input_dim,
+            hidden_dim: self.hidden_dim,
+            px: PackedAffine::pack(&self.wx, self.bx.as_slice()),
+            ph: PackedAffine::pack(&self.wh, self.bh.as_slice()),
+        }
+    }
+
     /// Snapshots the layer onto the int8 fast lane (see
     /// [`crate::quant::InferenceLane`]). Gate weights are quantized once;
     /// the returned layer is immutable and cheap to clone.
@@ -228,11 +243,24 @@ impl Gru {
         QuantizedGru {
             input_dim: self.input_dim,
             hidden_dim: self.hidden_dim,
-            qwx: QuantizedMatrix::quantize(&self.wx),
-            qwh: QuantizedMatrix::quantize(&self.wh),
-            bx: self.bx.clone(),
-            bh: self.bh.clone(),
+            px: QuantizedAffine::quantize(&self.wx, self.bx.as_slice()),
+            ph: QuantizedAffine::quantize(&self.wh, self.bh.as_slice()),
         }
+    }
+
+    /// Drops the BPTT cache (every step of the last forward batch). The
+    /// next [`Gru::forward`] refills it.
+    pub fn clear_cache(&mut self) {
+        self.cache = Vec::new();
+    }
+
+    /// Values the BPTT cache holds (`0` after [`Gru::clear_cache`]).
+    pub fn cache_len(&self) -> usize {
+        self.cache
+            .iter()
+            .flat_map(|s| [&s.x, &s.h_prev, &s.r, &s.z, &s.n, &s.hn_pre])
+            .map(Matrix::len)
+            .sum()
     }
 
     /// Zeros the accumulated gradients.
@@ -266,18 +294,49 @@ impl Gru {
     }
 }
 
+/// A [`Gru`] compiled for exact-lane inference: one sequence at a time,
+/// stepped in place through a [`CellState`], over k-major packed weights.
+#[derive(Clone)]
+pub struct PackedGru {
+    input_dim: usize,
+    hidden_dim: usize,
+    px: PackedAffine,
+    ph: PackedAffine,
+}
+
+impl PackedGru {
+    /// Input dimensionality per timestep.
+    pub fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
+    /// Hidden-state dimensionality.
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden_dim
+    }
+
+    /// Advances `state` by one timestep on input `x`; allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `input_dim` long or `state` was sized for
+    /// another hidden dimension.
+    pub fn step(&self, x: &[f32], state: &mut CellState) {
+        let px = &mut state.pre[..3 * self.hidden_dim];
+        self.px.forward_into(x, px);
+        self.ph.forward_into(&state.h, &mut state.ph);
+        gru_cell(px, &state.ph, &mut state.h);
+    }
+}
+
 /// An int8-weight snapshot of a [`Gru`]: the quantized inference fast
-/// lane. Same gate arithmetic as [`Gru::forward_inference`], but the
-/// `[r|z|n]` affine passes run against `i8` weights with f32
-/// accumulation.
+/// lane. Same cell arithmetic as [`PackedGru`], but the `[r|z|n]` affine
+/// passes run against `i8` weights with integer accumulation.
 #[derive(Clone)]
 pub struct QuantizedGru {
     input_dim: usize,
     hidden_dim: usize,
-    qwx: QuantizedMatrix,
-    qwh: QuantizedMatrix,
-    bx: Matrix,
-    bh: Matrix,
+    px: QuantizedAffine,
+    ph: QuantizedAffine,
 }
 
 impl QuantizedGru {
@@ -291,43 +350,25 @@ impl QuantizedGru {
         self.hidden_dim
     }
 
-    /// Quantized inference over a sequence; returns the final hidden
-    /// state. Pure `&self` and sequential, so results are bit-identical
-    /// across worker counts.
-    pub fn forward(&self, xs: &[Matrix]) -> Matrix {
-        assert!(!xs.is_empty(), "GRU requires at least one timestep");
-        let batch = xs[0].rows();
-        let hd = self.hidden_dim;
-        let mut h = Matrix::zeros(batch, hd);
-        for x in xs {
-            assert_eq!(x.cols(), self.input_dim, "GRU input dim mismatch");
-            let px = affine_t_quant(x, &self.qwx, self.bx.as_slice());
-            let ph = affine_t_quant(&h, &self.qwh, self.bh.as_slice());
-
-            let mut r_pre = col_block(&px, 0, hd);
-            r_pre.add_assign(&col_block(&ph, 0, hd));
-            let r = r_pre.map(sigmoid);
-
-            let mut z_pre = col_block(&px, hd, hd);
-            z_pre.add_assign(&col_block(&ph, hd, hd));
-            let z = z_pre.map(sigmoid);
-
-            let hn_pre = col_block(&ph, 2 * hd, hd);
-            let mut n_pre = col_block(&px, 2 * hd, hd);
-            n_pre.add_assign(&r.hadamard(&hn_pre));
-            let n = n_pre.map(tanh);
-
-            let mut h_new = z.map(|v| 1.0 - v).hadamard(&n);
-            h_new.add_assign(&z.hadamard(&h));
-            h = h_new;
-        }
-        h
+    /// Advances `state` by one timestep on input `x`. Sequential, so
+    /// results are bit-identical across worker counts; allocates nothing
+    /// once `state`'s quantization buffers have grown.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `input_dim` long or `state` was sized for
+    /// another hidden dimension.
+    pub fn step(&self, x: &[f32], state: &mut CellState) {
+        let px = &mut state.pre[..3 * self.hidden_dim];
+        self.px.forward_into(x, &mut state.xq, px);
+        self.ph.forward_into(&state.h, &mut state.hq, &mut state.ph);
+        gru_cell(px, &state.ph, &mut state.h);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::final_hidden;
     use crate::gradcheck::check_gradients;
     use eventhit_rng::rngs::StdRng;
     use eventhit_rng::SeedableRng;
@@ -359,16 +400,47 @@ mod tests {
     }
 
     #[test]
+    fn packed_steps_are_bit_identical_to_inference_forward() {
+        let mut rng = StdRng::seed_from_u64(22);
+        // 3 * 13 = 39 gate outputs: a full tile and seven single outputs.
+        let gru = Gru::new(4, 13, &mut rng);
+        let xs = seq(7, 3, 4, 23);
+        let exact = gru.forward_inference(&xs);
+        let packed = gru.packed();
+        for r in 0..3 {
+            let h = final_hidden(&xs, r, 13, |x, st| packed.step(x, st));
+            assert_eq!(h, exact.row(r), "row {r}");
+        }
+    }
+
+    #[test]
     fn quantized_forward_tracks_exact_forward() {
         let mut rng = StdRng::seed_from_u64(20);
         let gru = Gru::new(3, 6, &mut rng);
         let xs = seq(8, 3, 3, 21);
         let exact = gru.forward_inference(&xs);
-        let quant = gru.quantized().forward(&xs);
-        assert_eq!(quant.shape(), exact.shape());
-        for (a, b) in exact.as_slice().iter().zip(quant.as_slice()) {
-            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        let quant = gru.quantized();
+        for r in 0..3 {
+            let h = final_hidden(&xs, r, 6, |x, st| quant.step(x, st));
+            for (a, b) in exact.row(r).iter().zip(&h) {
+                assert!((a - b).abs() < 0.05, "{a} vs {b}");
+            }
         }
+    }
+
+    #[test]
+    fn clear_cache_drops_the_last_batch_and_forward_refills_it() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut gru = Gru::new(3, 4, &mut rng);
+        let xs = seq(5, 2, 3, 25);
+        let h = gru.forward(&xs);
+        // Per step: x (2x3) + five 2x4 matrices.
+        assert_eq!(gru.cache_len(), 5 * (6 + 5 * 8));
+        gru.clear_cache();
+        assert_eq!(gru.cache_len(), 0);
+        assert_eq!(gru.forward_inference(&xs), h);
+        gru.forward(&xs);
+        assert_eq!(gru.backward_last(&h).len(), 5);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! activations, and dropout. There is no general autograd — the model graph
 //! is fixed, and each layer exposes `forward` / `backward` / `params_mut`.
 //!
-//! Inference additionally offers an int8-weight fast lane (see
-//! [`quant::InferenceLane`]): `Dense`/`Lstm`/`Gru` snapshot onto
-//! quantized counterparts whose forward passes stream 4x less weight
-//! memory. The exact lane's blocked/unrolled product kernels in
-//! [`matrix`] are bit-identical to their retained naive references.
+//! Inference runs on compiled snapshots, not on the trainable layers:
+//! `Dense`/`Lstm`/`Gru` compile once onto k-major [`packed`] weight
+//! panels (the exact lane, bit-identical to the [`matrix`] forward and
+//! to its retained naive references) or onto int8 counterparts (the fast
+//! lane, see [`quant::InferenceLane`], a quarter of the weight memory).
+//! Both step one row at a time through a reused [`cell::CellState`] and
+//! allocate nothing per forward.
 //!
 //! ```
 //! use eventhit_nn::activation::Activation;
@@ -35,6 +37,7 @@
 #![deny(missing_docs)]
 
 pub mod activation;
+pub mod cell;
 pub mod dense;
 pub mod dropout;
 pub mod gradcheck;
@@ -44,16 +47,18 @@ pub mod loss;
 pub mod lstm;
 pub mod matrix;
 pub mod optimizer;
+pub mod packed;
 pub mod quant;
 pub mod schedule;
 pub mod weight_decay;
 
 pub use activation::Activation;
-pub use dense::{Dense, QuantizedDense};
+pub use cell::CellState;
+pub use dense::{Dense, PackedDense, QuantizedDense};
 pub use dropout::Dropout;
-pub use gru::{Gru, QuantizedGru};
+pub use gru::{Gru, PackedGru, QuantizedGru};
 pub use init::Init;
-pub use lstm::{Lstm, QuantizedLstm};
+pub use lstm::{Lstm, PackedLstm, QuantizedLstm};
 pub use matrix::Matrix;
 pub use optimizer::{Adam, Optimizer, ParamMut, Sgd};
 pub use quant::{InferenceLane, QuantizedMatrix};

@@ -9,10 +9,12 @@
 use eventhit_rng::Rng;
 
 use crate::activation::{sigmoid, tanh};
+use crate::cell::{lstm_cell, CellState};
 use crate::init::Init;
 use crate::matrix::Matrix;
 use crate::optimizer::ParamMut;
-use crate::quant::{fused_gate_affine_quant, QuantizedMatrix};
+use crate::packed::PackedGate;
+use crate::quant::QuantizedGate;
 
 /// Per-timestep forward cache needed by BPTT.
 #[derive(Clone)]
@@ -252,6 +254,18 @@ impl Lstm {
         dxs
     }
 
+    /// Compiles the layer for exact-lane inference: gate weights
+    /// repacked `[k][out]` once (see [`crate::packed`]). The result is
+    /// immutable, carries no gradients or caches, and stepping it is
+    /// bit-identical to [`Lstm::forward_inference`].
+    pub fn packed(&self) -> PackedLstm {
+        PackedLstm {
+            input_dim: self.input_dim,
+            hidden_dim: self.hidden_dim,
+            gate: PackedGate::pack(&self.wx, &self.wh, self.b.as_slice()),
+        }
+    }
+
     /// Snapshots the layer onto the int8 fast lane (see
     /// [`crate::quant::InferenceLane`]). Gate weights are quantized once;
     /// the returned layer is immutable and cheap to clone.
@@ -259,10 +273,27 @@ impl Lstm {
         QuantizedLstm {
             input_dim: self.input_dim,
             hidden_dim: self.hidden_dim,
-            qwx: QuantizedMatrix::quantize(&self.wx),
-            qwh: QuantizedMatrix::quantize(&self.wh),
-            b: self.b.clone(),
+            gate: QuantizedGate::quantize(&self.wx, &self.wh, self.b.as_slice()),
         }
+    }
+
+    /// Drops the BPTT cache (every step of the last forward batch). The
+    /// next [`Lstm::forward`] refills it.
+    pub fn clear_cache(&mut self) {
+        self.cache = Vec::new();
+    }
+
+    /// Values the BPTT cache holds (`0` after [`Lstm::clear_cache`]).
+    pub fn cache_len(&self) -> usize {
+        self.cache
+            .iter()
+            .flat_map(|s| {
+                [
+                    &s.x, &s.h_prev, &s.c_prev, &s.i, &s.f, &s.g, &s.o, &s.tanh_c,
+                ]
+            })
+            .map(Matrix::len)
+            .sum()
     }
 
     /// Zeros the accumulated gradients.
@@ -292,16 +323,47 @@ impl Lstm {
     }
 }
 
+/// An [`Lstm`] compiled for exact-lane inference: one sequence at a
+/// time, stepped in place through a [`CellState`], over k-major packed
+/// gate weights.
+#[derive(Clone)]
+pub struct PackedLstm {
+    input_dim: usize,
+    hidden_dim: usize,
+    gate: PackedGate,
+}
+
+impl PackedLstm {
+    /// Input dimensionality per timestep.
+    pub fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
+    /// Hidden-state dimensionality.
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden_dim
+    }
+
+    /// Advances `state` by one timestep on input `x`; allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `input_dim` long or `state` was sized for
+    /// another hidden dimension.
+    pub fn step(&self, x: &[f32], state: &mut CellState) {
+        let pre = &mut state.pre[..4 * self.hidden_dim];
+        self.gate.forward_into(x, &state.h, pre);
+        lstm_cell(pre, &mut state.h, &mut state.c);
+    }
+}
+
 /// An int8-weight snapshot of an [`Lstm`]: the quantized inference fast
-/// lane. Same gate arithmetic as [`Lstm::forward_inference`], but the
-/// fused gate products run against `i8` weights with f32 accumulation.
+/// lane. Same cell arithmetic as [`PackedLstm`], but the fused gate
+/// products run against `i8` weights with integer accumulation.
 #[derive(Clone)]
 pub struct QuantizedLstm {
     input_dim: usize,
     hidden_dim: usize,
-    qwx: QuantizedMatrix,
-    qwh: QuantizedMatrix,
-    b: Matrix,
+    gate: QuantizedGate,
 }
 
 impl QuantizedLstm {
@@ -315,40 +377,25 @@ impl QuantizedLstm {
         self.hidden_dim
     }
 
-    /// Quantized inference over a sequence; returns the final hidden
-    /// state. Pure `&self` and sequential, so results are bit-identical
-    /// across worker counts.
-    pub fn forward(&self, xs: &[Matrix]) -> Matrix {
-        assert!(!xs.is_empty(), "LSTM requires at least one timestep");
-        let batch = xs[0].rows();
-        let hd = self.hidden_dim;
-
-        let mut h = Matrix::zeros(batch, hd);
-        let mut c = Matrix::zeros(batch, hd);
-
-        for x in xs {
-            assert_eq!(x.cols(), self.input_dim, "LSTM input dim mismatch");
-            assert_eq!(x.rows(), batch, "LSTM batch size changed mid-sequence");
-            let pre = fused_gate_affine_quant(x, &self.qwx, &h, &self.qwh, self.b.as_slice());
-
-            let i = col_block(&pre, 0, hd).map(sigmoid);
-            let f = col_block(&pre, hd, hd).map(sigmoid);
-            let g = col_block(&pre, 2 * hd, hd).map(tanh);
-            let o = col_block(&pre, 3 * hd, hd).map(sigmoid);
-
-            let mut c_new = f.hadamard(&c);
-            c_new.add_assign(&i.hadamard(&g));
-            let tanh_c = c_new.map(tanh);
-            h = o.hadamard(&tanh_c);
-            c = c_new;
-        }
-        h
+    /// Advances `state` by one timestep on input `x`. Sequential, so
+    /// results are bit-identical across worker counts; allocates nothing
+    /// once `state`'s quantization buffers have grown.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `input_dim` long or `state` was sized for
+    /// another hidden dimension.
+    pub fn step(&self, x: &[f32], state: &mut CellState) {
+        let pre = &mut state.pre[..4 * self.hidden_dim];
+        self.gate
+            .forward_into(x, &state.h, &mut state.xq, &mut state.hq, pre);
+        lstm_cell(pre, &mut state.h, &mut state.c);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::final_hidden;
     use crate::gradcheck::check_gradients;
     use eventhit_rng::rngs::StdRng;
     use eventhit_rng::SeedableRng;
@@ -401,18 +448,52 @@ mod tests {
     }
 
     #[test]
+    fn packed_steps_are_bit_identical_to_inference_forward() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // 4 * 9 = 36 gate outputs: a full tile, a sub-tile... and none
+        // left over; 4 * 11 = 44 adds single outputs.
+        for hd in [9, 11] {
+            let lstm = Lstm::new(5, hd, &mut rng);
+            let xs = seq(7, 3, 5, 24);
+            let exact = lstm.forward_inference(&xs);
+            let packed = lstm.packed();
+            for r in 0..3 {
+                let h = final_hidden(&xs, r, hd, |x, st| packed.step(x, st));
+                assert_eq!(h, exact.row(r), "hidden {hd} row {r}");
+            }
+        }
+    }
+
+    #[test]
     fn quantized_forward_tracks_exact_forward() {
         let mut rng = StdRng::seed_from_u64(21);
         let lstm = Lstm::new(4, 6, &mut rng);
         let xs = seq(8, 3, 4, 22);
         let exact = lstm.forward_inference(&xs);
-        let quant = lstm.quantized().forward(&xs);
-        assert_eq!(quant.shape(), exact.shape());
-        for (a, b) in exact.as_slice().iter().zip(quant.as_slice()) {
-            // Gates squash to (0,1)/(-1,1); per-step pre-activation
-            // error is sub-1% so the recurrences stay close.
-            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        let quant = lstm.quantized();
+        for r in 0..3 {
+            let h = final_hidden(&xs, r, 6, |x, st| quant.step(x, st));
+            for (a, b) in exact.row(r).iter().zip(&h) {
+                // Gates squash to (0,1)/(-1,1); per-step pre-activation
+                // error is sub-1% so the recurrences stay close.
+                assert!((a - b).abs() < 0.05, "{a} vs {b}");
+            }
         }
+    }
+
+    #[test]
+    fn clear_cache_drops_the_last_batch_and_forward_refills_it() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut lstm = Lstm::new(3, 4, &mut rng);
+        let xs = seq(5, 2, 3, 26);
+        let h = lstm.forward(&xs);
+        // Per step: x (2x3) + seven 2x4 matrices.
+        assert_eq!(lstm.cache_len(), 5 * (6 + 7 * 8));
+        lstm.clear_cache();
+        assert_eq!(lstm.cache_len(), 0);
+        assert_eq!(lstm.forward_inference(&xs), h);
+        lstm.forward(&xs);
+        assert_eq!(lstm.backward_last(&h).len(), 5);
     }
 
     #[test]

@@ -6,18 +6,19 @@
 //!
 //! The product kernels ([`Matrix::matmul`], [`Matrix::t_matmul`],
 //! [`Matrix::matmul_t`], [`Matrix::affine_t`],
-//! [`Matrix::fused_gate_affine`]) are cache-blocked over `k` and unrolled
-//! eight output columns wide so the autovectorizer gets independent
+//! [`Matrix::fused_gate_affine`]) are what training and the batched
+//! reference forward run on: cache-blocked over `k` and unrolled eight
+//! output columns wide so the autovectorizer gets independent
 //! accumulator chains to work with (std-only, stable rustc). Every kernel
 //! keeps each output element's accumulation a *single* chain over `k` in
 //! ascending order, so the blocked kernels are bit-identical to the naive
 //! reference implementations ([`Matrix::matmul_naive`] and friends) that
-//! are retained for the kernel-equivalence test suite, and bit-identical
-//! across worker counts.
+//! are retained as test oracles, and bit-identical across worker counts.
+//! Serving does not run these: it compiles the model onto
+//! [`crate::packed`] panels once and steps rows through them.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use eventhit_parallel::Pool;
 use eventhit_rng::Rng;
@@ -35,35 +36,6 @@ pub const PAR_THRESHOLD: usize = 1 << 20;
 /// Blocks are consumed in ascending order into the same accumulator chain,
 /// so blocking never changes the bits.
 const K_BLOCK: usize = 256;
-
-/// When set, the product kernels run their retained naive inner loops
-/// instead of the blocked/unrolled ones (see [`set_naive_kernels`]).
-static FORCE_NAIVE: AtomicBool = AtomicBool::new(false);
-
-/// Routes all product kernels through the retained naive inner loops.
-///
-/// This is a bench/test hook: `benches/kernel_benches.rs` uses it to
-/// measure the blocked kernels against the pre-refactor baseline in one
-/// process. Both paths are bit-identical, so flipping the switch never
-/// changes results — only throughput.
-///
-/// ```
-/// use eventhit_nn::matrix::{set_naive_kernels, Matrix};
-/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-/// set_naive_kernels(true);
-/// let slow = a.matmul(&a);
-/// set_naive_kernels(false);
-/// assert_eq!(slow, a.matmul(&a));
-/// ```
-pub fn set_naive_kernels(enabled: bool) {
-    FORCE_NAIVE.store(enabled, Ordering::Relaxed);
-}
-
-/// True if [`set_naive_kernels`] has routed the kernels to the naive
-/// inner loops.
-pub fn naive_kernels_forced() -> bool {
-    FORCE_NAIVE.load(Ordering::Relaxed)
-}
 
 /// 8-wide unrolled `out_row += a * b_row` (the `ikj` inner loop).
 #[inline]
@@ -230,30 +202,6 @@ fn gate_row8(
         }
         out_row[j] = (accx + acch) + bias[j];
         j += 1;
-    }
-}
-
-/// Naive fused gate row kernel: the reference scalar form of
-/// [`gate_row8`], one output column at a time.
-#[inline]
-fn gate_row_naive(
-    x_row: &[f32],
-    wx: &Matrix,
-    h_row: &[f32],
-    wh: &Matrix,
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    for (j, o) in out_row.iter_mut().enumerate() {
-        let mut accx = 0.0f32;
-        for (&a, &b) in x_row.iter().zip(wx.row(j)) {
-            accx += a * b;
-        }
-        let mut acch = 0.0f32;
-        for (&a, &b) in h_row.iter().zip(wh.row(j)) {
-            acch += a * b;
-        }
-        *o = (accx + acch) + bias[j];
     }
 }
 
@@ -451,24 +399,8 @@ impl Matrix {
             return out;
         }
         let block = Matrix::row_block(self.rows, pool);
-        let naive = naive_kernels_forced();
         pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
             let row0 = offset / out_cols;
-            if naive {
-                for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                    let a_row = self.row(row0 + local);
-                    for (k, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_row = rhs.row(k);
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-                return;
-            }
             // k-panelled ikj: for each panel, sweep every output row in
             // the chunk so the touched rhs panel stays hot. Panels are
             // consumed in ascending k into the same output elements, so
@@ -561,25 +493,8 @@ impl Matrix {
             return out;
         }
         let block = Matrix::row_block(self.cols, pool);
-        let naive = naive_kernels_forced();
         pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
             let row0 = offset / out_cols;
-            if naive {
-                for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                    let i = row0 + local;
-                    for k in 0..self.rows {
-                        let a = self.data[k * self.cols + i];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_row = rhs.row(k);
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-                return;
-            }
             // k-panelled: sweep every output row in the chunk per panel so
             // the rhs panel stays hot; a is a strided column walk of self.
             let mut kb = 0;
@@ -673,16 +588,10 @@ impl Matrix {
             return out;
         }
         let block = Matrix::row_block(self.rows, pool);
-        let naive = naive_kernels_forced();
         pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
             let row0 = offset / out_cols;
             for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                let a_row = self.row(row0 + local);
-                if naive {
-                    dot_rows_naive(a_row, rhs, out_row);
-                } else {
-                    dot_rows8(a_row, rhs, out_row);
-                }
+                dot_rows8(self.row(row0 + local), rhs, out_row);
             }
         });
         out
@@ -746,16 +655,10 @@ impl Matrix {
         }
         let pool = Matrix::product_pool(self.rows * self.cols * w.rows);
         let block = Matrix::row_block(self.rows, &pool);
-        let naive = naive_kernels_forced();
         pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
             let row0 = offset / out_cols;
             for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                let a_row = self.row(row0 + local);
-                if naive {
-                    dot_rows_naive(a_row, w, out_row);
-                } else {
-                    dot_rows8(a_row, w, out_row);
-                }
+                dot_rows8(self.row(row0 + local), w, out_row);
                 for (o, &b) in out_row.iter_mut().zip(bias) {
                     *o += b;
                 }
@@ -817,16 +720,11 @@ impl Matrix {
         let flops = self.rows * (self.cols + h.cols) * out_cols;
         let pool = Matrix::product_pool(flops);
         let block = Matrix::row_block(self.rows, &pool);
-        let naive = naive_kernels_forced();
         pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
             let row0 = offset / out_cols;
             for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
                 let r = row0 + local;
-                if naive {
-                    gate_row_naive(self.row(r), wx, h.row(r), wh, bias, out_row);
-                } else {
-                    gate_row8(self.row(r), wx, h.row(r), wh, bias, out_row);
-                }
+                gate_row8(self.row(r), wx, h.row(r), wh, bias, out_row);
             }
         });
         out
@@ -1277,17 +1175,6 @@ mod tests {
         want.add_row_broadcast(&bias);
         assert_eq!(x.fused_gate_affine(&wx, &h, &wh, &bias), want);
         assert_eq!(x.fused_gate_affine_naive(&wx, &h, &wh, &bias), want);
-    }
-
-    #[test]
-    fn naive_switch_does_not_change_results() {
-        let a = sample(9, 33, 30);
-        let b = sample(33, 12, 31);
-        let fast = a.matmul(&b);
-        set_naive_kernels(true);
-        let slow = a.matmul(&b);
-        set_naive_kernels(false);
-        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -200,90 +200,122 @@ fn doti(a: &[i8], b: &[i8]) -> i32 {
     acc
 }
 
-/// Quantized affine map `x * w^T + bias`: each activation row is
-/// quantized on the fly, every output element is one exact `i8 × i8 →
-/// i32` integer dot, and the activation and weight scales are applied
-/// once at the end. Sequential (and therefore worker-count invariant by
+/// An int8 affine map `out = x Wq^T + b`: the quantized counterpart of
+/// [`crate::packed::PackedAffine`]. The activation row is quantized on
+/// the fly, every output element is one exact `i8 × i8 → i32` integer
+/// dot, and the activation and weight scales are applied once at the
+/// end. Sequential (and therefore worker-count invariant by
 /// construction).
 ///
 /// ```
 /// use eventhit_nn::matrix::Matrix;
-/// use eventhit_nn::quant::{affine_t_quant, QuantizedMatrix};
-/// let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-/// let w = QuantizedMatrix::quantize(&Matrix::from_vec(1, 2, vec![3.0, 4.0]));
-/// let y = affine_t_quant(&x, &w, &[0.5]);
-/// assert!((y[(0, 0)] - 11.5).abs() < 0.1);
+/// use eventhit_nn::quant::QuantizedAffine;
+/// let w = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
+/// let affine = QuantizedAffine::quantize(&w, &[0.5]);
+/// let (mut xq, mut out) = (Vec::new(), [0.0]);
+/// affine.forward_into(&[1.0, 2.0], &mut xq, &mut out);
+/// assert!((out[0] - 11.5).abs() < 0.1);
 /// ```
-///
-/// # Panics
-/// Panics if `x.cols != w.cols` or `bias.len() != w.rows`.
-pub fn affine_t_quant(x: &Matrix, w: &QuantizedMatrix, bias: &[f32]) -> Matrix {
-    assert_eq!(
-        x.cols(),
-        w.cols(),
-        "affine_t_quant shape mismatch: {}x{} * ({}x{})^T",
-        x.rows(),
-        x.cols(),
-        w.rows(),
-        w.cols()
-    );
-    assert_eq!(bias.len(), w.rows(), "affine_t_quant bias length mismatch");
-    let out_cols = w.rows();
-    let mut out = Matrix::zeros(x.rows(), out_cols);
-    let mut xq = Vec::with_capacity(x.cols());
-    for r in 0..x.rows() {
-        let sx = quantize_row(x.row(r), &mut xq);
-        let out_row = out.row_mut(r);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = doti(&xq, w.row(j)) as f32 * (sx * w.scale(j)) + bias[j];
-        }
-    }
-    out
+#[derive(Clone, Debug, PartialEq)]
+pub struct QuantizedAffine {
+    w: QuantizedMatrix,
+    bias: Vec<f32>,
 }
 
-/// Quantized fused gate pre-activation
-/// `x * wx^T + h * wh^T + bias` — the quantized-lane LSTM step kernel.
-/// Each batch row quantizes its `x` and `h` activations once, then runs
-/// both gate products in integer arithmetic.
-///
-/// # Panics
-/// Panics on shape mismatches (same contract as
-/// [`Matrix::fused_gate_affine`]).
-pub fn fused_gate_affine_quant(
-    x: &Matrix,
-    wx: &QuantizedMatrix,
-    h: &Matrix,
-    wh: &QuantizedMatrix,
-    bias: &[f32],
-) -> Matrix {
-    assert_eq!(x.cols(), wx.cols(), "fused_gate_affine_quant x/wx mismatch");
-    assert_eq!(h.cols(), wh.cols(), "fused_gate_affine_quant h/wh mismatch");
-    assert_eq!(x.rows(), h.rows(), "fused_gate_affine_quant batch mismatch");
-    assert_eq!(
-        wx.rows(),
-        wh.rows(),
-        "fused_gate_affine_quant gate-count mismatch"
-    );
-    assert_eq!(
-        bias.len(),
-        wx.rows(),
-        "fused_gate_affine_quant bias mismatch"
-    );
-    let out_cols = wx.rows();
-    let mut out = Matrix::zeros(x.rows(), out_cols);
-    let mut xq = Vec::with_capacity(x.cols());
-    let mut hq = Vec::with_capacity(h.cols());
-    for r in 0..x.rows() {
-        let sx = quantize_row(x.row(r), &mut xq);
-        let sh = quantize_row(h.row(r), &mut hq);
-        let out_row = out.row_mut(r);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let px = doti(&xq, wx.row(j)) as f32 * (sx * wx.scale(j));
-            let ph = doti(&hq, wh.row(j)) as f32 * (sh * wh.scale(j));
-            *o = (px + ph) + bias[j];
+impl QuantizedAffine {
+    /// Quantizes `w` (`out x k`) and keeps its `f32` bias (length `out`).
+    ///
+    /// # Panics
+    /// Panics if `bias.len() != w.rows()`.
+    pub fn quantize(w: &Matrix, bias: &[f32]) -> Self {
+        assert_eq!(bias.len(), w.rows(), "quantized affine bias mismatch");
+        QuantizedAffine {
+            w: QuantizedMatrix::quantize(w),
+            bias: bias.to_vec(),
         }
     }
-    out
+
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.w.cols()
+    }
+
+    /// Output dimensionality.
+    pub fn out_dim(&self) -> usize {
+        self.w.rows()
+    }
+
+    /// `out[j] = doti(xq, w_j) · (sx · sw_j) + bias[j]`, with `x`
+    /// quantized into the reused scratch `xq` first.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` has the wrong length.
+    pub fn forward_into(&self, x: &[f32], xq: &mut Vec<i8>, out: &mut [f32]) {
+        assert_eq!(x.len(), self.in_dim(), "quantized affine input mismatch");
+        assert_eq!(
+            out.len(),
+            self.out_dim(),
+            "quantized affine output mismatch"
+        );
+        let sx = quantize_row(x, xq);
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = doti(xq, self.w.row(j)) as f32 * (sx * self.w.scale(j)) + self.bias[j];
+        }
+    }
+}
+
+/// An int8 fused recurrent gate `out = x Wxq^T + h Whq^T + b`: the
+/// quantized counterpart of [`crate::packed::PackedGate`] and the
+/// quantized-lane LSTM step kernel. `x` and `h` are each quantized once
+/// per step, then both gate products run in integer arithmetic.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QuantizedGate {
+    wx: QuantizedMatrix,
+    wh: QuantizedMatrix,
+    bias: Vec<f32>,
+}
+
+impl QuantizedGate {
+    /// Quantizes the input weights `wx` (`out x d`) and the recurrent
+    /// weights `wh` (`out x hidden`); the shared bias stays `f32`.
+    ///
+    /// # Panics
+    /// Panics if the three disagree about `out`.
+    pub fn quantize(wx: &Matrix, wh: &Matrix, bias: &[f32]) -> Self {
+        assert_eq!(wx.rows(), wh.rows(), "quantized gate gate-count mismatch");
+        assert_eq!(bias.len(), wx.rows(), "quantized gate bias mismatch");
+        QuantizedGate {
+            wx: QuantizedMatrix::quantize(wx),
+            wh: QuantizedMatrix::quantize(wh),
+            bias: bias.to_vec(),
+        }
+    }
+
+    /// `out[j] = (px_j + ph_j) + bias[j]`, each product scaled like
+    /// [`QuantizedAffine::forward_into`]'s. `xq` / `hq` are reused
+    /// scratch.
+    ///
+    /// # Panics
+    /// Panics if `x`, `h` or `out` has the wrong length.
+    pub fn forward_into(
+        &self,
+        x: &[f32],
+        h: &[f32],
+        xq: &mut Vec<i8>,
+        hq: &mut Vec<i8>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(x.len(), self.wx.cols(), "quantized gate x/wx mismatch");
+        assert_eq!(h.len(), self.wh.cols(), "quantized gate h/wh mismatch");
+        assert_eq!(out.len(), self.wx.rows(), "quantized gate output mismatch");
+        let sx = quantize_row(x, xq);
+        let sh = quantize_row(h, hq);
+        for (j, o) in out.iter_mut().enumerate() {
+            let px = doti(xq, self.wx.row(j)) as f32 * (sx * self.wx.scale(j));
+            let ph = doti(hq, self.wh.row(j)) as f32 * (sh * self.wh.scale(j));
+            *o = (px + ph) + self.bias[j];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,8 +382,18 @@ mod tests {
         assert_eq!(q.dequantize().shape(), (0, 4));
     }
 
+    /// Runs every row of `x` through `affine`, one output row each.
+    fn affine_rows(affine: &QuantizedAffine, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), affine.out_dim());
+        let mut xq = Vec::new();
+        for r in 0..x.rows() {
+            affine.forward_into(x.row(r), &mut xq, out.row_mut(r));
+        }
+        out
+    }
+
     #[test]
-    fn affine_t_quant_matches_dequantized_exact_affine() {
+    fn quantized_affine_matches_dequantized_exact_affine() {
         // The integer kernel must agree (to f32 round-off) with the exact
         // kernel run on the dequantized weights AND dequantized
         // activations — activation rows quantize on the same grid as
@@ -359,25 +401,32 @@ mod tests {
         let x = sample(5, 13, 3);
         let w = sample(11, 13, 4);
         let bias: Vec<f32> = (0..11).map(|i| i as f32 * 0.01).collect();
-        let q = QuantizedMatrix::quantize(&w);
-        let got = affine_t_quant(&x, &q, &bias);
+        let affine = QuantizedAffine::quantize(&w, &bias);
+        let got = affine_rows(&affine, &x);
         let x_deq = QuantizedMatrix::quantize(&x).dequantize();
-        let want = x_deq.affine_t(&q.dequantize(), &bias);
+        let want = x_deq.affine_t(&QuantizedMatrix::quantize(&w).dequantize(), &bias);
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn fused_gate_quant_matches_composed_affines() {
+    fn quantized_gate_matches_composed_affines() {
         let x = sample(3, 6, 5);
         let h = sample(3, 4, 6);
-        let wx = QuantizedMatrix::quantize(&sample(16, 6, 7));
-        let wh = QuantizedMatrix::quantize(&sample(16, 4, 8));
+        let (wx, wh) = (sample(16, 6, 7), sample(16, 4, 8));
         let bias: Vec<f32> = (0..16).map(|i| (i as f32).cos() * 0.1).collect();
-        let got = fused_gate_affine_quant(&x, &wx, &h, &wh, &bias);
-        let mut want = affine_t_quant(&x, &wx, &[0.0; 16]);
-        want.add_assign(&affine_t_quant(&h, &wh, &[0.0; 16]));
+        let gate = QuantizedGate::quantize(&wx, &wh, &bias);
+        let mut got = Matrix::zeros(3, 16);
+        let (mut xq, mut hq) = (Vec::new(), Vec::new());
+        for r in 0..3 {
+            gate.forward_into(x.row(r), h.row(r), &mut xq, &mut hq, got.row_mut(r));
+        }
+        let mut want = affine_rows(&QuantizedAffine::quantize(&wx, &[0.0; 16]), &x);
+        want.add_assign(&affine_rows(
+            &QuantizedAffine::quantize(&wh, &[0.0; 16]),
+            &h,
+        ));
         want.add_row_broadcast(&bias);
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-4);
@@ -393,10 +442,11 @@ mod tests {
         // DESIGN.md.
         let x = sample(4, 32, 9);
         let w = sample(8, 32, 10);
-        let q = QuantizedMatrix::quantize(&w);
         let bias = vec![0.0f32; 8];
+        let affine = QuantizedAffine::quantize(&w, &bias);
+        let q = QuantizedMatrix::quantize(&w);
         let exact = x.affine_t(&w, &bias);
-        let quant = affine_t_quant(&x, &q, &bias);
+        let quant = affine_rows(&affine, &x);
         let k = x.cols() as f32;
         for r in 0..x.rows() {
             let l1x: f32 = x.row(r).iter().map(|v| v.abs()).sum();

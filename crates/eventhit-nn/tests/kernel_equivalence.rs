@@ -3,7 +3,8 @@
 //! retained naive references on adversarial shapes — empty operands, 1×1,
 //! prime dimensions, non-multiples of the unroll width and K-block, and
 //! shapes straddling the `PAR_THRESHOLD` parallel cutover — at 1, 2, 4,
-//! and 8 workers.
+//! and 8 workers. The k-major packed inference kernels are held to the
+//! same references on shapes around their 32- and 8-output tiles.
 //!
 //! Bit-identity (not tolerance) is the contract: every output element is
 //! one accumulator chain over `k` in ascending order in both
@@ -11,11 +12,12 @@
 //! single ULP. The exact-lane golden fingerprints in the workspace tests
 //! depend on this.
 
-use eventhit_nn::matrix::{naive_kernels_forced, set_naive_kernels, Matrix, PAR_THRESHOLD};
+use eventhit_nn::matrix::{Matrix, PAR_THRESHOLD};
+use eventhit_nn::packed::{PackedAffine, PackedGate};
 use eventhit_parallel::Pool;
 use eventhit_rng::rngs::StdRng;
 use eventhit_rng::testkit::from_fn;
-use eventhit_rng::{prop_assert, prop_assert_eq, property, Rng, SeedableRng};
+use eventhit_rng::{prop_assert_eq, property, Rng, SeedableRng};
 
 /// Adversarial dimension pool: empty, unit, primes, powers of two, and
 /// off-by-one neighbours of the 8-wide unroll width.
@@ -23,8 +25,20 @@ const DIMS: &[usize] = &[0, 1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 23, 31, 33, 64];
 
 const WORKERS: &[usize] = &[1, 2, 4, 8];
 
+/// Output counts around the packed kernels' tiles: one output, one short
+/// of a tile, a tile, one over, six tiles (the LSTM's gates), and six
+/// tiles + a sub-tile + one (the head's `1 + H`).
+const PACKED_OUTS: &[usize] = &[1, 31, 32, 33, 192, 201];
+/// Reduction depths for the packed kernels: the model's (5, 37, 48, 53)
+/// and ones no layer has.
+const PACKED_KS: &[usize] = &[1, 5, 37, 48, 53, 257];
+
 fn dim(rng: &mut StdRng) -> usize {
     DIMS[rng.random_range(0..DIMS.len())]
+}
+
+fn pick(rng: &mut StdRng, from: &[usize]) -> usize {
+    from[rng.random_range(0..from.len())]
 }
 
 /// A matrix with ~25% exact zeros, so the kernels' zero-skip fast path is
@@ -114,19 +128,46 @@ property! {
     }
 
     #[test]
-    fn forced_naive_dispatch_bit_matches_blocked(
+    fn packed_affine_bit_matches_naive(
         case in from_fn(|rng| {
-            let (m, k, n) = (dim(rng), dim(rng), dim(rng));
-            (matrix_of(rng, m, k), matrix_of(rng, k, n))
+            let (m, k, n) = (1 + dim(rng) % 4, pick(rng, PACKED_KS), pick(rng, PACKED_OUTS));
+            let bias: Vec<f32> = (0..n).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            (matrix_of(rng, m, k), matrix_of(rng, n, k), bias)
         }),
     ) {
-        let (a, b) = case;
-        let blocked = a.matmul(&b);
-        set_naive_kernels(true);
-        let naive = a.matmul(&b);
-        set_naive_kernels(false);
-        prop_assert!(!naive_kernels_forced());
-        prop_assert_eq!(blocked, naive);
+        let (x, w, bias) = case;
+        let want = x.affine_t_naive(&w, &bias);
+        let packed = PackedAffine::pack(&w, &bias);
+        let mut out = vec![f32::NAN; w.rows()];
+        for r in 0..x.rows() {
+            packed.forward_into(x.row(r), &mut out);
+            prop_assert_eq!(out.as_slice(), want.row(r));
+        }
+    }
+
+    #[test]
+    fn packed_gate_bit_matches_naive(
+        case in from_fn(|rng| {
+            let (m, n) = (1 + dim(rng) % 4, pick(rng, PACKED_OUTS));
+            let (xc, hc) = (pick(rng, PACKED_KS), pick(rng, PACKED_KS));
+            let bias: Vec<f32> = (0..n).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            (
+                matrix_of(rng, m, xc),
+                matrix_of(rng, n, xc),
+                matrix_of(rng, m, hc),
+                matrix_of(rng, n, hc),
+                bias,
+            )
+        }),
+    ) {
+        let (x, wx, h, wh, bias) = case;
+        let want = x.fused_gate_affine_naive(&wx, &h, &wh, &bias);
+        let packed = PackedGate::pack(&wx, &wh, &bias);
+        let mut out = vec![f32::NAN; wx.rows()];
+        for r in 0..x.rows() {
+            packed.forward_into(x.row(r), h.row(r), &mut out);
+            prop_assert_eq!(out.as_slice(), want.row(r));
+        }
     }
 }
 

@@ -737,10 +737,11 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.pos + n > self.buf.len() {
+        let left = self.buf.len() - self.pos;
+        if n > left {
             return Err(ProtocolError::Truncated {
                 tag: self.tag,
-                needed: self.pos + n - self.buf.len(),
+                needed: n - left,
             });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -759,11 +760,21 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, ProtocolError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
     fn f64(&mut self) -> Result<f64, ProtocolError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    /// A run of `len` floats. The whole run is bounds-checked before
+    /// anything is allocated, so a count that lies about the payload
+    /// costs nothing.
+    fn f32s(&mut self, len: usize) -> Result<Vec<f32>, ProtocolError> {
+        let bytes = len
+            .checked_mul(4)
+            .ok_or(ProtocolError::BadValue("float run length overflows"))?;
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect())
     }
     fn string(&mut self) -> Result<String, ProtocolError> {
         let len = self.u32()? as usize;
@@ -851,10 +862,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtocolError> {
             if dim > 0 && !len.is_multiple_of(dim as usize) {
                 return Err(ProtocolError::BadValue("data length not a multiple of dim"));
             }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(c.f32()?);
-            }
+            let data = c.f32s(len)?;
             Message::SubmitFrames {
                 stream_id,
                 dim,
@@ -913,10 +921,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtocolError> {
             if dim > 0 && !len.is_multiple_of(dim as usize) {
                 return Err(ProtocolError::BadValue("data length not a multiple of dim"));
             }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(c.f32()?);
-            }
+            let data = c.f32s(len)?;
             Message::SubmitTraced {
                 trace_id,
                 stream_id,
@@ -1286,6 +1291,41 @@ mod tests {
         bytes.truncate(4 + 3);
         let err = try_decode(&bytes).unwrap_err();
         assert!(matches!(err, ProtocolError::Truncated { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn a_lying_float_count_is_truncation_not_an_allocation() {
+        // 17-byte (SubmitFrames) and 25-byte (SubmitTraced) payloads whose
+        // count field claims u32::MAX floats: the run is bounds-checked
+        // whole before a single float is converted, so the answer is
+        // `Truncated` by exactly the bytes that are missing — not a 16 GiB
+        // reservation followed by a bounds error.
+        let lying = u32::MAX; // a multiple of the dim, 5
+        for honest in [
+            Message::SubmitFrames {
+                stream_id: 3,
+                dim: 5,
+                data: vec![0.25; 5],
+            },
+            Message::SubmitTraced {
+                trace_id: 0xABCD,
+                stream_id: 3,
+                dim: 5,
+                data: vec![0.25; 5],
+            },
+        ] {
+            let mut payload = encode(&honest)[4..].to_vec();
+            let count_at = payload.len() - 5 * 4 - 4;
+            payload[count_at..count_at + 4].copy_from_slice(&lying.to_le_bytes());
+            payload.truncate(count_at + 4 + 4); // one float where 4 billion are claimed
+            match decode_payload(&payload) {
+                Err(ProtocolError::Truncated { tag, needed }) => {
+                    assert_eq!(tag, honest.tag());
+                    assert_eq!(needed, lying as usize * 4 - 4);
+                }
+                other => panic!("expected Truncated, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1269,7 +1269,7 @@ impl Lane {
     /// Feeds one frame through the lane's predictor; with resilient
     /// wiring, relayed segments are submitted through the CI client and
     /// the submission's degradation tag replaces the decision's.
-    fn push(&mut self, row: Vec<f32>) -> Option<eventhit_core::streaming::HorizonDecision> {
+    fn push(&mut self, row: &[f32]) -> Option<eventhit_core::streaming::HorizonDecision> {
         match &mut self.resilient {
             None => self.predictor.push_frame(row),
             Some(client) => {
@@ -1329,7 +1329,7 @@ fn drain_lane(lane: &mut Lane, trace: Option<u64>) -> Vec<HorizonDecision> {
     lane.predictor.set_trace(trace);
     let mut out = Vec::new();
     while let Some(row) = lane.queue.pop() {
-        if let Some(d) = lane.push(row) {
+        if let Some(d) = lane.push(&row) {
             out.push(d);
         }
     }

@@ -2,8 +2,6 @@
 //! covariates incrementally, so deployments can feed frames one at a time
 //! instead of materializing the full stream's feature matrix.
 
-use std::collections::VecDeque;
-
 use eventhit_nn::matrix::Matrix;
 
 /// A source of per-frame feature vectors (the boundary where a real
@@ -48,11 +46,20 @@ impl FrameSource for MatrixFrameSource<'_> {
     }
 }
 
-/// A fixed-capacity ring of the last `M` frames' features.
+/// A fixed-capacity ring of the last `M` frames' features: one flat
+/// `M x D` allocation made at construction. A push copies the borrowed
+/// row over the oldest slot, and the newest rows are handed out as
+/// slices of the ring ([`WindowBuffer::last_rows`]) — steady-state
+/// ingestion allocates nothing.
 pub struct WindowBuffer {
     window: usize,
     dim: usize,
-    frames: VecDeque<Vec<f32>>,
+    /// `window` slots of `dim` values; slot `i` is `data[i*dim..(i+1)*dim]`.
+    data: Vec<f32>,
+    /// The slot the next push writes — the oldest row's, once full.
+    next: usize,
+    /// Rows buffered so far (at most `window`).
+    len: usize,
     /// Total frames ever pushed (the current stream position + 1).
     pushed: u64,
 }
@@ -65,27 +72,31 @@ impl WindowBuffer {
         WindowBuffer {
             window,
             dim,
-            frames: VecDeque::with_capacity(window),
+            data: vec![0.0; window * dim],
+            next: 0,
+            len: 0,
             pushed: 0,
         }
     }
 
-    /// Pushes one frame's features, evicting the oldest when full.
+    /// Pushes one frame's features, evicting the oldest when full. The
+    /// row is copied in, so a borrowed slice does as well as an owned
+    /// vector.
     ///
     /// # Panics
     /// Panics if `features.len() != dim`.
-    pub fn push(&mut self, features: Vec<f32>) {
+    pub fn push(&mut self, features: impl AsRef<[f32]>) {
+        let features = features.as_ref();
         assert_eq!(features.len(), self.dim, "frame dimensionality mismatch");
-        if self.frames.len() == self.window {
-            self.frames.pop_front();
-        }
-        self.frames.push_back(features);
+        self.data[self.next * self.dim..(self.next + 1) * self.dim].copy_from_slice(features);
+        self.next = (self.next + 1) % self.window;
+        self.len = (self.len + 1).min(self.window);
         self.pushed += 1;
     }
 
     /// True when a full collection window is buffered.
     pub fn is_full(&self) -> bool {
-        self.frames.len() == self.window
+        self.len == self.window
     }
 
     /// The configured collection-window size `M`.
@@ -98,13 +109,36 @@ impl WindowBuffer {
         self.dim
     }
 
+    /// The newest `m` buffered rows, oldest first, borrowed from the ring
+    /// — what the encoder consumes at an anchor, without a copy.
+    ///
+    /// # Panics
+    /// Panics if fewer than `m` rows are buffered.
+    pub fn last_rows(&self, m: usize) -> impl Iterator<Item = &[f32]> + Clone {
+        assert!(
+            m <= self.len,
+            "window slice {m} exceeds the {} buffered rows",
+            self.len
+        );
+        // The newest row sits just before `next`; the run of `m` rows
+        // ending there wraps around the end of the ring at most once.
+        let start = (self.next + self.window - m) % self.window;
+        let first = m.min(self.window - start);
+        let (head, tail) = (
+            &self.data[start * self.dim..(start + first) * self.dim],
+            &self.data[..(m - first) * self.dim],
+        );
+        head.chunks_exact(self.dim)
+            .chain(tail.chunks_exact(self.dim))
+    }
+
     /// Copies out the buffered rows, oldest first — between 0 and
     /// `window` rows of `dim` values each. Together with
     /// [`WindowBuffer::frames_seen`] this is the buffer's complete
     /// dynamic state, which [`WindowBuffer::restore`] reconstructs
     /// bit-identically (the durable-serving snapshot path).
     pub fn snapshot_rows(&self) -> Vec<Vec<f32>> {
-        self.frames.iter().cloned().collect()
+        self.last_rows(self.len).map(<[f32]>::to_vec).collect()
     }
 
     /// Rebuilds a buffer from a snapshot taken with
@@ -114,8 +148,7 @@ impl WindowBuffer {
     /// Panics if more than `window` rows are given, any row is not `dim`
     /// long, or `pushed` is smaller than the number of rows (callers that
     /// read snapshots from disk validate first and surface typed errors).
-    pub fn restore(window: usize, dim: usize, rows: Vec<Vec<f32>>, pushed: u64) -> Self {
-        assert!(window > 0 && dim > 0);
+    pub fn restore(window: usize, dim: usize, rows: &[Vec<f32>], pushed: u64) -> Self {
         assert!(rows.len() <= window, "snapshot holds more rows than fit");
         assert!(
             rows.iter().all(|r| r.len() == dim),
@@ -125,12 +158,12 @@ impl WindowBuffer {
             pushed >= rows.len() as u64,
             "fewer frames pushed than buffered"
         );
-        WindowBuffer {
-            window,
-            dim,
-            frames: rows.into(),
-            pushed,
+        let mut buffer = WindowBuffer::new(window, dim);
+        for row in rows {
+            buffer.push(row);
         }
+        buffer.pushed = pushed;
+        buffer
     }
 
     /// Number of frames pushed so far.
@@ -143,19 +176,16 @@ impl WindowBuffer {
     /// # Panics
     /// Panics if the buffer is not yet full.
     pub fn covariates(&self) -> Matrix {
-        assert!(self.is_full(), "collection window not yet full");
-        let mut m = Matrix::zeros(self.window, self.dim);
-        for (r, frame) in self.frames.iter().enumerate() {
-            m.set_row(r, frame);
-        }
-        m
+        self.covariates_last(self.window)
     }
 
     /// The covariate matrix of the *last* `m` buffered frames
     /// (`m x D`, oldest first) — the adaptive-window variant of
     /// [`WindowBuffer::covariates`]: a shrunken collection window
     /// consumes only the newest `m` rows. `covariates_last(window)` is
-    /// identical to `covariates()`.
+    /// identical to `covariates()`. This is the owned copy (a record's
+    /// covariates, a carry memo); scoring reads
+    /// [`WindowBuffer::last_rows`] instead.
     ///
     /// # Panics
     /// Panics if the buffer is not yet full or `m` is not in
@@ -168,8 +198,7 @@ impl WindowBuffer {
             self.window
         );
         let mut out = Matrix::zeros(m, self.dim);
-        let skip = self.frames.len() - m;
-        for (r, frame) in self.frames.iter().skip(skip).enumerate() {
+        for (r, frame) in self.last_rows(m).enumerate() {
             out.set_row(r, frame);
         }
         out
@@ -223,7 +252,7 @@ mod tests {
         let restored = WindowBuffer::restore(
             buf.window(),
             buf.dim(),
-            buf.snapshot_rows(),
+            &buf.snapshot_rows(),
             buf.frames_seen(),
         );
         assert_eq!(restored.frames_seen(), buf.frames_seen());
@@ -241,7 +270,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "more rows than fit")]
     fn restore_rejects_oversized_snapshots() {
-        let _ = WindowBuffer::restore(2, 1, vec![vec![1.0], vec![2.0], vec![3.0]], 3);
+        let _ = WindowBuffer::restore(2, 1, &[vec![1.0], vec![2.0], vec![3.0]], 3);
     }
 
     #[test]
@@ -267,6 +296,75 @@ mod tests {
             buf.push(vec![i as f32]);
         }
         let _ = buf.covariates_last(5);
+    }
+
+    /// Row `i` of a test stream: distinct in every entry.
+    fn row(i: usize) -> Vec<f32> {
+        vec![i as f32, 100.0 + i as f32, -(i as f32)]
+    }
+
+    #[test]
+    fn ring_hands_out_rows_oldest_first_across_every_wrap_position() {
+        let window = 5;
+        let mut buf = WindowBuffer::new(window, 3);
+        for i in 0..3 * window + 2 {
+            buf.push(row(i));
+            let held = (i + 1).min(window);
+            let want: Vec<Vec<f32>> = (i + 1 - held..=i).map(row).collect();
+            assert_eq!(buf.snapshot_rows(), want, "after frame {i}");
+            if buf.is_full() {
+                for m in 1..=window {
+                    let got: Vec<&[f32]> = buf.last_rows(m).collect();
+                    assert_eq!(got, want[window - m..], "frame {i}, m {m}");
+                    let cov = buf.covariates_last(m);
+                    assert_eq!(cov.shape(), (m, 3));
+                    for (r, w) in want[window - m..].iter().enumerate() {
+                        assert_eq!(cov.row(r), w.as_slice(), "frame {i}, m {m}, row {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_mid_wrap_continues_identically() {
+        // Snapshot at every wrap position, restore, and keep pushing: the
+        // restored ring starts at slot 0 whatever the original's offset
+        // was, and must still agree row for row.
+        let window = 4;
+        for cut in 1..3 * window {
+            let mut a = WindowBuffer::new(window, 3);
+            for i in 0..cut {
+                a.push(row(i));
+            }
+            let mut b = WindowBuffer::restore(window, 3, &a.snapshot_rows(), a.frames_seen());
+            for i in cut..cut + 2 * window {
+                assert_eq!(a.snapshot_rows(), b.snapshot_rows(), "cut {cut}, frame {i}");
+                a.push(row(i));
+                b.push(row(i));
+            }
+            assert_eq!(a.covariates(), b.covariates());
+            assert_eq!(a.frames_seen(), b.frames_seen());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 2 buffered rows")]
+    fn last_rows_rejects_more_rows_than_buffered() {
+        let mut buf = WindowBuffer::new(4, 3);
+        buf.push(row(0));
+        buf.push(row(1));
+        let _ = buf.last_rows(3);
+    }
+
+    #[test]
+    fn push_takes_borrowed_and_owned_rows() {
+        let mut buf = WindowBuffer::new(2, 3);
+        let owned = row(0);
+        buf.push(&owned);
+        buf.push(owned.as_slice());
+        buf.push(owned);
+        assert_eq!(buf.frames_seen(), 3);
     }
 
     #[test]

@@ -1,0 +1,148 @@
+//! Allocation budget of the serving hot path, held by a counting
+//! allocator so it cannot rot silently: once a predictor is warm, a
+//! non-anchor frame allocates nothing, and a `Fixed`-policy anchor
+//! allocates only the decision it returns — no `Matrix`, no `Record`, no
+//! per-frame `Vec`. The same counter shows that a wire message lying
+//! about its float count is refused before anything is reserved for it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use eventhit::core::experiment::{ExperimentConfig, TaskRun};
+use eventhit::core::pipeline::Strategy;
+use eventhit::core::streaming::OnlinePredictor;
+use eventhit::core::tasks::task;
+use eventhit::core::InferenceLane;
+use eventhit::serve::protocol::{decode_payload, encode, Message, ProtocolError};
+
+thread_local! {
+    /// (allocations, bytes requested) made by this thread. Per thread, so
+    /// tests running beside each other do not see one another.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// `System`, counting every allocation and reallocation per thread.
+struct Counting;
+
+fn count(bytes: usize) {
+    // `try_with`: a thread's last frees can run after its locals are gone.
+    let _ = COUNTS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator
+// state and (a const-initialised `Cell` without a destructor) never
+// allocates itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` and `layout` are the caller's, from this allocator
+        // (which is `System` underneath).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the (allocations, bytes) this
+/// thread made meanwhile.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let before = COUNTS.with(Cell::get);
+    let out = f();
+    let after = COUNTS.with(Cell::get);
+    (out, (after.0 - before.0, after.1 - before.1))
+}
+
+/// What a `Fixed`-policy anchor may allocate: the `predictions` vector of
+/// the `HorizonDecision` it returns, and nothing else.
+const ANCHOR_ALLOCATIONS: u64 = 1;
+
+#[test]
+fn warm_predictor_allocates_only_the_decisions_it_returns() {
+    let cfg = ExperimentConfig {
+        scale: 0.15,
+        ..ExperimentConfig::quick(93)
+    };
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+    let warm_up = run.window + 2 * run.horizon;
+    let frames = warm_up + 3 * run.horizon;
+    assert!(run.features.rows() >= frames);
+
+    for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+        let mut online =
+            OnlinePredictor::with_lane(run.model.clone(), run.state_for_lane(lane), strategy, lane);
+        for r in 0..warm_up {
+            online.push_frame(run.features.row(r));
+        }
+        let (mut anchors, mut quiet) = (0, 0);
+        for r in warm_up..frames {
+            let row = run.features.row(r);
+            let (decision, (allocations, _)) = counted(|| online.push_frame(row));
+            match decision {
+                None => {
+                    assert_eq!(allocations, 0, "{lane} lane, non-anchor frame {r}");
+                    quiet += 1;
+                }
+                Some(d) => {
+                    assert!(
+                        allocations <= ANCHOR_ALLOCATIONS,
+                        "{lane} lane, anchor {}: {allocations} allocations",
+                        d.anchor
+                    );
+                    anchors += 1;
+                }
+            }
+        }
+        assert_eq!((anchors, quiet), (3, 3 * run.horizon - 3));
+    }
+}
+
+#[test]
+fn a_lying_float_count_reserves_nothing() {
+    for honest in [
+        Message::SubmitFrames {
+            stream_id: 3,
+            dim: 5,
+            data: vec![0.25; 5],
+        },
+        Message::SubmitTraced {
+            trace_id: 7,
+            stream_id: 3,
+            dim: 5,
+            data: vec![0.25; 5],
+        },
+    ] {
+        let mut payload = encode(&honest)[4..].to_vec();
+        let count_at = payload.len() - 5 * 4 - 4;
+        let lying = u32::MAX; // a multiple of the dim, 5
+        payload[count_at..count_at + 4].copy_from_slice(&lying.to_le_bytes());
+        let (result, (allocations, bytes)) = counted(|| decode_payload(&payload));
+        assert!(
+            matches!(result, Err(ProtocolError::Truncated { .. })),
+            "{result:?}"
+        );
+        assert_eq!((allocations, bytes), (0, 0));
+    }
+}

@@ -262,7 +262,7 @@ fn hot_reload_mid_serve_survives_kill_and_recover() {
             p.reload_model(t.reload_model.clone(), t.reload_state.clone())
                 .expect("reference reload");
         }
-        if let Some(d) = p.push_frame(t.features.row(r).to_vec()) {
+        if let Some(d) = p.push_frame(t.features.row(r)) {
             reference.push(d);
         }
     }

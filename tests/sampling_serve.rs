@@ -160,7 +160,7 @@ fn adaptive_window_visits_both_bounds_and_never_leaves_them() {
     let mut p = predictor(policy);
     let (mut lo, mut hi) = (usize::MAX, 0usize);
     for r in 0..t.features.rows() {
-        p.push_frame(t.features.row(r).to_vec());
+        p.push_frame(t.features.row(r));
         let m = p.window_len();
         lo = lo.min(m);
         hi = hi.max(m);
