@@ -9,10 +9,11 @@
 //!    `CloseStream` *and* when a session dies mid-stream, so a crashed
 //!    client can never leak capacity. An unsharded server is simply the
 //!    one-shard case.
-//! 2. [`FrameQueue`] — a bounded per-stream staging buffer between the
-//!    socket and the predictor. A batch that does not fit is rejected
-//!    whole with `QueueFull` (explicit backpressure: the client holds the
-//!    data and retries after the hint), never buffered unboundedly.
+//! 2. The per-batch bound — a `SubmitFrames` of more than
+//!    `max_queue_frames` rows is rejected whole with `QueueFull`
+//!    (explicit backpressure: the client holds the data), never buffered.
+//!    The server feeds an accepted batch straight from the decoded
+//!    message and holds no [`FrameQueue`] any more.
 //! 3. [`ServeTotals`] — the cross-shard aggregate: lifetime totals served
 //!    by `Health` queries plus the live stream count behind the
 //!    `serve.active_streams` gauge, so dashboards keep one fleet-wide
@@ -216,6 +217,10 @@ impl Drop for SlotGuard {
 /// A bounded FIFO of feature rows between the wire and one stream's
 /// predictor. Batches are admitted whole or not at all, so a rejected
 /// client never has to guess how much of its batch survived.
+///
+/// The server no longer holds one: it filled and emptied the queue inside
+/// a single submit, so the bound is now checked on the batch itself. The
+/// type stays exported because the benchmark's ledger builds one.
 #[derive(Debug)]
 pub struct FrameQueue {
     rows: VecDeque<Vec<f32>>,

@@ -2,7 +2,7 @@
 //! clients feed frames in and get marshalling decisions out.
 //!
 //! The in-process pipeline marshals streams it already owns; deployment
-//! needs a *serving* boundary — admission, bounded queues, explicit
+//! needs a *serving* boundary — admission, bounded batches, explicit
 //! backpressure, a versioned wire format — because that boundary is where
 //! filter-before-cloud systems win or lose their cost advantage. This
 //! crate provides it with nothing beyond `std::net` and the workspace's
@@ -11,14 +11,15 @@
 //! - [`protocol`] — the length-prefixed, versioned binary wire format and
 //!   its pure codec. Deterministic byte-for-byte; `f32` features and
 //!   scores cross the wire bit-exactly.
-//! - [`admission`] — the per-shard stream caps and the bounded per-stream
-//!   ingest queues behind the reject-with-retry-after backpressure policy,
-//!   plus the cross-shard aggregate totals.
+//! - [`admission`] — the per-shard stream caps behind the
+//!   reject-with-retry-after backpressure policy, plus the cross-shard
+//!   aggregate totals.
 //! - [`router`] — the deterministic stream → shard router (jump
 //!   consistent hashing over mixed stream ids) that makes scale-out
 //!   partitioning invisible on the wire.
 //! - [`server`] — the TCP frontend: sessions multiplexed onto an
-//!   `eventhit-parallel` [`Pool`](eventhit_parallel::Pool), one
+//!   `eventhit-parallel` [`Pool`](eventhit_parallel::Pool), one request
+//!   loop and one submit path for plain and durable serving alike, one
 //!   `OnlinePredictor` lane per admitted stream, stream ownership
 //!   partitioned across shards, optional resilient-CI wiring so
 //!   degradation tags reach clients, `serve.*` telemetry.

@@ -5,14 +5,15 @@
 //! # Determinism
 //!
 //! Each admitted stream gets its own predictor from the [`LaneFactory`]
-//! and its own bounded queue — no state is shared between streams, and a
-//! session drains each accepted batch through the lane synchronously
-//! before replying. A stream's decision sequence is therefore a pure
-//! function of its own frame sequence, exactly as in the in-process
-//! `run_lanes` path, regardless of how many sessions run concurrently,
-//! how many workers the pool has, or how many shards the server runs.
-//! The loopback soak tests in `tests/serve.rs` and `tests/fleet_serve.rs`
-//! check this bit-for-bit.
+//! — no state is shared between streams, and a session feeds each
+//! accepted batch through the lane synchronously before replying. A
+//! stream's decision sequence is therefore a pure function of its own
+//! frame sequence, exactly as in the in-process `run_lanes` path,
+//! regardless of how many sessions run concurrently, how many workers the
+//! pool has, or how many shards the server runs. The loopback soak tests
+//! in `tests/serve.rs` and `tests/fleet_serve.rs` check this bit-for-bit.
+//! Plain and durable servers run the same request loop; `DESIGN.md` §10
+//! lists the four points where it branches for durability.
 //!
 //! # Sharding
 //!
@@ -30,10 +31,13 @@
 //! The server never buffers without bound. Streams beyond the owning
 //! shard's slice of [`ServeConfig::max_streams`] are refused
 //! (`TooManyStreams`), batches beyond [`ServeConfig::max_batch_frames`]
-//! are refused (`BatchTooLarge`), and batches that do not fit the
-//! per-stream queue are refused whole (`QueueFull`) with a
-//! `retry_after_ms` hint — the client keeps the data and retries; the
-//! server's memory stays bounded by its configuration.
+//! are refused (`BatchTooLarge`), and batches beyond
+//! [`ServeConfig::max_queue_frames`] are refused whole (`QueueFull`) with
+//! a `retry_after_ms` hint — the client keeps the data; the server's
+//! memory stays bounded by its configuration. That last bound is a
+//! per-batch one, not a standing queue: an accepted batch is fed row by
+//! row straight from the decoded message and the reply is written before
+//! the next request is read, so nothing is ever queued between requests.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -54,7 +58,7 @@ use eventhit_parallel::Pool;
 use eventhit_telemetry::{SlowDecision, Telemetry};
 use eventhit_video::detector::StageModel;
 
-use crate::admission::{AdmissionController, FrameQueue, ServeTotals, SlotGuard};
+use crate::admission::{AdmissionController, ServeTotals, SlotGuard};
 use crate::convert::decision_to_wire;
 use crate::protocol::{
     read_message, write_message, Message, RejectCode, StreamSummary, WireCounter, WireDecision,
@@ -129,7 +133,9 @@ pub struct ServeConfig {
     pub max_streams: u32,
     /// Largest accepted `SubmitFrames` batch, in frames.
     pub max_batch_frames: u32,
-    /// Per-stream ingest-queue bound, in frames.
+    /// Per-stream ingest bound, in frames: a batch of more rows is
+    /// refused `QueueFull` (the wire keeps the name; the server holds no
+    /// queue between requests).
     pub max_queue_frames: u32,
     /// Backpressure hint attached to `TooManyStreams` / `QueueFull`
     /// rejections, in milliseconds.
@@ -182,19 +188,73 @@ impl Default for ServeConfig {
 /// state per lane (as `run_lanes` does) keeps lanes independent.
 pub type LaneFactory = dyn Fn(u32) -> OnlinePredictor + Send + Sync;
 
-/// One admitted stream. Non-durable lanes live inside their session and
-/// always hold their admission [`SlotGuard`]; durable lanes live in the
-/// [`DurableHub`] and hold a guard exactly while a live session drives
-/// them — a parked lane (`slot: None`) has released its slot and waits
-/// for a `Resume` to claim a fresh one.
+/// One admitted stream: a predictor plus its counters. Non-durable lanes
+/// live inside their session and always hold their admission
+/// [`SlotGuard`]; durable lanes live in the [`DurableHub`] and hold a
+/// guard exactly while a live session drives them — a parked lane
+/// (`slot: None`) has released its slot and waits for a `Resume` to claim
+/// a fresh one.
 struct Lane {
     predictor: OnlinePredictor,
-    queue: FrameQueue,
     resilient: Option<ResilientCiClient>,
     stream_fps: f64,
     frames: u64,
     decisions: u64,
     slot: Option<SlotGuard>,
+}
+
+impl Lane {
+    /// A lane at the start of its stream, without resilient-CI wiring.
+    fn new(predictor: OnlinePredictor, slot: Option<SlotGuard>) -> Self {
+        Lane {
+            predictor,
+            resilient: None,
+            stream_fps: 30.0,
+            frames: 0,
+            decisions: 0,
+            slot,
+        }
+    }
+
+    /// Feeds one frame through the lane's predictor; with resilient
+    /// wiring, relayed segments are submitted through the CI client and
+    /// the submission's degradation tag replaces the decision's.
+    fn push(&mut self, row: &[f32]) -> Option<HorizonDecision> {
+        match &mut self.resilient {
+            None => self.predictor.push_frame(row),
+            Some(client) => {
+                let mut d = self
+                    .predictor
+                    .push_frame_resilient(row, client, self.stream_fps)?;
+                if d.degradation == DegradationTag::None {
+                    let relayed: u64 = d
+                        .segments()
+                        .iter()
+                        .map(|&(_, s, e)| e.saturating_sub(s) + 1)
+                        .sum();
+                    if relayed > 0 {
+                        let now = d.anchor as f64 / self.stream_fps.max(f64::MIN_POSITIVE);
+                        d.degradation = client.submit(relayed, now).tag();
+                    }
+                }
+                Some(d)
+            }
+        }
+    }
+
+    /// Feeds a batch of `dim`-wide rows, borrowed straight from the
+    /// decoded message, with the batch's trace attached, so the
+    /// predictor's inference / conformal stage samples carry the client's
+    /// trace id as exemplars.
+    fn feed(&mut self, data: &[f32], dim: usize, trace: Option<u64>) -> Vec<HorizonDecision> {
+        self.predictor.set_trace(trace);
+        let out = data
+            .chunks_exact(dim)
+            .filter_map(|row| self.push(row))
+            .collect();
+        self.predictor.set_trace(None);
+        out
+    }
 }
 
 /// The active hot-reload: weights, refitted conformal state, and the
@@ -314,6 +374,32 @@ struct Shard {
     names: ShardNames,
 }
 
+impl Shard {
+    /// Locks the shard's hub on a durable server; `None` on a plain one,
+    /// whose lanes are session-local and behind no lock. A session that
+    /// panicked mid-update poisoned the hub and left lanes possibly ahead
+    /// of the log: every later session of the shard ends with this error
+    /// instead of panicking in turn.
+    fn lock_hub(&self) -> io::Result<Option<MutexGuard<'_, DurableHub>>> {
+        let Some(durable) = &self.durable else {
+            return Ok(None);
+        };
+        durable.hub.lock().map(Some).map_err(|_| {
+            io::Error::other("durable hub poisoned by a panicked session; the shard is stopped")
+        })
+    }
+
+    /// Blocks until every record up to `seq` is on disk — the gate in
+    /// front of every reply that acknowledges a state change. `None` is a
+    /// plain server's "nothing was written".
+    fn wait_durable(&self, seq: Option<u64>) -> io::Result<()> {
+        match (&self.durable, seq) {
+            (Some(durable), Some(seq)) => durable.commit.wait_durable(seq).map_err(durable_io),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// The durable half of a shard: the hub its sessions mutate under one
 /// mutex, and the log's commit handle they wait on *after* leaving it —
 /// so one session's flush overlaps the other sessions' decode, predictor
@@ -321,23 +407,6 @@ struct Shard {
 struct DurableShard {
     hub: Mutex<DurableHub>,
     commit: Arc<CommitHandle>,
-}
-
-impl DurableShard {
-    /// Locks the hub. A session that panicked mid-update poisoned it and
-    /// left lanes possibly ahead of the log: every later session of the
-    /// shard ends with this error instead of panicking in turn.
-    fn lock(&self) -> io::Result<MutexGuard<'_, DurableHub>> {
-        self.hub.lock().map_err(|_| {
-            io::Error::other("durable hub poisoned by a panicked session; the shard is stopped")
-        })
-    }
-
-    /// Blocks until every record up to `seq` is on disk — the gate in
-    /// front of every reply that acknowledges a state change.
-    fn wait_durable(&self, seq: u64) -> io::Result<()> {
-        self.commit.wait_durable(seq).map_err(durable_io)
-    }
 }
 
 struct Shared {
@@ -355,31 +424,11 @@ impl Shared {
     fn shard_of(&self, stream_id: u32) -> &Shard {
         &self.shards[self.router.route(stream_id) as usize]
     }
-
-    /// True iff the server journals durably (all shards do, or none).
-    fn is_durable(&self) -> bool {
-        self.shards[0].durable.is_some()
-    }
 }
 
 /// Maps a durable-layer failure onto the session's `io::Result` plumbing.
 fn durable_io(e: DurableError) -> io::Error {
     io::Error::other(e.to_string())
-}
-
-/// The shard's durable half; an error on a server bound without one.
-fn durable_of(shard: &Shard) -> io::Result<&DurableShard> {
-    shard
-        .durable
-        .as_ref()
-        .ok_or_else(|| io::Error::other("durable request on a shard without a session log"))
-}
-
-/// The session drives `stream_id` but its shard's hub holds no such lane.
-fn lane_missing(stream_id: u32) -> io::Error {
-    io::Error::other(format!(
-        "stream {stream_id} is owned by this session but missing from its shard's hub"
-    ))
 }
 
 /// Shard `i`'s slice of the fleet-wide stream cap: an even partition of
@@ -440,6 +489,11 @@ impl Server {
                 "a server needs at least one shard",
             ));
         }
+        // A bad spec fails here, not at every session's first OpenStream.
+        if let Some(spec) = &cfg.resilience {
+            let checked = spec.faults.validate().and(spec.resilience.validate());
+            checked.map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        }
         let router = ShardRouter::new(cfg.shards);
         let mut shards = Vec::with_capacity(cfg.shards as usize);
         for i in 0..cfg.shards {
@@ -482,13 +536,9 @@ impl Server {
                             (
                                 stream_id,
                                 Lane {
-                                    predictor,
-                                    queue: FrameQueue::new(cfg.max_queue_frames as usize),
-                                    resilient: None,
-                                    stream_fps: 30.0,
                                     frames: rl.frames,
                                     decisions: rl.decisions,
-                                    slot: None,
+                                    ..Lane::new(predictor, None)
                                 },
                             )
                         })
@@ -556,35 +606,41 @@ impl Server {
     /// the shard count.
     pub fn serve_sessions(&self, n: usize, pool: &Pool) {
         let shared = &self.shared;
-        let serve_one = |_i: usize, ()| {
-            if let Ok((sock, _peer)) = shared.listener.accept() {
-                serve_session(shared, sock);
-            }
-        };
         let shards = shared.cfg.shards as usize;
-        if shards <= 1 {
-            pool.run_tasks(vec![(); n], serve_one);
-            return;
-        }
-        let shard_pool = self.shard_pool(pool.workers());
-        std::thread::scope(|scope| {
-            for i in 0..shards {
-                let quota = n / shards + usize::from(i < n % shards);
-                if quota == 0 {
-                    continue;
+        self.dispatch(
+            pool,
+            |i, _| n / shards + usize::from(i < n % shards),
+            |_, ()| {
+                if let Ok((sock, _peer)) = shared.listener.accept() {
+                    serve_session(shared, sock);
                 }
-                let shard_pool = shard_pool.clone();
-                let serve_one = &serve_one;
-                scope.spawn(move || shard_pool.run_tasks(vec![(); quota], serve_one));
-            }
-        });
+            },
+        );
     }
 
-    /// The per-shard session pool: `workers_per_shard` workers, falling
-    /// back to the caller's pool width when unset.
-    fn shard_pool(&self, fallback_workers: usize) -> Pool {
-        let w = self.shared.cfg.workers_per_shard;
-        Pool::new(if w > 0 { w } else { fallback_workers })
+    /// Runs `task` on the session pools: the caller's `pool` alone on an
+    /// unsharded server, otherwise one pool per shard — each of
+    /// `workers_per_shard` workers, falling back to `pool`'s width when
+    /// unset. `tasks(i, pool)` is how many tasks shard `i`'s pool runs.
+    fn dispatch(
+        &self,
+        pool: &Pool,
+        tasks: impl Fn(usize, &Pool) -> usize + Sync,
+        task: impl Fn(usize, ()) + Sync,
+    ) {
+        let cfg = &self.shared.cfg;
+        if cfg.shards <= 1 {
+            pool.run_tasks(vec![(); tasks(0, pool)], task);
+            return;
+        }
+        let w = cfg.workers_per_shard;
+        let shard_pool = Pool::new(if w > 0 { w } else { pool.workers() });
+        std::thread::scope(|scope| {
+            for i in 0..cfg.shards as usize {
+                let (shard_pool, tasks, task) = (shard_pool.clone(), &tasks, &task);
+                scope.spawn(move || shard_pool.run_tasks(vec![(); tasks(i, &shard_pool)], task));
+            }
+        });
     }
 
     /// Hot-swaps the serving model mid-serve (durable servers only).
@@ -598,19 +654,17 @@ impl Server {
     /// reload is journaled under; replay after a crash reproduces pre-
     /// and post-reload decisions exactly.
     pub fn reload_model(&self, mut model: EventHit, state: ConformalState) -> io::Result<u64> {
-        if !self.shared.is_durable() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "model hot-reload requires durable serving (the swap must be journaled)",
-            ));
-        }
         // Every shard journals the reload in its own log (replay of any
         // one shard's directory must be self-contained); the fingerprint
         // is a pure function of the weights, so all shards agree on it.
         let mut fingerprint = 0;
         for shard in &self.shared.shards {
-            let durable = durable_of(shard)?;
-            let mut hub = durable.lock()?;
+            let Some(mut hub) = shard.lock_hub()? else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "model hot-reload requires durable serving (the swap must be journaled)",
+                ));
+            };
             fingerprint = hub
                 .store
                 .save_reload(&mut model, &state)
@@ -630,7 +684,7 @@ impl Server {
                 fingerprint,
             });
             drop(hub);
-            durable.wait_durable(seq)?;
+            shard.wait_durable(Some(seq))?;
         }
         self.shared.telemetry.add("serve.model_reloads", 1);
         Ok(fingerprint)
@@ -640,12 +694,10 @@ impl Server {
     /// `CommitHandle::fail_sync_at`), to drive the fail-stop path.
     #[doc(hidden)]
     pub fn fail_durable_sync_at(&self, shard: u32, nth: u64) -> io::Result<()> {
-        let shard = self
-            .shared
-            .shards
-            .get(shard as usize)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no such shard"))?;
-        durable_of(shard)?.commit.fail_sync_at(nth);
+        let durable = (self.shared.shards.get(shard as usize))
+            .and_then(|shard| shard.durable.as_ref())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no such durable shard"))?;
+        durable.commit.fail_sync_at(nth);
         Ok(())
     }
 
@@ -654,27 +706,15 @@ impl Server {
     /// use [`Server::serve_sessions`] so the server can wind down.
     pub fn serve_forever(&self, pool: &Pool) {
         let shared = &self.shared;
-        let accept_loop = |_i: usize, ()| loop {
-            match shared.listener.accept() {
-                Ok((sock, _peer)) => serve_session(shared, sock),
-                Err(_) => return,
-            }
-        };
-        let shards = shared.cfg.shards as usize;
-        if shards <= 1 {
-            pool.run_tasks(vec![(); pool.workers().max(1)], accept_loop);
-            return;
-        }
-        let shard_pool = self.shard_pool(pool.workers());
-        std::thread::scope(|scope| {
-            for _ in 0..shards {
-                let shard_pool = shard_pool.clone();
-                let accept_loop = &accept_loop;
-                scope.spawn(move || {
-                    shard_pool.run_tasks(vec![(); shard_pool.workers().max(1)], accept_loop)
-                });
-            }
-        });
+        self.dispatch(
+            pool,
+            |_, pool| pool.workers().max(1),
+            |_, ()| {
+                while let Ok((sock, _peer)) = shared.listener.accept() {
+                    serve_session(shared, sock);
+                }
+            },
+        );
     }
 }
 
@@ -688,37 +728,14 @@ fn serve_session(shared: &Shared, sock: TcpStream) {
     shared.totals.session_started();
     t.add("serve.sessions", 1);
 
-    let outcome = if shared.is_durable() {
-        let mut owned: BTreeSet<u32> = BTreeSet::new();
-        let outcome = durable_session_loop(shared, &sock, &mut owned);
-        // Durable cleanup: lanes survive the session. Park whatever the
-        // session still drives — dropping the slot guard releases the
-        // admission slot and refreshes the gauges — so a future `Resume`
-        // (possibly after a server restart) picks up exactly where this
-        // connection stopped. Each stream parks in its owning shard's
-        // hub.
-        // A hub that cannot be locked (poisoned) keeps its lanes attached:
-        // they may be ahead of the log and must never be resumed.
-        for id in &owned {
-            if let Ok(mut hub) = durable_of(shared.shard_of(*id)).and_then(DurableShard::lock) {
-                if let Some(lane) = hub.lanes.get_mut(id) {
-                    lane.slot = None;
-                }
-                t.add("serve.streams_parked", 1);
-            }
-        }
-        outcome
-    } else {
-        let mut lanes: BTreeMap<u32, Lane> = BTreeMap::new();
-        let outcome = session_loop(shared, &sock, &mut lanes);
-        // Cleanup: dropping the lanes drops their slot guards, returning
-        // every stream the session still held to the pool.
-        if !lanes.is_empty() {
-            t.add("serve.streams_aborted", lanes.len() as u64);
-        }
-        drop(lanes);
-        outcome
+    let mut session = Session {
+        shared,
+        chan: &sock,
+        lanes: BTreeMap::new(),
+        owned: BTreeSet::new(),
     };
+    let outcome = session.run();
+    session.end();
     if outcome.is_err() {
         t.add("serve.session_errors", 1);
     }
@@ -780,514 +797,408 @@ fn handshake(shared: &Shared, chan: &mut &TcpStream) -> io::Result<bool> {
     }
 }
 
-/// Runs the handshake and then the request loop. `Ok(())` is a clean
-/// disconnect (EOF between frames); `Err` is an I/O failure or a fatal
-/// protocol violation after which the socket is abandoned.
-fn session_loop(
-    shared: &Shared,
-    sock: &TcpStream,
-    lanes: &mut BTreeMap<u32, Lane>,
-) -> io::Result<()> {
-    let cfg = &shared.cfg;
-    let t = &shared.telemetry;
-    let mut chan = sock;
+/// One connection and the streams it drives. Plain and durable servers
+/// run the same request loop; durability shows at four points only:
+/// *where a lane is looked up* (the session's own map, or the owning
+/// shard's [`DurableHub`] under its mutex), *records written under that
+/// mutex* after the lane was fed, *[`Shard::wait_durable`] after leaving
+/// it* and before any reply, and *session end parking lanes* instead of
+/// dropping them. A failed write or sync ends the session with no reply
+/// (and stops the shard: see [`CommitHandle`]).
+///
+/// Handlers return `Ok(true)` to keep serving and `Ok(false)` after a
+/// fatal rejection.
+struct Session<'a> {
+    shared: &'a Shared,
+    chan: &'a TcpStream,
+    /// Plain server: the session's own lanes — session-scoped ids, touched
+    /// by no other thread, dropped when the session ends.
+    lanes: BTreeMap<u32, Lane>,
+    /// Durable server: server-global ids of the hub lanes this session
+    /// drives; they must survive it, so session end parks them.
+    owned: BTreeSet<u32>,
+}
 
-    if !handshake(shared, &mut chan)? {
-        return Ok(());
-    }
-
-    // --- Request loop.
-    loop {
-        let read_start = t.now();
-        let msg = match read_message(&mut chan) {
-            Ok(Some(m)) => m,
-            Ok(None) => return Ok(()), // clean disconnect
-            Err(e) => return Err(e),
-        };
-        observe_stage(t, "session_read", t.now() - read_start, None);
-        match msg {
-            Message::OpenStream { stream_id } => {
-                if lanes.contains_key(&stream_id) {
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::DuplicateStream,
-                        0,
-                        format!("stream {stream_id} is already open in this session"),
-                    )?;
-                    continue;
-                }
-                let shard = shared.shard_of(stream_id);
-                let Some(slot) = SlotGuard::claim(
-                    &shard.admission,
-                    &shared.totals,
-                    t,
-                    shard.names.active_streams,
-                ) else {
-                    t.add(shard.names.rejected, 1);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::TooManyStreams,
-                        cfg.retry_after_ms,
-                        format!(
-                            "at capacity: {} of {} streams open on stream {stream_id}'s shard",
-                            shard.admission.active(),
-                            shard.admission.max_streams()
-                        ),
-                    )?;
-                    continue;
-                };
-                // From here on the guard owns the slot: any early return
-                // (like a resilient-wiring failure) releases it.
-                let mut predictor = (shared.factory)(stream_id);
-                predictor.set_telemetry(Arc::clone(t));
-                predictor.set_policy(cfg.sampling.clone());
-                let resilient = match &cfg.resilience {
-                    None => None,
-                    Some(spec) => {
-                        let client = ResilientCiClient::new(
-                            spec.faults.clone(),
-                            spec.resilience.clone(),
-                            StageModel::new("ci", spec.ci_fps),
-                            spec.seed.wrapping_add(stream_id as u64),
-                        )
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-                        Some(client)
-                    }
-                };
-                lanes.insert(
+impl Session<'_> {
+    /// Runs the handshake and then the request loop. `Ok(())` is a clean
+    /// disconnect (EOF between frames); `Err` is an I/O failure or a fatal
+    /// protocol violation after which the socket is abandoned.
+    fn run(&mut self) -> io::Result<()> {
+        let shared = self.shared;
+        let t = &shared.telemetry;
+        if !handshake(shared, &mut self.chan)? {
+            return Ok(());
+        }
+        loop {
+            let read_start = t.now();
+            let Some(msg) = read_message(&mut self.chan)? else {
+                return Ok(()); // clean disconnect
+            };
+            observe_stage(t, "session_read", t.now() - read_start, None);
+            let keep_serving = match msg {
+                Message::OpenStream { stream_id } => self.open(stream_id)?,
+                Message::Resume {
                     stream_id,
-                    Lane {
-                        predictor,
-                        queue: FrameQueue::new(cfg.max_queue_frames as usize),
-                        resilient,
-                        stream_fps: cfg
-                            .resilience
-                            .as_ref()
-                            .map(|s| s.stream_fps)
-                            .unwrap_or(30.0),
-                        frames: 0,
-                        decisions: 0,
-                        slot: Some(slot),
-                    },
-                );
-                t.add("serve.streams_opened", 1);
-                t.add(shard.names.streams_opened, 1);
-                write_message(&mut chan, &Message::StreamOpened { stream_id })?;
-            }
-
-            Message::SubmitFrames {
-                stream_id,
-                dim,
-                data,
-            } => {
-                if !submit_plain(shared, &mut chan, lanes, None, stream_id, dim, data)? {
-                    return Ok(());
-                }
-            }
-
-            Message::SubmitTraced {
-                trace_id,
-                stream_id,
-                dim,
-                data,
-            } => {
-                if !submit_plain(
-                    shared,
-                    &mut chan,
-                    lanes,
-                    Some(trace_id),
+                    last_seq,
+                } => self.resume(stream_id, last_seq)?,
+                Message::SubmitFrames {
                     stream_id,
                     dim,
                     data,
-                )? {
-                    return Ok(());
-                }
-            }
-
-            Message::CloseStream { stream_id } => {
-                let Some(lane) = lanes.remove(&stream_id) else {
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::UnknownStream,
-                        0,
-                        format!("stream {stream_id} is not open"),
-                    )?;
-                    continue;
-                };
-                t.add("serve.streams_closed", 1);
-                write_message(
-                    &mut chan,
-                    &Message::StreamClosed {
-                        stream_id,
-                        summary: StreamSummary {
-                            frames: lane.frames,
-                            decisions: lane.decisions,
-                        },
-                    },
-                )?;
-            }
-
-            Message::Health => {
-                let (sessions, frames, decisions) = shared.totals.totals();
-                write_message(
-                    &mut chan,
-                    &Message::HealthReport {
+                } => self.submit(None, stream_id, dim, data)?,
+                Message::SubmitTraced {
+                    trace_id,
+                    stream_id,
+                    dim,
+                    data,
+                } => self.submit(Some(trace_id), stream_id, dim, data)?,
+                Message::CloseStream { stream_id } => self.close(stream_id)?,
+                Message::Health => {
+                    let (sessions, frames, decisions) = shared.totals.totals();
+                    let report = Message::HealthReport {
                         active_streams: shared.totals.active(),
                         sessions,
                         frames,
                         decisions,
-                    },
-                )?;
-            }
-
-            Message::TelemetryQuery => {
-                let jsonl = if t.is_enabled() {
-                    t.snapshot().to_jsonl()
-                } else {
-                    String::new()
-                };
-                write_message(&mut chan, &Message::TelemetryReport { jsonl })?;
-            }
-
-            Message::MetricsQuery => {
-                write_message(&mut chan, &metrics_reply(t))?;
-            }
-
-            other => {
-                // Server-bound sessions must not receive server-to-client
-                // messages (or a second Hello); that is a fatal violation.
-                reject(
-                    &mut chan,
-                    t,
-                    RejectCode::Malformed,
-                    0,
-                    format!("unexpected message tag 0x{:02x}", other.tag()),
-                )?;
+                    };
+                    write_message(&mut self.chan, &report)?;
+                    true
+                }
+                Message::TelemetryQuery => {
+                    let jsonl = if t.is_enabled() {
+                        t.snapshot().to_jsonl()
+                    } else {
+                        String::new()
+                    };
+                    write_message(&mut self.chan, &Message::TelemetryReport { jsonl })?;
+                    true
+                }
+                Message::MetricsQuery => {
+                    write_message(&mut self.chan, &metrics_reply(t))?;
+                    true
+                }
+                other => {
+                    // Server-bound sessions must not receive server-to-client
+                    // messages (or a second Hello); that is a fatal violation.
+                    let detail = format!("unexpected message tag 0x{:02x}", other.tag());
+                    self.refuse(None, RejectCode::Malformed, 0, detail)?;
+                    false
+                }
+            };
+            if !keep_serving {
                 return Ok(());
             }
         }
     }
-}
 
-/// The request loop for durable servers. Lanes live in their shard's
-/// [`DurableHub`] (they must survive the session); this session drives
-/// the subset in `owned`. Every state change is written to the log under
-/// the hub mutex and synced *before* the reply is written, so anything a
-/// client ever observed is recoverable after a crash. A failed write or
-/// sync ends the session with no reply (and stops the shard: see
-/// [`CommitHandle`]).
-fn durable_session_loop(
-    shared: &Shared,
-    sock: &TcpStream,
-    owned: &mut BTreeSet<u32>,
-) -> io::Result<()> {
-    let cfg = &shared.cfg;
-    let t = &shared.telemetry;
-    let mut chan = sock;
-
-    if !handshake(shared, &mut chan)? {
-        return Ok(());
+    /// Writes a non-fatal `Rejected` — after releasing `hub` when the
+    /// caller holds it: a peer that stops reading must never stall a
+    /// shard from under its mutex.
+    fn refuse(
+        &mut self,
+        hub: Option<MutexGuard<'_, DurableHub>>,
+        code: RejectCode,
+        retry_after_ms: u32,
+        detail: String,
+    ) -> io::Result<bool> {
+        drop(hub);
+        let t = &self.shared.telemetry;
+        reject(&mut self.chan, t, code, retry_after_ms, detail)?;
+        Ok(true)
     }
 
-    loop {
-        let read_start = t.now();
-        let msg = match read_message(&mut chan) {
-            Ok(Some(m)) => m,
-            Ok(None) => return Ok(()), // clean disconnect; lanes get parked
-            Err(e) => return Err(e),
+    /// Claims an admission slot on `stream_id`'s shard. At capacity the
+    /// refusal is counted on the shard and its detail returned, for the
+    /// caller to [`refuse`](Session::refuse) as `TooManyStreams` with the
+    /// retry hint.
+    fn claim_slot(&self, stream_id: u32) -> Result<SlotGuard, String> {
+        let shared = self.shared;
+        let shard = shared.shard_of(stream_id);
+        let admission = &shard.admission;
+        let gauge = shard.names.active_streams;
+        SlotGuard::claim(admission, &shared.totals, &shared.telemetry, gauge).ok_or_else(|| {
+            shared.telemetry.add(shard.names.rejected, 1);
+            format!(
+                "at capacity: {} of {} streams open on stream {stream_id}'s shard",
+                admission.active(),
+                admission.max_streams()
+            )
+        })
+    }
+
+    fn open(&mut self, stream_id: u32) -> io::Result<bool> {
+        let shared = self.shared;
+        let (cfg, t) = (&shared.cfg, &shared.telemetry);
+        let shard = shared.shard_of(stream_id);
+        let mut hub = shard.lock_hub()?;
+        // Plain ids are session-scoped. Durable ids are global: the stream
+        // exists (maybe parked by a dead session); opening would fork its
+        // history, so the client must Resume instead.
+        let (lanes, hint) = match &hub {
+            None => (&self.lanes, "is already open in this session"),
+            Some(hub) => (&hub.lanes, "exists in durable state; send Resume"),
         };
-        observe_stage(t, "session_read", t.now() - read_start, None);
-        match msg {
-            Message::OpenStream { stream_id } => {
-                let shard = shared.shard_of(stream_id);
-                let durable = durable_of(shard)?;
-                let mut hub = durable.lock()?;
-                if hub.lanes.contains_key(&stream_id) {
-                    // Durable ids are global: the stream exists (maybe
-                    // parked by a dead session). Opening would fork its
-                    // history; the client must Resume instead.
-                    drop(hub);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::DuplicateStream,
-                        0,
-                        format!("stream {stream_id} exists in durable state; send Resume"),
-                    )?;
-                    continue;
-                }
-                let Some(slot) = SlotGuard::claim(
-                    &shard.admission,
-                    &shared.totals,
-                    t,
-                    shard.names.active_streams,
-                ) else {
-                    drop(hub);
-                    t.add(shard.names.rejected, 1);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::TooManyStreams,
-                        cfg.retry_after_ms,
-                        format!(
-                            "at capacity: {} of {} streams open on stream {stream_id}'s shard",
-                            shard.admission.active(),
-                            shard.admission.max_streams()
-                        ),
-                    )?;
-                    continue;
-                };
-                let mut predictor = (shared.factory)(stream_id);
-                if let Some(r) = &hub.reload {
-                    predictor
-                        .reload_model(r.model.clone(), r.state.clone())
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                }
-                predictor.set_telemetry(Arc::clone(t));
-                let dim = predictor.input_dim() as u32;
-                let seq = hub
-                    .store
-                    .write(&[SessionEvent::StreamAdmitted { stream_id, dim }])
-                    .map_err(durable_io)?;
-                hub.lanes.insert(
-                    stream_id,
-                    Lane {
-                        predictor,
-                        queue: FrameQueue::new(cfg.max_queue_frames as usize),
-                        resilient: None,
-                        stream_fps: 30.0,
-                        frames: 0,
-                        decisions: 0,
-                        slot: Some(slot),
-                    },
-                );
-                drop(hub);
-                owned.insert(stream_id);
-                durable.wait_durable(seq)?;
-                t.add("serve.streams_opened", 1);
-                t.add(shard.names.streams_opened, 1);
-                write_message(&mut chan, &Message::StreamOpened { stream_id })?;
-            }
-
-            Message::Resume {
-                stream_id,
-                last_seq,
-            } => {
-                let shard = shared.shard_of(stream_id);
-                let durable = durable_of(shard)?;
-                let mut hub = durable.lock()?;
-                let Some(lane) = hub.lanes.get_mut(&stream_id) else {
-                    drop(hub);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::UnknownStream,
-                        0,
-                        format!("stream {stream_id} has no durable state"),
-                    )?;
-                    continue;
-                };
-                if lane.slot.is_some() {
-                    drop(hub);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::DuplicateStream,
-                        0,
-                        format!("stream {stream_id} is attached to a live session"),
-                    )?;
-                    continue;
-                }
-                if last_seq > lane.frames {
-                    // Fatal: the client claims acknowledgements the log
-                    // never committed — it is talking to the wrong server
-                    // or the wrong directory.
-                    let have = lane.frames;
-                    drop(hub);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::Malformed,
-                        0,
-                        format!(
-                            "stream {stream_id}: client claims {last_seq} accepted \
-                             frames, durable state holds {have}"
-                        ),
-                    )?;
-                    return Ok(());
-                }
-                let Some(slot) = SlotGuard::claim(
-                    &shard.admission,
-                    &shared.totals,
-                    t,
-                    shard.names.active_streams,
-                ) else {
-                    drop(hub);
-                    t.add(shard.names.rejected, 1);
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::TooManyStreams,
-                        cfg.retry_after_ms,
-                        format!(
-                            "at capacity: {} of {} streams open on stream {stream_id}'s shard",
-                            shard.admission.active(),
-                            shard.admission.max_streams()
-                        ),
-                    )?;
-                    continue;
-                };
-                lane.slot = Some(slot);
-                let next_seq = lane.frames;
-                // `next_seq` may count a batch a dead session wrote and
-                // never synced: wait for everything written on the shard.
-                let seq = hub.store.events_applied();
-                drop(hub);
-                owned.insert(stream_id);
-                durable.wait_durable(seq)?;
-                t.add("serve.streams_resumed", 1);
-                write_message(
-                    &mut chan,
-                    &Message::Resumed {
-                        stream_id,
-                        next_seq,
-                    },
-                )?;
-            }
-
-            Message::SubmitFrames {
-                stream_id,
-                dim,
-                data,
-            } => {
-                if !submit_durable(shared, &mut chan, owned, None, stream_id, dim, data)? {
-                    return Ok(());
-                }
-            }
-
-            Message::SubmitTraced {
-                trace_id,
-                stream_id,
-                dim,
-                data,
-            } => {
-                if !submit_durable(
-                    shared,
-                    &mut chan,
-                    owned,
-                    Some(trace_id),
-                    stream_id,
-                    dim,
-                    data,
-                )? {
-                    return Ok(());
-                }
-            }
-
-            Message::CloseStream { stream_id } => {
-                if !owned.contains(&stream_id) {
-                    reject(
-                        &mut chan,
-                        t,
-                        RejectCode::UnknownStream,
-                        0,
-                        format!("stream {stream_id} is not open in this session"),
-                    )?;
-                    continue;
-                }
-                let durable = durable_of(shared.shard_of(stream_id))?;
-                let mut hub = durable.lock()?;
-                let lane = hub
-                    .lanes
-                    .remove(&stream_id)
-                    .ok_or_else(|| lane_missing(stream_id))?;
-                let seq = hub
-                    .store
-                    .write(&[SessionEvent::StreamClosed { stream_id }])
-                    .map_err(durable_io)?;
-                hub.maybe_snapshot(t).map_err(durable_io)?;
-                drop(hub);
-                owned.remove(&stream_id);
-                durable.wait_durable(seq)?;
-                t.add("serve.streams_closed", 1);
-                write_message(
-                    &mut chan,
-                    &Message::StreamClosed {
-                        stream_id,
-                        summary: StreamSummary {
-                            frames: lane.frames,
-                            decisions: lane.decisions,
-                        },
-                    },
-                )?;
-            }
-
-            Message::Health => {
-                let (sessions, frames, decisions) = shared.totals.totals();
-                write_message(
-                    &mut chan,
-                    &Message::HealthReport {
-                        active_streams: shared.totals.active(),
-                        sessions,
-                        frames,
-                        decisions,
-                    },
-                )?;
-            }
-
-            Message::TelemetryQuery => {
-                let jsonl = if t.is_enabled() {
-                    t.snapshot().to_jsonl()
-                } else {
-                    String::new()
-                };
-                write_message(&mut chan, &Message::TelemetryReport { jsonl })?;
-            }
-
-            Message::MetricsQuery => {
-                write_message(&mut chan, &metrics_reply(t))?;
-            }
-
-            other => {
-                reject(
-                    &mut chan,
-                    t,
-                    RejectCode::Malformed,
-                    0,
-                    format!("unexpected message tag 0x{:02x}", other.tag()),
-                )?;
-                return Ok(());
-            }
+        if lanes.contains_key(&stream_id) {
+            let detail = format!("stream {stream_id} {hint}");
+            return self.refuse(hub, RejectCode::DuplicateStream, 0, detail);
         }
+        let slot = match self.claim_slot(stream_id) {
+            Ok(slot) => slot,
+            Err(full) => {
+                return self.refuse(hub, RejectCode::TooManyStreams, cfg.retry_after_ms, full)
+            }
+        };
+        // From here on the guard owns the slot: any early return releases
+        // it.
+        let mut predictor = (shared.factory)(stream_id);
+        if let Some(r) = hub.as_deref().and_then(|hub| hub.reload.as_ref()) {
+            predictor
+                .reload_model(r.model.clone(), r.state.clone())
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        }
+        predictor.set_telemetry(Arc::clone(t));
+        predictor.set_policy(cfg.sampling.clone());
+        let mut lane = Lane::new(predictor, Some(slot));
+        if let Some(spec) = &cfg.resilience {
+            let client = ResilientCiClient::new(
+                spec.faults.clone(),
+                spec.resilience.clone(),
+                StageModel::new("ci", spec.ci_fps),
+                spec.seed.wrapping_add(stream_id as u64),
+            )
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            lane.resilient = Some(client);
+            lane.stream_fps = spec.stream_fps;
+        }
+        let seq = match hub.as_deref_mut() {
+            None => {
+                self.lanes.insert(stream_id, lane);
+                None
+            }
+            Some(hub) => {
+                let dim = lane.predictor.input_dim() as u32;
+                let admitted = SessionEvent::StreamAdmitted { stream_id, dim };
+                let seq = hub.store.write(&[admitted]).map_err(durable_io)?;
+                hub.lanes.insert(stream_id, lane);
+                self.owned.insert(stream_id);
+                Some(seq)
+            }
+        };
+        drop(hub);
+        shard.wait_durable(seq)?;
+        t.add("serve.streams_opened", 1);
+        t.add(shard.names.streams_opened, 1);
+        write_message(&mut self.chan, &Message::StreamOpened { stream_id })?;
+        Ok(true)
     }
-}
 
-impl Lane {
-    /// Feeds one frame through the lane's predictor; with resilient
-    /// wiring, relayed segments are submitted through the CI client and
-    /// the submission's degradation tag replaces the decision's.
-    fn push(&mut self, row: &[f32]) -> Option<eventhit_core::streaming::HorizonDecision> {
-        match &mut self.resilient {
-            None => self.predictor.push_frame(row),
-            Some(client) => {
-                let mut d = self
-                    .predictor
-                    .push_frame_resilient(row, client, self.stream_fps)?;
-                if d.degradation == DegradationTag::None {
-                    let relayed: u64 = d
-                        .segments()
-                        .iter()
-                        .map(|&(_, s, e)| e.saturating_sub(s) + 1)
-                        .sum();
-                    if relayed > 0 {
-                        let now = d.anchor as f64 / self.stream_fps.max(f64::MIN_POSITIVE);
-                        d.degradation = client.submit(relayed, now).tag();
-                    }
+    fn resume(&mut self, stream_id: u32, last_seq: u64) -> io::Result<bool> {
+        let shard = self.shared.shard_of(stream_id);
+        let mut hub = shard.lock_hub()?;
+        // A shard without a session log holds durable state for no id.
+        let hub_lanes = hub.as_deref_mut().map(|hub| &mut hub.lanes);
+        let Some(lane) = hub_lanes.and_then(|lanes| lanes.get_mut(&stream_id)) else {
+            let detail = format!("stream {stream_id} has no durable state");
+            return self.refuse(hub, RejectCode::UnknownStream, 0, detail);
+        };
+        if lane.slot.is_some() {
+            let detail = format!("stream {stream_id} is attached to a live session");
+            return self.refuse(hub, RejectCode::DuplicateStream, 0, detail);
+        }
+        let next_seq = lane.frames;
+        if last_seq > next_seq {
+            // Fatal: the client claims acknowledgements the log never
+            // committed — it is talking to the wrong server or the wrong
+            // directory.
+            let detail = format!(
+                "stream {stream_id}: client claims {last_seq} accepted \
+                 frames, durable state holds {next_seq}"
+            );
+            self.refuse(hub, RejectCode::Malformed, 0, detail)?;
+            return Ok(false);
+        }
+        let retry_after_ms = self.shared.cfg.retry_after_ms;
+        match self.claim_slot(stream_id) {
+            Ok(slot) => lane.slot = Some(slot),
+            Err(full) => return self.refuse(hub, RejectCode::TooManyStreams, retry_after_ms, full),
+        }
+        // `next_seq` may count a batch a dead session wrote and never
+        // synced: wait for everything written on the shard.
+        let seq = hub.as_deref().map(|hub| hub.store.events_applied());
+        drop(hub);
+        self.owned.insert(stream_id);
+        shard.wait_durable(seq)?;
+        self.shared.telemetry.add("serve.streams_resumed", 1);
+        let resumed = Message::Resumed {
+            stream_id,
+            next_seq,
+        };
+        write_message(&mut self.chan, &resumed)?;
+        Ok(true)
+    }
+
+    fn close(&mut self, stream_id: u32) -> io::Result<bool> {
+        let t = &self.shared.telemetry;
+        let shard = self.shared.shard_of(stream_id);
+        let mut hub = shard.lock_hub()?;
+        let lane = match hub.as_deref_mut() {
+            None => self.lanes.remove(&stream_id),
+            Some(hub) if self.owned.contains(&stream_id) => hub.lanes.remove(&stream_id),
+            Some(_) => None,
+        };
+        let Some(lane) = lane else {
+            let detail = format!("stream {stream_id} is not open in this session");
+            return self.refuse(hub, RejectCode::UnknownStream, 0, detail);
+        };
+        self.owned.remove(&stream_id);
+        let mut seq = None;
+        if let Some(hub) = hub.as_deref_mut() {
+            let closed = SessionEvent::StreamClosed { stream_id };
+            seq = Some(hub.store.write(&[closed]).map_err(durable_io)?);
+            hub.maybe_snapshot(t).map_err(durable_io)?;
+        }
+        drop(hub);
+        shard.wait_durable(seq)?;
+        t.add("serve.streams_closed", 1);
+        let closed = Message::StreamClosed {
+            stream_id,
+            summary: StreamSummary {
+                frames: lane.frames,
+                decisions: lane.decisions,
+            },
+        };
+        write_message(&mut self.chan, &closed)?;
+        Ok(true)
+    }
+
+    /// `SubmitFrames` / `SubmitTraced`: admission checks, the synchronous
+    /// feed with stage timing, and the (traced) decisions reply. On a
+    /// durable server the batch is fed and then written to the session
+    /// log as one record batch (`FramesPushed` followed by a
+    /// `DecisionEmitted` per decision — one `write_all`) under the hub
+    /// mutex; outside it the session waits for the one flush that makes
+    /// the batch durable, and only then replies. Write plus wait is the
+    /// `durable_commit` stage.
+    fn submit(
+        &mut self,
+        trace: Option<u64>,
+        stream_id: u32,
+        dim: u32,
+        data: Vec<f32>,
+    ) -> io::Result<bool> {
+        let shared = self.shared;
+        let (cfg, t) = (&shared.cfg, &shared.telemetry);
+        let batch_start = t.now();
+        let shard = shared.shard_of(stream_id);
+        let mut hub = shard.lock_hub()?;
+        let lane = match hub.as_deref_mut() {
+            None => self.lanes.get_mut(&stream_id),
+            Some(hub) if self.owned.contains(&stream_id) => hub.lanes.get_mut(&stream_id),
+            Some(_) => None,
+        };
+        let Some(lane) = lane else {
+            let detail = format!("stream {stream_id} is not open in this session");
+            return self.refuse(hub, RejectCode::UnknownStream, 0, detail);
+        };
+        let expected = lane.predictor.input_dim() as u32;
+        if dim != expected {
+            // Fatal: the peer disagrees about the feature space.
+            let detail = format!("stream {stream_id} expects dim {expected}, got {dim}");
+            self.refuse(hub, RejectCode::Malformed, 0, detail)?;
+            return Ok(false);
+        }
+        let width = dim.max(1) as usize;
+        let rows = data.len() / width;
+        if rows > cfg.max_batch_frames as usize {
+            let detail = format!(
+                "batch of {rows} frames exceeds the {} cap; split it",
+                cfg.max_batch_frames
+            );
+            return self.refuse(hub, RejectCode::BatchTooLarge, 0, detail);
+        }
+        if rows > cfg.max_queue_frames as usize {
+            let detail = format!(
+                "batch of {rows} frames exceeds stream {stream_id}'s bound of {} frames",
+                cfg.max_queue_frames
+            );
+            return self.refuse(hub, RejectCode::QueueFull, cfg.retry_after_ms, detail);
+        }
+        // `queue_wait`: batch accepted → feed start. Lane lookup,
+        // validation and, on a durable server, the wait for the hub mutex.
+        let feed_start = t.now();
+        let drained = lane.feed(&data, width, trace);
+        let drained_at = t.now();
+        lane.frames += rows as u64;
+        lane.decisions += drained.len() as u64;
+        // Fed, then written, all under the mutex: the log holds the batch
+        // and its decisions in application order, contiguously — and never
+        // a batch that panicked the predictor. Nothing is acknowledged
+        // until the flush below covers `seq`, so a crash in between loses
+        // only work no client ever saw.
+        let mut seq = None;
+        if let Some(hub) = hub.as_deref_mut() {
+            let mut events = Vec::with_capacity(1 + drained.len());
+            events.push(SessionEvent::FramesPushed {
+                stream_id,
+                dim,
+                data,
+            });
+            events.extend(drained.iter().map(|d| SessionEvent::DecisionEmitted {
+                stream_id,
+                anchor: d.anchor,
+                fingerprint: decision_fingerprint(d),
+            }));
+            seq = Some(hub.store.write(&events).map_err(durable_io)?);
+            hub.maybe_snapshot(t).map_err(durable_io)?;
+        }
+        drop(hub);
+        shard.wait_durable(seq)?;
+        let queue_wait = feed_start - batch_start;
+        observe_stage(t, "queue_wait", queue_wait, trace);
+        let mut stages = [
+            ("queue_wait", queue_wait),
+            ("drain", drained_at - feed_start),
+            ("durable_commit", 0.0),
+        ];
+        // A plain server has no commit stage.
+        let stages = if seq.is_some() {
+            stages[2].1 = t.now() - drained_at;
+            observe_stage(t, "durable_commit", stages[2].1, trace);
+            &stages[..]
+        } else {
+            &stages[..2]
+        };
+        let decisions: Vec<WireDecision> = drained.iter().map(decision_to_wire).collect();
+        count_batch(shared, stream_id, rows, decisions.len());
+        let elapsed = stages.iter().map(|&(_, seconds)| seconds).sum();
+        record_decisions(t, trace, stream_id, &drained, elapsed, stages);
+        let write_start = t.now();
+        let reply = decisions_reply(trace, stream_id, decisions);
+        write_message(&mut self.chan, &reply)?;
+        observe_stage(t, "reply_write", t.now() - write_start, trace);
+        Ok(true)
+    }
+
+    /// Session end. Dropping the plain lanes drops their slot guards,
+    /// returning every stream the session still held to the pool. Durable
+    /// lanes survive the session: park whatever it still drives — dropping
+    /// the slot guard releases the admission slot and refreshes the gauges
+    /// — so a future `Resume` (possibly after a server restart) picks up
+    /// exactly where this connection stopped. Each stream parks in its
+    /// owning shard's hub.
+    fn end(self) {
+        let t = &self.shared.telemetry;
+        if !self.lanes.is_empty() {
+            t.add("serve.streams_aborted", self.lanes.len() as u64);
+        }
+        // A hub that cannot be locked (poisoned) keeps its lanes attached:
+        // they may be ahead of the log and must never be resumed.
+        for id in &self.owned {
+            if let Ok(Some(mut hub)) = self.shared.shard_of(*id).lock_hub() {
+                if let Some(lane) = hub.lanes.get_mut(id) {
+                    lane.slot = None;
                 }
-                Some(d)
+                t.add("serve.streams_parked", 1);
             }
         }
     }
@@ -1320,21 +1231,6 @@ fn observe_stage(t: &Telemetry, stage: &'static str, seconds: f64, trace: Option
         Some(id) => t.observe_traced("serve.stage_seconds", stage, seconds, id),
         None => t.observe_labeled("serve.stage_seconds", stage, seconds),
     }
-}
-
-/// Drains everything queued on `lane` through its predictor with the
-/// batch's trace attached, so the predictor's inference / conformal
-/// stage samples carry the client's trace id as exemplars.
-fn drain_lane(lane: &mut Lane, trace: Option<u64>) -> Vec<HorizonDecision> {
-    lane.predictor.set_trace(trace);
-    let mut out = Vec::new();
-    while let Some(row) = lane.queue.pop() {
-        if let Some(d) = lane.push(&row) {
-            out.push(d);
-        }
-    }
-    lane.predictor.set_trace(None);
-    out
 }
 
 /// Per-decision observability: the `serve.decision_seconds` series the
@@ -1448,242 +1344,4 @@ fn metrics_reply(t: &Telemetry) -> Message {
             })
             .collect(),
     }
-}
-
-/// Shared `SubmitFrames` / `SubmitTraced` handling for non-durable
-/// sessions: admission checks, the synchronous drain with stage timing,
-/// and the (traced) decisions reply. `Ok(false)` means the violation was
-/// fatal and the session must end.
-#[allow(clippy::too_many_arguments)]
-fn submit_plain(
-    shared: &Shared,
-    chan: &mut &TcpStream,
-    lanes: &mut BTreeMap<u32, Lane>,
-    trace: Option<u64>,
-    stream_id: u32,
-    dim: u32,
-    data: Vec<f32>,
-) -> io::Result<bool> {
-    let cfg = &shared.cfg;
-    let t = &shared.telemetry;
-    let batch_start = t.now();
-    let Some(lane) = lanes.get_mut(&stream_id) else {
-        reject(
-            chan,
-            t,
-            RejectCode::UnknownStream,
-            0,
-            format!("stream {stream_id} is not open"),
-        )?;
-        return Ok(true);
-    };
-    let expected = lane.predictor.input_dim() as u32;
-    if dim != expected {
-        // Fatal: the peer disagrees about the feature space.
-        reject(
-            chan,
-            t,
-            RejectCode::Malformed,
-            0,
-            format!("stream {stream_id} expects dim {expected}, got {dim}"),
-        )?;
-        return Ok(false);
-    }
-    let rows = if dim == 0 {
-        0
-    } else {
-        data.len() / dim as usize
-    };
-    if rows as u32 > cfg.max_batch_frames {
-        reject(
-            chan,
-            t,
-            RejectCode::BatchTooLarge,
-            0,
-            format!(
-                "batch of {rows} frames exceeds the {} cap; split it",
-                cfg.max_batch_frames
-            ),
-        )?;
-        return Ok(true);
-    }
-    if rows > lane.queue.free() {
-        reject(
-            chan,
-            t,
-            RejectCode::QueueFull,
-            cfg.retry_after_ms,
-            format!(
-                "stream {stream_id} queue has {} of {} frames free",
-                lane.queue.free(),
-                cfg.max_queue_frames
-            ),
-        )?;
-        return Ok(true);
-    }
-    let batch: Vec<Vec<f32>> = data
-        .chunks(dim.max(1) as usize)
-        .map(<[f32]>::to_vec)
-        .collect();
-    lane.queue
-        .try_enqueue(batch)
-        .expect("free space was checked");
-    let enqueued_at = t.now();
-    let drain_start = t.now();
-    let drained = drain_lane(lane, trace);
-    let drained_at = t.now();
-    observe_stage(t, "queue_wait", drain_start - enqueued_at, trace);
-    lane.frames += rows as u64;
-    lane.decisions += drained.len() as u64;
-    let decisions: Vec<WireDecision> = drained.iter().map(decision_to_wire).collect();
-    count_batch(shared, stream_id, rows, decisions.len());
-    record_decisions(
-        t,
-        trace,
-        stream_id,
-        &drained,
-        drained_at - batch_start,
-        &[
-            ("queue_wait", drain_start - enqueued_at),
-            ("drain", drained_at - drain_start),
-        ],
-    );
-    let write_start = t.now();
-    write_message(chan, &decisions_reply(trace, stream_id, decisions))?;
-    observe_stage(t, "reply_write", t.now() - write_start, trace);
-    Ok(true)
-}
-
-/// Shared `SubmitFrames` / `SubmitTraced` handling for durable sessions.
-/// Under the hub mutex the batch is fed and then written to the session
-/// log as one record batch (`FramesPushed` followed by a
-/// `DecisionEmitted` per decision — one `write_all`); outside it the
-/// session waits for the one flush that makes the batch durable, and
-/// only then replies. Write plus wait is the `durable_commit` stage.
-/// `Ok(false)` ends the session.
-#[allow(clippy::too_many_arguments)]
-fn submit_durable(
-    shared: &Shared,
-    chan: &mut &TcpStream,
-    owned: &BTreeSet<u32>,
-    trace: Option<u64>,
-    stream_id: u32,
-    dim: u32,
-    data: Vec<f32>,
-) -> io::Result<bool> {
-    let cfg = &shared.cfg;
-    let t = &shared.telemetry;
-    let batch_start = t.now();
-    if !owned.contains(&stream_id) {
-        reject(
-            chan,
-            t,
-            RejectCode::UnknownStream,
-            0,
-            format!("stream {stream_id} is not open in this session"),
-        )?;
-        return Ok(true);
-    }
-    let durable = durable_of(shared.shard_of(stream_id))?;
-    let mut hub = durable.lock()?;
-    let lane = hub
-        .lanes
-        .get_mut(&stream_id)
-        .ok_or_else(|| lane_missing(stream_id))?;
-    let expected = lane.predictor.input_dim() as u32;
-    if dim != expected {
-        drop(hub);
-        reject(
-            chan,
-            t,
-            RejectCode::Malformed,
-            0,
-            format!("stream {stream_id} expects dim {expected}, got {dim}"),
-        )?;
-        return Ok(false);
-    }
-    let rows = data.len() / dim.max(1) as usize;
-    if rows as u32 > cfg.max_batch_frames {
-        drop(hub);
-        reject(
-            chan,
-            t,
-            RejectCode::BatchTooLarge,
-            0,
-            format!(
-                "batch of {rows} frames exceeds the {} cap; split it",
-                cfg.max_batch_frames
-            ),
-        )?;
-        return Ok(true);
-    }
-    if rows > lane.queue.free() {
-        let free = lane.queue.free();
-        drop(hub);
-        reject(
-            chan,
-            t,
-            RejectCode::QueueFull,
-            cfg.retry_after_ms,
-            format!(
-                "stream {stream_id} queue has {free} of {} frames free",
-                cfg.max_queue_frames
-            ),
-        )?;
-        return Ok(true);
-    }
-    let batch: Vec<Vec<f32>> = data
-        .chunks(dim.max(1) as usize)
-        .map(<[f32]>::to_vec)
-        .collect();
-    lane.queue
-        .try_enqueue(batch)
-        .map_err(|_| io::Error::other("frame queue refused a batch it had room for"))?;
-    let enqueued_at = t.now();
-    let drain_start = t.now();
-    let drained = drain_lane(lane, trace);
-    let drained_at = t.now();
-    observe_stage(t, "queue_wait", drain_start - enqueued_at, trace);
-    lane.frames += rows as u64;
-    lane.decisions += drained.len() as u64;
-    // Fed, then written, all under the mutex: the log holds the batch and
-    // its decisions in application order, contiguously. Nothing is
-    // acknowledged until the flush below covers `seq`, so a crash in
-    // between loses only work no client ever saw.
-    let commit_start = t.now();
-    let mut events = Vec::with_capacity(1 + drained.len());
-    events.push(SessionEvent::FramesPushed {
-        stream_id,
-        dim,
-        data,
-    });
-    events.extend(drained.iter().map(|d| SessionEvent::DecisionEmitted {
-        stream_id,
-        anchor: d.anchor,
-        fingerprint: decision_fingerprint(d),
-    }));
-    let seq = hub.store.write(&events).map_err(durable_io)?;
-    hub.maybe_snapshot(t).map_err(durable_io)?;
-    drop(hub);
-    durable.wait_durable(seq)?;
-    let commit = t.now() - commit_start;
-    observe_stage(t, "durable_commit", commit, trace);
-    let decisions: Vec<WireDecision> = drained.iter().map(decision_to_wire).collect();
-    count_batch(shared, stream_id, rows, decisions.len());
-    record_decisions(
-        t,
-        trace,
-        stream_id,
-        &drained,
-        drained_at - batch_start + commit,
-        &[
-            ("queue_wait", drain_start - enqueued_at),
-            ("drain", drained_at - drain_start),
-            ("durable_commit", commit),
-        ],
-    );
-    let write_start = t.now();
-    write_message(chan, &decisions_reply(trace, stream_id, decisions))?;
-    observe_stage(t, "reply_write", t.now() - write_start, trace);
-    Ok(true)
 }

@@ -3,23 +3,35 @@
 //! non-anchor frame allocates nothing, and a `Fixed`-policy anchor
 //! allocates only the decision it returns — no `Matrix`, no `Record`, no
 //! per-frame `Vec`. The same counter shows that a wire message lying
-//! about its float count is refused before anything is reserved for it.
+//! about its float count is refused before anything is reserved for it,
+//! and that what a served `SubmitFrames` allocates does not grow with its
+//! row count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
 use eventhit::core::InferenceLane;
+use eventhit::parallel::Pool;
 use eventhit::serve::protocol::{decode_payload, encode, Message, ProtocolError};
+use eventhit::serve::{ServeClient, ServeConfig, Server};
 
 thread_local! {
     /// (allocations, bytes requested) made by this thread. Per thread, so
     /// tests running beside each other do not see one another.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Set on the one thread whose allocations `SESSION_ALLOCATIONS`
+    /// mirrors.
+    static IS_SESSION: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Allocations made by the `IS_SESSION` thread, readable from its client's
+/// thread between requests.
+static SESSION_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// `System`, counting every allocation and reallocation per thread.
 struct Counting;
@@ -30,6 +42,9 @@ fn count(bytes: usize) {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
     });
+    if IS_SESSION.try_with(Cell::get).unwrap_or(false) {
+        SESSION_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -145,4 +160,61 @@ fn a_lying_float_count_reserves_nothing() {
         );
         assert_eq!((allocations, bytes), (0, 0));
     }
+}
+
+#[test]
+fn served_submit_allocations_do_not_scale_with_rows() {
+    let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(93));
+    let (model, state) = (run.model.clone(), run.state.clone());
+    let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+    let factory = Box::new(move |_| OnlinePredictor::new(model.clone(), state.clone(), strategy));
+    let server = Server::bind(ServeConfig::default(), factory).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    // Past the first anchor, with the next one further off than the two
+    // measured batches: neither returns a decision.
+    let warm_up = run.window + 5;
+    assert!(run.horizon > 5 + 1 + 64 && run.features.rows() >= warm_up + 65);
+
+    let dim = run.features.cols() as u32;
+    let features = run.features.clone();
+    let client = std::thread::spawn(move || {
+        let rows = |from: usize, n: usize| -> Vec<f32> {
+            (from..from + n)
+                .flat_map(|r| features.row(r).iter().copied())
+                .collect()
+        };
+        let mut client = ServeClient::connect(addr).expect("connect");
+        client.open_stream(0).unwrap().expect_ok("open");
+        client
+            .submit(0, dim, rows(0, warm_up))
+            .unwrap()
+            .expect_ok("warm-up");
+        // Each reply is read before the count: the session thread is back
+        // in its blocking read, allocating nothing, when it is sampled.
+        let mut costs = Vec::new();
+        let mut at = warm_up;
+        for n in [1, 64] {
+            let before = SESSION_ALLOCATIONS.load(Ordering::Relaxed);
+            let decisions = client
+                .submit(0, dim, rows(at, n))
+                .unwrap()
+                .expect_ok("submit");
+            assert!(decisions.is_empty(), "{n}-row batch crossed an anchor");
+            costs.push(SESSION_ALLOCATIONS.load(Ordering::Relaxed) - before);
+            at += n;
+        }
+        costs
+    });
+    // A one-worker pool runs the session on the calling thread.
+    IS_SESSION.with(|s| s.set(true));
+    server.serve_sessions(1, &Pool::new(1));
+    IS_SESSION.with(|s| s.set(false));
+
+    let costs = client.join().expect("client thread");
+    assert!(
+        costs[1] <= costs[0] + 2,
+        "a 64-row submit cost {} allocations, a 1-row submit {}",
+        costs[1],
+        costs[0]
+    );
 }

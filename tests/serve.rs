@@ -400,6 +400,51 @@ fn version_mismatch_and_premature_requests_are_rejected() {
 }
 
 #[test]
+fn resume_on_a_plain_server_is_unknown_stream_and_not_fatal() {
+    let (addr, handle) = spawn_server(ServeConfig::default(), Box::new(|_| predictor()), 1);
+    let mut client = ServeClient::connect(addr).expect("connect");
+    // No session log, so no durable state for any id (docs/PROTOCOL.md):
+    // a non-fatal UnknownStream, not the catch-all's fatal Malformed.
+    match client.resume_stream(3, 0).unwrap() {
+        Response::Rejected(r) => assert_eq!(r.code, RejectCode::UnknownStream),
+        Response::Ok(_) => panic!("a plain server has nothing to resume"),
+    }
+    client
+        .open_stream(3)
+        .unwrap()
+        .expect_ok("the session survives the rejected Resume");
+    drop(client);
+    handle.join().unwrap();
+}
+
+#[test]
+fn an_invalid_resilience_spec_fails_at_bind() {
+    use eventhit::core::faults::FaultConfig;
+    use eventhit::core::resilient::ResilienceConfig;
+    use eventhit::serve::ResilienceSpec;
+
+    let cfg = ServeConfig {
+        resilience: Some(ResilienceSpec {
+            faults: FaultConfig {
+                transient_prob: 1.5,
+                ..FaultConfig::reliable()
+            },
+            resilience: ResilienceConfig::default(),
+            ci_fps: 100.0,
+            stream_fps: 30.0,
+            seed: 7,
+        }),
+        ..ServeConfig::default()
+    };
+    let err = match Server::bind(cfg, Box::new(|_| predictor())) {
+        Err(err) => err,
+        Ok(_) => panic!("an out-of-range fault probability must not bind"),
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("transient_prob"), "{err}");
+}
+
+#[test]
 fn degradation_tags_propagate_to_clients_over_the_wire() {
     use eventhit::core::faults::FaultConfig;
     use eventhit::core::resilient::{DegradationTag, ResilienceConfig};
