@@ -1,5 +1,7 @@
-//! Scaling benchmarks for the parallel execution layer: dense matmul,
-//! batched inference, and multi-stream marshalling at 1/2/4/8 workers.
+//! Scaling benchmarks for the parallel execution layer: batched
+//! inference and multi-stream marshalling at 1/2/4/8 workers — the
+//! grains the pool runs at. (A matrix product never enters the pool;
+//! DESIGN §9 keeps the measurement that retired the row-blocked path.)
 //!
 //! Unlike the criterion-style targets, this harness times regions with
 //! raw [`Instant`] so it can report *speedups* relative to the 1-worker
@@ -10,16 +12,14 @@
 use std::time::Instant;
 
 use eventhit_core::experiment::{ExperimentConfig, TaskRun};
-use eventhit_core::infer::score_records_with;
+use eventhit_core::infer::score_records_lane_with;
 use eventhit_core::multi::{run_lanes, StreamLane};
 use eventhit_core::pipeline::Strategy;
 use eventhit_core::streaming::OnlinePredictor;
 use eventhit_core::tasks::task;
 use eventhit_core::train::TrainConfig;
-use eventhit_nn::matrix::Matrix;
-use eventhit_parallel::{with_workers, Pool};
-use eventhit_rng::rngs::StdRng;
-use eventhit_rng::{Rng, SeedableRng};
+use eventhit_nn::quant::InferenceLane;
+use eventhit_parallel::Pool;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -102,30 +102,6 @@ impl Scaling {
     }
 }
 
-fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| rng.random_range(-1.0..1.0))
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-fn bench_matmul() -> Scaling {
-    let mut rng = StdRng::seed_from_u64(7);
-    // Large enough to clear PAR_THRESHOLD (2^20 mul-adds).
-    let a = random_matrix(192, 96, &mut rng);
-    let b = random_matrix(96, 128, &mut rng);
-    let times = WORKER_COUNTS
-        .iter()
-        .map(|&w| (w, time_median(9, || with_workers(w, || a.matmul(&b)))))
-        .collect();
-    Scaling {
-        name: "matmul_192x96x128".into(),
-        // default_chunk → workers*4 row blocks per product.
-        tasks: 16,
-        times,
-    }
-}
-
 fn quick_run() -> TaskRun {
     let cfg = ExperimentConfig {
         scale: 0.1,
@@ -148,7 +124,9 @@ fn bench_batched_inference(run: &TaskRun) -> Scaling {
             let pool = Pool::new(w);
             (
                 w,
-                time_median(7, || score_records_with(&run.model, records, batch, &pool)),
+                time_median(7, || {
+                    score_records_lane_with(&run.model, records, batch, InferenceLane::Exact, &pool)
+                }),
             )
         })
         .collect();
@@ -195,11 +173,7 @@ fn main() {
     println!("parallel scaling benchmarks ({cores} cores available)\n");
 
     let run = quick_run();
-    let results = [
-        bench_matmul(),
-        bench_batched_inference(&run),
-        bench_multi_stream(&run),
-    ];
+    let results = [bench_batched_inference(&run), bench_multi_stream(&run)];
     for r in &results {
         r.print();
         println!();

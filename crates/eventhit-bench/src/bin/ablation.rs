@@ -30,6 +30,7 @@ use eventhit_core::model::{EventHit, EventHitConfig};
 use eventhit_core::pipeline::{ConformalState, Strategy};
 use eventhit_core::tasks::task;
 use eventhit_core::train::{train, TrainConfig};
+use eventhit_telemetry::Telemetry;
 use eventhit_video::records::Record;
 
 fn main() {
@@ -135,7 +136,7 @@ fn ablation_shared_encoder(args: &CommonArgs) {
         let mut model = EventHit::new(model_cfg, cfg.seed.wrapping_add(900 + k as u64));
         let mut tc: TrainConfig = cfg.train.clone();
         tc.seed = cfg.seed.wrapping_add(950 + k as u64);
-        train(&mut model, &train_k, &tc);
+        train(&mut model, &train_k, &tc, &Telemetry::disabled());
         per_event_params += model.param_count();
         let calib_scored = score_records(&model, &calib_k, 128);
         let test_scored = score_records(&model, &test_k, 128);

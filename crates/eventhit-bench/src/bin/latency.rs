@@ -12,6 +12,7 @@ use eventhit_bench::{f, tsv_header, CommonArgs};
 use eventhit_core::ci_queue::{simulate, submissions_from_segments, QueueConfig};
 use eventhit_core::experiment::TaskRun;
 use eventhit_core::pipeline::Strategy;
+use eventhit_telemetry::Telemetry;
 
 fn main() {
     let args = CommonArgs::parse();
@@ -59,7 +60,7 @@ fn main() {
                 })
                 .collect();
             let subs = submissions_from_segments(&segments);
-            match simulate(&subs, &qcfg) {
+            match simulate(&subs, &qcfg, &Telemetry::disabled()) {
                 Some(r) => println!(
                     "{}\t{}\t{}\t{}\t{}\t{}\t{}",
                     task.id,

@@ -65,24 +65,11 @@ pub struct QueueReport {
 }
 
 impl QueueReport {
-    /// A zeroed profile (used when nothing was ever served) carrying only
-    /// the observed backlog.
-    fn empty(max_backlog_frames: u64) -> Self {
-        QueueReport {
-            completed: 0,
-            utilization: 0.0,
-            mean_latency: 0.0,
-            p50_latency: 0.0,
-            p95_latency: 0.0,
-            p99_latency: 0.0,
-            max_latency: 0.0,
-            max_backlog_frames,
-        }
-    }
-
-    /// The single construction path for a served-latency profile, shared
-    /// by the plain and resilient simulators so their reports stay
-    /// field-for-field comparable. Sorts `latencies` in place.
+    /// The single construction path for a latency profile, so the plain
+    /// and resilient reports stay field-for-field comparable. Sorts
+    /// `latencies` in place; with nothing served (an all-degraded run)
+    /// every field but the backlog is zero rather than a division by
+    /// zero.
     fn from_latencies(
         latencies: &mut [f64],
         busy: f64,
@@ -95,11 +82,11 @@ impl QueueReport {
         QueueReport {
             completed: n,
             utilization: (busy / span).min(1.0),
-            mean_latency: latencies.iter().sum::<f64>() / n as f64,
+            mean_latency: latencies.iter().sum::<f64>() / n.max(1) as f64,
             p50_latency: percentile(latencies, 0.50).unwrap_or(0.0),
             p95_latency: percentile(latencies, 0.95).unwrap_or(0.0),
             p99_latency: percentile(latencies, 0.99).unwrap_or(0.0),
-            max_latency: latencies[n - 1],
+            max_latency: latencies.last().copied().unwrap_or(0.0),
             max_backlog_frames,
         }
     }
@@ -109,76 +96,17 @@ impl QueueReport {
 /// `arrival_frame`). Returns `None` for an empty submission list or a
 /// non-positive capture rate (a dead camera offers no load — nothing to
 /// simulate, not a panic).
-pub fn simulate(submissions: &[Submission], cfg: &QueueConfig) -> Option<QueueReport> {
-    simulate_instrumented(submissions, cfg, None)
-}
-
-/// [`simulate`] with telemetry. The recorder is expected to be on the
+///
+/// `tel` (pass [`Telemetry::disabled`] for none) is expected to be on the
 /// manual clock: the simulator advances it to each arrival time, so the
-/// backlog gauge and per-submission latency histogram live on the
-/// simulated timeline and are bit-deterministic.
-pub fn simulate_instrumented(
+/// `ciq.simulate` span, the backlog gauge and the per-submission latency
+/// histogram live on the simulated timeline and are bit-deterministic.
+pub fn simulate(
     submissions: &[Submission],
     cfg: &QueueConfig,
-    tel: Option<&Telemetry>,
+    tel: &Telemetry,
 ) -> Option<QueueReport> {
-    if submissions.is_empty() || !cfg.stream_fps.is_finite() || cfg.stream_fps <= 0.0 {
-        return None;
-    }
-    debug_assert!(
-        submissions
-            .windows(2)
-            .all(|w| w[0].arrival_frame <= w[1].arrival_frame),
-        "submissions must be sorted by arrival"
-    );
-
-    let mut free_at = 0.0f64;
-    let mut latencies = Vec::with_capacity(submissions.len());
-    let mut busy = 0.0f64;
-    let mut max_backlog = 0u64;
-    let mut backlog_until: Vec<(f64, u64)> = Vec::new(); // (finish_time, frames)
-
-    let _sim = tel.map(|t| t.span("ciq.simulate"));
-    let first_arrival = submissions[0].arrival_frame as f64 / cfg.stream_fps;
-    for sub in submissions {
-        let arrival = sub.arrival_frame as f64 / cfg.stream_fps;
-        // Backlog at this arrival: frames of requests not yet finished.
-        backlog_until.retain(|&(finish, _)| finish > arrival);
-        let backlog: u64 = backlog_until.iter().map(|&(_, f)| f).sum::<u64>() + sub.frames;
-        max_backlog = max_backlog.max(backlog);
-
-        let start = free_at.max(arrival);
-        let service = cfg.ci.seconds_for(sub.frames);
-        let finish = start + service;
-        busy += service;
-        let latency = finish - arrival;
-        latencies.push(latency);
-        backlog_until.push((finish, sub.frames));
-        free_at = finish;
-        if let Some(t) = tel {
-            t.set_time(arrival);
-            t.add("ciq.submissions", 1);
-            t.add("ciq.frames", sub.frames);
-            t.gauge_set("ciq.backlog_frames", backlog as f64);
-            t.observe("ciq.latency_seconds", latency);
-        }
-    }
-    if let Some(t) = tel {
-        t.set_time(free_at);
-        t.add("ciq.completed", latencies.len() as u64);
-    }
-
-    // `span` covers both degenerate shapes: a single instantaneous burst
-    // (all arrivals equal, zero-frame requests => span 0) and offered
-    // load at or above the service rate (span = busy time, utilization
-    // exactly 1, never a negative residual).
-    let span = free_at - first_arrival;
-    Some(QueueReport::from_latencies(
-        &mut latencies,
-        busy,
-        span,
-        max_backlog,
-    ))
+    run_queue(submissions, cfg, None, tel).map(|report| report.queue)
 }
 
 /// [`QueueReport`] plus the resilience counters of a faulted run.
@@ -201,57 +129,79 @@ pub struct ResilientQueueReport {
 /// storms grow the backlog exactly as they would in a deployment.
 /// Degraded submissions never occupy the server but are counted.
 ///
-/// Returns `None` under the same conditions as [`simulate`].
+/// Returns `None` under the same conditions as [`simulate`]. `tel`
+/// receives the queue metrics of [`simulate`] under a
+/// `ciq.simulate_resilient` span, beside the resilient client's own
+/// counters (faults, retries, breaker transitions) when the client
+/// carries the same recorder.
 pub fn simulate_resilient(
     submissions: &[Submission],
     cfg: &QueueConfig,
     client: &mut ResilientCiClient,
+    tel: &Telemetry,
 ) -> Option<ResilientQueueReport> {
-    simulate_resilient_instrumented(submissions, cfg, client, None)
+    run_queue(submissions, cfg, Some(client), tel)
 }
 
-/// [`simulate_resilient`] with telemetry: the queue metrics above plus the
-/// resilient client's own counters (faults, retries, breaker transitions)
-/// when the client carries the same recorder.
-pub fn simulate_resilient_instrumented(
+/// The one queue loop. Without a `client` every submission is delivered
+/// at its arrival with no time wasted and the configured service time —
+/// what a client on a reliable channel reports, so the two modes agree
+/// field for field there.
+fn run_queue(
     submissions: &[Submission],
     cfg: &QueueConfig,
-    client: &mut ResilientCiClient,
-    tel: Option<&Telemetry>,
+    mut client: Option<&mut ResilientCiClient>,
+    tel: &Telemetry,
 ) -> Option<ResilientQueueReport> {
     if submissions.is_empty() || !cfg.stream_fps.is_finite() || cfg.stream_fps <= 0.0 {
         return None;
     }
+    debug_assert!(
+        submissions
+            .windows(2)
+            .all(|w| w[0].arrival_frame <= w[1].arrival_frame),
+        "submissions must be sorted by arrival"
+    );
 
     let mut free_at = 0.0f64;
-    let mut latencies = Vec::new();
+    let mut latencies = Vec::with_capacity(submissions.len());
     let mut busy = 0.0f64;
     let mut max_backlog = 0u64;
-    let mut backlog_until: Vec<(f64, u64)> = Vec::new();
+    let mut backlog_until: Vec<(f64, u64)> = Vec::new(); // (finish_time, frames)
     let mut degraded = 0usize;
     let mut degraded_frames = 0u64;
 
-    let _sim = tel.map(|t| t.span("ciq.simulate_resilient"));
+    let _sim = tel.span(match client {
+        Some(_) => "ciq.simulate_resilient",
+        None => "ciq.simulate",
+    });
     let first_arrival = submissions[0].arrival_frame as f64 / cfg.stream_fps;
     let mut last_finish = first_arrival;
     for sub in submissions {
         let arrival = sub.arrival_frame as f64 / cfg.stream_fps;
+        // Backlog at this arrival: frames of requests not yet finished.
         backlog_until.retain(|&(finish, _)| finish > arrival);
         let backlog: u64 = backlog_until.iter().map(|&(_, f)| f).sum::<u64>() + sub.frames;
         max_backlog = max_backlog.max(backlog);
-        if let Some(t) = tel {
-            t.set_time(arrival);
-            t.add("ciq.submissions", 1);
-            t.add("ciq.frames", sub.frames);
-            t.gauge_set("ciq.backlog_frames", backlog as f64);
-        }
+        tel.set_time(arrival);
+        tel.add("ciq.submissions", 1);
+        tel.add("ciq.frames", sub.frames);
+        tel.gauge_set("ciq.backlog_frames", backlog as f64);
 
-        match client.submit(sub.frames, arrival) {
-            SubmissionOutcome::Delivered {
-                wasted, service, ..
-            } => {
-                let effective_arrival = arrival + wasted;
-                let start = free_at.max(effective_arrival);
+        // `Ok((wasted, service))` when delivered, `Err(deadline)` when the
+        // client gave the submission up.
+        let delivery = match client.as_deref_mut() {
+            None => Ok((0.0, cfg.ci.seconds_for(sub.frames))),
+            Some(client) => match client.submit(sub.frames, arrival) {
+                SubmissionOutcome::Delivered {
+                    wasted, service, ..
+                } => Ok((wasted, service)),
+                SubmissionOutcome::Degraded { .. } => Err(client.config_deadline()),
+            },
+        };
+        match delivery {
+            Ok((wasted, service)) => {
+                let start = free_at.max(arrival + wasted);
                 let finish = start + service;
                 busy += service;
                 let latency = finish - arrival;
@@ -259,38 +209,25 @@ pub fn simulate_resilient_instrumented(
                 backlog_until.push((finish, sub.frames));
                 free_at = finish;
                 last_finish = last_finish.max(finish);
-                if let Some(t) = tel {
-                    t.observe("ciq.latency_seconds", latency);
-                }
+                tel.observe("ciq.latency_seconds", latency);
             }
-            SubmissionOutcome::Degraded { .. } => {
+            Err(deadline) => {
                 degraded += 1;
                 degraded_frames += sub.frames;
-                // The frames linger as backlog until abandonment; model
-                // them as pending for one inter-arrival period.
-                backlog_until.push((arrival + client.config_deadline(), sub.frames));
-                if let Some(t) = tel {
-                    t.add("ciq.degraded", 1);
-                }
+                // The frames linger as backlog until the client abandons
+                // them: pending from arrival until its deadline passes.
+                backlog_until.push((arrival + deadline, sub.frames));
+                tel.add("ciq.degraded", 1);
             }
         }
     }
-    if let Some(t) = tel {
-        t.set_time(last_finish);
-        t.add("ciq.completed", latencies.len() as u64);
-    }
+    tel.set_time(last_finish);
+    tel.add("ciq.completed", latencies.len() as u64);
 
-    if latencies.is_empty() {
-        // Nothing was ever served: report an all-degraded run with an
-        // empty queue profile rather than dividing by zero.
-        return Some(ResilientQueueReport {
-            queue: QueueReport::empty(max_backlog),
-            degraded,
-            degraded_frames,
-            availability: 0.0,
-        });
-    }
-
+    // `span` covers both degenerate shapes: a single instantaneous burst
+    // (all arrivals equal, zero-frame requests => span 0) and offered
+    // load at or above the service rate (span = busy time, utilization
+    // exactly 1, never a negative residual).
     let n = latencies.len();
     let span = last_finish - first_arrival;
     Some(ResilientQueueReport {
@@ -329,7 +266,7 @@ mod tests {
 
     #[test]
     fn empty_submissions_yield_none() {
-        assert!(simulate(&[], &QueueConfig::default()).is_none());
+        assert!(simulate(&[], &QueueConfig::default(), &Telemetry::disabled()).is_none());
     }
 
     #[test]
@@ -342,7 +279,7 @@ mod tests {
                 frames: 80,
             })
             .collect();
-        let r = simulate(&subs, &cfg(30.0, 10.0)).unwrap();
+        let r = simulate(&subs, &cfg(30.0, 10.0), &Telemetry::disabled()).unwrap();
         assert_eq!(r.completed, 10);
         assert!(
             (r.mean_latency - 8.0).abs() < 1e-9,
@@ -364,7 +301,7 @@ mod tests {
                 frames: 300,
             })
             .collect();
-        let r = simulate(&subs, &cfg(30.0, 10.0)).unwrap();
+        let r = simulate(&subs, &cfg(30.0, 10.0), &Telemetry::disabled()).unwrap();
         // Latencies ramp linearly (30, 50, …, 210 s): max ≈ 1.75× mean.
         assert!(r.max_latency > 1.5 * r.mean_latency, "latency should grow");
         assert!(r.utilization > 0.95);
@@ -385,7 +322,7 @@ mod tests {
                 frames: 10,
             },
         ];
-        let r = simulate(&subs, &cfg(30.0, 10.0)).unwrap();
+        let r = simulate(&subs, &cfg(30.0, 10.0), &Telemetry::disabled()).unwrap();
         // Second request waits for the first: latency ≈ 10 + 1 ≈ 11 s.
         assert!(r.max_latency > 10.0);
     }
@@ -426,8 +363,8 @@ mod tests {
             })
             .collect();
         let c = cfg(30.0, 8.0);
-        let r_bf = simulate(&bf, &c).unwrap();
-        let r_ehcr = simulate(&ehcr, &c).unwrap();
+        let r_bf = simulate(&bf, &c, &Telemetry::disabled()).unwrap();
+        let r_ehcr = simulate(&ehcr, &c, &Telemetry::disabled()).unwrap();
         assert!(r_ehcr.mean_latency < r_bf.mean_latency / 2.0);
         assert!(r_ehcr.p95_latency < r_bf.p95_latency);
     }
@@ -443,7 +380,7 @@ mod tests {
             };
             5
         ];
-        let r = simulate(&subs, &cfg(30.0, 10.0)).unwrap();
+        let r = simulate(&subs, &cfg(30.0, 10.0), &Telemetry::disabled()).unwrap();
         assert_eq!(r.completed, 5);
         assert_eq!(r.mean_latency, 0.0);
         assert!(r.utilization.is_finite() && r.utilization >= 0.0);
@@ -457,8 +394,8 @@ mod tests {
             arrival_frame: 1,
             frames: 10,
         }];
-        assert!(simulate(&subs, &cfg(0.0, 10.0)).is_none());
-        assert!(simulate(&subs, &cfg(f64::NAN, 10.0)).is_none());
+        assert!(simulate(&subs, &cfg(0.0, 10.0), &Telemetry::disabled()).is_none());
+        assert!(simulate(&subs, &cfg(f64::NAN, 10.0), &Telemetry::disabled()).is_none());
     }
 
     #[test]
@@ -472,7 +409,7 @@ mod tests {
                 frames: 1000,
             })
             .collect();
-        let r = simulate(&subs, &cfg(30.0, 1.0)).unwrap();
+        let r = simulate(&subs, &cfg(30.0, 1.0), &Telemetry::disabled()).unwrap();
         assert!(r.utilization <= 1.0 && r.utilization > 0.999);
         assert!(r.max_backlog_frames >= 1000);
     }
@@ -496,7 +433,7 @@ mod tests {
             })
             .collect();
         let c = cfg(30.0, 10.0);
-        let plain = simulate(&subs, &c).unwrap();
+        let plain = simulate(&subs, &c, &Telemetry::disabled()).unwrap();
         let mut client = ResilientCiClient::new(
             FaultConfig::reliable(),
             ResilienceConfig::default(),
@@ -504,7 +441,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let res = simulate_resilient(&subs, &c, &mut client).unwrap();
+        let res = simulate_resilient(&subs, &c, &mut client, &Telemetry::disabled()).unwrap();
         assert_eq!(res.availability, 1.0);
         assert_eq!(res.degraded, 0);
         assert_eq!(res.queue, plain, "no faults => identical queue profile");
@@ -521,7 +458,7 @@ mod tests {
             })
             .collect();
         let c = cfg(30.0, 10.0);
-        let clean = simulate(&subs, &c).unwrap();
+        let clean = simulate(&subs, &c, &Telemetry::disabled()).unwrap();
         let faults = FaultConfig {
             p_good_to_bad: 0.15,
             p_bad_to_good: 0.25,
@@ -531,7 +468,7 @@ mod tests {
         };
         let mut client =
             ResilientCiClient::new(faults, ResilienceConfig::default(), c.ci.clone(), 5).unwrap();
-        let res = simulate_resilient(&subs, &c, &mut client).unwrap();
+        let res = simulate_resilient(&subs, &c, &mut client, &Telemetry::disabled()).unwrap();
         assert!(res.availability < 1.0, "outages must cost availability");
         assert!(res.degraded > 0);
         assert!(
@@ -562,7 +499,7 @@ mod tests {
         };
         let mut client =
             ResilientCiClient::new(faults, ResilienceConfig::default(), c.ci.clone(), 2).unwrap();
-        let res = simulate_resilient(&subs, &c, &mut client).unwrap();
+        let res = simulate_resilient(&subs, &c, &mut client, &Telemetry::disabled()).unwrap();
         assert_eq!(res.availability, 0.0);
         assert_eq!(res.queue.completed, 0);
         assert_eq!(res.degraded, 5);
@@ -577,7 +514,7 @@ mod tests {
                 frames: 50,
             })
             .collect();
-        let r = simulate(&subs, &cfg(30.0, 20.0)).unwrap();
+        let r = simulate(&subs, &cfg(30.0, 20.0), &Telemetry::disabled()).unwrap();
         assert!(r.p50_latency <= r.mean_latency + 1e-12 || r.p50_latency <= r.p95_latency);
         assert!(r.mean_latency <= r.p95_latency + 1e-12);
         assert!(r.p95_latency <= r.p99_latency + 1e-12);
@@ -585,8 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_simulation_records_queue_metrics() {
-        use eventhit_telemetry::Telemetry;
+    fn simulation_records_queue_metrics() {
         let subs: Vec<Submission> = (1..=10)
             .map(|i| Submission {
                 arrival_frame: i * 1000,
@@ -595,8 +531,11 @@ mod tests {
             .collect();
         let c = cfg(30.0, 10.0);
         let tel = Telemetry::with_manual_clock();
-        let instrumented = simulate_instrumented(&subs, &c, Some(&tel)).unwrap();
-        assert_eq!(instrumented, simulate(&subs, &c).unwrap());
+        let instrumented = simulate(&subs, &c, &tel).unwrap();
+        assert_eq!(
+            instrumented,
+            simulate(&subs, &c, &Telemetry::disabled()).unwrap()
+        );
         let snap = tel.snapshot();
         assert_eq!(snap.counter("ciq.submissions"), Some(10));
         assert_eq!(snap.counter("ciq.completed"), Some(10));

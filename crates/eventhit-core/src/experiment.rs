@@ -8,6 +8,7 @@ use std::time::Instant;
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
 use eventhit_parallel::Pool;
+use eventhit_telemetry::Telemetry;
 use eventhit_video::dataset::{Dataset, SplitSpec};
 use eventhit_video::features::{extract, FeatureConfig};
 use eventhit_video::normalize::Standardizer;
@@ -17,7 +18,7 @@ use eventhit_video::synthetic::DatasetProfile;
 
 use crate::ci::{CiConfig, CostReport};
 use crate::error::{CoreError, CoreResult};
-use crate::infer::{score_records, score_records_lane, IntervalPrediction, ScoredRecord};
+use crate::infer::{score_records, score_records_lane_with, IntervalPrediction, ScoredRecord};
 use crate::metrics::{evaluate, EvalOutcome};
 use crate::model::{EncoderKind, EventHit, EventHitConfig};
 use crate::pipeline::{ConformalState, Strategy};
@@ -217,7 +218,12 @@ impl TaskRun {
         );
         let mut train_cfg = cfg.train.clone();
         train_cfg.seed = cfg.seed.wrapping_mul(43).wrapping_add(4);
-        let train_report = train(&mut model, &dataset.train, &train_cfg);
+        let train_report = train(
+            &mut model,
+            &dataset.train,
+            &train_cfg,
+            &Telemetry::disabled(),
+        );
 
         let calib = score_records(&model, &dataset.calib, 128);
         let t0 = Instant::now();
@@ -271,7 +277,8 @@ impl TaskRun {
     /// rescores, even on the exact lane, because the given model's scores
     /// need not match the run's own.
     pub fn state_for_model(&self, model: &EventHit, lane: InferenceLane) -> ConformalState {
-        let calib = score_records_lane(model, &self.calib_records, 128, lane);
+        let calib =
+            score_records_lane_with(model, &self.calib_records, 128, lane, &Pool::current());
         ConformalState::fit(
             &calib,
             self.task.num_events(),
@@ -326,7 +333,7 @@ impl TaskRun {
     ) -> Vec<ScoredRecord> {
         let gated =
             crate::sampling::sampled_records(&self.model, &self.features, records, policy, lane);
-        score_records_lane(&self.model, &gated, 128, lane)
+        score_records_lane_with(&self.model, &gated, 128, lane, &Pool::current())
     }
 
     /// Predictions of a strategy over the test split.
@@ -343,15 +350,10 @@ impl TaskRun {
     }
 
     /// Evaluates many strategies (sweeps share the scored records), one
-    /// grid cell per task on the ambient [`Pool::current`].
-    pub fn sweep(&self, strategies: &[Strategy]) -> Vec<(Strategy, EvalOutcome)> {
-        self.sweep_with(strategies, &Pool::current())
-    }
-
-    /// [`TaskRun::sweep`] on an explicit [`Pool`]. Each cell is a pure
-    /// function of the already-scored splits, so the grid evaluates in
-    /// parallel with bit-identical results, returned in grid order.
-    pub fn sweep_with(&self, strategies: &[Strategy], pool: &Pool) -> Vec<(Strategy, EvalOutcome)> {
+    /// grid cell per task on `pool`. Each cell is a pure function of the
+    /// already-scored splits, so the grid evaluates in parallel with
+    /// bit-identical results, returned in grid order.
+    pub fn sweep(&self, strategies: &[Strategy], pool: &Pool) -> Vec<(Strategy, EvalOutcome)> {
         pool.map_chunked(strategies.len(), 1, |i| {
             (strategies[i], self.evaluate(&strategies[i]))
         })

@@ -32,42 +32,28 @@ pub struct ScoredRecord {
     pub labels: Vec<EventLabel>,
 }
 
-/// Runs the model over `records` in minibatches and collects scores.
-///
-/// The model is compiled once per call (see [`InferencePlan`]) and
-/// every record is scored on its own through the plan, so batching only
-/// decides how the work is split: minibatches score in parallel on the
-/// ambient [`Pool::current`], and the result is bit-identical for any
-/// batch size and worker count.
+/// Runs the model over `records` in minibatches on the exact lane and
+/// the ambient [`Pool::current`] and collects scores:
+/// [`score_records_lane_with`] with both choices defaulted.
 pub fn score_records(model: &EventHit, records: &[Record], batch_size: usize) -> Vec<ScoredRecord> {
-    score_records_with(model, records, batch_size, &Pool::current())
+    score_records_lane_with(
+        model,
+        records,
+        batch_size,
+        InferenceLane::Exact,
+        &Pool::current(),
+    )
 }
 
-/// [`score_records`] on an explicit [`Pool`] (one task per minibatch,
-/// merged in record order).
-pub fn score_records_with(
-    model: &EventHit,
-    records: &[Record],
-    batch_size: usize,
-    pool: &Pool,
-) -> Vec<ScoredRecord> {
-    score_records_lane_with(model, records, batch_size, InferenceLane::Exact, pool)
-}
-
-/// [`score_records`] on an explicit [`InferenceLane`]: `Exact` compiles
-/// the model onto packed f32 panels, `Quantized` onto the int8 fast
-/// lane — once either way, amortized over all records. Records may have
-/// different window lengths (the adaptive-window calibration path).
-pub fn score_records_lane(
-    model: &EventHit,
-    records: &[Record],
-    batch_size: usize,
-    lane: InferenceLane,
-) -> Vec<ScoredRecord> {
-    score_records_lane_with(model, records, batch_size, lane, &Pool::current())
-}
-
-/// [`score_records_lane`] on an explicit [`Pool`].
+/// Scores `records` on an explicit [`InferenceLane`] and [`Pool`].
+///
+/// The model is compiled once per call (see [`InferencePlan`]) — `Exact`
+/// onto packed f32 panels, `Quantized` onto the int8 fast lane — and
+/// every record is scored on its own through the plan, so batching only
+/// decides how the work is split: one pool task per minibatch, merged in
+/// record order, bit-identical for any batch size and worker count.
+/// Records may have different window lengths (the adaptive-window
+/// calibration path).
 pub fn score_records_lane_with(
     model: &EventHit,
     records: &[Record],

@@ -56,7 +56,7 @@ pub use resilient::{
 };
 pub use sampling::{GateParams, SamplingPolicy, WindowParams};
 pub use tasks::{all_tasks, task, DatasetKind, Task};
-pub use train::{train, train_instrumented, TrainConfig, TrainReport};
+pub use train::{train, TrainConfig, TrainReport};
 
 pub use eventhit_telemetry::Telemetry;
 

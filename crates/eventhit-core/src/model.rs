@@ -268,18 +268,12 @@ impl EventHit {
             + self.cache_concat.as_ref().map_or(0, Matrix::len)
     }
 
-    /// Assembles the LSTM input sequence from a batch of records:
-    /// `xs[t]` is the `batch x D` matrix of the `t`-th window frame.
-    fn batch_sequence(&self, records: &[&Record]) -> Vec<Matrix> {
-        batch_sequence(&self.config, records)
-    }
-
     /// Forward pass over a batch of records, caching intermediates for
     /// [`EventHit::backward`]. Returns one `batch x (1 + H)` sigmoid output
     /// per event head.
     pub fn forward(&mut self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
-        let xs = self.batch_sequence(records);
+        let xs = batch_sequence(&self.config, records);
         let h = self.encoder.forward(&xs);
         let z = self.shared_fc.forward(&h);
         let z = self.dropout.forward(&z, &mut self.rng);
@@ -299,7 +293,7 @@ impl EventHit {
     /// matches [`EventHit::forward`] with dropout off, bit for bit.
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
-        let xs = self.batch_sequence(records);
+        let xs = batch_sequence(&self.config, records);
         let h = self.encoder.forward_inference(&xs);
         let z = self.shared_fc.forward_inference(&h);
         let concat = z.hcat(&xs[xs.len() - 1]);
@@ -751,6 +745,7 @@ mod tests {
     fn trained(kind: EncoderKind) -> (EventHit, Vec<Record>) {
         use crate::train::{train, TrainConfig};
         use eventhit_rng::Rng;
+        use eventhit_telemetry::Telemetry;
         let cfg = EventHitConfig {
             hidden_dim: 7,
             dropout: 0.2,
@@ -782,7 +777,7 @@ mod tests {
             batch_size: 8,
             ..TrainConfig::default()
         };
-        train(&mut model, &records, &train_cfg);
+        train(&mut model, &records, &train_cfg, &Telemetry::disabled());
         (model, records)
     }
 

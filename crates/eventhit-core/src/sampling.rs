@@ -41,7 +41,10 @@
 //! rescores the calibration split on *gated* trajectories (simulated by
 //! [`sampled_records`]) and refits, so the nonconformity quantiles come
 //! from the same score distribution the deployed gated lane produces.
-//! The model and worked numbers live in `docs/SAMPLING.md`.
+//! The anchor cadence and the carry-or-score rule are written once, in
+//! this module's crate-private anchor stepper: the deployed predictor
+//! holds one and [`sampled_records`] drives one, so the two cannot
+//! drift apart. The model and worked numbers live in `docs/SAMPLING.md`.
 
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
@@ -307,10 +310,9 @@ pub fn window_drift(a: &Matrix, b: &Matrix) -> f32 {
 /// the last accepted reference frame, and the adaptive window length.
 /// Deterministic by construction — every transition is a pure function
 /// of the pushed frames and the policy parameters. One lives inside
-/// each [`OnlinePredictor`](crate::streaming::OnlinePredictor); the
-/// offline calibration simulation ([`sampled_records`]) drives an
-/// identical copy so gated calibration windows match deployment
-/// bit-for-bit.
+/// the anchor stepper that each
+/// [`OnlinePredictor`](crate::streaming::OnlinePredictor) holds and the
+/// offline calibration simulation ([`sampled_records`]) drives.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     policy: SamplingPolicy,
@@ -461,18 +463,128 @@ impl Sampler {
     }
 }
 
-/// The offline simulation's image of the deployed duplicate-carry memo:
-/// what the last *scored* anchor saw, so carried anchors can be rebuilt
-/// with the exact window whose scores deployment reuses.
-struct SimMemo {
-    /// Window length the scored anchor consumed.
-    m: usize,
-    /// The scored anchor's covariate window — the carry drift reference.
-    covariates: Matrix,
-    /// Consecutive anchors carried since the score.
-    run: u32,
-    /// Raw-score hit bit of the scored anchor (adaptive only).
+/// The duplicate-carry memo: what the last *scored* anchor saw and what
+/// it decided, so a carried anchor can reuse both.
+pub(crate) struct CarryMemo<P> {
+    /// What scoring produced for the caller to reuse at carried anchors:
+    /// the predictions in deployment, nothing in calibration.
+    pub(crate) payload: P,
+    /// `max_k b_k >= HIT_TAU1` of the scored window (feeds the adaptive
+    /// window EMA at carried anchors without rescoring).
     hit: bool,
+    /// Window length the memo was scored at.
+    m: usize,
+    /// The covariate window the memo was scored on — the reference
+    /// candidate windows are drift-tested against, and the window a
+    /// carried anchor is calibrated on.
+    pub(crate) covariates: Matrix,
+    /// Consecutive anchors carried off this memo so far.
+    run: u32,
+}
+
+/// The anchor rule, written once: one stream's stepping state (sampler,
+/// window ring, anchor countdown, stream position) and the
+/// carry-or-score decision over the memo of the last scored anchor.
+/// [`OnlinePredictor`](crate::streaming::OnlinePredictor) holds one and
+/// [`sampled_records`] drives one, so calibration scores exactly the
+/// windows deployment scores — the identity the conformal guarantee
+/// under a gating policy rests on.
+pub(crate) struct AnchorStepper<P> {
+    /// Gate state, skip runs and the adaptive `m`.
+    pub(crate) sampler: Sampler,
+    /// The collection-window ring of admitted rows.
+    pub(crate) buffer: WindowBuffer,
+    /// Frames between anchors.
+    pub(crate) horizon: u64,
+    /// Frames remaining until the next prediction anchor.
+    pub(crate) countdown: u64,
+    /// Total frames pushed, *including* gated frames: the anchor cadence
+    /// follows the stream, not the ring's push count, so a gated stream
+    /// anchors at exactly the frames a `Fixed` one would.
+    pub(crate) stream_pos: u64,
+    memo: Option<CarryMemo<P>>,
+}
+
+impl<P> AnchorStepper<P> {
+    /// A stepper at the start of a stream: the first anchor falls on the
+    /// frame that fills the `window`-row ring, then one every `horizon`
+    /// frames.
+    pub(crate) fn new(policy: SamplingPolicy, window: usize, dim: usize, horizon: u64) -> Self {
+        AnchorStepper {
+            sampler: Sampler::new(policy, window),
+            buffer: WindowBuffer::new(window, dim),
+            horizon,
+            countdown: 0,
+            stream_pos: 0,
+            memo: None,
+        }
+    }
+
+    /// Replaces the policy: a fresh gate and adaptive window, no memo.
+    /// The ring, the countdown and the stream position stay.
+    pub(crate) fn set_policy(&mut self, policy: SamplingPolicy) {
+        self.sampler = Sampler::new(policy, self.sampler.base_window());
+        self.memo = None;
+    }
+
+    /// Feeds one frame: admits it into the ring (or gates it) and
+    /// advances the cadence. When this frame is an anchor, returns the
+    /// window length `m` to decide it on — read here, *before* the
+    /// anchor's EMA update. The warmup frames are always admitted, so
+    /// the cadence is identical under every policy.
+    #[inline]
+    pub(crate) fn step(&mut self, features: &[f32]) -> Option<usize> {
+        self.stream_pos += 1;
+        let warmed = self.buffer.is_full();
+        if self.sampler.admit(features, warmed) {
+            self.buffer.push(features);
+        }
+        if !self.buffer.is_full() {
+            return None;
+        }
+        if self.countdown > 0 {
+            self.countdown -= 1;
+            return None;
+        }
+        self.countdown = self.horizon - 1;
+        Some(self.sampler.window_len())
+    }
+
+    /// Decides a gated anchor on its last `m` admitted rows: if that
+    /// window drifted less than the gate threshold from the memo's
+    /// (per-dimension window means, same `m`, at most `max_carry` in a
+    /// row) the anchor is carried off the memo; otherwise `score` runs on
+    /// the window, returning the payload to memoize and the raw hit bit,
+    /// and the memo is replaced. Either way the hit bit then feeds the
+    /// adaptive window. Returns the memo the anchor resolved to.
+    pub(crate) fn carry_or_score(
+        &mut self,
+        m: usize,
+        score: impl FnOnce(&Matrix) -> (P, bool),
+    ) -> &CarryMemo<P> {
+        let candidate = self.buffer.covariates_last(m);
+        let carried = match (self.sampler.policy().gate(), &self.memo) {
+            (Some(gate), Some(c)) => {
+                c.m == m && gate.carries(window_drift(&candidate, &c.covariates), c.run)
+            }
+            _ => false,
+        };
+        if carried {
+            self.memo.as_mut().expect("carried implies memo").run += 1;
+        } else {
+            let (payload, hit) = score(&candidate);
+            self.memo = Some(CarryMemo {
+                payload,
+                hit,
+                m,
+                covariates: candidate,
+                run: 0,
+            });
+        }
+        let memo = self.memo.as_ref().expect("anchor scored or carried");
+        self.sampler.observe_hit(memo.hit);
+        memo
+    }
 }
 
 /// Simulates a sampling policy over a full feature matrix and returns
@@ -483,15 +595,15 @@ struct SimMemo {
 /// scoring a duplicated window reproduces exactly the scores deployment
 /// reuses.
 ///
-/// The simulation drives a [`Sampler`] plus a [`WindowBuffer`] through
-/// rows `0..=max_anchor` with exactly the online cadence (first anchor
-/// when the buffer fills, then every `horizon` frames), including the
-/// anchor-level carry, so gated calibration windows are bit-identical
-/// to what an [`OnlinePredictor`](crate::streaming::OnlinePredictor)
-/// under the same policy scores. `model`/`lane` are only consulted by
-/// the adaptive policy (the hit EMA needs raw scores); `Fixed` returns
-/// the records unchanged. A record whose anchor does not fall on the
-/// decision cadence gets the fresh last-`m`-rows window at its row.
+/// The simulation drives the stepper an
+/// [`OnlinePredictor`](crate::streaming::OnlinePredictor) holds through
+/// rows `0..=max_anchor` — the same cadence and the same anchor-level
+/// carry by construction — so gated calibration windows are
+/// bit-identical to what a predictor under the same policy scores.
+/// `model`/`lane` are only consulted by the adaptive policy (the hit EMA
+/// needs raw scores); `Fixed` returns the records unchanged. A record
+/// whose anchor does not fall on the decision cadence gets the fresh
+/// last-`m`-rows window at its row.
 ///
 /// # Panics
 /// Panics if any record anchor lies outside the feature matrix or
@@ -507,7 +619,7 @@ pub fn sampled_records(
         return records.to_vec();
     }
     let cfg = model.config();
-    let (window, horizon, d) = (cfg.window, cfg.horizon as u64, cfg.input_dim);
+    let window = cfg.window;
     let max_anchor = records.iter().map(|r| r.anchor).max().unwrap();
     assert!(
         (max_anchor as usize) < features.rows(),
@@ -524,7 +636,6 @@ pub fn sampled_records(
         wanted.entry(r.anchor).or_default().push(i);
     }
 
-    let gate = policy.gate().cloned().expect("non-Fixed policy has a gate");
     // Only the adaptive policy scores here (the hit EMA needs raw
     // scores), on the plan deployment compiles for the same lane.
     let mut scorer = matches!(policy, SamplingPolicy::Adaptive { .. }).then(|| {
@@ -533,59 +644,25 @@ pub fn sampled_records(
         (plan, scratch)
     });
 
-    let mut sampler = Sampler::new(policy.clone(), window);
-    let mut buffer = WindowBuffer::new(window, d);
-    let mut countdown = 0u64;
-    let mut memo: Option<SimMemo> = None;
+    let mut stepper =
+        AnchorStepper::<()>::new(policy.clone(), window, cfg.input_dim, cfg.horizon as u64);
     let mut out: Vec<Option<Record>> = vec![None; records.len()];
 
     for row in 0..=max_anchor {
-        let feats = features.row(row as usize);
-        let warmed = buffer.is_full();
-        if sampler.admit(feats, warmed) {
-            buffer.push(feats);
-        }
-        // The online anchor cadence (identical under every policy: the
-        // warmup frames are always admitted, so the buffer fills at
-        // stream position `window` exactly as without gating). `m` is
-        // read *before* the anchor's EMA update, mirroring
-        // `OnlinePredictor::push_frame`.
-        let mut at_anchor = false;
-        if buffer.is_full() {
-            if countdown > 0 {
-                countdown -= 1;
-            } else {
-                countdown = horizon - 1;
-                at_anchor = true;
-                let m = sampler.window_len();
-                let candidate = buffer.covariates_last(m);
-                let carried = matches!(&memo, Some(c) if c.m == m
-                    && gate.carries(window_drift(&candidate, &c.covariates), c.run));
-                if carried {
-                    memo.as_mut().expect("carried implies memo").run += 1;
-                } else {
-                    let covariates = candidate;
-                    let hit = scorer.as_mut().is_some_and(|(plan, scratch)| {
-                        plan.forward(window_rows(&covariates), scratch)
-                            .chunks_exact(plan.head_len())
-                            .any(|head| f64::from(head[0]) >= HIT_TAU1)
-                    });
-                    memo = Some(SimMemo {
-                        m,
-                        covariates,
-                        run: 0,
-                        hit,
-                    });
-                }
-                let hit = memo.as_ref().expect("anchor scored or carried").hit;
-                sampler.observe_hit(hit);
-            }
-        }
+        let memo = stepper.step(features.row(row as usize)).map(|m| {
+            stepper.carry_or_score(m, |covariates| {
+                let hit = scorer.as_mut().is_some_and(|(plan, scratch)| {
+                    plan.forward(window_rows(covariates), scratch)
+                        .chunks_exact(plan.head_len())
+                        .any(|head| f64::from(head[0]) >= HIT_TAU1)
+                });
+                ((), hit)
+            })
+        });
         if let Some(idxs) = wanted.get(&row) {
-            let covariates = if at_anchor {
-                memo.as_ref().expect("anchor visited").covariates.clone()
-            } else {
-                buffer.covariates_last(sampler.window_len())
+            let covariates = match memo {
+                Some(memo) => memo.covariates.clone(),
+                None => stepper.buffer.covariates_last(stepper.sampler.window_len()),
             };
             for &i in idxs {
                 out[i] = Some(Record {

@@ -14,6 +14,10 @@
 //! (the anchor cadence still advances) but not encoded, and anchors
 //! whose window content did not change reuse the previous anchor's
 //! predictions (duplicate-carry), skipping the model forward entirely.
+//!
+//! The cadence and the carry-or-score rule are not written here: the
+//! predictor holds the one anchor stepper of [`crate::sampling`], the
+//! same type gated calibration drives, and supplies only the scorer.
 
 use std::sync::Arc;
 
@@ -28,7 +32,7 @@ use crate::infer::{score_window_into, IntervalPrediction, ScoredRecord};
 use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
 use crate::pipeline::{ConformalState, Strategy};
 use crate::resilient::{BreakerState, DegradationTag, ResilientCiClient};
-use crate::sampling::{window_drift, Sampler, SamplingPolicy, HIT_TAU1};
+use crate::sampling::{AnchorStepper, SamplingPolicy, HIT_TAU1};
 
 /// A relay decision emitted at a prediction anchor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,25 +123,12 @@ pub struct OnlinePredictor {
     scored: ScoredRecord,
     state: ConformalState,
     strategy: Strategy,
-    buffer: WindowBuffer,
-    horizon: u64,
-    /// Frames remaining until the next prediction anchor.
-    countdown: u64,
-    /// Content-adaptive sampling state (gate, skip runs, adaptive `m`).
-    /// [`SamplingPolicy::Fixed`] admits everything and is bit-identical
-    /// to the pre-sampling predictor.
-    sampler: Sampler,
-    /// Stream position: total frames pushed, *including* gated frames.
-    /// Decouples the anchor cadence from the buffer's push count so
-    /// gated lanes anchor at exactly the frames a `Fixed` lane would.
-    stream_pos: u64,
-    /// The last scored anchor's predictions, raw hit bit, and covariate
-    /// window — the duplicate-carry memo. An anchor whose candidate
-    /// window drifted less than the gate threshold from the memo's
-    /// window (per-dimension window means, same `m`) reuses the
-    /// memoized predictions without a forward, up to `max_carry`
-    /// consecutive anchors.
-    carry: Option<CarriedAnchor>,
+    /// The stream's stepping state — sampler, window ring, anchor
+    /// countdown, stream position — and, under a gating policy, the
+    /// duplicate-carry memo of the last scored anchor with its
+    /// predictions. [`SamplingPolicy::Fixed`] admits everything, keeps
+    /// no memo, and is bit-identical to the pre-sampling predictor.
+    stepper: AnchorStepper<Vec<IntervalPrediction>>,
     /// `stream.frames_skipped` already flushed to telemetry. Skips are
     /// counted in the sampler and flushed in batches at decision time so
     /// gated streams pay no per-frame telemetry the `Fixed` policy
@@ -150,21 +141,6 @@ pub struct OnlinePredictor {
     /// serving layer sets it per traced batch). Not part of the exported
     /// predictor state: tracing never influences decisions or replay.
     trace: Option<u64>,
-}
-
-/// The duplicate-carry memo of the last scored anchor.
-struct CarriedAnchor {
-    predictions: Vec<IntervalPrediction>,
-    /// `max_k b_k >= HIT_TAU1` of the scored window (feeds the adaptive
-    /// window EMA at carried anchors without rescoring).
-    hit: bool,
-    /// Window length the memo was scored at.
-    m: usize,
-    /// The covariate window the memo was scored on — the reference
-    /// candidate windows are drift-tested against.
-    covariates: Matrix,
-    /// Consecutive anchors carried off this memo so far.
-    run: u32,
 }
 
 impl OnlinePredictor {
@@ -208,12 +184,7 @@ impl OnlinePredictor {
         let plan = InferencePlan::compile(&model, lane);
         let cfg = plan.config();
         OnlinePredictor {
-            buffer: WindowBuffer::new(cfg.window, cfg.input_dim),
-            horizon: cfg.horizon as u64,
-            countdown: 0,
-            sampler: Sampler::new(policy, cfg.window),
-            stream_pos: 0,
-            carry: None,
+            stepper: AnchorStepper::new(policy, cfg.window, cfg.input_dim, cfg.horizon as u64),
             skipped_flushed: 0,
             scratch: plan.scratch(),
             scored: ScoredRecord {
@@ -236,7 +207,7 @@ impl OnlinePredictor {
 
     /// The sampling policy this predictor runs.
     pub fn policy(&self) -> &SamplingPolicy {
-        self.sampler.policy()
+        self.stepper.sampler.policy()
     }
 
     /// Replaces the sampling policy, resetting the gate state, the
@@ -246,20 +217,19 @@ impl OnlinePredictor {
     /// policy to factory-built predictors here); switching mid-stream is
     /// deterministic but re-warms the gate from the next frame.
     pub fn set_policy(&mut self, policy: SamplingPolicy) {
-        self.sampler = Sampler::new(policy, self.plan.config().window);
-        self.carry = None;
+        self.stepper.set_policy(policy);
         self.skipped_flushed = 0;
     }
 
     /// Frames gated (acknowledged but not encoded) so far.
     pub fn frames_skipped(&self) -> u64 {
-        self.sampler.frames_skipped()
+        self.stepper.sampler.frames_skipped()
     }
 
     /// The window length `m` the encoder consumes at the next anchor
     /// (the configured `M` under non-adaptive policies).
     pub fn window_len(&self) -> usize {
-        self.sampler.window_len()
+        self.stepper.sampler.window_len()
     }
 
     /// Changes the operating strategy on the fly.
@@ -283,9 +253,9 @@ impl OnlinePredictor {
     /// adaptive window EMA — a restore re-warms those.
     pub fn export_state(&self) -> PredictorState {
         PredictorState {
-            rows: self.buffer.snapshot_rows(),
-            frames_seen: self.stream_pos,
-            countdown: self.countdown,
+            rows: self.stepper.buffer.snapshot_rows(),
+            frames_seen: self.stepper.stream_pos,
+            countdown: self.stepper.countdown,
         }
     }
 
@@ -317,22 +287,20 @@ impl OnlinePredictor {
                 st.rows.len()
             )));
         }
-        if st.countdown >= self.horizon {
+        if st.countdown >= self.stepper.horizon {
             return Err(CoreError::InvalidConfig(format!(
                 "restored countdown {} is not below the horizon {}",
-                st.countdown, self.horizon
+                st.countdown, self.stepper.horizon
             )));
         }
-        self.buffer = WindowBuffer::restore(cfg.window, cfg.input_dim, &st.rows, st.frames_seen);
-        self.countdown = st.countdown;
-        self.stream_pos = st.frames_seen;
+        self.stepper.buffer =
+            WindowBuffer::restore(cfg.window, cfg.input_dim, &st.rows, st.frames_seen);
+        self.stepper.countdown = st.countdown;
+        self.stepper.stream_pos = st.frames_seen;
         // Sampling state is not part of the snapshot (see
         // `export_state`): reset the gate and carry. A no-op under the
         // `Fixed` policy durable serving requires.
-        let policy = self.sampler.policy().clone();
-        self.sampler = Sampler::new(policy, cfg.window);
-        self.carry = None;
-        self.skipped_flushed = 0;
+        self.set_policy(self.policy().clone());
         Ok(())
     }
 
@@ -411,10 +379,10 @@ impl OnlinePredictor {
     /// anchor cadence) advances, the window buffer does not. An anchor
     /// whose candidate window drifted less than the gate threshold from
     /// the last scored anchor's window (per-dimension window means, see
-    /// [`window_drift`]) reuses that anchor's predictions without a model
-    /// forward. Carried predictions
+    /// [`window_drift`](crate::sampling::window_drift)) reuses that
+    /// anchor's predictions without a model forward. Carried predictions
     /// are an approximation the conformal guarantee still covers,
-    /// because calibration replays the identical carry rule on the
+    /// because calibration drives the same stepper over the
     /// calibration split (see
     /// [`sampled_records`](crate::sampling::sampled_records)) — and the
     /// whole trajectory remains a pure function of the frame sequence
@@ -430,77 +398,50 @@ impl OnlinePredictor {
         if let Some(t) = &self.telemetry {
             t.add("stream.frames", 1);
         }
-        self.stream_pos += 1;
-        let warmed = self.buffer.is_full();
-        if self.sampler.admit(features, warmed) {
-            self.buffer.push(features);
-        }
-        if !self.buffer.is_full() {
-            return None;
-        }
-        if self.countdown > 0 {
-            self.countdown -= 1;
-            return None;
-        }
-        self.countdown = self.horizon - 1;
+        let m = self.stepper.step(features)?;
 
         let started = self.telemetry.as_deref().map(Telemetry::now);
-        let anchor = self.stream_pos - 1;
-        let m = self.sampler.window_len();
+        let anchor = self.stepper.stream_pos - 1;
         self.scored.anchor = anchor;
         let mut scored_at = None;
-        let (predictions, hit) = match self.sampler.policy().gate() {
+        let predictions = if self.stepper.sampler.policy().is_fixed() {
             // Fixed: every anchor is scored, straight off the ring — no
             // candidate window to build and no memo to keep.
-            None => {
+            score_window_into(
+                &self.plan,
+                self.stepper.buffer.last_rows(m),
+                &mut self.scratch,
+                &mut self.scored.scores,
+            );
+            scored_at = self.telemetry.as_deref().map(Telemetry::now);
+            self.state.predict(&self.scored, &self.strategy)
+        } else {
+            let memo = self.stepper.carry_or_score(m, |candidate| {
                 score_window_into(
                     &self.plan,
-                    self.buffer.last_rows(m),
+                    window_rows(candidate),
                     &mut self.scratch,
                     &mut self.scored.scores,
                 );
                 scored_at = self.telemetry.as_deref().map(Telemetry::now);
-                let hit = self.scored.scores.iter().any(|s| s.b >= HIT_TAU1);
-                (self.state.predict(&self.scored, &self.strategy), hit)
-            }
-            Some(gate) => {
-                let candidate = self.buffer.covariates_last(m);
-                let carried = matches!(&self.carry, Some(c) if c.m == m
-                    && gate.carries(window_drift(&candidate, &c.covariates), c.run));
-                if carried {
-                    self.carry.as_mut().expect("carried implies memo").run += 1;
-                } else {
-                    score_window_into(
-                        &self.plan,
-                        window_rows(&candidate),
-                        &mut self.scratch,
-                        &mut self.scored.scores,
-                    );
-                    scored_at = self.telemetry.as_deref().map(Telemetry::now);
-                    self.carry = Some(CarriedAnchor {
-                        predictions: self.state.predict(&self.scored, &self.strategy),
-                        hit: self.scored.scores.iter().any(|s| s.b >= HIT_TAU1),
-                        m,
-                        covariates: candidate,
-                        run: 0,
-                    });
-                }
-                let memo = self.carry.as_ref().expect("anchor scored or carried");
-                (memo.predictions.clone(), memo.hit)
-            }
+                (
+                    self.state.predict(&self.scored, &self.strategy),
+                    self.scored.scores.iter().any(|s| s.b >= HIT_TAU1),
+                )
+            });
+            memo.payload.clone()
         };
         let decision = HorizonDecision {
             anchor,
             predictions,
             degradation: DegradationTag::None,
         };
-        self.sampler.observe_hit(hit);
         if let (Some(t), Some(t0)) = (&self.telemetry, started) {
             t.add("stream.decisions", 1);
             // Skips accumulate in the sampler and flush here in one
             // batch per decision, keeping gated streams' per-frame cost
             // identical to Fixed's.
-            let skipped = self.sampler.frames_skipped();
+            let skipped = self.stepper.sampler.frames_skipped();
             if skipped > self.skipped_flushed {
                 t.add("stream.frames_skipped", skipped - self.skipped_flushed);
                 self.skipped_flushed = skipped;
@@ -530,7 +471,7 @@ impl OnlinePredictor {
             t.add("stream.frames_relayed", relayed);
             t.add(
                 "stream.frames_filtered",
-                self.horizon.saturating_sub(relayed),
+                self.stepper.horizon.saturating_sub(relayed),
             );
         }
         Some(decision)

@@ -160,15 +160,13 @@ fn index_pool(records: &[Record], balance: bool) -> Vec<usize> {
 }
 
 /// Trains the model in place and returns per-epoch losses.
-pub fn train(model: &mut EventHit, records: &[Record], cfg: &TrainConfig) -> TrainReport {
-    train_instrumented(model, records, cfg, &Telemetry::disabled())
-}
-
-/// [`train`] with telemetry: a `train` span nesting one `train.epoch`
-/// span per epoch, per-step timing in `train.step_seconds`, the example
-/// throughput in `train.examples` / `train.examples_per_sec`, and the
-/// running loss in the `train.epoch_loss` gauge.
-pub fn train_instrumented(
+///
+/// `tel` (pass [`Telemetry::disabled`] for none) receives a `train` span
+/// nesting one `train.epoch` span per epoch, per-step timing in
+/// `train.step_seconds`, the example throughput in `train.examples` /
+/// `train.examples_per_sec`, and the running loss in the
+/// `train.epoch_loss` gauge.
+pub fn train(
     model: &mut EventHit,
     records: &[Record],
     cfg: &TrainConfig,
@@ -415,6 +413,7 @@ mod tests {
                 weight_decay: 1e-3,
                 ..Default::default()
             },
+            &Telemetry::disabled(),
         );
         assert!(
             report.final_loss < report.epoch_losses[0] * 0.6,
@@ -460,7 +459,7 @@ mod tests {
             ..Default::default()
         };
         let tel = Telemetry::new();
-        let report = train_instrumented(&mut model, &records, &tcfg, &tel);
+        let report = train(&mut model, &records, &tcfg, &tel);
         assert_eq!(report.epoch_losses.len(), 3);
 
         let snap = tel.snapshot();
@@ -477,7 +476,7 @@ mod tests {
         assert!(snap.counter("train.examples").unwrap() >= 40 * 3);
         assert!(snap.gauge("train.epoch_loss").is_some());
 
-        // The uninstrumented path trains identically (telemetry never
+        // A disabled recorder trains identically (telemetry never
         // touches the RNG or the optimizer).
         let mut model2 = EventHit::new(
             EventHitConfig {
@@ -491,7 +490,7 @@ mod tests {
             },
             3,
         );
-        let report2 = train(&mut model2, &records, &tcfg);
+        let report2 = train(&mut model2, &records, &tcfg, &Telemetry::disabled());
         assert_eq!(report.epoch_losses, report2.epoch_losses);
     }
 
@@ -567,6 +566,7 @@ mod tests {
                 lr: 0.01,
                 ..Default::default()
             },
+            &Telemetry::disabled(),
         );
         assert!(
             report.final_loss < report.epoch_losses[0] * 0.5,

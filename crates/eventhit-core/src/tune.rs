@@ -10,7 +10,7 @@
 use eventhit_parallel::Pool;
 use eventhit_rng::rngs::StdRng;
 use eventhit_rng::{mix64, Rng, SeedableRng};
-
+use eventhit_telemetry::Telemetry;
 use eventhit_video::records::Record;
 
 use crate::infer::{eho_predict, score_records};
@@ -146,7 +146,7 @@ pub fn evaluate_candidate(
         seed: seed.wrapping_add(1),
         ..Default::default()
     };
-    train(&mut model, train_records, &tc);
+    train(&mut model, train_records, &tc, &Telemetry::disabled());
 
     let scored = score_records(&model, val_records, 128);
     let preds: Vec<_> = scored
@@ -175,32 +175,12 @@ pub fn substream_seed(seed: u64, index: usize) -> u64 {
     mix64(seed ^ mix64(index as u64 + 1))
 }
 
-/// Runs a search over explicit candidates on the ambient
-/// [`Pool::current`]; returns results sorted best first.
+/// Runs a search over explicit candidates on `pool`: one task per
+/// candidate, each training its model on its own [`substream_seed`].
+/// Results come back sorted best first; the ranking sorts by score with
+/// a stable tiebreak on grid order, so it is deterministic for any
+/// worker count.
 pub fn search(
-    candidates: &[Candidate],
-    model_cfg: &EventHitConfig,
-    train_records: &[Record],
-    val_records: &[Record],
-    seed: u64,
-    objective: Objective,
-) -> Vec<TrialResult> {
-    search_with(
-        candidates,
-        model_cfg,
-        train_records,
-        val_records,
-        seed,
-        objective,
-        &Pool::current(),
-    )
-}
-
-/// [`search`] on an explicit [`Pool`]: one task per candidate, each
-/// training its model on its own [`substream_seed`]. The final ranking
-/// sorts by score with a stable tiebreak on grid order, so it is
-/// deterministic for any worker count.
-pub fn search_with(
     candidates: &[Candidate],
     model_cfg: &EventHitConfig,
     train_records: &[Record],
@@ -353,6 +333,7 @@ mod tests {
             &val,
             9,
             Objective::RecMinusSpl { lambda: 1.0 },
+            &Pool::current(),
         );
         assert_eq!(results.len(), 2);
         assert!(results[0].score >= results[1].score);

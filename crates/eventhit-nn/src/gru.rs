@@ -51,21 +51,6 @@ pub struct Gru {
     cache: Vec<StepCache>,
 }
 
-fn col_block(m: &Matrix, start: usize, len: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), len);
-    for r in 0..m.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&m.row(r)[start..start + len]);
-    }
-    out
-}
-
-fn set_col_block(m: &mut Matrix, start: usize, block: &Matrix) {
-    for r in 0..m.rows() {
-        m.row_mut(r)[start..start + block.cols()].copy_from_slice(block.row(r));
-    }
-}
-
 impl Gru {
     /// Creates a GRU with `input_dim` features per step and `hidden_dim`
     /// hidden units.
@@ -150,16 +135,16 @@ impl Gru {
         let px = x.affine_t(&self.wx, self.bx.as_slice());
         let ph = h.affine_t(&self.wh, self.bh.as_slice());
 
-        let mut r_pre = col_block(&px, 0, hd);
-        r_pre.add_assign(&col_block(&ph, 0, hd));
+        let mut r_pre = px.col_block(0, hd);
+        r_pre.add_assign(&ph.col_block(0, hd));
         let r = r_pre.map(sigmoid);
 
-        let mut z_pre = col_block(&px, hd, hd);
-        z_pre.add_assign(&col_block(&ph, hd, hd));
+        let mut z_pre = px.col_block(hd, hd);
+        z_pre.add_assign(&ph.col_block(hd, hd));
         let z = z_pre.map(sigmoid);
 
-        let hn_pre = col_block(&ph, 2 * hd, hd);
-        let mut n_pre = col_block(&px, 2 * hd, hd);
+        let hn_pre = ph.col_block(2 * hd, hd);
+        let mut n_pre = px.col_block(2 * hd, hd);
         n_pre.add_assign(&r.hadamard(&hn_pre));
         let n = n_pre.map(tanh);
 
@@ -199,13 +184,13 @@ impl Gru {
             // Assemble fused gradients: px gets [r|z|n] pre-gradients; ph
             // gets [r|z] pre-gradients plus dhn_pre on the n block.
             let mut dpx = Matrix::zeros(batch, 3 * hd);
-            set_col_block(&mut dpx, 0, &dr_pre);
-            set_col_block(&mut dpx, hd, &dz_pre);
-            set_col_block(&mut dpx, 2 * hd, &dn_pre);
+            dpx.set_col_block(0, &dr_pre);
+            dpx.set_col_block(hd, &dz_pre);
+            dpx.set_col_block(2 * hd, &dn_pre);
             let mut dph = Matrix::zeros(batch, 3 * hd);
-            set_col_block(&mut dph, 0, &dr_pre);
-            set_col_block(&mut dph, hd, &dz_pre);
-            set_col_block(&mut dph, 2 * hd, &dhn_pre);
+            dph.set_col_block(0, &dr_pre);
+            dph.set_col_block(hd, &dz_pre);
+            dph.set_col_block(2 * hd, &dhn_pre);
 
             self.dwx.add_assign(&dpx.t_matmul(&step.x));
             self.dwh.add_assign(&dph.t_matmul(&step.h_prev));

@@ -43,24 +43,6 @@ pub struct Lstm {
     cache: Vec<StepCache>,
 }
 
-/// Copies a horizontal gate block `[.., start..start+len]` out of `m`.
-fn col_block(m: &Matrix, start: usize, len: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), len);
-    for r in 0..m.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&m.row(r)[start..start + len]);
-    }
-    out
-}
-
-/// Writes `block` into the horizontal range `[start..start+len]` of `m`.
-fn set_col_block(m: &mut Matrix, start: usize, block: &Matrix) {
-    assert_eq!(m.rows(), block.rows());
-    for r in 0..m.rows() {
-        m.row_mut(r)[start..start + block.cols()].copy_from_slice(block.row(r));
-    }
-}
-
 impl Lstm {
     /// Creates an LSTM with `input_dim` features per step and `hidden_dim`
     /// hidden units.
@@ -169,10 +151,10 @@ impl Lstm {
         // bit-identical to matmul_t + add_assign + add_row_broadcast.
         let pre = x.fused_gate_affine(&self.wx, h, &self.wh, self.b.as_slice());
 
-        let i = col_block(&pre, 0, hd).map(sigmoid);
-        let f = col_block(&pre, hd, hd).map(sigmoid);
-        let g = col_block(&pre, 2 * hd, hd).map(tanh);
-        let o = col_block(&pre, 3 * hd, hd).map(sigmoid);
+        let i = pre.col_block(0, hd).map(sigmoid);
+        let f = pre.col_block(hd, hd).map(sigmoid);
+        let g = pre.col_block(2 * hd, hd).map(tanh);
+        let o = pre.col_block(3 * hd, hd).map(sigmoid);
 
         let mut c_new = f.hadamard(c);
         c_new.add_assign(&i.hadamard(&g));
@@ -234,10 +216,10 @@ impl Lstm {
             let dpre_o = do_gate.hadamard(&step.o.map(|s| s * (1.0 - s)));
 
             let mut dpre = Matrix::zeros(batch, 4 * hd);
-            set_col_block(&mut dpre, 0, &dpre_i);
-            set_col_block(&mut dpre, hd, &dpre_f);
-            set_col_block(&mut dpre, 2 * hd, &dpre_g);
-            set_col_block(&mut dpre, 3 * hd, &dpre_o);
+            dpre.set_col_block(0, &dpre_i);
+            dpre.set_col_block(hd, &dpre_f);
+            dpre.set_col_block(2 * hd, &dpre_g);
+            dpre.set_col_block(3 * hd, &dpre_o);
 
             // Accumulate weight gradients.
             self.dwx.add_assign(&dpre.t_matmul(&step.x));

@@ -13,23 +13,17 @@
 //! keeps each output element's accumulation a *single* chain over `k` in
 //! ascending order, so the blocked kernels are bit-identical to the naive
 //! reference implementations ([`Matrix::matmul_naive`] and friends) that
-//! are retained as test oracles, and bit-identical across worker counts.
+//! are retained as test oracles. Every product runs on the calling
+//! thread: the worker pool parallelises records, lanes, grid cells and
+//! sessions, never the inside of a product (DESIGN §9 has the
+//! measurement that retired the row-blocked path).
 //! Serving does not run these: it compiles the model onto
 //! [`crate::packed`] panels once and steps rows through them.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use eventhit_parallel::Pool;
 use eventhit_rng::Rng;
-
-/// Multiply–add count below which the product kernels stay sequential.
-///
-/// Row-blocking a product costs a scoped-thread spawn per region (tens of
-/// microseconds); a 2^20-flop product (~128×64·64×128) is where that
-/// overhead drops comfortably below the arithmetic. Below the threshold
-/// the kernels never even resolve a [`Pool`].
-pub const PAR_THRESHOLD: usize = 1 << 20;
 
 /// `k`-panel length for the cache-blocked kernels: an eight-row panel of
 /// the operand plus the walked row stays within L1 (9 × 256 × 4 B ≈ 9 KiB).
@@ -344,32 +338,11 @@ impl Matrix {
         self.row_mut(r).copy_from_slice(src);
     }
 
-    /// The pool the product kernels use for a product of `flops`
-    /// multiply–adds: sequential below [`PAR_THRESHOLD`], the ambient
-    /// [`Pool::current`] above it.
-    fn product_pool(flops: usize) -> Pool {
-        if flops < PAR_THRESHOLD {
-            Pool::sequential()
-        } else {
-            Pool::current()
-        }
-    }
-
-    /// The row-block length (in output rows) for splitting an
-    /// `out_rows`-row product across `pool`: ~4 blocks per worker so
-    /// stealing can rebalance, and the whole matrix in one block when the
-    /// pool is sequential.
-    fn row_block(out_rows: usize, pool: &Pool) -> usize {
-        out_rows.div_ceil(pool.workers() * 4).max(1)
-    }
-
     /// Matrix product `self * rhs`.
     ///
     /// Uses `ikj` loop ordering, `k`-panelled so the touched `rhs` rows
     /// stay cache-resident and 8-wide unrolled along the output row.
-    /// Products of at least [`PAR_THRESHOLD`] multiply–adds are
-    /// row-blocked across [`Pool::current`]; the result is bit-identical
-    /// either way and bit-identical to [`Matrix::matmul_naive`] (each
+    /// The result is bit-identical to [`Matrix::matmul_naive`] (each
     /// output element's accumulation order never changes).
     ///
     /// ```
@@ -383,48 +356,35 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with(rhs, &Matrix::product_pool(self.rows * self.cols * rhs.cols))
-    }
-
-    /// [`Matrix::matmul`] on an explicit [`Pool`] (no size threshold).
-    pub fn matmul_with(&self, rhs: &Matrix, pool: &Pool) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let out_cols = rhs.cols;
-        let mut out = Matrix::zeros(self.rows, out_cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let block = Matrix::row_block(self.rows, pool);
-        pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
-            let row0 = offset / out_cols;
-            // k-panelled ikj: for each panel, sweep every output row in
-            // the chunk so the touched rhs panel stays hot. Panels are
-            // consumed in ascending k into the same output elements, so
-            // per-element accumulation order matches the naive kernel.
-            let mut kb = 0;
-            while kb < self.cols {
-                let kend = (kb + K_BLOCK).min(self.cols);
-                for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                    let a_row = self.row(row0 + local);
-                    for (k, &a) in a_row[kb..kend].iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        axpy8(a, rhs.row(kb + k), out_row);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        // k-panelled ikj: for each panel, sweep every output row so the
+        // touched rhs panel stays hot. Panels are consumed in ascending k
+        // into the same output elements, so per-element accumulation
+        // order matches the naive kernel.
+        let mut kb = 0;
+        while kb < self.cols {
+            let kend = (kb + K_BLOCK).min(self.cols);
+            for i in 0..self.rows {
+                let out_row = out.row_mut(i);
+                for (k, &a) in self.row(i)[kb..kend].iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
                     }
+                    axpy8(a, rhs.row(kb + k), out_row);
                 }
-                kb = kend;
             }
-        });
+            kb = kend;
+        }
         out
     }
 
-    /// Sequential naive `self * rhs` (`ikj`, no blocking, no unrolling,
-    /// no pool). Retained as the bit-exact reference implementation for
+    /// Naive `self * rhs` (`ikj`, no blocking, no unrolling).
+    /// Retained as the bit-exact reference implementation for
     /// the kernel-equivalence test suite.
     ///
     /// ```
@@ -461,10 +421,9 @@ impl Matrix {
 
     /// Matrix product `self^T * rhs` without materializing the transpose.
     ///
-    /// `k`-panelled and 8-wide unrolled like [`Matrix::matmul`]; large
-    /// products parallelize the same way. Each output element accumulates
-    /// over `k` in ascending order in every variant, so the bits never
-    /// depend on the pool and match [`Matrix::t_matmul_naive`].
+    /// `k`-panelled and 8-wide unrolled like [`Matrix::matmul`]. Each
+    /// output element accumulates over `k` in ascending order, so the
+    /// bits match [`Matrix::t_matmul_naive`].
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -477,48 +436,35 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.rows != rhs.rows`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        self.t_matmul_with(rhs, &Matrix::product_pool(self.rows * self.cols * rhs.cols))
-    }
-
-    /// [`Matrix::t_matmul`] on an explicit [`Pool`] (no size threshold).
-    pub fn t_matmul_with(&self, rhs: &Matrix, pool: &Pool) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let out_cols = rhs.cols;
-        let mut out = Matrix::zeros(self.cols, out_cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let block = Matrix::row_block(self.cols, pool);
-        pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
-            let row0 = offset / out_cols;
-            // k-panelled: sweep every output row in the chunk per panel so
-            // the rhs panel stays hot; a is a strided column walk of self.
-            let mut kb = 0;
-            while kb < self.rows {
-                let kend = (kb + K_BLOCK).min(self.rows);
-                for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                    let i = row0 + local;
-                    for k in kb..kend {
-                        let a = self.data[k * self.cols + i];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        axpy8(a, rhs.row(k), out_row);
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        // k-panelled: sweep every output row per panel so the rhs panel
+        // stays hot; a is a strided column walk of self.
+        let mut kb = 0;
+        while kb < self.rows {
+            let kend = (kb + K_BLOCK).min(self.rows);
+            for i in 0..self.cols {
+                let out_row = out.row_mut(i);
+                for k in kb..kend {
+                    let a = self.data[k * self.cols + i];
+                    if a == 0.0 {
+                        continue;
                     }
+                    axpy8(a, rhs.row(k), out_row);
                 }
-                kb = kend;
             }
-        });
+            kb = kend;
+        }
         out
     }
 
-    /// Sequential naive `self^T * rhs` (no blocking, no unrolling, no
-    /// pool). Retained as the bit-exact reference implementation for the
-    /// kernel-equivalence test suite.
+    /// Naive `self^T * rhs` (no blocking, no unrolling). Retained as the
+    /// bit-exact reference implementation for the kernel-equivalence test
+    /// suite.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -557,9 +503,7 @@ impl Matrix {
     /// Every output element is an independent dot product; the blocked
     /// kernel runs eight of them at once (eight independent accumulator
     /// chains — the ILP the scalar dot can't offer), `k`-panelled for
-    /// cache residency. Large products parallelize like
-    /// [`Matrix::matmul`]; bits never depend on the pool and match
-    /// [`Matrix::matmul_t_naive`].
+    /// cache residency. The bits match [`Matrix::matmul_t_naive`].
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -572,34 +516,21 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_t_with(rhs, &Matrix::product_pool(self.rows * self.cols * rhs.rows))
-    }
-
-    /// [`Matrix::matmul_t`] on an explicit [`Pool`] (no size threshold).
-    pub fn matmul_t_with(&self, rhs: &Matrix, pool: &Pool) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let out_cols = rhs.rows;
-        let mut out = Matrix::zeros(self.rows, out_cols);
-        if out.data.is_empty() {
-            return out;
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        for i in 0..self.rows {
+            dot_rows8(self.row(i), rhs, out.row_mut(i));
         }
-        let block = Matrix::row_block(self.rows, pool);
-        pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
-            let row0 = offset / out_cols;
-            for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                dot_rows8(self.row(row0 + local), rhs, out_row);
-            }
-        });
         out
     }
 
-    /// Sequential naive `self * rhs^T` (one scalar dot product per output
-    /// element, no pool). Retained as the bit-exact reference
-    /// implementation for the kernel-equivalence test suite.
+    /// Naive `self * rhs^T` (one scalar dot product per output element).
+    /// Retained as the bit-exact reference implementation for the
+    /// kernel-equivalence test suite.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -630,7 +561,7 @@ impl Matrix {
     /// element the dot product completes (single chain, ascending `k`)
     /// before the bias is added, exactly like `matmul_t` followed by
     /// `add_row_broadcast`, so the fused kernel is bit-identical to
-    /// [`Matrix::affine_t_naive`] and pool-invariant.
+    /// [`Matrix::affine_t_naive`].
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -648,22 +579,14 @@ impl Matrix {
             self.rows, self.cols, w.rows, w.cols
         );
         assert_eq!(bias.len(), w.rows, "affine_t bias length mismatch");
-        let out_cols = w.rows;
-        let mut out = Matrix::zeros(self.rows, out_cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let pool = Matrix::product_pool(self.rows * self.cols * w.rows);
-        let block = Matrix::row_block(self.rows, &pool);
-        pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
-            let row0 = offset / out_cols;
-            for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                dot_rows8(self.row(row0 + local), w, out_row);
-                for (o, &b) in out_row.iter_mut().zip(bias) {
-                    *o += b;
-                }
+        let mut out = Matrix::zeros(self.rows, w.rows);
+        for i in 0..self.rows {
+            let out_row = out.row_mut(i);
+            dot_rows8(self.row(i), w, out_row);
+            for (o, &b) in out_row.iter_mut().zip(bias) {
+                *o += b;
             }
-        });
+        }
         out
     }
 
@@ -690,7 +613,7 @@ impl Matrix {
     /// chains (ascending `k`), are added to each other, then the bias is
     /// added — exactly the `matmul_t` + `add_assign` +
     /// `add_row_broadcast` sequence it replaces, so it is bit-identical
-    /// to [`Matrix::fused_gate_affine_naive`] and pool-invariant.
+    /// to [`Matrix::fused_gate_affine_naive`].
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -712,21 +635,10 @@ impl Matrix {
         assert_eq!(self.rows, h.rows, "fused_gate_affine batch mismatch");
         assert_eq!(wx.rows, wh.rows, "fused_gate_affine gate-count mismatch");
         assert_eq!(bias.len(), wx.rows, "fused_gate_affine bias mismatch");
-        let out_cols = wx.rows;
-        let mut out = Matrix::zeros(self.rows, out_cols);
-        if out.data.is_empty() {
-            return out;
+        let mut out = Matrix::zeros(self.rows, wx.rows);
+        for r in 0..self.rows {
+            gate_row8(self.row(r), wx, h.row(r), wh, bias, out.row_mut(r));
         }
-        let flops = self.rows * (self.cols + h.cols) * out_cols;
-        let pool = Matrix::product_pool(flops);
-        let block = Matrix::row_block(self.rows, &pool);
-        pool.for_each_chunk_mut(&mut out.data, block * out_cols, |_, offset, chunk| {
-            let row0 = offset / out_cols;
-            for (local, out_row) in chunk.chunks_mut(out_cols).enumerate() {
-                let r = row0 + local;
-                gate_row8(self.row(r), wx, h.row(r), wh, bias, out_row);
-            }
-        });
         out
     }
 
@@ -872,6 +784,26 @@ impl Matrix {
             right.row_mut(r).copy_from_slice(&self.row(r)[at..]);
         }
         (left, right)
+    }
+
+    /// Copies the column block `[start..start + len]` of every row out —
+    /// one gate of a recurrent layer's concatenated pre-activation.
+    pub(crate) fn col_block(&self, start: usize, len: usize) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, len);
+        for r in 0..self.rows {
+            out.row_mut(r)
+                .copy_from_slice(&self.row(r)[start..start + len]);
+        }
+        out
+    }
+
+    /// Writes `block` into columns `[start..start + block.cols()]` of
+    /// every row.
+    pub(crate) fn set_col_block(&mut self, start: usize, block: &Matrix) {
+        assert_eq!(self.rows, block.rows());
+        for r in 0..self.rows {
+            self.row_mut(r)[start..start + block.cols].copy_from_slice(block.row(r));
+        }
     }
 
     /// Extracts the sub-matrix of the given rows (copy).
@@ -1092,56 +1024,20 @@ mod tests {
     }
 
     #[test]
-    fn product_kernels_are_pool_invariant_to_the_bit() {
-        // Big enough that a 4-worker pool actually splits the rows; odd
-        // shapes so the blocks are uneven.
-        let a = sample(67, 41, 10);
-        let b = sample(41, 53, 11);
-        let c = sample(67, 53, 12);
-        let seq = Pool::sequential();
-        let base_mm = a.matmul_with(&b, &seq);
-        let base_t = a.t_matmul_with(&c, &seq);
-        let base_mt = a.matmul_t_with(&b.transpose(), &seq);
-        for workers in [2, 3, 4, 8] {
-            let pool = Pool::new(workers);
-            assert_eq!(
-                a.matmul_with(&b, &pool),
-                base_mm,
-                "matmul workers={workers}"
-            );
-            assert_eq!(
-                a.t_matmul_with(&c, &pool),
-                base_t,
-                "t_matmul workers={workers}"
-            );
-            assert_eq!(
-                a.matmul_t_with(&b.transpose(), &pool),
-                base_mt,
-                "matmul_t workers={workers}"
-            );
-        }
-        // The auto-threshold entry points agree with the explicit ones.
-        assert_eq!(a.matmul(&b), base_mm);
-        assert_eq!(a.t_matmul(&c), base_t);
-    }
-
-    #[test]
-    fn parallel_kernels_handle_degenerate_shapes() {
-        let pool = Pool::new(4);
-        let a = Matrix::zeros(0, 5);
-        let b = Matrix::zeros(5, 0);
-        assert_eq!(a.matmul_with(&b, &pool).shape(), (0, 0));
-        let c = sample(3, 5, 13);
-        assert_eq!(c.matmul_with(&b, &pool).shape(), (3, 0));
-        let one = sample(1, 4, 14);
-        let d = sample(4, 1, 15);
-        assert_eq!(one.matmul_with(&d, &pool).shape(), (1, 1));
-    }
-
-    #[test]
     fn blocked_kernels_bit_match_naive_references() {
-        // Shapes straddling the 8-wide unroll and K_BLOCK boundaries.
-        for &(m, k, n) in &[(1, 1, 1), (3, 7, 9), (8, 256, 8), (13, 300, 17)] {
+        // Empty and one-element products, then shapes straddling the
+        // 8-wide unroll and K_BLOCK boundaries.
+        let shapes = [
+            (0, 5, 0),
+            (3, 5, 0),
+            (1, 4, 1),
+            (1, 1, 1),
+            (3, 7, 9),
+            (8, 256, 8),
+            (13, 300, 17),
+            (67, 41, 53),
+        ];
+        for &(m, k, n) in &shapes {
             let a = sample(m, k, (m * k + n) as u64);
             let b = sample(k, n, (m + k * n) as u64);
             assert_eq!(a.matmul(&b), a.matmul_naive(&b), "{m}x{k}x{n}");

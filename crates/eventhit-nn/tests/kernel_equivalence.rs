@@ -2,9 +2,9 @@
 //! product kernels and the fused gate kernels must **bit-match** the
 //! retained naive references on adversarial shapes — empty operands, 1×1,
 //! prime dimensions, non-multiples of the unroll width and K-block, and
-//! shapes straddling the `PAR_THRESHOLD` parallel cutover — at 1, 2, 4,
-//! and 8 workers. The k-major packed inference kernels are held to the
-//! same references on shapes around their 32- and 8-output tiles.
+//! the million-multiply-add shapes training's head products reach. The
+//! k-major packed inference kernels are held to the same references on
+//! shapes around their 32- and 8-output tiles.
 //!
 //! Bit-identity (not tolerance) is the contract: every output element is
 //! one accumulator chain over `k` in ascending order in both
@@ -12,9 +12,8 @@
 //! single ULP. The exact-lane golden fingerprints in the workspace tests
 //! depend on this.
 
-use eventhit_nn::matrix::{Matrix, PAR_THRESHOLD};
+use eventhit_nn::matrix::Matrix;
 use eventhit_nn::packed::{PackedAffine, PackedGate};
-use eventhit_parallel::Pool;
 use eventhit_rng::rngs::StdRng;
 use eventhit_rng::testkit::from_fn;
 use eventhit_rng::{prop_assert_eq, property, Rng, SeedableRng};
@@ -22,8 +21,6 @@ use eventhit_rng::{prop_assert_eq, property, Rng, SeedableRng};
 /// Adversarial dimension pool: empty, unit, primes, powers of two, and
 /// off-by-one neighbours of the 8-wide unroll width.
 const DIMS: &[usize] = &[0, 1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 23, 31, 33, 64];
-
-const WORKERS: &[usize] = &[1, 2, 4, 8];
 
 /// Output counts around the packed kernels' tiles: one output, one short
 /// of a tile, a tile, one over, six tiles (the LSTM's gates), and six
@@ -61,39 +58,33 @@ property! {
     fn matmul_bit_matches_naive(
         case in from_fn(|rng| {
             let (m, k, n) = (dim(rng), dim(rng), dim(rng));
-            let w = WORKERS[rng.random_range(0..WORKERS.len())];
-            (matrix_of(rng, m, k), matrix_of(rng, k, n), w)
+            (matrix_of(rng, m, k), matrix_of(rng, k, n))
         }),
     ) {
-        let (a, b, w) = case;
-        let blocked = a.matmul_with(&b, &Pool::new(w));
-        prop_assert_eq!(blocked, a.matmul_naive(&b));
+        let (a, b) = case;
+        prop_assert_eq!(a.matmul(&b), a.matmul_naive(&b));
     }
 
     #[test]
     fn t_matmul_bit_matches_naive(
         case in from_fn(|rng| {
             let (m, k, n) = (dim(rng), dim(rng), dim(rng));
-            let w = WORKERS[rng.random_range(0..WORKERS.len())];
-            (matrix_of(rng, k, m), matrix_of(rng, k, n), w)
+            (matrix_of(rng, k, m), matrix_of(rng, k, n))
         }),
     ) {
-        let (a, b, w) = case;
-        let blocked = a.t_matmul_with(&b, &Pool::new(w));
-        prop_assert_eq!(blocked, a.t_matmul_naive(&b));
+        let (a, b) = case;
+        prop_assert_eq!(a.t_matmul(&b), a.t_matmul_naive(&b));
     }
 
     #[test]
     fn matmul_t_bit_matches_naive(
         case in from_fn(|rng| {
             let (m, k, n) = (dim(rng), dim(rng), dim(rng));
-            let w = WORKERS[rng.random_range(0..WORKERS.len())];
-            (matrix_of(rng, m, k), matrix_of(rng, n, k), w)
+            (matrix_of(rng, m, k), matrix_of(rng, n, k))
         }),
     ) {
-        let (a, b, w) = case;
-        let blocked = a.matmul_t_with(&b, &Pool::new(w));
-        prop_assert_eq!(blocked, a.matmul_t_naive(&b));
+        let (a, b) = case;
+        prop_assert_eq!(a.matmul_t(&b), a.matmul_t_naive(&b));
     }
 
     #[test]
@@ -171,38 +162,18 @@ property! {
     }
 }
 
-/// Shapes whose flop counts land just below, exactly at, and just above
-/// `PAR_THRESHOLD` — the sequential/pooled cutover — must agree with the
-/// naive reference and with each other at every worker count.
+/// Products of about 2^20 multiply-adds (16 x 256 x {255, 256, 257}) —
+/// the size of training's head products — in all three orientations.
 #[test]
-fn par_threshold_boundary_is_worker_invariant() {
-    // 16 * 256 * 256 = 1 << 20 = PAR_THRESHOLD exactly.
-    assert_eq!(16 * 256 * 256, PAR_THRESHOLD);
+fn million_flop_products_bit_match_naive() {
     let mut rng = StdRng::seed_from_u64(0xb10c);
     for n in [255usize, 256, 257] {
         let a = matrix_of(&mut rng, 16, 256);
         let b = matrix_of(&mut rng, 256, n);
         let reference = a.matmul_naive(&b);
-        let att = a.transpose();
-        let bt = b.transpose();
-        for &w in WORKERS {
-            let pool = Pool::new(w);
-            assert_eq!(
-                a.matmul_with(&b, &pool),
-                reference,
-                "matmul 16x256x{n} diverged from naive at {w} workers"
-            );
-            assert_eq!(
-                att.t_matmul_with(&b, &pool),
-                reference,
-                "t_matmul 16x256x{n} diverged from naive at {w} workers"
-            );
-            assert_eq!(
-                a.matmul_t_with(&bt, &pool),
-                reference,
-                "matmul_t 16x256x{n} diverged from naive at {w} workers"
-            );
-        }
+        assert_eq!(a.matmul(&b), reference, "matmul 16x256x{n}");
+        assert_eq!(a.transpose().t_matmul(&b), reference, "t_matmul 16x256x{n}");
+        assert_eq!(a.matmul_t(&b.transpose()), reference, "matmul_t 16x256x{n}");
     }
 }
 

@@ -13,8 +13,8 @@
 //! the shape *independent tasks → ordered merge*:
 //!
 //! 1. Each task `i` is a pure function of inputs that no other task
-//!    mutates (a row block of a matmul, a batch of inference windows, a
-//!    grid cell with its own RNG substream, one stream lane).
+//!    mutates (a batch of inference windows, a grid cell with its own
+//!    RNG substream, one stream lane, one served session).
 //! 2. Within a task, the floating-point operation order is exactly the
 //!    order the sequential code uses for the same indices.
 //! 3. Partial results are folded by [`DeterministicReduce`] in task
@@ -34,7 +34,9 @@
 //! [`with_workers`] override → the `EVENTHIT_WORKERS` environment
 //! variable → `available_parallelism()` capped at 8. A pool with one
 //! worker runs every task inline on the calling thread — the sequential
-//! baseline is the exact same code path.
+//! baseline is the exact same code path. On a pool worker thread the
+//! ambient count is 1: the outer grain wins, and a nested ambient region
+//! runs inline rather than multiplying the thread count.
 //!
 //! ## Example
 //!

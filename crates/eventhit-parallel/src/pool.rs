@@ -3,12 +3,17 @@
 //!
 //! The pool spawns scoped threads per parallel region rather than keeping
 //! a resident worker set: scoped threads may borrow from the caller's
-//! stack (which is what lets `matmul` hand out `&mut` row blocks without
+//! stack (records, lanes and the model are shared by reference, without
 //! `unsafe`), and nested regions — a task that itself calls into the pool
 //! — cannot deadlock because every region brings its own workers. The
-//! spawn cost (~tens of microseconds) is amortized by only going parallel
-//! above a work threshold at each call site (`par_threshold` in
-//! `eventhit-nn::matrix`, chunked batches in `eventhit-core::infer`).
+//! spawn cost (~tens of microseconds) is amortized by parallelising only
+//! coarse grains: chunked record batches in `eventhit-core::infer`,
+//! lanes, grid cells and sessions — never the inside of a matrix product.
+//!
+//! The outer grain wins: a worker thread starts with its ambient count
+//! pinned to 1, so a [`Pool::current`] resolved inside a task runs
+//! inline instead of multiplying the thread count. An explicit
+//! `Pool::new(n)` inside a task still brings its own `n` workers.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -49,9 +54,11 @@ pub fn current_workers() -> usize {
 }
 
 /// Runs `f` with this thread's default worker count pinned to `workers`
-/// (minimum 1). Every `Pool::current()` resolved inside `f` — including
-/// the implicit pools behind `Matrix::matmul` and `score_records` — uses
-/// that count. The previous override is restored on exit, panic included.
+/// (minimum 1). Every `Pool::current()` resolved inside `f` on this
+/// thread — including the implicit pool behind `score_records` — uses
+/// that count; inside a task of such a pool the ambient count is 1, so a
+/// nested ambient region runs inline on the worker that reached it. The
+/// previous override is restored on exit, panic included.
 ///
 /// This is how the thread-count-invariance suite varies the worker count
 /// in-process; production code sets `EVENTHIT_WORKERS` instead.
@@ -216,6 +223,9 @@ impl Pool {
         thread::scope(|scope| {
             for (w, worker_log) in logs.iter().enumerate() {
                 scope.spawn(move || {
+                    // The outer grain wins: an ambient pool resolved
+                    // inside a task runs inline on this worker.
+                    WORKER_OVERRIDE.with(|c| c.set(Some(1)));
                     let mut log = WorkerLog {
                         start: tel.map_or(0.0, Telemetry::now),
                         ..WorkerLog::default()
@@ -306,22 +316,6 @@ impl Pool {
         }
         out
     }
-
-    /// Splits `data` into consecutive chunks of at most `chunk_len`
-    /// elements and runs `f(chunk_index, start_offset, chunk)` for each,
-    /// in parallel. This is the in-place primitive behind the row-blocked
-    /// matmuls: each chunk is a disjoint `&mut` view, so no
-    /// synchronization (and no `unsafe`) is needed.
-    pub fn for_each_chunk_mut<T: Send, F: Fn(usize, usize, &mut [T]) + Sync>(
-        &self,
-        data: &mut [T],
-        chunk_len: usize,
-        f: F,
-    ) {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        let tasks: Vec<&mut [T]> = data.chunks_mut(chunk_len).collect();
-        self.run_tasks(tasks, |ci, chunk| f(ci, ci * chunk_len, chunk));
-    }
 }
 
 /// Pops the next task for worker `w`: own deque front first, then steal
@@ -379,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_mut_writes_disjoint_chunks() {
-        let mut data = vec![0u32; 103];
-        let pool = Pool::new(4);
-        pool.for_each_chunk_mut(&mut data, 10, |ci, offset, chunk| {
-            assert_eq!(offset, ci * 10);
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (offset + j) as u32;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
     fn chunk_ranges_partition() {
         assert_eq!(chunk_ranges(0, 3), Vec::<Range<usize>>::new());
         assert_eq!(chunk_ranges(7, 3), vec![0..3, 3..6, 6..7]);
@@ -408,6 +389,16 @@ mod tests {
         });
         assert_eq!(inner, 5);
         assert_eq!(current_workers(), outer);
+    }
+
+    #[test]
+    fn ambient_pool_inside_a_task_runs_inline() {
+        let nested = with_workers(4, || {
+            let pool = Pool::current();
+            assert_eq!(pool.workers(), 4);
+            pool.map_chunked(8, 1, |_| Pool::current().workers())
+        });
+        assert_eq!(nested, vec![1; 8]);
     }
 
     #[test]

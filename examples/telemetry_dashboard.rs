@@ -14,13 +14,13 @@
 
 use std::sync::Arc;
 
-use eventhit::core::ci_queue::{simulate_instrumented, QueueConfig, Submission};
+use eventhit::core::ci_queue::{simulate, QueueConfig, Submission};
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::marshal::Marshaller;
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::resilient::{ResilienceConfig, ResilientCiClient};
 use eventhit::core::tasks::task;
-use eventhit::core::train::{train_instrumented, TrainConfig};
+use eventhit::core::train::{train, TrainConfig};
 use eventhit::core::{CiConfig, FaultConfig};
 use eventhit::telemetry::Telemetry;
 use eventhit::video::detector::StageModel;
@@ -39,7 +39,7 @@ fn main() {
 
     // A short instrumented fine-tune: `train` / `train.epoch` spans,
     // per-step timing histogram, loss and throughput gauges.
-    train_instrumented(
+    train(
         &mut run.model,
         &run.train_records,
         &TrainConfig {
@@ -97,7 +97,7 @@ fn main() {
             frames: 60,
         })
         .collect();
-    simulate_instrumented(&subs, &QueueConfig::default(), Some(&tel)).unwrap();
+    simulate(&subs, &QueueConfig::default(), &tel).unwrap();
 
     // The run dashboard.
     let snap = tel.snapshot();
@@ -120,7 +120,7 @@ fn main() {
                 frames: 60,
             })
             .collect();
-        simulate_instrumented(&subs, &QueueConfig::default(), Some(&t)).unwrap();
+        simulate(&subs, &QueueConfig::default(), &t).unwrap();
         t.snapshot().fingerprint()
     };
     let (a, b) = (replay(seed), replay(seed));

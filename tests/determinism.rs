@@ -185,7 +185,7 @@ fn telemetry_trace_replays_bit_identically() {
     use std::sync::Arc;
 
     use eventhit::core::ci::CiConfig;
-    use eventhit::core::ci_queue::{simulate_instrumented, QueueConfig, Submission};
+    use eventhit::core::ci_queue::{simulate, QueueConfig, Submission};
     use eventhit::core::faults::FaultConfig;
     use eventhit::core::marshal::Marshaller;
     use eventhit::core::pipeline::Strategy;
@@ -231,7 +231,7 @@ fn telemetry_trace_replays_bit_identically() {
         client.set_telemetry(Arc::clone(&tel));
         m.run_resilient(&stream, &features, from, to, 30.0, &mut client)
             .unwrap();
-        simulate_instrumented(&subs, &QueueConfig::default(), Some(&tel)).unwrap();
+        simulate(&subs, &QueueConfig::default(), &tel).unwrap();
 
         let snap = tel.snapshot();
         (snap.to_jsonl(), snap.fingerprint())

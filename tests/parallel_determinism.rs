@@ -6,12 +6,13 @@
 //! telemetry trace fingerprints.
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::infer::{score_records, score_records_with};
+use eventhit::core::infer::{score_records, score_records_lane_with};
 use eventhit::core::multi::{run_lanes, LaneDecision, StreamLane};
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
-use eventhit::core::tune::{search_with, Candidate, Objective};
+use eventhit::core::tune::{search, Candidate, Objective};
+use eventhit::core::InferenceLane;
 use eventhit::parallel::{with_workers, Pool};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -167,7 +168,13 @@ fn batched_inference_matches_sequential_for_odd_batches() {
     let baseline = score_records(&run.model, records, records.len());
     for w in WORKER_COUNTS {
         for batch in [1usize, 7, 13] {
-            let got = score_records_with(&run.model, records, batch, &Pool::new(w));
+            let got = score_records_lane_with(
+                &run.model,
+                records,
+                batch,
+                InferenceLane::Exact,
+                &Pool::new(w),
+            );
             assert_eq!(got.len(), baseline.len());
             for (g, b) in got.iter().zip(&baseline) {
                 assert_eq!(g.anchor, b.anchor);
@@ -196,9 +203,9 @@ fn strategy_sweep_is_pool_invariant() {
             alpha: 0.5,
         },
     ];
-    let baseline = run.sweep_with(&strategies, &Pool::sequential());
+    let baseline = run.sweep(&strategies, &Pool::sequential());
     for w in [2usize, 4, 8] {
-        let got = run.sweep_with(&strategies, &Pool::new(w));
+        let got = run.sweep(&strategies, &Pool::new(w));
         assert_eq!(got.len(), baseline.len());
         for ((gs, go), (bs, bo)) in got.iter().zip(&baseline) {
             assert_eq!(gs, bs, "grid order must be preserved at {w} workers");
@@ -246,7 +253,7 @@ fn hyper_parameter_search_is_pool_invariant() {
         },
     ];
     let go = |pool: &Pool| {
-        search_with(
+        search(
             &candidates,
             &cfg,
             &run.train_records,

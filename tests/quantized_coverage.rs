@@ -14,10 +14,11 @@
 //! within a ±1% pooled tolerance.
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::infer::{raw_interval, score_records_lane, ScoredRecord};
+use eventhit::core::infer::{raw_interval, score_records_lane_with, ScoredRecord};
 use eventhit::core::pipeline::ConformalState;
 use eventhit::core::tasks::task;
 use eventhit::core::InferenceLane;
+use eventhit::parallel::Pool;
 
 /// One task executed once, with both lanes' test scores and conformal
 /// states materialised.
@@ -40,8 +41,13 @@ fn lane_runs() -> Vec<LaneRun> {
             };
             let run = TaskRun::execute(&task(id).unwrap(), &cfg);
             let quant_state = run.state_for_lane(InferenceLane::Quantized);
-            let quant_test =
-                score_records_lane(&run.model, &run.test_records, 128, InferenceLane::Quantized);
+            let quant_test = score_records_lane_with(
+                &run.model,
+                &run.test_records,
+                128,
+                InferenceLane::Quantized,
+                &Pool::current(),
+            );
             LaneRun {
                 exact_state: run.state,
                 exact_test: run.test,
@@ -171,7 +177,13 @@ fn quantized_scores_stay_close_to_exact_scores() {
         ..ExperimentConfig::quick(100)
     };
     let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
-    let quant = score_records_lane(&run.model, &run.test_records, 128, InferenceLane::Quantized);
+    let quant = score_records_lane_with(
+        &run.model,
+        &run.test_records,
+        128,
+        InferenceLane::Quantized,
+        &Pool::current(),
+    );
     assert_eq!(quant.len(), run.test.len());
     let mut max_db = 0f64;
     let mut max_dtheta = 0f32;

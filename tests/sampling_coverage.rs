@@ -17,12 +17,19 @@
 //! ±1% — the workspace's standard lane-equivalence tolerance (see
 //! `quantized_coverage.rs`).
 
+use std::sync::Arc;
+
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::infer::ScoredRecord;
-use eventhit::core::pipeline::ConformalState;
-use eventhit::core::sampling::SamplingPolicy;
+use eventhit::core::infer::{score_records_lane_with, ScoredRecord};
+use eventhit::core::pipeline::{ConformalState, Strategy};
+use eventhit::core::sampling::{sampled_records, SamplingPolicy};
+use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
 use eventhit::core::InferenceLane;
+use eventhit::nn::matrix::Matrix;
+use eventhit::parallel::Pool;
+use eventhit::telemetry::Telemetry;
+use eventhit::video::records::{EventLabel, Record};
 
 /// One task executed once, with the ungated state/test plus each gated
 /// policy's recalibrated state and gated test scores.
@@ -159,6 +166,73 @@ fn gated_calibration_is_deterministic() {
                         .zip(&sy.theta)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "gated simulation must be bit-deterministic"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn calibration_sees_what_deployment_scores() {
+    // The guarantee under a gating policy holds only if calibration
+    // scores exactly the windows deployment scores. Serve a stream, then
+    // ask the calibration simulation for the windows at the anchors the
+    // predictor decided at: scoring those must reproduce every served
+    // prediction, carried anchors (which reuse an earlier anchor's
+    // window) included.
+    let cfg = ExperimentConfig {
+        scale: 0.2,
+        ..ExperimentConfig::quick(100)
+    };
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+    let policies = [
+        SamplingPolicy::parse("delta:0.1").unwrap(),
+        SamplingPolicy::parse("adaptive:0.1:4").unwrap(),
+    ];
+    for policy in &policies {
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let what = format!("{} on {lane:?}", policy.label());
+            let state = run.state_for_lane(lane);
+            let mut online = OnlinePredictor::with_policy(
+                run.model.clone(),
+                state.clone(),
+                strategy,
+                lane,
+                policy.clone(),
+            );
+            let tel = Arc::new(Telemetry::new());
+            online.set_telemetry(Arc::clone(&tel));
+            let served = online.run_over(&run.features, 0);
+
+            let carried = tel
+                .snapshot()
+                .counter("stream.decisions_carried")
+                .unwrap_or(0);
+            assert!(carried >= 1, "{what}: no carried anchor in the run");
+            assert!(
+                (carried as usize) < served.len(),
+                "{what}: no scored anchor in the run"
+            );
+
+            let anchors: Vec<Record> = served
+                .iter()
+                .map(|d| Record {
+                    anchor: d.anchor,
+                    covariates: Matrix::zeros(0, 0),
+                    labels: vec![EventLabel::absent(); run.task.num_events()],
+                })
+                .collect();
+            let windows = sampled_records(&run.model, &run.features, &anchors, policy, lane);
+            let scored = score_records_lane_with(&run.model, &windows, 128, lane, &Pool::current());
+            assert_eq!(scored.len(), served.len());
+            for (s, d) in scored.iter().zip(&served) {
+                assert_eq!(s.anchor, d.anchor);
+                assert_eq!(
+                    state.predict(s, &strategy),
+                    d.predictions,
+                    "{what}: anchor {} calibrates on a window deployment did not score",
+                    d.anchor
                 );
             }
         }
