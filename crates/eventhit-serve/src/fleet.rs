@@ -6,8 +6,8 @@
 //! *arrival schedule*: every stream's identity, feature rows, and arrival
 //! slot are pure functions of the run's seed and spec, so the decision
 //! set a run produces is bit-identical to the in-process `run_lanes`
-//! baseline (wall-clock effects — rejects, retries, latency — vary, and
-//! are exactly what the harness measures).
+//! baseline (wall-clock effects — rejects, retries — vary, and the
+//! harness tallies them).
 //!
 //! Arrivals come in two patterns: [`ArrivalPattern::Uniform`] spaces
 //! streams one slot apart, and [`ArrivalPattern::Bursty`] drives the
@@ -16,10 +16,10 @@
 //! slot — the arrival shape that saturates per-shard admission and makes
 //! `TooManyStreams` rejects and retry-after behavior observable.
 //!
-//! The harness reports what the serving plane itself measures: admission
-//! rejects and honored retry-after hints from the driver side, and
-//! per-stage latency quantiles from the minor-2 `MetricsQuery` plane via
-//! [`summarize_stages`].
+//! The harness reports what the driver side sees: admission rejects and
+//! honored retry-after hints. Stage latencies are the server's own
+//! `serve.*_seconds` series (`eventhit-cli top`, the benchmark's
+//! `serve.server.*` rows).
 
 use std::collections::VecDeque;
 use std::io;
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use eventhit_core::faults::{FaultConfig, FaultInjector};
 
-use crate::client::{MetricsInfo, Response, ServeClient};
+use crate::client::{Response, ServeClient};
 use crate::protocol::{RejectCode, WireDecision};
 
 /// How fleet arrivals are spread over the slot axis.
@@ -107,8 +107,6 @@ pub struct FleetReport {
     pub decisions: Vec<(u32, WireDecision)>,
     /// `TooManyStreams` rejections observed on `OpenStream`.
     pub admission_rejects: u64,
-    /// `QueueFull` rejections observed on `SubmitFrames`.
-    pub queue_rejects: u64,
     /// Sum of `retry_after_ms` hints the drivers honored (after the
     /// `retry_cap_ms` cap), in milliseconds.
     pub retry_waited_ms: u64,
@@ -163,59 +161,11 @@ pub fn stream_row(rows: &[Vec<f32>], stream: u32, r: usize) -> &[f32] {
     &rows[(stream_row_start(stream, rows.len()) + r) % rows.len()]
 }
 
-/// Per-stage latency summary extracted from a `MetricsReply`: sample
-/// counts plus the worst per-window quantiles over the series ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSummary {
-    /// Metric name (`serve.stage_seconds`, `serve.decision_seconds`, …).
-    pub name: String,
-    /// Stage label (`session_read`, `queue_wait`, …; empty when the
-    /// series is unlabeled).
-    pub label: String,
-    /// Samples across every retained window.
-    pub count: u64,
-    /// Worst per-window median, in seconds.
-    pub p50_peak: f64,
-    /// Worst per-window 99th percentile, in seconds.
-    pub p99_peak: f64,
-}
-
-/// Summarizes every `serve.*_seconds` series in a metrics reply into
-/// per-stage counts and peak-window p50/p99 — the saturation numbers
-/// `bench-fleet` publishes.
-pub fn summarize_stages(info: &MetricsInfo) -> Vec<StageSummary> {
-    info.series
-        .iter()
-        .filter(|s| s.name.starts_with("serve.") && s.name.ends_with("_seconds"))
-        .map(|s| {
-            let mut count = 0;
-            let mut p50_peak: f64 = 0.0;
-            let mut p99_peak: f64 = 0.0;
-            for w in &s.windows {
-                if w.count == 0 {
-                    continue;
-                }
-                count += w.count;
-                p50_peak = p50_peak.max(w.p50);
-                p99_peak = p99_peak.max(w.p99);
-            }
-            StageSummary {
-                name: s.name.clone(),
-                label: s.label.clone(),
-                count,
-                p50_peak,
-                p99_peak,
-            }
-        })
-        .collect()
-}
-
 /// Shared atomic tallies the driver sessions accumulate into.
 #[derive(Default)]
 struct Tallies {
     frames: AtomicU64,
     admission_rejects: AtomicU64,
-    queue_rejects: AtomicU64,
     retry_waited_ms: AtomicU64,
 }
 
@@ -227,7 +177,9 @@ struct Tallies {
 /// Admission rejects are retried until the stream is admitted — every
 /// session's open streams always run to completion and release their
 /// slots, so the fleet always drains. Rejects and honored hints are
-/// tallied, not hidden.
+/// tallied, not hidden. A rejection without a retry hint is permanent
+/// (a batch over the server's `max_queue_frames`, say) and fails the
+/// drive.
 pub fn drive(addr: &str, rows: &[Vec<f32>], spec: &FleetSpec) -> io::Result<FleetReport> {
     assert!(spec.sessions > 0, "a fleet needs at least one session");
     assert!(spec.window > 0, "a session needs a nonzero stream window");
@@ -263,7 +215,6 @@ pub fn drive(addr: &str, rows: &[Vec<f32>], spec: &FleetSpec) -> io::Result<Flee
         frames_sent: tallies.frames.load(Ordering::Relaxed),
         decisions: all,
         admission_rejects: tallies.admission_rejects.load(Ordering::Relaxed),
-        queue_rejects: tallies.queue_rejects.load(Ordering::Relaxed),
         retry_waited_ms: tallies.retry_waited_ms.load(Ordering::Relaxed),
         elapsed_seconds: start.elapsed().as_secs_f64(),
     })
@@ -339,8 +290,7 @@ fn drive_session(
                         decisions.extend(batch_decisions.into_iter().map(|d| (s, d)));
                         break;
                     }
-                    Response::Rejected(r) if r.code == RejectCode::QueueFull => {
-                        tallies.queue_rejects.fetch_add(1, Ordering::Relaxed);
+                    Response::Rejected(r) if r.retry_after_ms > 0 => {
                         honor_hint(r.retry_after_ms, spec.retry_cap_ms, tallies);
                     }
                     Response::Rejected(r) => {
@@ -411,55 +361,5 @@ mod tests {
                 assert_eq!(stream_row(&rows, s, r), stream_row(&rows, s, r));
             }
         }
-    }
-
-    #[test]
-    fn stage_summary_takes_peak_window_quantiles() {
-        use crate::protocol::{WireSeries, WireWindow};
-        let info = MetricsInfo {
-            clock_now: 5.0,
-            window_secs: 1.0,
-            counters: vec![],
-            series: vec![
-                WireSeries {
-                    name: "serve.decision_seconds".into(),
-                    label: String::new(),
-                    windows: vec![
-                        WireWindow {
-                            index: 0,
-                            count: 4,
-                            sum: 0.4,
-                            p50: 0.01,
-                            p99: 0.02,
-                        },
-                        WireWindow {
-                            index: 1,
-                            count: 0,
-                            sum: 0.0,
-                            p50: 9.0,
-                            p99: 9.0,
-                        },
-                        WireWindow {
-                            index: 2,
-                            count: 6,
-                            sum: 0.9,
-                            p50: 0.03,
-                            p99: 0.05,
-                        },
-                    ],
-                },
-                WireSeries {
-                    name: "stream.stage_seconds".into(),
-                    label: "inference".into(),
-                    windows: vec![],
-                },
-            ],
-            slos: vec![],
-        };
-        let stages = summarize_stages(&info);
-        assert_eq!(stages.len(), 1, "only serve.* series are summarized");
-        let s = &stages[0];
-        assert_eq!((s.count, s.p50_peak, s.p99_peak), (10, 0.03, 0.05));
-        assert_eq!(s.name, "serve.decision_seconds");
     }
 }

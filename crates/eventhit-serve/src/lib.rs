@@ -25,7 +25,7 @@
 //!   degradation tags reach clients, `serve.*` telemetry.
 //! - [`fleet`] — the deterministic synthetic-fleet load harness behind
 //!   `eventhit-cli bench-fleet`: thousands of seeded streams, uniform or
-//!   bursty arrivals, saturation metrics from the minor-2 metrics plane.
+//!   bursty arrivals, admission rejects and retry waits tallied.
 //! - [`client`] — the matching blocking client library used by the CLI's
 //!   `bench-client` and the loopback tests; its typed [`Disconnected`]
 //!   error tells callers a dead server apart from a protocol violation.

@@ -30,10 +30,11 @@
 //!
 //! The server never buffers without bound. Streams beyond the owning
 //! shard's slice of [`ServeConfig::max_streams`] are refused
-//! (`TooManyStreams`), batches beyond [`ServeConfig::max_batch_frames`]
-//! are refused (`BatchTooLarge`), and batches beyond
-//! [`ServeConfig::max_queue_frames`] are refused whole (`QueueFull`) with
-//! a `retry_after_ms` hint — the client keeps the data; the server's
+//! (`TooManyStreams`, with a `retry_after_ms` hint), batches beyond
+//! [`ServeConfig::max_batch_frames`] are refused (`BatchTooLarge`), and
+//! batches beyond [`ServeConfig::max_queue_frames`] are refused whole
+//! (`QueueFull`; a size check, so no hint: resending the same batch
+//! cannot succeed) — the client keeps the data; the server's
 //! memory stays bounded by its configuration. That last bound is a
 //! per-batch one, not a standing queue: an accepted batch is fed row by
 //! row straight from the decoded message and the reply is written before
@@ -137,8 +138,8 @@ pub struct ServeConfig {
     /// refused `QueueFull` (the wire keeps the name; the server holds no
     /// queue between requests).
     pub max_queue_frames: u32,
-    /// Backpressure hint attached to `TooManyStreams` / `QueueFull`
-    /// rejections, in milliseconds.
+    /// Backpressure hint attached to `TooManyStreams` rejections, in
+    /// milliseconds.
     pub retry_after_ms: u32,
     /// Optional resilient-CI wiring (see [`ResilienceSpec`]). `None`
     /// serves every decision untagged, which is what the determinism
@@ -1121,7 +1122,7 @@ impl Session<'_> {
                 "batch of {rows} frames exceeds stream {stream_id}'s bound of {} frames",
                 cfg.max_queue_frames
             );
-            return self.refuse(hub, RejectCode::QueueFull, cfg.retry_after_ms, detail);
+            return self.refuse(hub, RejectCode::QueueFull, 0, detail);
         }
         // `queue_wait`: batch accepted → feed start. Lane lookup,
         // validation and, on a durable server, the wait for the hub mutex.

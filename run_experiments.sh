@@ -22,4 +22,6 @@ $BIN resources -- --scale $SCALE      | tee results/resources.tsv
 $BIN multi_instance -- --scale $SCALE | tee results/multi_instance.tsv
 $BIN latency -- --scale $SCALE        | tee results/latency.tsv
 $BIN per_event -- --scale $SCALE      | tee results/per_event.tsv
+cargo run --release -q --bin eventhit-cli -- sweep-sampling --task TA10 --seed 7 --scale 1.0 \
+                                      | tee results/sampling_frontier.tsv
 echo "all experiments complete"

@@ -58,3 +58,41 @@ fn train_then_evaluate_round_trip() {
 
     let _ = std::fs::remove_file(model);
 }
+
+/// Every file under `dir`, skipping the build and git directories that
+/// cargo itself writes to while the suite runs.
+fn files_under(dir: &std::path::Path, out: &mut std::collections::BTreeSet<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") && !path.ends_with(".git") {
+                files_under(&path, out);
+            }
+        } else {
+            out.insert(path);
+        }
+    }
+}
+
+#[test]
+fn bench_fleet_smoke_has_no_divergence_and_writes_nothing() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut before = std::collections::BTreeSet::new();
+    files_under(root, &mut before);
+
+    let out = cli()
+        .args(["bench-fleet", "--smoke", "--streams", "64", "--shards", "2"])
+        .output()
+        .expect("run bench-fleet");
+    assert!(
+        out.status.success(),
+        "bench-fleet failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("decision divergence: none"), "{stdout}");
+
+    let mut after = std::collections::BTreeSet::new();
+    files_under(root, &mut after);
+    assert_eq!(before, after, "bench-fleet must not write into the repo");
+}

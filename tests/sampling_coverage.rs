@@ -32,11 +32,12 @@ use eventhit::telemetry::Telemetry;
 use eventhit::video::records::{EventLabel, Record};
 
 /// One task executed once, with the ungated state/test plus each gated
-/// policy's recalibrated state and gated test scores.
+/// policy's recalibrated state, gated test scores, and the number of
+/// frames the deployed gate skips over the run's stream.
 struct GatedRun {
     base_state: ConformalState,
     base_test: Vec<ScoredRecord>,
-    gated: Vec<(ConformalState, Vec<ScoredRecord>)>,
+    gated: Vec<(ConformalState, Vec<ScoredRecord>, u64)>,
 }
 
 /// The policies whose coverage the suite pins: a conservative delta
@@ -64,9 +65,19 @@ fn gated_runs() -> Vec<GatedRun> {
             let gated = policies()
                 .iter()
                 .map(|p| {
+                    let state = run.state_for_sampling(p, InferenceLane::Exact);
+                    let mut online = OnlinePredictor::with_policy(
+                        run.model.clone(),
+                        state.clone(),
+                        Strategy::Ehcr { c: 0.9, alpha: 0.5 },
+                        InferenceLane::Exact,
+                        p.clone(),
+                    );
+                    online.run_over(&run.features, 0);
                     (
-                        run.state_for_sampling(p, InferenceLane::Exact),
+                        state,
                         run.sampled_test(p, InferenceLane::Exact),
+                        online.frames_skipped(),
                     )
                 })
                 .collect();
@@ -135,6 +146,12 @@ fn gated_miss_rate_is_bounded_and_tracks_ungated() {
             "{}: gated miss rate {rate} drifted from ungated {base_rate}",
             policy.label()
         );
+        // A gate with a positive threshold that skips nothing is dead,
+        // and the two bounds above were then checked on an ungated lane.
+        if policy.gate().is_some_and(|g| g.threshold > 0.0) {
+            let skipped: u64 = runs.iter().map(|r| r.gated[pi].2).sum();
+            assert!(skipped > 0, "{}: skipped no frames", policy.label());
+        }
     }
 }
 

@@ -18,7 +18,7 @@ use eventhit::nn::matrix::Matrix;
 use eventhit::parallel::{with_workers, Pool};
 use eventhit::serve::convert::decision_from_wire;
 use eventhit::serve::protocol::{read_message, write_message, Message, RejectCode, PROTOCOL_MAJOR};
-use eventhit::serve::{Response, ServeClient, ServeConfig, Server};
+use eventhit::serve::{fleet, FleetSpec, Response, ServeClient, ServeConfig, Server};
 
 /// One quick training run shared by every test in this file.
 struct Trained {
@@ -301,12 +301,12 @@ fn queue_full_and_batch_too_large_backpressure() {
         }
         Response::Ok(_) => panic!("oversized batch must be refused"),
     }
-    // Under the batch cap but over the queue bound: backpressure with a
-    // retry hint, batch untouched.
+    // Under the batch cap but over the queue bound: a size check too, so
+    // just as permanent; batch untouched.
     match client.submit(0, dim, rows_of(16)).unwrap() {
         Response::Rejected(r) => {
             assert_eq!(r.code, RejectCode::QueueFull);
-            assert_eq!(r.retry_after_ms, 40);
+            assert_eq!(r.retry_after_ms, 0);
         }
         Response::Ok(_) => panic!("overflowing batch must be refused"),
     }
@@ -321,6 +321,40 @@ fn queue_full_and_batch_too_large_backpressure() {
         Response::Ok(_) => panic!("unknown stream must be refused"),
     }
     drop(client);
+    handle.join().unwrap();
+}
+
+#[test]
+fn fleet_drive_fails_on_a_batch_the_server_can_never_take() {
+    let t = trained();
+    let rows: Vec<Vec<f32>> = (0..t.features.rows())
+        .map(|r| t.features.row(r).to_vec())
+        .collect();
+    let cfg = ServeConfig {
+        max_queue_frames: 8,
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = spawn_server(cfg, Box::new(|_| predictor()), 1);
+    let spec = FleetSpec {
+        streams: 1,
+        sessions: 1,
+        window: 1,
+        batch: 16,
+        rounds: 1,
+        ..FleetSpec::default()
+    };
+    // The drive runs on a thread of its own so that a driver resending
+    // the refused batch forever fails this test instead of hanging it.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let driver = std::thread::spawn(move || {
+        let _ = done.send(fleet::drive(&addr.to_string(), &rows, &spec));
+    });
+    let outcome = outcome
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the drive must give up on a permanent rejection");
+    driver.join().unwrap();
+    let err = outcome.expect_err("a 16-frame batch cannot pass an 8-frame bound");
+    assert!(err.to_string().contains("queue_full"), "{err}");
     handle.join().unwrap();
 }
 
