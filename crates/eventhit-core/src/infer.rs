@@ -47,9 +47,9 @@ pub fn score_records(model: &EventHit, records: &[Record], batch_size: usize) ->
 
 /// Scores `records` on an explicit [`InferenceLane`] and [`Pool`].
 ///
-/// The model is compiled once per call (see [`InferencePlan`]) — `Exact`
-/// onto packed f32 panels, `Quantized` onto the int8 fast lane — and
-/// every record is scored on its own through the plan, so batching only
+/// Scoring runs on the model's [`InferencePlan`] for the lane (compiled
+/// on first use, then shared) — `Exact` on packed f32 panels,
+/// `Quantized` on int8 codes in the same panels — and every record is scored on its own through the plan, so batching only
 /// decides how the work is split: one pool task per minibatch, merged in
 /// record order, bit-identical for any batch size and worker count.
 /// Records may have different window lengths (the adaptive-window

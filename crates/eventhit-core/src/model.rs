@@ -8,6 +8,8 @@
 //! `b_k` scores the event's occurrence anywhere in the horizon and
 //! `θ_{k,v}` scores its occurrence at horizon offset `v`.
 
+use std::sync::{Arc, OnceLock};
+
 use eventhit_rng::rngs::StdRng;
 use eventhit_rng::SeedableRng;
 
@@ -157,10 +159,12 @@ impl Encoder {
 /// last batch's activations for backprop.
 ///
 /// Serving does not run this type. [`EventHit::packed`] /
-/// [`EventHit::quantized`] compile it once into an [`InferencePlan`]
-/// (weights only, repacked for row-at-a-time inference) and predictors
-/// keep the plan; [`EventHit::forward_inference`] stays as the batched
-/// reference the plan is tested against.
+/// [`EventHit::quantized`] compile it into an [`InferencePlan`] (weights
+/// only, repacked for row-at-a-time inference) — once per lane for this
+/// model *and every clone of it*, however many predictors are then built
+/// from those clones — and predictors keep the plan;
+/// [`EventHit::forward_inference`] stays as the batched reference the
+/// plan is tested against.
 #[derive(Clone)]
 pub struct EventHit {
     config: EventHitConfig,
@@ -171,6 +175,23 @@ pub struct EventHit {
     rng: StdRng,
     /// Cache of the last-forward concatenated input (training mode).
     cache_concat: Option<Matrix>,
+    /// The plans compiled from the current weights, shared with every
+    /// clone (a clone starts with the same weights, so with the same
+    /// plans). A stale plan is impossible by construction:
+    /// [`EventHit::params_mut`] detaches this model onto an empty memo
+    /// before it hands out the weights, and nowhere else needs to — no
+    /// other `&mut` path reaches a weight, because `encoder`,
+    /// `shared_fc` and `heads` are private to this module and every other
+    /// `&mut self` method here touches only gradients, caches, dropout
+    /// state or the rng.
+    plans: Arc<PlanMemo>,
+}
+
+/// One compiled [`InferencePlan`] per lane, each filled on first use.
+#[derive(Default)]
+struct PlanMemo {
+    exact: OnceLock<InferencePlan>,
+    quantized: OnceLock<InferencePlan>,
 }
 
 impl EventHit {
@@ -222,6 +243,7 @@ impl EventHit {
             heads,
             rng,
             cache_concat: None,
+            plans: Arc::default(),
         }
     }
 
@@ -335,8 +357,26 @@ impl EventHit {
         }
     }
 
-    /// All `(parameter, gradient)` pairs, in a stable order.
+    /// All parameter tensors, read-only, in [`EventHit::params_mut`]'s
+    /// order: what serialization and fingerprinting walk.
+    pub fn params(&self) -> Vec<&Matrix> {
+        let mut params = match &self.encoder {
+            Encoder::Lstm(l) => l.params().to_vec(),
+            Encoder::Gru(g) => g.params().to_vec(),
+        };
+        params.extend(self.shared_fc.params());
+        for head in &self.heads {
+            params.extend(head.params());
+        }
+        params
+    }
+
+    /// All `(parameter, gradient)` pairs, in a stable order. The only
+    /// door to the weights: plans compiled so far stay with the clones
+    /// that still have the old weights, and this model's next
+    /// [`InferencePlan::compile`] starts from what the caller wrote.
     pub fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        self.plans = Arc::default();
         let mut params = self.encoder.params_mut();
         params.extend(self.shared_fc.params_mut());
         for head in &mut self.heads {
@@ -345,49 +385,56 @@ impl EventHit {
         params
     }
 
-    /// Compiles the trained network for exact-lane inference: every
-    /// weight matrix repacked k-major once (see [`eventhit_nn::packed`]).
-    /// The plan's forward is bit-identical to
-    /// [`EventHit::forward_inference`], row for row.
+    /// The trained network compiled for exact-lane inference: every
+    /// weight matrix repacked k-major (see [`eventhit_nn::packed`]).
+    /// Compiled on the first call; later calls, on this model or any
+    /// clone of it, return the same weights behind an `Arc`. The plan's
+    /// forward is bit-identical to [`EventHit::forward_inference`], row
+    /// for row.
     pub fn packed(&self) -> InferencePlan {
-        let encoder = match &self.encoder {
-            Encoder::Lstm(l) => PlanEncoder::Lstm(l.packed()),
-            Encoder::Gru(g) => PlanEncoder::Gru(g.packed()),
+        let compile = || {
+            let encoder = match &self.encoder {
+                Encoder::Lstm(l) => PlanEncoder::Lstm(l.packed()),
+                Encoder::Gru(g) => PlanEncoder::Gru(g.packed()),
+            };
+            let dense = |d: &Dense| PlanDense::Packed(d.packed());
+            self.plan(InferenceLane::Exact, encoder, dense)
         };
-        InferencePlan {
-            config: self.config.clone(),
-            lane: InferenceLane::Exact,
-            encoder,
-            shared_fc: PlanDense::Packed(self.shared_fc.packed()),
-            heads: self
-                .heads
-                .iter()
-                .map(|h| PlanDense::Packed(h.packed()))
-                .collect(),
-        }
+        self.plans.exact.get_or_init(compile).clone()
     }
 
-    /// Snapshots the trained network onto the int8 quantized inference
-    /// lane (see [`InferenceLane`]): every weight matrix quantized once.
-    /// Scores approximate the exact lane's within the per-row
-    /// quantization step; pair with conformal recalibration on quantized
-    /// scores (see `TaskRun::state_for_lane`) to keep the coverage
-    /// guarantee.
+    /// The trained network on the int8 quantized inference lane (see
+    /// [`InferenceLane`]): every weight matrix quantized, memoised like
+    /// [`EventHit::packed`]. Scores approximate the exact lane's within
+    /// the per-row quantization step; pair with conformal recalibration
+    /// on quantized scores (see `TaskRun::state_for_lane`) to keep the
+    /// coverage guarantee.
     pub fn quantized(&self) -> InferencePlan {
-        let encoder = match &self.encoder {
-            Encoder::Lstm(l) => PlanEncoder::QuantizedLstm(l.quantized()),
-            Encoder::Gru(g) => PlanEncoder::QuantizedGru(g.quantized()),
+        let compile = || {
+            let encoder = match &self.encoder {
+                Encoder::Lstm(l) => PlanEncoder::QuantizedLstm(l.quantized()),
+                Encoder::Gru(g) => PlanEncoder::QuantizedGru(g.quantized()),
+            };
+            let dense = |d: &Dense| PlanDense::Quantized(d.quantized());
+            self.plan(InferenceLane::Quantized, encoder, dense)
         };
+        self.plans.quantized.get_or_init(compile).clone()
+    }
+
+    fn plan(
+        &self,
+        lane: InferenceLane,
+        encoder: PlanEncoder,
+        dense: impl Fn(&Dense) -> PlanDense,
+    ) -> InferencePlan {
         InferencePlan {
-            config: self.config.clone(),
-            lane: InferenceLane::Quantized,
-            encoder,
-            shared_fc: PlanDense::Quantized(self.shared_fc.quantized()),
-            heads: self
-                .heads
-                .iter()
-                .map(|h| PlanDense::Quantized(h.quantized()))
-                .collect(),
+            compiled: Arc::new(Compiled {
+                config: self.config.clone(),
+                lane,
+                encoder,
+                shared_fc: dense(&self.shared_fc),
+                heads: self.heads.iter().map(dense).collect(),
+            }),
         }
     }
 }
@@ -427,7 +474,6 @@ fn batch_sequence(config: &EventHitConfig, records: &[&Record]) -> Vec<Matrix> {
 }
 
 /// The plan's recurrent encoder: either lane of either cell.
-#[derive(Clone)]
 enum PlanEncoder {
     Lstm(PackedLstm),
     Gru(PackedGru),
@@ -447,14 +493,13 @@ impl PlanEncoder {
 }
 
 /// One of the plan's dense layers, on either lane.
-#[derive(Clone)]
 enum PlanDense {
     Packed(PackedDense),
     Quantized(QuantizedDense),
 }
 
 impl PlanDense {
-    fn forward_into(&self, x: &[f32], xq: &mut Vec<i8>, out: &mut [f32]) {
+    fn forward_into(&self, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
         match self {
             PlanDense::Packed(d) => d.forward_into(x, out),
             PlanDense::Quantized(d) => d.forward_into(x, xq, out),
@@ -470,23 +515,31 @@ pub struct InferenceScratch {
     cell: CellState,
     /// The head input `z ⊕ X_n`.
     concat: Vec<f32>,
-    /// Quantized activations of the dense layers (int8 lane only).
-    xq: Vec<i8>,
+    /// Int8 codes of the dense layers' activations, as `f32` (int8 lane
+    /// only).
+    xq: Vec<f32>,
     /// The head outputs, `K x (1 + H)` row-major.
     out: Vec<f32>,
 }
 
 /// A trained [`EventHit`] compiled for inference on one
 /// [`InferenceLane`]: weights only — no gradients, no caches — laid out
-/// for scoring one window at a time. Built once by
-/// [`InferencePlan::compile`] (or [`EventHit::packed`] /
-/// [`EventHit::quantized`]), immutable and `Send + Sync` afterwards, so
-/// build it before a scoring loop and share it.
+/// for scoring one window at a time. Immutable, `Send + Sync`, and a
+/// handle: the weights sit behind an `Arc`, a clone is a pointer copy,
+/// and [`InferencePlan::compile`] (or [`EventHit::packed`] /
+/// [`EventHit::quantized`]) builds them once per model, not once per
+/// call — every predictor made from clones of one served model scores
+/// on the same copy.
 ///
 /// The exact lane reproduces [`EventHit::forward_inference`] bit for
 /// bit; the quantized lane approximates it within the int8 step.
 #[derive(Clone)]
 pub struct InferencePlan {
+    compiled: Arc<Compiled>,
+}
+
+/// What an [`InferencePlan`] points at.
+struct Compiled {
     config: EventHitConfig,
     lane: InferenceLane,
     encoder: PlanEncoder,
@@ -495,7 +548,9 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Compiles `model` for `lane`.
+    /// `model`'s plan for `lane`: compiled if this is the first request
+    /// since the model's weights were last opened for writing, a pointer
+    /// copy otherwise.
     pub fn compile(model: &EventHit, lane: InferenceLane) -> Self {
         match lane {
             InferenceLane::Exact => model.packed(),
@@ -505,22 +560,29 @@ impl InferencePlan {
 
     /// The network configuration (shared with the source model).
     pub fn config(&self) -> &EventHitConfig {
-        &self.config
+        &self.compiled.config
     }
 
     /// The lane this plan scores on.
     pub fn lane(&self) -> InferenceLane {
-        self.lane
+        self.compiled.lane
     }
 
     /// Output values per event head: `1 + H`.
     pub fn head_len(&self) -> usize {
-        1 + self.config.horizon
+        1 + self.compiled.config.horizon
+    }
+
+    /// Whether `self` and `other` are handles on the same compiled
+    /// weights.
+    #[cfg(test)]
+    pub(crate) fn shares_weights_with(&self, other: &InferencePlan) -> bool {
+        Arc::ptr_eq(&self.compiled, &other.compiled)
     }
 
     /// Buffers for [`InferencePlan::forward`], sized for this plan.
     pub fn scratch(&self) -> InferenceScratch {
-        let cfg = &self.config;
+        let cfg = self.config();
         InferenceScratch {
             cell: CellState::new(cfg.hidden_dim),
             concat: vec![0.0; cfg.shared_dim + cfg.input_dim],
@@ -545,7 +607,13 @@ impl InferencePlan {
         rows: impl IntoIterator<Item = &'a [f32]>,
         scratch: &'s mut InferenceScratch,
     ) -> &'s [f32] {
-        let cfg = &self.config;
+        let Compiled {
+            config: cfg,
+            encoder,
+            shared_fc,
+            heads,
+            ..
+        } = &*self.compiled;
         let InferenceScratch {
             cell,
             concat,
@@ -557,7 +625,7 @@ impl InferencePlan {
         let mut m = 0;
         for x in rows {
             assert_eq!(x.len(), cfg.input_dim, "window row dimensionality mismatch");
-            self.encoder.step(x, cell);
+            encoder.step(x, cell);
             last = Some(x);
             m += 1;
         }
@@ -567,9 +635,9 @@ impl InferencePlan {
             cfg.window
         );
         let (z, x_last) = concat.split_at_mut(cfg.shared_dim);
-        self.shared_fc.forward_into(cell.hidden(), xq, z);
+        shared_fc.forward_into(cell.hidden(), xq, z);
         x_last.copy_from_slice(last.expect("at least one row was stepped"));
-        for (head, scores) in self.heads.iter().zip(out.chunks_exact_mut(self.head_len())) {
+        for (head, scores) in heads.iter().zip(out.chunks_exact_mut(self.head_len())) {
             head.forward_into(concat, xq, scores);
         }
         out
@@ -583,7 +651,7 @@ impl InferencePlan {
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
         let head_len = self.head_len();
-        let mut outputs = vec![Matrix::zeros(records.len(), head_len); self.heads.len()];
+        let mut outputs = vec![Matrix::zeros(records.len(), head_len); self.config().num_events];
         let mut scratch = self.scratch();
         for (i, record) in records.iter().enumerate() {
             let scores = self.forward(window_rows(&record.covariates), &mut scratch);
@@ -825,6 +893,65 @@ mod tests {
             for (e, q) in exact.iter().zip(&quant) {
                 for (a, b) in e.as_slice().iter().zip(q.as_slice()) {
                     assert!((a - b).abs() < 0.05, "{kind:?}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_compiled_plan_per_lane() {
+        let (model, _) = trained(EncoderKind::Lstm);
+        let clone = model.clone();
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let first = InferencePlan::compile(&model, lane);
+            assert_eq!(first.lane(), lane);
+            assert!(first.shares_weights_with(&InferencePlan::compile(&model, lane)));
+            assert!(first.shares_weights_with(&InferencePlan::compile(&clone, lane)));
+            assert!(first.shares_weights_with(&InferencePlan::compile(&clone.clone(), lane)));
+        }
+        assert!(!model.packed().shares_weights_with(&model.quantized()));
+
+        fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<InferencePlan>();
+        shared_across_threads::<EventHit>();
+    }
+
+    #[test]
+    fn params_mut_retires_the_plan_and_a_held_plan_keeps_the_old_weights() {
+        use eventhit_nn::optimizer::{Optimizer, Sgd};
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let (mut model, records) = trained(kind);
+            let before = model.clone();
+            let held = [model.packed(), model.quantized()];
+
+            // One optimizer step on real gradients.
+            let batch: Vec<&Record> = records.iter().take(8).collect();
+            model.zero_grad();
+            let outs = model.forward(&batch);
+            model.backward(&outs);
+            Sgd::new(0.5, 0.0).step(&mut model.params_mut());
+
+            let fresh = [model.packed(), model.quantized()];
+            for (held, fresh) in held.iter().zip(&fresh) {
+                assert!(!held.shares_weights_with(fresh), "{kind:?}");
+                // The untouched clone still finds the plan it shared.
+                assert!(held.shares_weights_with(&InferencePlan::compile(&before, held.lane())));
+            }
+            for m in 1..=model.config().window {
+                let cut: Vec<Record> = records.iter().map(|r| newest(r, m)).collect();
+                let batch: Vec<&Record> = cut.iter().collect();
+                let new = model.forward_inference(&batch);
+                let old = before.forward_inference(&batch);
+                assert_ne!(new, old, "{kind:?} m={m}: the step must move the scores");
+                assert_eq!(fresh[0].forward_inference(&batch), new, "{kind:?} m={m}");
+                assert_eq!(held[0].forward_inference(&batch), old, "{kind:?} m={m}");
+                // The int8 plans follow their own weights just as closely.
+                let quant = fresh[1].forward_inference(&batch);
+                assert_ne!(quant, held[1].forward_inference(&batch));
+                for (e, q) in new.iter().zip(&quant) {
+                    for (a, b) in e.as_slice().iter().zip(q.as_slice()) {
+                        assert!((a - b).abs() < 0.05, "{kind:?} m={m}: {a} vs {b}");
+                    }
                 }
             }
         }

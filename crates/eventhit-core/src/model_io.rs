@@ -65,7 +65,7 @@ fn bad(msg: &'static str) -> CoreError {
 }
 
 /// Serializes the version-agnostic payload: config, encoder kind, params.
-fn write_payload(model: &mut EventHit, w: &mut impl Write) -> CoreResult<()> {
+fn write_payload(model: &EventHit, w: &mut impl Write) -> CoreResult<()> {
     let cfg = model.config().clone();
     write_u32(w, cfg.input_dim as u32)?;
     write_u32(w, cfg.window as u32)?;
@@ -82,12 +82,12 @@ fn write_payload(model: &mut EventHit, w: &mut impl Write) -> CoreResult<()> {
         },
     )?;
 
-    let params = model.params_mut();
+    let params = model.params();
     write_u32(w, params.len() as u32)?;
-    for p in &params {
-        write_u32(w, p.value.rows() as u32)?;
-        write_u32(w, p.value.cols() as u32)?;
-        for &x in p.value.as_slice() {
+    for p in params {
+        write_u32(w, p.rows() as u32)?;
+        write_u32(w, p.cols() as u32)?;
+        for &x in p.as_slice() {
             write_f32(w, x)?;
         }
     }
@@ -132,7 +132,7 @@ fn read_payload(r: &mut impl Read) -> CoreResult<EventHit> {
 }
 
 /// Serializes a trained model (version 2: length + CRC-32 header).
-pub fn save(model: &mut EventHit, w: &mut impl Write) -> CoreResult<()> {
+pub fn save(model: &EventHit, w: &mut impl Write) -> CoreResult<()> {
     let mut payload = Vec::new();
     write_payload(model, &mut payload)?;
     w.write_all(MAGIC)?;
@@ -178,7 +178,7 @@ pub fn load(r: &mut impl Read) -> CoreResult<EventHit> {
 }
 
 /// Saves to a file path.
-pub fn save_to_path(model: &mut EventHit, path: impl AsRef<Path>) -> CoreResult<()> {
+pub fn save_to_path(model: &EventHit, path: impl AsRef<Path>) -> CoreResult<()> {
     let mut w = BufWriter::new(File::create(path)?);
     save(model, &mut w)?;
     w.flush()?;
@@ -195,10 +195,7 @@ pub fn load_from_path(path: impl AsRef<Path>) -> CoreResult<EventHit> {
 /// fingerprint equal iff they serialize bit-identically (same config,
 /// encoder, and every weight bit). This is the identity the durable
 /// serving layer logs with `ModelReloaded` events and snapshot headers.
-///
-/// Takes `&mut` because parameter enumeration does (see
-/// `EventHit::params_mut`); the model is not modified.
-pub fn fingerprint(model: &mut EventHit) -> u64 {
+pub fn fingerprint(model: &EventHit) -> u64 {
     let mut bytes = Vec::new();
     save(model, &mut bytes).expect("in-memory serialization cannot fail");
     fnv1a(&bytes)
@@ -235,12 +232,12 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_predictions() {
-        let mut model = tiny_model(1);
+        let model = tiny_model(1);
         let rec = probe_record();
         let before = model.forward_inference(&[&rec]);
 
         let mut buf = Vec::new();
-        save(&mut model, &mut buf).unwrap();
+        save(&model, &mut buf).unwrap();
         let restored = load(&mut buf.as_slice()).unwrap();
         let after = restored.forward_inference(&[&rec]);
 
@@ -250,9 +247,9 @@ mod tests {
 
     #[test]
     fn round_trip_via_file() {
-        let mut model = tiny_model(2);
+        let model = tiny_model(2);
         let path = std::env::temp_dir().join("eventhit_model_io_test.evht");
-        save_to_path(&mut model, &path).unwrap();
+        save_to_path(&model, &path).unwrap();
         let restored = load_from_path(&path).unwrap();
         let rec = probe_record();
         assert_eq!(
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn rejects_bad_magic() {
         let mut buf = Vec::new();
-        save(&mut tiny_model(3), &mut buf).unwrap();
+        save(&tiny_model(3), &mut buf).unwrap();
         buf[0] = b'X';
         let err = load(&mut buf.as_slice()).err().expect("must fail");
         assert!(matches!(err, CoreError::ModelFormat(_)), "{err}");
@@ -274,7 +271,7 @@ mod tests {
     #[test]
     fn rejects_wrong_version() {
         let mut buf = Vec::new();
-        save(&mut tiny_model(4), &mut buf).unwrap();
+        save(&tiny_model(4), &mut buf).unwrap();
         buf[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert!(load(&mut buf.as_slice()).is_err());
     }
@@ -285,7 +282,7 @@ mod tests {
         // ModelFormat error — never as silently mis-deserialized weights,
         // and never as a bare Io error that hides what happened.
         let mut buf = Vec::new();
-        save(&mut tiny_model(5), &mut buf).unwrap();
+        save(&tiny_model(5), &mut buf).unwrap();
         for cut in [buf.len() / 2, buf.len() - 1, 17] {
             let mut short = buf.clone();
             short.truncate(cut);
@@ -306,7 +303,7 @@ mod tests {
     #[test]
     fn corruption_is_a_checksum_mismatch() {
         let mut buf = Vec::new();
-        save(&mut tiny_model(6), &mut buf).unwrap();
+        save(&tiny_model(6), &mut buf).unwrap();
         // Flip one bit deep inside a weight tensor.
         let at = buf.len() - 9;
         buf[at] ^= 0x40;
@@ -317,9 +314,9 @@ mod tests {
     #[test]
     fn legacy_version_1_files_still_load() {
         // A v1 file is magic + version + bare payload (no length, no CRC).
-        let mut model = tiny_model(7);
+        let model = tiny_model(7);
         let mut payload = Vec::new();
-        write_payload(&mut model, &mut payload).unwrap();
+        write_payload(&model, &mut payload).unwrap();
         let mut v1 = Vec::new();
         v1.extend_from_slice(MAGIC);
         v1.extend_from_slice(&1u32.to_le_bytes());
@@ -343,11 +340,11 @@ mod tests {
             shared_dim: 5,
             dropout: 0.0,
         };
-        let mut model = EventHit::with_encoder(cfg, EncoderKind::Gru, 11);
+        let model = EventHit::with_encoder(cfg, EncoderKind::Gru, 11);
         let rec = probe_record();
         let before = model.forward_inference(&[&rec]);
         let mut buf = Vec::new();
-        save(&mut model, &mut buf).unwrap();
+        save(&model, &mut buf).unwrap();
         let restored = load(&mut buf.as_slice()).unwrap();
         assert_eq!(restored.encoder_kind(), EncoderKind::Gru);
         assert_eq!(before, restored.forward_inference(&[&rec]));
@@ -357,17 +354,17 @@ mod tests {
     fn different_models_serialize_differently() {
         let mut a = Vec::new();
         let mut b = Vec::new();
-        save(&mut tiny_model(8), &mut a).unwrap();
-        save(&mut tiny_model(9), &mut b).unwrap();
+        save(&tiny_model(8), &mut a).unwrap();
+        save(&tiny_model(9), &mut b).unwrap();
         assert_ne!(a, b);
         assert_eq!(a.len(), b.len(), "same architecture, same file size");
     }
 
     #[test]
     fn fingerprint_tracks_weight_identity() {
-        let fp_a = fingerprint(&mut tiny_model(10));
-        let fp_a2 = fingerprint(&mut tiny_model(10));
-        let fp_b = fingerprint(&mut tiny_model(11));
+        let fp_a = fingerprint(&tiny_model(10));
+        let fp_a2 = fingerprint(&tiny_model(10));
+        let fp_b = fingerprint(&tiny_model(11));
         assert_eq!(fp_a, fp_a2, "same seed, same weights, same fingerprint");
         assert_ne!(fp_a, fp_b, "different weights must fingerprint apart");
     }

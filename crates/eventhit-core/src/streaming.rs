@@ -153,10 +153,10 @@ impl OnlinePredictor {
     }
 
     /// Like [`OnlinePredictor::new`], but scoring on an explicit
-    /// [`InferenceLane`]. `Quantized` snapshots the model onto int8
-    /// weights once, here, and every subsequent frame scores on that
-    /// snapshot — pair it with a [`ConformalState`] refitted from
-    /// quantized calibration scores (see
+    /// [`InferenceLane`]. `Quantized` scores on the model's int8 plan
+    /// (compiled by the first predictor built from the model or a clone
+    /// of it, shared by the rest) — pair it with a [`ConformalState`]
+    /// refitted from quantized calibration scores (see
     /// [`TaskRun::state_for_lane`](crate::experiment::TaskRun::state_for_lane))
     /// so the conformal guarantee covers the quantization error.
     pub fn with_lane(
@@ -720,6 +720,39 @@ mod tests {
             cfg_a.num_events,
         ) {
             assert!(q.reload_model(run_small.model, run_small.state).is_err());
+        }
+    }
+
+    #[test]
+    fn predictors_built_from_clones_score_on_one_plan() {
+        let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+        let run_a = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(65));
+        let run_b = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(66));
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let mut lanes: Vec<OnlinePredictor> = (0..4)
+                .map(|_| {
+                    OnlinePredictor::with_lane(
+                        run_a.model.clone(),
+                        run_a.state.clone(),
+                        strategy,
+                        lane,
+                    )
+                })
+                .collect();
+            let (first, rest) = lanes.split_first().unwrap();
+            assert!(rest.iter().all(|p| p.plan.shares_weights_with(&first.plan)));
+
+            // A hot reload hands every lane a clone of the new model, as
+            // the server does: one compile, and the old plan is let go.
+            let old = first.plan.clone();
+            for p in &mut lanes {
+                p.reload_model(run_b.model.clone(), run_b.state.clone())
+                    .unwrap();
+            }
+            let (first, rest) = lanes.split_first().unwrap();
+            assert!(!first.plan.shares_weights_with(&old));
+            assert_eq!(first.plan.lane(), lane);
+            assert!(rest.iter().all(|p| p.plan.shares_weights_with(&first.plan)));
         }
     }
 

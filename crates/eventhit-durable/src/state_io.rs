@@ -170,9 +170,8 @@ pub fn state_file_name(fingerprint: u64) -> String {
 /// Persists a hot-reloaded model and its refitted conformal state into
 /// `dir`, keyed by the weight fingerprint. Returns the fingerprint for
 /// the caller to record in a [`crate::SessionEvent::ModelReloaded`]
-/// event. (`model` is `&mut` because fingerprinting serializes through
-/// the quantization cache.)
-pub fn save_reload(dir: &Path, model: &mut EventHit, state: &ConformalState) -> DurableResult<u64> {
+/// event.
+pub fn save_reload(dir: &Path, model: &EventHit, state: &ConformalState) -> DurableResult<u64> {
     let fingerprint = model_io::fingerprint(model);
     model_io::save_to_path(model, dir.join(model_file_name(fingerprint)))?;
     save_state(state, &dir.join(state_file_name(fingerprint)))?;
@@ -182,8 +181,8 @@ pub fn save_reload(dir: &Path, model: &mut EventHit, state: &ConformalState) -> 
 /// Loads the model/state pair persisted under `fingerprint`, verifying
 /// the weights hash back to it.
 pub fn load_reload(dir: &Path, fingerprint: u64) -> DurableResult<(EventHit, ConformalState)> {
-    let mut model = model_io::load_from_path(dir.join(model_file_name(fingerprint)))?;
-    let got = model_io::fingerprint(&mut model);
+    let model = model_io::load_from_path(dir.join(model_file_name(fingerprint)))?;
+    let got = model_io::fingerprint(&model);
     if got != fingerprint {
         return Err(DurableError::Format(
             "reloaded weights do not hash to their file name's fingerprint",
@@ -238,10 +237,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("evcs-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(32));
-        let mut model = run.model.clone();
-        let fp = save_reload(&dir, &mut model, &run.state).unwrap();
-        let (mut loaded, state) = load_reload(&dir, fp).unwrap();
-        assert_eq!(model_io::fingerprint(&mut loaded), fp);
+        let fp = save_reload(&dir, &run.model, &run.state).unwrap();
+        let (loaded, state) = load_reload(&dir, fp).unwrap();
+        assert_eq!(model_io::fingerprint(&loaded), fp);
         assert_eq!(state.num_events(), run.state.num_events());
         assert!(load_reload(&dir, fp ^ 1).is_err(), "missing pair must fail");
         fs::remove_dir_all(&dir).unwrap();

@@ -317,7 +317,7 @@ impl DurableStore {
     /// Persists a hot-reload's weights and conformal state beside the
     /// log; returns the fingerprint to record in the
     /// [`SessionEvent::ModelReloaded`] event.
-    pub fn save_reload(&self, model: &mut EventHit, state: &ConformalState) -> DurableResult<u64> {
+    pub fn save_reload(&self, model: &EventHit, state: &ConformalState) -> DurableResult<u64> {
         state_io::save_reload(&self.dir, model, state)
     }
 
@@ -912,8 +912,7 @@ mod tests {
                 decisions: 0,
             };
             serve_rows(&mut store, &mut lane, 0, &rows[..swap_at]);
-            let mut new_model = other.model.clone();
-            let fp = store.save_reload(&mut new_model, &other.state).unwrap();
+            let fp = store.save_reload(&other.model, &other.state).unwrap();
             store
                 .append(&SessionEvent::ModelReloaded { fingerprint: fp })
                 .unwrap();

@@ -24,10 +24,10 @@ pub struct CellState {
     pub(crate) pre: Vec<f32>,
     /// The GRU's recurrent half `[r|z|n]` (unused by the LSTM).
     pub(crate) ph: Vec<f32>,
-    /// Quantized input activations (int8 layers only).
-    pub(crate) xq: Vec<i8>,
-    /// Quantized hidden activations (int8 layers only).
-    pub(crate) hq: Vec<i8>,
+    /// Int8 codes of the input activations, as `f32` (int8 layers only).
+    pub(crate) xq: Vec<f32>,
+    /// Int8 codes of the hidden activations, as `f32` (int8 layers only).
+    pub(crate) hq: Vec<f32>,
 }
 
 impl CellState {

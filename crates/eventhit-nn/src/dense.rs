@@ -121,9 +121,9 @@ impl Dense {
         }
     }
 
-    /// Snapshots the layer onto the int8 fast lane (see
+    /// Snapshots the layer onto the int8 lane (see
     /// [`crate::quant::InferenceLane`]). Weights are quantized once;
-    /// the returned layer is immutable and cheap to clone.
+    /// the returned layer is immutable.
     pub fn quantized(&self) -> QuantizedDense {
         QuantizedDense {
             affine: QuantizedAffine::quantize(&self.w, self.b.as_slice()),
@@ -186,6 +186,11 @@ impl Dense {
         self.db.fill_zero();
     }
 
+    /// The parameters alone, read-only, in [`Dense::params_mut`]'s order.
+    pub fn params(&self) -> [&Matrix; 2] {
+        [&self.w, &self.b]
+    }
+
     /// Yields `(parameter, gradient)` pairs for the optimizer, in a stable
     /// order.
     pub fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
@@ -234,8 +239,8 @@ impl PackedDense {
     }
 }
 
-/// An int8-weight snapshot of a [`Dense`] layer: the quantized inference
-/// fast lane (`y = act(x Wq^T + b)` with integer accumulation).
+/// An int8 snapshot of a [`Dense`] layer: the quantized inference lane
+/// (`y = act(x Wq^T + b)` over int8 codes, accumulated exactly).
 #[derive(Clone)]
 pub struct QuantizedDense {
     affine: QuantizedAffine,
@@ -254,12 +259,12 @@ impl QuantizedDense {
     }
 
     /// Quantized forward pass of one row into `out`; `xq` is reused
-    /// scratch for the quantized activations. Sequential, so results are
+    /// scratch for the activations' int8 codes. Sequential, so results are
     /// bit-identical across worker counts.
     ///
     /// # Panics
     /// Panics if `x` or `out` has the wrong length.
-    pub fn forward_into(&self, x: &[f32], xq: &mut Vec<i8>, out: &mut [f32]) {
+    pub fn forward_into(&self, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
         self.affine.forward_into(x, xq, out);
         for o in out {
             *o = self.act.eval(*o);

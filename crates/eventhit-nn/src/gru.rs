@@ -221,9 +221,9 @@ impl Gru {
         }
     }
 
-    /// Snapshots the layer onto the int8 fast lane (see
+    /// Snapshots the layer onto the int8 lane (see
     /// [`crate::quant::InferenceLane`]). Gate weights are quantized once;
-    /// the returned layer is immutable and cheap to clone.
+    /// the returned layer is immutable.
     pub fn quantized(&self) -> QuantizedGru {
         QuantizedGru {
             input_dim: self.input_dim,
@@ -254,6 +254,11 @@ impl Gru {
         self.dwh.fill_zero();
         self.dbx.fill_zero();
         self.dbh.fill_zero();
+    }
+
+    /// The parameters alone, read-only, in [`Gru::params_mut`]'s order.
+    pub fn params(&self) -> [&Matrix; 4] {
+        [&self.wx, &self.wh, &self.bx, &self.bh]
     }
 
     /// Yields `(parameter, gradient)` pairs for the optimizer.
@@ -313,9 +318,9 @@ impl PackedGru {
     }
 }
 
-/// An int8-weight snapshot of a [`Gru`]: the quantized inference fast
-/// lane. Same cell arithmetic as [`PackedGru`], but the `[r|z|n]` affine
-/// passes run against `i8` weights with integer accumulation.
+/// An int8 snapshot of a [`Gru`]: the quantized inference lane. Same
+/// cell arithmetic and the same panel kernel as [`PackedGru`], but the
+/// `[r|z|n]` affine passes are exact integer dots of int8 codes.
 #[derive(Clone)]
 pub struct QuantizedGru {
     input_dim: usize,

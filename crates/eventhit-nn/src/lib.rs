@@ -14,8 +14,8 @@
 //! Inference runs on compiled snapshots, not on the trainable layers:
 //! `Dense`/`Lstm`/`Gru` compile once onto k-major [`packed`] weight
 //! panels (the exact lane, bit-identical to the [`matrix`] forward and
-//! to its retained naive references) or onto int8 counterparts (the fast
-//! lane, see [`quant::InferenceLane`], a quarter of the weight memory).
+//! to its retained naive references) or onto int8 codes of them in the
+//! same panels (the quantized lane, see [`quant::InferenceLane`]).
 //! Both step one row at a time through a reused [`cell::CellState`] and
 //! allocate nothing per forward.
 //!

@@ -248,9 +248,9 @@ impl Lstm {
         }
     }
 
-    /// Snapshots the layer onto the int8 fast lane (see
+    /// Snapshots the layer onto the int8 lane (see
     /// [`crate::quant::InferenceLane`]). Gate weights are quantized once;
-    /// the returned layer is immutable and cheap to clone.
+    /// the returned layer is immutable.
     pub fn quantized(&self) -> QuantizedLstm {
         QuantizedLstm {
             input_dim: self.input_dim,
@@ -283,6 +283,11 @@ impl Lstm {
         self.dwx.fill_zero();
         self.dwh.fill_zero();
         self.db.fill_zero();
+    }
+
+    /// The parameters alone, read-only, in [`Lstm::params_mut`]'s order.
+    pub fn params(&self) -> [&Matrix; 3] {
+        [&self.wx, &self.wh, &self.b]
     }
 
     /// Yields `(parameter, gradient)` pairs for the optimizer, in a stable
@@ -338,9 +343,9 @@ impl PackedLstm {
     }
 }
 
-/// An int8-weight snapshot of an [`Lstm`]: the quantized inference fast
-/// lane. Same cell arithmetic as [`PackedLstm`], but the fused gate
-/// products run against `i8` weights with integer accumulation.
+/// An int8 snapshot of an [`Lstm`]: the quantized inference lane. Same
+/// cell arithmetic and the same panel kernel as [`PackedLstm`], but the
+/// fused gate products are exact integer dots of int8 codes.
 #[derive(Clone)]
 pub struct QuantizedLstm {
     input_dim: usize,

@@ -1,4 +1,4 @@
-//! K-major packed weight panels: the exact lane's inference kernels.
+//! K-major packed weight panels: the inference kernel of both lanes.
 //!
 //! A trained layer stores its weights `[out][k]` (row `j` holds output
 //! unit `j`), which is what backprop wants but makes an inference row
@@ -18,6 +18,13 @@
 //! tile (independent outputs side by side in one register); what does not
 //! is the reduction over `k`, which stays a serial chain per output.
 //!
+//! The int8 lane ([`crate::quant`]) runs on the same panels and the same
+//! tile loop: its weight and activation codes are integers in
+//! `[-127, 127]` held as `f32`, so a chain of at most 1040 products stays
+//! below `2^24` (`1040 · 127² = 16 774 160`) and is an exact integer at
+//! every step; deeper reductions are cut into blocks of that many rows
+//! whose exact sums meet in `i32`.
+//!
 //! Everything writes into caller-provided slices: after a plan and its
 //! scratch exist, a forward allocates nothing.
 
@@ -30,9 +37,13 @@ const TILE: usize = 32;
 /// Outputs per tile for the part of a row narrower than [`TILE`].
 const SUBTILE: usize = 8;
 
+/// The deepest reduction whose every partial sum of int8-code products
+/// is an integer `f32` holds exactly: `1040 · 127² < 2^24 < 1041 · 127²`.
+pub(crate) const EXACT_ROWS: usize = (1 << 24) / (127 * 127);
+
 /// A weight matrix repacked `[k][out]` (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
-struct PackedPanel {
+pub(crate) struct PackedPanel {
     in_dim: usize,
     out_dim: usize,
     w: Vec<f32>,
@@ -54,27 +65,65 @@ fn tile_dots<const N: usize>(w: &[f32], out_dim: usize, j0: usize, x: &[f32]) ->
     acc
 }
 
+/// [`tile_dots`] for either lane. With `CODES`, `w` and `x` hold int8
+/// codes, so a chain of up to [`EXACT_ROWS`] rows is already the exact
+/// integer dot; a deeper panel is cut into blocks of that many rows,
+/// each its own exact chain, and the blocks' sums are added in `i32` —
+/// together the `i8 × i8 → i32` dot, converted to `f32` once.
+#[inline(always)]
+fn tile<const N: usize, const CODES: bool>(
+    w: &[f32],
+    out_dim: usize,
+    j0: usize,
+    x: &[f32],
+) -> [f32; N] {
+    if !CODES || x.len() <= EXACT_ROWS {
+        return tile_dots::<N>(w, out_dim, j0, x);
+    }
+    let mut total = [0i32; N];
+    for (w, x) in w.chunks(EXACT_ROWS * out_dim).zip(x.chunks(EXACT_ROWS)) {
+        for (t, a) in total.iter_mut().zip(tile_dots::<N>(w, out_dim, j0, x)) {
+            *t += a as i32;
+        }
+    }
+    total.map(|t| t as f32)
+}
+
 impl PackedPanel {
     /// Repacks `w` (`out x k`, the layout layers train in) as `[k][out]`.
     fn pack(w: &Matrix) -> Self {
         let (out_dim, in_dim) = w.shape();
-        let mut packed = vec![0.0f32; in_dim * out_dim];
-        for j in 0..out_dim {
-            for (k, &v) in w.row(j).iter().enumerate() {
-                packed[k * out_dim + j] = v;
-            }
+        Self::from_fn(out_dim, in_dim, |j, k| w[(j, k)])
+    }
+
+    /// The `[k][out]` panel whose weight from input `k` to output `j` is
+    /// `f(j, k)`.
+    pub(crate) fn from_fn(out_dim: usize, in_dim: usize, f: impl Fn(usize, usize) -> f32) -> Self {
+        let mut w = Vec::with_capacity(in_dim * out_dim);
+        for k in 0..in_dim {
+            w.extend((0..out_dim).map(|j| f(j, k)));
         }
-        PackedPanel {
-            in_dim,
-            out_dim,
-            w: packed,
-        }
+        PackedPanel { in_dim, out_dim, w }
+    }
+
+    pub(crate) fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    pub(crate) fn out_dim(&self) -> usize {
+        self.out_dim
     }
 
     /// Calls `finish(j, dot_j(x), &mut out[j])` for every output `j`,
-    /// tile by tile.
+    /// tile by tile. `CODES` says the panel and `x` hold int8 codes (see
+    /// [`tile`]); without it every dot is one `f32` chain.
     #[inline(always)]
-    fn sweep(&self, x: &[f32], out: &mut [f32], finish: impl Fn(usize, f32, &mut f32)) {
+    pub(crate) fn sweep<const CODES: bool>(
+        &self,
+        x: &[f32],
+        out: &mut [f32],
+        finish: impl Fn(usize, f32, &mut f32),
+    ) {
         assert_eq!(x.len(), self.in_dim, "packed panel input length mismatch");
         assert_eq!(
             out.len(),
@@ -86,21 +135,21 @@ impl PackedPanel {
         }
         let mut j = 0;
         while j + TILE <= self.out_dim {
-            let acc = tile_dots::<TILE>(&self.w, self.out_dim, j, x);
+            let acc = tile::<TILE, CODES>(&self.w, self.out_dim, j, x);
             for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + TILE]).enumerate() {
                 finish(j + t, a, o);
             }
             j += TILE;
         }
         while j + SUBTILE <= self.out_dim {
-            let acc = tile_dots::<SUBTILE>(&self.w, self.out_dim, j, x);
+            let acc = tile::<SUBTILE, CODES>(&self.w, self.out_dim, j, x);
             for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + SUBTILE]).enumerate() {
                 finish(j + t, a, o);
             }
             j += SUBTILE;
         }
         while j < self.out_dim {
-            let [a] = tile_dots::<1>(&self.w, self.out_dim, j, x);
+            let [a] = tile::<1, CODES>(&self.w, self.out_dim, j, x);
             finish(j, a, &mut out[j]);
             j += 1;
         }
@@ -155,7 +204,8 @@ impl PackedAffine {
     /// Panics if `x` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         let bias = &self.bias;
-        self.panel.sweep(x, out, |j, dot, o| *o = dot + bias[j]);
+        self.panel
+            .sweep::<false>(x, out, |j, dot, o| *o = dot + bias[j]);
     }
 }
 
@@ -192,9 +242,10 @@ impl PackedGate {
     /// # Panics
     /// Panics if `x`, `h` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], h: &[f32], out: &mut [f32]) {
-        self.wx.sweep(x, out, |_, dot, o| *o = dot);
+        self.wx.sweep::<false>(x, out, |_, dot, o| *o = dot);
         let bias = &self.bias;
-        self.wh.sweep(h, out, |j, dot, o| *o = (*o + dot) + bias[j]);
+        self.wh
+            .sweep::<false>(h, out, |j, dot, o| *o = (*o + dot) + bias[j]);
     }
 }
 

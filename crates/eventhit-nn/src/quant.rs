@@ -1,14 +1,24 @@
-//! Dynamic int8 quantization: the `Quantized` inference fast lane.
+//! Dynamic int8 quantization: the `Quantized` inference lane.
 //!
 //! Weights are quantized symmetrically per output row at snapshot time
 //! (`scale = max|w| / 127`, `q = round(w / scale)` saturated to
-//! `[-127, 127]`) and stored as `i8` — a quarter of the `f32` footprint.
-//! At inference time each *activation* row is quantized the same way on
-//! the fly, the dot products run entirely in `i8 × i8 → i32` integer
-//! arithmetic, and the two scales are applied once per output element.
-//! Integer multiply-accumulate needs no per-element int→float
-//! conversion and vectorizes tightly, which is where the lane's
-//! single-core speedup comes from.
+//! `[-127, 127]`); at inference time each *activation* row is quantized
+//! the same way on the fly, every output is the integer dot of two code
+//! rows, and the two scales are applied once per output element.
+//!
+//! The dot runs on the exact lane's kernel. The weight codes are stored
+//! k-major in a packed panel ([`crate::packed`]) as integer-valued
+//! `f32`, the activation codes go into an `f32` scratch row, and the
+//! panel's tile sweep does the rest. That is exact, not approximately
+//! so: every product is an integer of magnitude at most `127²`, and every
+//! partial sum of a chain of up to 1040 of them stays below `2^24`
+//! (`1040 · 127² = 16 774 160`), where `f32` holds each integer — so the
+//! chain equals the `i8 × i8 → i32` accumulation bit for bit. A layer
+//! with more inputs than that is swept in blocks of 1040 rows, each block
+//! exact, the blocks added in `i32` by the same loop (`2^17` inputs
+//! before *that* could overflow). A code therefore costs four bytes, as
+//! a weight of the exact lane does: the lane shrinks what a weight can
+//! say, not what it occupies.
 //!
 //! The lane is *approximate*: per output element the error is bounded by
 //! `sx/2 · Σ|w_row| + sw/2 · Σ|x| + k · sx·sw/4`, where `sx`/`sw` are
@@ -19,22 +29,21 @@
 //! restores the coverage guarantee (see `DESIGN.md`). The kernels are
 //! sequential, and the integer accumulation is associativity-exact, so
 //! quantized results are bit-identical across worker counts by
-//! construction. Reduction depths must stay below `2^17` so `i32`
-//! accumulators cannot overflow (`127² · 2^17 < 2^31`); model layers are
-//! orders of magnitude narrower.
+//! construction.
 
 use std::fmt;
 use std::str::FromStr;
 
 use crate::matrix::Matrix;
+use crate::packed::PackedPanel;
 
 /// Which arithmetic a model's `forward_inference` runs on.
 ///
 /// `Exact` is the trained `f32` path, bit-identical to training forward.
-/// `Quantized` runs dynamic int8 kernels (int8 weights and activations,
-/// exact `i32` accumulation) — faster and approximate; pair it with
-/// conformal recalibration on quantized scores so marshalling decisions
-/// keep their coverage guarantee.
+/// `Quantized` scores on int8 codes of the weights and activations
+/// (exact integer accumulation, on the same packed kernel) —
+/// approximate; pair it with conformal recalibration on quantized scores
+/// so marshalling decisions keep their coverage guarantee.
 ///
 /// ```
 /// use eventhit_nn::quant::InferenceLane;
@@ -47,7 +56,8 @@ pub enum InferenceLane {
     /// Full-precision `f32` inference, bit-identical to training forward.
     #[default]
     Exact,
-    /// Int8-weight, f32-accumulate fast lane (approximate).
+    /// Int8 weight and activation codes, exact integer accumulation
+    /// (approximate scores).
     Quantized,
 }
 
@@ -115,10 +125,7 @@ impl QuantizedMatrix {
             let scale = amax / 127.0;
             scales.push(scale);
             let inv = 127.0 / amax;
-            for &v in row {
-                let q = (v * inv).round().clamp(-127.0, 127.0);
-                data.push(q as i8);
-            }
+            data.extend(row.iter().map(|&v| code(v * inv)));
         }
         QuantizedMatrix {
             rows,
@@ -166,30 +173,68 @@ impl QuantizedMatrix {
     }
 }
 
-/// Quantizes one activation row symmetrically into `buf`, returning its
-/// scale. Same grid as [`QuantizedMatrix::quantize`]: `scale =
-/// max|v| / 127`, saturating round-to-nearest, zero rows get scale `0`.
+/// `t.round().clamp(-127.0, 127.0) as i8` without the `libm` call that
+/// `round` is on baseline x86-64: truncate, then step away from zero
+/// when the fraction left behind (an exact subtraction) is a half or
+/// more. NaN becomes `0` either way.
+#[inline(always)]
+fn code(t: f32) -> i8 {
+    let t = t.clamp(-127.0, 127.0);
+    let whole = t as i32;
+    let frac = t - whole as f32;
+    (whole + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i8
+}
+
+/// Quantizes one activation row symmetrically into `buf` as
+/// integer-valued `f32` codes, returning its scale. Same grid as
+/// [`QuantizedMatrix::quantize`]: `scale = max|v| / 127`, saturating
+/// round-to-nearest, zero rows get scale `0`. Each code passes through
+/// `i8`, so it is the value the integer reference holds whatever `v` is.
 #[inline]
-fn quantize_row(row: &[f32], buf: &mut Vec<i8>) -> f32 {
+fn quantize_row(row: &[f32], buf: &mut Vec<f32>) -> f32 {
     buf.clear();
     let amax = row.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
     if amax == 0.0 {
-        buf.extend(std::iter::repeat_n(0i8, row.len()));
+        buf.extend(std::iter::repeat_n(0.0f32, row.len()));
         return 0.0;
     }
     let inv = 127.0 / amax;
-    buf.extend(
-        row.iter()
-            .map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8),
-    );
+    buf.extend(row.iter().map(|&v| f32::from(code(v * inv))));
     amax / 127.0
 }
 
-/// Exact integer dot of two `i8` rows, accumulated in `i32`. The tight
-/// widen-multiply-add loop is what the optimizer vectorizes; correctness
-/// needs `a.len() < 2^17` so `127² · len` stays below `i32::MAX` (callers
-/// quantize model layers, which are far narrower).
-#[inline]
+/// A quantized weight matrix laid out for the panel kernel: its int8
+/// codes k-major as integer-valued `f32`, and its row scales.
+#[derive(Clone, Debug, PartialEq)]
+struct CodePanel {
+    codes: PackedPanel,
+    scales: Vec<f32>,
+}
+
+impl CodePanel {
+    fn quantize(w: &Matrix) -> Self {
+        let q = QuantizedMatrix::quantize(w);
+        CodePanel {
+            codes: PackedPanel::from_fn(q.rows, q.cols, |j, k| f32::from(q.row(j)[k])),
+            scales: q.scales,
+        }
+    }
+
+    /// Calls `finish(j, dot(xq, wq_j) · (sx · sw_j), &mut out[j])` for
+    /// every output `j`: the exact integer dot of the two code rows,
+    /// then both scales at once.
+    #[inline(always)]
+    fn sweep(&self, xq: &[f32], sx: f32, out: &mut [f32], finish: impl Fn(usize, f32, &mut f32)) {
+        let scales = &self.scales;
+        self.codes
+            .sweep::<true>(xq, out, |j, dot, o| finish(j, dot * (sx * scales[j]), o));
+    }
+}
+
+/// Exact integer dot of two `i8` rows, accumulated in `i32`: what the
+/// panel kernel must reproduce. Correctness needs `a.len() < 2^17` so
+/// `127² · len` stays below `i32::MAX`.
+#[cfg(test)]
 fn doti(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     debug_assert!(a.len() < 1 << 17, "i32 accumulator overflow bound");
@@ -201,11 +246,11 @@ fn doti(a: &[i8], b: &[i8]) -> i32 {
 }
 
 /// An int8 affine map `out = x Wq^T + b`: the quantized counterpart of
-/// [`crate::packed::PackedAffine`]. The activation row is quantized on
-/// the fly, every output element is one exact `i8 × i8 → i32` integer
-/// dot, and the activation and weight scales are applied once at the
-/// end. Sequential (and therefore worker-count invariant by
-/// construction).
+/// [`crate::packed::PackedAffine`], on the same kernel. The activation
+/// row is quantized on the fly, every output element is one exact
+/// integer dot of codes (see the module docs), and the activation and
+/// weight scales are applied once at the end. Sequential (and therefore
+/// worker-count invariant by construction).
 ///
 /// ```
 /// use eventhit_nn::matrix::Matrix;
@@ -218,7 +263,7 @@ fn doti(a: &[i8], b: &[i8]) -> i32 {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedAffine {
-    w: QuantizedMatrix,
+    w: CodePanel,
     bias: Vec<f32>,
 }
 
@@ -230,48 +275,41 @@ impl QuantizedAffine {
     pub fn quantize(w: &Matrix, bias: &[f32]) -> Self {
         assert_eq!(bias.len(), w.rows(), "quantized affine bias mismatch");
         QuantizedAffine {
-            w: QuantizedMatrix::quantize(w),
+            w: CodePanel::quantize(w),
             bias: bias.to_vec(),
         }
     }
 
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
-        self.w.cols()
+        self.w.codes.in_dim()
     }
 
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
-        self.w.rows()
+        self.w.codes.out_dim()
     }
 
-    /// `out[j] = doti(xq, w_j) · (sx · sw_j) + bias[j]`, with `x`
+    /// `out[j] = dot(xq, wq_j) · (sx · sw_j) + bias[j]`, with `x`
     /// quantized into the reused scratch `xq` first.
     ///
     /// # Panics
     /// Panics if `x` or `out` has the wrong length.
-    pub fn forward_into(&self, x: &[f32], xq: &mut Vec<i8>, out: &mut [f32]) {
-        assert_eq!(x.len(), self.in_dim(), "quantized affine input mismatch");
-        assert_eq!(
-            out.len(),
-            self.out_dim(),
-            "quantized affine output mismatch"
-        );
+    pub fn forward_into(&self, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
         let sx = quantize_row(x, xq);
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = doti(xq, self.w.row(j)) as f32 * (sx * self.w.scale(j)) + self.bias[j];
-        }
+        let bias = &self.bias;
+        self.w.sweep(xq, sx, out, |j, p, o| *o = p + bias[j]);
     }
 }
 
 /// An int8 fused recurrent gate `out = x Wxq^T + h Whq^T + b`: the
 /// quantized counterpart of [`crate::packed::PackedGate`] and the
 /// quantized-lane LSTM step kernel. `x` and `h` are each quantized once
-/// per step, then both gate products run in integer arithmetic.
+/// per step, then both gate products are exact integer dots of codes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedGate {
-    wx: QuantizedMatrix,
-    wh: QuantizedMatrix,
+    wx: CodePanel,
+    wh: CodePanel,
     bias: Vec<f32>,
 }
 
@@ -285,15 +323,16 @@ impl QuantizedGate {
         assert_eq!(wx.rows(), wh.rows(), "quantized gate gate-count mismatch");
         assert_eq!(bias.len(), wx.rows(), "quantized gate bias mismatch");
         QuantizedGate {
-            wx: QuantizedMatrix::quantize(wx),
-            wh: QuantizedMatrix::quantize(wh),
+            wx: CodePanel::quantize(wx),
+            wh: CodePanel::quantize(wh),
             bias: bias.to_vec(),
         }
     }
 
     /// `out[j] = (px_j + ph_j) + bias[j]`, each product scaled like
     /// [`QuantizedAffine::forward_into`]'s. `xq` / `hq` are reused
-    /// scratch.
+    /// scratch. The scaled `x` products round-trip through `out` between
+    /// the two sweeps, which is exact.
     ///
     /// # Panics
     /// Panics if `x`, `h` or `out` has the wrong length.
@@ -301,20 +340,16 @@ impl QuantizedGate {
         &self,
         x: &[f32],
         h: &[f32],
-        xq: &mut Vec<i8>,
-        hq: &mut Vec<i8>,
+        xq: &mut Vec<f32>,
+        hq: &mut Vec<f32>,
         out: &mut [f32],
     ) {
-        assert_eq!(x.len(), self.wx.cols(), "quantized gate x/wx mismatch");
-        assert_eq!(h.len(), self.wh.cols(), "quantized gate h/wh mismatch");
-        assert_eq!(out.len(), self.wx.rows(), "quantized gate output mismatch");
         let sx = quantize_row(x, xq);
         let sh = quantize_row(h, hq);
-        for (j, o) in out.iter_mut().enumerate() {
-            let px = doti(xq, self.wx.row(j)) as f32 * (sx * self.wx.scale(j));
-            let ph = doti(hq, self.wh.row(j)) as f32 * (sh * self.wh.scale(j));
-            *o = (px + ph) + self.bias[j];
-        }
+        let bias = &self.bias;
+        self.wx.sweep(xq, sx, out, |_, px, o| *o = px);
+        self.wh
+            .sweep(hq, sh, out, |j, ph, o| *o = (*o + ph) + bias[j]);
     }
 }
 
@@ -430,6 +465,90 @@ mod tests {
         want.add_row_broadcast(&bias);
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn code_is_round_clamp_cast() {
+        let old = |t: f32| t.round().clamp(-127.0, 127.0) as i8;
+        // Every sixteenth from -130 to 130 (all the ties, both sides of
+        // the clamp) and the floats next to each, then the specials.
+        let mut probes: Vec<f32> = (-130 * 16..=130 * 16)
+            .map(|i| i as f32 / 16.0)
+            .flat_map(|t| [t, t.next_up(), t.next_down()])
+            .collect();
+        probes.extend([-0.0, f32::MIN_POSITIVE, 1e-30, -1e-30, 1e9, -1e9]);
+        probes.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX]);
+        // 0.49999997 + 0.5 rounds to 1.0 in f32: the add-half shortcut's
+        // classic miss, next_down(0.5) above, must stay 0.
+        assert_eq!(code(0.5f32.next_down()), 0);
+        for t in probes {
+            assert_eq!(code(t), old(t), "t = {t:e}");
+        }
+    }
+
+    /// The integer reference for one activation row: `doti` on
+    /// [`QuantizedMatrix`] rows, scales applied in `forward_into`'s order.
+    fn reference_products(x: &[f32], w: &Matrix) -> Vec<f32> {
+        let xq = QuantizedMatrix::quantize(&Matrix::from_vec(1, x.len(), x.to_vec()));
+        let wq = QuantizedMatrix::quantize(w);
+        (0..w.rows())
+            .map(|j| doti(xq.row(0), wq.row(j)) as f32 * (xq.scale(0) * wq.scale(j)))
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[f32], want: impl Iterator<Item = f32>, what: &str) {
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}, output {j}");
+        }
+    }
+
+    #[test]
+    fn panel_kernel_equals_the_integer_reference_bit_for_bit() {
+        // Every tile shape (32 / 8 / 1 and their mixes) against every
+        // depth class: one row, short, the model's own widths, the last
+        // depth one f32 chain holds exactly (1040), the first that needs
+        // two blocks (1041), and three blocks (2500).
+        const OUTS: [usize; 6] = [1, 31, 32, 33, 192, 201];
+        const DEPTHS: [usize; 8] = [1, 5, 37, 48, 257, 1040, 1041, 2500];
+        let sign = |i: usize| if i.is_multiple_of(3) { -0.75f32 } else { 0.75 };
+        let (mut xq, mut hq) = (Vec::new(), Vec::new());
+        for (seed, (out, k)) in (0u64..).zip(OUTS.iter().flat_map(|&o| DEPTHS.map(|k| (o, k)))) {
+            let bias: Vec<f32> = (0..out).map(|j| (j as f32).sin()).collect();
+            // A narrow random panel for the gate's input side.
+            let (x2, w2) = (sample(1, 7, 300 + seed), sample(out, 7, 400 + seed));
+            let want2 = reference_products(x2.row(0), &w2);
+            // Random operands, then the saturated worst case: every code
+            // +-127, first all of one sign (the partial sums climb to
+            // k * 127^2), then with signs mixed.
+            let cases = [
+                (sample(1, k, 100 + seed), sample(out, k, 200 + seed)),
+                (Matrix::filled(1, k, 0.75), Matrix::filled(out, k, -0.75)),
+                (
+                    Matrix::from_vec(1, k, (0..k).map(sign).collect()),
+                    Matrix::from_vec(out, k, (0..out * k).map(|i| sign(i + i / k)).collect()),
+                ),
+            ];
+            for (c, (x, w)) in cases.iter().enumerate() {
+                let what = format!("{out}x{k} case {c}");
+                let want = reference_products(x.row(0), w);
+                let mut got = vec![f32::NAN; out];
+                QuantizedAffine::quantize(w, &bias).forward_into(x.row(0), &mut xq, &mut got);
+                let affine = want.iter().zip(&bias).map(|(p, b)| p + b);
+                assert_same_bits(&got, affine, &format!("affine {what}"));
+                // The gate, with this panel on the recurrent side.
+                got.fill(f32::NAN);
+                QuantizedGate::quantize(&w2, w, &bias).forward_into(
+                    x2.row(0),
+                    x.row(0),
+                    &mut xq,
+                    &mut hq,
+                    &mut got,
+                );
+                let gate = want2.iter().zip(&want).zip(&bias);
+                let gate = gate.map(|((px, ph), b)| (px + ph) + b);
+                assert_same_bits(&got, gate, &format!("gate {what}"));
+            }
         }
     }
 

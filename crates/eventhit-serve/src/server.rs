@@ -654,7 +654,7 @@ impl Server {
     /// event is durable on every shard — the weight fingerprint the
     /// reload is journaled under; replay after a crash reproduces pre-
     /// and post-reload decisions exactly.
-    pub fn reload_model(&self, mut model: EventHit, state: ConformalState) -> io::Result<u64> {
+    pub fn reload_model(&self, model: EventHit, state: ConformalState) -> io::Result<u64> {
         // Every shard journals the reload in its own log (replay of any
         // one shard's directory must be self-contained); the fingerprint
         // is a pure function of the weights, so all shards agree on it.
@@ -666,10 +666,7 @@ impl Server {
                     "model hot-reload requires durable serving (the swap must be journaled)",
                 ));
             };
-            fingerprint = hub
-                .store
-                .save_reload(&mut model, &state)
-                .map_err(durable_io)?;
+            fingerprint = hub.store.save_reload(&model, &state).map_err(durable_io)?;
             let seq = hub
                 .store
                 .write(&[SessionEvent::ModelReloaded { fingerprint }])

@@ -215,7 +215,7 @@ fn cmd_train(args: &Args) {
         "training {} at scale {} (seed {}) ...",
         t.id, args.scale, args.seed
     );
-    let mut run = TaskRun::execute(&t, &config(args));
+    let run = TaskRun::execute(&t, &config(args));
     eprintln!(
         "  {} train records, final loss {:.4}, {} parameters",
         run.train_records.len(),
@@ -226,7 +226,7 @@ fn cmd_train(args: &Args) {
         .out
         .clone()
         .unwrap_or_else(|| format!("{}.evht", t.id.to_lowercase()));
-    model_io::save_to_path(&mut run.model, &out).unwrap_or_else(|e| {
+    model_io::save_to_path(&run.model, &out).unwrap_or_else(|e| {
         eprintln!("failed to write {out}: {e}");
         exit(1)
     });

@@ -4,8 +4,9 @@
 //! allocates only the decision it returns — no `Matrix`, no `Record`, no
 //! per-frame `Vec`. The same counter shows that a wire message lying
 //! about its float count is refused before anything is reserved for it,
-//! and that what a served `SubmitFrames` allocates does not grow with its
-//! row count.
+//! that what a served `SubmitFrames` allocates does not grow with its
+//! row count, and that a second predictor built from a clone of a served
+//! model keeps no compiled weights of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,6 +25,9 @@ thread_local! {
     /// (allocations, bytes requested) made by this thread. Per thread, so
     /// tests running beside each other do not see one another.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Bytes this thread has allocated and not freed (negative if it
+    /// freed what another thread allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
     /// Set on the one thread whose allocations `SESSION_ALLOCATIONS`
     /// mirrors.
     static IS_SESSION: Cell<bool> = const { Cell::new(false) };
@@ -42,9 +46,14 @@ fn count(bytes: usize) {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
     });
+    live(bytes as i64);
     if IS_SESSION.try_with(Cell::get).unwrap_or(false) {
         SESSION_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -66,12 +75,14 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` and `layout` are the caller's, from this allocator
         // (which is `System` underneath).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` was returned by `System` for this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -87,6 +98,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
     let out = f();
     let after = COUNTS.with(Cell::get);
     (out, (after.0 - before.0, after.1 - before.1))
+}
+
+/// Runs `f` and returns its result with the bytes this thread allocated
+/// meanwhile and had not freed when `f` returned.
+fn retained<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
 }
 
 /// What a `Fixed`-policy anchor may allocate: the `predictions` vector of
@@ -131,6 +150,46 @@ fn warm_predictor_allocates_only_the_decisions_it_returns() {
             }
         }
         assert_eq!((anchors, quiet), (3, 3 * run.horizon - 3));
+    }
+}
+
+#[test]
+fn a_second_predictor_keeps_no_compiled_weights_of_its_own() {
+    // The served model's layer sizes, so a plan is its real ~78 KB.
+    let served_size = ExperimentConfig::default();
+    let cfg = ExperimentConfig {
+        scale: 0.15,
+        hidden_dim: served_size.hidden_dim,
+        shared_dim: served_size.shared_dim,
+        ..ExperimentConfig::quick(93)
+    };
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+    let weight_bytes = (run.model.param_count() * 4) as i64;
+    assert!(
+        weight_bytes > 64 * 1024,
+        "the margin below needs a real model"
+    );
+
+    for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+        let state = run.state_for_lane(lane);
+        // A model whose weights were just opened for writing has no plan
+        // yet (calibration above compiled `run.model`'s).
+        let mut served = run.model.clone();
+        drop(served.params_mut());
+        let build = || OnlinePredictor::with_lane(served.clone(), state.clone(), strategy, lane);
+
+        let (first, compiled) = retained(build);
+        let (second, shared) = retained(build);
+        assert!(
+            compiled >= weight_bytes,
+            "{lane} lane: the first predictor retained {compiled} B, a plan is {weight_bytes} B"
+        );
+        assert!(
+            shared < 16 * 1024,
+            "{lane} lane: the second predictor retained {shared} B"
+        );
+        drop((first, second));
     }
 }
 

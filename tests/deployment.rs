@@ -14,12 +14,12 @@ fn train_save_load_stream_round_trip() {
         scale: 0.15,
         ..ExperimentConfig::quick(91)
     };
-    let mut run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
     let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
 
     // Persist the trained model to bytes and reload it.
     let mut blob = Vec::new();
-    model_io::save(&mut run.model, &mut blob).expect("save");
+    model_io::save(&run.model, &mut blob).expect("save");
     let restored = model_io::load(&mut blob.as_slice()).expect("load");
 
     // Drive both the original and the restored model through the online
@@ -46,12 +46,8 @@ fn online_decisions_respect_conformal_knobs() {
     let state = run.state.clone();
 
     // Conservative vs permissive configuration of the SAME model.
-    let model_bytes = {
-        let mut run = run;
-        let mut blob = Vec::new();
-        model_io::save(&mut run.model, &mut blob).unwrap();
-        blob
-    };
+    let mut model_bytes = Vec::new();
+    model_io::save(&run.model, &mut model_bytes).unwrap();
     let frames = |strategy: Strategy| -> u64 {
         let model = model_io::load(&mut model_bytes.as_slice()).unwrap();
         let mut online = OnlinePredictor::new(model, state.clone(), strategy);
