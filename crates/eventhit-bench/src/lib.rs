@@ -1,10 +1,9 @@
 //! # eventhit-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section (see DESIGN.md §4 for the index), plus
-//! micro-benchmarks built on `eventhit_rng::bench`. This library holds
-//! the shared plumbing: CLI parsing,
-//! TSV output, multi-trial averaging, and operating-point search.
+//! evaluation section (see DESIGN.md §4 for the index). This library
+//! holds the shared plumbing: CLI parsing, TSV output, multi-trial
+//! averaging, and operating-point search.
 
 use eventhit_core::experiment::{grids, ExperimentConfig, TaskRun};
 use eventhit_core::metrics::EvalOutcome;

@@ -155,22 +155,6 @@ impl Marshaller {
         self.telemetry = Some(telemetry);
     }
 
-    /// Walks `[from, to)` of the stream with non-overlapping horizons,
-    /// predicting at each anchor and relaying predicted intervals.
-    ///
-    /// Panicking wrapper around [`Marshaller::try_run`], kept for call
-    /// sites that treat a bad range as a programming error.
-    pub fn run(
-        &mut self,
-        stream: &VideoStream,
-        features: &Matrix,
-        from: u64,
-        to: u64,
-    ) -> MarshalResult {
-        self.try_run(stream, features, from, to)
-            .unwrap_or_else(|e| panic!("marshal run failed: {e}"))
-    }
-
     fn check_range(&self, stream: &VideoStream, from: u64, to: u64) -> Result<(), CoreError> {
         if from < self.window as u64 {
             return Err(CoreError::WindowUnderflow {
@@ -187,9 +171,10 @@ impl Marshaller {
         Ok(())
     }
 
-    /// Fallible form of [`Marshaller::run`]: a range that does not leave
-    /// room for the collection window, or that runs past the stream end,
-    /// surfaces as a typed [`CoreError`] instead of an abort.
+    /// Walks `[from, to)` of the stream with non-overlapping horizons,
+    /// predicting at each anchor and relaying predicted intervals. A
+    /// range that does not leave room for the collection window, or that
+    /// runs past the stream end, surfaces as a typed [`CoreError`].
     ///
     /// The decision uses only the covariates (features of the collection
     /// window); ground truth is consulted solely to simulate the oracle CI
@@ -201,79 +186,13 @@ impl Marshaller {
         from: u64,
         to: u64,
     ) -> Result<MarshalResult, CoreError> {
-        self.check_range(stream, from, to)?;
-        let tel = self.telemetry.clone();
-        let _run = tel.as_deref().map(|t| t.span("marshal.run"));
-
-        let mut segments = Vec::new();
-        let mut detections = Vec::new();
-        let mut ground_truth = Vec::new();
-        let mut horizons = 0usize;
-        let mut frames_relayed = 0u64;
-
-        let mut anchor = from;
-        while anchor + self.horizon as u64 <= to {
-            horizons += 1;
-            let record = extract_record(stream, features, anchor, self.window, self.horizon);
-            let scored = score_record(&self.plan, &record, &mut self.scratch);
-            let preds = self.state.predict(&scored, &self.strategy);
-
-            // A relayed frame is paid for once even when several events'
-            // intervals overlap: the CI call covers all event models.
-            frames_relayed += crate::metrics::union_frames(&preds);
-
-            for (k, pred) in preds.iter().enumerate() {
-                // Record ground truth for this horizon/event.
-                if record.labels[k].present {
-                    ground_truth.push((
-                        k,
-                        anchor + record.labels[k].start as u64,
-                        anchor + record.labels[k].end as u64,
-                    ));
-                }
-                if !pred.present {
-                    continue;
-                }
-                let seg_start = anchor + pred.start as u64;
-                let seg_end = anchor + pred.end as u64;
-                segments.push(RelaySegment {
-                    event: k,
-                    start: seg_start,
-                    end: seg_end,
-                });
-
-                // Oracle CI: detects the overlap with true instances.
-                for inst in stream.all_intersecting(k, seg_start, seg_end) {
-                    detections.push(Detection {
-                        event: k,
-                        start: inst.interval.start.max(seg_start),
-                        end: inst.interval.end.min(seg_end),
-                    });
-                }
-            }
-            anchor += self.horizon as u64;
-        }
-
-        if let Some(t) = tel.as_deref() {
-            t.add("marshal.horizons", horizons as u64);
-            t.add("marshal.frames_relayed", frames_relayed);
-        }
-        let cost = self.ci.account(
-            horizons,
-            self.window,
-            self.horizon,
-            frames_relayed,
-            // Online per-horizon predictor cost is negligible relative to
-            // the CI; account a conservative 1 ms per horizon.
-            horizons as f64 * 1e-3,
-        );
-
+        let walk = self.walk(stream, features, from, to, None)?;
         Ok(MarshalResult {
-            segments,
-            detections,
-            ground_truth,
-            horizons,
-            cost,
+            segments: walk.segments,
+            detections: walk.detections,
+            ground_truth: walk.ground_truth,
+            horizons: walk.horizons,
+            cost: walk.cost,
         })
     }
 
@@ -295,19 +214,79 @@ impl Marshaller {
         stream_fps: f64,
         client: &mut ResilientCiClient,
     ) -> Result<ResilientMarshalResult, CoreError> {
+        let walk = self.walk(stream, features, from, to, Some((&mut *client, stream_fps)))?;
+
+        // Attribute every ground-truth instance to exactly one bucket,
+        // in confirmation-strength order: CI-confirmed, locally covered,
+        // relayed-but-lost, never relayed.
+        let overlaps = |segs: &[RelaySegment], k: usize, s: u64, e: u64| {
+            segs.iter()
+                .any(|seg| seg.event == k && seg.start <= e && seg.end >= s)
+        };
+        let mut attribution = MissAttribution::default();
+        for &(k, s, e) in &walk.ground_truth {
+            let confirmed = walk
+                .detections
+                .iter()
+                .any(|d| d.event == k && d.start <= e && d.end >= s);
+            if confirmed {
+                attribution.detected += 1;
+            } else if overlaps(&walk.local_cover, k, s, e) {
+                attribution.local_unconfirmed += 1;
+            } else if overlaps(&walk.lost_segments, k, s, e) {
+                attribution.dropped_by_faults += 1;
+            } else {
+                attribution.filtered_by_predictor += 1;
+            }
+        }
+
+        Ok(ResilientMarshalResult {
+            detections: walk.detections,
+            ground_truth: walk.ground_truth,
+            horizon_tags: walk.horizon_tags,
+            attribution,
+            horizons: walk.horizons,
+            cost: walk.cost,
+            stats: client.stats.clone(),
+            fault_fingerprint: client.fault_trace().fingerprint(),
+        })
+    }
+
+    /// The one horizon walk. Without a `client` every horizon's relay is
+    /// delivered as predicted — what a client on a reliable channel
+    /// reports, so the two entries agree field for field there. With
+    /// `(client, stream_fps)` each horizon is one submission on the
+    /// simulated clock and the degradation policy decides what a failed
+    /// one becomes.
+    fn walk(
+        &mut self,
+        stream: &VideoStream,
+        features: &Matrix,
+        from: u64,
+        to: u64,
+        mut client: Option<(&mut ResilientCiClient, f64)>,
+    ) -> Result<Walk, CoreError> {
         self.check_range(stream, from, to)?;
-        if !(stream_fps > 0.0 && stream_fps.is_finite()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "stream_fps = {stream_fps} must be finite and positive"
-            )));
+        if let Some((_, stream_fps)) = &client {
+            if !(*stream_fps > 0.0 && stream_fps.is_finite()) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "stream_fps = {stream_fps} must be finite and positive"
+                )));
+            }
         }
 
         let tel = self.telemetry.clone();
-        let _run = tel.as_deref().map(|t| t.span("marshal.run_resilient"));
+        let _run = tel.as_deref().map(|t| {
+            t.span(match client {
+                Some(_) => "marshal.run_resilient",
+                None => "marshal.run",
+            })
+        });
 
+        let mut segments = Vec::new();
         let mut detections = Vec::new();
-        let mut local_cover: Vec<(usize, u64, u64)> = Vec::new();
-        let mut lost_segments: Vec<RelaySegment> = Vec::new();
+        let mut local_cover = Vec::new();
+        let mut lost_segments = Vec::new();
         let mut ground_truth = Vec::new();
         let mut horizon_tags = Vec::new();
         let mut horizons = 0usize;
@@ -316,8 +295,10 @@ impl Marshaller {
         // covered, awaiting one redelivery attempt.
         let mut deferred: Option<(u64, Vec<RelaySegment>)> = None;
 
-        let mut anchor = from;
-        while anchor + self.horizon as u64 <= to {
+        let mut next = from;
+        while next + self.horizon as u64 <= to {
+            let anchor = next;
+            next += self.horizon as u64;
             horizons += 1;
             let record = extract_record(stream, features, anchor, self.window, self.horizon);
             let scored = score_record(&self.plan, &record, &mut self.scratch);
@@ -328,115 +309,82 @@ impl Marshaller {
                     ground_truth.push((k, anchor + label.start as u64, anchor + label.end as u64));
                 }
             }
+            // This horizon's relay, then whatever the last one deferred.
+            let mut relay: Vec<RelaySegment> = preds
+                .iter()
+                .enumerate()
+                .filter(|(_, pred)| pred.present)
+                .map(|(k, pred)| RelaySegment {
+                    event: k,
+                    start: anchor + pred.start as u64,
+                    end: anchor + pred.end as u64,
+                })
+                .collect();
+            segments.extend_from_slice(&relay);
+            // A relayed frame is paid for once even when several events'
+            // intervals overlap: the CI call covers all event models.
+            let mut submit_frames = crate::metrics::union_frames(&preds);
 
-            let mut horizon_segments: Vec<RelaySegment> = Vec::new();
-            for (k, pred) in preds.iter().enumerate() {
-                if pred.present {
-                    horizon_segments.push(RelaySegment {
-                        event: k,
-                        start: anchor + pred.start as u64,
-                        end: anchor + pred.end as u64,
+            if let Some((client, stream_fps)) = client.as_mut() {
+                // The submission clock: the decision fires when the last
+                // window frame has been captured.
+                let now = anchor as f64 / *stream_fps;
+                let own = relay.len();
+                if let Some((frames, segs)) = deferred.take() {
+                    // Redeliver last horizon's deferred frames alongside
+                    // this submission (one extra chance).
+                    submit_frames += frames;
+                    relay.extend(segs);
+                }
+                // Keep the simulated timeline moving even when the client
+                // has no recorder of its own (the client sets the time
+                // again before its span when it does).
+                if let Some(t) = tel.as_deref() {
+                    t.set_time(now);
+                }
+                let outcome = client.submit(submit_frames, now);
+                let tag = outcome.tag();
+                horizon_tags.push((anchor, tag));
+                if let Some(t) = tel.as_deref() {
+                    t.add_labeled("marshal.degradation", tag_label(tag), 1);
+                }
+                if let SubmissionOutcome::Degraded { mode, reason, .. } = outcome {
+                    match mode {
+                        DegradationMode::DropDeadLetter => lost_segments.append(&mut relay),
+                        DegradationMode::DeferNextHorizon if relay.len() == own => {
+                            deferred = Some((submit_frames, relay));
+                        }
+                        DegradationMode::DeferNextHorizon => {
+                            // Second failure: give up on both loads.
+                            client.dead_letter(submit_frames, now, reason);
+                            lost_segments.append(&mut relay);
+                        }
+                        // Trust the C-REGRESS interval without the CI:
+                        // coverage is claimed, not confirmed.
+                        DegradationMode::LocalOnly => local_cover.append(&mut relay),
+                    }
+                    continue;
+                }
+            }
+
+            // Delivered. Oracle CI: detects the overlap with true
+            // instances.
+            frames_relayed += submit_frames;
+            for seg in &relay {
+                for inst in stream.all_intersecting(seg.event, seg.start, seg.end) {
+                    detections.push(Detection {
+                        event: seg.event,
+                        start: inst.interval.start.max(seg.start),
+                        end: inst.interval.end.min(seg.end),
                     });
                 }
             }
-
-            // The submission clock: the decision fires when the last
-            // window frame has been captured.
-            let now = anchor as f64 / stream_fps;
-            let mut submit_frames = crate::metrics::union_frames(&preds);
-            let mut carried: Vec<RelaySegment> = Vec::new();
-            if let Some((frames, segs)) = deferred.take() {
-                // Redeliver last horizon's deferred frames alongside this
-                // submission (one extra chance).
-                submit_frames += frames;
-                carried = segs;
-            }
-
-            // Keep the simulated timeline moving even when the client has
-            // no recorder of its own (the client sets the time again
-            // before its span when it does).
-            if let Some(t) = tel.as_deref() {
-                t.set_time(now);
-            }
-            let outcome = client.submit(submit_frames, now);
-            let tag = outcome.tag();
-            horizon_tags.push((anchor, tag));
-            if let Some(t) = tel.as_deref() {
-                t.add_labeled("marshal.degradation", tag_label(tag), 1);
-            }
-
-            match outcome {
-                SubmissionOutcome::Delivered { .. } => {
-                    frames_relayed += submit_frames;
-                    for seg in horizon_segments.iter().chain(carried.iter()) {
-                        for inst in stream.all_intersecting(seg.event, seg.start, seg.end) {
-                            detections.push(Detection {
-                                event: seg.event,
-                                start: inst.interval.start.max(seg.start),
-                                end: inst.interval.end.min(seg.end),
-                            });
-                        }
-                    }
-                }
-                SubmissionOutcome::Degraded { mode, reason, .. } => match mode {
-                    DegradationMode::DropDeadLetter => {
-                        lost_segments.extend(horizon_segments.iter().copied());
-                        lost_segments.extend(carried.iter().copied());
-                    }
-                    DegradationMode::DeferNextHorizon => {
-                        if carried.is_empty() {
-                            let mut segs = horizon_segments.clone();
-                            segs.shrink_to_fit();
-                            deferred = Some((submit_frames, segs));
-                        } else {
-                            // Second failure: give up on both loads.
-                            client.dead_letter(submit_frames, now, reason);
-                            lost_segments.extend(horizon_segments.iter().copied());
-                            lost_segments.extend(carried.iter().copied());
-                        }
-                    }
-                    DegradationMode::LocalOnly => {
-                        // Trust the C-REGRESS interval without the CI:
-                        // coverage is claimed, not confirmed.
-                        for seg in horizon_segments.iter().chain(carried.iter()) {
-                            local_cover.push((seg.event, seg.start, seg.end));
-                        }
-                    }
-                },
-            }
-
-            anchor += self.horizon as u64;
         }
 
         // Anything still deferred at the end of the walk is lost.
-        if let Some((frames, segs)) = deferred.take() {
+        if let (Some((frames, segs)), Some((client, stream_fps))) = (deferred, client) {
             client.dead_letter(frames, to as f64 / stream_fps, FailReason::RetriesExhausted);
             lost_segments.extend(segs);
-        }
-
-        // Attribute every ground-truth instance to exactly one bucket,
-        // in confirmation-strength order: CI-confirmed, locally covered,
-        // relayed-but-lost, never relayed.
-        let mut attribution = MissAttribution::default();
-        for &(k, s, e) in &ground_truth {
-            let confirmed = detections
-                .iter()
-                .any(|d| d.event == k && d.start <= e && d.end >= s);
-            if confirmed {
-                attribution.detected += 1;
-            } else if local_cover
-                .iter()
-                .any(|&(ev, ls, le)| ev == k && ls <= e && le >= s)
-            {
-                attribution.local_unconfirmed += 1;
-            } else if lost_segments
-                .iter()
-                .any(|seg| seg.event == k && seg.start <= e && seg.end >= s)
-            {
-                attribution.dropped_by_faults += 1;
-            } else {
-                attribution.filtered_by_predictor += 1;
-            }
         }
 
         if let Some(t) = tel.as_deref() {
@@ -448,20 +396,38 @@ impl Marshaller {
             self.window,
             self.horizon,
             frames_relayed,
+            // Online per-horizon predictor cost is negligible relative to
+            // the CI; account a conservative 1 ms per horizon.
             horizons as f64 * 1e-3,
         );
 
-        Ok(ResilientMarshalResult {
+        Ok(Walk {
+            segments,
             detections,
+            local_cover,
+            lost_segments,
             ground_truth,
             horizon_tags,
-            attribution,
             horizons,
             cost,
-            stats: client.stats.clone(),
-            fault_fingerprint: client.fault_trace().fingerprint(),
         })
     }
+}
+
+/// What `Marshaller::walk` produces; each public entry keeps the fields
+/// its result type carries.
+struct Walk {
+    /// Every predicted segment, in stream order (delivered or not).
+    segments: Vec<RelaySegment>,
+    detections: Vec<Detection>,
+    /// Segments covered by `LocalOnly` degradation.
+    local_cover: Vec<RelaySegment>,
+    /// Segments whose submission was abandoned.
+    lost_segments: Vec<RelaySegment>,
+    ground_truth: Vec<(usize, u64, u64)>,
+    horizon_tags: Vec<(u64, DegradationTag)>,
+    horizons: usize,
+    cost: CostReport,
 }
 
 /// Outcome of a faulted (resilient) marshalling run.
@@ -521,7 +487,9 @@ mod tests {
         let (mut m, run) = build_marshaller();
         let from = run.window as u64;
         let to = from + (run.horizon as u64) * 5 + 10;
-        let result = m.run(&run.stream, &run.features, from, to);
+        let result = m
+            .try_run(&run.stream, &run.features, from, to)
+            .expect("range inside the stream");
         assert_eq!(result.horizons, 5);
         assert!(result.cost.frames_covered == (run.horizon as u64) * 5);
     }
@@ -542,7 +510,9 @@ mod tests {
             CiConfig::default(),
         );
         let from = (stream.len * 3) / 4; // marshal the test region
-        let result = m.run(&stream, &features, from, stream.len);
+        let result = m
+            .try_run(&stream, &features, from, stream.len)
+            .expect("range inside the stream");
         // The walked region should contain some events and the high-recall
         // strategy should find a decent share of them.
         if !result.ground_truth.is_empty() {
@@ -670,7 +640,7 @@ mod tests {
             assert_eq!(res.horizons, plain.horizons);
             assert_eq!(res.detections, plain.detections);
             assert_eq!(res.ground_truth, plain.ground_truth);
-            assert_eq!(res.cost.frames_relayed, plain.cost.frames_relayed);
+            assert_eq!(res.cost, plain.cost);
             assert!(res
                 .horizon_tags
                 .iter()

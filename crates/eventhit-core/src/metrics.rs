@@ -5,6 +5,7 @@ use eventhit_video::records::EventLabel;
 
 use crate::error::CoreError;
 use crate::infer::{IntervalPrediction, ScoredRecord};
+use crate::pipeline::ConformalState;
 
 /// Frame-level recall `η` of one prediction against one label: the fraction
 /// of the true occurrence interval covered by the prediction. Zero when the
@@ -237,6 +238,27 @@ pub fn existence_precision(preds: &[Vec<IntervalPrediction>], records: &[ScoredR
     } else {
         correct as f64 / predicted as f64
     }
+}
+
+/// C-CLASSIFY miss and positive counts `(misses, positives)` for event 0
+/// at confidence `c`: the records where the event occurs, and those among
+/// them the classifier calls absent. Raw counts, so callers can pool them
+/// across seeds before taking a rate: single-seed test splits at smoke
+/// scale hold only a few dozen positives, far too few to resolve a
+/// one-percentage-point drift.
+pub fn miss_counts(state: &ConformalState, test: &[ScoredRecord], c: f64) -> (usize, usize) {
+    let mut misses = 0usize;
+    let mut positives = 0usize;
+    for rec in test {
+        if !rec.labels[0].present {
+            continue;
+        }
+        positives += 1;
+        if !state.classifier(0).predict(rec.scores[0].b, c) {
+            misses += 1;
+        }
+    }
+    (misses, positives)
 }
 
 /// Where each ground-truth event instance of a (possibly faulted) run

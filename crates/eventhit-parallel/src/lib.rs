@@ -1,8 +1,8 @@
 //! # eventhit-parallel
 //!
 //! A std-only deterministic parallel execution layer for the EventHit
-//! workspace: a scoped thread pool with a fixed worker count, chunked
-//! work-stealing deques, and panic propagation — plus the
+//! workspace: a scoped thread pool with a fixed worker count, one shared
+//! task queue, and panic propagation — plus the
 //! [`DeterministicReduce`] combinator that folds partial results in
 //! submission order, so every parallel region produces **bit-identical
 //! output for any worker count, including 1**.

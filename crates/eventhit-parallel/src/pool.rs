@@ -1,5 +1,5 @@
-//! The scoped thread pool: fixed worker count, chunked work-stealing
-//! deques, panic propagation, and optional telemetry.
+//! The scoped thread pool: fixed worker count, one shared task queue,
+//! and panic propagation.
 //!
 //! The pool spawns scoped threads per parallel region rather than keeping
 //! a resident worker set: scoped threads may borrow from the caller's
@@ -17,14 +17,11 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
-
-use eventhit_telemetry::Telemetry;
 
 thread_local! {
     static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -87,20 +84,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Wall-clock trace of one worker, replayed into telemetry after the
-/// region joins (worker threads cannot share the recorder's scoped span
-/// stack, so spans are recorded post-hoc, worker by worker, in index
-/// order).
-#[derive(Default)]
-struct WorkerLog {
-    start: f64,
-    end: f64,
-    tasks: Vec<(f64, f64)>,
-}
-
 /// A deterministic scoped thread pool with a fixed worker count.
 ///
-/// Cheap to construct (two words); the threads live only for the duration
+/// Cheap to construct (one word); the threads live only for the duration
 /// of each parallel region. See the crate docs for the determinism
 /// argument and [`Pool::current`] for worker-count resolution.
 ///
@@ -115,7 +101,6 @@ struct WorkerLog {
 #[derive(Clone, Debug, Default)]
 pub struct Pool {
     workers: usize,
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl Pool {
@@ -123,7 +108,6 @@ impl Pool {
     pub fn new(workers: usize) -> Self {
         Pool {
             workers: workers.max(1),
-            telemetry: None,
         }
     }
 
@@ -144,36 +128,15 @@ impl Pool {
         self.workers.max(1)
     }
 
-    /// Attaches a telemetry recorder for pool diagnostics: a
-    /// `pool.run` → `pool.worker` → `pool.task` span forest per region, a
-    /// `pool.queue_depth` gauge, and `pool.tasks` / `pool.steals`
-    /// counters.
-    ///
-    /// Pool diagnostics are **wall-clock scheduling facts** (which worker
-    /// ran which task, when), so they are *not* invariant across worker
-    /// counts or replays. Keep this recorder separate from the
-    /// pipeline's fingerprinted recorder; the instrumented hot paths
-    /// never attach one to their internal pools.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Builder form of [`Pool::set_telemetry`].
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.set_telemetry(telemetry);
-        self
-    }
-
     /// The core primitive: runs `run(index, task)` exactly once for every
     /// task, on up to `workers` scoped threads.
     ///
-    /// Tasks are dealt into per-worker deques in contiguous submission
-    /// blocks; a worker pops its own deque from the front and steals from
-    /// other deques' backs when empty, so uneven task durations
-    /// rebalance. If a task panics, the first panic payload is captured,
-    /// remaining *unstarted* tasks are abandoned, in-flight tasks finish,
-    /// all workers join, and the panic resumes exactly once on the
-    /// caller.
+    /// Tasks wait in one shared queue; an idle worker takes the next
+    /// unstarted task in submission order, so uneven task durations
+    /// rebalance and no task waits behind a busy worker. If a task
+    /// panics, the first panic payload is captured, remaining *unstarted*
+    /// tasks are abandoned, in-flight tasks finish, all workers join, and
+    /// the panic resumes exactly once on the caller.
     ///
     /// Determinism: `index` is the task's submission position. The pool
     /// guarantees each task runs at most once and (absent panics) exactly
@@ -194,54 +157,27 @@ impl Pool {
             return;
         }
 
-        let mut queues: Vec<Mutex<VecDeque<(usize, I)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            // Contiguous blocks: worker w starts on tasks [w*n/W, (w+1)*n/W).
-            let w = i * workers / n;
-            queues[w]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back((i, task));
-        }
-
-        let queues = &queues;
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let queue = &queue;
         let run = &run;
-        let pending = AtomicUsize::new(n);
-        let pending = &pending;
-        let steals = AtomicUsize::new(0);
-        let steals = &steals;
         let poisoned = AtomicBool::new(false);
         let poisoned = &poisoned;
         let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let panic_slot = &panic_slot;
-        let tel = self.telemetry.as_deref();
-        let t0 = tel.map(Telemetry::now);
-        let logs: Vec<Mutex<WorkerLog>> = (0..workers).map(|_| Mutex::default()).collect();
-        let logs = &logs;
 
         thread::scope(|scope| {
-            for (w, worker_log) in logs.iter().enumerate() {
+            for _ in 0..workers {
                 scope.spawn(move || {
                     // The outer grain wins: an ambient pool resolved
                     // inside a task runs inline on this worker.
                     WORKER_OVERRIDE.with(|c| c.set(Some(1)));
-                    let mut log = WorkerLog {
-                        start: tel.map_or(0.0, Telemetry::now),
-                        ..WorkerLog::default()
-                    };
                     while !poisoned.load(Ordering::Acquire) {
-                        let Some((idx, task)) = pop_task(queues, w, steals) else {
+                        // The guard is a temporary of this statement: the
+                        // queue is unlocked before the task runs.
+                        let Some((idx, task)) = lock(queue).next() else {
                             break;
                         };
-                        let task_start = tel.map(Telemetry::now);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| run(idx, task)));
-                        let remaining = pending.fetch_sub(1, Ordering::AcqRel) - 1;
-                        if let (Some(t), Some(s)) = (tel, task_start) {
-                            log.tasks.push((s, t.now()));
-                            t.gauge_set("pool.queue_depth", remaining as f64);
-                        }
-                        if let Err(payload) = outcome {
+                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(idx, task))) {
                             let mut slot = lock(panic_slot);
                             if slot.is_none() {
                                 *slot = Some(payload);
@@ -250,27 +186,9 @@ impl Pool {
                             break;
                         }
                     }
-                    if let Some(t) = tel {
-                        log.end = t.now();
-                        *lock(worker_log) = log;
-                    }
                 });
             }
         });
-
-        if let Some(t) = tel {
-            let run_id = t.record_closed_span("pool.run", t0.unwrap_or(0.0), t.now(), None);
-            t.add("pool.tasks", (n - pending.load(Ordering::Acquire)) as u64);
-            t.add("pool.steals", steals.load(Ordering::Acquire) as u64);
-            t.gauge_set("pool.workers", workers as f64);
-            for log in logs {
-                let log = lock(log);
-                let worker_id = t.record_closed_span("pool.worker", log.start, log.end, run_id);
-                for &(s, e) in &log.tasks {
-                    t.record_closed_span("pool.task", s, e, worker_id);
-                }
-            }
-        }
 
         let payload = lock(panic_slot).take();
         if let Some(payload) = payload {
@@ -279,7 +197,7 @@ impl Pool {
     }
 
     /// The chunk size [`Pool::map`] uses for `n` items: ~4 chunks per
-    /// worker, so stealing can rebalance uneven durations without
+    /// worker, so the queue can rebalance uneven durations without
     /// drowning in per-chunk overhead.
     pub fn default_chunk(&self, n: usize) -> usize {
         if self.workers() <= 1 {
@@ -316,26 +234,6 @@ impl Pool {
         }
         out
     }
-}
-
-/// Pops the next task for worker `w`: own deque front first, then steal
-/// from the back of the other deques in ring order.
-fn pop_task<I>(
-    queues: &[Mutex<VecDeque<(usize, I)>>],
-    w: usize,
-    steals: &AtomicUsize,
-) -> Option<(usize, I)> {
-    if let Some(task) = lock(&queues[w]).pop_front() {
-        return Some(task);
-    }
-    for offset in 1..queues.len() {
-        let victim = (w + offset) % queues.len();
-        if let Some(task) = lock(&queues[victim]).pop_back() {
-            steals.fetch_add(1, Ordering::Relaxed);
-            return Some(task);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -407,34 +305,5 @@ mod tests {
         let result = catch_unwind(|| with_workers(6, || panic!("boom")));
         assert!(result.is_err());
         assert_eq!(current_workers(), outer);
-    }
-
-    #[test]
-    fn telemetry_records_worker_span_forest_and_counters() {
-        let tel = Arc::new(Telemetry::new());
-        let pool = Pool::new(3).with_telemetry(Arc::clone(&tel));
-        pool.run_tasks((0..24).collect::<Vec<usize>>(), |_, v| {
-            std::hint::black_box(v);
-        });
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("pool.tasks"), Some(24));
-        assert_eq!(snap.gauge("pool.workers").unwrap().last, 3.0);
-        assert!(snap.gauge("pool.queue_depth").is_some());
-        let runs = snap.spans.iter().filter(|s| s.name == "pool.run").count();
-        let workers = snap
-            .spans
-            .iter()
-            .filter(|s| s.name == "pool.worker")
-            .count();
-        let tasks = snap.spans.iter().filter(|s| s.name == "pool.task").count();
-        assert_eq!(runs, 1);
-        assert_eq!(workers, 3);
-        assert_eq!(tasks, 24);
-        // Every pool.task span parents to a pool.worker span, which
-        // parents to the pool.run span.
-        let run_id = snap.spans.iter().find(|s| s.name == "pool.run").unwrap().id;
-        for s in snap.spans.iter().filter(|s| s.name == "pool.worker") {
-            assert_eq!(s.parent, Some(run_id));
-        }
     }
 }

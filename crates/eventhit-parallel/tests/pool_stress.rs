@@ -3,6 +3,7 @@
 //! results; the loop count is high enough to shake out scheduling races.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use eventhit_parallel::{DeterministicReduce, Pool};
 
@@ -25,8 +26,8 @@ fn uneven_durations_execute_exactly_once_in_order() {
         let reduce = DeterministicReduce::with_capacity(TASKS);
         let pool = Pool::new(1 + iter % 8);
         pool.run_tasks((0..TASKS).collect(), |i, idx| {
-            // Task cost varies ~300x across indices so stealing actually
-            // happens: early tasks are heavy, late ones nearly free.
+            // Task cost varies ~300x across indices so workers actually
+            // rebalance: early tasks are heavy, late ones nearly free.
             let heavy = (TASKS - idx) * (TASKS - idx) * 50;
             let _ = spin(heavy);
             counts[idx].fetch_add(1, Ordering::SeqCst);
@@ -43,6 +44,34 @@ fn uneven_durations_execute_exactly_once_in_order() {
         let got = reduce.into_ordered();
         let want: Vec<u64> = (0..TASKS as u64).map(|i| i * 7 + 1).collect();
         assert_eq!(got, want, "iter {iter}: out-of-order results");
+    }
+}
+
+#[test]
+fn no_task_is_stranded_behind_a_busy_worker() {
+    // Task 0 holds its worker until every other task has finished, so
+    // the region completes only if the remaining workers take everything
+    // else — including tasks submitted right behind task 0.
+    const TASKS: usize = 16;
+    for workers in [2, 4] {
+        let done = AtomicUsize::new(0);
+        Pool::new(workers).run_tasks((0..TASKS).collect(), |_, idx| {
+            if idx == 0 {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while done.load(Ordering::SeqCst) < TASKS - 1 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "workers={workers}: {} of {} tasks stranded behind task 0",
+                        TASKS - 1 - done.load(Ordering::SeqCst),
+                        TASKS - 1
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                done.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(done.load(Ordering::SeqCst), TASKS - 1, "workers={workers}");
     }
 }
 

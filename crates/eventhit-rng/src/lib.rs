@@ -4,7 +4,7 @@
 //! environment is hermetic (no crates.io access), and the paper's
 //! split-conformal guarantees (C-CLASSIFY / C-REGRESS) are only checkable
 //! when every calibration draw is replayable, so the whole workspace runs on
-//! this crate instead of `rand`/`proptest`/`criterion`.
+//! this crate instead of `rand`/`proptest`.
 //!
 //! ## Algorithm
 //!
@@ -25,13 +25,11 @@
 //! `Rng::random_bool`, `seq::SliceRandom::shuffle`, and `R: Rng + ?Sized`
 //! generic bounds. Gaussians via Box–Muller live in [`normal`].
 //!
-//! ## Test and bench harness
+//! ## Test harness
 //!
 //! [`testkit`] replaces `proptest` with a property-test macro
-//! ([`property!`]) with shrinking-lite, and [`bench`](mod@bench) replaces `criterion`
-//! with a wall-clock micro-bench timer behind a criterion-shaped API.
+//! ([`property!`]) with shrinking-lite.
 
-pub mod bench;
 pub mod normal;
 pub mod rngs;
 pub mod seq;

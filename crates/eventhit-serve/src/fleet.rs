@@ -110,8 +110,6 @@ pub struct FleetReport {
     /// Sum of `retry_after_ms` hints the drivers honored (after the
     /// `retry_cap_ms` cap), in milliseconds.
     pub retry_waited_ms: u64,
-    /// Wall-clock duration of the drive, in seconds.
-    pub elapsed_seconds: f64,
 }
 
 /// The arrival slot of every stream, in stream-id order; slots are
@@ -216,7 +214,6 @@ pub fn drive(addr: &str, rows: &[Vec<f32>], spec: &FleetSpec) -> io::Result<Flee
         decisions: all,
         admission_rejects: tallies.admission_rejects.load(Ordering::Relaxed),
         retry_waited_ms: tallies.retry_waited_ms.load(Ordering::Relaxed),
-        elapsed_seconds: start.elapsed().as_secs_f64(),
     })
 }
 

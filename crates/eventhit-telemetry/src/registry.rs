@@ -197,41 +197,6 @@ impl Telemetry {
         SpanGuard { tel: self, id }
     }
 
-    /// Records an already-finished span directly, bypassing the scoped
-    /// span stack. This is the replay API for parallel regions: worker
-    /// threads cannot share the scope-based stack (their nesting is
-    /// concurrent, not lexical), so they log timings privately and the
-    /// coordinator replays them here after joining, in a deterministic
-    /// order, wiring parents explicitly.
-    ///
-    /// Returns the new span's id, or `None` if the recorder is disabled
-    /// or the trace buffer is full (counted in `dropped_spans`).
-    pub fn record_closed_span(
-        &self,
-        name: &'static str,
-        start: f64,
-        end: f64,
-        parent: Option<u32>,
-    ) -> Option<u32> {
-        if !self.enabled {
-            return None;
-        }
-        let mut inner = self.lock();
-        if inner.spans.len() >= MAX_SPANS {
-            inner.dropped_spans += 1;
-            return None;
-        }
-        let id = inner.spans.len() as u32;
-        inner.spans.push(SpanRecord {
-            id,
-            parent,
-            name,
-            start,
-            end,
-        });
-        Some(id)
-    }
-
     fn finish_span(&self, id: u32) {
         let mut inner = self.lock();
         let end = self.now_locked(&inner);
@@ -433,15 +398,6 @@ pub struct SpanGuard<'a> {
     id: u32,
 }
 
-impl SpanGuard<'_> {
-    /// The recorded span's id, for use as an explicit parent in
-    /// [`Telemetry::record_closed_span`]; `None` when the guard is a
-    /// no-op (disabled recorder or full trace buffer).
-    pub fn id(&self) -> Option<u32> {
-        (self.id != u32::MAX).then_some(self.id)
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if self.id != u32::MAX {
@@ -550,37 +506,6 @@ mod tests {
         let snap = tel.snapshot();
         assert_eq!(snap.spans.len(), MAX_SPANS);
         assert_eq!(snap.dropped_spans, 10);
-    }
-
-    #[test]
-    fn record_closed_span_bypasses_the_scope_stack() {
-        let tel = Telemetry::with_manual_clock();
-        let _open = tel.span("ambient");
-        let root = tel.record_closed_span("pool.run", 1.0, 4.0, None).unwrap();
-        let child = tel
-            .record_closed_span("pool.worker", 1.5, 3.5, Some(root))
-            .unwrap();
-        let snap = tel.snapshot();
-        // The ambient scoped span is still open and must not have
-        // adopted the replayed spans.
-        let run = snap.spans.iter().find(|s| s.id == root).unwrap();
-        let worker = snap.spans.iter().find(|s| s.id == child).unwrap();
-        assert_eq!(run.parent, None);
-        assert_eq!(worker.parent, Some(root));
-        assert_eq!((run.start, run.end), (1.0, 4.0));
-        assert_eq!(snap.open_spans, 1);
-        assert!(Telemetry::disabled()
-            .record_closed_span("x", 0.0, 1.0, None)
-            .is_none());
-    }
-
-    #[test]
-    fn span_guard_exposes_its_id() {
-        let tel = Telemetry::with_manual_clock();
-        let g = tel.span("a");
-        assert!(g.id().is_some());
-        let disabled = Telemetry::disabled();
-        assert!(disabled.span("b").id().is_none());
     }
 
     #[test]

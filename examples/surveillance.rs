@@ -52,7 +52,9 @@ fn main() {
     // Marshal the final quarter of the stream (the model never saw it).
     let from = (stream.len * 3) / 4;
     println!("Marshalling frames {from}..{} ...", stream.len);
-    let result = marshaller.run(&stream, &features, from, stream.len);
+    let result = marshaller
+        .try_run(&stream, &features, from, stream.len)
+        .expect("range inside the stream");
 
     println!("\n  horizons walked      : {}", result.horizons);
     println!("  events in region     : {}", result.ground_truth.len());

@@ -6,7 +6,7 @@
 # has crept back in.
 #
 # Usage: scripts/verify.sh [--workspace]
-#   --workspace   also run every crate's unit/property/bench-harness tests
+#   --workspace   also run every crate's unit and property tests
 #                 (slower; tier-1 proper is the root suite).
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -35,6 +35,7 @@ use eventhit::core::ci::CiConfig;
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::infer::score_records;
 use eventhit::core::marshal::Marshaller;
+use eventhit::core::metrics::miss_counts;
 use eventhit::core::model_io;
 use eventhit::core::pipeline::{ConformalState, Strategy};
 use eventhit::core::streaming::OnlinePredictor;
@@ -293,7 +294,9 @@ fn cmd_marshal(args: &Args) {
         CiConfig::default(),
     );
     let from = (stream.len * 3) / 4;
-    let result = m.run(&stream, &features, from, stream.len);
+    let result = m
+        .try_run(&stream, &features, from, stream.len)
+        .expect("marshal run failed");
     println!("horizons         {}", result.horizons);
     println!("segments relayed {}", result.segments.len());
     println!("frames relayed   {}", result.cost.frames_relayed);
@@ -445,7 +448,6 @@ fn cmd_bench_client(args: &Args) {
             .expect_ok("open_stream");
     }
 
-    let started = std::time::Instant::now();
     let mut decisions = 0u64;
     let mut retries = 0u64;
     let batch = args.batch.max(1).min(limits.max_batch_frames as usize);
@@ -501,13 +503,9 @@ fn cmd_bench_client(args: &Args) {
             summary.frames, summary.decisions
         );
     }
-    let secs = started.elapsed().as_secs_f64();
     println!(
-        "fed {} frames x {} streams in {secs:.2}s ({:.0} frames/s), \
-         {decisions} decisions, {retries} backpressure retries",
-        rows,
-        args.streams,
-        (rows as f64 * args.streams as f64) / secs.max(1e-9),
+        "fed {} frames x {} streams, {decisions} decisions, {retries} backpressure retries",
+        rows, args.streams,
     );
     println!(
         "server totals: {} sessions, {} frames, {} decisions",
@@ -646,14 +644,12 @@ fn cmd_bench_fleet(args: &Args) {
 
     println!(
         "totals: streams_driven={} frames_sent={} decisions={} admission_rejects={} \
-         retry_waited_ms={} elapsed_s={:.3} frames_per_s={:.0}",
+         retry_waited_ms={}",
         report.streams_driven,
         report.frames_sent,
         report.decisions.len(),
         report.admission_rejects,
         report.retry_waited_ms,
-        report.elapsed_seconds,
-        report.frames_sent as f64 / report.elapsed_seconds.max(1e-9)
     );
     if served != baseline {
         eprintln!(
@@ -670,12 +666,11 @@ fn cmd_bench_fleet(args: &Args) {
     );
 }
 
-/// One timed in-process `run_lanes` drive: `streams` lanes over the
-/// task's full feature matrix, every lane gating with `policy`.
+/// One in-process `run_lanes` drive: `streams` lanes over the task's
+/// full feature matrix, every lane gating with `policy`.
 struct LaneDrive {
     decisions: usize,
     frames: u64,
-    seconds: f64,
     skipped: u64,
     carried: u64,
 }
@@ -715,45 +710,18 @@ fn drive_lanes(
             }
         })
         .collect();
-    let started = std::time::Instant::now();
     let decisions = run_lanes(lanes, pool);
-    let seconds = started.elapsed().as_secs_f64();
     let snap = telemetry.snapshot();
     LaneDrive {
         decisions: decisions.len(),
         frames: run.features.rows() as u64 * streams as u64,
-        seconds,
         skipped: snap.counter_total("stream.frames_skipped"),
         carried: snap.counter_total("stream.decisions_carried"),
     }
 }
 
-/// C-CLASSIFY miss and positive counts for event 0 at confidence `c` —
-/// the same coverage proxy as the workspace conformal test suites.
-/// Returned as raw counts so the sweep can pool them across seeds before
-/// taking a rate: single-seed test splits at smoke scale hold only a few
-/// dozen positives, far too few to resolve a one-percentage-point drift.
-fn miss_counts(
-    state: &ConformalState,
-    test: &[eventhit::core::ScoredRecord],
-    c: f64,
-) -> (usize, usize) {
-    let mut misses = 0usize;
-    let mut positives = 0usize;
-    for rec in test {
-        if !rec.labels[0].present {
-            continue;
-        }
-        positives += 1;
-        if !state.classifier(0).predict(rec.scores[0].b, c) {
-            misses += 1;
-        }
-    }
-    (misses, positives)
-}
-
 /// Trains once and drives `--streams` gated lanes through the in-process
-/// `run_lanes` path, printing throughput and gate telemetry. The offline
+/// `run_lanes` path, printing decision and gate counts. The offline
 /// twin of `serve --sampling`: same predictors, same policy, no sockets.
 fn cmd_run_lanes(args: &Args) {
     let t = task(&args.task).unwrap_or_else(|| {
@@ -781,7 +749,6 @@ fn cmd_run_lanes(args: &Args) {
         args.streams,
         &pool,
     );
-    let fps = d.frames as f64 / d.seconds.max(1e-9);
     println!(
         "policy {}: {} streams x {} frames on {} workers",
         args.sampling.label(),
@@ -790,15 +757,12 @@ fn cmd_run_lanes(args: &Args) {
         pool.workers()
     );
     println!("decisions        {}", d.decisions);
-    println!("frames/s         {fps:.0}");
-    println!("frames/s/core    {:.0}", fps / pool.workers() as f64);
     println!(
         "frames skipped   {} ({:.1}% of fed)",
         d.skipped,
         d.skip_rate() * 100.0
     );
     println!("carried          {}", d.carried);
-    println!("elapsed          {:.2}s", d.seconds);
 }
 
 /// The sampling ablation frontier, printed as a TSV on stdout: one row

@@ -91,6 +91,11 @@ fn bench_fleet_smoke_has_no_divergence_and_writes_nothing() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("decision divergence: none"), "{stdout}");
+    // Throughput is the benchmark's to report, not this check's.
+    assert!(
+        !stdout.contains("frames_per_s") && !stdout.contains("elapsed_s"),
+        "{stdout}"
+    );
 
     let mut after = std::collections::BTreeSet::new();
     files_under(root, &mut after);

@@ -8,6 +8,7 @@
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::infer::raw_interval;
+use eventhit::core::metrics::miss_counts;
 use eventhit::core::tasks::task;
 
 fn runs() -> Vec<TaskRun> {
@@ -26,19 +27,10 @@ fn runs() -> Vec<TaskRun> {
 fn c_classify_miss_rate_is_bounded() {
     let runs = runs();
     for &c in &[0.7, 0.9, 0.95] {
-        let mut misses = 0usize;
-        let mut positives = 0usize;
-        for run in &runs {
-            for rec in &run.test {
-                if !rec.labels[0].present {
-                    continue;
-                }
-                positives += 1;
-                if !run.state.classifier(0).predict(rec.scores[0].b, c) {
-                    misses += 1;
-                }
-            }
-        }
+        let (misses, positives) = runs
+            .iter()
+            .map(|run| miss_counts(&run.state, &run.test, c))
+            .fold((0, 0), |(m, p), (mi, pi)| (m + mi, p + pi));
         assert!(
             positives > 20,
             "need enough positives to test ({positives})"

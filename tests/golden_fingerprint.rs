@@ -50,7 +50,8 @@ fn pipeline_trace() -> (String, u64) {
         CiConfig::default(),
     );
     m.set_telemetry(Arc::clone(&tel));
-    m.run(&stream, &features, from, to);
+    m.try_run(&stream, &features, from, to)
+        .expect("range inside the stream");
 
     let snap = tel.snapshot();
     (snap.to_jsonl(), snap.fingerprint())

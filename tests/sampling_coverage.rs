@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::infer::{score_records_lane_with, ScoredRecord};
+use eventhit::core::metrics::miss_counts;
 use eventhit::core::pipeline::{ConformalState, Strategy};
 use eventhit::core::sampling::{sampled_records, SamplingPolicy};
 use eventhit::core::streaming::OnlinePredictor;
@@ -92,19 +93,10 @@ fn gated_runs() -> Vec<GatedRun> {
 
 /// Pooled C-CLASSIFY miss rate of event 0 at confidence `c`.
 fn miss_rate(runs: &[(&ConformalState, &[ScoredRecord])], c: f64) -> (f64, usize) {
-    let mut misses = 0usize;
-    let mut positives = 0usize;
-    for (state, test) in runs {
-        for rec in test.iter() {
-            if !rec.labels[0].present {
-                continue;
-            }
-            positives += 1;
-            if !state.classifier(0).predict(rec.scores[0].b, c) {
-                misses += 1;
-            }
-        }
-    }
+    let (misses, positives) = runs
+        .iter()
+        .map(|(state, test)| miss_counts(state, test, c))
+        .fold((0, 0), |(m, p), (mi, pi)| (m + mi, p + pi));
     (misses as f64 / positives.max(1) as f64, positives)
 }
 
