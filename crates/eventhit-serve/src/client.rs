@@ -9,12 +9,12 @@
 //! `retry_after_ms` hint or give up. Only transport failures and protocol
 //! violations surface as `io::Error`.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    read_message, write_message, Message, RejectCode, StreamSummary, WireCounter, WireDecision,
-    WireSeries, WireSlo, PROTOCOL_MAJOR, PROTOCOL_MINOR,
+    decode_payload, send_message, FrameBuf, Message, RejectCode, StreamSummary, WireCounter,
+    WireDecision, WireSeries, WireSlo, PROTOCOL_MAJOR, PROTOCOL_MINOR,
 };
 
 /// The admission limits granted by the server at handshake time.
@@ -142,9 +142,15 @@ fn disconnected() -> io::Error {
     io::Error::new(io::ErrorKind::ConnectionAborted, Disconnected)
 }
 
-/// One blocking client session.
-pub struct ServeClient {
-    sock: TcpStream,
+/// One blocking client session, over a TCP socket unless told otherwise
+/// ([`ServeClient::over`] takes any transport).
+pub struct ServeClient<C = TcpStream> {
+    io: C,
+    /// Replies are read through `rx`; requests are encoded into `request`
+    /// and sent with one write. Both are reused, so a warm call allocates
+    /// only the reply it returns.
+    rx: FrameBuf,
+    request: Vec<u8>,
     negotiated: Negotiated,
 }
 
@@ -153,16 +159,20 @@ impl ServeClient {
     /// `io::ErrorKind::ConnectionRefused` if the server rejects the
     /// protocol version.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
-        let sock = TcpStream::connect(addr)?;
-        let mut chan = &sock;
-        write_message(
-            &mut chan,
-            &Message::Hello {
-                major: PROTOCOL_MAJOR,
-                minor: PROTOCOL_MINOR,
-            },
-        )?;
-        match read_message(&mut chan)? {
+        Self::over(TcpStream::connect(addr)?)
+    }
+}
+
+impl<C: Read + Write> ServeClient<C> {
+    /// Performs the handshake over an already connected transport (see
+    /// [`ServeClient::connect`] for the failure modes).
+    pub fn over(mut io: C) -> io::Result<Self> {
+        let (mut rx, mut request) = (FrameBuf::new(), Vec::new());
+        let hello = Message::Hello {
+            major: PROTOCOL_MAJOR,
+            minor: PROTOCOL_MINOR,
+        };
+        match exchange(&mut io, &mut rx, &mut request, &hello)? {
             Some(Message::HelloAck {
                 minor,
                 max_streams,
@@ -176,7 +186,12 @@ impl ServeClient {
                     max_batch_frames,
                     max_queue_frames,
                 };
-                Ok(ServeClient { sock, negotiated })
+                Ok(ServeClient {
+                    io,
+                    rx,
+                    request,
+                    negotiated,
+                })
             }
             Some(Message::Rejected { code, detail, .. }) => Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -195,43 +210,45 @@ impl ServeClient {
     /// broken pipe) is normalized into the typed [`Disconnected`] error;
     /// protocol violations pass through unchanged.
     fn call(&mut self, msg: &Message) -> io::Result<Message> {
-        let mut chan = &self.sock;
-        let normalize = |e: io::Error| {
-            let gone = matches!(
-                e.kind(),
-                io::ErrorKind::UnexpectedEof
-                    | io::ErrorKind::ConnectionReset
-                    | io::ErrorKind::ConnectionAborted
-                    | io::ErrorKind::BrokenPipe
-            );
-            if gone {
-                disconnected()
-            } else {
-                e
-            }
-        };
-        write_message(&mut chan, msg).map_err(normalize)?;
-        match read_message(&mut chan).map_err(normalize)? {
-            Some(reply) => Ok(reply),
-            None => Err(disconnected()),
+        use io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+        match exchange(&mut self.io, &mut self.rx, &mut self.request, msg) {
+            Ok(Some(reply)) => Ok(reply),
+            Ok(None) => Err(disconnected()),
+            Err(e) => Err(match e.kind() {
+                UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe => disconnected(),
+                _ => e,
+            }),
+        }
+    }
+
+    /// A call the server may refuse in-protocol: `pick` takes the reply it
+    /// was waiting for and hands anything else back.
+    fn served<T>(
+        &mut self,
+        msg: &Message,
+        pick: impl FnOnce(Message) -> Result<T, Message>,
+    ) -> io::Result<Response<T>> {
+        match pick(self.call(msg)?) {
+            Ok(served) => Ok(Response::Ok(served)),
+            Err(Message::Rejected {
+                code,
+                retry_after_ms,
+                detail,
+            }) => Ok(Response::Rejected(Rejection {
+                code,
+                retry_after_ms,
+                detail,
+            })),
+            Err(other) => Err(unexpected(Some(other))),
         }
     }
 
     /// Opens a stream under a client-chosen id.
     pub fn open_stream(&mut self, stream_id: u32) -> io::Result<Response<()>> {
-        match self.call(&Message::OpenStream { stream_id })? {
-            Message::StreamOpened { stream_id: sid } if sid == stream_id => Ok(Response::Ok(())),
-            Message::Rejected {
-                code,
-                retry_after_ms,
-                detail,
-            } => Ok(Response::Rejected(Rejection {
-                code,
-                retry_after_ms,
-                detail,
-            })),
-            other => Err(unexpected(Some(other))),
-        }
+        self.served(&Message::OpenStream { stream_id }, |reply| match reply {
+            Message::StreamOpened { stream_id: sid } if sid == stream_id => Ok(()),
+            other => Err(other),
+        })
     }
 
     /// Submits a row-major batch of feature rows (`data.len()` must be a
@@ -243,26 +260,18 @@ impl ServeClient {
         dim: u32,
         data: Vec<f32>,
     ) -> io::Result<Response<Vec<WireDecision>>> {
-        match self.call(&Message::SubmitFrames {
+        let submit = Message::SubmitFrames {
             stream_id,
             dim,
             data,
-        })? {
+        };
+        self.served(&submit, |reply| match reply {
             Message::Decisions {
                 stream_id: sid,
                 decisions,
-            } if sid == stream_id => Ok(Response::Ok(decisions)),
-            Message::Rejected {
-                code,
-                retry_after_ms,
-                detail,
-            } => Ok(Response::Rejected(Rejection {
-                code,
-                retry_after_ms,
-                detail,
-            })),
-            other => Err(unexpected(Some(other))),
-        }
+            } if sid == stream_id => Ok(decisions),
+            other => Err(other),
+        })
     }
 
     /// Like [`ServeClient::submit`], but stamping the batch with a
@@ -277,36 +286,31 @@ impl ServeClient {
         dim: u32,
         data: Vec<f32>,
     ) -> io::Result<Response<Vec<WireDecision>>> {
-        match self.call(&Message::SubmitTraced {
+        let submit = Message::SubmitTraced {
             trace_id,
             stream_id,
             dim,
             data,
-        })? {
+        };
+        let mut echoed = trace_id;
+        let served = self.served(&submit, |reply| match reply {
             Message::TracedDecisions {
-                trace_id: echoed,
+                trace_id: echo,
                 stream_id: sid,
                 decisions,
             } if sid == stream_id => {
-                if echoed != trace_id {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("trace id echo mismatch: sent {trace_id:#x}, got {echoed:#x}"),
-                    ));
-                }
-                Ok(Response::Ok(decisions))
+                echoed = echo;
+                Ok(decisions)
             }
-            Message::Rejected {
-                code,
-                retry_after_ms,
-                detail,
-            } => Ok(Response::Rejected(Rejection {
-                code,
-                retry_after_ms,
-                detail,
-            })),
-            other => Err(unexpected(Some(other))),
+            other => Err(other),
+        })?;
+        if echoed != trace_id {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("trace id echo mismatch: sent {trace_id:#x}, got {echoed:#x}"),
+            ));
         }
+        Ok(served)
     }
 
     /// Fetches the server's windowed time-series, counters, and SLO
@@ -337,45 +341,28 @@ impl ServeClient {
     /// authoritative `next_seq` — continue submitting the stream's rows
     /// from that absolute index.
     pub fn resume_stream(&mut self, stream_id: u32, last_seq: u64) -> io::Result<Response<u64>> {
-        match self.call(&Message::Resume {
+        let resume = Message::Resume {
             stream_id,
             last_seq,
-        })? {
+        };
+        self.served(&resume, |reply| match reply {
             Message::Resumed {
                 stream_id: sid,
                 next_seq,
-            } if sid == stream_id => Ok(Response::Ok(next_seq)),
-            Message::Rejected {
-                code,
-                retry_after_ms,
-                detail,
-            } => Ok(Response::Rejected(Rejection {
-                code,
-                retry_after_ms,
-                detail,
-            })),
-            other => Err(unexpected(Some(other))),
-        }
+            } if sid == stream_id => Ok(next_seq),
+            other => Err(other),
+        })
     }
 
     /// Closes a stream, returning its lifetime totals.
     pub fn close_stream(&mut self, stream_id: u32) -> io::Result<Response<StreamSummary>> {
-        match self.call(&Message::CloseStream { stream_id })? {
+        self.served(&Message::CloseStream { stream_id }, |reply| match reply {
             Message::StreamClosed {
                 stream_id: sid,
                 summary,
-            } if sid == stream_id => Ok(Response::Ok(summary)),
-            Message::Rejected {
-                code,
-                retry_after_ms,
-                detail,
-            } => Ok(Response::Rejected(Rejection {
-                code,
-                retry_after_ms,
-                detail,
-            })),
-            other => Err(unexpected(Some(other))),
-        }
+            } if sid == stream_id => Ok(summary),
+            other => Err(other),
+        })
     }
 
     /// Probes server liveness and load.
@@ -403,6 +390,21 @@ impl ServeClient {
             Message::TelemetryReport { jsonl } => Ok(jsonl),
             other => Err(unexpected(Some(other))),
         }
+    }
+}
+
+/// One write, then reads until one reply is whole; `None` is the server
+/// hanging up instead of replying.
+fn exchange(
+    io: &mut (impl Read + Write),
+    rx: &mut FrameBuf,
+    request: &mut Vec<u8>,
+    msg: &Message,
+) -> io::Result<Option<Message>> {
+    send_message(io, request, msg)?;
+    match rx.next_frame(io)? {
+        Some(reply) => Ok(Some(decode_payload(reply)?)),
+        None => Ok(None),
     }
 }
 

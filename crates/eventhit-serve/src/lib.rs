@@ -31,6 +31,9 @@
 //!   error tells callers a dead server apart from a protocol violation.
 //! - [`convert`] — lossless mapping between core decisions and their wire
 //!   images.
+//! - [`testkit`] — an in-memory duplex pipe: `Server::serve_on` and
+//!   `ServeClient::over` take any `Read + Write`, so a session can be
+//!   driven — cut at any byte — without a socket.
 //!
 //! Decisions served over the wire are bit-identical to the in-process
 //! `run_lanes` path for the same model, state, and frames, at any worker
@@ -74,6 +77,7 @@ pub mod fleet;
 pub mod protocol;
 pub mod router;
 pub mod server;
+pub mod testkit;
 
 pub use admission::{ServeTotals, SlotGuard};
 pub use client::{

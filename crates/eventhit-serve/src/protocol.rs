@@ -16,11 +16,15 @@
 //! it compares served decisions against the in-process
 //! `run_lanes` output.
 //!
-//! The codec here is *pure*: [`encode`] and [`try_decode`] touch no
+//! The codec here is *pure*: [`encode_into`] and [`try_decode`] touch no
 //! sockets, no clocks, and no global state, so round-tripping is
-//! deterministic and testable byte-for-byte. The blocking I/O helpers
-//! [`write_message`] / [`read_message`] are thin wrappers that move whole
-//! frames through any `Write`/`Read`.
+//! deterministic and testable byte-for-byte. Both ends of a session move
+//! frames through the same *framed channel*: a [`FrameBuf`] that hands out
+//! every complete frame one `read` delivered before reading again, and
+//! [`send_message`], which encodes into one reused buffer and sends it
+//! with one `write_all`. Frames may arrive split or back to back at any
+//! byte. [`write_message`] / [`read_message`] are one-shot wrappers over
+//! the same two for callers that hold no buffers.
 //!
 //! The full grammar, the version-negotiation rules, and a worked hex
 //! example live in `docs/PROTOCOL.md`.
@@ -44,7 +48,7 @@
 //! assert!(try_decode(&bytes[..bytes.len() - 1]).unwrap().is_none());
 //! ```
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Protocol major version. A server rejects any `Hello` whose major
 /// version differs from its own: majors gate incompatible framing.
@@ -125,6 +129,14 @@ impl std::fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+/// A protocol violation read off a transport is `InvalidData`, with the
+/// [`ProtocolError`] as its source.
+impl From<ProtocolError> for io::Error {
+    fn from(e: ProtocolError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// Why the server refused a request, carried on [`Message::Rejected`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -559,17 +571,46 @@ fn put_decision(out: &mut Vec<u8>, d: &WireDecision) {
     }
 }
 
+fn put_submit(out: &mut Vec<u8>, stream_id: u32, dim: u32, data: &[f32]) {
+    put_u32(out, stream_id);
+    put_u32(out, dim);
+    put_u32(out, data.len() as u32);
+    out.reserve(data.len() * 4);
+    for &v in data {
+        put_f32(out, v);
+    }
+}
+
+fn put_decisions(out: &mut Vec<u8>, stream_id: u32, decisions: &[WireDecision]) {
+    put_u32(out, stream_id);
+    put_u32(out, decisions.len() as u32);
+    for d in decisions {
+        put_decision(out, d);
+    }
+}
+
 /// Encodes `msg` into one complete frame (length prefix included).
 ///
 /// Deterministic: the same message always yields the same bytes, which is
 /// what lets tests fingerprint served traffic.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16);
-    payload.push(msg.tag());
+    // Most messages fit; a submit reserves its float run in one step.
+    let mut frame = Vec::with_capacity(64);
+    encode_into(&mut frame, msg);
+    frame
+}
+
+/// Appends `msg`'s complete frame to `out`: the prefix is reserved, the
+/// payload written behind it, and the length patched in — no second
+/// buffer, so a caller that reuses `out` encodes without allocating.
+pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
+    let prefix_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(msg.tag());
     match msg {
         Message::Hello { major, minor } => {
-            put_u16(&mut payload, *major);
-            put_u16(&mut payload, *minor);
+            put_u16(out, *major);
+            put_u16(out, *minor);
         }
         Message::HelloAck {
             major,
@@ -578,78 +619,61 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             max_batch_frames,
             max_queue_frames,
         } => {
-            put_u16(&mut payload, *major);
-            put_u16(&mut payload, *minor);
-            put_u32(&mut payload, *max_streams);
-            put_u32(&mut payload, *max_batch_frames);
-            put_u32(&mut payload, *max_queue_frames);
+            put_u16(out, *major);
+            put_u16(out, *minor);
+            put_u32(out, *max_streams);
+            put_u32(out, *max_batch_frames);
+            put_u32(out, *max_queue_frames);
         }
         Message::OpenStream { stream_id }
         | Message::StreamOpened { stream_id }
-        | Message::CloseStream { stream_id } => put_u32(&mut payload, *stream_id),
+        | Message::CloseStream { stream_id } => put_u32(out, *stream_id),
         Message::SubmitFrames {
             stream_id,
             dim,
             data,
-        } => {
-            put_u32(&mut payload, *stream_id);
-            put_u32(&mut payload, *dim);
-            put_u32(&mut payload, data.len() as u32);
-            payload.reserve(data.len() * 4);
-            for &v in data {
-                put_f32(&mut payload, v);
-            }
-        }
+        } => put_submit(out, *stream_id, *dim, data),
         Message::Decisions {
             stream_id,
             decisions,
-        } => {
-            put_u32(&mut payload, *stream_id);
-            put_u32(&mut payload, decisions.len() as u32);
-            for d in decisions {
-                put_decision(&mut payload, d);
-            }
-        }
+        } => put_decisions(out, *stream_id, decisions),
         Message::StreamClosed { stream_id, summary } => {
-            put_u32(&mut payload, *stream_id);
-            put_u64(&mut payload, summary.frames);
-            put_u64(&mut payload, summary.decisions);
+            put_u32(out, *stream_id);
+            put_u64(out, summary.frames);
+            put_u64(out, summary.decisions);
         }
-        Message::Health | Message::TelemetryQuery => {}
+        Message::Health | Message::TelemetryQuery | Message::MetricsQuery => {}
         Message::HealthReport {
             active_streams,
             sessions,
             frames,
             decisions,
         } => {
-            put_u32(&mut payload, *active_streams);
-            put_u64(&mut payload, *sessions);
-            put_u64(&mut payload, *frames);
-            put_u64(&mut payload, *decisions);
+            put_u32(out, *active_streams);
+            put_u64(out, *sessions);
+            put_u64(out, *frames);
+            put_u64(out, *decisions);
         }
-        Message::TelemetryReport { jsonl } => put_str(&mut payload, jsonl),
+        Message::TelemetryReport { jsonl } => put_str(out, jsonl),
         Message::Rejected {
             code,
             retry_after_ms,
             detail,
         } => {
-            payload.push(*code as u8);
-            put_u32(&mut payload, *retry_after_ms);
-            put_str(&mut payload, detail);
+            out.push(*code as u8);
+            put_u32(out, *retry_after_ms);
+            put_str(out, detail);
         }
         Message::Resume {
             stream_id,
-            last_seq,
-        } => {
-            put_u32(&mut payload, *stream_id);
-            put_u64(&mut payload, *last_seq);
+            last_seq: seq,
         }
-        Message::Resumed {
+        | Message::Resumed {
             stream_id,
-            next_seq,
+            next_seq: seq,
         } => {
-            put_u32(&mut payload, *stream_id);
-            put_u64(&mut payload, *next_seq);
+            put_u32(out, *stream_id);
+            put_u64(out, *seq);
         }
         Message::SubmitTraced {
             trace_id,
@@ -657,28 +681,17 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             dim,
             data,
         } => {
-            put_u64(&mut payload, *trace_id);
-            put_u32(&mut payload, *stream_id);
-            put_u32(&mut payload, *dim);
-            put_u32(&mut payload, data.len() as u32);
-            payload.reserve(data.len() * 4);
-            for &v in data {
-                put_f32(&mut payload, v);
-            }
+            put_u64(out, *trace_id);
+            put_submit(out, *stream_id, *dim, data);
         }
         Message::TracedDecisions {
             trace_id,
             stream_id,
             decisions,
         } => {
-            put_u64(&mut payload, *trace_id);
-            put_u32(&mut payload, *stream_id);
-            put_u32(&mut payload, decisions.len() as u32);
-            for d in decisions {
-                put_decision(&mut payload, d);
-            }
+            put_u64(out, *trace_id);
+            put_decisions(out, *stream_id, decisions);
         }
-        Message::MetricsQuery => {}
         Message::MetricsReply {
             clock_now,
             window_secs,
@@ -686,42 +699,40 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             series,
             slos,
         } => {
-            put_f64(&mut payload, *clock_now);
-            put_f64(&mut payload, *window_secs);
-            put_u32(&mut payload, counters.len() as u32);
+            put_f64(out, *clock_now);
+            put_f64(out, *window_secs);
+            put_u32(out, counters.len() as u32);
             for c in counters {
-                put_str(&mut payload, &c.name);
-                put_str(&mut payload, &c.label);
-                put_u64(&mut payload, c.value);
+                put_str(out, &c.name);
+                put_str(out, &c.label);
+                put_u64(out, c.value);
             }
-            put_u32(&mut payload, series.len() as u32);
+            put_u32(out, series.len() as u32);
             for s in series {
-                put_str(&mut payload, &s.name);
-                put_str(&mut payload, &s.label);
-                put_u32(&mut payload, s.windows.len() as u32);
+                put_str(out, &s.name);
+                put_str(out, &s.label);
+                put_u32(out, s.windows.len() as u32);
                 for w in &s.windows {
-                    put_u64(&mut payload, w.index);
-                    put_u64(&mut payload, w.count);
-                    put_f64(&mut payload, w.sum);
-                    put_f64(&mut payload, w.p50);
-                    put_f64(&mut payload, w.p99);
+                    put_u64(out, w.index);
+                    put_u64(out, w.count);
+                    put_f64(out, w.sum);
+                    put_f64(out, w.p50);
+                    put_f64(out, w.p99);
                 }
             }
-            put_u32(&mut payload, slos.len() as u32);
+            put_u32(out, slos.len() as u32);
             for s in slos {
-                put_str(&mut payload, &s.name);
-                put_str(&mut payload, &s.label);
-                put_f64(&mut payload, s.threshold);
-                put_f64(&mut payload, s.objective);
-                put_u64(&mut payload, s.total);
-                put_u64(&mut payload, s.violations);
+                put_str(out, &s.name);
+                put_str(out, &s.label);
+                put_f64(out, s.threshold);
+                put_f64(out, s.objective);
+                put_u64(out, s.total);
+                put_u64(out, s.violations);
             }
         }
     }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    let payload = (out.len() - prefix_at - 4) as u32;
+    out[prefix_at..prefix_at + 4].copy_from_slice(&payload.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -736,6 +747,11 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// A cursor over the body of `payload` (tag byte + body).
+    fn open(payload: &'a [u8]) -> Result<Self, ProtocolError> {
+        let (&tag, buf) = payload.split_first().ok_or(ProtocolError::EmptyFrame)?;
+        Ok(Cursor { buf, pos: 0, tag })
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let left = self.buf.len() - self.pos;
         if n > left {
@@ -763,18 +779,26 @@ impl<'a> Cursor<'a> {
     fn f64(&mut self) -> Result<f64, ProtocolError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    /// A run of `len` floats. The whole run is bounds-checked before
-    /// anything is allocated, so a count that lies about the payload
-    /// costs nothing.
-    fn f32s(&mut self, len: usize) -> Result<Vec<f32>, ProtocolError> {
+    /// A run of `len` floats, left in the frame. The whole run is
+    /// bounds-checked here and nothing is allocated, so a count that
+    /// lies about the payload costs nothing.
+    fn f32s(&mut self, len: usize) -> Result<F32Run<'a>, ProtocolError> {
         let bytes = len
             .checked_mul(4)
             .ok_or(ProtocolError::BadValue("float run length overflows"))?;
-        Ok(self
-            .take(bytes)?
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(F32Run(self.take(bytes)?))
+    }
+    /// A `u32` count, then that many items.
+    fn counted<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ProtocolError>,
+    ) -> Result<Vec<T>, ProtocolError> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
     }
     fn string(&mut self) -> Result<String, ProtocolError> {
         let len = self.u32()? as usize;
@@ -792,28 +816,21 @@ impl<'a> Cursor<'a> {
         })
     }
     fn decision(&mut self) -> Result<WireDecision, ProtocolError> {
-        let anchor = self.u64()?;
-        let degradation = self.degradation()?;
-        let n = self.u32()? as usize;
-        let mut predictions = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let present = match self.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(ProtocolError::BadValue("prediction presence")),
-            };
-            let start = self.u32()?;
-            let end = self.u32()?;
-            predictions.push(WirePrediction {
-                present,
-                start,
-                end,
-            });
-        }
         Ok(WireDecision {
-            anchor,
-            degradation,
-            predictions,
+            anchor: self.u64()?,
+            degradation: self.degradation()?,
+            predictions: self.counted(|c| {
+                let present = match c.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(ProtocolError::BadValue("prediction presence")),
+                };
+                Ok(WirePrediction {
+                    present,
+                    start: c.u32()?,
+                    end: c.u32()?,
+                })
+            })?,
         })
     }
     fn finish(self) -> Result<(), ProtocolError> {
@@ -827,17 +844,106 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A run of `f32`s still in wire form (little-endian, unaligned), borrowed
+/// from the frame that carried it.
+#[derive(Debug, Clone, Copy)]
+pub struct F32Run<'a>(&'a [u8]);
+
+impl<'a> F32Run<'a> {
+    /// Number of floats in the run.
+    pub fn len(&self) -> usize {
+        self.0.len() / 4
+    }
+
+    /// True iff the run holds no float.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The floats, in order, bit-exact.
+    pub fn iter(self) -> impl Iterator<Item = f32> + 'a {
+        let float = |c: &[u8]| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)"));
+        self.0.chunks_exact(4).map(float)
+    }
+
+    /// The run cut into consecutive rows of `dim` floats.
+    pub fn rows(self, dim: usize) -> impl Iterator<Item = F32Run<'a>> + 'a {
+        self.0.chunks_exact(dim * 4).map(F32Run)
+    }
+}
+
+/// A [`Message::SubmitFrames`] / [`Message::SubmitTraced`] decoded in
+/// place: the header by value, the rows still lying in the frame. This is
+/// the form a session feeds a lane from, so a served submit copies no
+/// float it does not have to own.
+#[derive(Debug, Clone, Copy)]
+pub struct Submit<'a> {
+    /// The client's trace id; `None` for a plain `SubmitFrames`.
+    pub trace_id: Option<u64>,
+    /// Target stream id.
+    pub stream_id: u32,
+    /// Feature dimensionality of each row.
+    pub dim: u32,
+    /// `rows * dim` feature values, row-major (checked on decode).
+    pub data: F32Run<'a>,
+}
+
+impl<'a> Submit<'a> {
+    /// Decodes `payload` (tag byte + body) if its tag is one of the two
+    /// submits; `Ok(None)` leaves every other tag to [`decode_payload`].
+    pub fn decode(payload: &'a [u8]) -> Result<Option<Self>, ProtocolError> {
+        let mut c = Cursor::open(payload)?;
+        if c.tag != TAG_SUBMIT_FRAMES && c.tag != TAG_SUBMIT_TRACED {
+            return Ok(None);
+        }
+        let submit = Self::parse(&mut c)?;
+        c.finish()?;
+        Ok(Some(submit))
+    }
+
+    /// The one parser of both submit bodies (`c.tag` tells them apart).
+    fn parse(c: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
+        let trace_id = match c.tag {
+            TAG_SUBMIT_TRACED => Some(c.u64()?),
+            _ => None,
+        };
+        let stream_id = c.u32()?;
+        let dim = c.u32()?;
+        let len = c.u32()? as usize;
+        if dim > 0 && !len.is_multiple_of(dim as usize) {
+            return Err(ProtocolError::BadValue("data length not a multiple of dim"));
+        }
+        Ok(Submit {
+            trace_id,
+            stream_id,
+            dim,
+            data: c.f32s(len)?,
+        })
+    }
+
+    /// The owned message this submit is the borrowed form of.
+    fn to_message(self) -> Message {
+        let (stream_id, dim, data) = (self.stream_id, self.dim, self.data.iter().collect());
+        match self.trace_id {
+            Some(trace_id) => Message::SubmitTraced {
+                trace_id,
+                stream_id,
+                dim,
+                data,
+            },
+            None => Message::SubmitFrames {
+                stream_id,
+                dim,
+                data,
+            },
+        }
+    }
+}
+
 /// Decodes one frame's payload (tag byte + body, no length prefix).
 pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtocolError> {
-    let Some((&tag, body)) = payload.split_first() else {
-        return Err(ProtocolError::EmptyFrame);
-    };
-    let mut c = Cursor {
-        buf: body,
-        pos: 0,
-        tag,
-    };
-    let msg = match tag {
+    let mut c = Cursor::open(payload)?;
+    let msg = match c.tag {
         TAG_HELLO => Message::Hello {
             major: c.u16()?,
             minor: c.u16()?,
@@ -855,32 +961,11 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtocolError> {
         TAG_STREAM_OPENED => Message::StreamOpened {
             stream_id: c.u32()?,
         },
-        TAG_SUBMIT_FRAMES => {
-            let stream_id = c.u32()?;
-            let dim = c.u32()?;
-            let len = c.u32()? as usize;
-            if dim > 0 && !len.is_multiple_of(dim as usize) {
-                return Err(ProtocolError::BadValue("data length not a multiple of dim"));
-            }
-            let data = c.f32s(len)?;
-            Message::SubmitFrames {
-                stream_id,
-                dim,
-                data,
-            }
-        }
-        TAG_DECISIONS => {
-            let stream_id = c.u32()?;
-            let n = c.u32()? as usize;
-            let mut decisions = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                decisions.push(c.decision()?);
-            }
-            Message::Decisions {
-                stream_id,
-                decisions,
-            }
-        }
+        TAG_SUBMIT_FRAMES | TAG_SUBMIT_TRACED => Submit::parse(&mut c)?.to_message(),
+        TAG_DECISIONS => Message::Decisions {
+            stream_id: c.u32()?,
+            decisions: c.counted(Cursor::decision)?,
+        },
         TAG_CLOSE_STREAM => Message::CloseStream {
             stream_id: c.u32()?,
         },
@@ -913,95 +998,66 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtocolError> {
             stream_id: c.u32()?,
             next_seq: c.u64()?,
         },
-        TAG_SUBMIT_TRACED => {
-            let trace_id = c.u64()?;
-            let stream_id = c.u32()?;
-            let dim = c.u32()?;
-            let len = c.u32()? as usize;
-            if dim > 0 && !len.is_multiple_of(dim as usize) {
-                return Err(ProtocolError::BadValue("data length not a multiple of dim"));
-            }
-            let data = c.f32s(len)?;
-            Message::SubmitTraced {
-                trace_id,
-                stream_id,
-                dim,
-                data,
-            }
-        }
-        TAG_TRACED_DECISIONS => {
-            let trace_id = c.u64()?;
-            let stream_id = c.u32()?;
-            let n = c.u32()? as usize;
-            let mut decisions = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                decisions.push(c.decision()?);
-            }
-            Message::TracedDecisions {
-                trace_id,
-                stream_id,
-                decisions,
-            }
-        }
+        TAG_TRACED_DECISIONS => Message::TracedDecisions {
+            trace_id: c.u64()?,
+            stream_id: c.u32()?,
+            decisions: c.counted(Cursor::decision)?,
+        },
         TAG_METRICS_QUERY => Message::MetricsQuery,
-        TAG_METRICS_REPLY => {
-            let clock_now = c.f64()?;
-            let window_secs = c.f64()?;
-            let n = c.u32()? as usize;
-            let mut counters = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                counters.push(WireCounter {
+        TAG_METRICS_REPLY => Message::MetricsReply {
+            clock_now: c.f64()?,
+            window_secs: c.f64()?,
+            counters: c.counted(|c| {
+                Ok(WireCounter {
                     name: c.string()?,
                     label: c.string()?,
                     value: c.u64()?,
-                });
-            }
-            let n = c.u32()? as usize;
-            let mut series = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let name = c.string()?;
-                let label = c.string()?;
-                let w = c.u32()? as usize;
-                let mut windows = Vec::with_capacity(w.min(4096));
-                for _ in 0..w {
-                    windows.push(WireWindow {
-                        index: c.u64()?,
-                        count: c.u64()?,
-                        sum: c.f64()?,
-                        p50: c.f64()?,
-                        p99: c.f64()?,
-                    });
-                }
-                series.push(WireSeries {
-                    name,
-                    label,
-                    windows,
-                });
-            }
-            let n = c.u32()? as usize;
-            let mut slos = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                slos.push(WireSlo {
+                })
+            })?,
+            series: c.counted(|c| {
+                Ok(WireSeries {
+                    name: c.string()?,
+                    label: c.string()?,
+                    windows: c.counted(|c| {
+                        Ok(WireWindow {
+                            index: c.u64()?,
+                            count: c.u64()?,
+                            sum: c.f64()?,
+                            p50: c.f64()?,
+                            p99: c.f64()?,
+                        })
+                    })?,
+                })
+            })?,
+            slos: c.counted(|c| {
+                Ok(WireSlo {
                     name: c.string()?,
                     label: c.string()?,
                     threshold: c.f64()?,
                     objective: c.f64()?,
                     total: c.u64()?,
                     violations: c.u64()?,
-                });
-            }
-            Message::MetricsReply {
-                clock_now,
-                window_secs,
-                counters,
-                series,
-                slos,
-            }
-        }
+                })
+            })?,
+        },
         other => return Err(ProtocolError::UnknownTag(other)),
     };
     c.finish()?;
     Ok(msg)
+}
+
+/// The length prefix at the front of `buf`: `Ok(None)` until all four
+/// bytes are there, then the payload length it declares — the one place a
+/// declared length is checked, for buffers and transports alike.
+fn declared_len(buf: &[u8]) -> Result<Option<usize>, ProtocolError> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    match u32::from_le_bytes(*prefix) as usize {
+        0 => Err(ProtocolError::EmptyFrame),
+        declared if declared > MAX_FRAME_BYTES => Err(ProtocolError::Oversized { declared }),
+        declared => Ok(Some(declared)),
+    }
 }
 
 /// Attempts to decode one frame from the front of `buf`.
@@ -1010,66 +1066,131 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, ProtocolError> {
 /// (keep reading), or `Ok(Some((message, consumed)))` where `consumed`
 /// bytes should be drained from the front of the buffer.
 pub fn try_decode(buf: &[u8]) -> Result<Option<(Message, usize)>, ProtocolError> {
-    if buf.len() < 4 {
-        return Ok(None);
+    match declared_len(buf)? {
+        Some(declared) if buf.len() >= 4 + declared => {
+            let msg = decode_payload(&buf[4..4 + declared])?;
+            Ok(Some((msg, 4 + declared)))
+        }
+        _ => Ok(None),
     }
-    let declared = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if declared == 0 {
-        return Err(ProtocolError::EmptyFrame);
-    }
-    if declared > MAX_FRAME_BYTES {
-        return Err(ProtocolError::Oversized { declared });
-    }
-    if buf.len() < 4 + declared {
-        return Ok(None);
-    }
-    let msg = decode_payload(&buf[4..4 + declared])?;
-    Ok(Some((msg, 4 + declared)))
 }
 
 // ---------------------------------------------------------------------------
-// Blocking I/O helpers
+// The framed channel: blocking I/O over any transport
 // ---------------------------------------------------------------------------
 
-/// Writes one complete frame for `msg` to `w` and flushes.
-pub fn write_message(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
-    w.write_all(&encode(msg))?;
+/// The size a connection's receive and send buffers start at and return
+/// to: several times a 64-frame submit, so steady traffic never grows
+/// them.
+const BUF_BASE: usize = 32 * 1024;
+
+/// A connection's receive buffer. It takes whatever one `read` returns —
+/// part of a frame, or many — and hands out every complete frame already
+/// in it before reading again.
+///
+/// The buffer grows only on evidence: it doubles when it is *full of
+/// received bytes* of one unfinished frame, never because a length prefix
+/// says so, and it returns to its base size as soon as it drains. A peer
+/// that declares 16 MiB and sends nothing costs the 32 KiB every
+/// connection costs.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds the received bytes not yet handed out.
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    /// An empty buffer; the first read allocates it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The next frame's payload (tag byte + body), reading from `r` only
+    /// when no complete frame is buffered.
+    ///
+    /// `Ok(None)` is a clean EOF on a frame boundary (the peer hung up
+    /// between messages); EOF inside a frame is `UnexpectedEof`, and a
+    /// length prefix of zero or above [`MAX_FRAME_BYTES`] is
+    /// `InvalidData` carrying the [`ProtocolError`].
+    pub fn next_frame(&mut self, r: &mut impl Read) -> io::Result<Option<&[u8]>> {
+        self.next(r, false)
+    }
+
+    /// [`FrameBuf::next_frame`]; with `exact`, no read asks for a byte
+    /// beyond the frame being completed (for a caller that will not be
+    /// back for what lies behind it).
+    fn next(&mut self, r: &mut impl Read, exact: bool) -> io::Result<Option<&[u8]>> {
+        loop {
+            let have = self.end - self.start;
+            let declared = declared_len(&self.buf[self.start..self.end])?;
+            // What the frame in progress is known to need so far.
+            let want = 4 + declared.unwrap_or(0);
+            if declared.is_some() && have >= want {
+                let payload = self.start + 4..self.start + want;
+                self.start = payload.end;
+                return Ok(Some(&self.buf[payload]));
+            }
+            // The unfinished frame moves to the front; an empty buffer
+            // gives back what a large frame made it grow by.
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, have);
+            }
+            if have == 0 && self.buf.len() > BUF_BASE {
+                self.buf.truncate(BUF_BASE);
+                self.buf.shrink_to_fit();
+            }
+            if have == self.buf.len() {
+                let grown = (have * 2).clamp(BUF_BASE, 4 + MAX_FRAME_BYTES);
+                self.buf.resize(grown, 0);
+            }
+            let room = self.buf.len();
+            let upto = if exact { want.min(room) } else { room };
+            match r.read(&mut self.buf[have..upto]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!("EOF {have} bytes into a frame"),
+                    ))
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Encodes `msg` into `out` — cleared first, and trimmed if a large
+/// message left it above its base size — and sends the frame with one
+/// `write_all`.
+pub fn send_message(w: &mut impl Write, out: &mut Vec<u8>, msg: &Message) -> io::Result<()> {
+    out.clear();
+    out.shrink_to(BUF_BASE);
+    encode_into(out, msg);
+    w.write_all(out)?;
     w.flush()
 }
 
-/// Reads exactly one frame from `r` and decodes it.
+/// Writes one complete frame for `msg` to `w` and flushes.
+pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
+    send_message(w, &mut Vec::new(), msg)
+}
+
+/// Reads exactly one frame from `r` — not a byte of the next — and
+/// decodes it.
 ///
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer hung
 /// up between messages); mid-frame EOF and protocol violations surface
 /// as `io::Error` (`UnexpectedEof` / `InvalidData`).
-pub fn read_message(r: &mut impl Read) -> std::io::Result<Option<Message>> {
-    let mut len = [0u8; 4];
-    // A clean EOF before any length byte is a normal disconnect.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame length prefix",
-                ))
-            }
-            n => filled += n,
-        }
+pub fn read_message(r: &mut impl Read) -> io::Result<Option<Message>> {
+    match FrameBuf::new().next(r, true)? {
+        Some(payload) => Ok(Some(decode_payload(payload)?)),
+        None => Ok(None),
     }
-    let declared = u32::from_le_bytes(len) as usize;
-    if declared == 0 || declared > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            ProtocolError::Oversized { declared },
-        ));
-    }
-    let mut payload = vec![0u8; declared];
-    r.read_exact(&mut payload)?;
-    decode_payload(&payload)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -1355,15 +1476,21 @@ mod tests {
 
     #[test]
     fn oversized_and_empty_frames_are_rejected() {
+        // One header check behind both entry points: the buffer decoder
+        // and the transport reader name the same violation.
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
-        assert!(matches!(
-            try_decode(&huge).unwrap_err(),
-            ProtocolError::Oversized { .. }
-        ));
-        assert_eq!(
-            try_decode(&[0, 0, 0, 0]).unwrap_err(),
-            ProtocolError::EmptyFrame
-        );
+        let oversized = ProtocolError::Oversized {
+            declared: MAX_FRAME_BYTES + 1,
+        };
+        for (prefix, violation) in [(huge, oversized), ([0; 4], ProtocolError::EmptyFrame)] {
+            assert_eq!(try_decode(&prefix).unwrap_err(), violation);
+            let err = read_message(&mut &prefix[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let inner = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<ProtocolError>());
+            assert_eq!(inner, Some(&violation));
+        }
     }
 
     #[test]
@@ -1409,6 +1536,68 @@ mod tests {
         let partial = &encode(&Message::Health)[..2];
         let mut r = partial;
         assert!(read_message(&mut r).is_err());
+    }
+
+    #[test]
+    fn frame_buf_hands_out_every_frame_one_read_delivered() {
+        use crate::testkit::pipe;
+        let (mut tx, mut rx) = pipe();
+        let messages = all_messages();
+        let wire: Vec<u8> = messages.iter().flat_map(encode).collect();
+        // One write: the first read delivers every frame. Then the same
+        // frames again, each cut in two mid-prefix or mid-body.
+        tx.write_all(&wire).unwrap();
+        for (i, msg) in messages.iter().enumerate() {
+            let frame = encode(msg);
+            let cut = 1 + i % (frame.len() - 1);
+            tx.write_all(&frame[..cut]).unwrap();
+            tx.write_all(&frame[cut..]).unwrap();
+        }
+        tx.shutdown_write();
+        let mut buf = FrameBuf::new();
+        for msg in messages.iter().chain(&messages) {
+            let payload = buf.next_frame(&mut rx).unwrap().expect("a frame");
+            assert_eq!(&decode_payload(payload).unwrap(), msg);
+        }
+        assert!(buf.next_frame(&mut rx).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn frame_buf_grows_with_the_bytes_received_and_returns_to_base() {
+        use crate::testkit::pipe;
+        let big = encode(&Message::SubmitFrames {
+            stream_id: 1,
+            dim: 4,
+            data: vec![0.5; 100_000],
+        });
+        let (mut tx, mut rx) = pipe();
+        for piece in big.chunks(1000) {
+            tx.write_all(piece).unwrap();
+        }
+        tx.write_all(&encode(&Message::Health)).unwrap();
+        tx.shutdown_write();
+
+        let mut buf = FrameBuf::new();
+        let payload = buf.next_frame(&mut rx).unwrap().expect("the big frame");
+        assert_eq!(payload.len(), big.len() - 4);
+        // Doubled its way up: never twice what had arrived.
+        assert!((big.len()..2 * big.len()).contains(&buf.buf.len()));
+        // Drained: the next read starts from a base-sized buffer again.
+        let payload = buf.next_frame(&mut rx).unwrap().expect("the small frame");
+        assert_eq!(decode_payload(payload).unwrap(), Message::Health);
+        assert_eq!(buf.buf.len(), BUF_BASE);
+        assert!(buf.buf.capacity() < 2 * BUF_BASE);
+
+        // A prefix alone moves nothing: 16 MiB announced, 1 KiB sent.
+        let (mut tx, mut rx) = pipe();
+        tx.write_all(&(MAX_FRAME_BYTES as u32).to_le_bytes())
+            .unwrap();
+        tx.write_all(&[0; 1024]).unwrap();
+        tx.shutdown_write();
+        let mut buf = FrameBuf::new();
+        let err = buf.next_frame(&mut rx).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf.buf.len(), BUF_BASE);
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //! cannot succeed) — the client keeps the data; the server's
 //! memory stays bounded by its configuration. That last bound is a
 //! per-batch one, not a standing queue: an accepted batch is fed row by
-//! row straight from the decoded message and the reply is written before
+//! row straight from the receive buffer and the reply is written before
 //! the next request is read, so nothing is ever queued between requests.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -62,8 +62,9 @@ use eventhit_video::detector::StageModel;
 use crate::admission::{AdmissionController, ServeTotals, SlotGuard};
 use crate::convert::decision_to_wire;
 use crate::protocol::{
-    read_message, write_message, Message, RejectCode, StreamSummary, WireCounter, WireDecision,
-    WireSeries, WireSlo, WireWindow, PROTOCOL_MAJOR, PROTOCOL_MINOR,
+    decode_payload, send_message, F32Run, FrameBuf, Message, ProtocolError, RejectCode,
+    StreamSummary, Submit, WireCounter, WireDecision, WireSeries, WireSlo, WireWindow,
+    PROTOCOL_MAJOR, PROTOCOL_MINOR,
 };
 use crate::router::ShardRouter;
 
@@ -202,12 +203,15 @@ struct Lane {
     frames: u64,
     decisions: u64,
     slot: Option<SlotGuard>,
+    /// The one row being fed, decoded out of the receive buffer.
+    row: Vec<f32>,
 }
 
 impl Lane {
     /// A lane at the start of its stream, without resilient-CI wiring.
     fn new(predictor: OnlinePredictor, slot: Option<SlotGuard>) -> Self {
         Lane {
+            row: Vec::with_capacity(predictor.input_dim()),
             predictor,
             resilient: None,
             stream_fps: 30.0,
@@ -243,16 +247,23 @@ impl Lane {
         }
     }
 
-    /// Feeds a batch of `dim`-wide rows, borrowed straight from the
-    /// decoded message, with the batch's trace attached, so the
-    /// predictor's inference / conformal stage samples carry the client's
-    /// trace id as exemplars.
-    fn feed(&mut self, data: &[f32], dim: usize, trace: Option<u64>) -> Vec<HorizonDecision> {
+    /// Feeds a batch of `dim`-wide rows, each decoded straight out of
+    /// the receive buffer into the lane's one row, with the batch's trace
+    /// attached, so the predictor's inference / conformal stage samples
+    /// carry the client's trace id as exemplars. Allocates only for the
+    /// decisions it returns.
+    fn feed(&mut self, data: F32Run<'_>, dim: usize, trace: Option<u64>) -> Vec<HorizonDecision> {
         self.predictor.set_trace(trace);
+        let mut row = std::mem::take(&mut self.row);
         let out = data
-            .chunks_exact(dim)
-            .filter_map(|row| self.push(row))
+            .rows(dim)
+            .filter_map(|wire| {
+                row.clear();
+                row.extend(wire.iter());
+                self.push(&row)
+            })
             .collect();
+        self.row = row;
         self.predictor.set_trace(None);
         out
     }
@@ -411,7 +422,6 @@ struct DurableShard {
 }
 
 struct Shared {
-    listener: TcpListener,
     cfg: ServeConfig,
     factory: Box<LaneFactory>,
     router: ShardRouter,
@@ -442,6 +452,9 @@ fn shard_cap(max_streams: u32, shards: u32, i: u32) -> u32 {
 /// a [`Pool`] with [`Server::serve_sessions`] or [`Server::serve_forever`].
 pub struct Server {
     shared: Arc<Shared>,
+    /// `None` on a [`Server::unbound`] server, which is handed its
+    /// transports through [`Server::serve_on`].
+    listener: Option<TcpListener>,
 }
 
 impl Server {
@@ -466,6 +479,21 @@ impl Server {
     /// snapshot / recovery instrumentation — all queryable live over the
     /// wire with `MetricsQuery`.
     pub fn bind_with_telemetry(
+        cfg: ServeConfig,
+        factory: Box<LaneFactory>,
+        telemetry: Arc<Telemetry>,
+    ) -> io::Result<Server> {
+        let mut server = Self::unbound(cfg, factory, telemetry)?;
+        let addrs: Vec<SocketAddr> = server.shared.cfg.addr.to_socket_addrs()?.collect();
+        server.listener = Some(TcpListener::bind(&addrs[..])?);
+        Ok(server)
+    }
+
+    /// Everything [`Server::bind_with_telemetry`] prepares (durable
+    /// recovery included) except the listener: `cfg.addr` is ignored and
+    /// the server serves only the transports [`Server::serve_on`] is
+    /// handed — an in-memory [`pipe`](crate::testkit::pipe), say.
+    pub fn unbound(
         cfg: ServeConfig,
         factory: Box<LaneFactory>,
         telemetry: Arc<Telemetry>,
@@ -572,14 +600,11 @@ impl Server {
                 names: ShardNames::new(i),
             });
         }
-        let addrs: Vec<SocketAddr> = cfg.addr.to_socket_addrs()?.collect();
-        let listener = TcpListener::bind(&addrs[..])?;
         // The serving SLO the `serve.decision_seconds` series burns
         // against: p99 of decision latency under 50 ms.
         telemetry.set_slo("serve.decision_seconds", "", 0.050, 0.99);
         Ok(Server {
             shared: Arc::new(Shared {
-                listener,
                 cfg,
                 factory,
                 router,
@@ -587,12 +612,29 @@ impl Server {
                 totals: Arc::new(ServeTotals::new()),
                 telemetry,
             }),
+            listener: None,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.shared.listener.local_addr()
+        let unbound = || io::Error::new(io::ErrorKind::NotConnected, "the server has no listener");
+        self.listener.as_ref().ok_or_else(unbound)?.local_addr()
+    }
+
+    /// The next connection, or `None` when the listener failed or the
+    /// server has none.
+    fn accept(&self) -> Option<TcpStream> {
+        let (sock, _peer) = self.listener.as_ref()?.accept().ok()?;
+        Some(sock)
+    }
+
+    /// Serves one session over `io` — any transport, no listener involved
+    /// — on the calling thread, and returns how it ended: `Ok(())` for a
+    /// hang-up between frames or after a fatal rejection, `Err` for an
+    /// I/O failure, EOF inside a frame, or a frame that does not decode.
+    pub fn serve_on(&self, io: impl Read + Write) -> io::Result<()> {
+        serve_session(&self.shared, io)
     }
 
     /// Accepts and serves exactly `n` sessions. Returns when all `n`
@@ -612,8 +654,10 @@ impl Server {
             pool,
             |i, _| n / shards + usize::from(i < n % shards),
             |_, ()| {
-                if let Ok((sock, _peer)) = shared.listener.accept() {
-                    serve_session(shared, sock);
+                if let Some(sock) = self.accept() {
+                    // Counted under `serve.session_errors`; the next
+                    // session is served regardless.
+                    let _ = serve_session(shared, sock);
                 }
             },
         );
@@ -708,8 +752,8 @@ impl Server {
             pool,
             |_, pool| pool.workers().max(1),
             |_, ()| {
-                while let Ok((sock, _peer)) = shared.listener.accept() {
-                    serve_session(shared, sock);
+                while let Some(sock) = self.accept() {
+                    let _ = serve_session(shared, sock);
                 }
             },
         );
@@ -720,7 +764,7 @@ impl Server {
 /// violation ends the session; cleanup releases every stream slot the
 /// session still holds, so lanes freed by a mid-session disconnect are
 /// immediately reusable by new sessions.
-fn serve_session(shared: &Shared, sock: TcpStream) {
+fn serve_session(shared: &Shared, io: impl Read + Write) -> io::Result<()> {
     let t = &shared.telemetry;
     let _span = t.span("serve.session");
     shared.totals.session_started();
@@ -728,11 +772,12 @@ fn serve_session(shared: &Shared, sock: TcpStream) {
 
     let mut session = Session {
         shared,
-        chan: &sock,
+        io,
+        reply: Vec::new(),
         lanes: BTreeMap::new(),
         owned: BTreeSet::new(),
     };
-    let outcome = session.run();
+    let outcome = session.run(&mut FrameBuf::new());
     session.end();
     if outcome.is_err() {
         t.add("serve.session_errors", 1);
@@ -745,54 +790,7 @@ fn serve_session(shared: &Shared, sock: TcpStream) {
             t.add("serve.slow_log_errors", 1);
         }
     }
-}
-
-/// Performs the `Hello`/`HelloAck` handshake. Returns `Ok(false)` when
-/// the session should end without entering the request loop (immediate
-/// EOF, or a version rejection already written).
-fn handshake(shared: &Shared, chan: &mut &TcpStream) -> io::Result<bool> {
-    let cfg = &shared.cfg;
-    let t = &shared.telemetry;
-    let hello = match read_message(chan)? {
-        Some(m) => m,
-        None => return Ok(false), // connected and left; fine
-    };
-    match hello {
-        Message::Hello { major, minor } if major == PROTOCOL_MAJOR => {
-            write_message(
-                chan,
-                // Minor negotiation: run at min(client, server).
-                &Message::HelloAck {
-                    major: PROTOCOL_MAJOR,
-                    minor: minor.min(PROTOCOL_MINOR),
-                    max_streams: cfg.max_streams,
-                    max_batch_frames: cfg.max_batch_frames,
-                    max_queue_frames: cfg.max_queue_frames,
-                },
-            )?;
-            Ok(true)
-        }
-        Message::Hello { major, .. } => {
-            reject(
-                chan,
-                t,
-                RejectCode::VersionUnsupported,
-                0,
-                format!("server speaks major {PROTOCOL_MAJOR}, client sent {major}"),
-            )?;
-            Ok(false)
-        }
-        other => {
-            reject(
-                chan,
-                t,
-                RejectCode::NotReady,
-                0,
-                format!("expected Hello, got tag 0x{:02x}", other.tag()),
-            )?;
-            Ok(false)
-        }
-    }
+    outcome
 }
 
 /// One connection and the streams it drives. Plain and durable servers
@@ -806,9 +804,14 @@ fn handshake(shared: &Shared, chan: &mut &TcpStream) -> io::Result<bool> {
 ///
 /// Handlers return `Ok(true)` to keep serving and `Ok(false)` after a
 /// fatal rejection.
-struct Session<'a> {
+struct Session<'a, C> {
     shared: &'a Shared,
-    chan: &'a TcpStream,
+    /// The transport, and the one buffer every reply is encoded into and
+    /// sent from with a single write. The receive buffer is not here but
+    /// a local of [`Session::run`]: a submit's rows are fed while still
+    /// borrowed from it.
+    io: C,
+    reply: Vec<u8>,
     /// Plain server: the session's own lanes — session-scoped ids, touched
     /// by no other thread, dropped when the session ends.
     lanes: BTreeMap<u32, Lane>,
@@ -817,76 +820,123 @@ struct Session<'a> {
     owned: BTreeSet<u32>,
 }
 
-impl Session<'_> {
+impl<C: Read + Write> Session<'_, C> {
+    /// One reply, one write.
+    fn send(&mut self, msg: &Message) -> io::Result<()> {
+        send_message(&mut self.io, &mut self.reply, msg)
+    }
+
     /// Runs the handshake and then the request loop. `Ok(())` is a clean
-    /// disconnect (EOF between frames); `Err` is an I/O failure or a fatal
-    /// protocol violation after which the socket is abandoned.
-    fn run(&mut self) -> io::Result<()> {
+    /// disconnect (EOF between frames) or a fatal rejection; `Err` is an
+    /// I/O failure or a frame that does not decode — answered `Malformed`
+    /// first (`docs/PROTOCOL.md` §2) — after which the transport is
+    /// abandoned.
+    fn run(&mut self, rx: &mut FrameBuf) -> io::Result<()> {
+        let served = self.serve(rx);
+        if let Err(e) = &served {
+            if e.get_ref().is_some_and(|inner| inner.is::<ProtocolError>()) {
+                self.reject(RejectCode::Malformed, 0, e.to_string())?;
+            }
+        }
+        served
+    }
+
+    /// Performs the `Hello`/`HelloAck` handshake. Returns `Ok(false)` when
+    /// the session should end without entering the request loop (immediate
+    /// EOF, or a version rejection already written). Whatever the peer
+    /// pipelined behind its `Hello` stays in `rx` for the request loop.
+    fn handshake(&mut self, rx: &mut FrameBuf) -> io::Result<bool> {
+        let cfg = &self.shared.cfg;
+        let Some(hello) = rx.next_frame(&mut self.io)? else {
+            return Ok(false); // connected and left; fine
+        };
+        match decode_payload(hello)? {
+            Message::Hello { major, minor } if major == PROTOCOL_MAJOR => {
+                // Minor negotiation: run at min(client, server).
+                self.send(&Message::HelloAck {
+                    major: PROTOCOL_MAJOR,
+                    minor: minor.min(PROTOCOL_MINOR),
+                    max_streams: cfg.max_streams,
+                    max_batch_frames: cfg.max_batch_frames,
+                    max_queue_frames: cfg.max_queue_frames,
+                })?;
+                Ok(true)
+            }
+            Message::Hello { major, .. } => {
+                let detail = format!("server speaks major {PROTOCOL_MAJOR}, client sent {major}");
+                self.reject(RejectCode::VersionUnsupported, 0, detail)?;
+                Ok(false)
+            }
+            other => {
+                let detail = format!("expected Hello, got tag 0x{:02x}", other.tag());
+                self.reject(RejectCode::NotReady, 0, detail)?;
+                Ok(false)
+            }
+        }
+    }
+
+    fn serve(&mut self, rx: &mut FrameBuf) -> io::Result<()> {
         let shared = self.shared;
         let t = &shared.telemetry;
-        if !handshake(shared, &mut self.chan)? {
+        if !self.handshake(rx)? {
             return Ok(());
         }
         loop {
             let read_start = t.now();
-            let Some(msg) = read_message(&mut self.chan)? else {
+            let Some(frame) = rx.next_frame(&mut self.io)? else {
                 return Ok(()); // clean disconnect
             };
             observe_stage(t, "session_read", t.now() - read_start, None);
-            let keep_serving = match msg {
-                Message::OpenStream { stream_id } => self.open(stream_id)?,
-                Message::Resume {
-                    stream_id,
-                    last_seq,
-                } => self.resume(stream_id, last_seq)?,
-                Message::SubmitFrames {
-                    stream_id,
-                    dim,
-                    data,
-                } => self.submit(None, stream_id, dim, data)?,
-                Message::SubmitTraced {
-                    trace_id,
-                    stream_id,
-                    dim,
-                    data,
-                } => self.submit(Some(trace_id), stream_id, dim, data)?,
-                Message::CloseStream { stream_id } => self.close(stream_id)?,
-                Message::Health => {
-                    let (sessions, frames, decisions) = shared.totals.totals();
-                    let report = Message::HealthReport {
-                        active_streams: shared.totals.active(),
-                        sessions,
-                        frames,
-                        decisions,
-                    };
-                    write_message(&mut self.chan, &report)?;
-                    true
-                }
-                Message::TelemetryQuery => {
-                    let jsonl = if t.is_enabled() {
-                        t.snapshot().to_jsonl()
-                    } else {
-                        String::new()
-                    };
-                    write_message(&mut self.chan, &Message::TelemetryReport { jsonl })?;
-                    true
-                }
-                Message::MetricsQuery => {
-                    write_message(&mut self.chan, &metrics_reply(t))?;
-                    true
-                }
-                other => {
-                    // Server-bound sessions must not receive server-to-client
-                    // messages (or a second Hello); that is a fatal violation.
-                    let detail = format!("unexpected message tag 0x{:02x}", other.tag());
-                    self.refuse(None, RejectCode::Malformed, 0, detail)?;
-                    false
-                }
+            // A submit is served from the frame it arrived in; every
+            // other request is small and decoded whole.
+            let keep_serving = match Submit::decode(frame)? {
+                Some(submit) => self.submit(submit)?,
+                None => self.request(decode_payload(frame)?)?,
             };
             if !keep_serving {
                 return Ok(());
             }
         }
+    }
+
+    /// Every request but the two submits.
+    fn request(&mut self, msg: Message) -> io::Result<bool> {
+        let shared = self.shared;
+        let t = &shared.telemetry;
+        let reply = match msg {
+            Message::OpenStream { stream_id } => return self.open(stream_id),
+            Message::Resume {
+                stream_id,
+                last_seq,
+            } => return self.resume(stream_id, last_seq),
+            Message::CloseStream { stream_id } => return self.close(stream_id),
+            Message::Health => {
+                let (sessions, frames, decisions) = shared.totals.totals();
+                Message::HealthReport {
+                    active_streams: shared.totals.active(),
+                    sessions,
+                    frames,
+                    decisions,
+                }
+            }
+            Message::TelemetryQuery => Message::TelemetryReport {
+                jsonl: if t.is_enabled() {
+                    t.snapshot().to_jsonl()
+                } else {
+                    String::new()
+                },
+            },
+            Message::MetricsQuery => metrics_reply(t),
+            other => {
+                // Server-bound sessions must not receive server-to-client
+                // messages (or a second Hello); that is a fatal violation.
+                let detail = format!("unexpected message tag 0x{:02x}", other.tag());
+                self.refuse(None, RejectCode::Malformed, 0, detail)?;
+                return Ok(false);
+            }
+        };
+        self.send(&reply)?;
+        Ok(true)
     }
 
     /// Writes a non-fatal `Rejected` — after releasing `hub` when the
@@ -900,9 +950,20 @@ impl Session<'_> {
         detail: String,
     ) -> io::Result<bool> {
         drop(hub);
-        let t = &self.shared.telemetry;
-        reject(&mut self.chan, t, code, retry_after_ms, detail)?;
+        self.reject(code, retry_after_ms, detail)?;
         Ok(true)
+    }
+
+    /// Writes a `Rejected` reply and counts it under `serve.rejected` with
+    /// the code's stable label.
+    fn reject(&mut self, code: RejectCode, retry_after_ms: u32, detail: String) -> io::Result<()> {
+        let t = &self.shared.telemetry;
+        t.add_labeled("serve.rejected", code.label(), 1);
+        self.send(&Message::Rejected {
+            code,
+            retry_after_ms,
+            detail,
+        })
     }
 
     /// Claims an admission slot on `stream_id`'s shard. At capacity the
@@ -986,7 +1047,7 @@ impl Session<'_> {
         shard.wait_durable(seq)?;
         t.add("serve.streams_opened", 1);
         t.add(shard.names.streams_opened, 1);
-        write_message(&mut self.chan, &Message::StreamOpened { stream_id })?;
+        self.send(&Message::StreamOpened { stream_id })?;
         Ok(true)
     }
 
@@ -1031,7 +1092,7 @@ impl Session<'_> {
             stream_id,
             next_seq,
         };
-        write_message(&mut self.chan, &resumed)?;
+        self.send(&resumed)?;
         Ok(true)
     }
 
@@ -1065,7 +1126,7 @@ impl Session<'_> {
                 decisions: lane.decisions,
             },
         };
-        write_message(&mut self.chan, &closed)?;
+        self.send(&closed)?;
         Ok(true)
     }
 
@@ -1077,13 +1138,13 @@ impl Session<'_> {
     /// mutex; outside it the session waits for the one flush that makes
     /// the batch durable, and only then replies. Write plus wait is the
     /// `durable_commit` stage.
-    fn submit(
-        &mut self,
-        trace: Option<u64>,
-        stream_id: u32,
-        dim: u32,
-        data: Vec<f32>,
-    ) -> io::Result<bool> {
+    fn submit(&mut self, submit: Submit<'_>) -> io::Result<bool> {
+        let Submit {
+            trace_id: trace,
+            stream_id,
+            dim,
+            data,
+        } = submit;
         let shared = self.shared;
         let (cfg, t) = (&shared.cfg, &shared.telemetry);
         let batch_start = t.now();
@@ -1124,7 +1185,7 @@ impl Session<'_> {
         // `queue_wait`: batch accepted → feed start. Lane lookup,
         // validation and, on a durable server, the wait for the hub mutex.
         let feed_start = t.now();
-        let drained = lane.feed(&data, width, trace);
+        let drained = lane.feed(data, width, trace);
         let drained_at = t.now();
         lane.frames += rows as u64;
         lane.decisions += drained.len() as u64;
@@ -1136,10 +1197,11 @@ impl Session<'_> {
         let mut seq = None;
         if let Some(hub) = hub.as_deref_mut() {
             let mut events = Vec::with_capacity(1 + drained.len());
+            // The one copy of the rows: the event must own them.
             events.push(SessionEvent::FramesPushed {
                 stream_id,
                 dim,
-                data,
+                data: data.iter().collect(),
             });
             events.extend(drained.iter().map(|d| SessionEvent::DecisionEmitted {
                 stream_id,
@@ -1172,7 +1234,7 @@ impl Session<'_> {
         record_decisions(t, trace, stream_id, &drained, elapsed, stages);
         let write_start = t.now();
         let reply = decisions_reply(trace, stream_id, decisions);
-        write_message(&mut self.chan, &reply)?;
+        self.send(&reply)?;
         observe_stage(t, "reply_write", t.now() - write_start, trace);
         Ok(true)
     }
@@ -1200,26 +1262,6 @@ impl Session<'_> {
             }
         }
     }
-}
-
-/// Writes a `Rejected` reply and counts it under `serve.rejected` with
-/// the code's stable label.
-fn reject(
-    io: &mut impl io::Write,
-    t: &Telemetry,
-    code: RejectCode,
-    retry_after_ms: u32,
-    detail: String,
-) -> io::Result<()> {
-    t.add_labeled("serve.rejected", code.label(), 1);
-    write_message(
-        io,
-        &Message::Rejected {
-            code,
-            retry_after_ms,
-            detail,
-        },
-    )
 }
 
 /// Records one `serve.stage_seconds` sample, attaching the batch's trace

@@ -4,13 +4,17 @@
 //! allocates only the decision it returns — no `Matrix`, no `Record`, no
 //! per-frame `Vec`. The same counter shows that a wire message lying
 //! about its float count is refused before anything is reserved for it,
-//! that what a served `SubmitFrames` allocates does not grow with its
-//! row count, and that a second predictor built from a clone of a served
+//! that a warm `SubmitFrames` returning no decision allocates nothing at
+//! either end of the session, whatever its row count, that a length
+//! prefix promising 16 MiB buys no more buffer than the bytes that
+//! follow it, and that a second predictor built from a clone of a served
 //! model keeps no compiled weights of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::pipeline::Strategy;
@@ -18,8 +22,12 @@ use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
 use eventhit::core::InferenceLane;
 use eventhit::parallel::Pool;
-use eventhit::serve::protocol::{decode_payload, encode, Message, ProtocolError};
+use eventhit::serve::protocol::{
+    decode_payload, encode, Message, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_MAJOR, PROTOCOL_MINOR,
+};
+use eventhit::serve::testkit::pipe;
 use eventhit::serve::{ServeClient, ServeConfig, Server};
+use eventhit::telemetry::Telemetry;
 
 thread_local! {
     /// (allocations, bytes requested) made by this thread. Per thread, so
@@ -230,9 +238,10 @@ fn served_submit_allocations_do_not_scale_with_rows() {
     let server = Server::bind(ServeConfig::default(), factory).expect("bind");
     let addr = server.local_addr().expect("local addr");
     // Past the first anchor, with the next one further off than the two
-    // measured batches: neither returns a decision.
-    let warm_up = run.window + 5;
-    assert!(run.horizon > 5 + 1 + 64 && run.features.rows() >= warm_up + 65);
+    // measured batches: neither returns a decision. And no smaller than
+    // either, so both ends' buffers have reached their working size.
+    let warm_up = run.window + 64;
+    assert!(run.horizon > 64 + 1 + 64 && run.features.rows() >= warm_up + 65);
 
     let dim = run.features.cols() as u32;
     let features = run.features.clone();
@@ -253,13 +262,13 @@ fn served_submit_allocations_do_not_scale_with_rows() {
         let mut costs = Vec::new();
         let mut at = warm_up;
         for n in [1, 64] {
+            let data = rows(at, n);
             let before = SESSION_ALLOCATIONS.load(Ordering::Relaxed);
-            let decisions = client
-                .submit(0, dim, rows(at, n))
-                .unwrap()
-                .expect_ok("submit");
+            let (reply, (client_cost, _)) = counted(|| client.submit(0, dim, data));
+            let decisions = reply.unwrap().expect_ok("submit");
             assert!(decisions.is_empty(), "{n}-row batch crossed an anchor");
-            costs.push(SESSION_ALLOCATIONS.load(Ordering::Relaxed) - before);
+            let session_cost = SESSION_ALLOCATIONS.load(Ordering::Relaxed) - before;
+            costs.push((n, session_cost, client_cost));
             at += n;
         }
         costs
@@ -269,11 +278,41 @@ fn served_submit_allocations_do_not_scale_with_rows() {
     server.serve_sessions(1, &Pool::new(1));
     IS_SESSION.with(|s| s.set(false));
 
-    let costs = client.join().expect("client thread");
+    // Nothing to return, so nothing to allocate: the frame is read into
+    // the session's receive buffer, its rows are fed from there, and both
+    // ends encode into the buffer they sent the last message from.
+    for (n, session_cost, client_cost) in client.join().expect("client thread") {
+        assert_eq!(
+            (session_cost, client_cost),
+            (0, 0),
+            "(session, client) allocations of a warm {n}-row submit"
+        );
+    }
+}
+
+#[test]
+fn a_length_prefix_buys_no_buffer_the_payload_does_not_fill() {
+    let factory = Box::new(|_| -> OnlinePredictor { unreachable!("no stream is opened") });
+    let telemetry = Arc::new(Telemetry::disabled());
+    let server = Server::unbound(ServeConfig::default(), factory, telemetry).expect("server");
+    let (mut peer, session) = pipe();
+    let hello = Message::Hello {
+        major: PROTOCOL_MAJOR,
+        minor: PROTOCOL_MINOR,
+    };
+    peer.write_all(&encode(&hello)).unwrap();
+    // The largest frame the protocol allows, announced — then 1 KiB of it
+    // and a hang-up.
+    peer.write_all(&(MAX_FRAME_BYTES as u32).to_le_bytes())
+        .unwrap();
+    peer.write_all(&[0x05; 1024]).unwrap();
+    peer.shutdown_write();
+
+    let ((outcome, kept), (_, bytes)) = counted(|| retained(|| server.serve_on(session)));
+    let err = outcome.expect_err("EOF inside the announced frame");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     assert!(
-        costs[1] <= costs[0] + 2,
-        "a 64-row submit cost {} allocations, a 1-row submit {}",
-        costs[1],
-        costs[0]
+        bytes < 64 * 1024 && kept < 64 * 1024,
+        "the session allocated {bytes} B and kept {kept} B for a frame that sent 1 KiB"
     );
 }
