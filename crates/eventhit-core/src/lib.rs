@@ -22,6 +22,7 @@
 pub mod capacity;
 pub mod ci;
 pub mod ci_queue;
+pub mod codec;
 pub mod drift;
 pub mod error;
 pub mod experiment;

@@ -65,6 +65,32 @@ impl EventHitConfig {
         assert!(self.num_events > 0, "at least one event type required");
         assert!(self.hidden_dim > 0 && self.shared_dim > 0);
     }
+
+    /// The trainable parameters a network of this shape holds with a
+    /// `kind` encoder: what [`EventHit::param_count`] reports once it is
+    /// built, and what a weights file's tensors must add up to before it
+    /// is. `None` for a config no network is built from — a zero
+    /// dimension, or a count past `usize`.
+    pub fn param_count(&self, kind: EncoderKind) -> Option<usize> {
+        let (d, h, s) = (self.input_dim, self.hidden_dim, self.shared_dim);
+        if [d, self.window, self.horizon, self.num_events, h, s].contains(&0) {
+            return None;
+        }
+        // Gate weights over input and hidden state, plus one bias per gate
+        // (LSTM) or two (GRU).
+        let (gates, biases) = match kind {
+            EncoderKind::Lstm => (4usize, 1),
+            EncoderKind::Gru => (3, 2),
+        };
+        let encoder = gates
+            .checked_mul(h)?
+            .checked_mul(d.checked_add(h)?.checked_add(biases)?)?;
+        let shared = s.checked_mul(h.checked_add(1)?)?;
+        let head = (self.horizon.checked_add(1)?).checked_mul(s.checked_add(d)?.checked_add(1)?)?;
+        encoder
+            .checked_add(shared)?
+            .checked_add(self.num_events.checked_mul(head)?)
+    }
 }
 
 /// Which recurrent encoder the shared sub-network uses. The paper uses an
@@ -122,13 +148,6 @@ impl Encoder {
         match self {
             Encoder::Lstm(l) => l.params_mut(),
             Encoder::Gru(g) => g.params_mut(),
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        match self {
-            Encoder::Lstm(l) => l.param_count(),
-            Encoder::Gru(g) => g.param_count(),
         }
     }
 
@@ -259,9 +278,8 @@ impl EventHit {
 
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
-        self.encoder.param_count()
-            + self.shared_fc.param_count()
-            + self.heads.iter().map(Dense::param_count).sum::<usize>()
+        let count = self.config.param_count(self.encoder_kind());
+        count.expect("a built network's dimensions are non-zero and its weights fit in memory")
     }
 
     /// Switches dropout between training and inference behaviour.
@@ -998,6 +1016,18 @@ mod tests {
         // LSTM: 4*6*(4 + 6 + 1) = 264; shared: 5*6 + 5 = 35;
         // heads: 2 * (11 * 9 + 11) = 220.
         assert_eq!(model.param_count(), 264 + 35 + 220);
+        // The count from the config alone is what either encoder's tensors
+        // actually hold.
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let model = EventHit::with_encoder(tiny_config(), kind, 5);
+            let held: usize = model.params().iter().map(|p| p.len()).sum();
+            assert_eq!(tiny_config().param_count(kind), Some(held), "{kind:?}");
+        }
+        let zero = EventHitConfig {
+            shared_dim: 0,
+            ..tiny_config()
+        };
+        assert_eq!(zero.param_count(EncoderKind::Lstm), None);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Model persistence: save and load trained EventHit weights.
 //!
 //! Training happens once (against CI-labelled data, §I); the deployed
-//! marshaller then needs the weights without retraining. The format is a
-//! small versioned binary layout written with plain `std::io`, no
-//! serialization framework:
+//! marshaller then needs the weights without retraining. A model file is a
+//! sealed file of [`crate::codec`] with magic `EVHT`, version 2:
 //!
 //! ```text
 //! +-------+-------------+------------------+------------+---------+
@@ -16,115 +15,114 @@
 //! added the `payload_len` + CRC-32 header so a truncated or corrupted
 //! weights file fails loudly with a typed [`CoreError`] — under version 1
 //! a short read could end *between* fields and mis-deserialize silently.
-//! Version-1 files (no length/checksum header) still load.
+//! Version-1 files (no length/checksum header) still load. Either way the
+//! loader reads no more than the bytes present and builds nothing until
+//! the config's dimensions are non-zero and its tensors fill them.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
-use eventhit_telemetry::{crc32, fnv1a};
+use eventhit_telemetry::fnv1a;
 
+use crate::codec::{self, CodecError, Reader};
 use crate::error::{CoreError, CoreResult};
 use crate::model::{EncoderKind, EventHit, EventHitConfig};
 
 const MAGIC: &[u8; 4] = b"EVHT";
 const VERSION: u32 = 2;
-/// Most permissive payload the loader will allocate for — far above any
-/// real EventHit (hidden dims are two digits), it only guards against a
-/// corrupted length field requesting gigabytes.
+/// Most payload the loader reads — far above any real EventHit (hidden
+/// dims are two digits), it only bounds a length field or a stream that
+/// never ends. Nothing is allocated for it before the bytes arrive.
 const MAX_PAYLOAD_BYTES: u64 = 1 << 31;
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f32(w: &mut impl Write, v: f32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(f32::from_le_bytes(buf))
-}
 
 fn bad(msg: &'static str) -> CoreError {
     CoreError::ModelFormat(msg)
 }
 
-/// Serializes the version-agnostic payload: config, encoder kind, params.
-fn write_payload(model: &EventHit, w: &mut impl Write) -> CoreResult<()> {
-    let cfg = model.config().clone();
-    write_u32(w, cfg.input_dim as u32)?;
-    write_u32(w, cfg.window as u32)?;
-    write_u32(w, cfg.horizon as u32)?;
-    write_u32(w, cfg.num_events as u32)?;
-    write_u32(w, cfg.hidden_dim as u32)?;
-    write_u32(w, cfg.shared_dim as u32)?;
-    write_f32(w, cfg.dropout)?;
-    write_u32(
-        w,
-        match model.encoder_kind() {
-            EncoderKind::Lstm => 0,
-            EncoderKind::Gru => 1,
-        },
-    )?;
-
-    let params = model.params();
-    write_u32(w, params.len() as u32)?;
-    for p in params {
-        write_u32(w, p.rows() as u32)?;
-        write_u32(w, p.cols() as u32)?;
-        for &x in p.as_slice() {
-            write_f32(w, x)?;
+impl From<CodecError> for CoreError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Checksum { expected, got } => CoreError::ChecksumMismatch { expected, got },
+            other => bad(other.what()),
         }
     }
-    Ok(())
 }
 
-/// Deserializes the payload written by [`write_payload`].
-fn read_payload(r: &mut impl Read) -> CoreResult<EventHit> {
+/// The sealed file: config, encoder kind, then every parameter tensor.
+fn encode(model: &EventHit) -> Vec<u8> {
+    codec::seal(MAGIC, VERSION, |w| {
+        let cfg = model.config();
+        let dims = [
+            cfg.input_dim,
+            cfg.window,
+            cfg.horizon,
+            cfg.num_events,
+            cfg.hidden_dim,
+            cfg.shared_dim,
+        ];
+        for dim in dims {
+            w.u32(dim as u32);
+        }
+        w.f32(cfg.dropout);
+        w.u32(match model.encoder_kind() {
+            EncoderKind::Lstm => 0,
+            EncoderKind::Gru => 1,
+        });
+        let params = model.params();
+        w.count(params.len());
+        for p in params {
+            w.u32(p.rows() as u32);
+            w.u32(p.cols() as u32);
+            w.f32s(p.as_slice());
+        }
+    })
+}
+
+/// Deserializes the payload [`encode`] seals.
+fn decode(r: &mut Reader) -> CoreResult<EventHit> {
     let cfg = EventHitConfig {
-        input_dim: read_u32(r)? as usize,
-        window: read_u32(r)? as usize,
-        horizon: read_u32(r)? as usize,
-        num_events: read_u32(r)? as usize,
-        hidden_dim: read_u32(r)? as usize,
-        shared_dim: read_u32(r)? as usize,
-        dropout: read_f32(r)?,
+        input_dim: r.u32()? as usize,
+        window: r.u32()? as usize,
+        horizon: r.u32()? as usize,
+        num_events: r.u32()? as usize,
+        hidden_dim: r.u32()? as usize,
+        shared_dim: r.u32()? as usize,
+        dropout: r.f32()?,
     };
-    let kind = match read_u32(r)? {
+    if !(0.0..1.0).contains(&cfg.dropout) {
+        return Err(bad("dropout outside [0, 1)"));
+    }
+    let kind = match r.u32()? {
         0 => EncoderKind::Lstm,
         1 => EncoderKind::Gru,
         _ => return Err(bad("unknown encoder kind")),
     };
-    let mut model = EventHit::with_encoder(cfg, kind, 0);
+    let tensors = r.counted(|r| {
+        let shape = (r.u32()? as usize, r.u32()? as usize);
+        let len = (shape.0).checked_mul(shape.1);
+        let len = len.ok_or(CodecError::Invalid("tensor size overflows"))?;
+        Ok::<_, CodecError>((shape, r.f32s(len)?))
+    })?;
+    // Before anything is built: a zero dimension would panic the build,
+    // and dimensions the tensors do not fill would allocate for floats the
+    // file does not hold.
+    let floats: usize = tensors.iter().map(|(_, run)| run.len()).sum();
+    if cfg.param_count(kind) != Some(floats) {
+        return Err(bad("model dimensions are zero or do not match its tensors"));
+    }
 
-    let n_params = read_u32(r)? as usize;
+    let mut model = EventHit::with_encoder(cfg, kind, 0);
     let mut params = model.params_mut();
-    if n_params != params.len() {
+    if tensors.len() != params.len() {
         return Err(bad("parameter count mismatch"));
     }
-    for p in params.iter_mut() {
-        let rows = read_u32(r)? as usize;
-        let cols = read_u32(r)? as usize;
-        if (rows, cols) != p.value.shape() {
+    for (p, (shape, run)) in params.iter_mut().zip(tensors) {
+        if shape != p.value.shape() {
             return Err(bad("parameter shape mismatch"));
         }
-        for x in p.value.as_mut_slice() {
-            *x = read_f32(r)?;
+        for (x, v) in p.value.as_mut_slice().iter_mut().zip(run.iter()) {
+            *x = v;
         }
     }
     drop(params);
@@ -133,62 +131,55 @@ fn read_payload(r: &mut impl Read) -> CoreResult<EventHit> {
 
 /// Serializes a trained model (version 2: length + CRC-32 header).
 pub fn save(model: &EventHit, w: &mut impl Write) -> CoreResult<()> {
-    let mut payload = Vec::new();
-    write_payload(model, &mut payload)?;
-    w.write_all(MAGIC)?;
-    write_u32(w, VERSION)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    write_u32(w, crc32(&payload))?;
-    w.write_all(&payload)?;
+    w.write_all(&encode(model))?;
     Ok(())
 }
 
-/// Deserializes a model saved with [`save`].
+/// Deserializes a model saved with [`save`], reading the one model at the
+/// front of `r` and not a byte past it — except a legacy version-1 file,
+/// whose payload has no length, so `r` is read to its end.
 ///
 /// Accepts version 2 (checksummed) and legacy version 1 (bare payload).
-/// A version-2 file that is shorter than its declared payload fails with
-/// [`CoreError::ModelFormat`]; one whose payload bytes do not hash to the
-/// recorded CRC-32 fails with [`CoreError::ChecksumMismatch`] — either
-/// way, corrupted weights never deserialize silently.
+/// A file shorter than its fields, a zero dimension, or dimensions its
+/// tensors do not fill fail with [`CoreError::ModelFormat`]; payload bytes
+/// that do not hash to the recorded CRC-32 fail with
+/// [`CoreError::ChecksumMismatch`] — either way, corrupted weights never
+/// deserialize silently.
 pub fn load(r: &mut impl Read) -> CoreResult<EventHit> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EventHit model file (bad magic)"));
+    let mut file = vec![0; codec::SEALED_HEADER_BYTES];
+    r.read_exact(&mut file[..8])?;
+    let v1 = file[4..8] == 1u32.to_le_bytes();
+    let len = if v1 {
+        file.truncate(8);
+        MAX_PAYLOAD_BYTES
+    } else {
+        r.read_exact(&mut file[8..])?;
+        Reader::new(&file[8..16]).u64()?.min(MAX_PAYLOAD_BYTES)
+    };
+    r.take(len).read_to_end(&mut file)?;
+    let payload = match codec::unseal(&file, MAGIC, VERSION) {
+        Err(CodecError::Version(1)) => &file[8..],
+        sealed => sealed?,
+    };
+    let mut r = Reader::new(payload);
+    let model = decode(&mut r)?;
+    // A v1 payload ends where its last tensor does; what follows in the
+    // stream was never part of the model.
+    if !v1 {
+        r.finish()?;
     }
-    match read_u32(r)? {
-        1 => read_payload(r),
-        2 => {
-            let declared = read_u64(r)?;
-            if declared > MAX_PAYLOAD_BYTES {
-                return Err(bad("declared payload length is implausibly large"));
-            }
-            let expected = read_u32(r)?;
-            let mut payload = vec![0u8; declared as usize];
-            r.read_exact(&mut payload)
-                .map_err(|_| bad("model payload truncated (shorter than its header declares)"))?;
-            let got = crc32(&payload);
-            if got != expected {
-                return Err(CoreError::ChecksumMismatch { expected, got });
-            }
-            read_payload(&mut payload.as_slice())
-        }
-        _ => Err(bad("unsupported model file version")),
-    }
+    Ok(model)
 }
 
-/// Saves to a file path.
+/// Saves to a file path atomically (see [`codec::write_atomic`]).
 pub fn save_to_path(model: &EventHit, path: impl AsRef<Path>) -> CoreResult<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    save(model, &mut w)?;
-    w.flush()?;
+    codec::write_atomic(path.as_ref(), &encode(model))?;
     Ok(())
 }
 
-/// Loads from a file path.
+/// Loads from a file path (see [`load`]).
 pub fn load_from_path(path: impl AsRef<Path>) -> CoreResult<EventHit> {
-    let mut r = BufReader::new(File::open(path)?);
-    load(&mut r)
+    load(&mut File::open(path)?)
 }
 
 /// FNV-1a fingerprint of the model's serialized bytes: two models
@@ -196,9 +187,7 @@ pub fn load_from_path(path: impl AsRef<Path>) -> CoreResult<EventHit> {
 /// encoder, and every weight bit). This is the identity the durable
 /// serving layer logs with `ModelReloaded` events and snapshot headers.
 pub fn fingerprint(model: &EventHit) -> u64 {
-    let mut bytes = Vec::new();
-    save(model, &mut bytes).expect("in-memory serialization cannot fail");
-    fnv1a(&bytes)
+    fnv1a(&encode(model))
 }
 
 #[cfg(test)]
@@ -314,19 +303,54 @@ mod tests {
     #[test]
     fn legacy_version_1_files_still_load() {
         // A v1 file is magic + version + bare payload (no length, no CRC).
+        // Both images are pinned by the FNV-1a taken before the sealed
+        // shell moved into `crate::codec`.
         let model = tiny_model(7);
-        let mut payload = Vec::new();
-        write_payload(&model, &mut payload).unwrap();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&payload);
+        let mut v2 = Vec::new();
+        save(&model, &mut v2).unwrap();
+        let v1 = [&MAGIC[..], &1u32.to_le_bytes(), &v2[20..]].concat();
+        assert_eq!(
+            (fnv1a(&v2), fnv1a(&v1)),
+            (0x4cd4_f55a_4575_f0f3, 0xb40f_0677_884f_b308)
+        );
         let restored = load(&mut v1.as_slice()).unwrap();
         let rec = probe_record();
         assert_eq!(
             model.forward_inference(&[&rec]),
             restored.forward_inference(&[&rec])
         );
+    }
+
+    #[test]
+    fn load_reads_one_model_and_leaves_the_rest_of_the_stream() {
+        let model = tiny_model(13);
+        let mut v2 = Vec::new();
+        save(&model, &mut v2).unwrap();
+        let stream = [&v2[..], b"next"].concat();
+        let mut r = stream.as_slice();
+        load(&mut r).unwrap();
+        assert_eq!(r, b"next", "a v2 load stops at its payload's end");
+        // v1 has no length: the stream is read to its end, and bytes after
+        // the model's last tensor are not an error.
+        let v1 = [&MAGIC[..], &1u32.to_le_bytes(), &v2[20..], b"next"].concat();
+        let restored = load(&mut v1.as_slice()).unwrap();
+        assert_eq!(fingerprint(&restored), fingerprint(&model));
+    }
+
+    #[test]
+    fn a_config_its_tensors_cannot_fill_is_refused_before_building() {
+        let mut file = Vec::new();
+        save(&tiny_model(12), &mut file).unwrap();
+        // input_dim (the payload's first field) 0, then 2^20, and a dropout
+        // of 1: each resealed, so only the check on the fields can refuse.
+        let payload = &file[20..];
+        for (at, field) in [(0, 0u32), (0, 1 << 20), (24, 1.0f32.to_bits())] {
+            let mut bad = payload.to_vec();
+            bad[at..at + 4].copy_from_slice(&field.to_le_bytes());
+            let resealed = codec::seal(MAGIC, VERSION, |w| w.bytes(&bad));
+            let err = load(&mut resealed.as_slice()).err().expect("must fail");
+            assert!(matches!(err, CoreError::ModelFormat(_)), "{err}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! instead of silently absorbed.
 
 use crate::{DurableError, DurableResult};
+use eventhit_core::codec::{Reader, Writer};
 use eventhit_core::resilient::DegradationTag;
 use eventhit_core::streaming::HorizonDecision;
 use eventhit_telemetry::fnv1a;
@@ -77,98 +78,82 @@ impl SessionEvent {
     /// Appends the event's log payload to `out` — what the store's write
     /// path frames in place, so a batch's floats are copied once.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
         match self {
             SessionEvent::StreamAdmitted { stream_id, dim } => {
-                out.push(TAG_STREAM_ADMITTED);
-                out.extend_from_slice(&stream_id.to_le_bytes());
-                out.extend_from_slice(&dim.to_le_bytes());
+                w.u8(TAG_STREAM_ADMITTED);
+                w.u32(*stream_id);
+                w.u32(*dim);
             }
             SessionEvent::FramesPushed {
                 stream_id,
                 dim,
                 data,
             } => {
-                out.push(TAG_FRAMES_PUSHED);
-                out.extend_from_slice(&stream_id.to_le_bytes());
-                out.extend_from_slice(&dim.to_le_bytes());
-                out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                out.reserve(data.len() * 4);
-                for &v in data {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                w.u8(TAG_FRAMES_PUSHED);
+                w.u32(*stream_id);
+                w.u32(*dim);
+                w.count(data.len());
+                w.f32s(data);
             }
             SessionEvent::DecisionEmitted {
                 stream_id,
                 anchor,
                 fingerprint,
             } => {
-                out.push(TAG_DECISION_EMITTED);
-                out.extend_from_slice(&stream_id.to_le_bytes());
-                out.extend_from_slice(&anchor.to_le_bytes());
-                out.extend_from_slice(&fingerprint.to_le_bytes());
+                w.u8(TAG_DECISION_EMITTED);
+                w.u32(*stream_id);
+                w.u64(*anchor);
+                w.u64(*fingerprint);
             }
             SessionEvent::ModelReloaded { fingerprint } => {
-                out.push(TAG_MODEL_RELOADED);
-                out.extend_from_slice(&fingerprint.to_le_bytes());
+                w.u8(TAG_MODEL_RELOADED);
+                w.u64(*fingerprint);
             }
             SessionEvent::StreamClosed { stream_id } => {
-                out.push(TAG_STREAM_CLOSED);
-                out.extend_from_slice(&stream_id.to_le_bytes());
+                w.u8(TAG_STREAM_CLOSED);
+                w.u32(*stream_id);
             }
         }
     }
 
     /// Deserializes an event from a log payload.
     pub fn decode(payload: &[u8]) -> DurableResult<SessionEvent> {
-        let mut cur = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
-        let tag = cur.u8()?;
-        let ev = match tag {
+        let mut r = Reader::new(payload);
+        let ev = match r.u8()? {
             TAG_STREAM_ADMITTED => SessionEvent::StreamAdmitted {
-                stream_id: cur.u32()?,
-                dim: cur.u32()?,
+                stream_id: r.u32()?,
+                dim: r.u32()?,
             },
             TAG_FRAMES_PUSHED => {
-                let stream_id = cur.u32()?;
-                let dim = cur.u32()?;
-                let n = cur.u32()? as usize;
+                let stream_id = r.u32()?;
+                let dim = r.u32()?;
+                let n = r.u32()? as usize;
                 if dim == 0 || !n.is_multiple_of(dim as usize) {
                     return Err(DurableError::Format(
                         "frame batch length is not a multiple of its dimension",
                     ));
                 }
-                // Bounds-check the whole run once (so a lying count
-                // allocates nothing), then convert it in one pass.
-                let raw = cur.take(
-                    n.checked_mul(4)
-                        .ok_or(DurableError::Format("frame batch length overflows"))?,
-                )?;
-                let data = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
                 SessionEvent::FramesPushed {
                     stream_id,
                     dim,
-                    data,
+                    data: r.f32s(n)?.iter().collect(),
                 }
             }
             TAG_DECISION_EMITTED => SessionEvent::DecisionEmitted {
-                stream_id: cur.u32()?,
-                anchor: cur.u64()?,
-                fingerprint: cur.u64()?,
+                stream_id: r.u32()?,
+                anchor: r.u64()?,
+                fingerprint: r.u64()?,
             },
             TAG_MODEL_RELOADED => SessionEvent::ModelReloaded {
-                fingerprint: cur.u64()?,
+                fingerprint: r.u64()?,
             },
             TAG_STREAM_CLOSED => SessionEvent::StreamClosed {
-                stream_id: cur.u32()?,
+                stream_id: r.u32()?,
             },
             _ => return Err(DurableError::Format("unknown session event tag")),
         };
-        cur.finish()?;
+        r.finish()?;
         Ok(ev)
     }
 }
@@ -178,69 +163,25 @@ impl SessionEvent {
 /// fingerprint equal iff a downstream consumer could not tell them apart.
 pub fn decision_fingerprint(d: &HorizonDecision) -> u64 {
     let mut bytes = Vec::with_capacity(16 + d.predictions.len() * 9);
-    bytes.extend_from_slice(&d.anchor.to_le_bytes());
+    let mut w = Writer::new(&mut bytes);
+    w.u64(d.anchor);
     match d.degradation {
-        DegradationTag::None => bytes.push(0),
+        DegradationTag::None => w.u8(0),
         DegradationTag::Retried { retries } => {
-            bytes.push(1);
-            bytes.extend_from_slice(&retries.to_le_bytes());
+            w.u8(1);
+            w.u32(retries);
         }
-        DegradationTag::Dropped => bytes.push(2),
-        DegradationTag::Deferred => bytes.push(3),
-        DegradationTag::LocalOnly => bytes.push(4),
+        DegradationTag::Dropped => w.u8(2),
+        DegradationTag::Deferred => w.u8(3),
+        DegradationTag::LocalOnly => w.u8(4),
     }
-    bytes.extend_from_slice(&(d.predictions.len() as u32).to_le_bytes());
+    w.count(d.predictions.len());
     for p in &d.predictions {
-        bytes.push(p.present as u8);
-        bytes.extend_from_slice(&p.start.to_le_bytes());
-        bytes.extend_from_slice(&p.end.to_le_bytes());
+        w.u8(p.present as u8);
+        w.u32(p.start);
+        w.u32(p.end);
     }
     fnv1a(&bytes)
-}
-
-/// Bounds-checked little-endian reader over a payload. Shared by every
-/// payload decoder in the crate.
-pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl Cursor<'_> {
-    pub(crate) fn take(&mut self, n: usize) -> DurableResult<&[u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(DurableError::Format("payload truncated"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> DurableResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> DurableResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> DurableResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32(&mut self) -> DurableResult<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> DurableResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn finish(&self) -> DurableResult<()> {
-        if self.pos != self.bytes.len() {
-            return Err(DurableError::Format("trailing bytes after payload"));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -277,6 +218,17 @@ mod tests {
             let decoded = SessionEvent::decode(&ev.encode()).unwrap();
             assert_eq!(decoded, ev);
         }
+    }
+
+    #[test]
+    fn log_records_match_their_golden_image() {
+        // FNV-1a of every event framed as a log record, back to back, pinned
+        // before the codec moved into `eventhit-core::codec`.
+        let log: Vec<u8> = all_events()
+            .iter()
+            .flat_map(|ev| crate::log::frame_record(&ev.encode()))
+            .collect();
+        assert_eq!(fnv1a(&log), 0xccec_e2b2_1de9_d234);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   order, and synced before it is acknowledged.
 //! - [`snapshot`]: periodic checkpoints of the complete dynamic lane
 //!   state, so recovery replays a bounded log tail instead of the whole
-//!   session history. Snapshots are written atomically (temp file +
-//!   rename) and carry their own checksum.
+//!   session history. Snapshots are sealed files of
+//!   [`eventhit_core::codec`], written atomically (temp file, sync,
+//!   rename, directory sync) and carrying their own checksum.
 //! - [`store`]: the recovery path. [`store::DurableStore::open`] loads
 //!   the newest valid snapshot, scans the log tail, *truncates a torn
 //!   final record* (the expected artifact of a crash mid-write), and
@@ -44,6 +45,7 @@ pub use log::{scan, Scan, Tail};
 pub use snapshot::{LaneSnapshot, Snapshot};
 pub use store::{replay, CommitHandle, DurableStore, Recovery, Replayed, ReplayedLane};
 
+use eventhit_core::codec::{CodecError, SEALED_HEADER_BYTES};
 use std::fmt;
 
 /// Everything that can go wrong opening, writing to, or replaying a
@@ -59,7 +61,8 @@ pub enum DurableError {
     /// A fully-present record failed its CRC — bit damage, not a torn
     /// append. Recovery refuses to guess and reports the byte offset.
     Corrupt {
-        /// Byte offset of the damaged record within the log file.
+        /// Byte offset of the damaged record within the log file, or of
+        /// the payload within a sealed file.
         offset: u64,
     },
     /// Replaying the log recomputed a decision whose fingerprint differs
@@ -83,6 +86,13 @@ pub enum DurableError {
     /// fail-stop: nothing more is written or reported durable until the
     /// directory is reopened (and its tail repaired) by a new process.
     LogFailed,
+    /// A hot-reload of weights already persisted here came with a
+    /// different conformal state. A persisted pair may be named by a
+    /// journaled `ModelReloaded` event, so it is never replaced.
+    ReloadConflict {
+        /// The weight fingerprint both pairs are keyed by.
+        fingerprint: u64,
+    },
 }
 
 impl fmt::Display for DurableError {
@@ -108,6 +118,11 @@ impl fmt::Display for DurableError {
                 f,
                 "the session log failed an earlier write or sync; the store is stopped"
             ),
+            DurableError::ReloadConflict { fingerprint } => write!(
+                f,
+                "weights {fingerprint:016x} are already persisted with a different \
+                 conformal state; a persisted reload pair is never replaced"
+            ),
         }
     }
 }
@@ -125,6 +140,19 @@ impl std::error::Error for DurableError {
 impl From<std::io::Error> for DurableError {
     fn from(e: std::io::Error) -> Self {
         DurableError::Io(e)
+    }
+}
+
+/// A damaged checksum can only be a sealed file's, whose payload starts
+/// after its header; everything else the codec reports is a malformed file.
+impl From<CodecError> for DurableError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Checksum { .. } => DurableError::Corrupt {
+                offset: SEALED_HEADER_BYTES as u64,
+            },
+            other => DurableError::Format(other.what()),
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 //!   edit), not a torn append, and recovery refuses to proceed past it.
 
 use crate::{DurableError, DurableResult};
-use eventhit_telemetry::crc32;
+use eventhit_core::codec::{crc32, Reader, Writer};
 
 /// Upper bound on a single record's payload (64 MiB). A length field
 /// beyond this is treated as structural corruption rather than an
@@ -30,6 +30,7 @@ pub const MAX_RECORD_BYTES: u32 = 1 << 26;
 /// beyond [`MAX_RECORD_BYTES`] is an error and leaves `buf` as it was.
 pub fn frame_into(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> DurableResult<()> {
     let start = buf.len();
+    // Length and checksum, once the payload is there.
     buf.extend_from_slice(&[0u8; 8]);
     fill(buf);
     let payload = &buf[start + 8..];
@@ -43,8 +44,9 @@ pub fn frame_into(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Durable
         ));
     };
     let crc = crc32(payload);
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    let mut w = Writer::new(buf);
+    w.set_u32(start, len);
+    w.set_u32(start + 4, crc);
     Ok(())
 }
 
@@ -89,48 +91,36 @@ pub struct Scan<'a> {
 /// reported through [`Tail::Torn`], never as an error.
 pub fn scan(bytes: &[u8]) -> DurableResult<Scan<'_>> {
     let mut payloads = Vec::new();
-    let mut pos: usize = 0;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            return Ok(Scan {
-                payloads,
-                valid_bytes: pos as u64,
-                tail: Tail::Clean,
-            });
+    let mut rest = Reader::new(bytes);
+    let tail = loop {
+        if rest.remaining() == 0 {
+            break Tail::Clean;
         }
-        if rest.len() < 8 {
-            // Torn mid-header: the length or CRC field itself is cut off.
-            return Ok(Scan {
-                payloads,
-                valid_bytes: pos as u64,
-                tail: Tail::Torn,
-            });
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
+        let offset = (bytes.len() - rest.remaining()) as u64;
+        let mut record = rest;
+        // A header or payload cut short is a torn tail, not an error.
+        let (Ok(len), Ok(expected)) = (record.u32(), record.u32()) else {
+            break Tail::Torn;
+        };
         if len > MAX_RECORD_BYTES {
             return Err(DurableError::Format(
                 "record length exceeds MAX_RECORD_BYTES",
             ));
         }
-        let expected = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        let body = &rest[8..];
-        if body.len() < len as usize {
-            // Torn mid-payload.
-            return Ok(Scan {
-                payloads,
-                valid_bytes: pos as u64,
-                tail: Tail::Torn,
-            });
-        }
-        let payload = &body[..len as usize];
-        let got = crc32(payload);
-        if got != expected {
-            return Err(DurableError::Corrupt { offset: pos as u64 });
+        let Ok(payload) = record.take(len as usize) else {
+            break Tail::Torn;
+        };
+        if crc32(payload) != expected {
+            return Err(DurableError::Corrupt { offset });
         }
         payloads.push(payload);
-        pos += 8 + len as usize;
-    }
+        rest = record;
+    };
+    Ok(Scan {
+        payloads,
+        valid_bytes: (bytes.len() - rest.remaining()) as u64,
+        tail,
+    })
 }
 
 #[cfg(test)]

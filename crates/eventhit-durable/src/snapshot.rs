@@ -6,24 +6,19 @@
 //! boundary).
 //!
 //! Snapshot files are named `snap-<events_applied:020>.evsn` (zero-padded
-//! so lexicographic order is numeric order) and written atomically: the
-//! payload goes to a temp file first, then a rename publishes it. A crash
-//! mid-snapshot therefore leaves either the previous snapshot or a
-//! `.tmp` file that loading ignores — never a half-visible checkpoint.
-//! The file body is `"EVSN" | version u32 | payload_len u64 | crc32 u32 |
-//! payload`, the same checksummed shell the model format uses.
+//! so lexicographic order is numeric order). Each is a sealed file of
+//! [`eventhit_core::codec`] (magic `EVSN`, version 1) published by
+//! [`codec::write_atomic`], so a crash mid-snapshot leaves either the
+//! previous snapshot or a `.tmp` file that loading ignores — never a
+//! half-visible checkpoint.
 
-use crate::event::Cursor;
 use crate::{DurableError, DurableResult};
-use eventhit_telemetry::crc32;
+use eventhit_core::codec::{self, Reader, Writer};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"EVSN";
 const VERSION: u32 = 1;
-/// Upper bound on a snapshot payload (256 MiB).
-const MAX_PAYLOAD_BYTES: u64 = 1 << 28;
 
 /// The complete dynamic state of one serving lane at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,84 +57,60 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot payload (the bytes inside the checksummed
-    /// shell).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.events_applied.to_le_bytes());
+    /// Writes the snapshot payload (the bytes inside the sealed file).
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.events_applied);
         match self.reload_fingerprint {
             Some(fp) => {
-                out.push(1);
-                out.extend_from_slice(&fp.to_le_bytes());
+                w.u8(1);
+                w.u64(fp);
             }
-            None => out.push(0),
+            None => w.u8(0),
         }
-        out.extend_from_slice(&(self.lanes.len() as u32).to_le_bytes());
+        w.count(self.lanes.len());
         for lane in &self.lanes {
-            out.extend_from_slice(&lane.stream_id.to_le_bytes());
-            out.extend_from_slice(&lane.dim.to_le_bytes());
-            out.extend_from_slice(&lane.frames.to_le_bytes());
-            out.extend_from_slice(&lane.decisions.to_le_bytes());
-            out.extend_from_slice(&lane.frames_seen.to_le_bytes());
-            out.extend_from_slice(&lane.countdown.to_le_bytes());
-            out.extend_from_slice(&(lane.rows.len() as u32).to_le_bytes());
+            w.u32(lane.stream_id);
+            w.u32(lane.dim);
+            w.u64(lane.frames);
+            w.u64(lane.decisions);
+            w.u64(lane.frames_seen);
+            w.u64(lane.countdown);
+            w.count(lane.rows.len());
             for row in &lane.rows {
                 debug_assert_eq!(row.len(), lane.dim as usize);
-                for &v in row {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                w.f32s(row);
             }
-            out.extend_from_slice(&lane.state_fingerprint.to_le_bytes());
+            w.u64(lane.state_fingerprint);
         }
-        out
     }
 
-    /// Deserializes a snapshot payload.
+    /// Deserializes a snapshot payload (see [`codec::unseal`]).
     pub fn decode(payload: &[u8]) -> DurableResult<Snapshot> {
-        let mut cur = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
-        let events_applied = cur.u64()?;
-        let reload_fingerprint = match cur.u8()? {
+        let mut r = Reader::new(payload);
+        let events_applied = r.u64()?;
+        let reload_fingerprint = match r.u8()? {
             0 => None,
-            1 => Some(cur.u64()?),
+            1 => Some(r.u64()?),
             _ => return Err(DurableError::Format("bad reload-fingerprint marker")),
         };
-        let n_lanes = cur.u32()? as usize;
-        let mut lanes = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
-            let stream_id = cur.u32()?;
-            let dim = cur.u32()?;
+        let lanes = r.counted(|r| {
+            let stream_id = r.u32()?;
+            let dim = r.u32()?;
             if dim == 0 {
                 return Err(DurableError::Format("lane snapshot with zero dimension"));
             }
-            let frames = cur.u64()?;
-            let decisions = cur.u64()?;
-            let frames_seen = cur.u64()?;
-            let countdown = cur.u64()?;
-            let n_rows = cur.u32()? as usize;
-            let mut rows = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let mut row = Vec::with_capacity(dim as usize);
-                for _ in 0..dim {
-                    row.push(cur.f32()?);
-                }
-                rows.push(row);
-            }
-            let state_fingerprint = cur.u64()?;
-            lanes.push(LaneSnapshot {
+            Ok(LaneSnapshot {
                 stream_id,
                 dim,
-                frames,
-                decisions,
-                frames_seen,
-                countdown,
-                rows,
-                state_fingerprint,
-            });
-        }
-        cur.finish()?;
+                frames: r.u64()?,
+                decisions: r.u64()?,
+                frames_seen: r.u64()?,
+                countdown: r.u64()?,
+                rows: r.counted(|r| r.f32s(dim as usize).map(|row| row.iter().collect()))?,
+                state_fingerprint: r.u64()?,
+            })
+        })?;
+        r.finish()?;
         Ok(Snapshot {
             events_applied,
             reload_fingerprint,
@@ -152,32 +123,18 @@ impl Snapshot {
         format!("snap-{:020}.evsn", self.events_applied)
     }
 
-    /// Writes the snapshot atomically into `dir` (temp file + rename)
-    /// and prunes any older snapshots. Returns the published path.
-    pub fn write(&self, dir: &Path) -> DurableResult<PathBuf> {
-        self.write_with_prune_count(dir).map(|(path, _)| path)
+    /// The sealed file this snapshot is published as.
+    fn sealed(&self) -> Vec<u8> {
+        codec::seal(MAGIC, VERSION, |w| self.put(w))
     }
 
-    /// [`Snapshot::write`] that also reports how many older snapshot
-    /// files (including stale `.tmp` leftovers) the prune removed, so
-    /// the durable store can count them.
+    /// Publishes the snapshot into `dir` with [`codec::write_atomic`],
+    /// then prunes every older snapshot. Returns the published path and
+    /// how many older snapshot files (including stale `.tmp` leftovers)
+    /// the prune removed, so the durable store can count them.
     pub fn write_with_prune_count(&self, dir: &Path) -> DurableResult<(PathBuf, u64)> {
-        let payload = self.encode();
-        let mut bytes = Vec::with_capacity(20 + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
         let final_path = dir.join(self.file_name());
-        let tmp_path = dir.join(format!("{}.tmp", self.file_name()));
-        {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
+        codec::write_atomic(&final_path, &self.sealed())?;
 
         // Older snapshots are now redundant; best-effort prune.
         let mut pruned = 0u64;
@@ -200,29 +157,8 @@ impl Snapshot {
 
     /// Reads one snapshot file, validating shell and checksum.
     pub fn read(path: &Path) -> DurableResult<Snapshot> {
-        let bytes = fs::read(path)?;
-        if bytes.len() < 20 || &bytes[0..4] != MAGIC {
-            return Err(DurableError::Format("not a snapshot file (bad magic)"));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(DurableError::Format("unsupported snapshot version"));
-        }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        if len > MAX_PAYLOAD_BYTES {
-            return Err(DurableError::Format("snapshot payload length is absurd"));
-        }
-        let expected = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-        let payload = &bytes[20..];
-        if (payload.len() as u64) < len {
-            return Err(DurableError::Format("snapshot payload truncated"));
-        }
-        let payload = &payload[..len as usize];
-        let got = crc32(payload);
-        if got != expected {
-            return Err(DurableError::Corrupt { offset: 20 });
-        }
-        Snapshot::decode(payload)
+        let file = fs::read(path)?;
+        Snapshot::decode(codec::unseal(&file, MAGIC, VERSION)?)
     }
 
     /// Loads the newest *valid* snapshot in `dir`, skipping unreadable or
@@ -281,15 +217,32 @@ mod tests {
         }
     }
 
+    fn payload(snap: &Snapshot) -> Vec<u8> {
+        let file = snap.sealed();
+        codec::unseal(&file, MAGIC, VERSION).unwrap().to_vec()
+    }
+
     #[test]
     fn payload_round_trips() {
         let snap = sample();
-        assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+        assert_eq!(Snapshot::decode(&payload(&snap)).unwrap(), snap);
         let boot = Snapshot {
             reload_fingerprint: None,
             ..sample()
         };
-        assert_eq!(Snapshot::decode(&boot.encode()).unwrap(), boot);
+        assert_eq!(Snapshot::decode(&payload(&boot)).unwrap(), boot);
+    }
+
+    #[test]
+    fn snapshot_file_matches_its_golden_image() {
+        // FNV-1a of the published file, pinned before the sealed shell moved
+        // into `eventhit-core::codec`.
+        let dir = std::env::temp_dir().join(format!("evsn-golden-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let (path, _) = sample().write_with_prune_count(&dir).unwrap();
+        let bytes = fs::read(path).unwrap();
+        assert_eq!(eventhit_telemetry::fnv1a(&bytes), 0xb2eb_c10d_8188_54b6);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -304,9 +257,10 @@ mod tests {
             events_applied: 42,
             ..sample()
         };
-        let old_path = old.write(&dir).unwrap();
-        let new_path = new.write(&dir).unwrap();
+        let (old_path, _) = old.write_with_prune_count(&dir).unwrap();
+        let (new_path, pruned) = new.write_with_prune_count(&dir).unwrap();
         assert!(!old_path.exists(), "older snapshot should be pruned");
+        assert_eq!(pruned, 1);
         assert!(new_path.exists());
         assert_eq!(Snapshot::load_latest(&dir).unwrap().unwrap(), new);
         fs::remove_dir_all(&dir).unwrap();
@@ -320,20 +274,14 @@ mod tests {
             events_applied: 5,
             ..sample()
         };
-        good.write(&dir).unwrap();
+        good.write_with_prune_count(&dir).unwrap();
         // A newer snapshot that was bit-damaged after publication — built
-        // by hand so write()'s pruning doesn't remove the good one.
+        // by hand so the write's pruning doesn't remove the good one.
         let bad = Snapshot {
             events_applied: 50,
             ..sample()
         };
-        let payload = bad.encode();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut bytes = bad.sealed();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(dir.join(bad.file_name()), &bytes).unwrap();
@@ -345,8 +293,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_a_format_error() {
-        let snap = sample();
-        let payload = snap.encode();
+        let payload = payload(&sample());
         for cut in 0..payload.len() {
             assert!(Snapshot::decode(&payload[..cut]).is_err(), "cut at {cut}");
         }

@@ -7,27 +7,26 @@
 //! log — the weights as `model-<fp:016x>.evht` (the `model_io` v2 format)
 //! and the refitted conformal state as `state-<fp:016x>.evcs` — keyed by
 //! the weight fingerprint the [`crate::SessionEvent::ModelReloaded`]
-//! event records. [`load_reload`] is the inverse used during recovery.
+//! event records, and never replaces a pair once it is there.
+//! [`load_reload`] is the inverse used during recovery.
 //!
-//! The `.evcs` body is `"EVCS" | version u32 | payload_len u64 |
-//! crc32 u32 | payload`; the payload stores the calibrated scores and
+//! The `.evcs` file is a sealed file of [`eventhit_core::codec`] (magic
+//! `EVCS`, version 1); the payload stores the calibrated scores and
 //! residuals verbatim (f64 bits), so a loaded state is bit-identical to
 //! the one saved.
 
-use crate::event::Cursor;
 use crate::{DurableError, DurableResult};
 use eventhit_conformal::{ConformalClassifier, IntervalCalibration, Nonconformity};
+use eventhit_core::codec::{self, Reader, Writer};
 use eventhit_core::model_io;
 use eventhit_core::{ConformalState, EventHit};
-use eventhit_telemetry::crc32;
+use eventhit_telemetry::fnv1a;
 use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"EVCS";
 const VERSION: u32 = 1;
-/// Upper bound on a conformal-state payload (256 MiB).
-const MAX_PAYLOAD_BYTES: u64 = 1 << 28;
 
 fn measure_code(m: Nonconformity) -> u8 {
     match m {
@@ -46,115 +45,62 @@ fn measure_from_code(code: u8) -> DurableResult<Nonconformity> {
     })
 }
 
-/// Serializes a fitted conformal state to its payload bytes.
-pub fn encode_state(state: &ConformalState) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&state.tau2().to_le_bytes());
-    out.extend_from_slice(&state.horizon().to_le_bytes());
-    out.extend_from_slice(&(state.num_events() as u32).to_le_bytes());
+fn put_state(state: &ConformalState, w: &mut Writer) {
+    w.f32(state.tau2());
+    w.u32(state.horizon());
+    w.count(state.num_events());
     for k in 0..state.num_events() {
         let cc = state.classifier(k);
-        out.push(measure_code(cc.measure()));
-        let scores = cc.calibration_scores();
-        out.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-        for &s in scores {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
+        w.u8(measure_code(cc.measure()));
         let cal = state.interval_calibration(k);
-        for residuals in [cal.start().residuals(), cal.end().residuals()] {
-            out.extend_from_slice(&(residuals.len() as u32).to_le_bytes());
-            for &r in residuals {
-                out.extend_from_slice(&r.to_le_bytes());
+        for run in [
+            cc.calibration_scores(),
+            cal.start().residuals(),
+            cal.end().residuals(),
+        ] {
+            w.count(run.len());
+            for &v in run {
+                w.f64(v);
             }
         }
     }
-    out
 }
 
 /// Deserializes a conformal state from its payload bytes.
 pub fn decode_state(payload: &[u8]) -> DurableResult<ConformalState> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
+    let mut r = Reader::new(payload);
+    let tau2 = r.f32()?;
+    let horizon = r.u32()?;
+    // `ConformalRegressor::fit` asserts non-negativity; a damaged but
+    // checksum-passing file is an error instead of a panic.
+    let residuals = |r: &mut Reader| {
+        r.counted(|r| match r.f64()? {
+            v if v >= 0.0 => Ok(v),
+            _ => Err(DurableError::Format(
+                "negative or NaN residual in conformal state",
+            )),
+        })
     };
-    let tau2 = cur.f32()?;
-    let horizon = cur.u32()?;
-    let num_events = cur.u32()? as usize;
-    let mut classifiers = Vec::with_capacity(num_events);
-    let mut intervals = Vec::with_capacity(num_events);
-    for _ in 0..num_events {
-        let measure = measure_from_code(cur.u8()?)?;
-        let n = cur.u32()? as usize;
-        let mut scores = Vec::with_capacity(n);
-        for _ in 0..n {
-            scores.push(cur.f64()?);
-        }
-        classifiers.push(ConformalClassifier::from_parts(measure, scores));
-        let mut halves = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let n = cur.u32()? as usize;
-            let mut residuals = Vec::with_capacity(n);
-            for _ in 0..n {
-                let r = cur.f64()?;
-                // `ConformalRegressor::fit` asserts non-negativity; turn a
-                // damaged-but-checksum-passing file into an error instead
-                // of a panic.
-                if r.is_nan() || r < 0.0 {
-                    return Err(DurableError::Format(
-                        "negative or NaN residual in conformal state",
-                    ));
-                }
-                residuals.push(r);
-            }
-            halves.push(residuals);
-        }
-        let end = halves.pop().unwrap();
-        let start = halves.pop().unwrap();
-        intervals.push(IntervalCalibration::fit(start, end));
-    }
-    cur.finish()?;
+    let events = r.counted(|r| {
+        let measure = measure_from_code(r.u8()?)?;
+        let classifier = ConformalClassifier::from_parts(measure, r.counted(Reader::f64)?);
+        let interval = IntervalCalibration::fit(residuals(r)?, residuals(r)?);
+        Ok::<_, DurableError>((classifier, interval))
+    })?;
+    r.finish()?;
+    let (classifiers, intervals) = events.into_iter().unzip();
     ConformalState::from_parts(classifiers, intervals, tau2, horizon).map_err(DurableError::Core)
 }
 
-/// Writes a conformal state to `path` inside the checksummed shell.
-pub fn save_state(state: &ConformalState, path: &Path) -> DurableResult<()> {
-    let payload = encode_state(state);
-    let mut bytes = Vec::with_capacity(20 + payload.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let mut f = fs::File::create(path)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    Ok(())
+/// A conformal state as the sealed file [`load_state`] reads.
+fn seal_state(state: &ConformalState) -> Vec<u8> {
+    codec::seal(MAGIC, VERSION, |w| put_state(state, w))
 }
 
 /// Reads a conformal state from `path`, validating shell and checksum.
 pub fn load_state(path: &Path) -> DurableResult<ConformalState> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < 20 || &bytes[0..4] != MAGIC {
-        return Err(DurableError::Format("not a conformal-state file"));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION {
-        return Err(DurableError::Format("unsupported conformal-state version"));
-    }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    if len > MAX_PAYLOAD_BYTES {
-        return Err(DurableError::Format("conformal-state length is absurd"));
-    }
-    let expected = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    let payload = &bytes[20..];
-    if (payload.len() as u64) < len {
-        return Err(DurableError::Format("conformal-state payload truncated"));
-    }
-    let payload = &payload[..len as usize];
-    if crc32(payload) != expected {
-        return Err(DurableError::Corrupt { offset: 20 });
-    }
-    decode_state(payload)
+    let file = fs::read(path)?;
+    decode_state(codec::unseal(&file, MAGIC, VERSION)?)
 }
 
 /// File name of the persisted weights for a reload fingerprint.
@@ -171,10 +117,32 @@ pub fn state_file_name(fingerprint: u64) -> String {
 /// `dir`, keyed by the weight fingerprint. Returns the fingerprint for
 /// the caller to record in a [`crate::SessionEvent::ModelReloaded`]
 /// event.
+///
+/// A pair is never replaced: a file already holding the same bytes is
+/// left untouched, and weights already persisted with a different state
+/// are [`DurableError::ReloadConflict`] before anything is written — an
+/// earlier `ModelReloaded` event may name the pair on disk.
 pub fn save_reload(dir: &Path, model: &EventHit, state: &ConformalState) -> DurableResult<u64> {
-    let fingerprint = model_io::fingerprint(model);
-    model_io::save_to_path(model, dir.join(model_file_name(fingerprint)))?;
-    save_state(state, &dir.join(state_file_name(fingerprint)))?;
+    let mut weights = Vec::new();
+    model_io::save(model, &mut weights)?;
+    // What `model_io::fingerprint` hashes, without sealing the model twice.
+    let fingerprint = fnv1a(&weights);
+    let pair = [
+        (dir.join(model_file_name(fingerprint)), weights),
+        (dir.join(state_file_name(fingerprint)), seal_state(state)),
+    ];
+    let mut missing = Vec::new();
+    for (path, bytes) in &pair {
+        match fs::read(path) {
+            Ok(on_disk) if on_disk == *bytes => {}
+            Ok(_) => return Err(DurableError::ReloadConflict { fingerprint }),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => missing.push((path, bytes)),
+            Err(e) => return Err(e.into()),
+        }
+    }
+    for (path, bytes) in missing {
+        codec::write_atomic(path, bytes)?;
+    }
     Ok(fingerprint)
 }
 
@@ -192,11 +160,6 @@ pub fn load_reload(dir: &Path, fingerprint: u64) -> DurableResult<(EventHit, Con
     Ok((model, state))
 }
 
-/// Convenience for snapshots/recovery: the path of a reload's weights.
-pub fn model_path(dir: &Path, fingerprint: u64) -> PathBuf {
-    dir.join(model_file_name(fingerprint))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,10 +169,15 @@ mod tests {
         TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(31)).state
     }
 
+    fn payload(state: &ConformalState) -> Vec<u8> {
+        let file = seal_state(state);
+        codec::unseal(&file, MAGIC, VERSION).unwrap().to_vec()
+    }
+
     #[test]
     fn state_round_trips_bit_identically() {
         let state = fitted_state();
-        let decoded = decode_state(&encode_state(&state)).unwrap();
+        let decoded = decode_state(&payload(&state)).unwrap();
         assert_eq!(decoded.num_events(), state.num_events());
         assert_eq!(decoded.tau2(), state.tau2());
         assert_eq!(decoded.horizon(), state.horizon());
@@ -233,6 +201,14 @@ mod tests {
     }
 
     #[test]
+    fn state_file_matches_its_golden_image() {
+        // FNV-1a of the file bytes, pinned before the sealed shell moved
+        // into `eventhit-core::codec`.
+        let file = seal_state(&fitted_state());
+        assert_eq!(fnv1a(&file), 0x5b8a_e93d_93bd_50e7);
+    }
+
+    #[test]
     fn reload_pair_round_trips_through_disk() {
         let dir = std::env::temp_dir().join(format!("evcs-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
@@ -247,7 +223,7 @@ mod tests {
 
     #[test]
     fn truncated_state_payload_is_an_error() {
-        let payload = encode_state(&fitted_state());
+        let payload = payload(&fitted_state());
         for cut in (0..payload.len()).step_by(7) {
             assert!(decode_state(&payload[..cut]).is_err(), "cut at {cut}");
         }

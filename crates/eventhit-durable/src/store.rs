@@ -315,8 +315,9 @@ impl DurableStore {
     }
 
     /// Persists a hot-reload's weights and conformal state beside the
-    /// log; returns the fingerprint to record in the
-    /// [`SessionEvent::ModelReloaded`] event.
+    /// log, never replacing a pair already there (see
+    /// [`state_io::save_reload`]); returns the fingerprint to record in
+    /// the [`SessionEvent::ModelReloaded`] event.
     pub fn save_reload(&self, model: &EventHit, state: &ConformalState) -> DurableResult<u64> {
         state_io::save_reload(&self.dir, model, state)
     }
@@ -505,6 +506,7 @@ mod tests {
     use crate::log::frame_record;
     use crate::snapshot::LaneSnapshot;
     use eventhit_core::{task, ExperimentConfig, Strategy, TaskRun};
+    use std::os::unix::fs::MetadataExt;
     use std::sync::OnceLock;
 
     const STRATEGY: Strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
@@ -916,6 +918,22 @@ mod tests {
             store
                 .append(&SessionEvent::ModelReloaded { fingerprint: fp })
                 .unwrap();
+
+            // The journaled pair is never replaced: other state under the
+            // same weights is refused, the same pair again touches nothing.
+            let on_disk = || {
+                [state_io::model_file_name(fp), state_io::state_file_name(fp)].map(|name| {
+                    let path = dir.join(name);
+                    (fs::read(&path).unwrap(), fs::metadata(&path).unwrap().ino())
+                })
+            };
+            let before = on_disk();
+            assert!(matches!(
+                store.save_reload(&other.model, &run.state),
+                Err(DurableError::ReloadConflict { fingerprint }) if fingerprint == fp
+            ));
+            assert_eq!(store.save_reload(&other.model, &other.state).unwrap(), fp);
+            assert_eq!(on_disk(), before);
         }
 
         let (mut store, recovery) = DurableStore::open(&dir).unwrap();

@@ -46,6 +46,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use eventhit_core::codec::F32Run;
 use eventhit_core::faults::FaultConfig;
 use eventhit_core::resilient::{DegradationTag, ResilienceConfig, ResilientCiClient};
 use eventhit_core::streaming::{HorizonDecision, OnlinePredictor};
@@ -62,9 +63,9 @@ use eventhit_video::detector::StageModel;
 use crate::admission::{AdmissionController, ServeTotals, SlotGuard};
 use crate::convert::decision_to_wire;
 use crate::protocol::{
-    decode_payload, send_message, F32Run, FrameBuf, Message, ProtocolError, RejectCode,
-    StreamSummary, Submit, WireCounter, WireDecision, WireSeries, WireSlo, WireWindow,
-    PROTOCOL_MAJOR, PROTOCOL_MINOR,
+    decode_payload, send_message, FrameBuf, Message, ProtocolError, RejectCode, StreamSummary,
+    Submit, WireCounter, WireDecision, WireSeries, WireSlo, WireWindow, PROTOCOL_MAJOR,
+    PROTOCOL_MINOR,
 };
 use crate::router::ShardRouter;
 
@@ -697,7 +698,10 @@ impl Server {
     /// place keeping its window and anchor cadence. Returns — once the
     /// event is durable on every shard — the weight fingerprint the
     /// reload is journaled under; replay after a crash reproduces pre-
-    /// and post-reload decisions exactly.
+    /// and post-reload decisions exactly. A persisted pair is never
+    /// replaced: weights already reloaded with a different state are
+    /// refused (`DurableError::ReloadConflict`) before anything is
+    /// journaled.
     pub fn reload_model(&self, model: EventHit, state: ConformalState) -> io::Result<u64> {
         // Every shard journals the reload in its own log (replay of any
         // one shard's directory must be self-contained); the fingerprint

@@ -54,7 +54,7 @@ pub use clock::ClockKind;
 pub use hist::LogHistogram;
 pub use percentile::{percentile, percentiles};
 pub use registry::{SpanGuard, SpanRecord, Telemetry};
-pub use report::{crc32, fnv1a, TelemetrySnapshot};
+pub use report::{fnv1a, TelemetrySnapshot};
 pub use slo::SloStat;
 pub use slowlog::{SlowDecision, SlowLog, SLOW_LOG_CAP};
 pub use window::{WindowStat, WindowedSeries, DEFAULT_WINDOW_SECS, MAX_WINDOWS};

@@ -26,41 +26,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The reflected CRC-32 lookup table for polynomial `0xEDB88320`
-/// (IEEE 802.3), built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFFFFFF`) over a byte
-/// stream — the workspace's corruption-detection checksum, used by the
-/// durable event log and the model-persistence format. Distinct from
-/// [`fnv1a`], which fingerprints for identity, this detects accidental
-/// bit damage in data at rest.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 /// Aggregated statistics for one span path (`"marshal.run/ci.submit"`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanStat {
@@ -603,18 +568,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn crc32_matches_reference_values() {
-        // The canonical CRC-32/IEEE check value plus a few spot checks.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
     }
 
     #[test]

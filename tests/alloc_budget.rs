@@ -4,11 +4,15 @@
 //! allocates only the decision it returns — no `Matrix`, no `Record`, no
 //! per-frame `Vec`. The same counter shows that a wire message lying
 //! about its float count is refused before anything is reserved for it,
-//! that a warm `SubmitFrames` returning no decision allocates nothing at
+//! and one lying about its item count reserves at most 64 KiB, that a
+//! warm `SubmitFrames` returning no decision allocates nothing at
 //! either end of the session, whatever its row count, that a length
 //! prefix promising 16 MiB buys no more buffer than the bytes that
 //! follow it, and that a second predictor built from a clone of a served
-//! model keeps no compiled weights of its own.
+//! model keeps no compiled weights of its own. Counts and sizes read from
+//! disk are held to the same rule: a snapshot, conformal state or model
+//! file that declares more than it holds is a typed error that allocates
+//! next to nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,11 +20,15 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use eventhit::core::codec::{seal, Writer};
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
+use eventhit::core::model_io;
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
-use eventhit::core::InferenceLane;
+use eventhit::core::{CoreError, EventHit, EventHitConfig, InferenceLane};
+use eventhit::durable::state_io::decode_state;
+use eventhit::durable::{DurableError, DurableStore, SessionEvent, Snapshot};
 use eventhit::parallel::Pool;
 use eventhit::serve::protocol::{
     decode_payload, encode, Message, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_MAJOR, PROTOCOL_MINOR,
@@ -230,6 +238,42 @@ fn a_lying_float_count_reserves_nothing() {
 }
 
 #[test]
+fn a_lying_item_count_reserves_at_most_64_kib() {
+    // The largest frames the protocol allows, each declaring u32::MAX items
+    // of a kind 40 to 80 B wide in memory, then bytes that fail the first
+    // item. One item per byte left would still be 16.7M items (~1 GB).
+    let reply = Message::MetricsReply {
+        clock_now: 0.0,
+        window_secs: 1.0,
+        counters: vec![],
+        series: vec![],
+        slos: vec![],
+    };
+    let decisions = Message::Decisions {
+        stream_id: 1,
+        decisions: vec![],
+    };
+    // Counters, series and SLOs of the reply; the decisions of the other.
+    for (msg, count_at) in [(&reply, 17), (&reply, 21), (&reply, 25), (&decisions, 5)] {
+        let mut payload = encode(msg)[4..][..count_at + 4].to_vec();
+        payload[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        payload.resize(MAX_FRAME_BYTES, 0xFF);
+        let (result, (_, bytes)) = counted(|| decode_payload(&payload));
+        assert!(
+            matches!(
+                result,
+                Err(ProtocolError::Truncated { .. } | ProtocolError::BadValue(_))
+            ),
+            "{result:?}"
+        );
+        assert!(
+            bytes <= 64 * 1024,
+            "a {MAX_FRAME_BYTES} B frame reserved {bytes} B for a count at {count_at}"
+        );
+    }
+}
+
+#[test]
 fn served_submit_allocations_do_not_scale_with_rows() {
     let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(93));
     let (model, state) = (run.model.clone(), run.state.clone());
@@ -315,4 +359,70 @@ fn a_length_prefix_buys_no_buffer_the_payload_does_not_fill() {
         bytes < 64 * 1024 && kept < 64 * 1024,
         "the session allocated {bytes} B and kept {kept} B for a frame that sent 1 KiB"
     );
+}
+
+#[test]
+fn counts_read_from_disk_size_nothing_before_the_bytes_back_them() {
+    const BUDGET: u64 = 64 * 1024;
+
+    // A checksum-valid snapshot declaring u32::MAX lanes: refused, and
+    // recovery falls back to the log.
+    let dir = std::env::temp_dir().join(format!("alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let closed = SessionEvent::StreamClosed { stream_id: 1 };
+    DurableStore::open(&dir).unwrap().0.append(&closed).unwrap();
+    let snapshot = dir.join("snap-00000000000000000000.evsn");
+    let lanes = seal(b"EVSN", 1, |w| {
+        w.u64(0);
+        w.u8(0);
+        w.u32(u32::MAX);
+    });
+    std::fs::write(&snapshot, lanes).unwrap();
+    let ((read, opened), (_, bytes)) =
+        counted(|| (Snapshot::read(&snapshot), DurableStore::open(&dir)));
+    assert!(matches!(read, Err(DurableError::Format(_))), "{read:?}");
+    let (_, recovery) = opened.expect("the log still opens");
+    assert!(recovery.snapshot.is_none());
+    assert_eq!(recovery.tail, [closed]);
+    assert!(bytes < BUDGET, "recovery allocated {bytes} B");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A conformal-state payload declaring u32::MAX events.
+    let mut state = Vec::new();
+    let mut w = Writer::new(&mut state);
+    w.f32(0.5);
+    w.u32(16);
+    w.u32(u32::MAX);
+    let (decoded, (_, bytes)) = counted(|| decode_state(&state).err());
+    assert!(
+        matches!(decoded, Some(DurableError::Format(_))),
+        "{decoded:?}"
+    );
+    assert!(bytes < BUDGET, "the state decoder allocated {bytes} B");
+
+    // A 20-byte model file declaring a 2 GiB payload, and a sealed one
+    // whose input_dim is 0.
+    let mut huge = Vec::new();
+    let mut w = Writer::new(&mut huge);
+    w.bytes(b"EVHT");
+    w.u32(2);
+    w.u64(1 << 31);
+    w.u32(0);
+    let mut model = Vec::new();
+    let cfg = EventHitConfig {
+        hidden_dim: 6,
+        shared_dim: 5,
+        ..EventHitConfig::new(4, 3, 8, 2)
+    };
+    model_io::save(&EventHit::new(cfg, 1), &mut model).unwrap();
+    let payload = [&[0; 4], &model[24..]].concat();
+    let zero_dim = seal(b"EVHT", 2, |w| w.bytes(&payload));
+    for (what, file) in [("20-byte", huge), ("zero-dim", zero_dim)] {
+        let (loaded, (_, bytes)) = counted(|| model_io::load(&mut file.as_slice()).err());
+        assert!(
+            matches!(loaded, Some(CoreError::ModelFormat(_))),
+            "{what} model file: {loaded:?}"
+        );
+        assert!(bytes < BUDGET, "the {what} model file cost {bytes} B");
+    }
 }
