@@ -93,9 +93,10 @@ impl Gru {
         let hd = self.hidden_dim;
         self.cache.clear();
         let mut h = Matrix::zeros(batch, hd);
+        let affines = self.affines();
 
         for x in xs {
-            let (r, z, n, hn_pre, h_new) = self.step(x, &h);
+            let (r, z, n, hn_pre, h_new) = self.step(&affines, x, &h);
             self.cache.push(StepCache {
                 x: x.clone(),
                 h_prev: h,
@@ -117,23 +118,40 @@ impl Gru {
         assert!(!xs.is_empty(), "GRU requires at least one timestep");
         let batch = xs[0].rows();
         let mut h = Matrix::zeros(batch, self.hidden_dim);
+        let affines = self.affines();
         for x in xs {
-            h = self.step(x, &h).4;
+            h = self.step(&affines, x, &h).4;
         }
         h
     }
 
-    /// One timestep of gate arithmetic: returns `(r, z, n, hn_pre, h_new)`.
+    /// Both `[r|z|n]` affine maps packed k-major, input side first: what
+    /// a forward steps every timestep through, and what [`Gru::packed`]
+    /// serves.
+    fn affines(&self) -> (PackedAffine, PackedAffine) {
+        (
+            PackedAffine::pack(&self.wx, self.bx.as_slice()),
+            PackedAffine::pack(&self.wh, self.bh.as_slice()),
+        )
+    }
+
+    /// One timestep of gate arithmetic on the forward's packed
+    /// `(px, ph)`: returns `(r, z, n, hn_pre, h_new)`.
     #[allow(clippy::type_complexity)]
-    fn step(&self, x: &Matrix, h: &Matrix) -> (Matrix, Matrix, Matrix, Matrix, Matrix) {
+    fn step(
+        &self,
+        (px, ph): &(PackedAffine, PackedAffine),
+        x: &Matrix,
+        h: &Matrix,
+    ) -> (Matrix, Matrix, Matrix, Matrix, Matrix) {
         let hd = self.hidden_dim;
         assert_eq!(x.cols(), self.input_dim, "GRU input dim mismatch");
         // One fused affine pass per operand over the concatenated [r|z|n]
         // gate weights (px and ph stay separate: the n gate needs ph's
         // block before the reset product), bit-identical to matmul_t +
         // add_row_broadcast.
-        let px = x.affine_t(&self.wx, self.bx.as_slice());
-        let ph = h.affine_t(&self.wh, self.bh.as_slice());
+        let px = px.forward_rows(x);
+        let ph = ph.forward_rows(h);
 
         let mut r_pre = px.col_block(0, hd);
         r_pre.add_assign(&ph.col_block(0, hd));
@@ -213,11 +231,12 @@ impl Gru {
     /// The result is immutable, carries no gradients or caches, and
     /// stepping it is bit-identical to [`Gru::forward_inference`].
     pub fn packed(&self) -> PackedGru {
+        let (px, ph) = self.affines();
         PackedGru {
             input_dim: self.input_dim,
             hidden_dim: self.hidden_dim,
-            px: PackedAffine::pack(&self.wx, self.bx.as_slice()),
-            ph: PackedAffine::pack(&self.wh, self.bh.as_slice()),
+            px,
+            ph,
         }
     }
 

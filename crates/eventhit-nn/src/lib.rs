@@ -11,13 +11,15 @@
 //! activations, and dropout. There is no general autograd — the model graph
 //! is fixed, and each layer exposes `forward` / `backward` / `params_mut`.
 //!
-//! Inference runs on compiled snapshots, not on the trainable layers:
-//! `Dense`/`Lstm`/`Gru` compile once onto k-major [`packed`] weight
-//! panels (the exact lane, bit-identical to the [`matrix`] forward and
-//! to its retained naive references) or onto int8 codes of them in the
-//! same panels (the quantized lane, see [`quant::InferenceLane`]).
-//! Both step one row at a time through a reused [`cell::CellState`] and
-//! allocate nothing per forward.
+//! One product kernel serves training and inference: the tile sweep over
+//! k-major [`packed`] weight panels. Every [`matrix`] product runs on it
+//! (the forward packs its weights once per batch, the backward sweeps a
+//! row-major operand in place), and inference runs on compiled
+//! snapshots, not on the trainable layers: `Dense`/`Lstm`/`Gru` compile
+//! once onto the same panels (the exact lane, bit-identical to the
+//! [`matrix`] forward) or onto int8 codes of them (the quantized lane,
+//! see [`quant::InferenceLane`]). Both lanes step one row at a time
+//! through a reused [`cell::CellState`] and allocate nothing per forward.
 //!
 //! ```
 //! use eventhit_nn::activation::Activation;
@@ -43,6 +45,8 @@ pub mod dropout;
 pub mod gradcheck;
 pub mod gru;
 pub mod init;
+#[cfg(test)]
+mod kernel_equivalence;
 pub mod loss;
 pub mod lstm;
 pub mod matrix;

@@ -93,9 +93,10 @@ impl Lstm {
 
         let mut h = Matrix::zeros(batch, hd);
         let mut c = Matrix::zeros(batch, hd);
+        let gate = self.gate();
 
         for x in xs {
-            let (i, f, g, o, c_new) = self.step(x, &h, &c, batch);
+            let (i, f, g, o, c_new) = self.step(&gate, x, &h, &c, batch);
             let tanh_c = c_new.map(tanh);
             let h_new = o.hadamard(&tanh_c);
             self.cache.push(StepCache {
@@ -125,9 +126,10 @@ impl Lstm {
 
         let mut h = Matrix::zeros(batch, hd);
         let mut c = Matrix::zeros(batch, hd);
+        let gate = self.gate();
 
         for x in xs {
-            let (_, _, _, o, c_new) = self.step(x, &h, &c, batch);
+            let (_, _, _, o, c_new) = self.step(&gate, x, &h, &c, batch);
             let tanh_c = c_new.map(tanh);
             h = o.hadamard(&tanh_c);
             c = c_new;
@@ -135,10 +137,18 @@ impl Lstm {
         h
     }
 
-    /// One timestep of gate arithmetic: returns `(i, f, g, o, c_new)`.
+    /// The `[i|f|g|o]` gate weights packed k-major: what a forward steps
+    /// every timestep through, and what [`Lstm::packed`] serves.
+    fn gate(&self) -> PackedGate {
+        PackedGate::pack(&self.wx, &self.wh, self.b.as_slice())
+    }
+
+    /// One timestep of gate arithmetic on the forward's packed `gate`:
+    /// returns `(i, f, g, o, c_new)`.
     #[allow(clippy::type_complexity)]
     fn step(
         &self,
+        gate: &PackedGate,
         x: &Matrix,
         h: &Matrix,
         c: &Matrix,
@@ -149,7 +159,7 @@ impl Lstm {
         assert_eq!(x.rows(), batch, "LSTM batch size changed mid-sequence");
         // Single fused pass over the concatenated [i|f|g|o] gate weights,
         // bit-identical to matmul_t + add_assign + add_row_broadcast.
-        let pre = x.fused_gate_affine(&self.wx, h, &self.wh, self.b.as_slice());
+        let pre = gate.forward_rows(x, h);
 
         let i = pre.col_block(0, hd).map(sigmoid);
         let f = pre.col_block(hd, hd).map(sigmoid);
@@ -244,7 +254,7 @@ impl Lstm {
         PackedLstm {
             input_dim: self.input_dim,
             hidden_dim: self.hidden_dim,
-            gate: PackedGate::pack(&self.wx, &self.wh, self.b.as_slice()),
+            gate: self.gate(),
         }
     }
 

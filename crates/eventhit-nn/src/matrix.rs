@@ -4,200 +4,28 @@
 //! single contiguous `Vec<f32>` in row-major order, which lets optimizers
 //! treat parameters as flat slices.
 //!
-//! The product kernels ([`Matrix::matmul`], [`Matrix::t_matmul`],
+//! The products ([`Matrix::matmul`], [`Matrix::t_matmul`],
 //! [`Matrix::matmul_t`], [`Matrix::affine_t`],
 //! [`Matrix::fused_gate_affine`]) are what training and the batched
-//! reference forward run on: cache-blocked over `k` and unrolled eight
-//! output columns wide so the autovectorizer gets independent
-//! accumulator chains to work with (std-only, stable rustc). Every kernel
-//! keeps each output element's accumulation a *single* chain over `k` in
-//! ascending order, so the blocked kernels are bit-identical to the naive
-//! reference implementations ([`Matrix::matmul_naive`] and friends) that
-//! are retained as test oracles. Every product runs on the calling
-//! thread: the worker pool parallelises records, lanes, grid cells and
-//! sessions, never the inside of a product (DESIGN §9 has the
+//! reference forward run on, and they run on the one kernel serving
+//! does: the tile sweep of [`crate::packed`]. The forward products pack
+//! their weights k-major once per call; the backward ones sweep a
+//! row-major operand in place. Every output element is one chain that
+//! starts at `0.0` and adds `a * b` over ascending `k`, with no term
+//! skipped: a NaN or infinity in either operand reaches the output even
+//! where the other operand is zero. (For finite operands a zero term
+//! never changes a bit: a chain that starts at `+0` never holds `-0`, so
+//! adding a `±0` product leaves it as it was.) Every product runs on the
+//! calling thread: the worker pool parallelises records, lanes, grid
+//! cells and sessions, never the inside of a product (DESIGN §9 has the
 //! measurement that retired the row-blocked path).
-//! Serving does not run these: it compiles the model onto
-//! [`crate::packed`] panels once and steps rows through them.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use eventhit_rng::Rng;
 
-/// `k`-panel length for the cache-blocked kernels: an eight-row panel of
-/// the operand plus the walked row stays within L1 (9 × 256 × 4 B ≈ 9 KiB).
-/// Blocks are consumed in ascending order into the same accumulator chain,
-/// so blocking never changes the bits.
-const K_BLOCK: usize = 256;
-
-/// 8-wide unrolled `out_row += a * b_row` (the `ikj` inner loop).
-#[inline]
-fn axpy8(a: f32, b_row: &[f32], out_row: &mut [f32]) {
-    let mut o_it = out_row.chunks_exact_mut(8);
-    let mut b_it = b_row.chunks_exact(8);
-    for (o, b) in (&mut o_it).zip(&mut b_it) {
-        o[0] += a * b[0];
-        o[1] += a * b[1];
-        o[2] += a * b[2];
-        o[3] += a * b[3];
-        o[4] += a * b[4];
-        o[5] += a * b[5];
-        o[6] += a * b[6];
-        o[7] += a * b[7];
-    }
-    for (o, &b) in o_it.into_remainder().iter_mut().zip(b_it.remainder()) {
-        *o += a * b;
-    }
-}
-
-/// Blocked/unrolled row kernel for `A * B^T`: accumulates
-/// `out_row[j] += dot(a_row, rhs.row(j))` eight output columns at a time,
-/// `k`-panelled. Each `out_row[j]` is a single accumulator chain over `k`
-/// in ascending order (partial sums round-trip through `out_row` between
-/// panels), so the result is bit-identical to the naive dot product.
-#[inline]
-fn dot_rows8(a_row: &[f32], rhs: &Matrix, out_row: &mut [f32]) {
-    let kdim = a_row.len();
-    let out_cols = out_row.len();
-    let mut kb = 0;
-    while kb < kdim {
-        let kend = (kb + K_BLOCK).min(kdim);
-        let a_blk = &a_row[kb..kend];
-        let mut j = 0;
-        while j + 8 <= out_cols {
-            let b0 = &rhs.row(j)[kb..kend];
-            let b1 = &rhs.row(j + 1)[kb..kend];
-            let b2 = &rhs.row(j + 2)[kb..kend];
-            let b3 = &rhs.row(j + 3)[kb..kend];
-            let b4 = &rhs.row(j + 4)[kb..kend];
-            let b5 = &rhs.row(j + 5)[kb..kend];
-            let b6 = &rhs.row(j + 6)[kb..kend];
-            let b7 = &rhs.row(j + 7)[kb..kend];
-            let mut acc = [
-                out_row[j],
-                out_row[j + 1],
-                out_row[j + 2],
-                out_row[j + 3],
-                out_row[j + 4],
-                out_row[j + 5],
-                out_row[j + 6],
-                out_row[j + 7],
-            ];
-            for (idx, &a) in a_blk.iter().enumerate() {
-                acc[0] += a * b0[idx];
-                acc[1] += a * b1[idx];
-                acc[2] += a * b2[idx];
-                acc[3] += a * b3[idx];
-                acc[4] += a * b4[idx];
-                acc[5] += a * b5[idx];
-                acc[6] += a * b6[idx];
-                acc[7] += a * b7[idx];
-            }
-            out_row[j..j + 8].copy_from_slice(&acc);
-            j += 8;
-        }
-        while j < out_cols {
-            let b = &rhs.row(j)[kb..kend];
-            let mut acc = out_row[j];
-            for (idx, &a) in a_blk.iter().enumerate() {
-                acc += a * b[idx];
-            }
-            out_row[j] = acc;
-            j += 1;
-        }
-        kb = kend;
-    }
-}
-
-/// Naive row kernel for `A * B^T`: one scalar dot product per output
-/// column. Retained as the bit-exact reference for [`dot_rows8`].
-#[inline]
-fn dot_rows_naive(a_row: &[f32], rhs: &Matrix, out_row: &mut [f32]) {
-    for (j, o) in out_row.iter_mut().enumerate() {
-        let b_row = rhs.row(j);
-        let mut acc = 0.0f32;
-        for (&a, &b) in a_row.iter().zip(b_row) {
-            acc += a * b;
-        }
-        *o = acc;
-    }
-}
-
-/// Fused gate row kernel: `out_row[j] = dot(x_row, wx.row(j)) +
-/// dot(h_row, wh.row(j)) + bias[j]`, eight output columns at a time
-/// (sixteen independent accumulator chains). Each dot is its own single
-/// chain over ascending `k` and the two are added only once both are
-/// complete, matching the unfused `matmul_t` + `add_assign` +
-/// `add_row_broadcast` sequence bit for bit.
-#[inline]
-fn gate_row8(
-    x_row: &[f32],
-    wx: &Matrix,
-    h_row: &[f32],
-    wh: &Matrix,
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    let out_cols = out_row.len();
-    let mut j = 0;
-    while j + 8 <= out_cols {
-        let mut accx = [0.0f32; 8];
-        let x0 = &wx.row(j)[..x_row.len()];
-        let x1 = &wx.row(j + 1)[..x_row.len()];
-        let x2 = &wx.row(j + 2)[..x_row.len()];
-        let x3 = &wx.row(j + 3)[..x_row.len()];
-        let x4 = &wx.row(j + 4)[..x_row.len()];
-        let x5 = &wx.row(j + 5)[..x_row.len()];
-        let x6 = &wx.row(j + 6)[..x_row.len()];
-        let x7 = &wx.row(j + 7)[..x_row.len()];
-        for (idx, &a) in x_row.iter().enumerate() {
-            accx[0] += a * x0[idx];
-            accx[1] += a * x1[idx];
-            accx[2] += a * x2[idx];
-            accx[3] += a * x3[idx];
-            accx[4] += a * x4[idx];
-            accx[5] += a * x5[idx];
-            accx[6] += a * x6[idx];
-            accx[7] += a * x7[idx];
-        }
-        let mut acch = [0.0f32; 8];
-        let h0 = &wh.row(j)[..h_row.len()];
-        let h1 = &wh.row(j + 1)[..h_row.len()];
-        let h2 = &wh.row(j + 2)[..h_row.len()];
-        let h3 = &wh.row(j + 3)[..h_row.len()];
-        let h4 = &wh.row(j + 4)[..h_row.len()];
-        let h5 = &wh.row(j + 5)[..h_row.len()];
-        let h6 = &wh.row(j + 6)[..h_row.len()];
-        let h7 = &wh.row(j + 7)[..h_row.len()];
-        for (idx, &a) in h_row.iter().enumerate() {
-            acch[0] += a * h0[idx];
-            acch[1] += a * h1[idx];
-            acch[2] += a * h2[idx];
-            acch[3] += a * h3[idx];
-            acch[4] += a * h4[idx];
-            acch[5] += a * h5[idx];
-            acch[6] += a * h6[idx];
-            acch[7] += a * h7[idx];
-        }
-        for t in 0..8 {
-            out_row[j + t] = (accx[t] + acch[t]) + bias[j + t];
-        }
-        j += 8;
-    }
-    while j < out_cols {
-        let mut accx = 0.0f32;
-        for (&a, &b) in x_row.iter().zip(wx.row(j)) {
-            accx += a * b;
-        }
-        let mut acch = 0.0f32;
-        for (&a, &b) in h_row.iter().zip(wh.row(j)) {
-            acch += a * b;
-        }
-        out_row[j] = (accx + acch) + bias[j];
-        j += 1;
-    }
-}
+use crate::packed::{self, PackedAffine, PackedGate};
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
@@ -340,17 +168,14 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Uses `ikj` loop ordering, `k`-panelled so the touched `rhs` rows
-    /// stay cache-resident and 8-wide unrolled along the output row.
-    /// The result is bit-identical to [`Matrix::matmul_naive`] (each
-    /// output element's accumulation order never changes).
+    /// `rhs` (`k x n`, row-major) is already a `[k][out]` panel, so each
+    /// row of `self` is swept through it in place.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
     /// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
     /// let id = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
     /// assert_eq!(a.matmul(&id), a);
-    /// assert_eq!(a.matmul(&id), a.matmul_naive(&id));
     /// ```
     ///
     /// # Panics
@@ -362,75 +187,29 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // k-panelled ikj: for each panel, sweep every output row so the
-        // touched rhs panel stays hot. Panels are consumed in ascending k
-        // into the same output elements, so per-element accumulation
-        // order matches the naive kernel.
-        let mut kb = 0;
-        while kb < self.cols {
-            let kend = (kb + K_BLOCK).min(self.cols);
-            for i in 0..self.rows {
-                let out_row = out.row_mut(i);
-                for (k, &a) in self.row(i)[kb..kend].iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    axpy8(a, rhs.row(kb + k), out_row);
-                }
-            }
-            kb = kend;
-        }
-        out
-    }
-
-    /// Naive `self * rhs` (`ikj`, no blocking, no unrolling).
-    /// Retained as the bit-exact reference implementation for
-    /// the kernel-equivalence test suite.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-    /// let b = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
-    /// assert_eq!(a.matmul_naive(&b)[(0, 0)], 11.0);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            packed::sweep::<false>(&rhs.data, self.row(i), out.row_mut(i), |_, dot, o| *o = dot);
         }
         out
     }
 
-    /// Matrix product `self^T * rhs` without materializing the transpose.
+    /// Matrix product `self^T * rhs`.
     ///
-    /// `k`-panelled and 8-wide unrolled like [`Matrix::matmul`]. Each
-    /// output element accumulates over `k` in ascending order, so the
-    /// bits match [`Matrix::t_matmul_naive`].
+    /// Both operands are `[k][out]` panels as they lie, and the wider one
+    /// is swept in place: `rhs` through [`Matrix::matmul`] under the
+    /// columns of `self`, or `self` under the columns of `rhs` with the
+    /// result transposed back. A narrow panel would leave its outputs to
+    /// the tile loop's one-wide tail — a weight gradient `dpre^T x` is
+    /// `4H` wide on the `dpre` side and `D` wide on the `x` side. The
+    /// choice never changes a bit: either way an output is the same chain
+    /// of the same products (`a * b == b * a`).
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
     /// let a = Matrix::from_vec(2, 1, vec![1.0, 2.0]);
     /// let b = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
     /// assert_eq!(a.t_matmul(&b)[(0, 0)], 11.0);
-    /// assert_eq!(a.t_matmul(&b), a.t_matmul_naive(&b));
+    /// assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
     /// ```
     ///
     /// # Panics
@@ -441,76 +220,22 @@ impl Matrix {
             "t_matmul shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        // k-panelled: sweep every output row per panel so the rhs panel
-        // stays hot; a is a strided column walk of self.
-        let mut kb = 0;
-        while kb < self.rows {
-            let kend = (kb + K_BLOCK).min(self.rows);
-            for i in 0..self.cols {
-                let out_row = out.row_mut(i);
-                for k in kb..kend {
-                    let a = self.data[k * self.cols + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    axpy8(a, rhs.row(k), out_row);
-                }
-            }
-            kb = kend;
+        if rhs.cols >= self.cols {
+            self.transpose().matmul(rhs)
+        } else {
+            rhs.transpose().matmul(self).transpose()
         }
-        out
     }
 
-    /// Naive `self^T * rhs` (no blocking, no unrolling). Retained as the
-    /// bit-exact reference implementation for the kernel-equivalence test
-    /// suite.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let a = Matrix::from_vec(2, 1, vec![1.0, 2.0]);
-    /// assert_eq!(a.t_matmul_naive(&a)[(0, 0)], 5.0);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "t_matmul shape mismatch: ({}x{})^T * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let out_cols = rhs.cols;
-        let mut out = Matrix::zeros(self.cols, out_cols);
-        for i in 0..self.cols {
-            let out_row = &mut out.data[i * out_cols..(i + 1) * out_cols];
-            for k in 0..self.rows {
-                let a = self.data[k * self.cols + i];
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * rhs^T` without materializing the transpose.
-    ///
-    /// Every output element is an independent dot product; the blocked
-    /// kernel runs eight of them at once (eight independent accumulator
-    /// chains — the ILP the scalar dot can't offer), `k`-panelled for
-    /// cache residency. The bits match [`Matrix::matmul_t_naive`].
+    /// Matrix product `self * rhs^T`: `rhs` transposed is its k-major
+    /// packing, so this is [`Matrix::matmul`] on it.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
     /// let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
     /// let b = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
     /// assert_eq!(a.matmul_t(&b)[(0, 0)], 11.0);
-    /// assert_eq!(a.matmul_t(&b), a.matmul_t_naive(&b));
+    /// assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
     /// ```
     ///
     /// # Panics
@@ -521,47 +246,14 @@ impl Matrix {
             "matmul_t shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            dot_rows8(self.row(i), rhs, out.row_mut(i));
-        }
-        out
-    }
-
-    /// Naive `self * rhs^T` (one scalar dot product per output element).
-    /// Retained as the bit-exact reference implementation for the
-    /// kernel-equivalence test suite.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-    /// assert_eq!(a.matmul_t_naive(&a)[(0, 0)], 5.0);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_t shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let out_cols = rhs.rows;
-        let mut out = Matrix::zeros(self.rows, out_cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * out_cols..(i + 1) * out_cols];
-            dot_rows_naive(a_row, rhs, out_row);
-        }
-        out
+        self.matmul(&rhs.transpose())
     }
 
     /// Affine map `self * w^T + bias` (bias broadcast to every row) in one
-    /// pass — the [`crate::dense::Dense`] / GRU pre-activation. Per output
-    /// element the dot product completes (single chain, ascending `k`)
-    /// before the bias is added, exactly like `matmul_t` followed by
-    /// `add_row_broadcast`, so the fused kernel is bit-identical to
-    /// [`Matrix::affine_t_naive`].
+    /// pass — the [`crate::dense::Dense`] pre-activation, on
+    /// [`PackedAffine`] packed once per call. Per output element the dot
+    /// product completes before the bias is added, exactly like
+    /// `matmul_t` followed by `add_row_broadcast`.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -579,41 +271,15 @@ impl Matrix {
             self.rows, self.cols, w.rows, w.cols
         );
         assert_eq!(bias.len(), w.rows, "affine_t bias length mismatch");
-        let mut out = Matrix::zeros(self.rows, w.rows);
-        for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            dot_rows8(self.row(i), w, out_row);
-            for (o, &b) in out_row.iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
-        out
+        PackedAffine::pack(w, bias).forward_rows(self)
     }
 
-    /// Sequential naive reference for [`Matrix::affine_t`]: `matmul_t`
-    /// then a bias broadcast, composed from the retained naive kernels.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let x = Matrix::from_vec(1, 1, vec![2.0]);
-    /// let w = Matrix::from_vec(1, 1, vec![3.0]);
-    /// assert_eq!(x.affine_t_naive(&w, &[1.0])[(0, 0)], 7.0);
-    /// ```
-    pub fn affine_t_naive(&self, w: &Matrix, bias: &[f32]) -> Matrix {
-        assert_eq!(bias.len(), w.rows, "affine_t bias length mismatch");
-        let mut out = self.matmul_t_naive(w);
-        out.add_row_broadcast(bias);
-        out
-    }
-
-    /// Fused recurrent gate pre-activation
-    /// `self * wx^T + h * wh^T + bias` in a single pass over the
-    /// concatenated gate weights — the LSTM/GRU per-step kernel. For each
-    /// output element both dot products complete as independent single
-    /// chains (ascending `k`), are added to each other, then the bias is
-    /// added — exactly the `matmul_t` + `add_assign` +
-    /// `add_row_broadcast` sequence it replaces, so it is bit-identical
-    /// to [`Matrix::fused_gate_affine_naive`].
+    /// Fused recurrent gate pre-activation `self * wx^T + h * wh^T + bias`
+    /// on [`PackedGate`] packed once per call. For each output element
+    /// both dot products complete as independent chains, are added to
+    /// each other, then the bias is added — exactly the `matmul_t` +
+    /// `add_assign` + `add_row_broadcast` sequence. A recurrent layer
+    /// packs its gate once per sequence instead and steps through it.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -635,35 +301,7 @@ impl Matrix {
         assert_eq!(self.rows, h.rows, "fused_gate_affine batch mismatch");
         assert_eq!(wx.rows, wh.rows, "fused_gate_affine gate-count mismatch");
         assert_eq!(bias.len(), wx.rows, "fused_gate_affine bias mismatch");
-        let mut out = Matrix::zeros(self.rows, wx.rows);
-        for r in 0..self.rows {
-            gate_row8(self.row(r), wx, h.row(r), wh, bias, out.row_mut(r));
-        }
-        out
-    }
-
-    /// Sequential naive reference for [`Matrix::fused_gate_affine`]:
-    /// two naive `matmul_t` products, an elementwise add, and a bias
-    /// broadcast — the exact pre-fusion gate arithmetic.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let x = Matrix::from_vec(1, 1, vec![2.0]);
-    /// let w = Matrix::from_vec(1, 1, vec![3.0]);
-    /// let pre = x.fused_gate_affine_naive(&w, &x, &w, &[0.0]);
-    /// assert_eq!(pre[(0, 0)], 12.0);
-    /// ```
-    pub fn fused_gate_affine_naive(
-        &self,
-        wx: &Matrix,
-        h: &Matrix,
-        wh: &Matrix,
-        bias: &[f32],
-    ) -> Matrix {
-        let mut pre = self.matmul_t_naive(wx);
-        pre.add_assign(&h.matmul_t_naive(wh));
-        pre.add_row_broadcast(bias);
-        pre
+        PackedGate::pack(wx, wh, bias).forward_rows(self, h)
     }
 
     /// Returns the transposed matrix.
@@ -828,6 +466,91 @@ impl Matrix {
     /// True if every entry is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// The naive products: the oracles the kernel-equivalence tests hold the
+/// products to, bit for bit. Each output element is the plain chain
+/// `acc = 0.0; for k in 0.. { acc += a[i][k] * b[k][j] }`.
+#[cfg(test)]
+impl Matrix {
+    /// `rows x cols` of naive chains over `kdim` terms `a(i, k) * b(k, j)`.
+    fn naive(
+        rows: usize,
+        cols: usize,
+        kdim: usize,
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                let mut acc = 0.0f32;
+                for k in 0..kdim {
+                    acc += a(i, k) * b(k, j);
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        out
+    }
+
+    /// Naive `self * rhs`.
+    pub(crate) fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
+        Self::naive(
+            self.rows,
+            rhs.cols,
+            self.cols,
+            |i, k| self[(i, k)],
+            |k, j| rhs[(k, j)],
+        )
+    }
+
+    /// Naive `self^T * rhs`.
+    pub(crate) fn t_matmul_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
+        Self::naive(
+            self.cols,
+            rhs.cols,
+            self.rows,
+            |i, k| self[(k, i)],
+            |k, j| rhs[(k, j)],
+        )
+    }
+
+    /// Naive `self * rhs^T`.
+    pub(crate) fn matmul_t_naive(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
+        Self::naive(
+            self.rows,
+            rhs.rows,
+            self.cols,
+            |i, k| self[(i, k)],
+            |k, j| rhs[(j, k)],
+        )
+    }
+
+    /// Naive `self * w^T`, then the bias broadcast.
+    pub(crate) fn affine_t_naive(&self, w: &Matrix, bias: &[f32]) -> Matrix {
+        let mut out = self.matmul_t_naive(w);
+        out.add_row_broadcast(bias);
+        out
+    }
+
+    /// Two naive `matmul_t` products, an elementwise add, then the bias
+    /// broadcast: the unfused gate arithmetic.
+    pub(crate) fn fused_gate_affine_naive(
+        &self,
+        wx: &Matrix,
+        h: &Matrix,
+        wh: &Matrix,
+        bias: &[f32],
+    ) -> Matrix {
+        let mut pre = self.matmul_t_naive(wx);
+        pre.add_assign(&h.matmul_t_naive(wh));
+        pre.add_row_broadcast(bias);
+        pre
     }
 }
 
@@ -1024,27 +747,26 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernels_bit_match_naive_references() {
-        // Empty and one-element products, then shapes straddling the
-        // 8-wide unroll and K_BLOCK boundaries.
-        let shapes = [
-            (0, 5, 0),
-            (3, 5, 0),
-            (1, 4, 1),
-            (1, 1, 1),
-            (3, 7, 9),
-            (8, 256, 8),
-            (13, 300, 17),
-            (67, 41, 53),
+    fn non_finite_operands_reach_the_output_through_zero_coefficients() {
+        // A zero gradient against a non-finite weight row (`dx = dpre W`):
+        // 0 * NaN and 0 * inf are NaN, and no product may skip them.
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        let b = Matrix::from_vec(2, 2, vec![f32::NAN, f32::INFINITY, 2.0, 3.0]);
+        let bt = b.transpose();
+        let products = [
+            a.matmul(&b),
+            a.transpose().t_matmul(&b),
+            a.matmul_t(&bt),
+            a.affine_t(&bt, &[0.0; 2]),
+            a.fused_gate_affine(&bt, &a, &Matrix::zeros(2, 2), &[0.0; 2]),
+            a.matmul_naive(&b),
         ];
-        for &(m, k, n) in &shapes {
-            let a = sample(m, k, (m * k + n) as u64);
-            let b = sample(k, n, (m + k * n) as u64);
-            assert_eq!(a.matmul(&b), a.matmul_naive(&b), "{m}x{k}x{n}");
-            let at = sample(k, m, (m + k + n) as u64);
-            assert_eq!(at.t_matmul(&b), at.t_matmul_naive(&b), "{m}x{k}x{n}");
-            let bt = b.transpose();
-            assert_eq!(a.matmul_t(&bt), a.matmul_t_naive(&bt), "{m}x{k}x{n}");
+        for (p, got) in products.iter().enumerate() {
+            assert_eq!(got.shape(), (1, 2), "product {p}");
+            assert!(
+                got.as_slice().iter().all(|v| v.is_nan()),
+                "product {p}: {got:?}"
+            );
         }
     }
 
@@ -1056,7 +778,6 @@ mod tests {
         let mut want = x.matmul_t(&w);
         want.add_row_broadcast(&bias);
         assert_eq!(x.affine_t(&w, &bias), want);
-        assert_eq!(x.affine_t_naive(&w, &bias), want);
     }
 
     #[test]
@@ -1070,7 +791,6 @@ mod tests {
         want.add_assign(&h.matmul_t(&wh));
         want.add_row_broadcast(&bias);
         assert_eq!(x.fused_gate_affine(&wx, &h, &wh, &bias), want);
-        assert_eq!(x.fused_gate_affine_naive(&wx, &h, &wh, &bias), want);
     }
 
     #[test]

@@ -1,22 +1,27 @@
-//! K-major packed weight panels: the inference kernel of both lanes.
+//! K-major packed weight panels: the one product kernel, for training and
+//! for both inference lanes.
 //!
 //! A trained layer stores its weights `[out][k]` (row `j` holds output
-//! unit `j`), which is what backprop wants but makes an inference row
-//! kernel walk several weight rows at a stride. A packed panel is the
-//! same matrix repacked once, at plan-compile time, as `[k][out]`: for
-//! one input element `x[k]` the weights of *all* outputs are contiguous,
-//! so a tile of outputs is updated with plain vector loads.
+//! unit `j`), which is what backprop wants but makes a row kernel walk
+//! several weight rows at a stride. A packed panel is the same matrix
+//! repacked as `[k][out]`: for one input element `x[k]` the weights of
+//! *all* outputs are contiguous, so a tile of outputs is updated with
+//! plain vector loads. Serving packs once, at plan-compile time; the
+//! training forward packs once per batch. A row-major `k x n` matrix
+//! already *is* a `[k][out]` panel, so the backward products
+//! ([`Matrix::matmul`], [`Matrix::t_matmul`]) sweep a row-major operand
+//! in place, with no repack.
 //!
 //! The kernels process 32 outputs at a time (then 8, then one), each
 //! output owning one accumulator that starts at `0.0` and adds
 //! `x[k] * w[k][j]` for `k = 0, 1, …` — multiply, then add, no fused
-//! multiply-add, no reassociation. Tiling only chooses *which outputs
-//! share a pass over `x`*; it never touches the order inside one
-//! output's chain, so every result is bit-identical to
-//! [`Matrix::affine_t_naive`] / [`Matrix::fused_gate_affine_naive`], the
-//! oracles the property tests compare against. What vectorises is the
-//! tile (independent outputs side by side in one register); what does not
-//! is the reduction over `k`, which stays a serial chain per output.
+//! multiply-add, no reassociation, no skipped terms. Tiling only chooses
+//! *which outputs share a pass over `x`*; it never touches the order
+//! inside one output's chain, so every result is bit-identical to the
+//! naive chains the kernel-equivalence tests hold it to. What vectorises
+//! is the tile (independent outputs side by side in one register); what
+//! does not is the reduction over `k`, which stays a serial chain per
+//! output.
 //!
 //! The int8 lane ([`crate::quant`]) runs on the same panels and the same
 //! tile loop: its weight and activation codes are integers in
@@ -25,8 +30,9 @@
 //! every step; deeper reductions are cut into blocks of that many rows
 //! whose exact sums meet in `i32`.
 //!
-//! Everything writes into caller-provided slices: after a plan and its
-//! scratch exist, a forward allocates nothing.
+//! The serving forms (`forward_into`) write into caller-provided slices:
+//! after a plan and its scratch exist, a forward allocates nothing. The
+//! batched forms training runs return one fresh matrix per call.
 
 use crate::matrix::Matrix;
 
@@ -89,6 +95,47 @@ fn tile<const N: usize, const CODES: bool>(
     total.map(|t| t as f32)
 }
 
+/// Calls `finish(j, dot_j(x), &mut out[j])` for every output `j` of the
+/// `[k][out]` panel `w` (`x.len()` rows of `out.len()` weights), tile by
+/// tile. `CODES` says the panel and `x` hold int8 codes (see [`tile`]);
+/// without it every dot is one `f32` chain.
+///
+/// # Panics
+/// Panics if `w.len() != x.len() * out.len()`.
+#[inline(always)]
+pub(crate) fn sweep<const CODES: bool>(
+    w: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+    finish: impl Fn(usize, f32, &mut f32),
+) {
+    let out_dim = out.len();
+    assert_eq!(w.len(), x.len() * out_dim, "panel shape mismatch");
+    if out_dim == 0 {
+        return;
+    }
+    let mut j = 0;
+    while j + TILE <= out_dim {
+        let acc = tile::<TILE, CODES>(w, out_dim, j, x);
+        for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + TILE]).enumerate() {
+            finish(j + t, a, o);
+        }
+        j += TILE;
+    }
+    while j + SUBTILE <= out_dim {
+        let acc = tile::<SUBTILE, CODES>(w, out_dim, j, x);
+        for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + SUBTILE]).enumerate() {
+            finish(j + t, a, o);
+        }
+        j += SUBTILE;
+    }
+    while j < out_dim {
+        let [a] = tile::<1, CODES>(w, out_dim, j, x);
+        finish(j, a, &mut out[j]);
+        j += 1;
+    }
+}
+
 impl PackedPanel {
     /// Repacks `w` (`out x k`, the layout layers train in) as `[k][out]`.
     fn pack(w: &Matrix) -> Self {
@@ -114,9 +161,10 @@ impl PackedPanel {
         self.out_dim
     }
 
-    /// Calls `finish(j, dot_j(x), &mut out[j])` for every output `j`,
-    /// tile by tile. `CODES` says the panel and `x` hold int8 codes (see
-    /// [`tile`]); without it every dot is one `f32` chain.
+    /// [`sweep`] over this panel.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` has the wrong length.
     #[inline(always)]
     pub(crate) fn sweep<const CODES: bool>(
         &self,
@@ -130,29 +178,7 @@ impl PackedPanel {
             self.out_dim,
             "packed panel output length mismatch"
         );
-        if self.out_dim == 0 {
-            return;
-        }
-        let mut j = 0;
-        while j + TILE <= self.out_dim {
-            let acc = tile::<TILE, CODES>(&self.w, self.out_dim, j, x);
-            for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + TILE]).enumerate() {
-                finish(j + t, a, o);
-            }
-            j += TILE;
-        }
-        while j + SUBTILE <= self.out_dim {
-            let acc = tile::<SUBTILE, CODES>(&self.w, self.out_dim, j, x);
-            for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + SUBTILE]).enumerate() {
-                finish(j + t, a, o);
-            }
-            j += SUBTILE;
-        }
-        while j < self.out_dim {
-            let [a] = tile::<1, CODES>(&self.w, self.out_dim, j, x);
-            finish(j, a, &mut out[j]);
-            j += 1;
-        }
+        sweep::<CODES>(&self.w, x, out, finish);
     }
 }
 
@@ -207,6 +233,16 @@ impl PackedAffine {
         self.panel
             .sweep::<false>(x, out, |j, dot, o| *o = dot + bias[j]);
     }
+
+    /// [`PackedAffine::forward_into`] for every row of `x`: the batched
+    /// `x W^T + b` of training and of the reference forward.
+    pub(crate) fn forward_rows(&self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), self.panel.out_dim);
+        for r in 0..x.rows() {
+            self.forward_into(x.row(r), out.row_mut(r));
+        }
+        out
+    }
 }
 
 /// A packed fused recurrent gate `out = x Wx^T + h Wh^T + b`: the
@@ -246,6 +282,20 @@ impl PackedGate {
         let bias = &self.bias;
         self.wh
             .sweep::<false>(h, out, |j, dot, o| *o = (*o + dot) + bias[j]);
+    }
+
+    /// [`PackedGate::forward_into`] for every row pair of `x` and `h`:
+    /// the batched gate pre-activation of one training timestep.
+    ///
+    /// # Panics
+    /// Panics if `x` and `h` differ in rows or either has the wrong width.
+    pub(crate) fn forward_rows(&self, x: &Matrix, h: &Matrix) -> Matrix {
+        assert_eq!(x.rows(), h.rows(), "packed gate batch mismatch");
+        let mut out = Matrix::zeros(x.rows(), self.wx.out_dim);
+        for r in 0..x.rows() {
+            self.forward_into(x.row(r), h.row(r), out.row_mut(r));
+        }
+        out
     }
 }
 

@@ -3,13 +3,16 @@
 //! of its JSONL trace. Any change to the RNG, training order, scoring
 //! arithmetic, marshalling decisions, or telemetry emission shows up
 //! here as a one-number diff — and because every parallel path folds in
-//! submission order, the constant holds for any worker count.
+//! submission order, the constant holds for any worker count. The
+//! benchmark's full-size fixture model is pinned the same way, by the
+//! fingerprint of its trained weights.
 
 use std::sync::Arc;
 
 use eventhit::core::ci::CiConfig;
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::marshal::Marshaller;
+use eventhit::core::model_io;
 use eventhit::core::multi::{run_lanes, StreamLane};
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
@@ -28,6 +31,13 @@ const GOLDEN_FINGERPRINT: u64 = 0x578f_f497_86f2_f4c6;
 /// quantized calibration scores. Pinned separately from the exact lane —
 /// a quantizer change moves this constant and only this constant.
 const GOLDEN_QUANTIZED_FINGERPRINT: u64 = 0x3a32_fc70_d8c1_e148;
+
+/// `model_io::fingerprint` of the benchmark's fixture model (TA10, scale
+/// 0.3, seed 7, default config; final training loss 0.41688442). The
+/// quickstart runs above train 16 hidden units; this one trains the
+/// full-size network — a 192-wide LSTM gate and a 201-wide head — so
+/// every training product's bits at those widths are pinned here.
+const GOLDEN_FIXTURE_MODEL: u64 = 0xf8e6_9b63_c292_da9b;
 
 fn pipeline_trace() -> (String, u64) {
     let cfg = ExperimentConfig {
@@ -75,6 +85,23 @@ fn pipeline_fingerprint_replays_identically_across_worker_counts() {
         let (jsonl_w, fp_w) = with_workers(w, pipeline_trace);
         assert_eq!(jsonl_w, jsonl_1, "trace diverged at {w} workers");
         assert_eq!(fp_w, GOLDEN_FINGERPRINT);
+    }
+}
+
+#[test]
+fn fixture_model_fingerprint_matches_golden_constant_at_1_and_4_workers() {
+    let cfg = ExperimentConfig {
+        scale: 0.3,
+        seed: 7,
+        ..ExperimentConfig::default()
+    };
+    for workers in [1usize, 4] {
+        let run = with_workers(workers, || TaskRun::execute(&task("TA10").unwrap(), &cfg));
+        let fp = model_io::fingerprint(&run.model);
+        assert_eq!(
+            fp, GOLDEN_FIXTURE_MODEL,
+            "fixture model drifted at {workers} workers: got {fp:#018x}"
+        );
     }
 }
 
