@@ -254,13 +254,23 @@ impl<'a> Reader<'a> {
     /// decode.
     pub fn counted<T, E: From<CodecError>>(
         &mut self,
+        item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let n = self.u32()? as usize;
+        self.items(n, item)
+    }
+
+    /// `n` items read by `item`, for a format that read their count itself;
+    /// reserved as [`Reader::counted`] reserves.
+    pub fn items<T, E: From<CodecError>>(
+        &mut self,
+        n: usize,
         mut item: impl FnMut(&mut Self) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
         // An item can be several times wider in memory than on the wire, so
         // the bytes left alone do not bound the reservation; the cap does,
         // while an honest short list still starts at its exact size.
         const MAX_RESERVE: usize = 64 * 1024;
-        let n = self.u32()? as usize;
         let most = MAX_RESERVE / size_of::<T>().max(1);
         let mut items = Vec::with_capacity(n.min(self.rest.len()).min(most));
         for _ in 0..n {

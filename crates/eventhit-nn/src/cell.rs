@@ -6,11 +6,11 @@
 //! The element arithmetic here is the training forward's, operation for
 //! operation (same products, same order of additions), so a layer stepped
 //! through these functions reproduces `forward_inference` bit for bit.
-//! The activations stay the `libm` calls the training forward makes:
-//! they are the larger part of a packed anchor's time, but any faster
-//! approximation would change the bits every golden fingerprint pins.
+//! Each activation is one slice pass of the branch-free port in
+//! [`crate::activation`], the same code the training forward calls per
+//! element.
 
-use crate::activation::{sigmoid, tanh};
+use crate::activation::{sigmoid_slice, tanh_slice};
 
 /// One sequence's recurrent state plus the buffers a step needs, reused
 /// across steps and across sequences so stepping allocates nothing.
@@ -55,26 +55,31 @@ impl CellState {
     }
 }
 
-/// LSTM cell update from the fused pre-activation `pre = [i|f|g|o]`:
-/// `c = σ(f)·c + σ(i)·tanh(g)`, `h = σ(o)·tanh(c)`.
-pub(crate) fn lstm_cell(pre: &[f32], h: &mut [f32], c: &mut [f32]) {
+/// LSTM cell update from the fused pre-activation `pre = [i|f|g|o]`,
+/// activated in place: `c = σ(f)·c + σ(i)·tanh(g)`, `h = σ(o)·tanh(c)`.
+pub(crate) fn lstm_cell(pre: &mut [f32], h: &mut [f32], c: &mut [f32]) {
     let hd = h.len();
     assert_eq!(pre.len(), 4 * hd, "LSTM pre-activation length mismatch");
-    let (pi, rest) = pre.split_at(hd);
-    let (pf, rest) = rest.split_at(hd);
-    let (pg, po) = rest.split_at(hd);
+    let (ifg, o) = pre.split_at_mut(3 * hd);
+    let (i_f, g) = ifg.split_at_mut(2 * hd);
+    sigmoid_slice(i_f);
+    tanh_slice(g);
+    sigmoid_slice(o);
+    let (i, f) = i_f.split_at(hd);
     for j in 0..hd {
-        let (i, f, g, o) = (sigmoid(pi[j]), sigmoid(pf[j]), tanh(pg[j]), sigmoid(po[j]));
-        let c_new = f * c[j] + i * g;
-        c[j] = c_new;
-        h[j] = o * tanh(c_new);
+        c[j] = f[j] * c[j] + i[j] * g[j];
+    }
+    h.copy_from_slice(c);
+    tanh_slice(h);
+    for (h, o) in h.iter_mut().zip(o.iter()) {
+        *h *= o;
     }
 }
 
 /// GRU cell update from the two affine halves `px`, `ph` (each
-/// `[r|z|n]`): `r = σ(px_r + ph_r)`, `z = σ(px_z + ph_z)`,
-/// `n = tanh(px_n + r·ph_n)`, `h = (1 - z)·n + z·h`.
-pub(crate) fn gru_cell(px: &[f32], ph: &[f32], h: &mut [f32]) {
+/// `[r|z|n]`), `px` activated in place: `r = σ(px_r + ph_r)`,
+/// `z = σ(px_z + ph_z)`, `n = tanh(px_n + r·ph_n)`, `h = (1 - z)·n + z·h`.
+pub(crate) fn gru_cell(px: &mut [f32], ph: &[f32], h: &mut [f32]) {
     let hd = h.len();
     assert_eq!(px.len(), 3 * hd, "GRU input pre-activation length mismatch");
     assert_eq!(
@@ -82,11 +87,18 @@ pub(crate) fn gru_cell(px: &[f32], ph: &[f32], h: &mut [f32]) {
         3 * hd,
         "GRU hidden pre-activation length mismatch"
     );
+    let (rz, n) = px.split_at_mut(2 * hd);
+    for (p, q) in rz.iter_mut().zip(&ph[..2 * hd]) {
+        *p += q;
+    }
+    sigmoid_slice(rz);
+    let (r, z) = rz.split_at(hd);
     for j in 0..hd {
-        let r = sigmoid(px[j] + ph[j]);
-        let z = sigmoid(px[hd + j] + ph[hd + j]);
-        let n = tanh(px[2 * hd + j] + r * ph[2 * hd + j]);
-        h[j] = (1.0 - z) * n + z * h[j];
+        n[j] += r[j] * ph[2 * hd + j];
+    }
+    tanh_slice(n);
+    for j in 0..hd {
+        h[j] = (1.0 - z[j]) * n[j] + z[j] * h[j];
     }
 }
 

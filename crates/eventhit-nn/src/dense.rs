@@ -233,9 +233,7 @@ impl PackedDense {
     /// Panics if `x` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         self.affine.forward_into(x, out);
-        for o in out {
-            *o = self.act.eval(*o);
-        }
+        self.act.apply_slice(out);
     }
 }
 
@@ -266,9 +264,7 @@ impl QuantizedDense {
     /// Panics if `x` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
         self.affine.forward_into(x, xq, out);
-        for o in out {
-            *o = self.act.eval(*o);
-        }
+        self.act.apply_slice(out);
     }
 }
 

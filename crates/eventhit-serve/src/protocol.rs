@@ -230,7 +230,64 @@ pub struct WireDecision {
     /// Degradation status of the decision.
     pub degradation: WireDegradation,
     /// Per-event predictions, in event order.
-    pub predictions: Vec<WirePrediction>,
+    pub predictions: WirePredictions,
+}
+
+/// A decision's per-event predictions, as a slice: held inline when there
+/// is exactly one (a single-event task), on the heap otherwise. A decoded
+/// one-event decision so allocates nothing of its own. Equality, `Debug`
+/// and the wire image are the slice's, whichever form holds it.
+#[derive(Clone, Eq)]
+pub enum WirePredictions {
+    /// Exactly one prediction.
+    One(WirePrediction),
+    /// Any other number of predictions (none included).
+    Many(Vec<WirePrediction>),
+}
+
+impl std::ops::Deref for WirePredictions {
+    type Target = [WirePrediction];
+
+    #[inline]
+    fn deref(&self) -> &[WirePrediction] {
+        match self {
+            WirePredictions::One(p) => std::slice::from_ref(p),
+            WirePredictions::Many(v) => v,
+        }
+    }
+}
+
+impl PartialEq for WirePredictions {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for WirePredictions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<Vec<WirePrediction>> for WirePredictions {
+    fn from(v: Vec<WirePrediction>) -> Self {
+        match v[..] {
+            [one] => WirePredictions::One(one),
+            _ => WirePredictions::Many(v),
+        }
+    }
+}
+
+impl FromIterator<WirePrediction> for WirePredictions {
+    fn from_iter<I: IntoIterator<Item = WirePrediction>>(iter: I) -> Self {
+        let mut iter = iter.into_iter().fuse();
+        match (iter.next(), iter.next()) {
+            (Some(one), None) => WirePredictions::One(one),
+            (first, second) => {
+                WirePredictions::Many(first.into_iter().chain(second).chain(iter).collect())
+            }
+        }
+    }
 }
 
 /// A summary returned when a stream closes.
@@ -549,7 +606,7 @@ fn put_decisions(w: &mut Writer, stream_id: u32, decisions: &[WireDecision]) {
         w.u64(d.anchor);
         put_degradation(w, d.degradation);
         w.count(d.predictions.len());
-        for p in &d.predictions {
+        for p in d.predictions.iter() {
             w.u8(p.present as u8);
             w.u32(p.start);
             w.u32(p.end);
@@ -738,18 +795,24 @@ fn decision(r: &mut Reader) -> Result<WireDecision, CodecError> {
             4 => WireDegradation::LocalOnly,
             _ => return Err(CodecError::Invalid("degradation tag")),
         },
-        predictions: r.counted(|r| {
-            let present = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(CodecError::Invalid("prediction presence")),
-            };
-            Ok(WirePrediction {
-                present,
-                start: r.u32()?,
-                end: r.u32()?,
-            })
-        })?,
+        predictions: match r.u32()? {
+            1 => WirePredictions::One(prediction(r)?),
+            n => WirePredictions::Many(r.items(n as usize, prediction)?),
+        },
+    })
+}
+
+#[inline]
+fn prediction(r: &mut Reader) -> Result<WirePrediction, CodecError> {
+    let present = match r.u8()? {
+        0 => false,
+        1 => true,
+        _ => return Err(CodecError::Invalid("prediction presence")),
+    };
+    Ok(WirePrediction {
+        present,
+        start: r.u32()?,
+        end: r.u32()?,
     })
 }
 
@@ -1125,12 +1188,13 @@ mod tests {
                                 start: 0,
                                 end: 0,
                             },
-                        ],
+                        ]
+                        .into(),
                     },
                     WireDecision {
                         anchor: 199,
                         degradation: WireDegradation::Retried(2),
-                        predictions: vec![],
+                        predictions: vec![].into(),
                     },
                     WireDecision {
                         anchor: 299,
@@ -1139,7 +1203,8 @@ mod tests {
                             present: true,
                             start: 1,
                             end: 1,
-                        }],
+                        }]
+                        .into(),
                     },
                 ],
             },
@@ -1191,7 +1256,8 @@ mod tests {
                         present: true,
                         start: 2,
                         end: 9,
-                    }],
+                    }]
+                    .into(),
                 }],
             },
             Message::MetricsQuery,
@@ -1260,6 +1326,43 @@ mod tests {
         // codec moved into `eventhit-core::codec`: not one byte may move.
         let wire: Vec<u8> = all_messages().iter().flat_map(encode).collect();
         assert_eq!(eventhit_telemetry::fnv1a(&wire), 0xaeb4_fb3b_093e_81b5);
+    }
+
+    #[test]
+    fn one_prediction_is_held_inline_in_every_form() {
+        assert_eq!(std::mem::size_of::<WirePredictions>(), 24);
+        let p = WirePrediction {
+            present: true,
+            start: 3,
+            end: 8,
+        };
+        let d = WireDecision {
+            anchor: 7,
+            degradation: WireDegradation::None,
+            predictions: vec![p].into(),
+        };
+        let msg = Message::Decisions {
+            stream_id: 1,
+            decisions: vec![d.clone()],
+        };
+        let Ok(Message::Decisions { decisions, .. }) = decode_payload(&encode(&msg)[4..]) else {
+            panic!("a Decisions frame decodes");
+        };
+        for held in [
+            &d.predictions,
+            &decisions[0].predictions,
+            &[p].into_iter().collect(),
+        ] {
+            assert!(
+                matches!(held, WirePredictions::One(q) if *q == p),
+                "{held:?}"
+            );
+        }
+        // The form is not part of equality or of the Debug text.
+        let many = WirePredictions::Many(vec![p]);
+        assert_eq!(many, d.predictions);
+        assert_eq!(format!("{many:?}"), format!("{:?}", vec![p]));
+        assert_eq!(format!("{:?}", d.predictions), format!("{:?}", vec![p]));
     }
 
     #[test]

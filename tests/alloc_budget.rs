@@ -6,7 +6,8 @@
 //! about its float count is refused before anything is reserved for it,
 //! and one lying about its item count reserves at most 64 KiB, that a
 //! warm `SubmitFrames` returning no decision allocates nothing at
-//! either end of the session, whatever its row count, that a length
+//! either end of the session, whatever its row count, that a decoded
+//! reply of one-event decisions allocates only its decision list, that a length
 //! prefix promising 16 MiB buys no more buffer than the bytes that
 //! follow it, and that a second predictor built from a clone of a served
 //! model keeps no compiled weights of its own. Counts and sizes read from
@@ -31,7 +32,8 @@ use eventhit::durable::state_io::decode_state;
 use eventhit::durable::{DurableError, DurableStore, SessionEvent, Snapshot};
 use eventhit::parallel::Pool;
 use eventhit::serve::protocol::{
-    decode_payload, encode, Message, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_MAJOR, PROTOCOL_MINOR,
+    decode_payload, encode, Message, ProtocolError, WireDecision, WireDegradation, WirePrediction,
+    MAX_FRAME_BYTES, PROTOCOL_MAJOR, PROTOCOL_MINOR,
 };
 use eventhit::serve::testkit::pipe;
 use eventhit::serve::{ServeClient, ServeConfig, Server};
@@ -271,6 +273,30 @@ fn a_lying_item_count_reserves_at_most_64_kib() {
             "a {MAX_FRAME_BYTES} B frame reserved {bytes} B for a count at {count_at}"
         );
     }
+}
+
+#[test]
+fn one_event_decisions_decode_into_their_list_alone() {
+    let decisions = (0..64u32)
+        .map(|i| WireDecision {
+            anchor: 100 + u64::from(i),
+            degradation: WireDegradation::None,
+            predictions: vec![WirePrediction {
+                present: i % 3 != 0,
+                start: i % 7,
+                end: i % 11,
+            }]
+            .into(),
+        })
+        .collect();
+    let reply = Message::Decisions {
+        stream_id: 2,
+        decisions,
+    };
+    let payload = encode(&reply)[4..].to_vec();
+    let (decoded, (allocations, _)) = counted(|| decode_payload(&payload));
+    assert_eq!(decoded.as_ref(), Ok(&reply));
+    assert_eq!(allocations, 1, "64 one-event decisions");
 }
 
 #[test]
