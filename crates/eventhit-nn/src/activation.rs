@@ -12,11 +12,12 @@
 //! `Q1..Q5` polynomial), as glibc 2.36 ships them. Every special case is
 //! computed beside the general one and chosen with a bit mask, so a slice
 //! pass ([`sigmoid_slice`], [`tanh_slice`]) is one straight-line loop the
-//! compiler vectorises with no intrinsics and no FMA. That loop is
-//! compiled twice, for baseline x86-64 and for AVX2, and the CPU picks
-//! one at run time; every operation is per element, so both give the
-//! same bits. The scalar forms run the same code, so training and both
-//! inference lanes share one implementation.
+//! compiler vectorises with no intrinsics and no FMA. The crate's
+//! dispatch module compiles that loop once per instruction set —
+//! baseline x86-64, AVX2 and AVX-512 — and the CPU picks one; every
+//! operation is per element, so all give the same bits. The scalar forms
+//! run the same code, so training and both inference lanes share one
+//! implementation.
 //!
 //! The port equals `f32::exp` and `f32::tanh` on glibc with FMA (and the
 //! old two-branch sigmoid over them) on all 2³² inputs: the ignored
@@ -26,6 +27,7 @@
 //! trained weights and every golden fingerprint no longer depend on the
 //! host's `libm`: they are what this file computes, wherever it runs.
 
+use crate::dispatch::{self, Isa, Kernel};
 use crate::matrix::Matrix;
 
 /// glibc's `__exp2f_data.tab`: `bits(2^(i/32)) - (i << 47)`.
@@ -112,6 +114,23 @@ fn expf(x: f32) -> f32 {
     pick_f(x.is_nan(), x + x, y)
 }
 
+/// `v as i32`, rounding toward zero, on every `|v| < 2^22` (compared
+/// once over all of them); any other `v` gives some value, with no
+/// panic. `expm1f` needs only `|v| < 64`. The saturating `as`
+/// conversion is scalarised inside a vector loop on x86, one lane at a
+/// time; this is plain lane arithmetic.
+#[inline(always)]
+fn trunc_small(v: f32) -> i32 {
+    // Adding 1.5 · 2^23 rounds to an integer (ties to even), which then
+    // sits in the low mantissa bits.
+    const ROUND: f32 = 12_582_912.0;
+    let sum = v + ROUND;
+    let nearest = (sum.to_bits() as i32).wrapping_sub(ROUND.to_bits() as i32);
+    let away = (sum - ROUND).abs() > v.abs();
+    let step = pick(away, pick(v < 0.0, -1i32 as u32, 1), 0) as i32;
+    nearest.wrapping_sub(step)
+}
+
 const LN2_HI: f32 = f32::from_bits(0x3f317180);
 const LN2_LO: f32 = f32::from_bits(0x3717f7d1);
 const INV_LN2: f32 = f32::from_bits(0x3fb8aa3b);
@@ -130,7 +149,7 @@ fn expm1f(x: f32) -> f32 {
     let hx = x.to_bits() & 0x7fff_ffff;
     let neg = x.is_sign_negative();
     // k = round(x / ln 2), forced to ±1 on (0.5 ln2, 1.5 ln2), 0 below.
-    let k_round = (INV_LN2 * x + pick_f(neg, -0.5, 0.5)) as i32;
+    let k_round = trunc_small(INV_LN2 * x + pick_f(neg, -0.5, 0.5));
     let k_one = pick(neg, -1i32 as u32, 1);
     let k = pick(hx < 0x3f85_1592, k_one, k_round as u32);
     let k = pick(hx > 0x3eb1_7218, k, 0) as i32;
@@ -176,39 +195,27 @@ pub fn sigmoid(x: f32) -> f32 {
 
 /// [`sigmoid`] of every element, in place.
 pub fn sigmoid_slice(xs: &mut [f32]) {
-    map_slice(xs, sigmoid);
+    dispatch::run(Isa::Avx512, MapSlice::<false>(xs));
 }
 
-/// `x = f(x)` for every element of `xs`. On a CPU with AVX2 the loop runs
-/// as [`map_slice_avx2`], compiled for 256-bit registers; elsewhere as
-/// the baseline [`map_each`]. Both evaluate `f` with the same operations
-/// in the same order, so both give the same bits.
-#[inline(always)]
-fn map_slice(xs: &mut [f32], f: impl Fn(f32) -> f32) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked on the line above.
-        return unsafe { map_slice_avx2(xs, f) };
+/// The slice pass, compiled for the widest instruction set this CPU has
+/// up to AVX-512: `x = tanh(x)` for every element with `TANH`, else
+/// `x = sigmoid(x)`. The element function is called by name, not through
+/// a generic `Fn`: a function item's `Fn::call` shim is LLVM's to inline
+/// or not, and a vector loop that calls it makes one call per element.
+/// Every instantiation evaluates the function with the same operations in
+/// the same order, so all give the same bits.
+struct MapSlice<'a, const TANH: bool>(&'a mut [f32]);
+
+impl<const TANH: bool> Kernel for MapSlice<'_, TANH> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, _: Isa) {
+        for x in self.0 {
+            *x = if TANH { tanh(*x) } else { sigmoid(*x) };
+        }
     }
-    map_each(xs, f);
-}
-
-/// The loop of [`map_slice`].
-#[inline(always)]
-fn map_each(xs: &mut [f32], f: impl Fn(f32) -> f32) {
-    for x in xs {
-        *x = f(*x);
-    }
-}
-
-/// [`map_each`] compiled for AVX2.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn map_slice_avx2(xs: &mut [f32], f: impl Fn(f32) -> f32) {
-    map_each(xs, f);
 }
 
 /// Derivative of sigmoid given its output `s = sigmoid(x)`.
@@ -235,7 +242,7 @@ pub fn tanh(x: f32) -> f32 {
 
 /// [`tanh`] of every element, in place.
 pub fn tanh_slice(xs: &mut [f32]) {
-    map_slice(xs, tanh);
+    dispatch::run(Isa::Avx512, MapSlice::<true>(xs));
 }
 
 /// Derivative of tanh given its output `t = tanh(x)`.
@@ -341,21 +348,18 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// `f` over `xs` as each instantiation of the slice pass computes it,
-    /// called directly: the baseline one, then the AVX2 one where the CPU
-    /// has it. `f` must be a function item, not a pointer, so that each
-    /// instantiation inlines and compiles it for its own instruction set.
-    fn passes(xs: &[f32], f: impl Fn(f32) -> f32 + Copy) -> Vec<Vec<f32>> {
-        let mut base = xs.to_vec();
-        map_each(&mut base, f);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut wide = xs.to_vec();
-            // SAFETY: the CPU supports AVX2, checked on the line above.
-            unsafe { map_slice_avx2(&mut wide, f) };
-            return vec![base, wide];
-        }
-        vec![base]
+    /// The slice pass over `xs` (tanh with `TANH`, else sigmoid) as each
+    /// of its instantiations computes it, baseline first: one per
+    /// instruction set this CPU runs.
+    fn passes<const TANH: bool>(xs: &[f32]) -> Vec<Vec<f32>> {
+        dispatch::available()
+            .into_iter()
+            .map(|isa| {
+                let mut pass = xs.to_vec();
+                dispatch::run(isa, MapSlice::<TANH>(&mut pass));
+                pass
+            })
+            .collect()
     }
 
     /// Checks `expf`, `sigmoid` and `tanh` on `bits` against `libm`: the
@@ -364,7 +368,7 @@ mod tests {
     /// included). Returns how many inputs disagreed.
     fn mismatches(bits: impl Iterator<Item = u32>) -> usize {
         let xs: Vec<f32> = bits.map(f32::from_bits).collect();
-        let (sig, th) = (passes(&xs, sigmoid), passes(&xs, tanh));
+        let (sig, th) = (passes::<false>(&xs), passes::<true>(&xs));
         let mut bad = 0;
         for (i, &x) in xs.iter().enumerate() {
             let agree = |pass: &Vec<Vec<f32>>, want: f32| {
@@ -397,9 +401,7 @@ mod tests {
 
     #[test]
     fn port_matches_libm_on_a_strided_sweep_and_every_branch_edge() {
-        if passes(&[], sigmoid).len() == 1 {
-            eprintln!("this CPU has no AVX2: the baseline pass is the only instantiation");
-        }
+        report_instantiations();
         let strided = (0..=u32::MAX / 4099).map(|i| i * 4099);
         assert_eq!(mismatches(strided), 0);
 
@@ -429,6 +431,25 @@ mod tests {
         assert_eq!(mismatches(around), 0);
     }
 
+    /// `trunc_small` against `as i32` on a strided sweep of its domain and
+    /// around every half-integer `expm1f`'s `k` can reach.
+    #[test]
+    fn trunc_small_truncates_like_as_on_its_domain() {
+        let strided = (0..=u32::MAX / 4099).map(|i| f32::from_bits(i * 4099));
+        let halves = (-140..=140).map(|h| h as f32 * 0.5);
+        let around = halves.flat_map(|v: f32| {
+            let b = v.to_bits();
+            [
+                v,
+                f32::from_bits(b + 1),
+                f32::from_bits(b.saturating_sub(1)),
+            ]
+        });
+        for v in strided.chain(around).filter(|v| v.abs() < 4_194_304.0) {
+            assert_eq!(trunc_small(v), v as i32, "{v} ({:#010x})", v.to_bits());
+        }
+    }
+
     #[test]
     fn the_fma_reduction_is_pinned() {
         for (x, y) in PINNED_EXPF {
@@ -436,12 +457,26 @@ mod tests {
         }
     }
 
-    /// All 2³² inputs, through both slice-pass instantiations where the
-    /// CPU has AVX2 (~15 min in release on one core):
-    /// `cargo test --release -p eventhit-nn exhaustive -- --ignored`.
+    /// Says which slice-pass instantiations this CPU runs, and which it
+    /// cannot, so a log shows what a passing test covered.
+    fn report_instantiations() {
+        let isas = dispatch::available();
+        eprintln!("slice pass instantiations run: {isas:?}");
+        if !isas.contains(&Isa::Avx512) {
+            eprintln!("this CPU has no AVX-512: that instantiation is not tested here");
+        }
+        if !isas.contains(&Isa::Avx2) {
+            eprintln!("this CPU has no AVX2: the baseline pass is the only instantiation");
+        }
+    }
+
+    /// All 2³² inputs, through every slice-pass instantiation this CPU
+    /// runs (~15 min in release on one core with all three):
+    /// `cargo test --release -p eventhit-nn exhaustive -- --ignored --nocapture`.
     #[test]
     #[ignore = "all 2^32 inputs; run in release"]
     fn exhaustive_port_matches_libm_on_every_input() {
+        report_instantiations();
         const CHUNK: u32 = 1 << 16;
         let bad: usize = (0..=u32::MAX / CHUNK)
             .map(|c| mismatches(c * CHUNK..=c * CHUNK + (CHUNK - 1)))

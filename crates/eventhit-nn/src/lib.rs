@@ -22,10 +22,12 @@
 //! through a reused [`cell::CellState`] and allocate nothing per forward.
 //!
 //! The two leaf kernels, the tile sweep and the activation slice pass,
-//! are each one `#[inline(always)]` body compiled twice: for baseline
-//! x86-64 and inside an AVX2 function. The CPU picks one at run time, and
-//! both give the same bits (DESIGN §11). The two dispatch calls are the
-//! only `unsafe` in the workspace's libraries; every other one forbids it.
+//! are each one `#[inline(always)]` body compiled once per instruction
+//! set by the crate's CPU dispatch module: baseline x86-64, AVX2 and (for
+//! the slice pass) AVX-512. The CPU picks at run time, and every copy
+//! gives the same bits (DESIGN §11). The dispatch module's one `unsafe`
+//! block is the only `unsafe` in the workspace's libraries; every other
+//! one forbids it.
 //!
 //! ```
 //! use eventhit_nn::activation::Activation;
@@ -48,6 +50,7 @@
 pub mod activation;
 pub mod cell;
 pub mod dense;
+mod dispatch;
 pub mod dropout;
 pub mod gradcheck;
 pub mod gru;

@@ -35,6 +35,7 @@
 //! after a plan and its scratch exist, a forward allocates nothing. The
 //! batched forms training runs return one fresh matrix per call.
 
+use crate::dispatch::{self, Isa, Kernel};
 use crate::matrix::Matrix;
 
 /// Outputs per register tile: 32 `f32` accumulators are eight 128-bit
@@ -43,10 +44,14 @@ use crate::matrix::Matrix;
 const TILE: usize = 32;
 /// Outputs per register tile on AVX2: the same eight registers, each
 /// 256 bits wide.
-#[cfg(target_arch = "x86_64")]
 const WIDE_TILE: usize = 64;
 /// Outputs per tile for the part of a row narrower than a full tile.
 const SUBTILE: usize = 8;
+/// The widest instruction set the sweep runs at. Its AVX-512 copy
+/// measured no faster than the AVX2 one: the reduction over `k` is a
+/// serial chain per output, and the AVX2 tile already keeps eight
+/// chains in flight.
+const SWEEP_ISA: Isa = Isa::Avx2;
 
 /// The deepest reduction whose every partial sum of int8-code products
 /// is an integer `f32` holds exactly: `1040 · 127² < 2^24 < 1041 · 127²`.
@@ -105,10 +110,10 @@ fn tile<const N: usize, const CODES: bool>(
 /// tile. `CODES` says the panel and `x` hold int8 codes (see [`tile`]);
 /// without it every dot is one `f32` chain.
 ///
-/// On a CPU with AVX2 the sweep runs [`sweep_avx2`], the same loop
-/// compiled for 256-bit registers and tiled [`WIDE_TILE`] outputs wide;
-/// elsewhere it runs the baseline copy. Both compute every chain with the
-/// same operations in the same order, so both give the same bits.
+/// The sweep runs as [`Sweep`] compiled for the widest instruction set
+/// this CPU has, up to [`SWEEP_ISA`]: on AVX2 with [`WIDE_TILE`]-wide
+/// tiles, elsewhere [`TILE`]-wide. Every copy computes every chain with
+/// the same operations in the same order, so all give the same bits.
 ///
 /// # Panics
 /// Panics if `w.len() != x.len() * out.len()`.
@@ -120,34 +125,36 @@ pub(crate) fn sweep<const CODES: bool>(
     finish: impl Fn(usize, f32, &mut f32),
 ) {
     assert_eq!(w.len(), x.len() * out.len(), "panel shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked on the line above.
-        return unsafe { sweep_avx2::<CODES>(w, x, out, finish) };
-    }
-    sweep_tiles::<TILE, CODES>(w, x, out, finish);
+    dispatch::run(SWEEP_ISA, Sweep::<CODES, _> { w, x, out, finish });
 }
 
-/// [`sweep_tiles`] compiled for AVX2, with [`WIDE_TILE`]-wide tiles.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn sweep_avx2<const CODES: bool>(
-    w: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    finish: impl Fn(usize, f32, &mut f32),
-) {
-    sweep_tiles::<WIDE_TILE, CODES>(w, x, out, finish);
+/// The body of [`sweep`], as a [`Kernel`].
+struct Sweep<'a, const CODES: bool, F> {
+    w: &'a [f32],
+    x: &'a [f32],
+    out: &'a mut [f32],
+    finish: F,
+}
+
+impl<const CODES: bool, F: Fn(usize, f32, &mut f32)> Kernel for Sweep<'_, CODES, F> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, isa: Isa) {
+        let Sweep { w, x, out, finish } = self;
+        if isa == Isa::Baseline {
+            sweep_tiles::<TILE, CODES>(w, x, out, finish);
+        } else {
+            sweep_tiles::<WIDE_TILE, CODES>(w, x, out, finish);
+        }
+    }
 }
 
 /// The tile loop of [`sweep`]: tiles of `T` outputs, then of
 /// [`SUBTILE`], then single outputs. Which outputs share a tile never
 /// changes a chain, so every `T` gives the same bits.
 #[inline(always)]
-pub(crate) fn sweep_tiles<const T: usize, const CODES: bool>(
+fn sweep_tiles<const T: usize, const CODES: bool>(
     w: &[f32],
     x: &[f32],
     out: &mut [f32],
@@ -392,52 +399,66 @@ mod tests {
         }
     }
 
-    /// Both instantiations of the sweep body, called directly: the
-    /// baseline one, [`TILE`] wide, and the AVX2 one, [`WIDE_TILE`] wide.
-    /// Every kernel-equivalence tile edge and depth, plus one depth past
-    /// [`EXACT_ROWS`], for `f32` chains and for int8 codes; one weight is
-    /// a NaN with a payload. Compared by bit pattern.
+    /// Every instantiation of the sweep body the CPU runs, up to
+    /// [`SWEEP_ISA`], against the baseline: [`TILE`] wide there,
+    /// [`WIDE_TILE`] wide on AVX2. Every kernel-equivalence tile edge and
+    /// depth, plus one depth past [`EXACT_ROWS`], for `f32` chains and for
+    /// int8 codes; one weight is a NaN with a payload. Compared by bit
+    /// pattern.
     #[test]
     fn both_instantiations_agree_bit_for_bit_on_every_tile_edge() {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            use crate::kernel_equivalence::{DEPTHS, TILE_OUTS};
-            use eventhit_rng::Rng;
-            let mut rng = StdRng::seed_from_u64(0xa5a2);
-            for &n in TILE_OUTS {
-                for &k in DEPTHS.iter().chain(&[EXACT_ROWS + 1]) {
-                    let mut floats: Vec<f32> = (0..(n + 1) * k)
-                        .map(|_| rng.random_range(-2.0f32..2.0))
-                        .collect();
-                    floats[k / 2 * n + n / 2] = f32::from_bits(0x7fc0_1234);
-                    let codes: Vec<f32> = (0..(n + 1) * k)
-                        .map(|_| rng.random_range(-127i32..=127) as f32)
-                        .collect();
-                    let (w, x) = floats.split_at(k * n);
-                    both_instantiations::<false>(w, x, n);
-                    let (w, x) = codes.split_at(k * n);
-                    both_instantiations::<true>(w, x, n);
-                }
-            }
-            return;
+        use crate::kernel_equivalence::{DEPTHS, TILE_OUTS};
+        use eventhit_rng::Rng;
+        let isas: Vec<Isa> = dispatch::available()
+            .into_iter()
+            .filter(|&isa| isa <= SWEEP_ISA)
+            .collect();
+        eprintln!("sweep instantiations run: {isas:?}");
+        if isas.len() == 1 {
+            eprintln!("this CPU has no AVX2: the baseline sweep is the only instantiation");
         }
-        eprintln!("this CPU has no AVX2: the baseline sweep is the only instantiation");
+        let mut rng = StdRng::seed_from_u64(0xa5a2);
+        for &n in TILE_OUTS {
+            for &k in DEPTHS.iter().chain(&[EXACT_ROWS + 1]) {
+                let mut floats: Vec<f32> = (0..(n + 1) * k)
+                    .map(|_| rng.random_range(-2.0f32..2.0))
+                    .collect();
+                floats[k / 2 * n + n / 2] = f32::from_bits(0x7fc0_1234);
+                let codes: Vec<f32> = (0..(n + 1) * k)
+                    .map(|_| rng.random_range(-127i32..=127) as f32)
+                    .collect();
+                let (w, x) = floats.split_at(k * n);
+                every_instantiation::<false>(&isas, w, x, n);
+                let (w, x) = codes.split_at(k * n);
+                every_instantiation::<true>(&isas, w, x, n);
+            }
+        }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    fn both_instantiations<const CODES: bool>(w: &[f32], x: &[f32], n: usize) {
-        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
-        let mut base = vec![0.0; n];
-        sweep_tiles::<TILE, CODES>(w, x, &mut base, |_, dot, o| *o = dot);
-        let mut wide = vec![0.0; n];
-        // SAFETY: the only caller checks that the CPU supports AVX2.
-        unsafe { sweep_avx2::<CODES>(w, x, &mut wide, |_, dot, o| *o = dot) };
-        assert_eq!(
-            bits(base),
-            bits(wide),
-            "{n} outputs, {} deep, codes {CODES}",
-            x.len()
-        );
+    fn every_instantiation<const CODES: bool>(isas: &[Isa], w: &[f32], x: &[f32], n: usize) {
+        let at = |isa| {
+            let mut out = vec![0.0f32; n];
+            let finish = |_, dot, o: &mut f32| *o = dot;
+            dispatch::run(
+                isa,
+                Sweep::<CODES, _> {
+                    w,
+                    x,
+                    out: &mut out,
+                    finish,
+                },
+            );
+            out.into_iter().map(f32::to_bits).collect::<Vec<_>>()
+        };
+        let base = at(Isa::Baseline);
+        for &isa in isas {
+            assert_eq!(
+                at(isa),
+                base,
+                "{isa:?}: {n} outputs, {} deep, codes {CODES}",
+                x.len()
+            );
+        }
     }
 
     #[test]

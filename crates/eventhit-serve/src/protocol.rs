@@ -237,12 +237,18 @@ pub struct WireDecision {
 /// is exactly one (a single-event task), on the heap otherwise. A decoded
 /// one-event decision so allocates nothing of its own. Equality, `Debug`
 /// and the wire image are the slice's, whichever form holds it.
+///
+/// Any other count sits behind a thin pointer, a boxed `Vec`, so the
+/// whole value is 16 B and a [`WireDecision`] 32 B: one `Vec` inline
+/// would make them 24 B and 40 B, and a boxed slice is a fat pointer that
+/// leaves no room for the inline prediction beside its niche. The price
+/// is one more 24 B allocation per multi-event decision.
 #[derive(Clone, Eq)]
 pub enum WirePredictions {
     /// Exactly one prediction.
     One(WirePrediction),
     /// Any other number of predictions (none included).
-    Many(Vec<WirePrediction>),
+    Many(Box<Vec<WirePrediction>>),
 }
 
 impl std::ops::Deref for WirePredictions {
@@ -273,7 +279,7 @@ impl From<Vec<WirePrediction>> for WirePredictions {
     fn from(v: Vec<WirePrediction>) -> Self {
         match v[..] {
             [one] => WirePredictions::One(one),
-            _ => WirePredictions::Many(v),
+            _ => WirePredictions::Many(Box::new(v)),
         }
     }
 }
@@ -284,7 +290,8 @@ impl FromIterator<WirePrediction> for WirePredictions {
         match (iter.next(), iter.next()) {
             (Some(one), None) => WirePredictions::One(one),
             (first, second) => {
-                WirePredictions::Many(first.into_iter().chain(second).chain(iter).collect())
+                let all = first.into_iter().chain(second).chain(iter).collect();
+                WirePredictions::Many(Box::new(all))
             }
         }
     }
@@ -797,7 +804,7 @@ fn decision(r: &mut Reader) -> Result<WireDecision, CodecError> {
         },
         predictions: match r.u32()? {
             1 => WirePredictions::One(prediction(r)?),
-            n => WirePredictions::Many(r.items(n as usize, prediction)?),
+            n => WirePredictions::Many(Box::new(r.items(n as usize, prediction)?)),
         },
     })
 }
@@ -1330,7 +1337,8 @@ mod tests {
 
     #[test]
     fn one_prediction_is_held_inline_in_every_form() {
-        assert_eq!(std::mem::size_of::<WirePredictions>(), 24);
+        assert_eq!(std::mem::size_of::<WirePredictions>(), 16);
+        assert_eq!(std::mem::size_of::<WireDecision>(), 32);
         let p = WirePrediction {
             present: true,
             start: 3,
@@ -1359,7 +1367,7 @@ mod tests {
             );
         }
         // The form is not part of equality or of the Debug text.
-        let many = WirePredictions::Many(vec![p]);
+        let many = WirePredictions::Many(Box::new(vec![p]));
         assert_eq!(many, d.predictions);
         assert_eq!(format!("{many:?}"), format!("{:?}", vec![p]));
         assert_eq!(format!("{:?}", d.predictions), format!("{:?}", vec![p]));
