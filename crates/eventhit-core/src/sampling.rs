@@ -296,13 +296,16 @@ pub fn window_drift(a: &Matrix, b: &Matrix) -> f32 {
     if m != b.rows() || d != b.cols() || m == 0 || d == 0 {
         return f32::INFINITY;
     }
-    let mut sums = vec![0.0f32; d];
-    for r in 0..m {
-        for (s, (x, y)) in sums.iter_mut().zip(a.row(r).iter().zip(b.row(r))) {
-            *s += x - y;
-        }
-    }
-    let total: f32 = sums.iter().map(|s| s.abs()).sum();
+    // Column by column, with no buffer: each column's sum is one chain
+    // over ascending rows, and the absolute sums meet in one chain over
+    // ascending columns.
+    let total: f32 = (0..d)
+        .map(|c| {
+            (0..m)
+                .fold(0.0f32, |s, r| s + (a[(r, c)] - b[(r, c)]))
+                .abs()
+        })
+        .sum();
     total / (m * d) as f32
 }
 
@@ -382,29 +385,29 @@ impl Sampler {
     /// `warmed` is whether the window buffer was already full *before*
     /// this frame — the gate stays open until the first full window so
     /// the buffer always fills on schedule. Updates the gate state, the
-    /// delta reference, and the skip/admit counters.
+    /// delta reference (refilled in place, so once it has held a frame
+    /// the gate allocates nothing), and the skip/admit counters.
     pub fn admit(&mut self, features: &[f32], warmed: bool) -> bool {
-        let gate = match self.policy.gate() {
+        let (threshold, hysteresis, max_run) = match self.policy.gate() {
             None => {
                 self.admitted += 1;
                 return true;
             }
-            Some(g) => g.clone(),
+            Some(g) => (g.threshold, g.hysteresis, g.max_run),
         };
         if !warmed {
-            self.reference = features.to_vec();
-            self.admitted += 1;
+            self.accept(features);
             return true;
         }
         let delta = mean_abs_delta(features, &self.reference);
         // Hysteresis: once skipping, the exit bar is higher.
         let bar = if self.gating {
-            gate.threshold * gate.hysteresis
+            threshold * hysteresis
         } else {
-            gate.threshold
+            threshold
         };
         let mut skip = delta < bar;
-        if skip && gate.max_run > 0 && self.run >= gate.max_run {
+        if skip && max_run > 0 && self.run >= max_run {
             skip = false; // force-refresh: bound the carry staleness
         }
         if skip {
@@ -415,10 +418,16 @@ impl Sampler {
         } else {
             self.gating = false;
             self.run = 0;
-            self.reference = features.to_vec();
-            self.admitted += 1;
+            self.accept(features);
             true
         }
+    }
+
+    /// Admits `features` as the new delta reference.
+    fn accept(&mut self, features: &[f32]) {
+        self.reference.clear();
+        self.reference.extend_from_slice(features);
+        self.admitted += 1;
     }
 
     /// Feeds one anchor's hit indicator (`max_k b_k >= `[`HIT_TAU1`])
@@ -503,6 +512,10 @@ pub(crate) struct AnchorStepper<P> {
     /// anchors at exactly the frames a `Fixed` one would.
     pub(crate) stream_pos: u64,
     memo: Option<CarryMemo<P>>,
+    /// The candidate window an anchor is built into. A scored anchor
+    /// swaps it with the memo's, so the two trade storage and a warm
+    /// stepper allocates no window.
+    candidate: Matrix,
 }
 
 impl<P> AnchorStepper<P> {
@@ -517,6 +530,7 @@ impl<P> AnchorStepper<P> {
             countdown: 0,
             stream_pos: 0,
             memo: None,
+            candidate: Matrix::zeros(0, 0),
         }
     }
 
@@ -562,24 +576,36 @@ impl<P> AnchorStepper<P> {
         m: usize,
         score: impl FnOnce(&Matrix) -> (P, bool),
     ) -> &CarryMemo<P> {
-        let candidate = self.buffer.covariates_last(m);
+        self.buffer.covariates_last_into(m, &mut self.candidate);
+        let candidate = &self.candidate;
         let carried = match (self.sampler.policy().gate(), &self.memo) {
             (Some(gate), Some(c)) => {
-                c.m == m && gate.carries(window_drift(&candidate, &c.covariates), c.run)
+                c.m == m && gate.carries(window_drift(candidate, &c.covariates), c.run)
             }
             _ => false,
         };
         if carried {
             self.memo.as_mut().expect("carried implies memo").run += 1;
         } else {
-            let (payload, hit) = score(&candidate);
-            self.memo = Some(CarryMemo {
-                payload,
-                hit,
-                m,
-                covariates: candidate,
-                run: 0,
-            });
+            let (payload, hit) = score(candidate);
+            match &mut self.memo {
+                Some(memo) => {
+                    std::mem::swap(&mut memo.covariates, &mut self.candidate);
+                    (memo.payload, memo.hit, memo.m, memo.run) = (payload, hit, m, 0);
+                }
+                None => {
+                    // The first memo takes the candidate's storage; the
+                    // next candidate gets storage for the full window.
+                    let full = Matrix::zeros(self.buffer.window(), self.buffer.dim());
+                    self.memo = Some(CarryMemo {
+                        payload,
+                        hit,
+                        m,
+                        covariates: std::mem::replace(&mut self.candidate, full),
+                        run: 0,
+                    });
+                }
+            }
         }
         let memo = self.memo.as_ref().expect("anchor scored or carried");
         self.sampler.observe_hit(memo.hit);

@@ -24,9 +24,10 @@
 //! where a fused multiply-add exists, but that cannot move a bit either:
 //! Rust never contracts `a * b + c` into one (the AVX-512 copy compiles
 //! it to a multiply, then an add), and no body calls `mul_add`. No
-//! feature list here names `fma`. The golden tests, and the tests that
-//! run every instantiation in `available()` against the baseline, are
-//! the proof.
+//! feature list here names `fma`, and CI fails if the release binary's
+//! disassembly holds a fused multiply-add. The golden tests, and the
+//! tests that run every instantiation in `available()` against the
+//! baseline, are the proof.
 
 use std::sync::OnceLock;
 

@@ -166,6 +166,30 @@ impl Matrix {
         self.row_mut(r).copy_from_slice(src);
     }
 
+    /// Makes this matrix the stack of `rows`, each `cols` long, reusing
+    /// its storage: nothing is allocated while they fit its capacity.
+    ///
+    /// ```
+    /// use eventhit_nn::matrix::Matrix;
+    /// let mut m = Matrix::zeros(3, 2);
+    /// m.assign_rows(3, [&[1.0, 2.0, 3.0][..]]);
+    /// assert_eq!(m, Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if a row is not `cols` long.
+    pub fn assign_rows<'a>(&mut self, cols: usize, rows: impl IntoIterator<Item = &'a [f32]>) {
+        let rows = rows.into_iter();
+        self.data.clear();
+        self.data.reserve(rows.size_hint().0 * cols);
+        (self.rows, self.cols) = (0, cols);
+        for row in rows {
+            assert_eq!(row.len(), cols, "row length mismatch");
+            self.data.extend_from_slice(row);
+            self.rows += 1;
+        }
+    }
+
     /// Matrix product `self * rhs`.
     ///
     /// `rhs` (`k x n`, row-major) is already a `[k][out]` panel, so each
@@ -188,7 +212,9 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            packed::sweep::<false>(&rhs.data, self.row(i), out.row_mut(i), |_, dot, o| *o = dot);
+            packed::sweep::<false>(&rhs.data, self.row(i), out.row_mut(i), |_, dots, out| {
+                out.copy_from_slice(dots)
+            });
         }
         out
     }

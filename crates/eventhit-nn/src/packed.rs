@@ -47,6 +47,9 @@ const TILE: usize = 32;
 const WIDE_TILE: usize = 64;
 /// Outputs per tile for the part of a row narrower than a full tile.
 const SUBTILE: usize = 8;
+/// The most outputs one tile hands its epilogue: an array this long
+/// holds any tile's worth of results.
+pub(crate) const MAX_TILE: usize = WIDE_TILE;
 /// The widest instruction set the sweep runs at. Its AVX-512 copy
 /// measured no faster than the AVX2 one: the reduction over `k` is a
 /// serial chain per output, and the AVX2 tile already keeps eight
@@ -105,10 +108,14 @@ fn tile<const N: usize, const CODES: bool>(
     total.map(|t| t as f32)
 }
 
-/// Calls `finish(j, dot_j(x), &mut out[j])` for every output `j` of the
-/// `[k][out]` panel `w` (`x.len()` rows of `out.len()` weights), tile by
-/// tile. `CODES` says the panel and `x` hold int8 codes (see [`tile`]);
-/// without it every dot is one `f32` chain.
+/// Calls `finish(j0, dots, &mut out[j0..j0 + dots.len()])` once per tile
+/// of the `[k][out]` panel `w` (`x.len()` rows of `out.len()` weights),
+/// where `dots[t]` is `dot_{j0 + t}(x)`: every output is finished exactly
+/// once, as one element of its tile. An epilogue written as a zip over
+/// the tile's slices vectorises inside the dispatched copy, where one
+/// call per output would be a scalar, bounds-checked step. `CODES` says
+/// the panel and `x` hold int8 codes (see [`tile`]); without it every
+/// dot is one `f32` chain.
 ///
 /// The sweep runs as [`Sweep`] compiled for the widest instruction set
 /// this CPU has, up to [`SWEEP_ISA`]: on AVX2 with [`WIDE_TILE`]-wide
@@ -122,7 +129,7 @@ pub(crate) fn sweep<const CODES: bool>(
     w: &[f32],
     x: &[f32],
     out: &mut [f32],
-    finish: impl Fn(usize, f32, &mut f32),
+    finish: impl Fn(usize, &[f32], &mut [f32]),
 ) {
     assert_eq!(w.len(), x.len() * out.len(), "panel shape mismatch");
     dispatch::run(SWEEP_ISA, Sweep::<CODES, _> { w, x, out, finish });
@@ -136,7 +143,7 @@ struct Sweep<'a, const CODES: bool, F> {
     finish: F,
 }
 
-impl<const CODES: bool, F: Fn(usize, f32, &mut f32)> Kernel for Sweep<'_, CODES, F> {
+impl<const CODES: bool, F: Fn(usize, &[f32], &mut [f32])> Kernel for Sweep<'_, CODES, F> {
     type Out = ();
 
     #[inline(always)]
@@ -151,14 +158,15 @@ impl<const CODES: bool, F: Fn(usize, f32, &mut f32)> Kernel for Sweep<'_, CODES,
 }
 
 /// The tile loop of [`sweep`]: tiles of `T` outputs, then of
-/// [`SUBTILE`], then single outputs. Which outputs share a tile never
-/// changes a chain, so every `T` gives the same bits.
+/// [`SUBTILE`], then single outputs, each finished as it completes.
+/// Which outputs share a tile never changes a chain, and an epilogue
+/// does per-element work only, so every `T` gives the same bits.
 #[inline(always)]
 fn sweep_tiles<const T: usize, const CODES: bool>(
     w: &[f32],
     x: &[f32],
     out: &mut [f32],
-    finish: impl Fn(usize, f32, &mut f32),
+    finish: impl Fn(usize, &[f32], &mut [f32]),
 ) {
     let out_dim = out.len();
     if out_dim == 0 {
@@ -166,23 +174,38 @@ fn sweep_tiles<const T: usize, const CODES: bool>(
     }
     let mut j = 0;
     while j + T <= out_dim {
-        let acc = tile::<T, CODES>(w, out_dim, j, x);
-        for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + T]).enumerate() {
-            finish(j + t, a, o);
-        }
+        let dots = tile::<T, CODES>(w, out_dim, j, x);
+        finish(j, &dots, &mut out[j..j + T]);
         j += T;
     }
     while j + SUBTILE <= out_dim {
-        let acc = tile::<SUBTILE, CODES>(w, out_dim, j, x);
-        for (t, (&a, o)) in acc.iter().zip(&mut out[j..j + SUBTILE]).enumerate() {
-            finish(j + t, a, o);
-        }
+        let dots = tile::<SUBTILE, CODES>(w, out_dim, j, x);
+        finish(j, &dots, &mut out[j..j + SUBTILE]);
         j += SUBTILE;
     }
     while j < out_dim {
-        let [a] = tile::<1, CODES>(w, out_dim, j, x);
-        finish(j, a, &mut out[j]);
+        let dots = tile::<1, CODES>(w, out_dim, j, x);
+        finish(j, &dots, &mut out[j..=j]);
         j += 1;
+    }
+}
+
+/// The affine epilogue of one tile starting at output `j0`:
+/// `out[t] = dots[t] + bias[j0 + t]`.
+#[inline(always)]
+pub(crate) fn add_bias(bias: &[f32], j0: usize, dots: &[f32], out: &mut [f32]) {
+    for ((o, &d), &b) in out.iter_mut().zip(dots).zip(&bias[j0..j0 + dots.len()]) {
+        *o = d + b;
+    }
+}
+
+/// The gate epilogue of one tile starting at output `j0`, whose first
+/// operand's dots are already in `out`:
+/// `out[t] = (out[t] + dots[t]) + bias[j0 + t]`.
+#[inline(always)]
+pub(crate) fn add_dots_and_bias(bias: &[f32], j0: usize, dots: &[f32], out: &mut [f32]) {
+    for ((o, &d), &b) in out.iter_mut().zip(dots).zip(&bias[j0..j0 + dots.len()]) {
+        *o = (*o + d) + b;
     }
 }
 
@@ -220,7 +243,7 @@ impl PackedPanel {
         &self,
         x: &[f32],
         out: &mut [f32],
-        finish: impl Fn(usize, f32, &mut f32),
+        finish: impl Fn(usize, &[f32], &mut [f32]),
     ) {
         assert_eq!(x.len(), self.in_dim, "packed panel input length mismatch");
         assert_eq!(
@@ -281,7 +304,7 @@ impl PackedAffine {
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         let bias = &self.bias;
         self.panel
-            .sweep::<false>(x, out, |j, dot, o| *o = dot + bias[j]);
+            .sweep::<false>(x, out, |j0, dots, out| add_bias(bias, j0, dots, out));
     }
 
     /// [`PackedAffine::forward_into`] for every row of `x`: the batched
@@ -328,10 +351,12 @@ impl PackedGate {
     /// # Panics
     /// Panics if `x`, `h` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], h: &[f32], out: &mut [f32]) {
-        self.wx.sweep::<false>(x, out, |_, dot, o| *o = dot);
+        self.wx
+            .sweep::<false>(x, out, |_, dots, out| out.copy_from_slice(dots));
         let bias = &self.bias;
-        self.wh
-            .sweep::<false>(h, out, |j, dot, o| *o = (*o + dot) + bias[j]);
+        self.wh.sweep::<false>(h, out, |j0, dots, out| {
+            add_dots_and_bias(bias, j0, dots, out)
+        });
     }
 
     /// [`PackedGate::forward_into`] for every row pair of `x` and `h`:
@@ -438,7 +463,7 @@ mod tests {
     fn every_instantiation<const CODES: bool>(isas: &[Isa], w: &[f32], x: &[f32], n: usize) {
         let at = |isa| {
             let mut out = vec![0.0f32; n];
-            let finish = |_, dot, o: &mut f32| *o = dot;
+            let finish = |_, dots: &[f32], out: &mut [f32]| out.copy_from_slice(dots);
             dispatch::run(
                 isa,
                 Sweep::<CODES, _> {
@@ -458,6 +483,64 @@ mod tests {
                 "{isa:?}: {n} outputs, {} deep, codes {CODES}",
                 x.len()
             );
+        }
+    }
+
+    /// The tile epilogue's indexing, at every instantiation the CPU runs:
+    /// output `j`'s weight is `j` and `x = [1]`, so its dot is `j`. Each
+    /// call's `j0`, `dots` and `out` must line up, and the calls must
+    /// finish every output exactly once, in `T`-wide tiles, then
+    /// [`SUBTILE`]-wide ones, then one-wide ones.
+    #[test]
+    fn every_output_is_finished_once_at_its_own_index() {
+        use std::cell::RefCell;
+        for isa in dispatch::available() {
+            let t = if isa == Isa::Baseline {
+                TILE
+            } else {
+                WIDE_TILE
+            };
+            for n in [1, 7, 8, 9, t - 1, t, t + 1, t + 8, t + 15, 2 * t + 17] {
+                let w: Vec<f32> = (0..n).map(|j| j as f32).collect();
+                let mut out = vec![f32::NAN; n];
+                let calls = RefCell::new(Vec::new());
+                let finish = |j0: usize, dots: &[f32], out: &mut [f32]| {
+                    assert_eq!(out.len(), dots.len(), "{isa:?}, tile at {j0}");
+                    for (i, (o, &d)) in out.iter_mut().zip(dots).enumerate() {
+                        assert_eq!(d, (j0 + i) as f32, "{isa:?}, dot {i} of the tile at {j0}");
+                        assert!(o.is_nan(), "{isa:?}: output {} finished twice", j0 + i);
+                        *o = d;
+                    }
+                    calls.borrow_mut().push((j0, dots.len()));
+                };
+                dispatch::run(
+                    isa,
+                    Sweep::<false, _> {
+                        w: &w,
+                        x: &[1.0],
+                        out: &mut out,
+                        finish,
+                    },
+                );
+                let (full, rest) = (n / t, n % t);
+                let want: Vec<usize> = std::iter::repeat_n(t, full)
+                    .chain(std::iter::repeat_n(SUBTILE, rest / SUBTILE))
+                    .chain(std::iter::repeat_n(1, rest % SUBTILE))
+                    .collect();
+                let calls = calls.into_inner();
+                let lens: Vec<usize> = calls.iter().map(|&(_, len)| len).collect();
+                assert_eq!(lens, want, "{isa:?}: tile widths for {n} outputs");
+                let starts = calls.iter().scan(0, |j, &(_, len)| {
+                    let j0 = *j;
+                    *j += len;
+                    Some(j0)
+                });
+                assert!(
+                    calls.iter().map(|&(j0, _)| j0).eq(starts),
+                    "{isa:?}: tiles for {n} outputs start at {calls:?}"
+                );
+                assert!(out.iter().enumerate().all(|(j, &o)| o == j as f32));
+            }
         }
     }
 

@@ -35,7 +35,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::matrix::Matrix;
-use crate::packed::PackedPanel;
+use crate::packed::{add_bias, add_dots_and_bias, PackedPanel, MAX_TILE};
 
 /// Which arithmetic a model's `forward_inference` runs on.
 ///
@@ -220,14 +220,31 @@ impl CodePanel {
         }
     }
 
-    /// Calls `finish(j, dot(xq, wq_j) · (sx · sw_j), &mut out[j])` for
-    /// every output `j`: the exact integer dot of the two code rows,
-    /// then both scales at once.
+    /// Calls `finish(j0, products, &mut out[j0..j0 + products.len()])`
+    /// once per tile, where `products[t]` is
+    /// `dot(xq, wq_j) · (sx · sw_j)` for `j = j0 + t`: the exact integer
+    /// dot of the two code rows, then both scales at once.
     #[inline(always)]
-    fn sweep(&self, xq: &[f32], sx: f32, out: &mut [f32], finish: impl Fn(usize, f32, &mut f32)) {
+    fn sweep(
+        &self,
+        xq: &[f32],
+        sx: f32,
+        out: &mut [f32],
+        finish: impl Fn(usize, &[f32], &mut [f32]),
+    ) {
         let scales = &self.scales;
-        self.codes
-            .sweep::<true>(xq, out, |j, dot, o| finish(j, dot * (sx * scales[j]), o));
+        self.codes.sweep::<true>(xq, out, |j0, dots, out| {
+            let mut products = [0.0f32; MAX_TILE];
+            let products = &mut products[..dots.len()];
+            for ((p, &d), &s) in products
+                .iter_mut()
+                .zip(dots)
+                .zip(&scales[j0..j0 + dots.len()])
+            {
+                *p = d * (sx * s);
+            }
+            finish(j0, products, out);
+        });
     }
 }
 
@@ -298,7 +315,9 @@ impl QuantizedAffine {
     pub fn forward_into(&self, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
         let sx = quantize_row(x, xq);
         let bias = &self.bias;
-        self.w.sweep(xq, sx, out, |j, p, o| *o = p + bias[j]);
+        self.w.sweep(xq, sx, out, |j0, products, out| {
+            add_bias(bias, j0, products, out)
+        });
     }
 }
 
@@ -347,9 +366,11 @@ impl QuantizedGate {
         let sx = quantize_row(x, xq);
         let sh = quantize_row(h, hq);
         let bias = &self.bias;
-        self.wx.sweep(xq, sx, out, |_, px, o| *o = px);
-        self.wh
-            .sweep(hq, sh, out, |j, ph, o| *o = (*o + ph) + bias[j]);
+        self.wx
+            .sweep(xq, sx, out, |_, px, out| out.copy_from_slice(px));
+        self.wh.sweep(hq, sh, out, |j0, ph, out| {
+            add_dots_and_bias(bias, j0, ph, out)
+        });
     }
 }
 

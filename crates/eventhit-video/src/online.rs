@@ -191,17 +191,25 @@ impl WindowBuffer {
     /// Panics if the buffer is not yet full or `m` is not in
     /// `[1, window]`.
     pub fn covariates_last(&self, m: usize) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.covariates_last_into(m, &mut out);
+        out
+    }
+
+    /// [`WindowBuffer::covariates_last`] written into `out`, reusing its
+    /// storage: a buffer that once held a window at least `m` rows long
+    /// takes this one without allocating.
+    ///
+    /// # Panics
+    /// As [`WindowBuffer::covariates_last`].
+    pub fn covariates_last_into(&self, m: usize, out: &mut Matrix) {
         assert!(self.is_full(), "collection window not yet full");
         assert!(
             m >= 1 && m <= self.window,
             "window slice {m} outside [1, {}]",
             self.window
         );
-        let mut out = Matrix::zeros(m, self.dim);
-        for (r, frame) in self.last_rows(m).enumerate() {
-            out.set_row(r, frame);
-        }
-        out
+        out.assign_rows(self.dim, self.last_rows(m));
     }
 }
 

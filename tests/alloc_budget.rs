@@ -1,8 +1,10 @@
 //! Allocation budget of the serving hot path, held by a counting
 //! allocator so it cannot rot silently: once a predictor is warm, a
-//! non-anchor frame allocates nothing, and a `Fixed`-policy anchor
-//! allocates only the decision it returns — no `Matrix`, no `Record`, no
-//! per-frame `Vec`. The same counter shows that a wire message lying
+//! non-anchor frame allocates nothing, gated or not, and an anchor
+//! allocates only the decision it returns plus, under a gating policy
+//! (`delta`, `adaptive`), the predictions it memoizes for carried
+//! anchors — no `Matrix`, no `Record`, no per-frame `Vec`, on either
+//! lane. The same counter shows that a wire message lying
 //! about its float count is refused before anything is reserved for it,
 //! and one lying about its item count reserves at most 64 KiB, that a
 //! warm `SubmitFrames` returning no decision allocates nothing at
@@ -27,7 +29,7 @@ use eventhit::core::model_io;
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
-use eventhit::core::{CoreError, EventHit, EventHitConfig, InferenceLane};
+use eventhit::core::{CoreError, EventHit, EventHitConfig, InferenceLane, SamplingPolicy};
 use eventhit::durable::state_io::decode_state;
 use eventhit::durable::{DurableError, DurableStore, SessionEvent, Snapshot};
 use eventhit::parallel::Pool;
@@ -126,9 +128,18 @@ fn retained<R>(f: impl FnOnce() -> R) -> (R, i64) {
     (out, LIVE.with(Cell::get) - before)
 }
 
-/// What a `Fixed`-policy anchor may allocate: the `predictions` vector of
-/// the `HorizonDecision` it returns, and nothing else.
-const ANCHOR_ALLOCATIONS: u64 = 1;
+/// What a warm anchor may allocate: the `predictions` vector of the
+/// `HorizonDecision` it returns and, under a gating policy, the
+/// predictions a scored anchor memoizes for the anchors that carry them.
+/// The candidate window and the gate's reference frame reuse their
+/// storage.
+fn anchor_allocations(policy: &SamplingPolicy) -> u64 {
+    if policy.is_fixed() {
+        1
+    } else {
+        2
+    }
+}
 
 #[test]
 fn warm_predictor_allocates_only_the_decisions_it_returns() {
@@ -142,32 +153,46 @@ fn warm_predictor_allocates_only_the_decisions_it_returns() {
     let frames = warm_up + 3 * run.horizon;
     assert!(run.features.rows() >= frames);
 
-    for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
-        let mut online =
-            OnlinePredictor::with_lane(run.model.clone(), run.state_for_lane(lane), strategy, lane);
-        for r in 0..warm_up {
-            online.push_frame(run.features.row(r));
-        }
-        let (mut anchors, mut quiet) = (0, 0);
-        for r in warm_up..frames {
-            let row = run.features.row(r);
-            let (decision, (allocations, _)) = counted(|| online.push_frame(row));
-            match decision {
-                None => {
-                    assert_eq!(allocations, 0, "{lane} lane, non-anchor frame {r}");
-                    quiet += 1;
-                }
-                Some(d) => {
-                    assert!(
-                        allocations <= ANCHOR_ALLOCATIONS,
-                        "{lane} lane, anchor {}: {allocations} allocations",
-                        d.anchor
-                    );
-                    anchors += 1;
+    for spec in ["fixed", "delta:0.1", "adaptive:0:2"] {
+        let policy = SamplingPolicy::parse(spec).unwrap();
+        let budget = anchor_allocations(&policy);
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let state = run.state_for_sampling(&policy, lane);
+            let mut online = OnlinePredictor::with_policy(
+                run.model.clone(),
+                state,
+                strategy,
+                lane,
+                policy.clone(),
+            );
+            for r in 0..warm_up {
+                online.push_frame(run.features.row(r));
+            }
+            let (mut anchors, mut quiet) = (0, 0);
+            for r in warm_up..frames {
+                let row = run.features.row(r);
+                let (decision, (allocations, _)) = counted(|| online.push_frame(row));
+                match decision {
+                    None => {
+                        assert_eq!(allocations, 0, "{spec}, {lane} lane, non-anchor frame {r}");
+                        quiet += 1;
+                    }
+                    Some(d) => {
+                        assert!(
+                            allocations <= budget,
+                            "{spec}, {lane} lane, anchor {}: {allocations} allocations",
+                            d.anchor
+                        );
+                        anchors += 1;
+                    }
                 }
             }
+            assert_eq!(
+                (anchors, quiet),
+                (3, 3 * run.horizon - 3),
+                "{spec}, {lane} lane"
+            );
         }
-        assert_eq!((anchors, quiet), (3, 3 * run.horizon - 3));
     }
 }
 
