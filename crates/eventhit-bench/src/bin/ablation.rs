@@ -140,7 +140,8 @@ fn ablation_shared_encoder(args: &CommonArgs) {
         per_event_params += model.param_count();
         let calib_scored = score_records(&model, &calib_k, 128);
         let test_scored = score_records(&model, &test_k, 128);
-        let state = ConformalState::fit(&calib_scored, 1, 0.5, shared.horizon);
+        let state = ConformalState::try_fit(&calib_scored, 1, 0.5, shared.horizon)
+            .expect("a one-event model scores one head");
         for (i, rec) in test_scored.iter().enumerate() {
             merged_preds[i].push(state.predict(rec, &Strategy::Ehcr { c: 0.9, alpha: 0.6 })[0]);
         }
@@ -175,7 +176,8 @@ fn ablation_calibration_size(args: &CommonArgs) {
     for frac in [1.0f64, 0.5, 0.25, 0.1, 0.05] {
         let n = ((run.calib.len() as f64) * frac).ceil() as usize;
         let subset = &run.calib[..n.min(run.calib.len())];
-        let state = ConformalState::fit(subset, 1, 0.5, run.horizon);
+        let state =
+            ConformalState::try_fit(subset, 1, 0.5, run.horizon).expect("TA10 is a one-event task");
         let preds: Vec<_> = run
             .test
             .iter()

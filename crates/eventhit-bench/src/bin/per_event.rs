@@ -8,7 +8,7 @@
 
 use eventhit_bench::{f, tsv_header, CommonArgs};
 use eventhit_core::experiment::TaskRun;
-use eventhit_core::metrics::{evaluate_per_event, existence_precision};
+use eventhit_core::metrics::{existence_precision, try_evaluate_per_event};
 use eventhit_core::pipeline::Strategy;
 
 fn main() {
@@ -28,7 +28,8 @@ fn main() {
     for task in args.tasks_or(&["TA7", "TA8", "TA9", "TA15", "TA16"]) {
         let run = TaskRun::execute(&task, &args.config(0));
         let preds = run.predictions(&Strategy::Eho { tau1: 0.5 });
-        let per = evaluate_per_event(&preds, &run.test, run.horizon as u32);
+        let per = try_evaluate_per_event(&preds, &run.test, run.horizon as u32)
+            .expect("one prediction set per test record");
         let overall = run.evaluate(&Strategy::Eho { tau1: 0.5 });
         let precision = existence_precision(&preds, &run.test);
 

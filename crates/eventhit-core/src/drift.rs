@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 
+use crate::error::CoreResult;
 use crate::infer::ScoredRecord;
 use crate::pipeline::ConformalState;
 
@@ -148,10 +149,13 @@ impl Recalibrator {
         self.buffer.is_empty()
     }
 
-    /// Refits the conformal state from the buffered window.
-    pub fn refit(&self) -> ConformalState {
+    /// Refits the conformal state from the buffered window. Fails with
+    /// [`CoreError::ShapeMismatch`](crate::error::CoreError::ShapeMismatch)
+    /// when a buffered record carries fewer than `num_events` scores or
+    /// labels.
+    pub fn refit(&self) -> CoreResult<ConformalState> {
         let records: Vec<ScoredRecord> = self.buffer.iter().cloned().collect();
-        ConformalState::fit(&records, self.num_events, self.tau2, self.horizon)
+        ConformalState::try_fit(&records, self.num_events, self.tau2, self.horizon)
     }
 }
 
@@ -265,7 +269,7 @@ mod tests {
             rc.push(record(b, true));
         }
         assert_eq!(rc.len(), 3); // 0.9 evicted
-        let state = rc.refit();
+        let state = rc.refit().unwrap();
         assert_eq!(state.calibration_sizes(), vec![3]);
     }
 
@@ -277,9 +281,21 @@ mod tests {
         for _ in 0..50 {
             rc.push(record(0.4, true));
         }
-        let state = rc.refit();
+        let state = rc.refit().unwrap();
         let drifted = record(0.4, true);
         let p = state.predict(&drifted, &crate::pipeline::Strategy::Ehc { c: 0.6 });
         assert!(p[0].present, "refit calibration must accept the new regime");
+    }
+
+    #[test]
+    fn refit_rejects_a_short_record() {
+        let mut rc = Recalibrator::new(4, 2, 0.5, 10);
+        rc.push(record(0.9, true));
+        match rc.refit() {
+            Err(crate::error::CoreError::ShapeMismatch { expected, got, .. }) => {
+                assert_eq!((expected, got), (2, 1));
+            }
+            other => panic!("a one-event record cannot refit two events: {other:?}"),
+        }
     }
 }

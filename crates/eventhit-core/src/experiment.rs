@@ -276,15 +276,20 @@ impl TaskRun {
     /// --model`). Unlike [`TaskRun::state_for_lane`], this always
     /// rescores, even on the exact lane, because the given model's scores
     /// need not match the run's own.
+    ///
+    /// # Panics
+    ///
+    /// If `model` has fewer heads than the task has events.
     pub fn state_for_model(&self, model: &EventHit, lane: InferenceLane) -> ConformalState {
         let calib =
             score_records_lane_with(model, &self.calib_records, 128, lane, &Pool::current());
-        ConformalState::fit(
+        ConformalState::try_fit(
             &calib,
             self.task.num_events(),
             self.state.tau2(),
             self.horizon,
         )
+        .expect("a reloaded model has one head per task event")
     }
 
     /// A conformal state matched to a [`SamplingPolicy`] on `lane`: the
@@ -307,12 +312,13 @@ impl TaskRun {
             return self.state_for_lane(lane);
         }
         let calib = self.sampled_split(&self.calib_records, policy, lane);
-        ConformalState::fit(
+        ConformalState::try_fit(
             &calib,
             self.task.num_events(),
             self.state.tau2(),
             self.horizon,
         )
+        .expect("the run's own model scores one head per task event")
     }
 
     /// The test split scored on gated trajectories under `policy` — the

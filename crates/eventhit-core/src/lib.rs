@@ -20,7 +20,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod capacity;
 pub mod ci;
 pub mod ci_queue;
 pub mod codec;

@@ -160,18 +160,9 @@ pub fn try_evaluate(
 /// the same predictions. Useful for the paper's observation that a
 /// multi-event task "is bound by the event with the worst performance"
 /// (§VI.D).
-pub fn evaluate_per_event(
-    preds: &[Vec<IntervalPrediction>],
-    records: &[ScoredRecord],
-    horizon: u32,
-) -> Vec<EvalOutcome> {
-    try_evaluate_per_event(preds, records, horizon)
-        .unwrap_or_else(|e| panic!("evaluate_per_event failed: {e}"))
-}
-
-/// Fallible form of [`evaluate_per_event`], with the same shape contract
-/// as [`try_evaluate`] plus: every record must carry the same number of
-/// events as the first.
+///
+/// The shape contract is [`try_evaluate`]'s, plus: every record must carry
+/// the same number of events as the first.
 pub fn try_evaluate_per_event(
     preds: &[Vec<IntervalPrediction>],
     records: &[ScoredRecord],
@@ -471,7 +462,7 @@ mod tests {
             vec![pred(1, 10), IntervalPrediction::absent()],
             vec![pred(5, 14), IntervalPrediction::absent()],
         ];
-        let per = evaluate_per_event(&preds, &records, 100);
+        let per = try_evaluate_per_event(&preds, &records, 100).unwrap();
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].rec, 1.0);
         assert_eq!(per[1].rec, 0.0);

@@ -73,14 +73,9 @@ impl ConformalState {
     ///   where `E_k` truly occurs (Algorithm 1);
     /// * interval residuals `|ŝ - s|`, `|ê - e|` are computed from the raw
     ///   (EHO, `τ_2`) interval estimate on the same records (Algorithm 2).
-    pub fn fit(calib: &[ScoredRecord], num_events: usize, tau2: f32, horizon: usize) -> Self {
-        Self::try_fit(calib, num_events, tau2, horizon)
-            .unwrap_or_else(|e| panic!("conformal fit failed: {e}"))
-    }
-
-    /// Fallible [`ConformalState::fit`]: rejects calibration records whose
-    /// score or label vectors are shorter than `num_events` instead of
-    /// panicking on an out-of-bounds index deep inside the loop.
+    ///
+    /// Rejects calibration records whose score or label vectors are
+    /// shorter than `num_events` with [`CoreError::ShapeMismatch`].
     pub fn try_fit(
         calib: &[ScoredRecord],
         num_events: usize,
@@ -310,7 +305,7 @@ mod tests {
 
     #[test]
     fn fit_collects_positive_scores_and_residuals() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         assert_eq!(state.calibration_sizes(), vec![4]);
         // Residuals: |3-4| = 1 (start), |7-6| = 1 (end) for all records.
         let (qs, qe) = state.interval_calibration(0).quantiles(0.9);
@@ -319,7 +314,7 @@ mod tests {
 
     #[test]
     fn eho_strategy_uses_threshold() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         let rec = test_record(0.6);
         let p = state.predict(&rec, &Strategy::Eho { tau1: 0.5 })[0];
         assert!(p.present);
@@ -330,7 +325,7 @@ mod tests {
 
     #[test]
     fn ehc_strategy_uses_p_values() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         // b = 0.2 => a = 0.8, all 4 calib non-conformities (0.1..0.7) below
         // => p = 1/5 = 0.2. Predicted positive iff 0.2 >= 1 - c.
         let rec = test_record(0.2);
@@ -341,7 +336,7 @@ mod tests {
 
     #[test]
     fn ehr_widens_interval() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         let rec = test_record(0.9);
         let eho = state.predict(&rec, &Strategy::Eho { tau1: 0.5 })[0];
         let ehr = state.predict(
@@ -357,7 +352,7 @@ mod tests {
 
     #[test]
     fn ehcr_combines_both() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         let rec = test_record(0.2);
         // Existence via conformal (c = 0.9 admits), interval widened.
         let p = state.predict(&rec, &Strategy::Ehcr { c: 0.9, alpha: 0.9 })[0];
@@ -370,7 +365,7 @@ mod tests {
 
     #[test]
     fn higher_c_never_shrinks_prediction_set() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         for b in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let rec = test_record(b);
             for (c_lo, c_hi) in [(0.5, 0.7), (0.7, 0.9), (0.9, 0.99)] {
@@ -400,7 +395,7 @@ mod tests {
 
     #[test]
     fn try_predict_rejects_short_records() {
-        let state = ConformalState::fit(&calib_set(), 1, 0.5, 10);
+        let state = ConformalState::try_fit(&calib_set(), 1, 0.5, 10).unwrap();
         let mut rec = test_record(0.5);
         assert!(state
             .try_predict(&rec, &Strategy::Eho { tau1: 0.5 })

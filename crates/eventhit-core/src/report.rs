@@ -1,131 +1,13 @@
-//! Result analysis utilities: REC–SPL operating curves, Pareto-front
-//! extraction, dominance checks — the machinery behind statements like
-//! "the closer the curve to the upper-left corner, the better" (§VI.D) —
-//! plus the resilience summary of a faulted deployment run.
+//! Run summaries: the resilience summary of a faulted deployment run, and
+//! the telemetry layer's run dashboard.
 
-use crate::metrics::{EvalOutcome, MissAttribution};
+use crate::metrics::MissAttribution;
 use crate::resilient::ResilienceStats;
 
 /// The run dashboard of the telemetry layer, re-exported where the other
 /// run summaries live: counters, gauges, histogram quantiles, and top
 /// spans by self-time, with JSONL export and an FNV-1a fingerprint.
 pub use eventhit_telemetry::TelemetrySnapshot;
-
-/// One operating point on the REC–SPL plane (recall up, spillage right).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperatingPoint {
-    /// End-to-end recall.
-    pub rec: f64,
-    /// Spillage.
-    pub spl: f64,
-}
-
-impl From<&EvalOutcome> for OperatingPoint {
-    fn from(o: &EvalOutcome) -> Self {
-        OperatingPoint {
-            rec: o.rec,
-            spl: o.spl,
-        }
-    }
-}
-
-impl OperatingPoint {
-    /// True iff `self` dominates `other`: at least as good on both axes
-    /// and strictly better on one (higher REC, lower SPL).
-    pub fn dominates(&self, other: &OperatingPoint) -> bool {
-        self.rec >= other.rec
-            && self.spl <= other.spl
-            && (self.rec > other.rec || self.spl < other.spl)
-    }
-}
-
-/// A named operating curve (one algorithm's sweep).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Curve {
-    /// Algorithm name (e.g. `"EHCR"`).
-    pub name: String,
-    /// Swept points, in sweep order.
-    pub points: Vec<OperatingPoint>,
-}
-
-impl Curve {
-    /// Builds a curve from outcomes.
-    pub fn from_outcomes(name: &str, outcomes: &[EvalOutcome]) -> Self {
-        Curve {
-            name: name.to_string(),
-            points: outcomes.iter().map(OperatingPoint::from).collect(),
-        }
-    }
-
-    /// The Pareto front of the curve: points not dominated by any other
-    /// point of the curve, sorted by ascending SPL.
-    pub fn pareto_front(&self) -> Vec<OperatingPoint> {
-        pareto_front(&self.points)
-    }
-
-    /// Smallest SPL among points with `rec >= target`, or `None`.
-    pub fn spl_at_recall(&self, target: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| p.rec >= target)
-            .map(|p| p.spl)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Highest recall the curve reaches.
-    pub fn max_recall(&self) -> f64 {
-        self.points.iter().map(|p| p.rec).fold(0.0, f64::max)
-    }
-}
-
-/// Extracts the Pareto-optimal subset (max REC, min SPL), sorted by
-/// ascending SPL.
-pub fn pareto_front(points: &[OperatingPoint]) -> Vec<OperatingPoint> {
-    let mut front: Vec<OperatingPoint> = points
-        .iter()
-        .filter(|p| !points.iter().any(|q| q.dominates(p)))
-        .copied()
-        .collect();
-    front.sort_by(|a, b| a.spl.total_cmp(&b.spl).then(a.rec.total_cmp(&b.rec)));
-    front.dedup();
-    front
-}
-
-/// Compares two curves across recall targets: returns the fraction of
-/// targets (among those both curves reach) where `a` needs no more
-/// spillage than `b`. A value near 1.0 means `a` dominates the trade-off,
-/// the paper's criterion for "closer to the upper-left corner".
-pub fn dominance_fraction(a: &Curve, b: &Curve, targets: &[f64]) -> Option<f64> {
-    let mut comparable = 0usize;
-    let mut a_wins = 0usize;
-    for &t in targets {
-        match (a.spl_at_recall(t), b.spl_at_recall(t)) {
-            (Some(sa), Some(sb)) => {
-                comparable += 1;
-                if sa <= sb {
-                    a_wins += 1;
-                }
-            }
-            _ => continue,
-        }
-    }
-    if comparable == 0 {
-        None
-    } else {
-        Some(a_wins as f64 / comparable as f64)
-    }
-}
-
-/// Renders curves as a compact markdown table (one row per point).
-pub fn to_markdown(curves: &[Curve]) -> String {
-    let mut out = String::from("| algorithm | REC | SPL |\n|---|---|---|\n");
-    for c in curves {
-        for p in &c.points {
-            out.push_str(&format!("| {} | {:.4} | {:.4} |\n", c.name, p.rec, p.spl));
-        }
-    }
-    out
-}
 
 /// The resilience summary of one faulted run: availability, retry
 /// pressure, faulted latency percentiles, and the miss-attribution split.
@@ -203,66 +85,6 @@ impl ResilienceReport {
 mod tests {
     use super::*;
 
-    fn pt(rec: f64, spl: f64) -> OperatingPoint {
-        OperatingPoint { rec, spl }
-    }
-
-    #[test]
-    fn dominance_is_strict() {
-        assert!(pt(0.9, 0.1).dominates(&pt(0.8, 0.2)));
-        assert!(pt(0.9, 0.1).dominates(&pt(0.9, 0.2)));
-        assert!(pt(0.9, 0.1).dominates(&pt(0.8, 0.1)));
-        assert!(!pt(0.9, 0.1).dominates(&pt(0.9, 0.1))); // equal: no
-        assert!(!pt(0.9, 0.3).dominates(&pt(0.8, 0.1))); // trade-off: no
-    }
-
-    #[test]
-    fn pareto_front_filters_dominated() {
-        let points = vec![
-            pt(0.5, 0.1),
-            pt(0.7, 0.2),
-            pt(0.6, 0.3),
-            pt(0.9, 0.5),
-            pt(0.4, 0.4),
-        ];
-        let front = pareto_front(&points);
-        assert_eq!(front, vec![pt(0.5, 0.1), pt(0.7, 0.2), pt(0.9, 0.5)]);
-    }
-
-    #[test]
-    fn pareto_front_of_empty_is_empty() {
-        assert!(pareto_front(&[]).is_empty());
-    }
-
-    #[test]
-    fn spl_at_recall_picks_cheapest() {
-        let c = Curve {
-            name: "x".into(),
-            points: vec![pt(0.9, 0.4), pt(0.95, 0.6), pt(0.9, 0.3)],
-        };
-        assert_eq!(c.spl_at_recall(0.9), Some(0.3));
-        assert_eq!(c.spl_at_recall(0.95), Some(0.6));
-        assert_eq!(c.spl_at_recall(0.99), None);
-        assert_eq!(c.max_recall(), 0.95);
-    }
-
-    #[test]
-    fn dominance_fraction_full_and_partial() {
-        let strong = Curve {
-            name: "a".into(),
-            points: vec![pt(0.8, 0.1), pt(0.9, 0.2)],
-        };
-        let weak = Curve {
-            name: "b".into(),
-            points: vec![pt(0.8, 0.3), pt(0.9, 0.5)],
-        };
-        let targets = [0.8, 0.9];
-        assert_eq!(dominance_fraction(&strong, &weak, &targets), Some(1.0));
-        assert_eq!(dominance_fraction(&weak, &strong, &targets), Some(0.0));
-        // No comparable targets.
-        assert_eq!(dominance_fraction(&strong, &weak, &[0.99]), None);
-    }
-
     #[test]
     fn resilience_report_renders_and_round_trips_stats() {
         let stats = ResilienceStats {
@@ -301,16 +123,5 @@ mod tests {
         assert_eq!(r.availability, 0.0);
         assert!(r.latency.is_none());
         assert!(r.to_markdown().contains("NaN / NaN / NaN"));
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let c = Curve {
-            name: "EHCR".into(),
-            points: vec![pt(0.9, 0.2)],
-        };
-        let md = to_markdown(&[c]);
-        assert!(md.contains("| EHCR | 0.9000 | 0.2000 |"));
-        assert!(md.starts_with("| algorithm |"));
     }
 }

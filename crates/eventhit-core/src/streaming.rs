@@ -31,7 +31,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::infer::{score_window_into, IntervalPrediction, ScoredRecord};
 use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
 use crate::pipeline::{ConformalState, Strategy};
-use crate::resilient::{BreakerState, DegradationTag, ResilientCiClient};
+use crate::resilient::DegradationTag;
 use crate::sampling::{AnchorStepper, SamplingPolicy, HIT_TAU1};
 
 /// A relay decision emitted at a prediction anchor.
@@ -43,7 +43,8 @@ pub struct HorizonDecision {
     /// 1-based, as everywhere else).
     pub predictions: Vec<IntervalPrediction>,
     /// How (if at all) this decision was degraded by the cloud path.
-    /// [`DegradationTag::None`] on the fault-free path.
+    /// The online predictor never consults the cloud, so it always emits
+    /// [`DegradationTag::None`]; the wire keeps the tag for other callers.
     pub degradation: DegradationTag,
 }
 
@@ -477,26 +478,6 @@ impl OnlinePredictor {
         Some(decision)
     }
 
-    /// Like [`OnlinePredictor::push_frame`], but consults the resilient
-    /// client's circuit breaker at decision time: while the breaker is
-    /// open the decision is tagged [`DegradationTag::LocalOnly`] — the
-    /// caller should trust the local C-REGRESS interval instead of
-    /// relaying, because the CI is presumed down. `stream_fps` converts
-    /// the anchor frame to the client's simulated clock.
-    pub fn push_frame_resilient(
-        &mut self,
-        features: impl AsRef<[f32]>,
-        client: &mut ResilientCiClient,
-        stream_fps: f64,
-    ) -> Option<HorizonDecision> {
-        let mut decision = self.push_frame(features)?;
-        let now = decision.anchor as f64 / stream_fps.max(f64::MIN_POSITIVE);
-        if client.breaker_state(now) == BreakerState::Open {
-            decision.degradation = DegradationTag::LocalOnly;
-        }
-        Some(decision)
-    }
-
     /// Convenience: drains a full feature matrix through the predictor,
     /// starting at row `from`, collecting every decision.
     pub fn run_over(&mut self, features: &Matrix, from: usize) -> Vec<HorizonDecision> {
@@ -771,50 +752,5 @@ mod tests {
             degradation: crate::resilient::DegradationTag::None,
         };
         assert_eq!(d.segments(), vec![(0usize, 105u64, 110u64)]);
-    }
-
-    #[test]
-    fn open_breaker_tags_decisions_local_only() {
-        use crate::faults::FaultConfig;
-        use crate::resilient::{DegradationTag, ResilienceConfig, ResilientCiClient};
-        use eventhit_video::detector::StageModel;
-
-        let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(63));
-        let mut online =
-            OnlinePredictor::new(run.model, run.state, Strategy::Ehcr { c: 0.9, alpha: 0.5 });
-
-        // A dead service trips the breaker after a few submissions.
-        let faults = FaultConfig {
-            p_good_to_bad: 1.0,
-            p_bad_to_good: 0.0,
-            bad_loss: 1.0,
-            ..FaultConfig::reliable()
-        };
-        let mut client = ResilientCiClient::new(
-            faults,
-            ResilienceConfig::default(),
-            StageModel::new("ci", 100.0),
-            64,
-        )
-        .unwrap();
-        // Trip the breaker with direct submissions.
-        let mut t = 0.0;
-        for _ in 0..10 {
-            client.submit(50, t);
-            t += 1.0;
-        }
-        let features = run.features.clone();
-        let mut tags = Vec::new();
-        for r in 0..features.rows().min(2000) {
-            if let Some(d) = online.push_frame_resilient(features.row(r), &mut client, 1e9) {
-                // Enormous fps => decision time ~0, inside the open window.
-                tags.push(d.degradation);
-            }
-        }
-        assert!(!tags.is_empty());
-        assert!(
-            tags.iter().all(|&t| t == DegradationTag::LocalOnly),
-            "open breaker must force local-only decisions: {tags:?}"
-        );
     }
 }

@@ -21,8 +21,7 @@
 //!   `eventhit-parallel` [`Pool`](eventhit_parallel::Pool), one request
 //!   loop and one submit path for plain and durable serving alike, one
 //!   `OnlinePredictor` lane per admitted stream, stream ownership
-//!   partitioned across shards, optional resilient-CI wiring so
-//!   degradation tags reach clients, `serve.*` telemetry.
+//!   partitioned across shards, `serve.*` telemetry.
 //! - [`fleet`] — the deterministic synthetic-fleet load harness behind
 //!   `eventhit-cli bench-fleet`: thousands of seeded streams, uniform or
 //!   bursty arrivals, admission rejects and retry waits tallied.
@@ -86,4 +85,4 @@ pub use client::{
 };
 pub use fleet::{ArrivalPattern, FleetReport, FleetSpec};
 pub use router::ShardRouter;
-pub use server::{DurableOptions, LaneFactory, ResilienceSpec, ServeConfig, Server};
+pub use server::{DurableOptions, LaneFactory, ServeConfig, Server};

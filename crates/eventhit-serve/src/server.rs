@@ -47,8 +47,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use eventhit_core::codec::F32Run;
-use eventhit_core::faults::FaultConfig;
-use eventhit_core::resilient::{DegradationTag, ResilienceConfig, ResilientCiClient};
 use eventhit_core::streaming::{HorizonDecision, OnlinePredictor};
 use eventhit_core::SamplingPolicy;
 use eventhit_core::{ConformalState, EventHit};
@@ -58,7 +56,6 @@ use eventhit_durable::{
 };
 use eventhit_parallel::Pool;
 use eventhit_telemetry::{SlowDecision, Telemetry};
-use eventhit_video::detector::StageModel;
 
 use crate::admission::{AdmissionController, ServeTotals, SlotGuard};
 use crate::convert::decision_to_wire;
@@ -68,24 +65,6 @@ use crate::protocol::{
     PROTOCOL_MINOR,
 };
 use crate::router::ShardRouter;
-
-/// Per-stream resilient-CI wiring: when set, every decision's relayed
-/// frames are submitted through a [`ResilientCiClient`] (seeded
-/// `seed + stream_id`, so streams draw independent fault sequences) and
-/// the resulting degradation tag travels to the client on the wire.
-#[derive(Debug, Clone)]
-pub struct ResilienceSpec {
-    /// Fault profile of the simulated CI channel.
-    pub faults: FaultConfig,
-    /// Retry / breaker / degradation policy.
-    pub resilience: ResilienceConfig,
-    /// CI service throughput rating, frames per second.
-    pub ci_fps: f64,
-    /// Stream frame rate, used to convert anchors to submission times.
-    pub stream_fps: f64,
-    /// Base seed; stream `s` uses `seed + s`.
-    pub seed: u64,
-}
 
 /// Durable-serving wiring: where the session log lives and how often the
 /// hub checkpoints (see `DESIGN.md` §14).
@@ -143,16 +122,11 @@ pub struct ServeConfig {
     /// Backpressure hint attached to `TooManyStreams` rejections, in
     /// milliseconds.
     pub retry_after_ms: u32,
-    /// Optional resilient-CI wiring (see [`ResilienceSpec`]). `None`
-    /// serves every decision untagged, which is what the determinism
-    /// soak test uses.
-    pub resilience: Option<ResilienceSpec>,
     /// Optional durable-serving wiring (see [`DurableOptions`]). When
     /// set, every state-changing request is committed to the session log
     /// before it is acknowledged, lanes survive disconnects and crashes,
-    /// and clients re-attach with `Resume`. Mutually exclusive with
-    /// `resilience` — the resilient CI client carries breaker state the
-    /// snapshots do not capture.
+    /// and clients re-attach with `Resume`. Requires the `Fixed`
+    /// [`sampling`](Self::sampling) policy.
     pub durable: Option<DurableOptions>,
     /// When set, the bounded slow-decision log is rewritten to this file
     /// as JSONL (one `{"type":"slow",…}` object per retained decision,
@@ -178,7 +152,6 @@ impl Default for ServeConfig {
             max_batch_frames: 4096,
             max_queue_frames: 8192,
             retry_after_ms: 100,
-            resilience: None,
             durable: None,
             slow_log: None,
             sampling: SamplingPolicy::Fixed,
@@ -199,8 +172,6 @@ pub type LaneFactory = dyn Fn(u32) -> OnlinePredictor + Send + Sync;
 /// a fresh one.
 struct Lane {
     predictor: OnlinePredictor,
-    resilient: Option<ResilientCiClient>,
-    stream_fps: f64,
     frames: u64,
     decisions: u64,
     slot: Option<SlotGuard>,
@@ -209,42 +180,14 @@ struct Lane {
 }
 
 impl Lane {
-    /// A lane at the start of its stream, without resilient-CI wiring.
+    /// A lane at the start of its stream.
     fn new(predictor: OnlinePredictor, slot: Option<SlotGuard>) -> Self {
         Lane {
             row: Vec::with_capacity(predictor.input_dim()),
             predictor,
-            resilient: None,
-            stream_fps: 30.0,
             frames: 0,
             decisions: 0,
             slot,
-        }
-    }
-
-    /// Feeds one frame through the lane's predictor; with resilient
-    /// wiring, relayed segments are submitted through the CI client and
-    /// the submission's degradation tag replaces the decision's.
-    fn push(&mut self, row: &[f32]) -> Option<HorizonDecision> {
-        match &mut self.resilient {
-            None => self.predictor.push_frame(row),
-            Some(client) => {
-                let mut d = self
-                    .predictor
-                    .push_frame_resilient(row, client, self.stream_fps)?;
-                if d.degradation == DegradationTag::None {
-                    let relayed: u64 = d
-                        .segments()
-                        .iter()
-                        .map(|&(_, s, e)| e.saturating_sub(s) + 1)
-                        .sum();
-                    if relayed > 0 {
-                        let now = d.anchor as f64 / self.stream_fps.max(f64::MIN_POSITIVE);
-                        d.degradation = client.submit(relayed, now).tag();
-                    }
-                }
-                Some(d)
-            }
         }
     }
 
@@ -261,7 +204,7 @@ impl Lane {
             .filter_map(|wire| {
                 row.clear();
                 row.extend(wire.iter());
-                self.push(&row)
+                self.predictor.push_frame(&row)
             })
             .collect();
         self.row = row;
@@ -499,13 +442,6 @@ impl Server {
         factory: Box<LaneFactory>,
         telemetry: Arc<Telemetry>,
     ) -> io::Result<Server> {
-        if cfg.durable.is_some() && cfg.resilience.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "durable serving cannot be combined with resilient-CI wiring: \
-                 breaker state is not captured by snapshots",
-            ));
-        }
         if cfg.durable.is_some() && !cfg.sampling.is_fixed() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -518,11 +454,6 @@ impl Server {
                 io::ErrorKind::InvalidInput,
                 "a server needs at least one shard",
             ));
-        }
-        // A bad spec fails here, not at every session's first OpenStream.
-        if let Some(spec) = &cfg.resilience {
-            let checked = spec.faults.validate().and(spec.resilience.validate());
-            checked.map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         }
         let router = ShardRouter::new(cfg.shards);
         let mut shards = Vec::with_capacity(cfg.shards as usize);
@@ -1021,18 +952,7 @@ impl<C: Read + Write> Session<'_, C> {
         }
         predictor.set_telemetry(Arc::clone(t));
         predictor.set_policy(cfg.sampling.clone());
-        let mut lane = Lane::new(predictor, Some(slot));
-        if let Some(spec) = &cfg.resilience {
-            let client = ResilientCiClient::new(
-                spec.faults.clone(),
-                spec.resilience.clone(),
-                StageModel::new("ci", spec.ci_fps),
-                spec.seed.wrapping_add(stream_id as u64),
-            )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            lane.resilient = Some(client);
-            lane.stream_fps = spec.stream_fps;
-        }
+        let lane = Lane::new(predictor, Some(slot));
         let seq = match hub.as_deref_mut() {
             None => {
                 self.lanes.insert(stream_id, lane);

@@ -2,8 +2,8 @@
 //!
 //! Survival-analysis substrate for the EventHit reproduction: a Cox
 //! proportional-hazards model fitted by Newton–Raphson on the Breslow
-//! partial likelihood, the Breslow baseline cumulative-hazard estimator,
-//! and a Kaplan–Meier product-limit estimator.
+//! partial likelihood, and the Breslow baseline cumulative-hazard
+//! estimator.
 //!
 //! These power the paper's COX baseline (§VI.B item 7), which regresses
 //! survival ("time until the event") on window covariates and relays the
@@ -12,10 +12,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cox;
-pub mod km;
 pub mod linalg;
-pub mod weibull;
 
 pub use cox::{CoxConfig, CoxError, CoxModel, Subject};
-pub use km::KaplanMeier;
-pub use weibull::{WeibullError, WeibullModel};

@@ -22,18 +22,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod annotations;
 pub mod dataset;
 pub mod detector;
 pub mod distributions;
 pub mod event;
-pub mod featsel;
 pub mod features;
 pub mod normalize;
 pub mod online;
 pub mod records;
-pub mod sampling;
-pub mod stats;
 pub mod stream;
 pub mod synthetic;
 

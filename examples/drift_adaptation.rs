@@ -105,7 +105,9 @@ fn main() {
     }
 
     // Phase 3: refit the conformal state from the recent window.
-    let fresh = recalibrator.refit();
+    let fresh = recalibrator
+        .refit()
+        .expect("every buffered record carries the task's one event");
     let mut phase3_miss = (0, 0);
     let mut relayed = 0u64;
     for rec in &drifted {

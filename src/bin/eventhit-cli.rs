@@ -254,7 +254,11 @@ fn load_context(args: &Args) -> (TaskRun, Strategy) {
     });
     let calib = score_records(&model, &run.calib_records, 128);
     let test = score_records(&model, &run.test_records, 128);
-    run.state = ConformalState::fit(&calib, t.num_events(), 0.5, run.horizon);
+    run.state =
+        ConformalState::try_fit(&calib, t.num_events(), 0.5, run.horizon).unwrap_or_else(|e| {
+            eprintln!("{model_path} does not fit task {}: {e}", t.id);
+            exit(1)
+        });
     run.calib = calib;
     run.test = test;
     run.model = model;
@@ -334,7 +338,11 @@ fn cmd_serve(args: &Args) {
             exit(1)
         });
         let calib = score_records(&model, &run.calib_records, 128);
-        run.state = ConformalState::fit(&calib, t.num_events(), 0.5, run.horizon);
+        run.state = ConformalState::try_fit(&calib, t.num_events(), 0.5, run.horizon)
+            .unwrap_or_else(|e| {
+                eprintln!("{path} does not fit task {}: {e}", t.id);
+                exit(1)
+            });
         run.model = model;
     }
     // Calibrate against the scores the served lane actually produces —

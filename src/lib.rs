@@ -11,10 +11,10 @@
 //! * [`nn`] — neural substrate (matrices, Dense/LSTM/GRU with hand-written
 //!   backprop, dropout, losses, optimizers, schedules).
 //! * [`video`] — synthetic streams matching the paper's Table I, simulated
-//!   detector features, records/splits, annotations, sampling.
+//!   detector features, records/splits, online frame buffers.
 //! * [`conformal`] — C-CLASSIFY / C-REGRESS machinery plus Mondrian
 //!   (category-conditional) classification.
-//! * [`survival`] — Cox proportional hazards, Kaplan–Meier, Weibull.
+//! * [`survival`] — Cox proportional hazards with the Breslow baseline.
 //! * [`core`] — the EventHit model, training, strategies, metrics, tasks,
 //!   CI cost/queue simulators, marshalling, drift detection.
 //! * [`baselines`] — VQS, APP-VAE-style point process, COX adapter.

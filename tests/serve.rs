@@ -1,7 +1,7 @@
 //! Loopback tests of the serving frontend: the soak test proving wire
 //! decisions are bit-identical to the in-process `run_lanes` path, plus
 //! admission, backpressure, disconnect-recovery, version negotiation,
-//! and degradation-tag propagation over a real TCP socket.
+//! and bind-time config validation over a real TCP socket.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
@@ -452,95 +452,17 @@ fn resume_on_a_plain_server_is_unknown_stream_and_not_fatal() {
 }
 
 #[test]
-fn an_invalid_resilience_spec_fails_at_bind() {
-    use eventhit::core::faults::FaultConfig;
-    use eventhit::core::resilient::ResilienceConfig;
-    use eventhit::serve::ResilienceSpec;
-
+fn zero_shards_fail_at_bind() {
     let cfg = ServeConfig {
-        resilience: Some(ResilienceSpec {
-            faults: FaultConfig {
-                transient_prob: 1.5,
-                ..FaultConfig::reliable()
-            },
-            resilience: ResilienceConfig::default(),
-            ci_fps: 100.0,
-            stream_fps: 30.0,
-            seed: 7,
-        }),
+        shards: 0,
         ..ServeConfig::default()
     };
     let err = match Server::bind(cfg, Box::new(|_| predictor())) {
         Err(err) => err,
-        Ok(_) => panic!("an out-of-range fault probability must not bind"),
+        Ok(_) => panic!("a server without shards must not bind"),
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("transient_prob"), "{err}");
-}
-
-#[test]
-fn degradation_tags_propagate_to_clients_over_the_wire() {
-    use eventhit::core::faults::FaultConfig;
-    use eventhit::core::resilient::{DegradationTag, ResilienceConfig};
-    use eventhit::serve::ResilienceSpec;
-
-    let t = trained();
-    let dim = t.features.cols() as u32;
-    // A dead CI channel: every submission fails, so early decisions come
-    // back Dropped (dead-lettered) and, once the breaker trips, LocalOnly.
-    let cfg = ServeConfig {
-        resilience: Some(ResilienceSpec {
-            faults: FaultConfig {
-                p_good_to_bad: 1.0,
-                p_bad_to_good: 0.0,
-                bad_loss: 1.0,
-                ..FaultConfig::reliable()
-            },
-            resilience: ResilienceConfig::default(),
-            ci_fps: 100.0,
-            stream_fps: 30.0,
-            seed: 7,
-        }),
-        ..ServeConfig::default()
-    };
-    // A strategy that always relays guarantees every decision submits.
-    let factory = Box::new(|_| {
-        let t = trained();
-        OnlinePredictor::new(
-            t.model.clone(),
-            t.state.clone(),
-            Strategy::Eho { tau1: 0.0 },
-        )
-    });
-    let (addr, handle) = spawn_server(cfg, factory, 1);
-    let mut client = ServeClient::connect(addr).expect("connect");
-    client.open_stream(0).unwrap().expect_ok("open");
-
-    let mut tags = Vec::new();
-    let rows = t.features.rows().min(4000);
-    let mut at = 0;
-    while at < rows {
-        let hi = (at + 500).min(rows);
-        let mut data = Vec::with_capacity((hi - at) * dim as usize);
-        for r in at..hi {
-            data.extend_from_slice(t.features.row(r));
-        }
-        let decisions = client.submit(0, dim, data).unwrap().expect_ok("submit");
-        tags.extend(decisions.iter().map(|d| decision_from_wire(d).degradation));
-        at = hi;
-    }
-    drop(client);
-    handle.join().unwrap();
-
-    assert!(!tags.is_empty(), "no decisions produced");
-    assert!(
-        tags.iter().all(|&tag| tag != DegradationTag::None),
-        "a dead CI channel must degrade every relaying decision: {tags:?}"
-    );
-    assert!(
-        tags.contains(&DegradationTag::LocalOnly),
-        "the open breaker must force local-only decisions: {tags:?}"
-    );
+    assert!(err.to_string().contains("at least one shard"), "{err}");
 }
 
 #[test]
