@@ -14,7 +14,12 @@
 //! ```
 
 use eventhit_bench::{f, run_trials, tsv_header, CommonArgs};
-use eventhit_core::infer::raw_interval;
+use eventhit_core::metrics::{coverage, CoverageCounts};
+
+/// Confidence levels `c` whose miss rate is reported.
+const CS: [f64; 4] = [0.5, 0.7, 0.9, 0.95];
+/// Coverage levels `α` whose endpoint coverage is reported.
+const ALPHAS: [f64; 3] = [0.5, 0.8, 0.9];
 
 fn main() {
     let args = CommonArgs::parse();
@@ -28,67 +33,36 @@ fn main() {
     for task in args.tasks_or(&["TA1", "TA10", "TA13"]) {
         let runs = run_trials(&task, &args);
         for run in &runs {
-            // Theorem 4.2 — miss rate of C-CLASSIFY at confidence c.
-            for &c in &[0.5, 0.7, 0.9, 0.95] {
-                let mut misses = 0usize;
-                let mut positives = 0usize;
-                for rec in &run.test {
-                    for k in 0..run.task.num_events() {
-                        if !rec.labels[k].present {
-                            continue;
-                        }
-                        positives += 1;
-                        if !run.state.classifier(k).predict(rec.scores[k].b, c) {
-                            misses += 1;
-                        }
-                    }
-                }
-                if positives > 0 {
-                    println!(
-                        "{}\tmiss_rate(c)\t{c}\t{}\t{}",
-                        task.id,
-                        f(1.0 - c),
-                        f(misses as f64 / positives as f64)
-                    );
-                }
+            // Pooled over the task's events.
+            let counts: CoverageCounts = coverage(&run.state, &run.test, &CS, &ALPHAS)
+                .into_iter()
+                .sum();
+            if counts.positives == 0 {
+                continue;
             }
-
+            // Theorem 4.2 — miss rate of C-CLASSIFY at confidence c.
+            for (&c, &misses) in CS.iter().zip(&counts.misses) {
+                println!(
+                    "{}\tmiss_rate(c)\t{c}\t{}\t{}",
+                    task.id,
+                    f(1.0 - c),
+                    f(counts.rate(misses))
+                );
+            }
             // Theorem 5.2 — start/end coverage of the ±q̂ band at level α.
-            for &alpha in &[0.5, 0.8, 0.9] {
-                let mut start_cov = 0usize;
-                let mut end_cov = 0usize;
-                let mut positives = 0usize;
-                for rec in &run.test {
-                    for k in 0..run.task.num_events() {
-                        let label = &rec.labels[k];
-                        if !label.present {
-                            continue;
-                        }
-                        positives += 1;
-                        let (s_hat, e_hat) = raw_interval(&rec.scores[k], 0.5);
-                        let (qs, qe) = run.state.interval_calibration(k).quantiles(alpha);
-                        if (label.start as f64 - s_hat as f64).abs() <= qs {
-                            start_cov += 1;
-                        }
-                        if (label.end as f64 - e_hat as f64).abs() <= qe {
-                            end_cov += 1;
-                        }
-                    }
-                }
-                if positives > 0 {
-                    println!(
-                        "{}\tstart_coverage(alpha)\t{alpha}\t{}\t{}",
-                        task.id,
-                        f(alpha),
-                        f(start_cov as f64 / positives as f64)
-                    );
-                    println!(
-                        "{}\tend_coverage(alpha)\t{alpha}\t{}\t{}",
-                        task.id,
-                        f(alpha),
-                        f(end_cov as f64 / positives as f64)
-                    );
-                }
+            for (i, &alpha) in ALPHAS.iter().enumerate() {
+                println!(
+                    "{}\tstart_coverage(alpha)\t{alpha}\t{}\t{}",
+                    task.id,
+                    f(alpha),
+                    f(counts.rate(counts.starts_covered[i]))
+                );
+                println!(
+                    "{}\tend_coverage(alpha)\t{alpha}\t{}\t{}",
+                    task.id,
+                    f(alpha),
+                    f(counts.rate(counts.ends_covered[i]))
+                );
             }
         }
     }

@@ -19,7 +19,7 @@ use eventhit_video::synthetic::DatasetProfile;
 use crate::ci::{CiConfig, CostReport};
 use crate::error::{CoreError, CoreResult};
 use crate::infer::{score_records, score_records_lane_with, IntervalPrediction, ScoredRecord};
-use crate::metrics::{evaluate, EvalOutcome};
+use crate::metrics::{coverage, evaluate, CoverageCounts, EvalOutcome};
 use crate::model::{EncoderKind, EventHit, EventHitConfig};
 use crate::pipeline::{ConformalState, Strategy};
 use crate::sampling::SamplingPolicy;
@@ -329,6 +329,24 @@ impl TaskRun {
         self.sampled_split(&self.test_records, policy, lane)
     }
 
+    /// The per-event conformal coverage
+    /// ([`metrics::coverage`](crate::metrics::coverage)) of the state
+    /// [`TaskRun::state_for_sampling`] fits for `policy` on `lane`, over
+    /// the test split [`TaskRun::sampled_test`] scores the same way, at
+    /// each confidence in `cs` and each level in `alphas`. `Fixed` on
+    /// `Exact` counts exactly what `coverage(&run.state, &run.test, ..)`
+    /// counts.
+    pub fn coverage(
+        &self,
+        policy: &SamplingPolicy,
+        lane: InferenceLane,
+        cs: &[f64],
+        alphas: &[f64],
+    ) -> Vec<CoverageCounts> {
+        let state = self.state_for_sampling(policy, lane);
+        coverage(&state, &self.sampled_test(policy, lane), cs, alphas)
+    }
+
     /// Rebuilds a split's records with their gated windows and scores
     /// them.
     fn sampled_split(
@@ -577,6 +595,15 @@ mod tests {
             Err(e) => panic!("expected EmptySplit, got {e}"),
             Ok(_) => panic!("expected EmptySplit, got a successful run"),
         }
+    }
+
+    #[test]
+    fn fixed_exact_coverage_counts_the_runs_own_state_and_test() {
+        let run = quick_run();
+        let (cs, alphas) = ([0.7, 0.9], [0.5, 0.9]);
+        let fixed = run.coverage(&SamplingPolicy::Fixed, InferenceLane::Exact, &cs, &alphas);
+        assert_eq!(fixed, coverage(&run.state, &run.test, &cs, &alphas));
+        assert!(fixed[0].positives > 0);
     }
 
     #[test]

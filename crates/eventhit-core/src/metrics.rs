@@ -1,10 +1,12 @@
 //! Evaluation measures of §VI.C: frame-level recall `REC` (Eq. 12),
 //! spillage `SPL` (Eq. 13), and the component measures `REC_c` / `REC_r`.
 
+use std::iter::Sum;
+
 use eventhit_video::records::EventLabel;
 
 use crate::error::CoreError;
-use crate::infer::{IntervalPrediction, ScoredRecord};
+use crate::infer::{raw_interval, IntervalPrediction, ScoredRecord};
 use crate::pipeline::ConformalState;
 
 /// Frame-level recall `η` of one prediction against one label: the fraction
@@ -231,25 +233,95 @@ pub fn existence_precision(preds: &[Vec<IntervalPrediction>], records: &[ScoredR
     }
 }
 
-/// C-CLASSIFY miss and positive counts `(misses, positives)` for event 0
-/// at confidence `c`: the records where the event occurs, and those among
-/// them the classifier calls absent. Raw counts, so callers can pool them
-/// across seeds before taking a rate: single-seed test splits at smoke
-/// scale hold only a few dozen positives, far too few to resolve a
-/// one-percentage-point drift.
-pub fn miss_counts(state: &ConformalState, test: &[ScoredRecord], c: f64) -> (usize, usize) {
-    let mut misses = 0usize;
-    let mut positives = 0usize;
-    for rec in test {
-        if !rec.labels[0].present {
-            continue;
-        }
-        positives += 1;
-        if !state.classifier(0).predict(rec.scores[0].b, c) {
-            misses += 1;
-        }
+/// Conformal coverage counts of one event (or of several, pooled) over a
+/// test split: how often the guarantees of Theorems 4.2 and 5.2 held.
+///
+/// Raw counts, so pooling across runs or events is a sum (see the [`Sum`]
+/// impl) and a rate is taken only after pooling: single-seed test splits
+/// at smoke scale hold only a few dozen positives, far too few to resolve
+/// a one-percentage-point drift.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CoverageCounts {
+    /// Records where the event truly occurs.
+    pub positives: usize,
+    /// Per requested confidence `c` (in request order): positives
+    /// C-CLASSIFY calls absent.
+    pub misses: Vec<usize>,
+    /// Per requested level `α`: positives whose true start lies within
+    /// `±q̂` of the raw (EHO, `τ_2`) start estimate.
+    pub starts_covered: Vec<usize>,
+    /// Per requested level `α`: the same for the true end.
+    pub ends_covered: Vec<usize>,
+}
+
+impl CoverageCounts {
+    /// `count` as a share of the positives (0 when there are none).
+    pub fn rate(&self, count: usize) -> f64 {
+        count as f64 / self.positives.max(1) as f64
     }
-    (misses, positives)
+}
+
+impl Sum for CoverageCounts {
+    /// Pools count sets taken at the same levels.
+    fn sum<I: Iterator<Item = CoverageCounts>>(iter: I) -> Self {
+        fn add(total: &mut [usize], part: &[usize]) {
+            assert_eq!(total.len(), part.len(), "counts taken at different levels");
+            total.iter_mut().zip(part).for_each(|(t, p)| *t += p);
+        }
+        iter.reduce(|mut total, part| {
+            total.positives += part.positives;
+            add(&mut total.misses, &part.misses);
+            add(&mut total.starts_covered, &part.starts_covered);
+            add(&mut total.ends_covered, &part.ends_covered);
+            total
+        })
+        .unwrap_or_default()
+    }
+}
+
+/// The conformal coverage of `state` over the scored `test` split, one
+/// [`CoverageCounts`] per event, at each confidence in `cs` and each
+/// level in `alphas`: the one place the guarantees' empirical side is
+/// counted.
+///
+/// A positive is missed at `c` when C-CLASSIFY calls it absent
+/// (Theorem 4.2 bounds the miss rate by `1 - c`). Its start (end) is
+/// covered at `α` when the true offset lies within the level-`α`
+/// quantile of the raw estimate taken at the state's own `τ_2`, the
+/// threshold its residuals were fitted at (Theorem 5.2 covers each with
+/// probability `≥ α`).
+pub fn coverage(
+    state: &ConformalState,
+    test: &[ScoredRecord],
+    cs: &[f64],
+    alphas: &[f64],
+) -> Vec<CoverageCounts> {
+    (0..state.num_events())
+        .map(|k| {
+            let mut counts = CoverageCounts {
+                positives: 0,
+                misses: vec![0; cs.len()],
+                starts_covered: vec![0; alphas.len()],
+                ends_covered: vec![0; alphas.len()],
+            };
+            for rec in test.iter().filter(|rec| rec.labels[k].present) {
+                let (label, scores) = (&rec.labels[k], &rec.scores[k]);
+                counts.positives += 1;
+                for (missed, &c) in counts.misses.iter_mut().zip(cs) {
+                    *missed += usize::from(!state.classifier(k).predict(scores.b, c));
+                }
+                let (s_hat, e_hat) = raw_interval(scores, state.tau2());
+                let start_residual = (label.start as f64 - s_hat as f64).abs();
+                let end_residual = (label.end as f64 - e_hat as f64).abs();
+                for (i, &alpha) in alphas.iter().enumerate() {
+                    let (qs, qe) = state.interval_calibration(k).quantiles(alpha);
+                    counts.starts_covered[i] += usize::from(start_residual <= qs);
+                    counts.ends_covered[i] += usize::from(end_residual <= qe);
+                }
+            }
+            counts
+        })
+        .collect()
 }
 
 /// Where each ground-truth event instance of a (possibly faulted) run
@@ -550,6 +622,80 @@ mod tests {
         let empty = MissAttribution::default();
         assert_eq!(empty.confirmed_recall(), 1.0);
         assert_eq!(empty.effective_recall(), 1.0);
+    }
+
+    /// A scored record whose θ clears 0.3 over offsets 2..=8 and 0.5 over
+    /// 4..=6 only, so the raw interval depends on `τ_2`.
+    fn graded(b: f64, label: EventLabel) -> ScoredRecord {
+        let theta = (1..=10)
+            .map(|offset| match offset {
+                4..=6 => 0.9,
+                2..=8 => 0.4,
+                _ => 0.0,
+            })
+            .collect();
+        ScoredRecord {
+            anchor: 0,
+            scores: vec![EventScores { b, theta }],
+            labels: vec![label],
+        }
+    }
+
+    /// A state fitted at `τ_2 = 0.3` (raw interval [2, 8]) on b scores
+    /// 0.9, 0.7, 0.5, 0.3: start residuals {0, 1, 2, 3} and end residuals
+    /// {0, 0, 1, 3}, so `q̂ = (2, 1)` at α = 0.5 and `(3, 3)` at α = 0.9.
+    fn state_at_tau2_0_3() -> ConformalState {
+        let calib: Vec<_> = [(0.9, 2, 8), (0.7, 3, 8), (0.5, 4, 7), (0.3, 5, 5)]
+            .iter()
+            .map(|&(b, start, end)| graded(b, label(start, end)))
+            .collect();
+        ConformalState::try_fit(&calib, 1, 0.3, 10).unwrap()
+    }
+
+    /// Positives with p-values 1, 0.6, 0.4, 0.2, start residuals
+    /// 0, 2, 3, 4 and end residuals 0, 1, 0, 2 from [2, 8], plus one
+    /// negative.
+    fn test_split() -> Vec<ScoredRecord> {
+        vec![
+            graded(0.95, label(2, 8)),
+            graded(0.6, label(4, 7)),
+            graded(0.4, label(5, 8)),
+            graded(0.2, label(6, 6)),
+            graded(0.9, EventLabel::absent()),
+        ]
+    }
+
+    #[test]
+    fn coverage_counts_at_the_states_own_tau2() {
+        let state = state_at_tau2_0_3();
+        let cov = coverage(&state, &test_split(), &[0.5, 0.7], &[0.5, 0.9]);
+        let expected = CoverageCounts {
+            positives: 4,
+            // p < 0.5 twice, p < 0.3 once.
+            misses: vec![2, 1],
+            // Taken from [4, 6] (τ_2 = 0.5) the start residuals would be
+            // 2, 0, 1, 2: four starts covered at α = 0.5, not two.
+            starts_covered: vec![2, 3],
+            ends_covered: vec![3, 4],
+        };
+        assert_eq!(cov, vec![expected.clone()]);
+        assert_eq!(expected.rate(expected.misses[0]), 0.5);
+        assert_eq!(CoverageCounts::default().rate(0), 0.0);
+    }
+
+    #[test]
+    fn coverage_of_concatenated_splits_is_the_sum() {
+        let state = state_at_tau2_0_3();
+        let (cs, alphas) = ([0.5, 0.7, 0.95], [0.5, 0.9]);
+        let split = test_split();
+        let (a, b) = split.split_at(2);
+        let whole = coverage(&state, &split, &cs, &alphas);
+        let parts: CoverageCounts = [a, b]
+            .iter()
+            .map(|part| coverage(&state, part, &cs, &alphas).remove(0))
+            .sum();
+        assert_eq!(whole, vec![parts]);
+        assert_eq!(whole[0].positives, 4);
     }
 
     #[test]

@@ -555,11 +555,6 @@ impl ResilientCiClient {
         self.telemetry = Some(telemetry);
     }
 
-    /// The configured degradation mode.
-    pub fn degradation_mode(&self) -> DegradationMode {
-        self.cfg.degradation
-    }
-
     /// The configured per-submission deadline (seconds).
     pub fn config_deadline(&self) -> f64 {
         self.cfg.deadline
@@ -568,11 +563,6 @@ impl ResilientCiClient {
     /// The fault trace accumulated so far (bit-reproducible from the seed).
     pub fn fault_trace(&self) -> &crate::faults::FaultTrace {
         &self.injector.trace
-    }
-
-    /// Breaker state at simulated time `now`.
-    pub fn breaker_state(&mut self, now: f64) -> BreakerState {
-        self.breaker.state_at(now)
     }
 
     /// The breaker's transition history `(sim_time, new_state)`.

@@ -45,11 +45,6 @@ impl Dropout {
         }
     }
 
-    /// True when in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Forward pass. In training mode, samples and caches a mask for the
     /// following [`Dropout::backward`] call; in inference mode this is the
     /// identity.

@@ -403,13 +403,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
     /// Sets all entries to zero (reuses the allocation).
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);

@@ -15,10 +15,3 @@ pub fn normal<R: RngCore + ?Sized>(mean: f64, std: f64, rng: &mut R) -> f64 {
     assert!(std >= 0.0, "standard deviation must be non-negative");
     mean + std * standard_normal(rng)
 }
-
-/// One standard-normal sample in `f32` (single-precision Box–Muller).
-pub fn standard_normal_f32<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
-    let u1: f32 = 1.0 - rng.random::<f32>();
-    let u2: f32 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
-}

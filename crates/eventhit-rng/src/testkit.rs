@@ -125,28 +125,6 @@ impl<T: Clone + Debug> Strategy for Just<T> {
     }
 }
 
-/// A uniformly random `bool`; shrinks `true` to `false`.
-pub fn any_bool() -> AnyBool {
-    AnyBool
-}
-
-/// See [`any_bool`].
-pub struct AnyBool;
-
-impl Strategy for AnyBool {
-    type Value = bool;
-    fn sample(&self, rng: &mut StdRng) -> bool {
-        rng.random()
-    }
-    fn shrink(&self, v: &bool) -> Vec<bool> {
-        if *v {
-            vec![false]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
 macro_rules! int_strategy_impl {
     ($($t:ty),* $(,)?) => {$(
         impl Strategy for Range<$t> {

@@ -128,11 +128,6 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Which clock the recorder reads.
-    pub fn clock_kind(&self) -> ClockKind {
-        self.clock
-    }
-
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }

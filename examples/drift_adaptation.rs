@@ -13,6 +13,7 @@
 use eventhit::core::drift::{DriftDetector, DriftStatus, Recalibrator};
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::infer::score_records;
+use eventhit::core::metrics::coverage;
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::tasks::task;
 use eventhit::video::records::Record;
@@ -51,21 +52,15 @@ fn main() {
     // Phase 1: stationary operation — p-values of positives behave.
     let mut detector = DriftDetector::new(0.2, 0.01);
     let c = 0.9;
-    let mut phase1_miss = (0, 0);
-    for rec in run.test.clone() {
-        if !rec.labels[0].present {
-            continue;
-        }
-        let p = run.state.classifier(0).p_value(rec.scores[0].b);
-        detector.observe(p);
-        phase1_miss.1 += 1;
-        if !run.state.classifier(0).predict(rec.scores[0].b, c) {
-            phase1_miss.0 += 1;
+    for rec in &run.test {
+        if rec.labels[0].present {
+            detector.observe(run.state.classifier(0).p_value(rec.scores[0].b));
         }
     }
+    let phase1 = coverage(&run.state, &run.test, &[c], &[]).remove(0);
     println!(
         "\nPhase 1 (stationary): miss rate {:.3} (bound {:.3}), drift status {:?}",
-        phase1_miss.0 as f64 / phase1_miss.1.max(1) as f64,
+        phase1.rate(phase1.misses[0]),
         1.0 - c,
         detector.status()
     );
@@ -80,7 +75,6 @@ fn main() {
     let drifted = score_records(&run.model, &drifted_records, 128);
     let mut recalibrator = Recalibrator::new(400, 1, 0.5, run.horizon);
     let mut alarm_at = None;
-    let mut phase2_miss = (0, 0);
     for (i, rec) in drifted.iter().enumerate() {
         recalibrator.push(rec.clone());
         if !rec.labels[0].present {
@@ -90,14 +84,11 @@ fn main() {
         if detector.observe(p) == DriftStatus::Drift && alarm_at.is_none() {
             alarm_at = Some(i);
         }
-        phase2_miss.1 += 1;
-        if !run.state.classifier(0).predict(rec.scores[0].b, c) {
-            phase2_miss.0 += 1;
-        }
     }
+    let phase2 = coverage(&run.state, &drifted, &[c], &[]).remove(0);
     println!(
         "Phase 2 (drifted, stale calibration): miss rate {:.3} — guarantee broken",
-        phase2_miss.0 as f64 / phase2_miss.1.max(1) as f64
+        phase2.rate(phase2.misses[0])
     );
     match alarm_at {
         Some(i) => println!("Martingale alarm after {i} drifted records"),
@@ -108,22 +99,14 @@ fn main() {
     let fresh = recalibrator
         .refit()
         .expect("every buffered record carries the task's one event");
-    let mut phase3_miss = (0, 0);
-    let mut relayed = 0u64;
-    for rec in &drifted {
-        let pred = fresh.predict(rec, &Strategy::Ehcr { c, alpha: 0.9 });
-        relayed += pred[0].frames();
-        if !rec.labels[0].present {
-            continue;
-        }
-        phase3_miss.1 += 1;
-        if !pred[0].present {
-            phase3_miss.0 += 1;
-        }
-    }
+    let relayed: u64 = drifted
+        .iter()
+        .map(|rec| fresh.predict(rec, &Strategy::Ehcr { c, alpha: 0.9 })[0].frames())
+        .sum();
+    let phase3 = coverage(&fresh, &drifted, &[c], &[]).remove(0);
     println!(
         "\nPhase 3 (recalibrated): miss rate {:.3} (bound {:.3}), {} frames relayed",
-        phase3_miss.0 as f64 / phase3_miss.1.max(1) as f64,
+        phase3.rate(phase3.misses[0]),
         1.0 - c,
         relayed
     );

@@ -35,7 +35,7 @@ use eventhit::core::ci::CiConfig;
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::infer::score_records;
 use eventhit::core::marshal::Marshaller;
-use eventhit::core::metrics::miss_counts;
+use eventhit::core::metrics::{coverage, CoverageCounts};
 use eventhit::core::model_io;
 use eventhit::core::pipeline::{ConformalState, Strategy};
 use eventhit::core::streaming::OnlinePredictor;
@@ -844,11 +844,12 @@ fn cmd_sweep_sampling(args: &Args) {
             "adaptive:0.05:4",
         ]
     };
-    let (base_misses, base_positives) = runs.iter().fold((0usize, 0usize), |(m, p), r| {
-        let (mi, pi) = miss_counts(&r.state, &r.test, 0.9);
-        (m + mi, p + pi)
-    });
-    let base_miss = base_misses as f64 / base_positives.max(1) as f64;
+    // Event 0's counts, pooled over the seeds.
+    let base: CoverageCounts = runs
+        .iter()
+        .map(|r| coverage(&r.state, &r.test, &[0.9], &[]).remove(0))
+        .sum();
+    let (base_miss, base_positives) = (base.rate(base.misses[0]), base.positives);
 
     println!(
         "# sweep-sampling task={} scale={} seeds={}..={} lane={} streams={} c=0.9 smoke={}",
@@ -866,13 +867,12 @@ fn cmd_sweep_sampling(args: &Args) {
         let policy = SamplingPolicy::parse(spec).expect("grid specs are valid");
         // Pool quality over every seed: refit the conformal state on each
         // seed's gated calibration split, score its gated test split, and
-        // sum the miss counts before taking the rate.
+        // sum the coverage counts before taking the rate.
         let states: Vec<ConformalState> = runs
             .iter()
             .map(|r| r.state_for_sampling(&policy, args.lane))
             .collect();
-        let mut misses = 0usize;
-        let mut positives = 0usize;
+        let mut counts = Vec::with_capacity(runs.len());
         let mut rec_sum = 0f64;
         let mut spl_sum = 0f64;
         for (r, state) in runs.iter().zip(&states) {
@@ -884,11 +884,10 @@ fn cmd_sweep_sampling(args: &Args) {
             let outcome = evaluate(&preds, &test, r.horizon as u32);
             rec_sum += outcome.rec;
             spl_sum += outcome.spl;
-            let (mi, pi) = miss_counts(state, &test, 0.9);
-            misses += mi;
-            positives += pi;
+            counts.push(coverage(state, &test, &[0.9], &[]).remove(0));
         }
-        let miss = misses as f64 / positives.max(1) as f64;
+        let pooled: CoverageCounts = counts.into_iter().sum();
+        let (miss, positives) = (pooled.rate(pooled.misses[0]), pooled.positives);
         let d = drive_lanes(
             &runs[0],
             &states[0],

@@ -7,8 +7,7 @@
 //! finite-sample / temporal-split tolerance.
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::infer::raw_interval;
-use eventhit::core::metrics::miss_counts;
+use eventhit::core::metrics::{coverage, CoverageCounts};
 use eventhit::core::tasks::task;
 
 fn runs() -> Vec<TaskRun> {
@@ -23,19 +22,24 @@ fn runs() -> Vec<TaskRun> {
         .collect()
 }
 
+/// Coverage of event 0 pooled over `runs`' own states and test splits.
+fn pooled(runs: &[TaskRun], cs: &[f64], alphas: &[f64]) -> CoverageCounts {
+    runs.iter()
+        .map(|run| coverage(&run.state, &run.test, cs, alphas).remove(0))
+        .sum()
+}
+
 #[test]
 fn c_classify_miss_rate_is_bounded() {
-    let runs = runs();
-    for &c in &[0.7, 0.9, 0.95] {
-        let (misses, positives) = runs
-            .iter()
-            .map(|run| miss_counts(&run.state, &run.test, c))
-            .fold((0, 0), |(m, p), (mi, pi)| (m + mi, p + pi));
+    let cs = [0.7, 0.9, 0.95];
+    let counts = pooled(&runs(), &cs, &[]);
+    for (i, &c) in cs.iter().enumerate() {
+        let positives = counts.positives;
         assert!(
             positives > 20,
             "need enough positives to test ({positives})"
         );
-        let miss_rate = misses as f64 / positives as f64;
+        let miss_rate = counts.rate(counts.misses[i]);
         // Tolerance: marginal guarantee + temporal-split drift + noise.
         assert!(
             miss_rate <= (1.0 - c) + 0.10,
@@ -47,31 +51,12 @@ fn c_classify_miss_rate_is_bounded() {
 
 #[test]
 fn c_regress_endpoint_coverage_holds() {
-    let runs = runs();
-    for &alpha in &[0.5, 0.9] {
-        let mut start_cov = 0usize;
-        let mut end_cov = 0usize;
-        let mut positives = 0usize;
-        for run in &runs {
-            for rec in &run.test {
-                let label = &rec.labels[0];
-                if !label.present {
-                    continue;
-                }
-                positives += 1;
-                let (s_hat, e_hat) = raw_interval(&rec.scores[0], 0.5);
-                let (qs, qe) = run.state.interval_calibration(0).quantiles(alpha);
-                if (label.start as f64 - s_hat as f64).abs() <= qs {
-                    start_cov += 1;
-                }
-                if (label.end as f64 - e_hat as f64).abs() <= qe {
-                    end_cov += 1;
-                }
-            }
-        }
-        assert!(positives > 20);
-        let s_rate = start_cov as f64 / positives as f64;
-        let e_rate = end_cov as f64 / positives as f64;
+    let alphas = [0.5, 0.9];
+    let counts = pooled(&runs(), &[], &alphas);
+    for (i, &alpha) in alphas.iter().enumerate() {
+        assert!(counts.positives > 20);
+        let s_rate = counts.rate(counts.starts_covered[i]);
+        let e_rate = counts.rate(counts.ends_covered[i]);
         assert!(
             s_rate >= alpha - 0.12,
             "alpha={alpha}: start coverage {s_rate}"

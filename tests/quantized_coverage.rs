@@ -8,29 +8,24 @@
 //! computed from the same score distribution the deployed lane produces
 //! and the split-conformal guarantee holds unchanged.
 //!
-//! This suite re-runs the coverage harness of `conformal_guarantees.rs`
-//! on the quantized lane across several Table II tasks and additionally
-//! pins the quantized lane's empirical coverage to the exact lane's
-//! within a ±1% pooled tolerance.
+//! This suite pools `metrics::coverage` (through [`TaskRun::coverage`])
+//! over several Table II tasks on both lanes, pins the quantized lane to
+//! the bounds `conformal_guarantees.rs` pins the exact lane to, and
+//! additionally pins the quantized lane's empirical coverage to the
+//! exact lane's within a ±1% pooled tolerance.
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::infer::{raw_interval, score_records_lane_with, ScoredRecord};
-use eventhit::core::metrics::miss_counts;
-use eventhit::core::pipeline::ConformalState;
+use eventhit::core::infer::score_records_lane_with;
+use eventhit::core::metrics::CoverageCounts;
+use eventhit::core::sampling::SamplingPolicy;
 use eventhit::core::tasks::task;
 use eventhit::core::InferenceLane;
 use eventhit::parallel::Pool;
 
-/// One task executed once, with both lanes' test scores and conformal
-/// states materialised.
-struct LaneRun {
-    exact_state: ConformalState,
-    exact_test: Vec<ScoredRecord>,
-    quant_state: ConformalState,
-    quant_test: Vec<ScoredRecord>,
-}
+const CS: [f64; 3] = [0.7, 0.9, 0.95];
+const ALPHAS: [f64; 2] = [0.5, 0.9];
 
-fn lane_runs() -> Vec<LaneRun> {
+fn runs() -> Vec<TaskRun> {
     // Several tasks / seeds so the marginal guarantees are pooled over
     // independent streams, features, and model initialisations.
     [("TA10", 100u64), ("TA10", 101), ("TA3", 102)]
@@ -40,75 +35,33 @@ fn lane_runs() -> Vec<LaneRun> {
                 scale: 0.2,
                 ..ExperimentConfig::quick(seed)
             };
-            let run = TaskRun::execute(&task(id).unwrap(), &cfg);
-            let quant_state = run.state_for_lane(InferenceLane::Quantized);
-            let quant_test = score_records_lane_with(
-                &run.model,
-                &run.test_records,
-                128,
-                InferenceLane::Quantized,
-                &Pool::current(),
-            );
-            LaneRun {
-                exact_state: run.state,
-                exact_test: run.test,
-                quant_state,
-                quant_test,
-            }
+            TaskRun::execute(&task(id).unwrap(), &cfg)
         })
         .collect()
 }
 
-/// Pooled C-CLASSIFY miss rate of event 0 at confidence `c` over one
-/// lane's (state, test scores).
-fn miss_rate(runs: &[(&ConformalState, &[ScoredRecord])], c: f64) -> (f64, usize) {
-    let (misses, positives) = runs
-        .iter()
-        .map(|(state, test)| miss_counts(state, test, c))
-        .fold((0, 0), |(m, p), (mi, pi)| (m + mi, p + pi));
-    (misses as f64 / positives.max(1) as f64, positives)
-}
-
-/// Pooled C-REGRESS endpoint coverage (start, end) at level `alpha`.
-fn endpoint_coverage(runs: &[(&ConformalState, &[ScoredRecord])], alpha: f64) -> (f64, f64) {
-    let mut start_cov = 0usize;
-    let mut end_cov = 0usize;
-    let mut positives = 0usize;
-    for (state, test) in runs {
-        for rec in test.iter() {
-            let label = &rec.labels[0];
-            if !label.present {
-                continue;
-            }
-            positives += 1;
-            let (s_hat, e_hat) = raw_interval(&rec.scores[0], 0.5);
-            let (qs, qe) = state.interval_calibration(0).quantiles(alpha);
-            if (label.start as f64 - s_hat as f64).abs() <= qs {
-                start_cov += 1;
-            }
-            if (label.end as f64 - e_hat as f64).abs() <= qe {
-                end_cov += 1;
-            }
-        }
-    }
-    let n = positives.max(1) as f64;
-    (start_cov as f64 / n, end_cov as f64 / n)
+/// Coverage of event 0 pooled over `runs` on `lane`, each run's state
+/// fitted on that lane's calibration scores.
+fn pooled(runs: &[TaskRun], lane: InferenceLane) -> CoverageCounts {
+    runs.iter()
+        .map(|run| {
+            run.coverage(&SamplingPolicy::Fixed, lane, &CS, &ALPHAS)
+                .remove(0)
+        })
+        .sum()
 }
 
 #[test]
 fn quantized_lane_miss_rate_is_bounded_and_tracks_exact() {
-    let runs = lane_runs();
-    let exact: Vec<_> = runs
-        .iter()
-        .map(|r| (&r.exact_state, r.exact_test.as_slice()))
-        .collect();
-    let quant: Vec<_> = runs
-        .iter()
-        .map(|r| (&r.quant_state, r.quant_test.as_slice()))
-        .collect();
-    for &c in &[0.7, 0.9, 0.95] {
-        let (q_rate, positives) = miss_rate(&quant, c);
-        let (e_rate, _) = miss_rate(&exact, c);
+    let runs = runs();
+    let (quant, exact) = (
+        pooled(&runs, InferenceLane::Quantized),
+        pooled(&runs, InferenceLane::Exact),
+    );
+    for (i, &c) in CS.iter().enumerate() {
+        let q_rate = quant.rate(quant.misses[i]);
+        let e_rate = exact.rate(exact.misses[i]);
+        let positives = quant.positives;
         assert!(positives > 20, "need enough positives ({positives})");
         // Absolute validity on the quantized lane, same tolerance as the
         // exact-lane harness in conformal_guarantees.rs.
@@ -128,18 +81,20 @@ fn quantized_lane_miss_rate_is_bounded_and_tracks_exact() {
 
 #[test]
 fn quantized_lane_endpoint_coverage_holds_and_tracks_exact() {
-    let runs = lane_runs();
-    let exact: Vec<_> = runs
-        .iter()
-        .map(|r| (&r.exact_state, r.exact_test.as_slice()))
-        .collect();
-    let quant: Vec<_> = runs
-        .iter()
-        .map(|r| (&r.quant_state, r.quant_test.as_slice()))
-        .collect();
-    for &alpha in &[0.5, 0.9] {
-        let (qs, qe) = endpoint_coverage(&quant, alpha);
-        let (es, ee) = endpoint_coverage(&exact, alpha);
+    let runs = runs();
+    let (quant, exact) = (
+        pooled(&runs, InferenceLane::Quantized),
+        pooled(&runs, InferenceLane::Exact),
+    );
+    for (i, &alpha) in ALPHAS.iter().enumerate() {
+        let (qs, qe) = (
+            quant.rate(quant.starts_covered[i]),
+            quant.rate(quant.ends_covered[i]),
+        );
+        let (es, ee) = (
+            exact.rate(exact.starts_covered[i]),
+            exact.rate(exact.ends_covered[i]),
+        );
         assert!(
             qs >= alpha - 0.12,
             "alpha={alpha}: quantized start coverage {qs}"

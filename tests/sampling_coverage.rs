@@ -11,18 +11,19 @@
 //! quantiles come from the same distribution the deployed gated lane
 //! produces.
 //!
-//! This suite pools several independent runs and pins both absolute
-//! validity (the C-CLASSIFY miss bound) and relative validity: the
-//! gated lane's empirical coverage must track the ungated lane's within
-//! ±1% — the workspace's standard lane-equivalence tolerance (see
+//! This suite pools `metrics::coverage` (through [`TaskRun::coverage`])
+//! over several independent runs and pins both absolute validity (the
+//! C-CLASSIFY miss bound) and relative validity: the gated lane's
+//! empirical coverage must track the ungated lane's within ±1% — the
+//! workspace's standard lane-equivalence tolerance (see
 //! `quantized_coverage.rs`).
 
 use std::sync::Arc;
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::infer::{score_records_lane_with, ScoredRecord};
-use eventhit::core::metrics::miss_counts;
-use eventhit::core::pipeline::{ConformalState, Strategy};
+use eventhit::core::infer::score_records_lane_with;
+use eventhit::core::metrics::CoverageCounts;
+use eventhit::core::pipeline::Strategy;
 use eventhit::core::sampling::{sampled_records, SamplingPolicy};
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
@@ -31,15 +32,6 @@ use eventhit::nn::matrix::Matrix;
 use eventhit::parallel::Pool;
 use eventhit::telemetry::Telemetry;
 use eventhit::video::records::{EventLabel, Record};
-
-/// One task executed once, with the ungated state/test plus each gated
-/// policy's recalibrated state, gated test scores, and the number of
-/// frames the deployed gate skips over the run's stream.
-struct GatedRun {
-    base_state: ConformalState,
-    base_test: Vec<ScoredRecord>,
-    gated: Vec<(ConformalState, Vec<ScoredRecord>, u64)>,
-}
 
 /// The policies whose coverage the suite pins: a conservative delta
 /// gate (below the feature noise floor, so event frames still reach the
@@ -52,7 +44,7 @@ fn policies() -> Vec<SamplingPolicy> {
     ]
 }
 
-fn gated_runs() -> Vec<GatedRun> {
+fn runs() -> Vec<TaskRun> {
     // Several tasks / seeds so the marginal guarantees are pooled over
     // independent streams, features, and model initialisations.
     [("TA10", 100u64), ("TA10", 101), ("TA3", 102)]
@@ -62,62 +54,48 @@ fn gated_runs() -> Vec<GatedRun> {
                 scale: 0.4,
                 ..ExperimentConfig::quick(seed)
             };
-            let run = TaskRun::execute(&task(id).unwrap(), &cfg);
-            let gated = policies()
-                .iter()
-                .map(|p| {
-                    let state = run.state_for_sampling(p, InferenceLane::Exact);
-                    let mut online = OnlinePredictor::with_policy(
-                        run.model.clone(),
-                        state.clone(),
-                        Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-                        InferenceLane::Exact,
-                        p.clone(),
-                    );
-                    online.run_over(&run.features, 0);
-                    (
-                        state,
-                        run.sampled_test(p, InferenceLane::Exact),
-                        online.frames_skipped(),
-                    )
-                })
-                .collect();
-            GatedRun {
-                base_state: run.state,
-                base_test: run.test,
-                gated,
-            }
+            TaskRun::execute(&task(id).unwrap(), &cfg)
         })
         .collect()
 }
 
-/// Pooled C-CLASSIFY miss rate of event 0 at confidence `c`.
-fn miss_rate(runs: &[(&ConformalState, &[ScoredRecord])], c: f64) -> (f64, usize) {
-    let (misses, positives) = runs
-        .iter()
-        .map(|(state, test)| miss_counts(state, test, c))
-        .fold((0, 0), |(m, p), (mi, pi)| (m + mi, p + pi));
-    (misses as f64 / positives.max(1) as f64, positives)
+/// Coverage of event 0 at c = 0.9 pooled over `runs` under `policy`,
+/// each run's state refitted on its gated calibration split.
+fn pooled(runs: &[TaskRun], policy: &SamplingPolicy) -> CoverageCounts {
+    runs.iter()
+        .map(|run| {
+            run.coverage(policy, InferenceLane::Exact, &[0.9], &[])
+                .remove(0)
+        })
+        .sum()
+}
+
+/// Frames the deployed gate skips over `run`'s stream. The gate reads
+/// the features alone, so the run's own conformal state serves.
+fn frames_skipped(run: &TaskRun, policy: &SamplingPolicy) -> u64 {
+    let mut online = OnlinePredictor::with_policy(
+        run.model.clone(),
+        run.state.clone(),
+        Strategy::Ehcr { c: 0.9, alpha: 0.5 },
+        InferenceLane::Exact,
+        policy.clone(),
+    );
+    online.run_over(&run.features, 0);
+    online.frames_skipped()
 }
 
 #[test]
 fn gated_miss_rate_is_bounded_and_tracks_ungated() {
-    let runs = gated_runs();
-    let base: Vec<_> = runs
-        .iter()
-        .map(|r| (&r.base_state, r.base_test.as_slice()))
-        .collect();
-    let (base_rate, base_positives) = miss_rate(&base, 0.9);
+    let runs = runs();
+    let base = pooled(&runs, &SamplingPolicy::Fixed);
+    let (base_rate, base_positives) = (base.rate(base.misses[0]), base.positives);
     assert!(
         base_positives > 20,
         "need enough positives ({base_positives})"
     );
-    for (pi, policy) in policies().iter().enumerate() {
-        let gated: Vec<_> = runs
-            .iter()
-            .map(|r| (&r.gated[pi].0, r.gated[pi].1.as_slice()))
-            .collect();
-        let (rate, positives) = miss_rate(&gated, 0.9);
+    for policy in policies() {
+        let gated = pooled(&runs, &policy);
+        let (rate, positives) = (gated.rate(gated.misses[0]), gated.positives);
         assert_eq!(
             positives,
             base_positives,
@@ -141,7 +119,7 @@ fn gated_miss_rate_is_bounded_and_tracks_ungated() {
         // A gate with a positive threshold that skips nothing is dead,
         // and the two bounds above were then checked on an ungated lane.
         if policy.gate().is_some_and(|g| g.threshold > 0.0) {
-            let skipped: u64 = runs.iter().map(|r| r.gated[pi].2).sum();
+            let skipped: u64 = runs.iter().map(|r| frames_skipped(r, &policy)).sum();
             assert!(skipped > 0, "{}: skipped no frames", policy.label());
         }
     }
