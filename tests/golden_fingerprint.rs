@@ -17,7 +17,7 @@ use eventhit::core::multi::{run_lanes, StreamLane};
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
-use eventhit::core::InferenceLane;
+use eventhit::core::{InferenceLane, SamplingPolicy};
 use eventhit::parallel::{with_workers, Pool};
 use eventhit::telemetry::Telemetry;
 
@@ -38,6 +38,14 @@ const GOLDEN_QUANTIZED_FINGERPRINT: u64 = 0x3a32_fc70_d8c1_e148;
 /// full-size network — a 192-wide LSTM gate and a 201-wide head — so
 /// every training product's bits at those widths are pinned here.
 const GOLDEN_FIXTURE_MODEL: u64 = 0xf8e6_9b63_c292_da9b;
+
+/// FNV-1a over the exact-lane multi-stream decision timelines of the
+/// quickstart run under the two gated policies (`delta:0.1`, then
+/// `adaptive:0:2`), each with its conformal state refitted on gated
+/// trajectories. The goldens above all run `Fixed`; this one pins the
+/// gate's hysteresis, run cap and carry bound and the adaptive window's
+/// EMA, so a change to any of them moves this constant.
+const GOLDEN_GATED_FINGERPRINT: u64 = 0x8469_d2dd_9b11_d2a9;
 
 fn pipeline_trace() -> (String, u64) {
     let cfg = ExperimentConfig {
@@ -264,4 +272,60 @@ fn quantized_fingerprint_matches_golden_constant_at_any_worker_count() {
         assert_eq!(text_w, text_1, "quantized trace diverged at {w} workers");
         assert_eq!(fp_w, GOLDEN_QUANTIZED_FINGERPRINT);
     }
+}
+
+/// [`quantized_trace`]'s two lanes on the exact lane, once per gated
+/// policy, with the policy's label heading its decisions.
+fn gated_trace(workers: usize) -> (String, u64) {
+    let cfg = ExperimentConfig {
+        scale: 0.08,
+        ..ExperimentConfig::quick(40)
+    };
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let mut text = String::new();
+    for spec in ["delta:0.1", "adaptive:0:2"] {
+        let policy = SamplingPolicy::parse(spec).expect("a valid spec");
+        let state = run.state_for_sampling(&policy, InferenceLane::Exact);
+        let lanes: Vec<StreamLane> = [0usize, 11]
+            .iter()
+            .enumerate()
+            .map(|(i, &from)| StreamLane {
+                stream_id: i,
+                predictor: OnlinePredictor::with_policy(
+                    run.model.clone(),
+                    state.clone(),
+                    Strategy::Ehcr { c: 0.9, alpha: 0.5 },
+                    InferenceLane::Exact,
+                    policy.clone(),
+                ),
+                features: run.features.clone(),
+                from,
+            })
+            .collect();
+        text.push_str(&format!("{}\n", policy.label()));
+        for d in &run_lanes(lanes, &Pool::new(workers)) {
+            text.push_str(&format!(
+                "{} {}:{:?}\n",
+                d.stream_id, d.decision.anchor, d.decision.predictions
+            ));
+        }
+    }
+    let fp = fnv1a(text.as_bytes());
+    (text, fp)
+}
+
+#[test]
+fn gated_fingerprint_matches_golden_constant_at_1_and_4_workers() {
+    let (text_1, fp_1) = gated_trace(1);
+    assert!(
+        text_1.lines().count() > 2,
+        "gated trace produced no decisions"
+    );
+    assert_eq!(
+        fp_1, GOLDEN_GATED_FINGERPRINT,
+        "gated decision fingerprint drifted: got {fp_1:#018x}"
+    );
+    let (text_4, fp_4) = gated_trace(4);
+    assert_eq!(text_4, text_1, "gated trace diverged at 4 workers");
+    assert_eq!(fp_4, GOLDEN_GATED_FINGERPRINT);
 }
