@@ -105,20 +105,6 @@ impl CiConfig {
             frames_covered: (num_horizons * horizon) as u64,
         }
     }
-
-    /// Cost of the brute-force baseline: every frame of every horizon is
-    /// relayed, no local processing at all.
-    pub fn account_brute_force(&self, num_horizons: usize, horizon: usize) -> CostReport {
-        let frames = (num_horizons * horizon) as u64;
-        CostReport {
-            frames_relayed: frames,
-            expense: frames as f64 * self.price_per_frame,
-            feature_seconds: 0.0,
-            predictor_seconds: 0.0,
-            ci_seconds: self.ci.seconds_for(frames),
-            frames_covered: frames,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -155,15 +141,6 @@ mod tests {
         assert!((fe + pr + ci - 1.0).abs() < 1e-12);
         // CI should dominate with these settings (Fig. 10 shape).
         assert!(ci > 0.8, "ci fraction {ci}");
-    }
-
-    #[test]
-    fn brute_force_relays_everything() {
-        let ci = CiConfig::default();
-        let bf = ci.account_brute_force(10, 500);
-        assert_eq!(bf.frames_relayed, 5000);
-        assert_eq!(bf.frames_covered, 5000);
-        assert!((bf.fps() - ci.ci.fps).abs() < 1e-9);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use eventhit_parallel::Pool;
 use eventhit_telemetry::Telemetry;
 use eventhit_video::dataset::{Dataset, SplitSpec};
 use eventhit_video::features::{extract, FeatureConfig};
-use eventhit_video::normalize::Standardizer;
 use eventhit_video::records::{EventLabel, Record};
 use eventhit_video::stream::VideoStream;
 use eventhit_video::synthetic::DatasetProfile;
@@ -60,11 +59,6 @@ pub struct ExperimentConfig {
     /// (1.0 = Table I density). Used by the footnote-1 experiment to create
     /// horizons containing several instances.
     pub occurrence_boost: f64,
-    /// Standardize covariates (z-score per channel, statistics fitted on
-    /// the training split only). Off by default — the synthetic channels
-    /// are already ~unit scale; enable for user detectors with mixed
-    /// scales.
-    pub standardize: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -83,7 +77,6 @@ impl Default for ExperimentConfig {
             dropout: 0.2,
             encoder: EncoderKind::Lstm,
             occurrence_boost: 1.0,
-            standardize: false,
         }
     }
 }
@@ -189,13 +182,7 @@ impl TaskRun {
             &cfg.features,
             cfg.seed.wrapping_mul(37).wrapping_add(2),
         );
-        let mut dataset = Dataset::build(&stream, &features, window, horizon, &cfg.split);
-        if cfg.standardize {
-            let scaler = Standardizer::fit(&dataset.train);
-            dataset.train = scaler.transform(&dataset.train);
-            dataset.calib = scaler.transform(&dataset.calib);
-            dataset.test = scaler.transform(&dataset.test);
-        }
+        let dataset = Dataset::build(&stream, &features, window, horizon, &cfg.split);
         if dataset.train.is_empty() || dataset.calib.is_empty() || dataset.test.is_empty() {
             return Err(CoreError::EmptySplit {
                 task: task.id.to_string(),
@@ -543,22 +530,6 @@ mod tests {
         let report = run.cost(&outcome, &CiConfig::default());
         assert_eq!(report.frames_relayed, outcome.frames_relayed);
         assert!(report.total_seconds() > 0.0);
-    }
-
-    #[test]
-    fn standardized_run_still_learns() {
-        let cfg = ExperimentConfig {
-            standardize: true,
-            ..ExperimentConfig::quick(8)
-        };
-        let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
-        let o = run.evaluate(&Strategy::Ehcr {
-            c: 0.95,
-            alpha: 0.9,
-        });
-        // The standardized pipeline must remain functional (recall above
-        // chance given the permissive strategy).
-        assert!(o.rec > 0.3 || o.positives == 0, "rec={}", o.rec);
     }
 
     #[test]

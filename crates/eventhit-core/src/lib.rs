@@ -55,7 +55,7 @@ pub use resilient::{
     BreakerConfig, BreakerState, CircuitBreaker, DegradationMode, DegradationTag, ResilienceConfig,
     ResilienceStats, ResilientCiClient, RetryPolicy, SubmissionOutcome,
 };
-pub use sampling::{GateParams, SamplingPolicy, WindowParams};
+pub use sampling::SamplingPolicy;
 pub use tasks::{all_tasks, task, DatasetKind, Task};
 pub use train::{train, TrainConfig, TrainReport};
 

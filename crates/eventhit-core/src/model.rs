@@ -932,7 +932,7 @@ mod tests {
 
     #[test]
     fn params_mut_retires_the_plan_and_a_held_plan_keeps_the_old_weights() {
-        use eventhit_nn::optimizer::{Optimizer, Sgd};
+        use eventhit_nn::optimizer::Adam;
         for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
             let (mut model, records) = trained(kind);
             let before = model.clone();
@@ -943,7 +943,7 @@ mod tests {
             model.zero_grad();
             let outs = model.forward(&batch);
             model.backward(&outs);
-            Sgd::new(0.5, 0.0).step(&mut model.params_mut());
+            Adam::new(0.5).step(&mut model.params_mut());
 
             let fresh = [model.packed(), model.quantized()];
             for (held, fresh) in held.iter().zip(&fresh) {

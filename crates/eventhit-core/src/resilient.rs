@@ -342,11 +342,6 @@ impl SubmissionOutcome {
             },
         }
     }
-
-    /// True iff the CI actually received the frames.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, SubmissionOutcome::Delivered { .. })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +847,7 @@ mod tests {
     fn zero_frames_deliver_without_an_attempt() {
         let mut c = client(FaultConfig::lossy(), ResilienceConfig::default());
         let out = c.submit(0, 0.0);
-        assert!(out.is_delivered());
+        assert!(matches!(out, SubmissionOutcome::Delivered { .. }));
         assert!(c.fault_trace().entries.is_empty(), "channel untouched");
     }
 

@@ -8,14 +8,14 @@
 //!   covariates barely moved relative to the last *accepted* frame is
 //!   acknowledged but not pushed into the collection window (the window
 //!   keeps carrying the previous content — "duplicate-carry"). A
-//!   deterministic hysteresis band keeps near-threshold streams from
-//!   oscillating, and an optional `max_run` bound force-refreshes the
-//!   reference after too many consecutive skips. A second,
+//!   deterministic hysteresis band ([`HYSTERESIS`]) keeps near-threshold
+//!   streams from oscillating, and the [`MAX_RUN`] bound force-refreshes
+//!   the reference after too many consecutive skips. A second,
 //!   window-level drift test drives the **anchor-level carry**: a
 //!   decision anchor whose candidate window's per-dimension means moved
 //!   less than the threshold from the last *scored* anchor's window
 //!   ([`window_drift`]) reuses that anchor's scores and predictions
-//!   without running the encoder at all, up to `max_carry` consecutive
+//!   without running the encoder at all, up to [`MAX_CARRY`] consecutive
 //!   anchors — this is where the frames/sec win comes from, because the
 //!   encoder forward dominates a lane's per-frame cost. Averaging over
 //!   the window rows suppresses per-frame noise by `~sqrt(m)` while a
@@ -24,11 +24,14 @@
 //!   enters the window.
 //! - a **query-aware collection window**: the number of window rows the
 //!   encoder actually consumes per anchor, `m`, shrinks toward `m_min`
-//!   while the stream is quiet and grows back toward `m_max` when events
-//!   fire, driven by an EMA of the raw existence-score hit rate.
+//!   while the stream is quiet and grows back toward the model's `M` when
+//!   events fire, driven by an EMA (factor [`BETA`]) of the raw
+//!   existence-score hit rate.
 //!
-//! Both levers are pure functions of the frame sequence and the policy
-//! parameters — no clocks, no randomness — so decisions stay
+//! A policy sets only the gate threshold and, for the adaptive window,
+//! `m_min`; everything else is one of this module's constants. Both
+//! levers are pure functions of the frame sequence and the policy — no
+//! clocks, no randomness — so decisions stay
 //! bit-reproducible per seed and across worker counts (the property
 //! every other layer of this workspace is built on). The anchor cadence
 //! is *identical* under every policy: gated frames still advance the
@@ -60,78 +63,34 @@ use crate::model::{window_rows, EventHit, InferencePlan};
 /// keeps gated calibration non-circular.
 pub const HIT_TAU1: f64 = 0.5;
 
-/// Parameters of the feature-delta gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateParams {
-    /// Mean-absolute-delta threshold below which a frame is gated
-    /// (skipped). Features here are ~unit scale; see `docs/SAMPLING.md`
-    /// for how to pick this for your detector.
-    pub threshold: f32,
-    /// Hysteresis exit multiplier (`>= 1`). While the gate is closed
-    /// (skipping), a frame must move by at least
-    /// `threshold * hysteresis` to re-open it — the band that keeps
-    /// near-threshold streams from oscillating.
-    pub hysteresis: f32,
-    /// Force-accept after this many consecutive skips (`0` = unbounded).
-    /// Bounds how stale the *window content* can get.
-    pub max_run: u32,
-    /// Largest run of consecutive *carried anchors*: an anchor whose
-    /// candidate window drifted less than `threshold` from the last
-    /// scored anchor's window (per-dimension window means, see
-    /// [`window_drift`]) reuses that anchor's scores and predictions
-    /// outright (duplicate-carry), skipping the encoder forward
-    /// entirely. After `max_carry` consecutive carries the next anchor
-    /// is force-scored, bounding decision staleness to `max_carry`
-    /// horizons. `0` disables carrying (every anchor is scored).
-    pub max_carry: u32,
-}
+/// Hysteresis exit multiplier of the feature-delta gate. While the gate
+/// is closed (skipping), a frame must move by at least
+/// `threshold * HYSTERESIS` to re-open it — the band that keeps
+/// near-threshold streams from oscillating.
+pub const HYSTERESIS: f32 = 1.25;
 
-impl Default for GateParams {
-    fn default() -> Self {
-        GateParams {
-            threshold: 0.1,
-            hysteresis: 1.25,
-            max_run: 64,
-            max_carry: 4,
-        }
-    }
-}
+/// The gate force-accepts a frame after this many consecutive skips,
+/// bounding how stale the *window content* can get.
+pub const MAX_RUN: u32 = 64;
 
-impl GateParams {
-    /// Whether an anchor whose candidate window drifted by `drift`
-    /// (per-dimension window means, see [`window_drift`]) from the last
-    /// *scored* anchor's window may carry that anchor's scores, given
-    /// `run` anchors have already been carried consecutively.
-    pub fn carries(&self, drift: f32, run: u32) -> bool {
-        self.max_carry > 0 && run < self.max_carry && drift < self.threshold
-    }
-}
+/// Largest run of consecutive *carried anchors*: an anchor whose
+/// candidate window drifted less than the gate threshold from the last
+/// scored anchor's window (per-dimension window means, see
+/// [`window_drift`]) reuses that anchor's scores and predictions outright
+/// (duplicate-carry), skipping the encoder forward entirely. After
+/// `MAX_CARRY` consecutive carries the next anchor is force-scored,
+/// bounding decision staleness to `MAX_CARRY` horizons.
+pub const MAX_CARRY: u32 = 4;
 
-/// Parameters of the adaptive collection window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowParams {
-    /// Smallest window the encoder consumes per anchor (`>= 1`).
-    pub m_min: usize,
-    /// Largest window (`0` resolves to the model's configured `M` when
-    /// the policy is attached to a predictor).
-    pub m_max: usize,
-    /// EMA smoothing factor in `(0, 1]` for the hit-rate estimate
-    /// (`ema = (1 - beta) * ema + beta * hit`, updated once per anchor).
-    pub beta: f64,
-}
-
-impl Default for WindowParams {
-    fn default() -> Self {
-        WindowParams {
-            m_min: 4,
-            m_max: 0,
-            beta: 0.2,
-        }
-    }
-}
+/// EMA smoothing factor of the adaptive window's hit-rate estimate
+/// (`ema = (1 - BETA) * ema + BETA * hit`, updated once per anchor).
+pub const BETA: f64 = 0.2;
 
 /// Per-stream sampling policy: how frames are admitted into the
 /// collection window and how many window rows the encoder consumes.
+/// `threshold` is the gate's mean-absolute-delta threshold below which a
+/// frame is gated (skipped); features here are ~unit scale, see
+/// `docs/SAMPLING.md` for how to pick it for your detector.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum SamplingPolicy {
     /// Every frame is encoded, full `M`-row windows — the historical
@@ -139,14 +98,17 @@ pub enum SamplingPolicy {
     #[default]
     Fixed,
     /// Feature-delta gating with a fixed `M`-row window.
-    DeltaGate(GateParams),
+    DeltaGate {
+        /// The gate threshold.
+        threshold: f32,
+    },
     /// Feature-delta gating plus the query-aware window: `m` adapts in
-    /// `[m_min, m_max]` from the EMA of the raw hit rate.
+    /// `[m_min, M]` from the EMA of the raw hit rate.
     Adaptive {
-        /// The gate in front of the encoder.
-        gate: GateParams,
-        /// The window-adaptation law.
-        window: WindowParams,
+        /// The gate threshold.
+        threshold: f32,
+        /// Smallest window the encoder consumes per anchor (`>= 1`).
+        m_min: usize,
     },
 }
 
@@ -156,31 +118,26 @@ impl SamplingPolicy {
         matches!(self, SamplingPolicy::Fixed)
     }
 
-    /// The gate parameters, when the policy gates at all.
-    pub fn gate(&self) -> Option<&GateParams> {
-        match self {
+    /// The gate threshold, when the policy gates at all.
+    pub fn threshold(&self) -> Option<f32> {
+        match *self {
             SamplingPolicy::Fixed => None,
-            SamplingPolicy::DeltaGate(g) => Some(g),
-            SamplingPolicy::Adaptive { gate, .. } => Some(gate),
+            SamplingPolicy::DeltaGate { threshold }
+            | SamplingPolicy::Adaptive { threshold, .. } => Some(threshold),
         }
     }
 
     /// Parses a CLI policy spec:
     ///
     /// - `fixed`
-    /// - `delta:THRESHOLD[:HYSTERESIS[:MAX_RUN[:MAX_CARRY]]]`
-    /// - `adaptive:THRESHOLD:M_MIN[:M_MAX[:BETA]]` (`M_MAX` `0` = model `M`)
+    /// - `delta:THRESHOLD`
+    /// - `adaptive:THRESHOLD:M_MIN`
     ///
-    /// Omitted fields take the [`GateParams`] / [`WindowParams`]
-    /// defaults. Returns a human-readable message on malformed specs.
+    /// Returns a human-readable message on malformed specs.
     pub fn parse(spec: &str) -> Result<SamplingPolicy, String> {
         let mut parts = spec.split(':');
         let kind = parts.next().unwrap_or("");
         let fields: Vec<&str> = parts.collect();
-        let num = |s: &str, what: &str| -> Result<f64, String> {
-            s.parse::<f64>()
-                .map_err(|_| format!("bad {what} {s:?} in sampling spec {spec:?}"))
-        };
         match kind {
             "fixed" if fields.is_empty() => Ok(SamplingPolicy::Fixed),
             "fixed" => Err(format!("fixed takes no parameters, got {spec:?}")),
@@ -188,57 +145,33 @@ impl SamplingPolicy {
                 if fields.is_empty() {
                     return Err(format!("{kind} needs a threshold, e.g. {kind}:0.1"));
                 }
-                let mut gate = GateParams {
-                    threshold: num(fields[0], "threshold")? as f32,
-                    ..GateParams::default()
-                };
-                if !(gate.threshold >= 0.0 && gate.threshold.is_finite()) {
+                let threshold = fields[0].parse::<f64>().map_err(|_| {
+                    format!("bad threshold {:?} in sampling spec {spec:?}", fields[0])
+                })? as f32;
+                if !(threshold >= 0.0 && threshold.is_finite()) {
                     return Err(format!("threshold must be finite and >= 0 in {spec:?}"));
                 }
                 if kind == "delta" {
-                    if let Some(h) = fields.get(1) {
-                        gate.hysteresis = num(h, "hysteresis")? as f32;
-                    }
-                    if let Some(r) = fields.get(2) {
-                        gate.max_run = num(r, "max_run")? as u32;
-                    }
-                    if let Some(c) = fields.get(3) {
-                        gate.max_carry = num(c, "max_carry")? as u32;
-                    }
-                    if fields.len() > 4 {
+                    if fields.len() > 1 {
                         return Err(format!("too many fields in {spec:?}"));
                     }
-                    if !(gate.hysteresis >= 1.0 && gate.hysteresis.is_finite()) {
-                        return Err(format!("hysteresis must be >= 1 in {spec:?}"));
-                    }
-                    Ok(SamplingPolicy::DeltaGate(gate))
-                } else {
-                    if fields.len() < 2 {
-                        return Err(
-                            "adaptive needs threshold and m_min, e.g. adaptive:0.1:4".to_string()
-                        );
-                    }
-                    let mut window = WindowParams {
-                        m_min: num(fields[1], "m_min")? as usize,
-                        ..WindowParams::default()
-                    };
-                    if let Some(m) = fields.get(2) {
-                        window.m_max = num(m, "m_max")? as usize;
-                    }
-                    if let Some(b) = fields.get(3) {
-                        window.beta = num(b, "beta")?;
-                    }
-                    if fields.len() > 4 {
-                        return Err(format!("too many fields in {spec:?}"));
-                    }
-                    if window.m_min == 0 {
-                        return Err(format!("m_min must be >= 1 in {spec:?}"));
-                    }
-                    if !(window.beta > 0.0 && window.beta <= 1.0) {
-                        return Err(format!("beta must be in (0, 1] in {spec:?}"));
-                    }
-                    Ok(SamplingPolicy::Adaptive { gate, window })
+                    return Ok(SamplingPolicy::DeltaGate { threshold });
                 }
+                if fields.len() < 2 {
+                    return Err(
+                        "adaptive needs threshold and m_min, e.g. adaptive:0.1:4".to_string()
+                    );
+                }
+                if fields.len() > 2 {
+                    return Err(format!("too many fields in {spec:?}"));
+                }
+                let m_min = fields[1]
+                    .parse::<usize>()
+                    .map_err(|_| format!("bad m_min {:?} in sampling spec {spec:?}", fields[1]))?;
+                if m_min == 0 {
+                    return Err(format!("m_min must be >= 1 in {spec:?}"));
+                }
+                Ok(SamplingPolicy::Adaptive { threshold, m_min })
             }
             _ => Err(format!(
                 "unknown sampling policy {spec:?} \
@@ -248,25 +181,24 @@ impl SamplingPolicy {
     }
 
     /// A short stable label for telemetry, TSV columns, and logs
-    /// (`fixed`, `delta@0.1`, `adaptive@0.1/4-10`).
+    /// (`fixed`, `delta@0.1`, `adaptive@0.1/4-M`).
     pub fn label(&self) -> String {
         match self {
             SamplingPolicy::Fixed => "fixed".into(),
-            SamplingPolicy::DeltaGate(g) => format!("delta@{}", g.threshold),
-            SamplingPolicy::Adaptive { gate, window } => {
-                format!(
-                    "adaptive@{}/{}-{}",
-                    gate.threshold,
-                    window.m_min,
-                    if window.m_max == 0 {
-                        "M".into()
-                    } else {
-                        window.m_max.to_string()
-                    }
-                )
+            SamplingPolicy::DeltaGate { threshold } => format!("delta@{threshold}"),
+            SamplingPolicy::Adaptive { threshold, m_min } => {
+                format!("adaptive@{threshold}/{m_min}-M")
             }
         }
     }
+}
+
+/// Whether an anchor whose candidate window drifted by `drift` (see
+/// [`window_drift`]) from the last *scored* anchor's window may carry
+/// that anchor's scores under gate `threshold`, given `run` anchors have
+/// already been carried consecutively.
+fn carries(threshold: f32, drift: f32, run: u32) -> bool {
+    run < MAX_CARRY && drift < threshold
 }
 
 /// Mean absolute per-dimension difference between two feature vectors —
@@ -320,7 +252,7 @@ pub fn window_drift(a: &Matrix, b: &Matrix) -> f32 {
 pub struct Sampler {
     policy: SamplingPolicy,
     /// The model's configured collection window `M` (buffer capacity and
-    /// the resolved `m_max`).
+    /// the adaptive window's upper bound).
     base_window: usize,
     /// True while the gate is closed (currently skipping frames).
     gating: bool,
@@ -332,10 +264,8 @@ pub struct Sampler {
     m: usize,
     /// EMA of the anchor hit rate (adaptive policy only).
     ema: f64,
-    /// Resolved `[m_min, m_max]` bounds.
+    /// The adaptive window's lower bound, clamped into `[1, M]`.
     m_min: usize,
-    m_max: usize,
-    beta: f64,
     skipped: u64,
     admitted: u64,
 }
@@ -343,20 +273,12 @@ pub struct Sampler {
 impl Sampler {
     /// Builds the state machine for `policy` against a model whose
     /// collection window is `base_window` frames. An adaptive policy's
-    /// `m_max = 0` resolves to `base_window`; bounds are clamped into
-    /// `[1, base_window]`.
+    /// `m_min` is clamped into `[1, base_window]`.
     pub fn new(policy: SamplingPolicy, base_window: usize) -> Sampler {
         assert!(base_window > 0, "collection window must be positive");
-        let (m_min, m_max, beta) = match &policy {
-            SamplingPolicy::Adaptive { window, .. } => {
-                let m_max = if window.m_max == 0 {
-                    base_window
-                } else {
-                    window.m_max.min(base_window)
-                };
-                (window.m_min.clamp(1, m_max), m_max, window.beta)
-            }
-            _ => (base_window, base_window, 1.0),
+        let m_min = match policy {
+            SamplingPolicy::Adaptive { m_min, .. } => m_min.clamp(1, base_window),
+            _ => base_window,
         };
         Sampler {
             policy,
@@ -366,11 +288,9 @@ impl Sampler {
             reference: Vec::new(),
             // Start at the full window: conservative until the hit EMA
             // says the stream is quiet.
-            m: m_max,
+            m: base_window,
             ema: 1.0,
             m_min,
-            m_max,
-            beta,
             skipped: 0,
             admitted: 0,
         }
@@ -388,12 +308,9 @@ impl Sampler {
     /// delta reference (refilled in place, so once it has held a frame
     /// the gate allocates nothing), and the skip/admit counters.
     pub fn admit(&mut self, features: &[f32], warmed: bool) -> bool {
-        let (threshold, hysteresis, max_run) = match self.policy.gate() {
-            None => {
-                self.admitted += 1;
-                return true;
-            }
-            Some(g) => (g.threshold, g.hysteresis, g.max_run),
+        let Some(threshold) = self.policy.threshold() else {
+            self.admitted += 1;
+            return true;
         };
         if !warmed {
             self.accept(features);
@@ -402,12 +319,12 @@ impl Sampler {
         let delta = mean_abs_delta(features, &self.reference);
         // Hysteresis: once skipping, the exit bar is higher.
         let bar = if self.gating {
-            threshold * hysteresis
+            threshold * HYSTERESIS
         } else {
             threshold
         };
         let mut skip = delta < bar;
-        if skip && max_run > 0 && self.run >= max_run {
+        if skip && self.run >= MAX_RUN {
             skip = false; // force-refresh: bound the carry staleness
         }
         if skip {
@@ -439,8 +356,8 @@ impl Sampler {
         if !matches!(self.policy, SamplingPolicy::Adaptive { .. }) {
             return;
         }
-        self.ema = (1.0 - self.beta) * self.ema + self.beta * f64::from(u8::from(hit));
-        let span = (self.m_max - self.m_min) as f64;
+        self.ema = (1.0 - BETA) * self.ema + BETA * f64::from(u8::from(hit));
+        let span = (self.base_window - self.m_min) as f64;
         self.m = self.m_min + (self.ema * span).round() as usize;
     }
 
@@ -566,7 +483,7 @@ impl<P> AnchorStepper<P> {
 
     /// Decides a gated anchor on its last `m` admitted rows: if that
     /// window drifted less than the gate threshold from the memo's
-    /// (per-dimension window means, same `m`, at most `max_carry` in a
+    /// (per-dimension window means, same `m`, at most [`MAX_CARRY`] in a
     /// row) the anchor is carried off the memo; otherwise `score` runs on
     /// the window, returning the payload to memoize and the raw hit bit,
     /// and the memo is replaced. Either way the hit bit then feeds the
@@ -578,9 +495,9 @@ impl<P> AnchorStepper<P> {
     ) -> &CarryMemo<P> {
         self.buffer.covariates_last_into(m, &mut self.candidate);
         let candidate = &self.candidate;
-        let carried = match (self.sampler.policy().gate(), &self.memo) {
-            (Some(gate), Some(c)) => {
-                c.m == m && gate.carries(window_drift(candidate, &c.covariates), c.run)
+        let carried = match (self.sampler.policy().threshold(), &self.memo) {
+            (Some(threshold), Some(c)) => {
+                c.m == m && carries(threshold, window_drift(candidate, &c.covariates), c.run)
             }
             _ => false,
         };
@@ -711,24 +628,17 @@ mod tests {
     #[test]
     fn parse_round_trips_the_three_kinds() {
         assert_eq!(SamplingPolicy::parse("fixed"), Ok(SamplingPolicy::Fixed));
-        match SamplingPolicy::parse("delta:0.2:1.5:8").unwrap() {
-            SamplingPolicy::DeltaGate(g) => {
-                assert_eq!(g.threshold, 0.2);
-                assert_eq!(g.hysteresis, 1.5);
-                assert_eq!(g.max_run, 8);
-                assert_eq!(g.max_carry, GateParams::default().max_carry);
-            }
-            p => panic!("expected DeltaGate, got {p:?}"),
-        }
-        match SamplingPolicy::parse("adaptive:0.1:3:8:0.5").unwrap() {
-            SamplingPolicy::Adaptive { gate, window } => {
-                assert_eq!(gate.threshold, 0.1);
-                assert_eq!(window.m_min, 3);
-                assert_eq!(window.m_max, 8);
-                assert_eq!(window.beta, 0.5);
-            }
-            p => panic!("expected Adaptive, got {p:?}"),
-        }
+        assert_eq!(
+            SamplingPolicy::parse("delta:0.2"),
+            Ok(SamplingPolicy::DeltaGate { threshold: 0.2 })
+        );
+        assert_eq!(
+            SamplingPolicy::parse("adaptive:0.1:3"),
+            Ok(SamplingPolicy::Adaptive {
+                threshold: 0.1,
+                m_min: 3
+            })
+        );
     }
 
     #[test]
@@ -740,10 +650,13 @@ mod tests {
             "delta",
             "delta:x",
             "delta:-1",
-            "delta:0.1:0.5", // hyst < 1
+            "delta:0.1:0.5", // too many fields
             "adaptive:0.1",
             "adaptive:0.1:0",      // m_min 0
-            "adaptive:0.1:4:10:0", // beta 0
+            "adaptive:0.1:4.7",    // m_min not an integer
+            "adaptive:0.1:1e1",    // m_min not an integer
+            "adaptive:0.1:inf",    // m_min not an integer
+            "adaptive:0.1:4:10",   // too many fields
             "delta:0.1:1.2:4:9:2", // too many fields
         ] {
             assert!(SamplingPolicy::parse(bad).is_err(), "{bad:?} should fail");
@@ -759,15 +672,7 @@ mod tests {
 
     #[test]
     fn gate_skips_below_threshold_and_admits_motion() {
-        let mut s = Sampler::new(
-            SamplingPolicy::DeltaGate(GateParams {
-                threshold: 0.5,
-                hysteresis: 1.0,
-                max_run: 0,
-                ..GateParams::default()
-            }),
-            3,
-        );
+        let mut s = Sampler::new(SamplingPolicy::DeltaGate { threshold: 0.5 }, 3);
         // Warmup frames always admitted.
         assert!(s.admit(&[0.0], false));
         // Still frame: gated.
@@ -781,17 +686,11 @@ mod tests {
 
     #[test]
     fn hysteresis_raises_the_exit_bar() {
-        let gate = GateParams {
-            threshold: 0.4,
-            hysteresis: 2.0,
-            max_run: 0,
-            ..GateParams::default()
-        };
-        let mut s = Sampler::new(SamplingPolicy::DeltaGate(gate), 3);
+        let mut s = Sampler::new(SamplingPolicy::DeltaGate { threshold: 0.4 }, 3);
         assert!(s.admit(&[0.0], false)); // reference = 0.0
         assert!(!s.admit(&[0.3], true)); // below 0.4 -> start skipping
-                                         // 0.5 clears the base threshold but not the 0.8 exit bar.
-        assert!(!s.admit(&[0.5], true));
+                                         // 0.45 clears the base threshold but not the 0.5 exit bar.
+        assert!(!s.admit(&[0.45], true));
         assert!(s.admit(&[0.9], true)); // clears the exit bar
                                         // Gate open again: base threshold applies (ref = 0.9 now).
         assert!(s.admit(&[0.4], true));
@@ -799,20 +698,15 @@ mod tests {
 
     #[test]
     fn max_run_bounds_consecutive_skips() {
-        let gate = GateParams {
-            threshold: 1.0,
-            hysteresis: 1.0,
-            max_run: 3,
-            ..GateParams::default()
-        };
-        let mut s = Sampler::new(SamplingPolicy::DeltaGate(gate), 2);
+        let mut s = Sampler::new(SamplingPolicy::DeltaGate { threshold: 1.0 }, 2);
         assert!(s.admit(&[0.0], false));
-        let pattern: Vec<bool> = (0..8).map(|_| s.admit(&[0.0], true)).collect();
-        // 3 skips, then a forced accept, repeating.
-        assert_eq!(
-            pattern,
-            vec![false, false, false, true, false, false, false, true]
-        );
+        let cycle = MAX_RUN as usize + 1;
+        let pattern: Vec<bool> = (0..2 * cycle).map(|_| s.admit(&[0.0], true)).collect();
+        // MAX_RUN skips, then a forced accept, repeating.
+        let expected: Vec<bool> = (0..2 * cycle)
+            .map(|i| i % cycle == MAX_RUN as usize)
+            .collect();
+        assert_eq!(pattern, expected);
     }
 
     #[test]
@@ -833,32 +727,23 @@ mod tests {
 
     #[test]
     fn carry_gate_bounds_run_and_threshold() {
-        let g = GateParams {
-            threshold: 0.1,
-            hysteresis: 1.0,
-            max_run: 0,
-            max_carry: 2,
-        };
-        assert!(g.carries(0.05, 0));
-        assert!(g.carries(0.05, 1));
-        assert!(!g.carries(0.05, 2), "max_carry forces a re-score");
-        assert!(!g.carries(0.2, 0), "content moved: score");
-        let off = GateParams { max_carry: 0, ..g };
-        assert!(!off.carries(0.0, 0), "max_carry 0 disables carrying");
+        assert!(carries(0.1, 0.05, 0));
+        assert!(carries(0.1, 0.05, MAX_CARRY - 1));
+        assert!(
+            !carries(0.1, 0.05, MAX_CARRY),
+            "MAX_CARRY forces a re-score"
+        );
+        assert!(!carries(0.1, 0.2, 0), "content moved: score");
     }
 
     #[test]
     fn adaptive_window_tracks_hit_ema_within_bounds() {
         let policy = SamplingPolicy::Adaptive {
-            gate: GateParams::default(),
-            window: WindowParams {
-                m_min: 2,
-                m_max: 0, // resolves to base window
-                beta: 0.5,
-            },
+            threshold: 0.1,
+            m_min: 2,
         };
         let mut s = Sampler::new(policy, 10);
-        assert_eq!(s.window_len(), 10); // starts at m_max
+        assert_eq!(s.window_len(), 10); // starts at M
         for _ in 0..64 {
             s.observe_hit(false);
         }
@@ -866,7 +751,7 @@ mod tests {
         for _ in 0..64 {
             s.observe_hit(true);
         }
-        assert_eq!(s.window_len(), 10, "busy stream grows back to m_max");
+        assert_eq!(s.window_len(), 10, "busy stream grows back to M");
     }
 
     #[test]
@@ -874,7 +759,7 @@ mod tests {
         let mut s = Sampler::new(SamplingPolicy::Fixed, 7);
         s.observe_hit(false);
         assert_eq!(s.window_len(), 7);
-        let mut s = Sampler::new(SamplingPolicy::DeltaGate(GateParams::default()), 7);
+        let mut s = Sampler::new(SamplingPolicy::DeltaGate { threshold: 0.1 }, 7);
         for _ in 0..10 {
             s.observe_hit(false);
         }

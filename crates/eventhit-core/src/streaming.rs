@@ -1,8 +1,7 @@
 //! Frame-by-frame online prediction.
 //!
-//! [`OnlinePredictor`] consumes frames one at a time (from any
-//! [`FrameSource`](eventhit_video::online::FrameSource)-shaped pipeline),
-//! maintains the collection-window ring buffer, and emits a relay decision
+//! [`OnlinePredictor`] consumes frames one at a time (a detector's
+//! per-frame feature vectors), maintains the collection-window ring buffer, and emits a relay decision
 //! once per horizon — the push-based complement to the batch
 //! [`Marshaller`](crate::marshal::Marshaller), for deployments where frames
 //! arrive from a live camera rather than a stored stream.

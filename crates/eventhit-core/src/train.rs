@@ -18,9 +18,7 @@ use eventhit_telemetry::Telemetry;
 
 use eventhit_nn::loss::{bce_scalar, bce_scalar_grad};
 use eventhit_nn::matrix::Matrix;
-use eventhit_nn::optimizer::{Adam, Optimizer};
-use eventhit_nn::schedule::LrSchedule;
-use eventhit_nn::weight_decay::WeightDecay;
+use eventhit_nn::optimizer::Adam;
 
 use eventhit_video::records::Record;
 
@@ -39,23 +37,13 @@ pub struct TrainConfig {
     pub beta: Vec<f32>,
     /// Per-event occurrence-loss weights `γ_k` (empty = all 1).
     pub gamma: Vec<f32>,
-    /// Global gradient-norm clip; steps whose gradient norm exceeds this
-    /// are scaled down (implemented as learning-rate scaling).
-    pub clip_norm: f32,
     /// RNG seed for shuffling and dropout.
     pub seed: u64,
-    /// Oversample records whose horizon contains at least one event so
-    /// minibatches are roughly class-balanced. The paper's real datasets
-    /// have positive-anchor rates of a few percent; balancing is the
-    /// standard remedy and does not change the conformal guarantees
-    /// (C-CLASSIFY is rank-based).
-    pub balance_positives: bool,
-    /// Optional learning-rate schedule; overrides `lr` per step when set.
-    pub schedule: Option<LrSchedule>,
-    /// Decoupled weight decay (AdamW-style); 0 disables it. Biases are
-    /// excluded.
-    pub weight_decay: f32,
 }
+
+/// Global gradient-norm clip; steps whose gradient norm exceeds this are
+/// scaled down (implemented as learning-rate scaling).
+const CLIP_NORM: f32 = 5.0;
 
 impl Default for TrainConfig {
     fn default() -> Self {
@@ -65,11 +53,7 @@ impl Default for TrainConfig {
             lr: 3e-3,
             beta: Vec::new(),
             gamma: Vec::new(),
-            clip_norm: 5.0,
             seed: 7,
-            balance_positives: true,
-            schedule: None,
-            weight_decay: 0.0,
         }
     }
 }
@@ -138,12 +122,13 @@ pub fn event_losses(
     (total, grads)
 }
 
-/// Builds the (optionally positive-balanced) index pool for one epoch.
-fn index_pool(records: &[Record], balance: bool) -> Vec<usize> {
+/// Builds the positive-balanced index pool for one epoch: records whose
+/// horizon contains at least one event are oversampled so minibatches are
+/// roughly class-balanced. The paper's real datasets have positive-anchor
+/// rates of a few percent; balancing is the standard remedy and does not
+/// change the conformal guarantees (C-CLASSIFY is rank-based).
+fn index_pool(records: &[Record]) -> Vec<usize> {
     let mut pool: Vec<usize> = (0..records.len()).collect();
-    if !balance {
-        return pool;
-    }
     let positives: Vec<usize> = (0..records.len())
         .filter(|&i| records[i].labels.iter().any(|l| l.present))
         .collect();
@@ -179,15 +164,13 @@ pub fn train(
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut opt = Adam::new(cfg.lr);
-    let decay = WeightDecay::new(cfg.weight_decay);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut step = 0usize;
 
     let _run = tel.span("train");
     for _ in 0..cfg.epochs {
         let _epoch = tel.span("train.epoch");
         let epoch_start = tel.now();
-        let mut pool = index_pool(records, cfg.balance_positives);
+        let mut pool = index_pool(records);
         pool.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
@@ -210,19 +193,16 @@ pub fn train(
                 .map(|p| p.grad.as_slice().iter().map(|&g| g * g).sum::<f32>())
                 .sum::<f32>()
                 .sqrt();
-            let scale = if norm > cfg.clip_norm {
-                cfg.clip_norm / norm
+            let scale = if norm > CLIP_NORM {
+                CLIP_NORM / norm
             } else {
                 1.0
             };
-            let lr_base = cfg.schedule.as_ref().map_or(cfg.lr, |s| s.at(step));
-            decay.apply(&mut model.params_mut(), lr_base, false);
-            opt.set_learning_rate(lr_base * scale);
+            opt.set_learning_rate(cfg.lr * scale);
             opt.step(&mut model.params_mut());
 
             epoch_loss += loss;
             batches += 1;
-            step += 1;
             examples += batch.len() as u64;
             tel.observe("train.step_seconds", tel.now() - step_start);
         }
@@ -365,64 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_and_weight_decay_still_learn() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = 4;
-        let d = 3;
-        let h = 8;
-        let records: Vec<Record> = (0..160)
-            .map(|_| {
-                let positive = rng.random::<f32>() < 0.5;
-                let fill = if positive { 0.9 } else { 0.1 };
-                let label = if positive {
-                    EventLabel {
-                        present: true,
-                        start: 3,
-                        end: 5,
-                        censored: false,
-                    }
-                } else {
-                    EventLabel::absent()
-                };
-                labelled_record(m, d, fill, label)
-            })
-            .collect();
-        let cfg = EventHitConfig {
-            input_dim: d,
-            window: m,
-            horizon: h,
-            num_events: 1,
-            hidden_dim: 8,
-            shared_dim: 6,
-            dropout: 0.0,
-        };
-        let mut model = EventHit::new(cfg, 13);
-        let report = train(
-            &mut model,
-            &records,
-            &TrainConfig {
-                epochs: 25,
-                batch_size: 32,
-                lr: 0.02,
-                schedule: Some(eventhit_nn::schedule::LrSchedule::WarmupCosine {
-                    lr: 0.02,
-                    warmup: 10,
-                    total: 150,
-                    floor: 0.1,
-                }),
-                weight_decay: 1e-3,
-                ..Default::default()
-            },
-            &Telemetry::disabled(),
-        );
-        assert!(
-            report.final_loss < report.epoch_losses[0] * 0.6,
-            "losses: {:?}",
-            report.epoch_losses
-        );
-    }
-
-    #[test]
     fn instrumented_training_records_epochs_and_steps() {
         let records: Vec<Record> = (0..40)
             .map(|i| {
@@ -512,12 +434,10 @@ mod tests {
         for _ in 0..9 {
             records.push(neg.clone());
         }
-        let pool = index_pool(&records, true);
+        let pool = index_pool(&records);
         let pos_count = pool.iter().filter(|&&i| i == 0).count();
         // 1 positive duplicated ~9x against 9 negatives.
         assert!(pos_count >= 5, "positives={pos_count} pool={}", pool.len());
-        let plain = index_pool(&records, false);
-        assert_eq!(plain.len(), 10);
     }
 
     #[test]

@@ -65,19 +65,9 @@ impl Dense {
         &self.w
     }
 
-    /// Mutable access to the weight matrix, for tests and serialization.
-    pub fn weights_mut(&mut self) -> &mut Matrix {
-        &mut self.w
-    }
-
     /// Immutable access to the bias row vector (`1 x out`).
     pub fn bias(&self) -> &Matrix {
         &self.b
-    }
-
-    /// Mutable access to the bias row vector.
-    pub fn bias_mut(&mut self) -> &mut Matrix {
-        &mut self.b
     }
 
     /// Number of trainable scalars.
@@ -280,8 +270,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut layer = Dense::new(2, 2, Activation::Linear, Init::Zeros, &mut rng);
         // W = [[1, 2], [3, 4]], b = [0.5, -0.5]
-        *layer.weights_mut() = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        *layer.bias_mut() = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
+        layer.w = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        layer.b = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let y = layer.forward(&x);
         assert_eq!(y.as_slice(), &[3.5, 6.5]);

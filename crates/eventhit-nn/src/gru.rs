@@ -481,7 +481,7 @@ mod tests {
     fn learns_to_remember_first_token() {
         use crate::activation::Activation;
         use crate::dense::Dense;
-        use crate::optimizer::{Adam, Optimizer};
+        use crate::optimizer::Adam;
         let mut rng = StdRng::seed_from_u64(8);
         let mut gru = Gru::new(1, 8, &mut rng);
         let mut readout = Dense::new(8, 1, Activation::Linear, Init::XavierUniform, &mut rng);

@@ -3,8 +3,8 @@
 //! A small, self-contained neural-network substrate used by the EventHit
 //! reproduction: dense row-major `f32` matrices, fully connected and LSTM
 //! layers with hand-written backward passes (validated against finite
-//! differences), inverted dropout, binary cross-entropy losses, and SGD /
-//! Adam optimizers.
+//! differences), inverted dropout, binary cross-entropy losses, and the Adam
+//! optimizer.
 //!
 //! The layer set is exactly what the paper's architecture (Fig. 3) needs:
 //! an LSTM encoder, fully connected layers with sigmoid/tanh/relu
@@ -63,8 +63,6 @@ pub mod matrix;
 pub mod optimizer;
 pub mod packed;
 pub mod quant;
-pub mod schedule;
-pub mod weight_decay;
 
 pub use activation::Activation;
 pub use cell::CellState;
@@ -74,7 +72,5 @@ pub use gru::{Gru, PackedGru, QuantizedGru};
 pub use init::Init;
 pub use lstm::{Lstm, PackedLstm, QuantizedLstm};
 pub use matrix::Matrix;
-pub use optimizer::{Adam, Optimizer, ParamMut, Sgd};
+pub use optimizer::{Adam, ParamMut};
 pub use quant::{InferenceLane, QuantizedMatrix};
-pub use schedule::LrSchedule;
-pub use weight_decay::WeightDecay;

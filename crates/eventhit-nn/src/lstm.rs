@@ -501,7 +501,7 @@ mod tests {
     fn learns_to_remember_first_token() {
         // Tiny task: output should reflect the first input of the sequence.
         // Train h -> first x via a scalar readout folded into the loss.
-        use crate::optimizer::{Adam, Optimizer};
+        use crate::optimizer::Adam;
         let mut rng = StdRng::seed_from_u64(12);
         let mut lstm = Lstm::new(1, 8, &mut rng);
         let mut readout = crate::dense::Dense::new(

@@ -1,9 +1,9 @@
-//! First-order optimizers (SGD with momentum, Adam) and gradient clipping.
+//! The Adam optimizer.
 //!
 //! Layers expose their trainable state as a stable-ordered list of
-//! [`ParamMut`] pairs; optimizers keep per-parameter state (momentum /
-//! moment estimates) keyed by position in that list, so callers must always
-//! pass parameters in the same order.
+//! [`ParamMut`] pairs; the optimizer keeps per-parameter moment estimates
+//! keyed by position in that list, so callers must always pass parameters
+//! in the same order.
 
 use crate::matrix::Matrix;
 
@@ -15,112 +15,28 @@ pub struct ParamMut<'a> {
     pub grad: &'a Matrix,
 }
 
-/// A first-order optimizer.
-pub trait Optimizer {
-    /// Applies one update step to the given parameters.
-    fn step(&mut self, params: &mut [ParamMut<'_>]);
+/// First-moment decay rate.
+const BETA1: f32 = 0.9;
+/// Second-moment decay rate.
+const BETA2: f32 = 0.999;
+/// Denominator guard.
+const EPS: f32 = 1e-8;
 
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (e.g. for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Scales all gradients so their global L2 norm is at most `max_norm`.
-///
-/// Returns the pre-clipping norm. This mutates copies held by the caller —
-/// since layer gradients are borrowed immutably by [`ParamMut`], clipping is
-/// applied to an explicit list of mutable gradient matrices instead.
-pub fn clip_global_norm(grads: &mut [&mut Matrix], max_norm: f32) -> f32 {
-    let total: f32 = grads
-        .iter()
-        .map(|g| g.as_slice().iter().map(|&x| x * x).sum::<f32>())
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm && total > 0.0 {
-        let scale = max_norm / total;
-        for g in grads.iter_mut() {
-            g.scale(scale);
-        }
-    }
-    total
-}
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer. `momentum = 0` gives plain SGD.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamMut<'_>]) {
-        if self.velocity.len() < params.len() {
-            for p in params[self.velocity.len()..].iter() {
-                self.velocity.push(vec![0.0; p.value.len()]);
-            }
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            let v = &mut self.velocity[i];
-            assert_eq!(v.len(), p.value.len(), "parameter {i} changed size");
-            let values = p.value.as_mut_slice();
-            for ((val, vel), &g) in values.iter_mut().zip(v.iter_mut()).zip(p.grad.as_slice()) {
-                *vel = self.momentum * *vel - self.lr * g;
-                *val += *vel;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba, 2015) with bias correction.
+/// Adam optimizer (Kingma & Ba, 2015) with bias correction, at the
+/// standard `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`.
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with the standard defaults
-    /// `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`.
+    /// Creates an Adam optimizer at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates an Adam optimizer with explicit hyper-parameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         Adam {
             lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -131,10 +47,9 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [ParamMut<'_>]) {
+    /// Applies one update step to the given parameters.
+    pub fn step(&mut self, params: &mut [ParamMut<'_>]) {
         if self.m.len() < params.len() {
             for p in params[self.m.len()..].iter() {
                 self.m.push(vec![0.0; p.value.len()]);
@@ -142,8 +57,8 @@ impl Optimizer for Adam {
             }
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (i, p) in params.iter_mut().enumerate() {
             assert_eq!(self.m[i].len(), p.value.len(), "parameter {i} changed size");
             let (m, v) = (&mut self.m[i], &mut self.v[i]);
@@ -154,20 +69,23 @@ impl Optimizer for Adam {
                 .zip(v.iter_mut())
                 .zip(p.grad.as_slice())
             {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                *m = BETA1 * *m + (1.0 - BETA1) * g;
+                *v = BETA2 * *v + (1.0 - BETA2) * g * g;
                 let m_hat = *m / bc1;
                 let v_hat = *v / bc2;
-                *val -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *val -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (the trainer scales it to clip an
+    /// over-norm step).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -177,12 +95,7 @@ mod tests {
     use super::*;
 
     /// Minimizes f(x) = sum((x - target)^2) and returns the final point.
-    fn minimize<O: Optimizer>(
-        opt: &mut O,
-        start: Vec<f32>,
-        target: &[f32],
-        steps: usize,
-    ) -> Matrix {
+    fn minimize(opt: &mut Adam, start: Vec<f32>, target: &[f32], steps: usize) -> Matrix {
         let n = start.len();
         let mut x = Matrix::from_vec(1, n, start);
         for _ in 0..steps {
@@ -202,21 +115,6 @@ mod tests {
             opt.step(&mut params);
         }
         x
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = minimize(&mut opt, vec![5.0, -3.0], &[1.0, 2.0], 200);
-        assert!((x.as_slice()[0] - 1.0).abs() < 1e-3);
-        assert!((x.as_slice()[1] - 2.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let x = minimize(&mut opt, vec![5.0], &[-2.0], 300);
-        assert!((x.as_slice()[0] + 2.0).abs() < 1e-2);
     }
 
     #[test]
@@ -243,30 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn clip_global_norm_scales_down() {
-        let mut g1 = Matrix::from_vec(1, 2, vec![3.0, 0.0]);
-        let mut g2 = Matrix::from_vec(1, 1, vec![4.0]);
-        let norm = clip_global_norm(&mut [&mut g1, &mut g2], 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        let new_norm = (g1
-            .as_slice()
-            .iter()
-            .chain(g2.as_slice())
-            .map(|&x| x * x)
-            .sum::<f32>())
-        .sqrt();
-        assert!((new_norm - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn clip_global_norm_no_op_below_threshold() {
-        let mut g = Matrix::from_vec(1, 2, vec![0.3, 0.4]);
-        let norm = clip_global_norm(&mut [&mut g], 1.0);
-        assert!((norm - 0.5).abs() < 1e-6);
-        assert_eq!(g.as_slice(), &[0.3, 0.4]);
-    }
-
-    #[test]
     fn learning_rate_accessors() {
         let mut opt = Adam::new(0.5);
         assert_eq!(opt.learning_rate(), 0.5);
@@ -277,6 +151,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_non_positive_lr() {
-        let _ = Sgd::new(0.0, 0.0);
+        let _ = Adam::new(0.0);
     }
 }

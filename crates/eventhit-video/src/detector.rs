@@ -27,12 +27,6 @@ impl StageModel {
         }
     }
 
-    /// YOLOv3-class lightweight detector used for feature extraction
-    /// (≈25 fps; paper §VI.D footnote 8 and §VI.H).
-    pub fn yolo_v3() -> Self {
-        StageModel::new("YOLOv3 feature extraction", 25.0)
-    }
-
     /// I3D-class event-detection model served by the cloud infrastructure.
     /// Rated ≈8 fps so that CI time dominates as in Fig. 10 (95.9% of total
     /// at REC=0.9 on TA10).
@@ -56,13 +50,6 @@ mod tests {
         assert!((m.seconds_for(25) - 1.0).abs() < 1e-12);
         assert!((m.seconds_for(250) - 10.0).abs() < 1e-12);
         assert_eq!(m.seconds_for(0), 0.0);
-    }
-
-    #[test]
-    fn presets_have_expected_order() {
-        // The CI model must be slower than the feature extractor for the
-        // paper's Fig. 10 proportions to hold.
-        assert!(StageModel::i3d_ci().fps < StageModel::yolo_v3().fps);
     }
 
     #[test]

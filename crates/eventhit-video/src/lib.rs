@@ -27,7 +27,6 @@ pub mod detector;
 pub mod distributions;
 pub mod event;
 pub mod features;
-pub mod normalize;
 pub mod online;
 pub mod records;
 pub mod stream;

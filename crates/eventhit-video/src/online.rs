@@ -4,48 +4,6 @@
 
 use eventhit_nn::matrix::Matrix;
 
-/// A source of per-frame feature vectors (the boundary where a real
-/// detector — YOLO, Faster R-CNN, a user's own extractor — plugs in).
-pub trait FrameSource {
-    /// Feature dimensionality `D`.
-    fn dim(&self) -> usize;
-
-    /// Produces the next frame's features, or `None` at end of stream.
-    fn next_frame(&mut self) -> Option<Vec<f32>>;
-}
-
-/// Adapter exposing a precomputed `N x D` feature matrix as a
-/// [`FrameSource`] (used by the simulator and tests).
-pub struct MatrixFrameSource<'a> {
-    features: &'a Matrix,
-    cursor: usize,
-}
-
-impl<'a> MatrixFrameSource<'a> {
-    /// Wraps a feature matrix, starting at frame `from`.
-    pub fn new(features: &'a Matrix, from: usize) -> Self {
-        MatrixFrameSource {
-            features,
-            cursor: from,
-        }
-    }
-}
-
-impl FrameSource for MatrixFrameSource<'_> {
-    fn dim(&self) -> usize {
-        self.features.cols()
-    }
-
-    fn next_frame(&mut self) -> Option<Vec<f32>> {
-        if self.cursor >= self.features.rows() {
-            return None;
-        }
-        let row = self.features.row(self.cursor).to_vec();
-        self.cursor += 1;
-        Some(row)
-    }
-}
-
 /// A fixed-capacity ring of the last `M` frames' features: one flat
 /// `M x D` allocation made at construction. A push copies the borrowed
 /// row over the oldest slot, and the newest rows are handed out as
@@ -376,20 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_source_yields_rows_then_ends() {
-        let mut m = Matrix::zeros(3, 2);
-        for r in 0..3 {
-            m[(r, 0)] = r as f32;
-        }
-        let mut src = MatrixFrameSource::new(&m, 1);
-        assert_eq!(src.dim(), 2);
-        assert_eq!(src.next_frame(), Some(vec![1.0, 0.0]));
-        assert_eq!(src.next_frame(), Some(vec![2.0, 0.0]));
-        assert_eq!(src.next_frame(), None);
-        assert_eq!(src.next_frame(), None);
-    }
-
-    #[test]
     fn buffered_covariates_match_matrix_slice() {
         let mut m = Matrix::zeros(10, 3);
         for r in 0..10 {
@@ -397,10 +341,9 @@ mod tests {
                 m[(r, c)] = (r * 3 + c) as f32;
             }
         }
-        let mut src = MatrixFrameSource::new(&m, 0);
         let mut buf = WindowBuffer::new(4, 3);
-        for _ in 0..7 {
-            buf.push(src.next_frame().unwrap());
+        for r in 0..7 {
+            buf.push(m.row(r));
         }
         // Window should be rows 3..=6.
         let cov = buf.covariates();

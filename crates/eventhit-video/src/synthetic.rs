@@ -213,13 +213,6 @@ pub fn all_profiles() -> Vec<DatasetProfile> {
     vec![virat(), thumos(), breakfast()]
 }
 
-/// Looks up the profile containing a given paper event id.
-pub fn profile_for_event(paper_id: &str) -> Option<DatasetProfile> {
-    all_profiles()
-        .into_iter()
-        .find(|p| p.class_index(paper_id).is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,8 +284,5 @@ mod tests {
     fn class_index_lookup() {
         assert_eq!(virat().class_index("E3"), Some(2));
         assert_eq!(virat().class_index("E7"), None);
-        assert!(profile_for_event("E8").is_some());
-        assert_eq!(profile_for_event("E8").unwrap().name, "THUMOS");
-        assert!(profile_for_event("E99").is_none());
     }
 }

@@ -23,6 +23,12 @@
 //! eventhit-cli top          --addr 127.0.0.1:7077 [--interval-ms 1000] [--iters 0]
 //! ```
 //!
+//! A `--sampling` spec sets the gate threshold `THR` and, for `adaptive`,
+//! the smallest window `MMIN`; the gate's hysteresis, skip-run cap and
+//! carry bound and the window's EMA factor are the constants
+//! `HYSTERESIS`, `MAX_RUN`, `MAX_CARRY` and `BETA` of
+//! `eventhit::core::sampling`.
+//!
 //! The synthetic stream is a pure function of `(task, scale, seed)`, so
 //! `evaluate`/`marshal` regenerate exactly the stream the model was trained
 //! against and calibrate on its calibration split. The same property makes
@@ -123,7 +129,7 @@ fn usage() -> ! {
          [--durable DIR] [--snapshot-every N] [--slow-log FILE] \
          [--interval-ms N] [--iters N] \
          [--pattern uniform|bursty] [--rounds N] [--window N] [--cap N] [--smoke] \
-         [--sampling fixed|delta:THR[:HYST[:RUN]]|adaptive:THR:MMIN[:MMAX[:BETA]]]"
+         [--sampling fixed|delta:THR|adaptive:THR:MMIN]"
     );
     exit(2)
 }

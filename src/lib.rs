@@ -9,7 +9,7 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`nn`] — neural substrate (matrices, Dense/LSTM/GRU with hand-written
-//!   backprop, dropout, losses, optimizers, schedules).
+//!   backprop, dropout, losses, the Adam optimizer).
 //! * [`video`] — synthetic streams matching the paper's Table I, simulated
 //!   detector features, records/splits, online frame buffers.
 //! * [`conformal`] — C-CLASSIFY / C-REGRESS machinery plus Mondrian

@@ -3,9 +3,10 @@
 //!
 //! The claims pinned here:
 //!
-//! - a zero-motion stream is gated entirely after warmup, and its
-//!   anchors duplicate-carry the first scored decision, force-rescoring
-//!   every `max_carry + 1` anchors;
+//! - a zero-motion stream is gated after warmup but for one forced
+//!   refresh per `MAX_RUN + 1` frames, and its anchors duplicate-carry
+//!   the first scored decision, force-rescoring every `MAX_CARRY + 1`
+//!   anchors;
 //! - a `DeltaGate` at threshold `0` is a structural no-op: it never
 //!   skips or carries, and its decision stream is bit-identical to the
 //!   `Fixed` policy's;
@@ -24,7 +25,7 @@ use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::model::EventHit;
 use eventhit::core::multi::{run_lanes, LaneDecision, StreamLane};
 use eventhit::core::pipeline::{ConformalState, Strategy};
-use eventhit::core::sampling::{GateParams, SamplingPolicy, WindowParams};
+use eventhit::core::sampling::{SamplingPolicy, MAX_CARRY, MAX_RUN};
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
 use eventhit::core::InferenceLane;
@@ -72,14 +73,7 @@ fn predictor(policy: SamplingPolicy) -> OnlinePredictor {
 #[test]
 fn zero_motion_stream_gates_everything_and_carries_decisions() {
     let t = trained();
-    let max_carry = 3u32;
-    let gate = GateParams {
-        threshold: 0.05,
-        hysteresis: 1.25,
-        max_run: 0, // unbounded skips: the stream truly never moves
-        max_carry,
-    };
-    let mut p = predictor(SamplingPolicy::DeltaGate(gate));
+    let mut p = predictor(SamplingPolicy::DeltaGate { threshold: 0.05 });
     let telemetry = Arc::new(Telemetry::new());
     p.set_telemetry(Arc::clone(&telemetry));
 
@@ -91,11 +85,13 @@ fn zero_motion_stream_gates_everything_and_carries_decisions() {
             decisions.push(d);
         }
     }
-    // Warmup admits exactly the first window; everything after is gated.
+    // Warmup admits exactly the first window; after it, every run of
+    // `MAX_RUN` skips ends in one forced refresh.
+    let gated = (total - t.window) as u64;
     assert_eq!(
         p.frames_skipped(),
-        (total - t.window) as u64,
-        "a zero-motion stream must gate every post-warmup frame"
+        gated - gated / (u64::from(MAX_RUN) + 1),
+        "a zero-motion stream must gate every post-warmup frame but the forced refreshes"
     );
     // The cadence is unchanged: one decision per horizon.
     assert_eq!(decisions.len(), 13);
@@ -104,10 +100,10 @@ fn zero_motion_stream_gates_everything_and_carries_decisions() {
     for d in &decisions[1..] {
         assert_eq!(d.predictions, decisions[0].predictions);
     }
-    // Scored at anchors 0, 4, 8, ... (every `max_carry + 1`), carried
+    // Scored at anchors 0, 5, 10, ... (every `MAX_CARRY + 1`), carried
     // in between.
     let n = decisions.len() as u64;
-    let cycle = u64::from(max_carry) + 1;
+    let cycle = u64::from(MAX_CARRY) + 1;
     let expected_carried = n - n.div_ceil(cycle);
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter_total("stream.decisions"), n);
@@ -127,12 +123,7 @@ fn zero_motion_stream_gates_everything_and_carries_decisions() {
 fn threshold_zero_delta_gate_is_bit_identical_to_fixed() {
     let t = trained();
     let mut fixed = predictor(SamplingPolicy::Fixed);
-    let mut gated = predictor(SamplingPolicy::DeltaGate(GateParams {
-        threshold: 0.0,
-        hysteresis: 1.0,
-        max_run: 0,
-        max_carry: u32::MAX,
-    }));
+    let mut gated = predictor(SamplingPolicy::DeltaGate { threshold: 0.0 });
     let a = fixed.run_over(&t.features, 0);
     let b = gated.run_over(&t.features, 0);
     assert!(!a.is_empty());
@@ -145,17 +136,8 @@ fn adaptive_window_visits_both_bounds_and_never_leaves_them() {
     let t = trained();
     let m_min = 2usize;
     let policy = SamplingPolicy::Adaptive {
-        gate: GateParams {
-            threshold: 0.0, // pure windowing: isolate the m-trajectory
-            hysteresis: 1.0,
-            max_run: 0,
-            max_carry: 0,
-        },
-        window: WindowParams {
-            m_min,
-            m_max: 0, // resolves to the model's M
-            beta: 0.5,
-        },
+        threshold: 0.0, // pure windowing: isolate the m-trajectory
+        m_min,
     };
     let mut p = predictor(policy);
     let (mut lo, mut hi) = (usize::MAX, 0usize);
@@ -191,10 +173,7 @@ fn spawn_server(
 fn gated_serve_is_bit_identical_to_run_lanes_at_1_and_4_workers() {
     let t = trained();
     let dim = t.features.cols() as u32;
-    let policy = SamplingPolicy::DeltaGate(GateParams {
-        threshold: 0.02,
-        ..GateParams::default()
-    });
+    let policy = SamplingPolicy::DeltaGate { threshold: 0.02 };
     let froms = [0usize, 11];
 
     let lanes = |policy: &SamplingPolicy| -> Vec<StreamLane> {
@@ -280,7 +259,7 @@ fn durable_serving_rejects_gated_policies_at_bind() {
     let dir = std::env::temp_dir().join(format!("evht-sampling-durable-{}", std::process::id()));
     let cfg = ServeConfig {
         durable: Some(DurableOptions::new(&dir)),
-        sampling: SamplingPolicy::DeltaGate(GateParams::default()),
+        sampling: SamplingPolicy::DeltaGate { threshold: 0.1 },
         ..ServeConfig::default()
     };
     let err = Server::bind(cfg, Box::new(|_| predictor(SamplingPolicy::Fixed)))
