@@ -1336,6 +1336,41 @@ mod tests {
     }
 
     #[test]
+    fn each_message_matches_its_golden_image() {
+        // FNV-1a of each `all_messages()` frame alone, in order, so a wire
+        // change names the messages it moved.
+        let pins = [
+            ("Hello", 0x719e_4288_649d_42e0),
+            ("HelloAck", 0x7a2e_30c6_8279_ba73),
+            ("OpenStream", 0xcaf8_2cee_0bad_571a),
+            ("StreamOpened", 0x179c_6829_3568_3a9f),
+            ("SubmitFrames", 0x4133_e399_cbc9_aa7b),
+            ("Decisions", 0xd21f_2caf_c21a_94c7),
+            ("CloseStream", 0xfdb3_b998_00eb_00a6),
+            ("StreamClosed", 0xe1e1_36ef_8d14_6967),
+            ("Health", 0xd80d_75ae_a7dc_8e37),
+            ("HealthReport", 0x621d_d77f_d18a_8ed1),
+            ("TelemetryQuery", 0xd80d_77ae_a7dc_919d),
+            ("TelemetryReport", 0x0761_5ca8_d618_7afd),
+            ("Rejected", 0xed37_e81b_ecd7_f139),
+            ("Resume", 0x0e00_0af2_1a2b_46a8),
+            ("Resumed", 0xf5e3_fc06_915e_c1cb),
+            ("SubmitTraced", 0xcd68_aa50_6614_3896),
+            ("TracedDecisions", 0xbca4_6264_7509_35b1),
+            ("MetricsQuery", 0xd80d_7eae_a7dc_9d82),
+            ("MetricsReply", 0x2de1_1167_b8b3_b445),
+        ];
+        let messages = all_messages();
+        assert_eq!(messages.len(), pins.len());
+        for (msg, (name, pin)) in messages.iter().zip(pins) {
+            let debug = format!("{msg:?}");
+            assert_eq!(debug.split([' ', '{']).next(), Some(name), "pin order");
+            let got = eventhit_telemetry::fnv1a(&encode(msg));
+            assert_eq!(got, pin, "{name}: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn one_prediction_is_held_inline_in_every_form() {
         assert_eq!(std::mem::size_of::<WirePredictions>(), 16);
         assert_eq!(std::mem::size_of::<WireDecision>(), 32);
