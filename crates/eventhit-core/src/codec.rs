@@ -249,9 +249,10 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32` count, then that many items read by `item`. The count sizes
-    /// nothing on its own: the vector starts with at most one item per
-    /// byte left and at most 64 KiB, and grows only as items actually
-    /// decode.
+    /// nothing on its own: nothing is reserved until the first item has
+    /// decoded, then at most one item per byte left and at most 64 KiB,
+    /// and the vector grows only as items actually decode. A list whose
+    /// first item fails so reserves nothing, however its items nest.
     pub fn counted<T, E: From<CodecError>>(
         &mut self,
         item: impl FnMut(&mut Self) -> Result<T, E>,
@@ -267,13 +268,18 @@ impl<'a> Reader<'a> {
         n: usize,
         mut item: impl FnMut(&mut Self) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let first = item(self)?;
         // An item can be several times wider in memory than on the wire, so
         // the bytes left alone do not bound the reservation; the cap does,
         // while an honest short list still starts at its exact size.
         const MAX_RESERVE: usize = 64 * 1024;
         let most = MAX_RESERVE / size_of::<T>().max(1);
-        let mut items = Vec::with_capacity(n.min(self.rest.len()).min(most));
-        for _ in 0..n {
+        let mut items = Vec::with_capacity(n.min(1 + self.rest.len()).min(most));
+        items.push(first);
+        for _ in 1..n {
             items.push(item(self)?);
         }
         Ok(items)

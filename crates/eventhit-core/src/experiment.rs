@@ -154,34 +154,9 @@ impl TaskRun {
     /// empty by an over-aggressive scale come back as typed errors instead
     /// of panics.
     pub fn try_execute(task: &Task, cfg: &ExperimentConfig) -> CoreResult<TaskRun> {
-        if !(cfg.occurrence_boost > 0.0 && cfg.occurrence_boost.is_finite()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "occurrence boost must be positive and finite, got {}",
-                cfg.occurrence_boost
-            )));
-        }
-        if !(cfg.scale > 0.0 && cfg.scale.is_finite()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "scale must be positive and finite, got {}",
-                cfg.scale
-            )));
-        }
-        let mut profile = task.profile().scaled(cfg.scale);
-        if cfg.occurrence_boost != 1.0 {
-            for class in &mut profile.classes {
-                class.occurrences =
-                    ((class.occurrences as f64 * cfg.occurrence_boost).round() as u32).max(1);
-            }
-        }
+        let (profile, stream, features) = stream_and_features(task, cfg)?;
         let window = cfg.override_window.unwrap_or(profile.collection_window);
         let horizon = cfg.override_horizon.unwrap_or(profile.horizon);
-
-        let stream = VideoStream::generate(&profile, cfg.seed.wrapping_mul(31).wrapping_add(1));
-        let features = extract(
-            &stream,
-            &cfg.features,
-            cfg.seed.wrapping_mul(37).wrapping_add(2),
-        );
         let dataset = Dataset::build(&stream, &features, window, horizon, &cfg.split);
         if dataset.train.is_empty() || dataset.calib.is_empty() || dataset.test.is_empty() {
             return Err(CoreError::EmptySplit {
@@ -251,7 +226,9 @@ impl TaskRun {
     pub fn state_for_lane(&self, lane: InferenceLane) -> ConformalState {
         match lane {
             InferenceLane::Exact => self.state.clone(),
-            InferenceLane::Quantized => self.state_for_model(&self.model, lane),
+            InferenceLane::Quantized => self
+                .state_for_model(&self.model, lane)
+                .expect("the run's own model scores one head per task event"),
         }
     }
 
@@ -262,12 +239,29 @@ impl TaskRun {
     /// model with another model's state would (see the CLI's `serve
     /// --model`). Unlike [`TaskRun::state_for_lane`], this always
     /// rescores, even on the exact lane, because the given model's scores
-    /// need not match the run's own.
+    /// need not match the run's own. The refit keeps the run's own `τ_2`.
     ///
-    /// # Panics
-    ///
-    /// If `model` has fewer heads than the task has events.
-    pub fn state_for_model(&self, model: &EventHit, lane: InferenceLane) -> ConformalState {
+    /// A `model` that does not fit the run — another feature width or
+    /// horizon, or fewer heads than the task has events, as a model file
+    /// of another task has — is an error.
+    pub fn state_for_model(
+        &self,
+        model: &EventHit,
+        lane: InferenceLane,
+    ) -> CoreResult<ConformalState> {
+        let cfg = model.config();
+        for (what, expected, got) in [
+            ("model input width", self.features.cols(), cfg.input_dim),
+            ("model horizon", self.horizon, cfg.horizon),
+        ] {
+            if got != expected {
+                return Err(CoreError::ShapeMismatch {
+                    what,
+                    expected,
+                    got,
+                });
+            }
+        }
         let calib =
             score_records_lane_with(model, &self.calib_records, 128, lane, &Pool::current());
         ConformalState::try_fit(
@@ -276,7 +270,6 @@ impl TaskRun {
             self.state.tau2(),
             self.horizon,
         )
-        .expect("a reloaded model has one head per task event")
     }
 
     /// A conformal state matched to a [`SamplingPolicy`] on `lane`: the
@@ -408,6 +401,46 @@ impl TaskRun {
     }
 }
 
+/// The dataset profile, synthetic stream and per-frame features a run of
+/// `task` under `cfg` works on: a pure function of the task, the scale,
+/// the occurrence boost, the feature knobs and the seed. The stream and
+/// feature sub-seeds derive from `cfg.seed` here and nowhere else, so a
+/// client that regenerates a served run's rows feeds exactly the frames
+/// the served model was trained and calibrated on.
+///
+/// A non-positive or non-finite scale or occurrence boost is an error.
+pub fn stream_and_features(
+    task: &Task,
+    cfg: &ExperimentConfig,
+) -> CoreResult<(DatasetProfile, VideoStream, Matrix)> {
+    if !(cfg.occurrence_boost > 0.0 && cfg.occurrence_boost.is_finite()) {
+        return Err(CoreError::InvalidConfig(format!(
+            "occurrence boost must be positive and finite, got {}",
+            cfg.occurrence_boost
+        )));
+    }
+    if !(cfg.scale > 0.0 && cfg.scale.is_finite()) {
+        return Err(CoreError::InvalidConfig(format!(
+            "scale must be positive and finite, got {}",
+            cfg.scale
+        )));
+    }
+    let mut profile = task.profile().scaled(cfg.scale);
+    if cfg.occurrence_boost != 1.0 {
+        for class in &mut profile.classes {
+            class.occurrences =
+                ((class.occurrences as f64 * cfg.occurrence_boost).round() as u32).max(1);
+        }
+    }
+    let stream = VideoStream::generate(&profile, cfg.seed.wrapping_mul(31).wrapping_add(1));
+    let features = extract(
+        &stream,
+        &cfg.features,
+        cfg.seed.wrapping_mul(37).wrapping_add(2),
+    );
+    Ok((profile, stream, features))
+}
+
 /// Represents a ground-truth label as the ideal prediction (used by OPT).
 pub fn label_as_prediction(label: &EventLabel) -> IntervalPrediction {
     if label.present {
@@ -530,6 +563,27 @@ mod tests {
         let report = run.cost(&outcome, &CiConfig::default());
         assert_eq!(report.frames_relayed, outcome.frames_relayed);
         assert!(report.total_seconds() > 0.0);
+    }
+
+    #[test]
+    fn state_for_model_rejects_a_model_of_another_shape() {
+        let run = quick_run();
+        let own = run.model.config();
+        let wider = EventHitConfig {
+            input_dim: own.input_dim + 1,
+            ..own.clone()
+        };
+        let longer = EventHitConfig {
+            horizon: own.horizon + 1,
+            ..own.clone()
+        };
+        for cfg in [wider, longer] {
+            let model = EventHit::new(cfg, 1);
+            assert!(run.state_for_model(&model, InferenceLane::Exact).is_err());
+        }
+        assert!(run
+            .state_for_model(&run.model, InferenceLane::Exact)
+            .is_ok());
     }
 
     #[test]

@@ -118,15 +118,10 @@ fn tag_label(tag: DegradationTag) -> &'static str {
 }
 
 impl Marshaller {
-    /// Assembles a marshaller from trained components.
-    pub fn new(
-        model: EventHit,
-        state: ConformalState,
-        strategy: Strategy,
-        window: usize,
-        horizon: usize,
-        ci: CiConfig,
-    ) -> Self {
+    /// Assembles a marshaller from trained components. The collection
+    /// window and horizon are the model's own.
+    pub fn new(model: EventHit, state: ConformalState, strategy: Strategy, ci: CiConfig) -> Self {
+        let (window, horizon) = (model.config().window, model.config().horizon);
         let plan = model.packed();
         Marshaller {
             scratch: plan.scratch(),
@@ -475,8 +470,6 @@ mod tests {
                 c: 0.95,
                 alpha: 0.9,
             },
-            run.window,
-            run.horizon,
             CiConfig::default(),
         );
         (m, run)
@@ -497,16 +490,12 @@ mod tests {
     #[test]
     fn trained_marshaller_detects_events() {
         let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(6));
-        let window = run.window;
-        let horizon = run.horizon;
         let stream = run.stream.clone();
         let features = run.features.clone();
         let mut m = Marshaller::new(
             run.model,
             run.state,
             Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-            window,
-            horizon,
             CiConfig::default(),
         );
         let from = (stream.len * 3) / 4; // marshal the test region
@@ -591,8 +580,6 @@ mod tests {
                 run.model,
                 run.state,
                 Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-                run.window,
-                run.horizon,
                 CiConfig::default(),
             );
             (m, fx)

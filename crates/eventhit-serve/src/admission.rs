@@ -10,8 +10,9 @@
 //!    client can never leak capacity. An unsharded server is simply the
 //!    one-shard case.
 //! 2. The per-batch bound — a `SubmitFrames` of more than
-//!    `max_queue_frames` rows is rejected whole with `QueueFull`
-//!    (explicit backpressure: the client holds the data), never buffered.
+//!    [`MAX_BATCH_FRAMES`](crate::server::MAX_BATCH_FRAMES) rows is
+//!    rejected whole with `BatchTooLarge` (explicit backpressure: the
+//!    client holds the data), never buffered.
 //!    The server feeds an accepted batch straight from the decoded
 //!    message and holds no [`FrameQueue`] any more.
 //! 3. [`ServeTotals`] — the cross-shard aggregate: lifetime totals served

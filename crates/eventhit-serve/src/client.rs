@@ -4,8 +4,8 @@
 //! [`ServeClient::connect`] performs the `Hello`/`HelloAck` handshake and
 //! exposes the negotiated limits; every call then maps one request to one
 //! reply. Server rejections are ordinary values ([`Response::Rejected`]),
-//! not errors — backpressure (`QueueFull`, `TooManyStreams`) is part of
-//! the protocol, and the caller decides whether to wait out the
+//! not errors — backpressure (`TooManyStreams`, `BatchTooLarge`) is part
+//! of the protocol, and the caller decides whether to wait out the
 //! `retry_after_ms` hint or give up. Only transport failures and protocol
 //! violations surface as `io::Error`.
 
@@ -26,8 +26,6 @@ pub struct Negotiated {
     pub max_streams: u32,
     /// Largest batch one `SubmitFrames` may carry, in frames.
     pub max_batch_frames: u32,
-    /// Per-stream ingest-queue bound, in frames.
-    pub max_queue_frames: u32,
 }
 
 /// A server rejection, carried through [`Response::Rejected`].
@@ -88,8 +86,8 @@ pub struct HealthInfo {
     pub decisions: u64,
 }
 
-/// The server's answer to a `MetricsQuery` (protocol minor ≥ 2): the
-/// windowed time-series, counters, and SLO state a live dashboard polls.
+/// The server's answer to a `MetricsQuery`: the windowed time-series,
+/// counters, and SLO state a live dashboard polls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsInfo {
     /// Server clock reading in seconds when the reply was built.
@@ -177,14 +175,12 @@ impl<C: Read + Write> ServeClient<C> {
                 minor,
                 max_streams,
                 max_batch_frames,
-                max_queue_frames,
                 ..
             }) => {
                 let negotiated = Negotiated {
                     minor,
                     max_streams,
                     max_batch_frames,
-                    max_queue_frames,
                 };
                 Ok(ServeClient {
                     io,
@@ -275,10 +271,10 @@ impl<C: Read + Write> ServeClient<C> {
     }
 
     /// Like [`ServeClient::submit`], but stamping the batch with a
-    /// client-assigned trace id (protocol minor ≥ 2). The server threads
-    /// the id through its stage histograms and slow-decision log, and
-    /// must echo it bit-exactly on the reply; an echo mismatch is a
-    /// protocol violation and surfaces as `io::ErrorKind::InvalidData`.
+    /// client-assigned trace id. The server threads the id through its
+    /// stage histograms and slow-decision log, and must echo it
+    /// bit-exactly on the reply; an echo mismatch is a protocol
+    /// violation and surfaces as `io::ErrorKind::InvalidData`.
     pub fn submit_traced(
         &mut self,
         stream_id: u32,
@@ -314,8 +310,7 @@ impl<C: Read + Write> ServeClient<C> {
     }
 
     /// Fetches the server's windowed time-series, counters, and SLO
-    /// state (protocol minor ≥ 2) — the typed feed behind
-    /// `eventhit-cli top`.
+    /// state — the typed feed behind `eventhit-cli top`.
     pub fn metrics(&mut self) -> io::Result<MetricsInfo> {
         match self.call(&Message::MetricsQuery)? {
             Message::MetricsReply {
@@ -335,11 +330,11 @@ impl<C: Read + Write> ServeClient<C> {
         }
     }
 
-    /// Re-attaches to a stream held in the server's durable state
-    /// (protocol minor ≥ 1). `last_seq` is the number of frames this
-    /// client believes were accepted; on success the server returns the
-    /// authoritative `next_seq` — continue submitting the stream's rows
-    /// from that absolute index.
+    /// Re-attaches to a stream held in the server's durable state.
+    /// `last_seq` is the number of frames this client believes were
+    /// accepted; on success the server returns the authoritative
+    /// `next_seq` — continue submitting the stream's rows from that
+    /// absolute index.
     pub fn resume_stream(&mut self, stream_id: u32, last_seq: u64) -> io::Result<Response<u64>> {
         let resume = Message::Resume {
             stream_id,
@@ -379,15 +374,6 @@ impl<C: Read + Write> ServeClient<C> {
                 frames,
                 decisions,
             }),
-            other => Err(unexpected(Some(other))),
-        }
-    }
-
-    /// Fetches the server's telemetry snapshot as canonical JSONL (empty
-    /// when the server runs without a recorder).
-    pub fn telemetry_jsonl(&mut self) -> io::Result<String> {
-        match self.call(&Message::TelemetryQuery)? {
-            Message::TelemetryReport { jsonl } => Ok(jsonl),
             other => Err(unexpected(Some(other))),
         }
     }

@@ -1,46 +1,24 @@
-//! Lossless mapping between `eventhit-core` decision types and their wire
-//! images.
+//! Mapping between `eventhit-core` decision types and their wire images.
 //!
 //! The wire types in [`crate::protocol`] deliberately do not depend on
 //! `eventhit-core`, so the codec stays a pure, self-contained layer; this
-//! module is the single place where the two vocabularies meet. Both
-//! directions are total and inverse to each other — the loopback soak
-//! test round-trips every decision through them and compares against the
+//! module is the single place where the two vocabularies meet. The wire
+//! carries what a served decision holds — its anchor and one interval per
+//! event — so both directions are lossless for every decision a server
+//! emits, whose degradation is always `None`. The loopback soak test
+//! round-trips every decision through them and compares against the
 //! in-process `run_lanes` output for bit-identity.
 
 use eventhit_core::infer::IntervalPrediction;
 use eventhit_core::resilient::DegradationTag;
 use eventhit_core::streaming::HorizonDecision;
 
-use crate::protocol::{WireDecision, WireDegradation, WirePrediction};
-
-/// Converts a core degradation tag to its wire image.
-pub fn degradation_to_wire(tag: DegradationTag) -> WireDegradation {
-    match tag {
-        DegradationTag::None => WireDegradation::None,
-        DegradationTag::Retried { retries } => WireDegradation::Retried(retries),
-        DegradationTag::Dropped => WireDegradation::Dropped,
-        DegradationTag::Deferred => WireDegradation::Deferred,
-        DegradationTag::LocalOnly => WireDegradation::LocalOnly,
-    }
-}
-
-/// Converts a wire degradation back to the core tag.
-pub fn degradation_from_wire(tag: WireDegradation) -> DegradationTag {
-    match tag {
-        WireDegradation::None => DegradationTag::None,
-        WireDegradation::Retried(retries) => DegradationTag::Retried { retries },
-        WireDegradation::Dropped => DegradationTag::Dropped,
-        WireDegradation::Deferred => DegradationTag::Deferred,
-        WireDegradation::LocalOnly => DegradationTag::LocalOnly,
-    }
-}
+use crate::protocol::{WireDecision, WirePrediction};
 
 /// Converts a relay decision to its wire image.
 pub fn decision_to_wire(d: &HorizonDecision) -> WireDecision {
     WireDecision {
         anchor: d.anchor,
-        degradation: degradation_to_wire(d.degradation),
         predictions: d
             .predictions
             .iter()
@@ -53,11 +31,12 @@ pub fn decision_to_wire(d: &HorizonDecision) -> WireDecision {
     }
 }
 
-/// Reconstructs a relay decision from its wire image.
+/// Reconstructs a relay decision from its wire image, undegraded: the
+/// wire carries no degradation because no served decision has one.
 pub fn decision_from_wire(d: &WireDecision) -> HorizonDecision {
     HorizonDecision {
         anchor: d.anchor,
-        degradation: degradation_from_wire(d.degradation),
+        degradation: DegradationTag::None,
         predictions: d
             .predictions
             .iter()
@@ -76,25 +55,21 @@ mod tests {
 
     #[test]
     fn decisions_round_trip_through_the_wire_image() {
-        let all_tags = [
-            DegradationTag::None,
-            DegradationTag::Retried { retries: 3 },
-            DegradationTag::Dropped,
-            DegradationTag::Deferred,
-            DegradationTag::LocalOnly,
+        let present = IntervalPrediction {
+            present: true,
+            start: 2,
+            end: 9,
+        };
+        let predictions = [
+            vec![],
+            vec![present],
+            vec![present, IntervalPrediction::absent()],
         ];
-        for (i, tag) in all_tags.into_iter().enumerate() {
+        for (i, predictions) in predictions.into_iter().enumerate() {
             let d = HorizonDecision {
                 anchor: 1000 + i as u64,
-                degradation: tag,
-                predictions: vec![
-                    IntervalPrediction {
-                        present: true,
-                        start: 2,
-                        end: 9,
-                    },
-                    IntervalPrediction::absent(),
-                ],
+                degradation: DegradationTag::None,
+                predictions,
             };
             assert_eq!(decision_from_wire(&decision_to_wire(&d)), d);
         }

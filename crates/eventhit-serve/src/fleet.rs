@@ -176,8 +176,8 @@ struct Tallies {
 /// session's open streams always run to completion and release their
 /// slots, so the fleet always drains. Rejects and honored hints are
 /// tallied, not hidden. A rejection without a retry hint is permanent
-/// (a batch over the server's `max_queue_frames`, say) and fails the
-/// drive.
+/// (a batch over [`MAX_BATCH_FRAMES`](crate::server::MAX_BATCH_FRAMES),
+/// say) and fails the drive.
 pub fn drive(addr: &str, rows: &[Vec<f32>], spec: &FleetSpec) -> io::Result<FleetReport> {
     assert!(spec.sessions > 0, "a fleet needs at least one session");
     assert!(spec.window > 0, "a session needs a nonzero stream window");

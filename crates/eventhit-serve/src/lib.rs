@@ -28,8 +28,8 @@
 //! - [`client`] — the matching blocking client library used by the CLI's
 //!   `bench-client` and the loopback tests; its typed [`Disconnected`]
 //!   error tells callers a dead server apart from a protocol violation.
-//! - [`convert`] — lossless mapping between core decisions and their wire
-//!   images.
+//! - [`convert`] — the mapping between core decisions and their wire
+//!   images, lossless for every decision a server emits.
 //! - [`testkit`] — an in-memory duplex pipe: `Server::serve_on` and
 //!   `ServeClient::over` take any `Read + Write`, so a session can be
 //!   driven — cut at any byte — without a socket.
@@ -44,8 +44,8 @@
 //! stream, accepted batch, and emitted decision is committed to an
 //! append-only log before the reply is written, snapshots bound replay
 //! time, and a restarted server recovers bit-identical lane state so
-//! clients can reconnect and `Resume` where they left off (protocol
-//! minor 1). The durability model is specified in `docs/DESIGN.md`.
+//! clients can reconnect and `Resume` where they left off. The
+//! durability model is specified in `docs/DESIGN.md`.
 //!
 //! With [`ServeConfig::sampling`](server::ServeConfig) set to a
 //! non-`Fixed` policy, every admitted stream runs behind the
@@ -57,7 +57,7 @@
 //! rejected in combination with `durable` — gate state is not captured
 //! by snapshots. The model is specified in `docs/SAMPLING.md`.
 //!
-//! Protocol minor 2 adds the observability plane: `SubmitTraced` carries
+//! The wire also carries the observability plane: `SubmitTraced` carries
 //! a client-assigned trace id that is echoed on `TracedDecisions` and
 //! attached to stage histograms as exemplars, and `MetricsQuery` /
 //! `MetricsReply` expose the server's windowed time-series, counters,

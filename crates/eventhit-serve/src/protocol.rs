@@ -54,17 +54,12 @@ use eventhit_core::codec::{CodecError, F32Run, Reader, Writer};
 
 /// Protocol major version. A server rejects any `Hello` whose major
 /// version differs from its own: majors gate incompatible framing.
-pub const PROTOCOL_MAJOR: u16 = 1;
+pub const PROTOCOL_MAJOR: u16 = 2;
 
 /// Protocol minor version. Minors are negotiated down: the session runs
-/// at `min(client_minor, server_minor)` of a shared major.
-///
-/// Minor 1 added [`Message::Resume`] / [`Message::Resumed`] (durable
-/// reconnect-and-resume); minor 2 added decision tracing
-/// ([`Message::SubmitTraced`] / [`Message::TracedDecisions`]) and the
-/// live metrics plane ([`Message::MetricsQuery`] /
-/// [`Message::MetricsReply`]). An older peer simply never sends them.
-pub const PROTOCOL_MINOR: u16 = 2;
+/// at `min(client_minor, server_minor)` of a shared major. Major 2 starts
+/// at minor 0 with every message of [`Message`].
+pub const PROTOCOL_MINOR: u16 = 0;
 
 /// Hard cap on a single frame's payload (tag + body), in bytes. The
 /// decoder refuses larger length prefixes outright instead of trusting a
@@ -150,8 +145,6 @@ pub enum RejectCode {
     TooManyStreams = 1,
     /// The submitted batch exceeds the negotiated `max_batch_frames`.
     BatchTooLarge = 2,
-    /// The stream's bounded ingest queue cannot take the batch.
-    QueueFull = 3,
     /// The referenced stream id was never opened (or already closed).
     UnknownStream = 4,
     /// The stream id is already open in this session.
@@ -169,7 +162,6 @@ impl RejectCode {
             0 => RejectCode::VersionUnsupported,
             1 => RejectCode::TooManyStreams,
             2 => RejectCode::BatchTooLarge,
-            3 => RejectCode::QueueFull,
             4 => RejectCode::UnknownStream,
             5 => RejectCode::DuplicateStream,
             6 => RejectCode::Malformed,
@@ -184,31 +176,12 @@ impl RejectCode {
             RejectCode::VersionUnsupported => "version_unsupported",
             RejectCode::TooManyStreams => "too_many_streams",
             RejectCode::BatchTooLarge => "batch_too_large",
-            RejectCode::QueueFull => "queue_full",
             RejectCode::UnknownStream => "unknown_stream",
             RejectCode::DuplicateStream => "duplicate_stream",
             RejectCode::Malformed => "malformed",
             RejectCode::NotReady => "not_ready",
         }
     }
-}
-
-/// How (if at all) a served decision was degraded by the cloud path —
-/// the wire image of `eventhit-core`'s `DegradationTag`, kept separate
-/// so the codec stays dependency-free and field layouts stay explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireDegradation {
-    /// Clean decision: the CI path was healthy (or not consulted).
-    #[default]
-    None,
-    /// Delivered after this many retries.
-    Retried(u32),
-    /// The submission was dropped to the dead-letter queue.
-    Dropped,
-    /// The submission was deferred to the next horizon.
-    Deferred,
-    /// Served from the local predictor only; the CI was unreachable.
-    LocalOnly,
 }
 
 /// One predicted interval of one event, as served.
@@ -227,8 +200,6 @@ pub struct WirePrediction {
 pub struct WireDecision {
     /// Anchor frame (0-based index of the last window frame).
     pub anchor: u64,
-    /// Degradation status of the decision.
-    pub degradation: WireDegradation,
     /// Per-event predictions, in event order.
     pub predictions: WirePredictions,
 }
@@ -239,8 +210,8 @@ pub struct WireDecision {
 /// and the wire image are the slice's, whichever form holds it.
 ///
 /// Any other count sits behind a thin pointer, a boxed `Vec`, so the
-/// whole value is 16 B and a [`WireDecision`] 32 B: one `Vec` inline
-/// would make them 24 B and 40 B, and a boxed slice is a fat pointer that
+/// whole value is 16 B and a [`WireDecision`] 24 B: one `Vec` inline
+/// would make them 24 B and 32 B, and a boxed slice is a fat pointer that
 /// leaves no room for the inline prediction beside its niche. The price
 /// is one more 24 B allocation per multi-event decision.
 #[derive(Clone, Eq)]
@@ -307,7 +278,7 @@ pub struct StreamSummary {
 }
 
 /// One time window of a metric's windowed series, as served on
-/// [`Message::MetricsReply`] (protocol minor ≥ 2).
+/// [`Message::MetricsReply`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireWindow {
     /// Window index (`floor(clock_seconds / window_secs)`).
@@ -373,11 +344,11 @@ pub struct WireCounter {
     pub value: u64,
 }
 
-/// Every message of protocol major 1.
+/// Every message of protocol major 2.
 ///
 /// Client → server: `Hello`, `OpenStream`, `SubmitFrames`,
-/// `SubmitTraced`, `CloseStream`, `Health`, `TelemetryQuery`,
-/// `MetricsQuery`, `Resume`. Server → client: everything else.
+/// `SubmitTraced`, `CloseStream`, `Health`, `MetricsQuery`, `Resume`.
+/// Server → client: everything else.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client handshake: the protocol version the client speaks.
@@ -398,8 +369,6 @@ pub enum Message {
         max_streams: u32,
         /// Largest number of frames accepted in one `SubmitFrames`.
         max_batch_frames: u32,
-        /// Per-stream ingest-queue bound, in frames.
-        max_queue_frames: u32,
     },
     /// Opens a stream lane under a client-chosen id.
     OpenStream {
@@ -454,19 +423,11 @@ pub enum Message {
         /// Decisions emitted so far, all streams.
         decisions: u64,
     },
-    /// Asks the server for its telemetry snapshot.
-    TelemetryQuery,
-    /// Reply to [`Message::TelemetryQuery`]: the canonical JSONL export
-    /// of the server's recorder (empty when none is attached).
-    TelemetryReport {
-        /// `TelemetrySnapshot::to_jsonl()` bytes, UTF-8.
-        jsonl: String,
-    },
     /// Re-attaches to a stream that survives in the server's durable
-    /// state (protocol minor ≥ 1). `last_seq` is the client's count of
-    /// frames it believes the server accepted; the server replies with
-    /// the authoritative [`Message::Resumed`] so the client knows where
-    /// to continue submitting.
+    /// state. `last_seq` is the client's count of frames it believes the
+    /// server accepted; the server replies with the authoritative
+    /// [`Message::Resumed`] so the client knows where to continue
+    /// submitting.
     Resume {
         /// The durable stream to re-attach.
         stream_id: u32,
@@ -474,7 +435,7 @@ pub enum Message {
         /// acknowledged submissions). Must not exceed the server's.
         last_seq: u64,
     },
-    /// Server confirmation of a [`Message::Resume`] (protocol minor ≥ 1).
+    /// Server confirmation of a [`Message::Resume`].
     Resumed {
         /// Echo of the resumed stream id.
         stream_id: u32,
@@ -497,9 +458,9 @@ pub enum Message {
         detail: String,
     },
     /// Like [`Message::SubmitFrames`] but carrying a client-assigned
-    /// trace id (protocol minor ≥ 2). The server threads the id through
-    /// every stage of the decision path (histogram exemplars, slow-log
-    /// entries) and echoes it on the [`Message::TracedDecisions`] reply.
+    /// trace id. The server threads the id through every stage of the
+    /// decision path (histogram exemplars, slow-log entries) and echoes
+    /// it on the [`Message::TracedDecisions`] reply.
     SubmitTraced {
         /// Client-assigned trace id, opaque to the server.
         trace_id: u64,
@@ -510,9 +471,9 @@ pub enum Message {
         /// `rows * dim` feature values, row-major.
         data: Vec<f32>,
     },
-    /// Reply to [`Message::SubmitTraced`] (protocol minor ≥ 2): the same
-    /// decisions a [`Message::Decisions`] would carry, plus the echoed
-    /// trace id of the push that produced them.
+    /// Reply to [`Message::SubmitTraced`]: the same decisions a
+    /// [`Message::Decisions`] would carry, plus the echoed trace id of
+    /// the push that produced them.
     TracedDecisions {
         /// Bit-exact echo of the submitting push's trace id.
         trace_id: u64,
@@ -521,12 +482,10 @@ pub enum Message {
         /// The decisions, in anchor order.
         decisions: Vec<WireDecision>,
     },
-    /// Asks the server for its windowed time-series and SLO state
-    /// (protocol minor ≥ 2). Unlike [`Message::TelemetryQuery`] — which
-    /// returns the full JSONL snapshot — this returns a compact typed
-    /// reply sized for a polling dashboard.
+    /// Asks the server for its counters, windowed time-series and SLO
+    /// state: a compact typed reply sized for a polling dashboard.
     MetricsQuery,
-    /// Reply to [`Message::MetricsQuery`] (protocol minor ≥ 2).
+    /// Reply to [`Message::MetricsQuery`].
     MetricsReply {
         /// Server clock reading in seconds when the reply was built.
         clock_now: f64,
@@ -552,8 +511,7 @@ const TAG_CLOSE_STREAM: u8 = 0x07;
 const TAG_STREAM_CLOSED: u8 = 0x08;
 const TAG_HEALTH: u8 = 0x09;
 const TAG_HEALTH_REPORT: u8 = 0x0A;
-const TAG_TELEMETRY_QUERY: u8 = 0x0B;
-const TAG_TELEMETRY_REPORT: u8 = 0x0C;
+// 0x0B and 0x0C are unassigned: major 1's telemetry pair held them.
 const TAG_REJECTED: u8 = 0x0D;
 const TAG_RESUME: u8 = 0x0E;
 const TAG_RESUMED: u8 = 0x0F;
@@ -576,8 +534,6 @@ impl Message {
             Message::StreamClosed { .. } => TAG_STREAM_CLOSED,
             Message::Health => TAG_HEALTH,
             Message::HealthReport { .. } => TAG_HEALTH_REPORT,
-            Message::TelemetryQuery => TAG_TELEMETRY_QUERY,
-            Message::TelemetryReport { .. } => TAG_TELEMETRY_REPORT,
             Message::Rejected { .. } => TAG_REJECTED,
             Message::Resume { .. } => TAG_RESUME,
             Message::Resumed { .. } => TAG_RESUMED,
@@ -593,25 +549,11 @@ impl Message {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_degradation(w: &mut Writer, d: WireDegradation) {
-    match d {
-        WireDegradation::None => w.u8(0),
-        WireDegradation::Retried(r) => {
-            w.u8(1);
-            w.u32(r);
-        }
-        WireDegradation::Dropped => w.u8(2),
-        WireDegradation::Deferred => w.u8(3),
-        WireDegradation::LocalOnly => w.u8(4),
-    }
-}
-
 fn put_decisions(w: &mut Writer, stream_id: u32, decisions: &[WireDecision]) {
     w.u32(stream_id);
     w.count(decisions.len());
     for d in decisions {
         w.u64(d.anchor);
-        put_degradation(w, d.degradation);
         w.count(d.predictions.len());
         for p in d.predictions.iter() {
             w.u8(p.present as u8);
@@ -657,13 +599,11 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
             minor,
             max_streams,
             max_batch_frames,
-            max_queue_frames,
         } => {
             w.u16(*major);
             w.u16(*minor);
             w.u32(*max_streams);
             w.u32(*max_batch_frames);
-            w.u32(*max_queue_frames);
         }
         Message::OpenStream { stream_id }
         | Message::StreamOpened { stream_id }
@@ -682,7 +622,7 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
             w.u64(summary.frames);
             w.u64(summary.decisions);
         }
-        Message::Health | Message::TelemetryQuery | Message::MetricsQuery => {}
+        Message::Health | Message::MetricsQuery => {}
         Message::HealthReport {
             active_streams,
             sessions,
@@ -694,7 +634,6 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
             w.u64(*frames);
             w.u64(*decisions);
         }
-        Message::TelemetryReport { jsonl } => w.str(jsonl),
         Message::Rejected {
             code,
             retry_after_ms,
@@ -794,14 +733,6 @@ fn at(tag: u8) -> impl Fn(CodecError) -> ProtocolError {
 fn decision(r: &mut Reader) -> Result<WireDecision, CodecError> {
     Ok(WireDecision {
         anchor: r.u64()?,
-        degradation: match r.u8()? {
-            0 => WireDegradation::None,
-            1 => WireDegradation::Retried(r.u32()?),
-            2 => WireDegradation::Dropped,
-            3 => WireDegradation::Deferred,
-            4 => WireDegradation::LocalOnly,
-            _ => return Err(CodecError::Invalid("degradation tag")),
-        },
         predictions: match r.u32()? {
             1 => WirePredictions::One(prediction(r)?),
             n => WirePredictions::Many(Box::new(r.items(n as usize, prediction)?)),
@@ -904,7 +835,6 @@ fn message(tag: u8, r: &mut Reader) -> Result<Option<Message>, CodecError> {
             minor: r.u16()?,
             max_streams: r.u32()?,
             max_batch_frames: r.u32()?,
-            max_queue_frames: r.u32()?,
         },
         TAG_OPEN_STREAM => Message::OpenStream {
             stream_id: r.u32()?,
@@ -933,10 +863,6 @@ fn message(tag: u8, r: &mut Reader) -> Result<Option<Message>, CodecError> {
             sessions: r.u64()?,
             frames: r.u64()?,
             decisions: r.u64()?,
-        },
-        TAG_TELEMETRY_QUERY => Message::TelemetryQuery,
-        TAG_TELEMETRY_REPORT => Message::TelemetryReport {
-            jsonl: r.str()?.into(),
         },
         TAG_REJECTED => Message::Rejected {
             code: RejectCode::from_u8(r.u8()?).map_err(|_| CodecError::Invalid("reject code"))?,
@@ -1165,11 +1091,10 @@ mod tests {
                 minor: PROTOCOL_MINOR,
             },
             Message::HelloAck {
-                major: 1,
+                major: 2,
                 minor: 0,
                 max_streams: 64,
                 max_batch_frames: 4096,
-                max_queue_frames: 8192,
             },
             Message::OpenStream { stream_id: 3 },
             Message::StreamOpened { stream_id: 3 },
@@ -1183,7 +1108,6 @@ mod tests {
                 decisions: vec![
                     WireDecision {
                         anchor: 99,
-                        degradation: WireDegradation::None,
                         predictions: vec![
                             WirePrediction {
                                 present: true,
@@ -1200,12 +1124,10 @@ mod tests {
                     },
                     WireDecision {
                         anchor: 199,
-                        degradation: WireDegradation::Retried(2),
                         predictions: vec![].into(),
                     },
                     WireDecision {
                         anchor: 299,
-                        degradation: WireDegradation::LocalOnly,
                         predictions: vec![WirePrediction {
                             present: true,
                             start: 1,
@@ -1230,14 +1152,10 @@ mod tests {
                 frames: 123_456,
                 decisions: 789,
             },
-            Message::TelemetryQuery,
-            Message::TelemetryReport {
-                jsonl: "{\"k\":\"serve.frames\",\"v\":1}\n".into(),
-            },
             Message::Rejected {
-                code: RejectCode::QueueFull,
-                retry_after_ms: 250,
-                detail: "stream 3 queue at 8192/8192 frames".into(),
+                code: RejectCode::TooManyStreams,
+                retry_after_ms: 100,
+                detail: "at capacity: 64 of 64 streams open on stream 3's shard".into(),
             },
             Message::Resume {
                 stream_id: 3,
@@ -1258,7 +1176,6 @@ mod tests {
                 stream_id: 3,
                 decisions: vec![WireDecision {
                     anchor: 63,
-                    degradation: WireDegradation::None,
                     predictions: vec![WirePrediction {
                         present: true,
                         start: 2,
@@ -1329,10 +1246,10 @@ mod tests {
 
     #[test]
     fn wire_bytes_match_their_golden_image() {
-        // FNV-1a of every message's frame, back to back, pinned before the
-        // codec moved into `eventhit-core::codec`: not one byte may move.
+        // FNV-1a of every message's frame, back to back, pinned at
+        // protocol major 2: not one byte may move within a major.
         let wire: Vec<u8> = all_messages().iter().flat_map(encode).collect();
-        assert_eq!(eventhit_telemetry::fnv1a(&wire), 0xaeb4_fb3b_093e_81b5);
+        assert_eq!(eventhit_telemetry::fnv1a(&wire), 0x760e_05d6_5004_4f47);
     }
 
     #[test]
@@ -1340,23 +1257,21 @@ mod tests {
         // FNV-1a of each `all_messages()` frame alone, in order, so a wire
         // change names the messages it moved.
         let pins = [
-            ("Hello", 0x719e_4288_649d_42e0),
-            ("HelloAck", 0x7a2e_30c6_8279_ba73),
+            ("Hello", 0xd1aa_6280_0e6d_4ca1),
+            ("HelloAck", 0xa3f5_d8df_690b_10ac),
             ("OpenStream", 0xcaf8_2cee_0bad_571a),
             ("StreamOpened", 0x179c_6829_3568_3a9f),
             ("SubmitFrames", 0x4133_e399_cbc9_aa7b),
-            ("Decisions", 0xd21f_2caf_c21a_94c7),
+            ("Decisions", 0xcae4_86fd_1607_af9b),
             ("CloseStream", 0xfdb3_b998_00eb_00a6),
             ("StreamClosed", 0xe1e1_36ef_8d14_6967),
             ("Health", 0xd80d_75ae_a7dc_8e37),
             ("HealthReport", 0x621d_d77f_d18a_8ed1),
-            ("TelemetryQuery", 0xd80d_77ae_a7dc_919d),
-            ("TelemetryReport", 0x0761_5ca8_d618_7afd),
-            ("Rejected", 0xed37_e81b_ecd7_f139),
+            ("Rejected", 0x4af8_ccc7_f95e_3958),
             ("Resume", 0x0e00_0af2_1a2b_46a8),
             ("Resumed", 0xf5e3_fc06_915e_c1cb),
             ("SubmitTraced", 0xcd68_aa50_6614_3896),
-            ("TracedDecisions", 0xbca4_6264_7509_35b1),
+            ("TracedDecisions", 0xf08d_cf91_69cc_6b54),
             ("MetricsQuery", 0xd80d_7eae_a7dc_9d82),
             ("MetricsReply", 0x2de1_1167_b8b3_b445),
         ];
@@ -1373,7 +1288,7 @@ mod tests {
     #[test]
     fn one_prediction_is_held_inline_in_every_form() {
         assert_eq!(std::mem::size_of::<WirePredictions>(), 16);
-        assert_eq!(std::mem::size_of::<WireDecision>(), 32);
+        assert_eq!(std::mem::size_of::<WireDecision>(), 24);
         let p = WirePrediction {
             present: true,
             start: 3,
@@ -1381,7 +1296,6 @@ mod tests {
         };
         let d = WireDecision {
             anchor: 7,
-            degradation: WireDegradation::None,
             predictions: vec![p].into(),
         };
         let msg = Message::Decisions {
@@ -1709,11 +1623,14 @@ mod tests {
 
     #[test]
     fn reject_codes_round_trip() {
-        for v in 0u8..8 {
+        for v in (0u8..8).filter(|&v| v != 3) {
             let code = RejectCode::from_u8(v).unwrap();
             assert_eq!(code as u8, v);
             assert!(!code.label().is_empty());
         }
-        assert!(RejectCode::from_u8(8).is_err());
+        // Code 3 (major 1's queue-full refusal) is retired, not reused.
+        for retired in [3, 8] {
+            assert!(RejectCode::from_u8(retired).is_err());
+        }
     }
 }

@@ -30,15 +30,12 @@
 //!
 //! The server never buffers without bound. Streams beyond the owning
 //! shard's slice of [`ServeConfig::max_streams`] are refused
-//! (`TooManyStreams`, with a `retry_after_ms` hint), batches beyond
-//! [`ServeConfig::max_batch_frames`] are refused (`BatchTooLarge`), and
-//! batches beyond [`ServeConfig::max_queue_frames`] are refused whole
-//! (`QueueFull`; a size check, so no hint: resending the same batch
-//! cannot succeed) — the client keeps the data; the server's
-//! memory stays bounded by its configuration. That last bound is a
-//! per-batch one, not a standing queue: an accepted batch is fed row by
-//! row straight from the receive buffer and the reply is written before
-//! the next request is read, so nothing is ever queued between requests.
+//! (`TooManyStreams`, with a [`RETRY_AFTER_MS`] hint), and batches beyond
+//! [`MAX_BATCH_FRAMES`] are refused whole (`BatchTooLarge`; a size check,
+//! so no hint: resending the same batch cannot succeed) — the client
+//! keeps the data. Nothing is queued between requests: an accepted batch
+//! is fed row by row straight from the receive buffer and the reply is
+//! written before the next request is read.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
@@ -91,8 +88,16 @@ impl DurableOptions {
     }
 }
 
-/// Server configuration: bind address plus the admission limits echoed to
-/// every client in `HelloAck`.
+/// Largest accepted `SubmitFrames` batch, in frames, advertised to every
+/// client in `HelloAck`: a larger batch is refused `BatchTooLarge`.
+pub const MAX_BATCH_FRAMES: u32 = 4096;
+
+/// Backpressure hint attached to `TooManyStreams` rejections, in
+/// milliseconds.
+pub const RETRY_AFTER_MS: u32 = 100;
+
+/// Server configuration: bind address, sharding, the stream cap echoed to
+/// every client in `HelloAck`, and the optional serving modes.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind (`"127.0.0.1:0"` picks a free port).
@@ -113,15 +118,6 @@ pub struct ServeConfig {
     /// one more); a stream is refused when its *owning* shard is full,
     /// even if other shards still have room.
     pub max_streams: u32,
-    /// Largest accepted `SubmitFrames` batch, in frames.
-    pub max_batch_frames: u32,
-    /// Per-stream ingest bound, in frames: a batch of more rows is
-    /// refused `QueueFull` (the wire keeps the name; the server holds no
-    /// queue between requests).
-    pub max_queue_frames: u32,
-    /// Backpressure hint attached to `TooManyStreams` rejections, in
-    /// milliseconds.
-    pub retry_after_ms: u32,
     /// Optional durable-serving wiring (see [`DurableOptions`]). When
     /// set, every state-changing request is committed to the session log
     /// before it is acknowledged, lanes survive disconnects and crashes,
@@ -149,9 +145,6 @@ impl Default for ServeConfig {
             shards: 1,
             workers_per_shard: 0,
             max_streams: 16,
-            max_batch_frames: 4096,
-            max_queue_frames: 8192,
-            retry_after_ms: 100,
             durable: None,
             slow_log: None,
             sampling: SamplingPolicy::Fixed,
@@ -781,19 +774,19 @@ impl<C: Read + Write> Session<'_, C> {
     /// EOF, or a version rejection already written). Whatever the peer
     /// pipelined behind its `Hello` stays in `rx` for the request loop.
     fn handshake(&mut self, rx: &mut FrameBuf) -> io::Result<bool> {
-        let cfg = &self.shared.cfg;
+        let max_streams = self.shared.cfg.max_streams;
         let Some(hello) = rx.next_frame(&mut self.io)? else {
             return Ok(false); // connected and left; fine
         };
         match decode_payload(hello)? {
-            Message::Hello { major, minor } if major == PROTOCOL_MAJOR => {
-                // Minor negotiation: run at min(client, server).
+            Message::Hello { major, .. } if major == PROTOCOL_MAJOR => {
+                // Minors negotiate down to min(client, server), and the
+                // server's minor 0 is the least a client can send.
                 self.send(&Message::HelloAck {
                     major: PROTOCOL_MAJOR,
-                    minor: minor.min(PROTOCOL_MINOR),
-                    max_streams: cfg.max_streams,
-                    max_batch_frames: cfg.max_batch_frames,
-                    max_queue_frames: cfg.max_queue_frames,
+                    minor: PROTOCOL_MINOR,
+                    max_streams,
+                    max_batch_frames: MAX_BATCH_FRAMES,
                 })?;
                 Ok(true)
             }
@@ -837,7 +830,6 @@ impl<C: Read + Write> Session<'_, C> {
     /// Every request but the two submits.
     fn request(&mut self, msg: Message) -> io::Result<bool> {
         let shared = self.shared;
-        let t = &shared.telemetry;
         let reply = match msg {
             Message::OpenStream { stream_id } => return self.open(stream_id),
             Message::Resume {
@@ -854,14 +846,7 @@ impl<C: Read + Write> Session<'_, C> {
                     decisions,
                 }
             }
-            Message::TelemetryQuery => Message::TelemetryReport {
-                jsonl: if t.is_enabled() {
-                    t.snapshot().to_jsonl()
-                } else {
-                    String::new()
-                },
-            },
-            Message::MetricsQuery => metrics_reply(t),
+            Message::MetricsQuery => metrics_reply(&shared.telemetry),
             other => {
                 // Server-bound sessions must not receive server-to-client
                 // messages (or a second Hello); that is a fatal violation.
@@ -938,9 +923,7 @@ impl<C: Read + Write> Session<'_, C> {
         }
         let slot = match self.claim_slot(stream_id) {
             Ok(slot) => slot,
-            Err(full) => {
-                return self.refuse(hub, RejectCode::TooManyStreams, cfg.retry_after_ms, full)
-            }
+            Err(full) => return self.refuse(hub, RejectCode::TooManyStreams, RETRY_AFTER_MS, full),
         };
         // From here on the guard owns the slot: any early return releases
         // it.
@@ -1000,10 +983,9 @@ impl<C: Read + Write> Session<'_, C> {
             self.refuse(hub, RejectCode::Malformed, 0, detail)?;
             return Ok(false);
         }
-        let retry_after_ms = self.shared.cfg.retry_after_ms;
         match self.claim_slot(stream_id) {
             Ok(slot) => lane.slot = Some(slot),
-            Err(full) => return self.refuse(hub, RejectCode::TooManyStreams, retry_after_ms, full),
+            Err(full) => return self.refuse(hub, RejectCode::TooManyStreams, RETRY_AFTER_MS, full),
         }
         // `next_seq` may count a batch a dead session wrote and never
         // synced: wait for everything written on the shard.
@@ -1070,7 +1052,7 @@ impl<C: Read + Write> Session<'_, C> {
             data,
         } = submit;
         let shared = self.shared;
-        let (cfg, t) = (&shared.cfg, &shared.telemetry);
+        let t = &shared.telemetry;
         let batch_start = t.now();
         let shard = shared.shard_of(stream_id);
         let mut hub = shard.lock_hub()?;
@@ -1092,19 +1074,10 @@ impl<C: Read + Write> Session<'_, C> {
         }
         let width = dim.max(1) as usize;
         let rows = data.len() / width;
-        if rows > cfg.max_batch_frames as usize {
-            let detail = format!(
-                "batch of {rows} frames exceeds the {} cap; split it",
-                cfg.max_batch_frames
-            );
+        if rows > MAX_BATCH_FRAMES as usize {
+            let detail =
+                format!("batch of {rows} frames exceeds the {MAX_BATCH_FRAMES} cap; split it");
             return self.refuse(hub, RejectCode::BatchTooLarge, 0, detail);
-        }
-        if rows > cfg.max_queue_frames as usize {
-            let detail = format!(
-                "batch of {rows} frames exceeds stream {stream_id}'s bound of {} frames",
-                cfg.max_queue_frames
-            );
-            return self.refuse(hub, RejectCode::QueueFull, 0, detail);
         }
         // `queue_wait`: batch accepted → feed start. Lane lookup,
         // validation and, on a durable server, the wait for the hub mutex.

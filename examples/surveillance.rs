@@ -36,18 +36,9 @@ fn main() {
         c: 0.95,
         alpha: 0.9,
     };
-    let horizon = run.horizon;
-    let window = run.window;
     let stream = run.stream.clone();
     let features = run.features.clone();
-    let mut marshaller = Marshaller::new(
-        run.model,
-        run.state,
-        strategy,
-        window,
-        horizon,
-        CiConfig::default(),
-    );
+    let mut marshaller = Marshaller::new(run.model, run.state, strategy, CiConfig::default());
 
     // Marshal the final quarter of the stream (the model never saw it).
     let from = (stream.len * 3) / 4;

@@ -58,8 +58,6 @@ fn main() {
         run.model,
         run.state,
         Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-        run.window,
-        run.horizon,
         CiConfig::default(),
     );
     m.set_telemetry(Arc::clone(&tel));

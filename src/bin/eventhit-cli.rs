@@ -38,10 +38,11 @@
 use std::process::exit;
 
 use eventhit::core::ci::CiConfig;
-use eventhit::core::experiment::{ExperimentConfig, TaskRun};
+use eventhit::core::experiment::{stream_and_features, ExperimentConfig, TaskRun};
 use eventhit::core::infer::score_records;
 use eventhit::core::marshal::Marshaller;
 use eventhit::core::metrics::{coverage, CoverageCounts};
+use eventhit::core::model::EventHit;
 use eventhit::core::model_io;
 use eventhit::core::pipeline::{ConformalState, Strategy};
 use eventhit::core::streaming::OnlinePredictor;
@@ -258,15 +259,10 @@ fn load_context(args: &Args) -> (TaskRun, Strategy) {
         eprintln!("failed to read {model_path}: {e}");
         exit(1)
     });
-    let calib = score_records(&model, &run.calib_records, 128);
-    let test = score_records(&model, &run.test_records, 128);
-    run.state =
-        ConformalState::try_fit(&calib, t.num_events(), 0.5, run.horizon).unwrap_or_else(|e| {
-            eprintln!("{model_path} does not fit task {}: {e}", t.id);
-            exit(1)
-        });
-    run.calib = calib;
-    run.test = test;
+    run.state = recalibrate(&run, &model, &model_path);
+    // Both scored splits follow the loaded model too.
+    run.calib = score_records(&model, &run.calib_records, 128);
+    run.test = score_records(&model, &run.test_records, 128);
     run.model = model;
     (
         run,
@@ -275,6 +271,17 @@ fn load_context(args: &Args) -> (TaskRun, Strategy) {
             alpha: args.alpha,
         },
     )
+}
+
+/// The conformal state `model` (read from `path`) serves with on the
+/// exact lane, refitted on `run`'s calibration split at the run's own
+/// `τ_2`; a model that does not fit the task exits with an error.
+fn recalibrate(run: &TaskRun, model: &EventHit, path: &str) -> ConformalState {
+    run.state_for_model(model, InferenceLane::Exact)
+        .unwrap_or_else(|e| {
+            eprintln!("{path} does not fit task {}: {e}", run.task.id);
+            exit(1)
+        })
 }
 
 fn cmd_evaluate(args: &Args) {
@@ -295,14 +302,7 @@ fn cmd_marshal(args: &Args) {
     let (run, strategy) = load_context(args);
     let stream = run.stream.clone();
     let features = run.features.clone();
-    let mut m = Marshaller::new(
-        run.model,
-        run.state,
-        strategy,
-        run.window,
-        run.horizon,
-        CiConfig::default(),
-    );
+    let mut m = Marshaller::new(run.model, run.state, strategy, CiConfig::default());
     let from = (stream.len * 3) / 4;
     let result = m
         .try_run(&stream, &features, from, stream.len)
@@ -343,12 +343,7 @@ fn cmd_serve(args: &Args) {
             eprintln!("failed to read {path}: {e}");
             exit(1)
         });
-        let calib = score_records(&model, &run.calib_records, 128);
-        run.state = ConformalState::try_fit(&calib, t.num_events(), 0.5, run.horizon)
-            .unwrap_or_else(|e| {
-                eprintln!("{path} does not fit task {}: {e}", t.id);
-                exit(1)
-            });
+        run.state = recalibrate(&run, &model, path);
         run.model = model;
     }
     // Calibrate against the scores the served lane actually produces —
@@ -423,22 +418,16 @@ fn cmd_serve(args: &Args) {
 /// over one session with `--streams` interleaved streams, honouring
 /// retry-after backpressure, and prints totals.
 fn cmd_bench_client(args: &Args) {
-    use eventhit::video::features::{extract, FeatureConfig};
-    use eventhit::video::stream::VideoStream;
-
     let t = task(&args.task).unwrap_or_else(|| {
         eprintln!("unknown task {}", args.task);
         exit(2)
     });
-    // The same sub-seed derivation as TaskRun::execute, so the rows match
-    // the stream the server trained on without training anything here.
-    let profile = t.profile().scaled(args.scale);
-    let stream = VideoStream::generate(&profile, args.seed.wrapping_mul(31).wrapping_add(1));
-    let features = extract(
-        &stream,
-        &FeatureConfig::default(),
-        args.seed.wrapping_mul(37).wrapping_add(2),
-    );
+    // The rows `TaskRun::execute` generates for the same arguments, so
+    // they match the stream the server trained on without training here.
+    let (_, _, features) = stream_and_features(&t, &config(args)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    });
     let dim = features.cols() as u32;
     let rows = if args.frames == 0 {
         features.rows()
@@ -452,8 +441,8 @@ fn cmd_bench_client(args: &Args) {
     });
     let limits = client.negotiated();
     eprintln!(
-        "connected to {} (batch cap {}, queue cap {})",
-        args.addr, limits.max_batch_frames, limits.max_queue_frames
+        "connected to {} (batch cap {})",
+        args.addr, limits.max_batch_frames
     );
     for s in 0..args.streams {
         client

@@ -34,8 +34,8 @@ use eventhit::durable::state_io::decode_state;
 use eventhit::durable::{DurableError, DurableStore, SessionEvent, Snapshot};
 use eventhit::parallel::Pool;
 use eventhit::serve::protocol::{
-    decode_payload, encode, Message, ProtocolError, WireDecision, WireDegradation, WirePrediction,
-    MAX_FRAME_BYTES, PROTOCOL_MAJOR, PROTOCOL_MINOR,
+    decode_payload, encode, Message, ProtocolError, WireDecision, WirePrediction, MAX_FRAME_BYTES,
+    PROTOCOL_MAJOR, PROTOCOL_MINOR,
 };
 use eventhit::serve::testkit::pipe;
 use eventhit::serve::{ServeClient, ServeConfig, Server};
@@ -305,7 +305,6 @@ fn one_event_decisions_decode_into_their_list_alone() {
     let decisions = (0..64u32)
         .map(|i| WireDecision {
             anchor: 100 + u64::from(i),
-            degradation: WireDegradation::None,
             predictions: vec![WirePrediction {
                 present: i % 3 != 0,
                 start: i % 7,

@@ -132,8 +132,6 @@ fn faulted_marshalling_is_reproducible_and_accounted() {
         run.model,
         run.state,
         Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-        run.window,
-        run.horizon,
         CiConfig::default(),
     );
 
@@ -216,8 +214,6 @@ fn telemetry_trace_replays_bit_identically() {
             run.model,
             run.state,
             Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-            run.window,
-            run.horizon,
             CiConfig::default(),
         );
         m.set_telemetry(Arc::clone(&tel));

@@ -23,7 +23,9 @@ use eventhit::core::InferenceLane;
 use eventhit::nn::matrix::Matrix;
 use eventhit::parallel::{with_workers, Pool};
 use eventhit::serve::convert::decision_from_wire;
-use eventhit::serve::protocol::{read_message, write_message, Message, RejectCode};
+use eventhit::serve::protocol::{
+    read_message, write_message, Message, RejectCode, PROTOCOL_MAJOR, PROTOCOL_MINOR,
+};
 use eventhit::serve::{
     is_disconnected, DurableOptions, Response, ServeClient, ServeConfig, Server,
 };
@@ -46,7 +48,9 @@ fn trained() -> &'static Trained {
         let alt = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(78));
         // The replacement state must be refitted for the replacement
         // weights against *this* run's calibration split.
-        let reload_state = run.state_for_model(&alt.model, InferenceLane::Exact);
+        let reload_state = run
+            .state_for_model(&alt.model, InferenceLane::Exact)
+            .expect("both runs train on TA10");
         Trained {
             model: run.model,
             state: run.state,
@@ -648,11 +652,10 @@ fn unexpected_eof_surfaces_the_typed_disconnected_error() {
         write_message(
             &mut chan,
             &Message::HelloAck {
-                major: 1,
-                minor: 1,
+                major: PROTOCOL_MAJOR,
+                minor: PROTOCOL_MINOR,
                 max_streams: 4,
                 max_batch_frames: 512,
-                max_queue_frames: 4096,
             },
         )
         .unwrap();

@@ -63,8 +63,6 @@ fn pipeline_trace() -> (String, u64) {
         run.model,
         run.state,
         Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-        run.window,
-        run.horizon,
         CiConfig::default(),
     );
     m.set_telemetry(Arc::clone(&tel));

@@ -130,8 +130,6 @@ fn telemetry_fingerprint_is_worker_count_invariant() {
                 run.model,
                 run.state,
                 Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-                run.window,
-                run.horizon,
                 CiConfig::default(),
             );
             m.set_telemetry(Arc::clone(&tel));

@@ -18,6 +18,7 @@ use eventhit::nn::matrix::Matrix;
 use eventhit::parallel::{with_workers, Pool};
 use eventhit::serve::convert::decision_from_wire;
 use eventhit::serve::protocol::{read_message, write_message, Message, RejectCode, PROTOCOL_MAJOR};
+use eventhit::serve::server::{MAX_BATCH_FRAMES, RETRY_AFTER_MS};
 use eventhit::serve::{fleet, FleetSpec, Response, ServeClient, ServeConfig, Server};
 
 /// One quick training run shared by every test in this file.
@@ -244,7 +245,6 @@ fn quantized_lane_server_bit_identical_to_in_process_run_lanes() {
 fn admission_caps_streams_and_recovers_on_close() {
     let cfg = ServeConfig {
         max_streams: 2,
-        retry_after_ms: 250,
         ..ServeConfig::default()
     };
     let (addr, handle) = spawn_server(cfg, Box::new(|_| predictor()), 1);
@@ -256,7 +256,10 @@ fn admission_caps_streams_and_recovers_on_close() {
     match client.open_stream(2).unwrap() {
         Response::Rejected(r) => {
             assert_eq!(r.code, RejectCode::TooManyStreams);
-            assert_eq!(r.retry_after_ms, 250, "retry-after hint must propagate");
+            assert_eq!(
+                r.retry_after_ms, RETRY_AFTER_MS,
+                "retry-after hint must propagate"
+            );
         }
         Response::Ok(()) => panic!("third stream must be refused"),
     }
@@ -276,39 +279,28 @@ fn admission_caps_streams_and_recovers_on_close() {
 fn queue_full_and_batch_too_large_backpressure() {
     let t = trained();
     let dim = t.features.cols() as u32;
-    let cfg = ServeConfig {
-        max_batch_frames: 64,
-        max_queue_frames: 8,
-        retry_after_ms: 40,
-        ..ServeConfig::default()
-    };
-    let (addr, handle) = spawn_server(cfg, Box::new(|_| predictor()), 1);
+    let (addr, handle) = spawn_server(ServeConfig::default(), Box::new(|_| predictor()), 1);
     let mut client = ServeClient::connect(addr).expect("connect");
+    assert_eq!(client.negotiated().max_batch_frames, MAX_BATCH_FRAMES);
     client.open_stream(0).unwrap().expect_ok("open");
 
     let rows_of = |n: usize| {
         let mut data = Vec::with_capacity(n * dim as usize);
         for r in 0..n {
-            data.extend_from_slice(t.features.row(r));
+            data.extend_from_slice(t.features.row(r % t.features.rows()));
         }
         data
     };
     // Over the batch cap: permanent rejection (retry cannot help).
-    match client.submit(0, dim, rows_of(65)).unwrap() {
+    match client
+        .submit(0, dim, rows_of(MAX_BATCH_FRAMES as usize + 1))
+        .unwrap()
+    {
         Response::Rejected(r) => {
             assert_eq!(r.code, RejectCode::BatchTooLarge);
             assert_eq!(r.retry_after_ms, 0);
         }
         Response::Ok(_) => panic!("oversized batch must be refused"),
-    }
-    // Under the batch cap but over the queue bound: a size check too, so
-    // just as permanent; batch untouched.
-    match client.submit(0, dim, rows_of(16)).unwrap() {
-        Response::Rejected(r) => {
-            assert_eq!(r.code, RejectCode::QueueFull);
-            assert_eq!(r.retry_after_ms, 0);
-        }
-        Response::Ok(_) => panic!("overflowing batch must be refused"),
     }
     // A fitting batch sails through on the same stream afterwards.
     client
@@ -330,16 +322,12 @@ fn fleet_drive_fails_on_a_batch_the_server_can_never_take() {
     let rows: Vec<Vec<f32>> = (0..t.features.rows())
         .map(|r| t.features.row(r).to_vec())
         .collect();
-    let cfg = ServeConfig {
-        max_queue_frames: 8,
-        ..ServeConfig::default()
-    };
-    let (addr, handle) = spawn_server(cfg, Box::new(|_| predictor()), 1);
+    let (addr, handle) = spawn_server(ServeConfig::default(), Box::new(|_| predictor()), 1);
     let spec = FleetSpec {
         streams: 1,
         sessions: 1,
         window: 1,
-        batch: 16,
+        batch: MAX_BATCH_FRAMES as usize + 1,
         rounds: 1,
         ..FleetSpec::default()
     };
@@ -353,8 +341,8 @@ fn fleet_drive_fails_on_a_batch_the_server_can_never_take() {
         .recv_timeout(std::time::Duration::from_secs(30))
         .expect("the drive must give up on a permanent rejection");
     driver.join().unwrap();
-    let err = outcome.expect_err("a 16-frame batch cannot pass an 8-frame bound");
-    assert!(err.to_string().contains("queue_full"), "{err}");
+    let err = outcome.expect_err("a batch over the cap can never pass");
+    assert!(err.to_string().contains("batch_too_large"), "{err}");
     handle.join().unwrap();
 }
 
@@ -394,33 +382,32 @@ fn mid_session_disconnect_leaves_lanes_reusable() {
 
 #[test]
 fn version_mismatch_and_premature_requests_are_rejected() {
-    // Two raw sessions: one with a wrong major version, one skipping the
-    // handshake entirely.
-    let (addr, handle) = spawn_server(ServeConfig::default(), Box::new(|_| predictor()), 2);
+    // Three raw sessions: a newer major, the major-1 `Hello` an older
+    // client sends, and one skipping the handshake entirely.
+    let (addr, handle) = spawn_server(ServeConfig::default(), Box::new(|_| predictor()), 3);
 
-    let sock = TcpStream::connect(addr).expect("connect");
-    let mut chan = &sock;
-    write_message(
-        &mut chan,
-        &Message::Hello {
-            major: PROTOCOL_MAJOR + 1,
-            minor: 0,
-        },
-    )
-    .unwrap();
-    match read_message(&mut chan).unwrap() {
-        Some(Message::Rejected {
-            code,
-            retry_after_ms,
-            ..
-        }) => {
-            assert_eq!(code, RejectCode::VersionUnsupported);
-            assert_eq!(retry_after_ms, 0);
+    let newer = Message::Hello {
+        major: PROTOCOL_MAJOR + 1,
+        minor: 0,
+    };
+    let major_1 = Message::Hello { major: 1, minor: 2 };
+    for hello in [newer, major_1] {
+        let sock = TcpStream::connect(addr).expect("connect");
+        let mut chan = &sock;
+        write_message(&mut chan, &hello).unwrap();
+        match read_message(&mut chan).unwrap() {
+            Some(Message::Rejected {
+                code,
+                retry_after_ms,
+                ..
+            }) => {
+                assert_eq!(code, RejectCode::VersionUnsupported, "{hello:?}");
+                assert_eq!(retry_after_ms, 0);
+            }
+            other => panic!("expected version rejection of {hello:?}, got {other:?}"),
         }
-        other => panic!("expected version rejection, got {other:?}"),
+        assert_eq!(read_message(&mut chan).unwrap(), None, "server hangs up");
     }
-    assert_eq!(read_message(&mut chan).unwrap(), None, "server hangs up");
-    drop(sock);
 
     let sock = TcpStream::connect(addr).expect("connect");
     let mut chan = &sock;
@@ -495,9 +482,16 @@ fn health_and_telemetry_travel_the_wire() {
     assert_eq!(health.sessions, 1);
     assert_eq!(health.frames, 200);
 
-    let jsonl = client.telemetry_jsonl().expect("telemetry");
-    assert!(jsonl.contains("serve.frames"), "snapshot: {jsonl}");
-    assert!(jsonl.contains("serve.streams_opened"), "snapshot: {jsonl}");
+    let metrics = client.metrics().expect("metrics");
+    let counter = |name: &str| {
+        let found = metrics
+            .counters
+            .iter()
+            .find(|c| c.name == name && c.label.is_empty());
+        found.map(|c| c.value)
+    };
+    assert_eq!(counter("serve.frames"), Some(200), "{metrics:?}");
+    assert_eq!(counter("serve.streams_opened"), Some(1), "{metrics:?}");
     drop(client);
     handle.join().unwrap();
 
@@ -506,7 +500,10 @@ fn health_and_telemetry_travel_the_wire() {
     assert_eq!(snap.counter("serve.frames"), Some(200));
     assert_eq!(snap.counter("serve.sessions"), Some(1));
     assert_eq!(snap.counter("serve.streams_opened"), Some(1));
-    assert_eq!(snap.counter_labeled("serve.rejected", "queue_full"), None);
+    assert_eq!(
+        snap.counter_labeled("serve.rejected", "batch_too_large"),
+        None
+    );
     // Even a single-shard server scopes its metrics: shard 0 carries the
     // whole load, and the cross-shard aggregate gauge (what `eventhit-cli
     // top` and the Health endpoint report) agrees with it.

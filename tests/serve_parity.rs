@@ -14,6 +14,7 @@ use eventhit::parallel::Pool;
 use eventhit::serve::protocol::{
     read_message, write_message, Message, RejectCode, PROTOCOL_MAJOR, PROTOCOL_MINOR,
 };
+use eventhit::serve::server::MAX_BATCH_FRAMES;
 use eventhit::serve::{DurableOptions, ServeConfig, Server};
 
 fn trained() -> &'static TaskRun {
@@ -21,11 +22,12 @@ fn trained() -> &'static TaskRun {
     RUN.get_or_init(|| TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(77)))
 }
 
-/// `n` feature rows starting at row `from`, flattened.
+/// `n` feature rows starting at row `from`, flattened; past the last
+/// row they wrap to the first.
 fn rows(from: usize, n: usize) -> Vec<f32> {
     let features = &trained().features;
     (from..from + n)
-        .flat_map(|r| features.row(r).iter().copied())
+        .flat_map(|r| features.row(r % features.rows()).iter().copied())
         .collect()
 }
 
@@ -70,12 +72,7 @@ fn plain_and_durable_servers_give_the_same_replies() {
     let dim = run.features.cols() as u32;
     // Enough rows in one fitting batch to cross the first anchor.
     let fitting = run.window + run.horizon;
-    let limits = ServeConfig {
-        max_batch_frames: 2 * fitting as u32,
-        max_queue_frames: fitting as u32,
-        retry_after_ms: 40,
-        ..ServeConfig::default()
-    };
+    let too_large = MAX_BATCH_FRAMES as usize + 1;
     let submit = |stream_id, dim, data| Message::SubmitFrames {
         stream_id,
         dim,
@@ -92,8 +89,7 @@ fn plain_and_durable_servers_give_the_same_replies() {
         ("open", Message::OpenStream { stream_id: 0 }),
         ("duplicate open", Message::OpenStream { stream_id: 0 }),
         ("submit to an unopened id", submit(9, dim, rows(0, 1))),
-        ("batch too large", submit(0, dim, rows(0, 2 * fitting + 1))),
-        ("queue full", submit(0, dim, rows(0, fitting + 1))),
+        ("batch too large", submit(0, dim, rows(0, too_large))),
         (
             "fitting batch over an anchor",
             submit(0, dim, rows(0, fitting)),
@@ -120,11 +116,11 @@ fn plain_and_durable_servers_give_the_same_replies() {
     let dir = std::env::temp_dir().join(format!("evparity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let plain = converse(limits.clone(), &script);
+    let plain = converse(ServeConfig::default(), &script);
     let durable = converse(
         ServeConfig {
             durable: Some(DurableOptions::new(&dir)),
-            ..limits
+            ..ServeConfig::default()
         },
         &script,
     );
@@ -149,7 +145,6 @@ fn plain_and_durable_servers_give_the_same_replies() {
         Some(DuplicateStream),
         Some(UnknownStream),
         Some(BatchTooLarge),
-        Some(QueueFull),
         None,
         None,
         None,
@@ -160,19 +155,19 @@ fn plain_and_durable_servers_give_the_same_replies() {
     ];
     assert_eq!(codes, expected);
     assert!(
-        matches!(&plain[6], Some(Message::Decisions { decisions, .. }) if !decisions.is_empty()),
+        matches!(&plain[5], Some(Message::Decisions { decisions, .. }) if !decisions.is_empty()),
         "the fitting batch must cross an anchor: {:?}",
-        plain[6]
+        plain[5]
     );
     assert!(
-        matches!(&plain[7], Some(Message::TracedDecisions { trace_id: 0xfeed, decisions, .. }) if !decisions.is_empty()),
+        matches!(&plain[6], Some(Message::TracedDecisions { trace_id: 0xfeed, decisions, .. }) if !decisions.is_empty()),
         "{:?}",
-        plain[7]
+        plain[6]
     );
     let frames = (fitting + run.horizon) as u64;
     assert!(
-        matches!(&plain[8], Some(Message::StreamClosed { summary, .. }) if summary.frames == frames),
+        matches!(&plain[7], Some(Message::StreamClosed { summary, .. }) if summary.frames == frames),
         "{:?}",
-        plain[8]
+        plain[7]
     );
 }
