@@ -5,11 +5,13 @@
 //! in memory. A crash loses every admitted stream. This crate makes that
 //! state *durable* without giving up the repo's bit-determinism guarantee:
 //!
-//! - [`log`]: an append-only session event log. Every state-changing
-//!   serving operation (stream admitted, frames pushed, decision emitted,
-//!   model reloaded, stream closed) is framed as
+//! - [`log`]: the session event log. Every state-changing serving
+//!   operation (stream admitted, frames pushed, decision emitted, model
+//!   reloaded, stream closed) is framed as
 //!   `[payload_len u32][crc32 u32][payload]`, written in application
-//!   order, and synced before it is acknowledged.
+//!   order at the log's logical end, and synced before it is
+//!   acknowledged. The file runs ahead of that end in zero-filled
+//!   chunks, which recovery reads as fill, not records.
 //! - [`snapshot`]: periodic checkpoints of the complete dynamic lane
 //!   state, so recovery replays a bounded log tail instead of the whole
 //!   session history. Snapshots are sealed files of
@@ -17,10 +19,10 @@
 //!   rename, directory sync) and carrying their own checksum.
 //! - [`store`]: the recovery path. [`store::DurableStore::open`] loads
 //!   the newest valid snapshot, scans the log tail, *truncates a torn
-//!   final record* (the expected artifact of a crash mid-write), and
-//!   [`store::replay`] re-feeds the tail through real predictors —
-//!   verifying along the way that every recomputed decision matches the
-//!   fingerprint logged before the crash.
+//!   final record* (the expected artifact of a crash mid-write) and the
+//!   fill, and [`store::replay`] re-feeds the tail through real
+//!   predictors — verifying along the way that every recomputed decision
+//!   matches the fingerprint logged before the crash.
 //! - [`state_io`]: serialization for the fitted conformal state and
 //!   reloaded model weights, so a model hot-reload mid-serve is itself
 //!   replayable without access to the original calibration split.

@@ -1,19 +1,27 @@
-//! Append-only record framing for the session event log.
+//! Record framing for the session event log.
 //!
 //! Each record is `[payload_len: u32 LE][crc32: u32 LE][payload]`, where
-//! the CRC covers the payload bytes only. The framing distinguishes two
-//! failure modes with very different recovery semantics:
+//! the CRC covers the payload bytes only. Records are only ever written
+//! at the log's logical end, but the file may run on past it: the store
+//! keeps its length ahead of the end in zero-filled chunks, so an image
+//! ends at its last non-zero byte and whatever follows is *fill*. A
+//! record with a payload has a non-zero length field, so fill never reads
+//! as one (an empty record would; the store never writes one, as every
+//! event starts with its tag). The framing distinguishes two failure
+//! modes with very different recovery semantics:
 //!
-//! - **Torn tail** — the file ends mid-record (header shorter than 8
-//!   bytes, or fewer payload bytes than the header declares). This is the
-//!   *expected* artifact of a crash during a log write and is recoverable:
-//!   every record before the tear is intact, and the tear is truncated
-//!   away on reopen. Note a pure truncation can *only* produce a torn
-//!   tail, never a checksum failure — the CRC is read from the header,
-//!   and a truncated header leaves fewer than 8 bytes.
-//! - **Corrupt record** — a record whose payload is fully present but
-//!   hashes to a different CRC. That is bit damage (disk fault, manual
-//!   edit), not a torn append, and recovery refuses to proceed past it.
+//! - **Torn tail** — the image ends mid-record: the header or payload is
+//!   cut short by the end of the file, or the record's checksum fails and
+//!   the record runs into the fill. This is the *expected* artifact of a
+//!   crash during a log write and is recoverable: every record before the
+//!   tear is intact, and the tear is truncated away on reopen. A crash
+//!   leaves the unwritten part of a record as the zeros that were there
+//!   before it, and a pure truncation leaves fewer bytes than the header
+//!   declares.
+//! - **Corrupt record** — a record whose payload is fully present, ends
+//!   before the fill, and hashes to a different CRC. That is bit damage
+//!   (disk fault, manual edit), not a torn write, and recovery refuses to
+//!   proceed past it.
 
 use crate::{DurableError, DurableResult};
 use eventhit_core::codec::{crc32, Reader, Writer};
@@ -63,10 +71,12 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
 /// How a scanned log ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tail {
-    /// The final record is complete; the log ends on a record boundary.
+    /// The final record is complete; the log ends on a record boundary,
+    /// or only fill follows it.
     Clean,
-    /// The file ends mid-record. `valid_bytes` in the [`Scan`] marks the
-    /// last committed boundary; everything after it should be truncated.
+    /// The image ends mid-record: cut short, or run into the fill.
+    /// `valid_bytes` in the [`Scan`] marks the last committed boundary;
+    /// everything after it should be truncated.
     Torn,
 }
 
@@ -78,8 +88,12 @@ pub struct Scan<'a> {
     /// Payloads of every fully-committed record, in append order.
     pub payloads: Vec<&'a [u8]>,
     /// Bytes of the image covered by committed records; also the offset
-    /// to truncate to when the tail is torn.
+    /// to truncate to when the tail is torn or the image has fill.
     pub valid_bytes: u64,
+    /// Bytes of the torn record present in the image, from `valid_bytes`
+    /// to the last non-zero byte; 0 when the tail is clean. Fill is not
+    /// counted: zeros at the end are indistinguishable from it.
+    pub torn_bytes: u64,
     /// Whether the image ends cleanly or mid-record.
     pub tail: Tail,
 }
@@ -87,16 +101,19 @@ pub struct Scan<'a> {
 /// Scans a log image, validating every record's checksum.
 ///
 /// Returns [`DurableError::Corrupt`] only for a *fully present* record
-/// whose CRC does not match — a tear (truncated header or payload) is
-/// reported through [`Tail::Torn`], never as an error.
+/// whose CRC does not match and which ends before the fill — a tear
+/// (truncated header or payload, or a damaged record that runs into the
+/// fill) is reported through [`Tail::Torn`], never as an error.
 pub fn scan(bytes: &[u8]) -> DurableResult<Scan<'_>> {
+    // Past the last non-zero byte is fill, or nothing.
+    let end = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
     let mut payloads = Vec::new();
     let mut rest = Reader::new(bytes);
     let tail = loop {
-        if rest.remaining() == 0 {
+        let offset = bytes.len() - rest.remaining();
+        if offset >= end {
             break Tail::Clean;
         }
-        let offset = (bytes.len() - rest.remaining()) as u64;
         let mut record = rest;
         // A header or payload cut short is a torn tail, not an error.
         let (Ok(len), Ok(expected)) = (record.u32(), record.u32()) else {
@@ -111,14 +128,27 @@ pub fn scan(bytes: &[u8]) -> DurableResult<Scan<'_>> {
             break Tail::Torn;
         };
         if crc32(payload) != expected {
-            return Err(DurableError::Corrupt { offset });
+            // A payload ending in zeros may be whole: only the checksum
+            // tells. One that fails it and reaches into the fill is the
+            // record a crash cut short.
+            if bytes.len() - record.remaining() > end {
+                break Tail::Torn;
+            }
+            return Err(DurableError::Corrupt {
+                offset: offset as u64,
+            });
         }
         payloads.push(payload);
         rest = record;
     };
+    let valid_bytes = bytes.len() - rest.remaining();
     Ok(Scan {
         payloads,
-        valid_bytes: (bytes.len() - rest.remaining()) as u64,
+        valid_bytes: valid_bytes as u64,
+        torn_bytes: match tail {
+            Tail::Clean => 0,
+            Tail::Torn => (end - valid_bytes) as u64,
+        },
         tail,
     })
 }

@@ -3,21 +3,21 @@
 //! [`DurableStore::open`] owns the session directory:
 //!
 //! ```text
-//! <dir>/session.evlog          append-only event log
+//! <dir>/session.evlog          event log, written only at its end
 //! <dir>/snap-<events>.evsn     newest checkpoint (older ones pruned)
 //! <dir>/model-<fp>.evht        weights persisted by a hot-reload
 //! <dir>/state-<fp>.evcs        conformal state persisted by a hot-reload
 //! ```
 //!
 //! Opening scans the log, truncates a torn final record (the footprint of
-//! a crash mid-append), loads the newest valid snapshot, and hands back a
-//! [`Recovery`] describing exactly what must be replayed. [`replay`] then
-//! rebuilds live predictors: snapshot lanes are restored directly (and
-//! verified by fingerprint), tail events are re-fed through the real
-//! model — every recomputed decision checked against the fingerprint
-//! logged before the crash, so a drifted environment fails with
-//! [`DurableError::ReplayDiverged`] instead of silently emitting
-//! different decisions.
+//! a crash mid-write) and any zero fill, loads the newest valid snapshot,
+//! and hands back a [`Recovery`] describing exactly what must be
+//! replayed. [`replay`] then rebuilds live predictors: snapshot lanes are
+//! restored directly (and verified by fingerprint), tail events are
+//! re-fed through the real model — every recomputed decision checked
+//! against the fingerprint logged before the crash, so a drifted
+//! environment fails with [`DurableError::ReplayDiverged`] instead of
+//! silently emitting different decisions.
 
 use crate::event::SessionEvent;
 use crate::log::{frame_into, scan, Tail};
@@ -29,22 +29,38 @@ use eventhit_core::{ConformalState, EventHit};
 use eventhit_telemetry::Telemetry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 const LOG_FILE: &str = "session.evlog";
 
+/// The log file grows in zero-filled chunks of this many bytes, written
+/// and synced once each, so the commits that fill a chunk find its size
+/// and blocks already on disk and their `sync_data` flushes data only.
+const CHUNK_BYTES: u64 = 1 << 20;
+
+/// What a chunk is written from, a slice at a time: growing the log
+/// allocates nothing.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
+
 /// An open durable session directory with a write handle on its log.
 ///
 /// Committing is two steps. [`DurableStore::write`] frames a batch of
-/// events into one buffer and hands it to the file with one `write_all`
-/// — the caller holds whatever lock orders its state changes, so log
-/// order is application order. [`CommitHandle::wait_durable`] then makes
-/// a sequence number crash-safe, *outside* that lock: one `sync_data`
-/// covers every record written before it started, whoever wrote it.
-/// [`DurableStore::append`] is the two back to back.
+/// events into one buffer and hands it to the file with one positional
+/// `write_all_at` at the log's logical end — the caller holds whatever
+/// lock orders its state changes, so log order is application order.
+/// [`CommitHandle::wait_durable`] then makes a sequence number
+/// crash-safe, *outside* that lock: one `sync_data` covers every record
+/// written before it started, whoever wrote it. [`DurableStore::append`]
+/// is the two back to back.
+///
+/// The file length runs ahead of the logical end in zero-filled 1 MiB
+/// chunks; [`crate::log::scan`] reads the zeros as fill, not records.
+/// Opening truncates the fill away, and so does a clean drop, so a
+/// closed log holds its records and nothing else.
 ///
 /// Opened with [`DurableStore::open_with_telemetry`], the store reports
 /// its own health: `durable.appends` / `durable.append_bytes` count
@@ -57,6 +73,10 @@ pub struct DurableStore {
     commit: Arc<CommitHandle>,
     /// Framing buffer, reused across writes.
     buf: Vec<u8>,
+    /// The logical end: bytes of the log the records written so far fill.
+    end: u64,
+    /// The file length: `end` plus the zero fill ahead of it.
+    len: u64,
 }
 
 /// The log file and how much of it is crash-safe, shared by everyone who
@@ -71,7 +91,7 @@ pub struct DurableStore {
 /// retrying would report bytes durable that are not.
 pub struct CommitHandle {
     log: fs::File,
-    /// Sequence of the last record whose `write_all` returned.
+    /// Sequence of the last record whose `write_all_at` returned.
     written: AtomicU64,
     /// The commit lock: whoever holds it is the one flushing.
     state: Mutex<CommitState>,
@@ -103,7 +123,7 @@ impl CommitHandle {
             return Ok(());
         }
         // Read before the flush starts: every record up to `target` had
-        // its `write_all` return before this load, so the flush covers it.
+        // its `write_all_at` return before this load, so the flush covers it.
         let target = self.written.load(Ordering::SeqCst);
         debug_assert!(seq <= target, "waiting for a record nobody wrote");
         let sync_start = self.telemetry.now();
@@ -143,7 +163,8 @@ pub struct Recovery {
     /// there is no snapshot), in append order.
     pub tail: Vec<SessionEvent>,
     /// Whether the log ended mid-record and was truncated back to its
-    /// last committed boundary.
+    /// last committed boundary. Zero fill after the last record is not a
+    /// torn tail.
     pub torn_tail: bool,
     /// Total committed events in the log after truncation.
     pub events_applied: u64,
@@ -151,17 +172,17 @@ pub struct Recovery {
 
 impl DurableStore {
     /// Opens (or creates) a durable session directory. Scans the log,
-    /// truncates a torn tail, loads the newest valid snapshot, and
-    /// returns the store plus everything recovery needs.
+    /// truncates a torn tail and any fill, loads the newest valid
+    /// snapshot, and returns the store plus everything recovery needs.
     pub fn open(dir: impl AsRef<Path>) -> DurableResult<(DurableStore, Recovery)> {
         Self::open_with_telemetry(dir, Arc::new(Telemetry::disabled()))
     }
 
     /// [`DurableStore::open`] with a telemetry recorder. Recovery facts
     /// are recorded immediately (`durable.replay_records` events pending
-    /// replay, `durable.torn_bytes_truncated` bytes dropped from a torn
-    /// tail); the write, sync and snapshot paths report through the same
-    /// recorder for the store's lifetime.
+    /// replay, `durable.torn_bytes_truncated` bytes of a torn record
+    /// dropped, fill not counted); the write, sync and snapshot paths
+    /// report through the same recorder for the store's lifetime.
     pub fn open_with_telemetry(
         dir: impl AsRef<Path>,
         telemetry: Arc<Telemetry>,
@@ -182,14 +203,20 @@ impl DurableStore {
         let torn_tail = scanned.tail == Tail::Torn;
         let events_applied = scanned.payloads.len() as u64;
 
+        // Not `append`: on Linux a positional write to an `O_APPEND` file
+        // lands at the file's end, which is past the fill.
         let log = fs::OpenOptions::new()
             .create(true)
-            .append(true)
+            .write(true)
+            .truncate(false)
             .open(&log_path)?;
-        if torn_tail {
-            // Drop the half-written record so the next write starts on
-            // a committed boundary.
-            log.set_len(scanned.valid_bytes)?;
+        let end = scanned.valid_bytes;
+        if bytes.len() as u64 != end {
+            // Drop the torn record and the fill, durably, so the next
+            // write starts on a committed boundary and no stale byte past
+            // it outlives this open to be misread after the next crash.
+            log.set_len(end)?;
+            log.sync_data()?;
         }
 
         let snapshot = Snapshot::load_latest(&dir)?;
@@ -208,10 +235,7 @@ impl DurableStore {
             telemetry.add("durable.replay_records", tail.len() as u64);
         }
         if torn_tail {
-            telemetry.add(
-                "durable.torn_bytes_truncated",
-                bytes.len() as u64 - scanned.valid_bytes,
-            );
+            telemetry.add("durable.torn_bytes_truncated", scanned.torn_bytes);
         }
 
         Ok((
@@ -229,6 +253,8 @@ impl DurableStore {
                     telemetry,
                 }),
                 buf: Vec::new(),
+                end,
+                len: end,
             },
             Recovery {
                 snapshot,
@@ -240,10 +266,12 @@ impl DurableStore {
     }
 
     /// Writes `events` to the log as one batch — framed into one buffer,
-    /// one `write_all` — and returns the sequence number of the last one.
-    /// Nothing is durable yet: pass the number to
-    /// [`CommitHandle::wait_durable`] before acting on the write. Each
-    /// record counts under `durable.appends` / `durable.append_bytes`.
+    /// one `write_all_at` at the logical end, after growing the file in
+    /// zero-filled chunks if the batch would run past it — and returns the
+    /// sequence number of the last one. Nothing is durable yet: pass the
+    /// number to [`CommitHandle::wait_durable`] before acting on the
+    /// write. Each record counts under `durable.appends` /
+    /// `durable.append_bytes`.
     ///
     /// Any error (an oversized record included) marks the log failed: the
     /// caller's state may already be ahead of the file.
@@ -255,7 +283,7 @@ impl DurableStore {
         let framed = events
             .iter()
             .try_for_each(|event| frame_into(&mut self.buf, |buf| event.encode_into(buf)));
-        let written = framed.and_then(|()| Ok((&self.commit.log).write_all(&self.buf)?));
+        let written = framed.and_then(|()| Ok(self.write_buf()?));
         if let Err(e) = written {
             self.commit.failed.store(true, Ordering::SeqCst);
             return Err(e);
@@ -268,6 +296,28 @@ impl DurableStore {
         telemetry.add("durable.appends", events.len() as u64);
         telemetry.add("durable.append_bytes", self.buf.len() as u64);
         Ok(seq)
+    }
+
+    /// Puts the framed batch at the logical end, growing the file first
+    /// if it would not fit: the new chunk's zeros are written and synced
+    /// before any record lands in it.
+    fn write_buf(&mut self) -> io::Result<()> {
+        let log = &self.commit.log;
+        let end = self.end + self.buf.len() as u64;
+        if end > self.len {
+            let len = end.next_multiple_of(CHUNK_BYTES);
+            let mut at = self.len;
+            while at < len {
+                let n = (len - at).min(ZEROS.len() as u64);
+                log.write_all_at(&ZEROS[..n as usize], at)?;
+                at += n;
+            }
+            log.sync_data()?;
+            self.len = len;
+        }
+        log.write_all_at(&self.buf, self.end)?;
+        self.end = end;
+        Ok(())
     }
 
     /// Writes one event and waits for it to be durable — after `append`
@@ -325,6 +375,18 @@ impl DurableStore {
     /// Loads a persisted reload pair by fingerprint.
     pub fn load_reload(&self, fingerprint: u64) -> DurableResult<(EventHit, ConformalState)> {
         state_io::load_reload(&self.dir, fingerprint)
+    }
+}
+
+/// A clean close trims the fill, so the file is the records alone. A
+/// failed log is left as it is for the next open to repair.
+impl Drop for DurableStore {
+    fn drop(&mut self) {
+        if self.len > self.end && !self.commit.failed.load(Ordering::SeqCst) {
+            // Nothing to report to: a fill left behind is still read as
+            // fill, and the next open truncates it.
+            let _ = self.commit.log.set_len(self.end);
+        }
     }
 }
 
@@ -506,6 +568,7 @@ mod tests {
     use crate::log::frame_record;
     use crate::snapshot::LaneSnapshot;
     use eventhit_core::{task, ExperimentConfig, Strategy, TaskRun};
+    use std::io::Write;
     use std::os::unix::fs::MetadataExt;
     use std::sync::OnceLock;
 
