@@ -8,6 +8,7 @@
 //! `b_k` scores the event's occurrence anywhere in the horizon and
 //! `θ_{k,v}` scores its occurrence at horizon offset `v`.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use eventhit_rng::rngs::StdRng;
@@ -15,14 +16,16 @@ use eventhit_rng::SeedableRng;
 
 use eventhit_nn::activation::Activation;
 use eventhit_nn::cell::CellState;
-use eventhit_nn::dense::{Dense, PackedDense, QuantizedDense};
+use eventhit_nn::dense::{Dense, DenseTrace, PackedDense, QuantizedDense};
 use eventhit_nn::dropout::Dropout;
-use eventhit_nn::gru::{Gru, PackedGru, QuantizedGru};
+use eventhit_nn::gru::{Gru, GruTrace, PackedGru, QuantizedGru};
 use eventhit_nn::init::Init;
-use eventhit_nn::lstm::{Lstm, PackedLstm, QuantizedLstm};
+use eventhit_nn::lstm::{Lstm, LstmTrace, PackedLstm, QuantizedLstm};
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::optimizer::ParamMut;
 use eventhit_nn::quant::InferenceLane;
+use eventhit_nn::step::{GateGrad, Product};
+use eventhit_parallel::Crew;
 
 use eventhit_video::records::Record;
 
@@ -111,11 +114,23 @@ enum Encoder {
     Gru(Gru),
 }
 
+/// What a training forward of the encoder keeps of a block of rows.
+enum EncoderTrace {
+    Lstm(LstmTrace),
+    Gru(GruTrace),
+}
+
 impl Encoder {
-    fn forward(&mut self, xs: &[Matrix]) -> Matrix {
+    fn forward_trace(&self, xs: &[Matrix]) -> (Matrix, EncoderTrace) {
         match self {
-            Encoder::Lstm(l) => l.forward(xs),
-            Encoder::Gru(g) => g.forward(xs),
+            Encoder::Lstm(l) => {
+                let (h, trace) = l.forward_trace(xs);
+                (h, EncoderTrace::Lstm(trace))
+            }
+            Encoder::Gru(g) => {
+                let (h, trace) = g.forward_trace(xs);
+                (h, EncoderTrace::Gru(trace))
+            }
         }
     }
 
@@ -126,17 +141,25 @@ impl Encoder {
         }
     }
 
-    fn backward_last(&mut self, dh: &Matrix) {
-        match self {
-            Encoder::Lstm(l) => l.backward_last(dh),
-            Encoder::Gru(g) => g.backward_last(dh),
+    fn bptt(&self, trace: EncoderTrace, dh: &Matrix) -> Vec<GateGrad> {
+        match (self, trace) {
+            (Encoder::Lstm(l), EncoderTrace::Lstm(t)) => l.bptt(t, dh),
+            (Encoder::Gru(g), EncoderTrace::Gru(t)) => g.bptt(t, dh),
+            _ => unreachable!("a trace comes from its own encoder"),
         }
     }
 
-    fn zero_grad(&mut self) {
+    fn grad_products<'a>(&self, steps: &'a [GateGrad]) -> Vec<Product<'a>> {
         match self {
-            Encoder::Lstm(l) => l.zero_grad(),
-            Encoder::Gru(g) => g.zero_grad(),
+            Encoder::Lstm(_) => Lstm::grad_products(steps),
+            Encoder::Gru(_) => Gru::grad_products(steps),
+        }
+    }
+
+    fn set_grads(&mut self, values: impl IntoIterator<Item = Matrix>) {
+        match self {
+            Encoder::Lstm(l) => l.set_grads(values),
+            Encoder::Gru(g) => g.set_grads(values),
         }
     }
 
@@ -153,25 +176,11 @@ impl Encoder {
             Encoder::Gru(_) => EncoderKind::Gru,
         }
     }
-
-    fn clear_cache(&mut self) {
-        match self {
-            Encoder::Lstm(l) => l.clear_cache(),
-            Encoder::Gru(g) => g.clear_cache(),
-        }
-    }
-
-    fn cache_len(&self) -> usize {
-        match self {
-            Encoder::Lstm(l) => l.cache_len(),
-            Encoder::Gru(g) => g.cache_len(),
-        }
-    }
 }
 
-/// The EventHit network, in its trainable form: parameters, gradient
-/// accumulators, and (between a `forward` and the end of training) the
-/// last batch's activations for backprop.
+/// The EventHit network, in its trainable form: parameters, the last
+/// training step's gradients, and the generator its dropout masks come
+/// from. A step's activations live in its jobs, never here.
 ///
 /// Serving does not run this type. [`EventHit::packed`] /
 /// [`EventHit::quantized`] compile it into an [`InferencePlan`] (weights
@@ -188,8 +197,6 @@ pub struct EventHit {
     dropout: Dropout,
     heads: Vec<Dense>,
     rng: StdRng,
-    /// Cache of the last-forward concatenated input (training mode).
-    cache_concat: Option<Matrix>,
     /// The plans compiled from the current weights, shared with every
     /// clone (a clone starts with the same weights, so with the same
     /// plans). A stale plan is impossible by construction:
@@ -197,8 +204,7 @@ pub struct EventHit {
     /// before it hands out the weights, and nowhere else needs to — no
     /// other `&mut` path reaches a weight, because `encoder`,
     /// `shared_fc` and `heads` are private to this module and every other
-    /// `&mut self` method here touches only gradients, caches, dropout
-    /// state or the rng.
+    /// `&mut self` method here touches only gradients or the rng.
     plans: Arc<PlanMemo>,
 }
 
@@ -257,7 +263,6 @@ impl EventHit {
             dropout,
             heads,
             rng,
-            cache_concat: None,
             plans: Arc::default(),
         }
     }
@@ -278,55 +283,192 @@ impl EventHit {
         count.expect("a built network's dimensions are non-zero and its weights fit in memory")
     }
 
-    /// Switches dropout between training and inference behaviour.
-    /// Leaving training also drops every layer's backprop cache (the last
-    /// batch's activations), so a trained model — and every clone made of
-    /// it — carries parameters and gradient buffers only. The next
-    /// [`EventHit::forward`] refills the caches.
-    pub fn set_training(&mut self, training: bool) {
-        self.dropout.set_training(training);
-        if !training {
-            self.encoder.clear_cache();
-            self.shared_fc.clear_cache();
-            for head in &mut self.heads {
-                head.clear_cache();
+    /// The first jobs of a training step over `records`: the rows cut
+    /// into `min(workers, rows)` contiguous blocks, one forward job each.
+    /// The dropout mask of the whole batch is drawn here, row-major,
+    /// before any block runs, so the rng moves as a one-block step moves
+    /// it.
+    pub(crate) fn forward_jobs<'r>(
+        &mut self,
+        records: &[&'r Record],
+        workers: usize,
+    ) -> Vec<StepJob<'r>> {
+        assert!(!records.is_empty(), "empty batch");
+        window_len(&self.config, records);
+        let mask = self
+            .dropout
+            .mask(records.len(), self.config.shared_dim, &mut self.rng);
+        let blocks = workers.clamp(1, records.len());
+        (0..blocks)
+            .map(|b| {
+                let rows = b * records.len() / blocks..(b + 1) * records.len() / blocks;
+                StepJob::Forward {
+                    records: records[rows.clone()].to_vec(),
+                    mask: mask.as_ref().map(|m| m.row_range(rows.clone())),
+                    rows,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs one job of a training step. Pure `&self`: the jobs of a step
+    /// run on any threads, and each computes what it would on this one.
+    pub(crate) fn run_job(&self, job: StepJob<'_>) -> StepDone {
+        match job {
+            StepJob::Forward {
+                records,
+                rows,
+                mask,
+            } => StepDone::Forward(self.forward_block(&records, rows, mask)),
+            StepJob::Backward { block, grads } => {
+                StepDone::Backward(self.backward_block(*block, &grads))
             }
-            self.cache_concat = None;
+            StepJob::Products(groups) => StepDone::Products(
+                groups
+                    .into_iter()
+                    .flat_map(|group| group.compute(&self.encoder))
+                    .collect(),
+            ),
         }
     }
 
-    /// Values held in backprop caches across all layers: the last
-    /// forward batch's activations, `0` once training has ended.
-    pub fn training_cache_len(&self) -> usize {
-        self.encoder.cache_len()
-            + self.shared_fc.cache_len()
-            + self.heads.iter().map(Dense::cache_len).sum::<usize>()
-            + self.cache_concat.as_ref().map_or(0, Matrix::len)
-    }
-
-    /// Forward pass over a batch of records, caching intermediates for
-    /// [`EventHit::backward`]. Returns one `batch x (1 + H)` sigmoid output
-    /// per event head.
-    pub fn forward(&mut self, records: &[&Record]) -> Vec<Matrix> {
-        assert!(!records.is_empty(), "empty batch");
+    /// Grain 1, forward: the whole network over one block's rows.
+    fn forward_block(
+        &self,
+        records: &[&Record],
+        rows: Range<usize>,
+        mask: Option<Matrix>,
+    ) -> BlockTrace {
         let xs = batch_sequence(&self.config, records);
-        let h = self.encoder.forward(&xs);
-        let z = self.shared_fc.forward(&h);
-        let z = self.dropout.forward(&z, &mut self.rng);
+        let (h, encoder) = self.encoder.forward_trace(&xs);
+        let shared = self.shared_fc.forward_trace(&h);
+        let z = match &mask {
+            Some(mask) => shared.output().hadamard(mask),
+            None => shared.output().clone(),
+        };
         let concat = z.hcat(&xs[xs.len() - 1]);
-        let outputs = self
+        let heads = self
             .heads
-            .iter_mut()
-            .map(|head| head.forward(&concat))
+            .iter()
+            .map(|head| head.forward_trace(&concat))
             .collect();
-        self.cache_concat = Some(concat);
-        outputs
+        BlockTrace {
+            rows,
+            encoder,
+            h,
+            shared,
+            mask,
+            concat,
+            heads,
+        }
     }
 
-    /// Inference-only forward pass (dropout is never applied, no caching
+    /// Grain 1, backward: the per-row half over one block — head and
+    /// dense input gradients, dropout, and the BPTT recursion down to
+    /// each timestep's gate pre-activation gradient. `grads[k]` is
+    /// dL/d(output of head `k`) for the block's rows.
+    fn backward_block(&self, block: BlockTrace, grads: &[Matrix]) -> BlockGrads {
+        let BlockTrace {
+            encoder,
+            h,
+            shared,
+            mask,
+            concat,
+            heads,
+            ..
+        } = block;
+        let mut d_concat = Matrix::zeros(concat.rows(), concat.cols());
+        let heads_dpre = self
+            .heads
+            .iter()
+            .zip(&heads)
+            .zip(grads)
+            .map(|((head, trace), g)| {
+                let (dpre, dx) = head.backward_rows(trace, g);
+                d_concat.add_assign(&dx);
+                dpre
+            })
+            .collect();
+        let (d_z, _d_xlast) = d_concat.hsplit(self.config.shared_dim);
+        let d_z = match &mask {
+            Some(mask) => d_z.hadamard(mask),
+            None => d_z,
+        };
+        let (shared_dpre, d_h) = self.shared_fc.backward_rows(&shared, &d_z);
+        BlockGrads {
+            heads_dpre,
+            concat,
+            shared_dpre,
+            h,
+            steps: self.encoder.bptt(encoder, &d_h),
+        }
+    }
+
+    /// Grain 2: the weight-gradient products of the whole batch, dealt
+    /// out in jobs of at least [`PRODUCT_TASK_MACS`] multiply–adds. A
+    /// job takes whole layers' (and whole encoder timesteps') products,
+    /// in [`EventHit::set_grads`] order, with each block's rows of their
+    /// inputs; it stacks those rows back into the batch and computes
+    /// each product whole, one chain over ascending rows per output.
+    pub(crate) fn product_jobs(&self, blocks: Vec<BlockGrads>) -> Vec<StepJob<'static>> {
+        let mut heads: Vec<(Vec<Matrix>, Vec<Matrix>)> = vec![Default::default(); self.heads.len()];
+        let (mut shared_dpre, mut h, mut steps) = (Vec::new(), Vec::new(), Vec::new());
+        for block in blocks {
+            for ((dpre, x), block_dpre) in heads.iter_mut().zip(block.heads_dpre) {
+                dpre.push(block_dpre);
+                x.push(block.concat.clone());
+            }
+            shared_dpre.push(block.shared_dpre);
+            h.push(block.h);
+            steps.push(block.steps);
+        }
+        let groups = heads
+            .into_iter()
+            .map(|(dpre, x)| GradInputs::Dense { dpre, x })
+            .chain([GradInputs::Dense {
+                dpre: shared_dpre,
+                x: h,
+            }])
+            .chain(
+                GateGrad::by_timestep(steps)
+                    .into_iter()
+                    .rev()
+                    .map(GradInputs::Step),
+            );
+
+        let mut jobs = Vec::new();
+        let (mut job, mut macs) = (Vec::new(), 0);
+        for group in groups {
+            macs += group.macs(&self.encoder);
+            job.push(group);
+            if macs >= PRODUCT_TASK_MACS {
+                jobs.push(StepJob::Products(std::mem::take(&mut job)));
+                macs = 0;
+            }
+        }
+        if !job.is_empty() {
+            jobs.push(StepJob::Products(job));
+        }
+        jobs
+    }
+
+    /// Sets every parameter gradient from a step's computed products:
+    /// each head's, the shared layer's, then the encoder's, timesteps
+    /// descending, as [`EventHit::product_jobs`] deals them. Each layer
+    /// folds its own in the order a one-block step adds them.
+    pub(crate) fn set_grads(&mut self, values: Vec<Matrix>) {
+        let mut values = values.into_iter();
+        for head in &mut self.heads {
+            head.set_grads(values.by_ref().take(2));
+        }
+        self.shared_fc.set_grads(values.by_ref().take(2));
+        self.encoder.set_grads(values);
+    }
+
+    /// Inference-only forward pass (dropout is never applied, no trace
     /// of the training graph). Pure `&self`, so one trained model can be
     /// shared across threads to score batches in parallel; the arithmetic
-    /// matches [`EventHit::forward`] with dropout off, bit for bit.
+    /// matches a training step's forward with dropout off, bit for bit.
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
         let xs = batch_sequence(&self.config, records);
@@ -337,38 +479,6 @@ impl EventHit {
             .iter()
             .map(|head| head.forward_inference(&concat))
             .collect()
-    }
-
-    /// Backward pass: `grads[k]` is dL/d(output of head `k`). Accumulates
-    /// all parameter gradients.
-    pub fn backward(&mut self, grads: &[Matrix]) {
-        assert_eq!(
-            grads.len(),
-            self.heads.len(),
-            "one gradient per head required"
-        );
-        let concat = self
-            .cache_concat
-            .as_ref()
-            .expect("EventHit::backward before forward")
-            .clone();
-        let mut d_concat = Matrix::zeros(concat.rows(), concat.cols());
-        for (head, g) in self.heads.iter_mut().zip(grads) {
-            d_concat.add_assign(&head.backward(g));
-        }
-        let (d_z, _d_xlast) = d_concat.hsplit(self.config.shared_dim);
-        let d_z = self.dropout.backward(&d_z);
-        let d_h = self.shared_fc.backward(&d_z);
-        self.encoder.backward_last(&d_h);
-    }
-
-    /// Zeros all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.shared_fc.zero_grad();
-        for head in &mut self.heads {
-            head.zero_grad();
-        }
     }
 
     /// All parameter tensors, read-only, in [`EventHit::params_mut`]'s
@@ -453,6 +563,150 @@ impl EventHit {
     }
 }
 
+/// Multiply–adds a job of weight-gradient products gathers before it
+/// closes: ~100 µs of tile sweep at reference speed (a 2.36 M
+/// multiply–add product takes ~260 µs there, DESIGN §9). One LSTM
+/// timestep of the benchmark's TA10 model at batch 64 is ~0.65 M.
+const PRODUCT_TASK_MACS: usize = 1 << 20;
+
+/// One job of a training step's parallel work, for
+/// [`EventHit::run_job`]. Each carries what it reads, so a crew of
+/// resident workers can run it.
+pub(crate) enum StepJob<'r> {
+    /// The whole forward over one block of the batch's rows.
+    Forward {
+        records: Vec<&'r Record>,
+        rows: Range<usize>,
+        /// The block's rows of the batch's dropout mask.
+        mask: Option<Matrix>,
+    },
+    /// The per-row half of the backward over a block: its trace, and
+    /// its rows of each head's output gradient.
+    Backward {
+        block: Box<BlockTrace>,
+        grads: Vec<Matrix>,
+    },
+    /// Whole layers' (or encoder timesteps') weight-gradient products.
+    Products(Vec<GradInputs>),
+}
+
+/// The resident workers a training run's steps share.
+pub(crate) type StepCrew<'c, 'r> = Crew<'c, StepJob<'r>, StepDone>;
+
+/// What a [`StepJob`] produces, variant for variant.
+pub(crate) enum StepDone {
+    Forward(BlockTrace),
+    Backward(BlockGrads),
+    Products(Vec<Matrix>),
+}
+
+/// What a block's forward keeps for its backward.
+pub(crate) struct BlockTrace {
+    /// The batch rows the block holds.
+    pub(crate) rows: Range<usize>,
+    encoder: EncoderTrace,
+    /// The encoder's final hidden state: the shared layer's input.
+    h: Matrix,
+    shared: DenseTrace,
+    /// The block's rows of the batch's dropout mask.
+    mask: Option<Matrix>,
+    /// The heads' input `z ⊕ X_n`.
+    concat: Matrix,
+    heads: Vec<DenseTrace>,
+}
+
+impl BlockTrace {
+    /// The number of event heads.
+    pub(crate) fn heads(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Head `k`'s output rows.
+    pub(crate) fn output(&self, k: usize) -> &Matrix {
+        self.heads[k].output()
+    }
+}
+
+/// What a block's backward hands to the whole-batch products: its rows
+/// of every pre-activation gradient and of the inputs they multiply.
+pub(crate) struct BlockGrads {
+    heads_dpre: Vec<Matrix>,
+    concat: Matrix,
+    shared_dpre: Matrix,
+    h: Matrix,
+    steps: Vec<GateGrad>,
+}
+
+/// The inputs of one layer's weight-gradient products, or of one
+/// encoder timestep's, as the blocks hand them over: each block's rows,
+/// in block order.
+pub(crate) enum GradInputs {
+    /// A dense layer's pre-activation gradient and input.
+    Dense { dpre: Vec<Matrix>, x: Vec<Matrix> },
+    /// One encoder timestep's BPTT output.
+    Step(Vec<GateGrad>),
+}
+
+impl GradInputs {
+    /// The multiply–adds of the products: those of each block's rows.
+    fn macs(&self, encoder: &Encoder) -> usize {
+        let products: Vec<Product<'_>> = match self {
+            GradInputs::Dense { dpre, x } => dpre
+                .iter()
+                .zip(x)
+                .flat_map(|(dpre, x)| Dense::grad_products(dpre, x))
+                .collect(),
+            GradInputs::Step(blocks) => blocks
+                .iter()
+                .flat_map(|block| encoder.grad_products(std::slice::from_ref(block)))
+                .collect(),
+        };
+        products.iter().map(Product::macs).sum()
+    }
+
+    /// Stacks the blocks' rows and computes the products whole, in the
+    /// layer's `grad_products` order.
+    fn compute(self, encoder: &Encoder) -> Vec<Matrix> {
+        match self {
+            GradInputs::Dense { dpre, x } => {
+                let (dpre, x) = (Matrix::stack_rows(dpre), Matrix::stack_rows(x));
+                Dense::grad_products(&dpre, &x).map(|p| p.compute()).into()
+            }
+            GradInputs::Step(blocks) => {
+                let step = [GateGrad::stack(blocks)];
+                encoder
+                    .grad_products(&step)
+                    .iter()
+                    .map(Product::compute)
+                    .collect()
+            }
+        }
+    }
+}
+
+/// The window length `m` every record of a batch shares.
+///
+/// # Panics
+/// Panics if `m` is outside `[1, M]` or a record's covariates are not
+/// `m x D`.
+fn window_len(config: &EventHitConfig, records: &[&Record]) -> usize {
+    let m = records[0].covariates.rows();
+    let d = config.input_dim;
+    assert!(
+        m >= 1 && m <= config.window,
+        "window length {m} outside [1, {}]",
+        config.window
+    );
+    for r in records {
+        assert_eq!(
+            r.covariates.shape(),
+            (m, d),
+            "record covariates must be {m}x{d} (uniform per batch)"
+        );
+    }
+    m
+}
+
 /// Assembles the encoder input sequence from a batch of records:
 /// `xs[t]` is the `batch x D` matrix of the `t`-th window frame.
 ///
@@ -463,23 +717,11 @@ impl EventHit {
 /// the same window length; the full-window case (`m == M`) is
 /// bit-identical to the historical fixed-shape behaviour.
 fn batch_sequence(config: &EventHitConfig, records: &[&Record]) -> Vec<Matrix> {
-    let m = records[0].covariates.rows();
-    let d = config.input_dim;
-    assert!(
-        m >= 1 && m <= config.window,
-        "window length {m} outside [1, {}]",
-        config.window
-    );
-    let batch = records.len();
+    let m = window_len(config, records);
     (0..m)
         .map(|t| {
-            let mut x = Matrix::zeros(batch, d);
+            let mut x = Matrix::zeros(records.len(), config.input_dim);
             for (i, r) in records.iter().enumerate() {
-                assert_eq!(
-                    r.covariates.shape(),
-                    (m, d),
-                    "record covariates must be {m}x{d} (uniform per batch)"
-                );
                 x.set_row(i, r.covariates.row(t));
             }
             x
@@ -696,6 +938,36 @@ mod tests {
         }
     }
 
+    /// One training step of `model` over `batch` on `workers` workers,
+    /// with dL/d(output) = `grad(output)`: returns the head outputs.
+    fn step(
+        model: &mut EventHit,
+        batch: &[&Record],
+        workers: usize,
+        grad: impl Fn(&Matrix) -> Matrix,
+    ) -> Vec<Matrix> {
+        use crate::train::train_step;
+        use eventhit_parallel::Pool;
+        use std::sync::RwLock;
+        let model = RwLock::new(model);
+        Pool::new(workers).crew(
+            |job| model.read().unwrap().run_job(job),
+            |crew| {
+                let mut outputs = Vec::new();
+                train_step(&model, crew, batch, |outs| {
+                    outputs = outs.to_vec();
+                    (0.0, outs.iter().map(&grad).collect())
+                });
+                outputs
+            },
+        )
+    }
+
+    /// dL/d(output) of `0.5 * sum(output^2)`.
+    fn half_square(out: &Matrix) -> Matrix {
+        out.clone()
+    }
+
     fn tiny_config() -> EventHitConfig {
         EventHitConfig {
             input_dim: 4,
@@ -713,7 +985,7 @@ mod tests {
         let mut model = EventHit::new(tiny_config(), 0);
         let r1 = record(5, 4, 0.1);
         let r2 = record(5, 4, 0.9);
-        let outs = model.forward(&[&r1, &r2]);
+        let outs = step(&mut model, &[&r1, &r2], 1, half_square);
         assert_eq!(outs.len(), 2);
         for o in &outs {
             assert_eq!(o.shape(), (2, 11));
@@ -725,7 +997,9 @@ mod tests {
     fn inference_matches_forward_without_dropout() {
         let mut model = EventHit::new(tiny_config(), 1);
         let r = record(5, 4, 0.3);
-        let a = model.forward(&[&r]);
+        let before = model.clone();
+        let a = step(&mut model, &[&r], 1, half_square);
+        let model = before;
         let b = model.forward_inference(&[&r]);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x, y);
@@ -740,7 +1014,9 @@ mod tests {
         let r = record(5, 4, 0.5);
         // Training forwards are stochastic: across several passes the
         // sampled masks must produce at least two distinct outputs.
-        let passes: Vec<Matrix> = (0..8).map(|_| model.forward(&[&r]).remove(0)).collect();
+        let passes: Vec<Matrix> = (0..8)
+            .map(|_| step(&mut model, &[&r], 1, half_square).remove(0))
+            .collect();
         assert!(
             passes.iter().any(|p| *p != passes[0]),
             "dropout should perturb training forward passes"
@@ -756,14 +1032,10 @@ mod tests {
         let mut model = EventHit::new(tiny_config(), 3);
         let r1 = record(5, 4, 0.2);
         let r2 = record(5, 4, -0.4);
-        model.zero_grad();
-        let outs = model.forward(&[&r1, &r2]);
         // Loss = sum of outputs; dL/dout = 1.
-        let grads: Vec<Matrix> = outs
-            .iter()
-            .map(|o| Matrix::filled(o.rows(), o.cols(), 1.0))
-            .collect();
-        model.backward(&grads);
+        step(&mut model, &[&r1, &r2], 1, |o| {
+            Matrix::filled(o.rows(), o.cols(), 1.0)
+        });
         let mut nonzero_params = 0;
         for p in model.params_mut() {
             if p.grad.max_abs() > 0.0 {
@@ -784,15 +1056,13 @@ mod tests {
         let r1 = record(5, 4, 0.2);
         let r2 = record(5, 4, 0.7);
         let loss_fn = |m: &mut EventHit| {
-            let outs = m.forward(&[&r1, &r2]);
+            let outs = m.forward_inference(&[&r1, &r2]);
             outs.iter()
                 .map(|o| 0.5 * o.as_slice().iter().map(|&v| v * v).sum::<f32>())
                 .sum()
         };
         let grad_fn = |m: &mut EventHit| {
-            m.zero_grad();
-            let outs = m.forward(&[&r1, &r2]);
-            m.backward(&outs);
+            step(m, &[&r1, &r2], 2, half_square);
         };
         let err = check_gradients(&mut model, loss_fn, grad_fn, |m| m.params_mut(), 1e-2);
         assert!(err < 5e-2, "max rel err {err}");
@@ -940,9 +1210,7 @@ mod tests {
 
             // One optimizer step on real gradients.
             let batch: Vec<&Record> = records.iter().take(8).collect();
-            model.zero_grad();
-            let outs = model.forward(&batch);
-            model.backward(&outs);
+            step(&mut model, &batch, 1, half_square);
             Adam::new(0.5).step(&mut model.params_mut());
 
             let fresh = [model.packed(), model.quantized()];
@@ -972,20 +1240,34 @@ mod tests {
     }
 
     #[test]
-    fn a_trained_model_carries_no_backprop_cache() {
+    fn a_step_sets_the_same_bits_at_any_worker_count() {
+        use eventhit_rng::Rng;
         for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
-            let (mut model, records) = trained(kind);
-            assert_eq!(model.training_cache_len(), 0, "{kind:?}");
-            // Inference works without the caches and leaves none behind...
-            let batch: Vec<&Record> = records.iter().take(4).collect();
-            let outs = model.forward_inference(&batch);
-            assert_eq!(model.training_cache_len(), 0);
-            // ...and a forward refills them, so backward still works.
-            model.zero_grad();
-            assert_eq!(model.forward(&batch), outs, "dropout is off after training");
-            assert!(model.training_cache_len() > 0);
-            model.backward(&outs);
-            assert!(model.params_mut().iter().all(|p| p.grad.max_abs() > 0.0));
+            let (trained, records) = trained(kind);
+            // Batches no worker count divides, and ones with fewer rows
+            // than workers.
+            for rows in [1, 3, 7, 24] {
+                let batch: Vec<&Record> = records.iter().take(rows).collect();
+                let run = |workers| {
+                    let mut model = trained.clone();
+                    let outputs = step(&mut model, &batch, workers, half_square);
+                    let grads: Vec<Vec<u32>> = model
+                        .params_mut()
+                        .iter()
+                        .map(|p| p.grad.as_slice().iter().map(|g| g.to_bits()).collect())
+                        .collect();
+                    // The rng drew the same dropout mask.
+                    (outputs, grads, model.rng.random::<u64>())
+                };
+                let one = run(1);
+                assert!(one.1.iter().flatten().any(|&g| g != 0), "{kind:?}");
+                for workers in [2, 3, 8] {
+                    assert!(
+                        run(workers) == one,
+                        "{kind:?} rows={rows} workers={workers}"
+                    );
+                }
+            }
         }
     }
 
@@ -1028,8 +1310,16 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "empty batch")]
-    fn forward_rejects_empty_batch() {
+    fn a_step_rejects_an_empty_batch() {
         let mut model = EventHit::new(tiny_config(), 6);
-        let _ = model.forward(&[]);
+        step(&mut model, &[], 2, half_square);
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform per batch")]
+    fn a_step_rejects_mixed_window_lengths_across_its_blocks() {
+        let mut model = EventHit::new(tiny_config(), 8);
+        let (a, b) = (record(5, 4, 0.1), record(3, 4, 0.1));
+        step(&mut model, &[&a, &a, &b, &b], 2, half_square);
     }
 }

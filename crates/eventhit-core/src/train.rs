@@ -11,6 +11,8 @@
 //!   terms normalized by the interval length and the out-of-interval terms
 //!   by the remaining horizon length (the paper's exact normalization).
 
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 use eventhit_rng::rngs::StdRng;
 use eventhit_rng::seq::SliceRandom;
 use eventhit_rng::SeedableRng;
@@ -19,10 +21,11 @@ use eventhit_telemetry::Telemetry;
 use eventhit_nn::loss::{bce_scalar, bce_scalar_grad};
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::optimizer::Adam;
+use eventhit_parallel::Pool;
 
 use eventhit_video::records::Record;
 
-use crate::model::EventHit;
+use crate::model::{BlockTrace, EventHit, StepCrew, StepDone, StepJob};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,6 +149,14 @@ fn index_pool(records: &[Record]) -> Vec<usize> {
 
 /// Trains the model in place and returns per-epoch losses.
 ///
+/// Every step runs on the ambient [`Pool::current`]'s workers, resident
+/// for the whole run (a [`Pool::crew`]), in two grains: the batch's rows
+/// cut into one contiguous block per worker for the forward and the
+/// per-row half of the backward, then the weight gradients as whole
+/// products over the batch (see [`train_step`]). The loss, the gradient
+/// norm and the Adam update stay on this thread. No product is split, so
+/// the trained weights are the same bits at any worker count.
+///
 /// `tel` (pass [`Telemetry::disabled`] for none) receives a `train` span
 /// nesting one `train.epoch` span per epoch, per-step timing in
 /// `train.step_seconds`, the example throughput in `train.examples` /
@@ -159,69 +170,163 @@ pub fn train(
 ) -> TrainReport {
     assert!(!records.is_empty(), "no training records");
     assert!(cfg.epochs > 0 && cfg.batch_size > 0);
-    let horizon = model.config().horizon;
-    model.set_training(true);
+    let model = RwLock::new(model);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut opt = Adam::new(cfg.lr);
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
 
     let _run = tel.span("train");
-    for _ in 0..cfg.epochs {
-        let _epoch = tel.span("train.epoch");
-        let epoch_start = tel.now();
-        let mut pool = index_pool(records);
-        pool.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        let mut examples = 0u64;
+    let epoch_losses: Vec<f32> = Pool::current().crew(
+        |job| read(&model).run_job(job),
+        |crew| {
+            (0..cfg.epochs)
+                .map(|_| epoch(&model, crew, records, cfg, &mut rng, &mut opt, tel))
+                .collect()
+        },
+    );
 
-        for chunk in pool.chunks(cfg.batch_size) {
-            let step_start = tel.now();
-            let batch: Vec<&Record> = chunk.iter().map(|&i| &records[i]).collect();
-            model.zero_grad();
-            let outputs = model.forward(&batch);
-            let (loss, grads) = event_losses(&outputs, &batch, &cfg.beta, &cfg.gamma, horizon);
-            model.backward(&grads);
-
-            // Gradient clipping via learning-rate scaling: Adam's per-step
-            // update is already magnitude-normalized, so scaling the step
-            // for an over-norm gradient is equivalent in effect to clipping.
-            let norm: f32 = model
-                .params_mut()
-                .iter()
-                .map(|p| p.grad.as_slice().iter().map(|&g| g * g).sum::<f32>())
-                .sum::<f32>()
-                .sqrt();
-            let scale = if norm > CLIP_NORM {
-                CLIP_NORM / norm
-            } else {
-                1.0
-            };
-            opt.set_learning_rate(cfg.lr * scale);
-            opt.step(&mut model.params_mut());
-
-            epoch_loss += loss;
-            batches += 1;
-            examples += batch.len() as u64;
-            tel.observe("train.step_seconds", tel.now() - step_start);
-        }
-        let mean_loss = epoch_loss / batches.max(1) as f32;
-        tel.add("train.examples", examples);
-        tel.gauge_set("train.epoch_loss", mean_loss as f64);
-        let dt = tel.now() - epoch_start;
-        if dt > 0.0 {
-            tel.gauge_set("train.examples_per_sec", examples as f64 / dt);
-        }
-        epoch_losses.push(mean_loss);
-    }
-
-    model.set_training(false);
     let final_loss = *epoch_losses.last().expect("at least one epoch");
     TrainReport {
         epoch_losses,
         final_loss,
     }
+}
+
+/// One pass over the rebalanced, shuffled training pool: returns its
+/// mean loss.
+fn epoch<'r>(
+    model: &RwLock<&mut EventHit>,
+    crew: &StepCrew<'_, 'r>,
+    records: &'r [Record],
+    cfg: &TrainConfig,
+    rng: &mut StdRng,
+    opt: &mut Adam,
+    tel: &Telemetry,
+) -> f32 {
+    let _epoch = tel.span("train.epoch");
+    let epoch_start = tel.now();
+    let horizon = read(model).config().horizon;
+    let mut pool = index_pool(records);
+    pool.shuffle(rng);
+    let mut epoch_loss = 0.0f32;
+    let mut batches = 0usize;
+    let mut examples = 0u64;
+
+    for chunk in pool.chunks(cfg.batch_size) {
+        let step_start = tel.now();
+        let batch: Vec<&Record> = chunk.iter().map(|&i| &records[i]).collect();
+        let loss = train_step(model, crew, &batch, |outputs| {
+            event_losses(outputs, &batch, &cfg.beta, &cfg.gamma, horizon)
+        });
+
+        // Gradient clipping via learning-rate scaling: Adam's per-step
+        // update is already magnitude-normalized, so scaling the step
+        // for an over-norm gradient is equivalent in effect to clipping.
+        let mut weights = write(model);
+        let norm: f32 = weights
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.as_slice().iter().map(|&g| g * g).sum::<f32>())
+            .sum::<f32>()
+            .sqrt();
+        let scale = if norm > CLIP_NORM {
+            CLIP_NORM / norm
+        } else {
+            1.0
+        };
+        opt.set_learning_rate(cfg.lr * scale);
+        opt.step(&mut weights.params_mut());
+
+        epoch_loss += loss;
+        batches += 1;
+        examples += batch.len() as u64;
+        tel.observe("train.step_seconds", tel.now() - step_start);
+    }
+    let mean_loss = epoch_loss / batches.max(1) as f32;
+    tel.add("train.examples", examples);
+    tel.gauge_set("train.epoch_loss", mean_loss as f64);
+    let dt = tel.now() - epoch_start;
+    if dt > 0.0 {
+        tel.gauge_set("train.examples_per_sec", examples as f64 / dt);
+    }
+    mean_loss
+}
+
+/// One training step over `batch`, up to the optimizer: sets every
+/// parameter gradient and returns the loss, which `loss` computes (with
+/// dL/d(output) per head) from the head outputs over the whole batch.
+///
+/// The crew runs it in three rounds of jobs (see [`EventHit::run_job`]):
+/// one forward job per block of rows; one backward job per block, down
+/// to every pre-activation gradient; then runs of whole weight-gradient
+/// products over the stacked batch. The loss runs on this thread
+/// between the first two, and the gradients are set after the third.
+/// Each round returns its outputs in job order, and a block's rows are
+/// computed as a one-block step computes them, so the gradients are the
+/// same bits at any worker count.
+pub(crate) fn train_step<'r>(
+    model: &RwLock<&mut EventHit>,
+    crew: &StepCrew<'_, 'r>,
+    batch: &[&'r Record],
+    loss: impl FnOnce(&[Matrix]) -> (f32, Vec<Matrix>),
+) -> f32 {
+    let jobs = write(model).forward_jobs(batch, crew.workers());
+    let blocks: Vec<BlockTrace> = crew
+        .run(jobs)
+        .into_iter()
+        .map(|done| match done {
+            StepDone::Forward(block) => block,
+            _ => unreachable!("a forward job returns its block"),
+        })
+        .collect();
+    let heads = blocks[0].heads();
+    let outputs: Vec<Matrix> = (0..heads)
+        .map(|k| Matrix::stack_rows(blocks.iter().map(|b| b.output(k).clone()).collect()))
+        .collect();
+    let (loss, grads) = loss(&outputs);
+
+    let jobs = blocks
+        .into_iter()
+        .map(|block| StepJob::Backward {
+            grads: grads
+                .iter()
+                .map(|g| g.row_range(block.rows.clone()))
+                .collect(),
+            block: Box::new(block),
+        })
+        .collect();
+    let blocks = crew
+        .run(jobs)
+        .into_iter()
+        .map(|done| match done {
+            StepDone::Backward(grads) => grads,
+            _ => unreachable!("a backward job returns its gradients"),
+        })
+        .collect();
+
+    let jobs = read(model).product_jobs(blocks);
+    let values = crew
+        .run(jobs)
+        .into_iter()
+        .flat_map(|done| match done {
+            StepDone::Products(values) => values,
+            _ => unreachable!("a products job returns its values"),
+        })
+        .collect();
+    write(model).set_grads(values);
+    loss
+}
+
+fn read<'a, 'm>(model: &'a RwLock<&'m mut EventHit>) -> RwLockReadGuard<'a, &'m mut EventHit> {
+    model
+        .read()
+        .expect("no training step panicked while it updated the model")
+}
+
+fn write<'a, 'm>(model: &'a RwLock<&'m mut EventHit>) -> RwLockWriteGuard<'a, &'m mut EventHit> {
+    model
+        .write()
+        .expect("no training step panicked while it updated the model")
 }
 
 #[cfg(test)]

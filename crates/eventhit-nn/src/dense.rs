@@ -8,6 +8,7 @@ use crate::matrix::Matrix;
 use crate::optimizer::ParamMut;
 use crate::packed::PackedAffine;
 use crate::quant::QuantizedAffine;
+use crate::step::{fold, Product};
 
 /// A fully connected layer `y = act(x W^T + b)`.
 ///
@@ -21,12 +22,21 @@ pub struct Dense {
     dw: Matrix,
     db: Matrix,
     act: Activation,
-    /// Forward cache: input batch.
-    cache_x: Option<Matrix>,
-    /// Forward cache: pre-activation.
-    cache_pre: Option<Matrix>,
-    /// Forward cache: post-activation output.
-    cache_out: Option<Matrix>,
+}
+
+/// What a training forward keeps of a block of rows for
+/// [`Dense::backward_rows`].
+#[derive(Clone, Debug)]
+pub struct DenseTrace {
+    pre: Matrix,
+    out: Matrix,
+}
+
+impl DenseTrace {
+    /// The layer's output rows.
+    pub fn output(&self) -> &Matrix {
+        &self.out
+    }
 }
 
 impl Dense {
@@ -44,9 +54,6 @@ impl Dense {
             dw: Matrix::zeros(output, input),
             db: Matrix::zeros(1, output),
             act,
-            cache_x: None,
-            cache_pre: None,
-            cache_out: None,
         }
     }
 
@@ -82,28 +89,26 @@ impl Dense {
         x.affine_t(&self.w, self.b.as_slice())
     }
 
-    /// Forward pass over a batch (`x: batch x in`), caching intermediates
-    /// for a subsequent [`Dense::backward`] call.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// Training forward over a block of rows (`x: rows x in`): the
+    /// output, and what [`Dense::backward_rows`] needs of it. Row for row
+    /// the output is [`Dense::forward_inference`]'s.
+    pub fn forward_trace(&self, x: &Matrix) -> DenseTrace {
         let pre = self.affine(x);
         let out = self.act.apply(pre.clone());
-        self.cache_x = Some(x.clone());
-        self.cache_pre = Some(pre);
-        self.cache_out = Some(out.clone());
-        out
+        DenseTrace { pre, out }
     }
 
-    /// Forward pass without caching (no backprop possible). Pure `&self`,
-    /// so a trained layer can be shared across threads for parallel
-    /// inference; the arithmetic is identical to [`Dense::forward`].
+    /// Forward pass without a trace. Pure `&self`, so a trained layer can
+    /// be shared across threads for parallel inference; the arithmetic
+    /// is identical to [`Dense::forward_trace`].
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         self.act.apply(self.affine(x))
     }
 
     /// Compiles the layer for exact-lane inference: weights repacked
     /// `[k][out]` once (see [`crate::packed`]); the result is immutable,
-    /// carries no gradients or caches, and its forward is bit-identical
-    /// to [`Dense::forward_inference`].
+    /// carries no gradients, and its forward is bit-identical to
+    /// [`Dense::forward_inference`].
     pub fn packed(&self) -> PackedDense {
         PackedDense {
             affine: PackedAffine::pack(&self.w, self.b.as_slice()),
@@ -121,59 +126,35 @@ impl Dense {
         }
     }
 
-    /// Drops the forward caches (the last batch's input, pre-activation
-    /// and output). The next [`Dense::forward`] refills them.
-    pub fn clear_cache(&mut self) {
-        self.cache_x = None;
-        self.cache_pre = None;
-        self.cache_out = None;
+    /// The per-row half of the backward pass over a traced block:
+    /// `grad_out` is dL/d(output) for its rows. Returns dL/d(pre), which
+    /// the weight gradients take ([`Dense::grad_products`]), and
+    /// dL/d(input), `dpre W`.
+    pub fn backward_rows(&self, trace: &DenseTrace, grad_out: &Matrix) -> (Matrix, Matrix) {
+        assert_eq!(
+            grad_out.shape(),
+            trace.out.shape(),
+            "grad_out shape mismatch"
+        );
+        let dpre = grad_out.hadamard(&self.act.deriv(&trace.pre, &trace.out));
+        let dx = dpre.matmul(&self.w);
+        (dpre, dx)
     }
 
-    /// Values the forward caches hold (`0` after [`Dense::clear_cache`]).
-    pub fn cache_len(&self) -> usize {
-        [&self.cache_x, &self.cache_pre, &self.cache_out]
-            .into_iter()
-            .flatten()
-            .map(Matrix::len)
-            .sum()
+    /// The weight-gradient products of one step over the whole batch,
+    /// from its pre-activation gradient `dpre` and input `x`: `dW =
+    /// dpre^T x`, then `db`, the column sums of `dpre`.
+    pub fn grad_products<'a>(dpre: &'a Matrix, x: &'a Matrix) -> [Product<'a>; 2] {
+        [Product::TMatmul(dpre, x), Product::SumRows(dpre)]
     }
 
-    /// Backward pass. `grad_out` is dL/d(output), shape `batch x out`.
-    /// Accumulates dW/db into the layer's gradient buffers and returns
-    /// dL/d(input) with shape `batch x in`.
+    /// Sets the gradient buffers to the computed
+    /// [`Dense::grad_products`], in their order.
     ///
     /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .cache_x
-            .as_ref()
-            .expect("Dense::backward before forward");
-        let pre = self
-            .cache_pre
-            .as_ref()
-            .expect("missing pre-activation cache");
-        let out = self.cache_out.as_ref().expect("missing output cache");
-        assert_eq!(grad_out.shape(), out.shape(), "grad_out shape mismatch");
-
-        // dL/d(pre) = dL/d(out) ⊙ act'(pre)
-        let dpre = grad_out.hadamard(&self.act.deriv(pre, out));
-
-        // dW = dpre^T x  (out x in); db = column sums of dpre.
-        self.dw.add_assign(&dpre.t_matmul(x));
-        let db = dpre.sum_rows();
-        for (g, &v) in self.db.as_mut_slice().iter_mut().zip(&db) {
-            *g += v;
-        }
-
-        // dX = dpre W  (batch x in).
-        dpre.matmul(&self.w)
-    }
-
-    /// Zeros the accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dw.fill_zero();
-        self.db.fill_zero();
+    /// Panics unless the values are two, of the buffers' shapes.
+    pub fn set_grads(&mut self, values: impl IntoIterator<Item = Matrix>) {
+        fold(&mut [&mut self.dw, &mut self.db], values);
     }
 
     /// The parameters alone, read-only, in [`Dense::params_mut`]'s order.
@@ -265,6 +246,15 @@ mod tests {
     use eventhit_rng::rngs::StdRng;
     use eventhit_rng::SeedableRng;
 
+    /// A one-block step's backward from `grad_out`: the per-row half,
+    /// then the products. Returns dL/d(input).
+    fn backward(layer: &mut Dense, x: &Matrix, grad_out: &Matrix) -> Matrix {
+        let (dpre, dx) = layer.backward_rows(&layer.forward_trace(x), grad_out);
+        let values = Dense::grad_products(&dpre, x).map(|p| p.compute());
+        layer.set_grads(values);
+        dx
+    }
+
     #[test]
     fn forward_known_values() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -273,17 +263,17 @@ mod tests {
         layer.w = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         layer.b = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = layer.forward(&x);
-        assert_eq!(y.as_slice(), &[3.5, 6.5]);
+        let y = layer.forward_trace(&x);
+        assert_eq!(y.output().as_slice(), &[3.5, 6.5]);
+        assert_eq!(layer.forward_inference(&x), *y.output());
     }
 
     #[test]
     fn output_shape_follows_batch() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut layer = Dense::new(5, 3, Activation::Tanh, Init::XavierUniform, &mut rng);
+        let layer = Dense::new(5, 3, Activation::Tanh, Init::XavierUniform, &mut rng);
         let x = Matrix::uniform(7, 5, -1.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        assert_eq!(y.shape(), (7, 3));
+        assert_eq!(layer.forward_inference(&x).shape(), (7, 3));
     }
 
     #[test]
@@ -299,13 +289,12 @@ mod tests {
             let x = Matrix::uniform(5, 4, -1.0, 1.0, &mut rng);
             // Loss: 0.5 * sum(y^2), so dL/dy = y.
             let loss_fn = |layer: &mut Dense| {
-                let y = layer.forward(&x);
+                let y = layer.forward_inference(&x);
                 0.5 * y.as_slice().iter().map(|&v| v * v).sum::<f32>()
             };
             let grad_fn = |layer: &mut Dense| {
-                layer.zero_grad();
-                let y = layer.forward(&x);
-                layer.backward(&y);
+                let y = layer.forward_inference(&x);
+                backward(layer, &x, &y);
             };
             let max_err = check_gradients(&mut layer, loss_fn, grad_fn, |l| l.params_mut(), 1e-2);
             assert!(max_err < 2e-2, "act={act:?} max rel err {max_err}");
@@ -317,13 +306,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Dense::new(3, 2, Activation::Linear, Init::XavierUniform, &mut rng);
         let x = Matrix::uniform(4, 3, -1.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        let gx = layer.backward(&y);
+        let y = layer.forward_inference(&x);
+        let gx = backward(&mut layer, &x, &y);
         assert_eq!(gx.shape(), (4, 3));
         // dX = y W for the linear activation.
         let expected = y.matmul(layer.weights());
         for (a, b) in gx.as_slice().iter().zip(expected.as_slice()) {
             assert!((a - b).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn blocks_of_rows_give_the_whole_batch_gradients_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut layer = Dense::new(6, 5, Activation::Sigmoid, Init::XavierUniform, &mut rng);
+        let x = Matrix::uniform(7, 6, -1.0, 1.0, &mut rng);
+        let g = Matrix::uniform(7, 5, -1.0, 1.0, &mut rng);
+        let dx = backward(&mut layer, &x, &g);
+        let want = [layer.dw.clone(), layer.db.clone()];
+        for cut in [vec![0..3, 3..7], vec![0..1, 1..2, 2..7]] {
+            let (mut dpre, mut dxs) = (Vec::new(), Vec::new());
+            for rows in cut {
+                let trace = layer.forward_trace(&x.row_range(rows.clone()));
+                let (d, dx) = layer.backward_rows(&trace, &g.row_range(rows));
+                dpre.push(d);
+                dxs.push(dx);
+            }
+            assert_eq!(Matrix::stack_rows(dxs), dx);
+            let dpre = Matrix::stack_rows(dpre);
+            layer.set_grads(Dense::grad_products(&dpre, &x).map(|p| p.compute()));
+            assert_eq!([layer.dw.clone(), layer.db.clone()], want);
         }
     }
 
@@ -367,47 +379,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_cache_drops_the_last_batch_and_forward_refills_it() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut layer = Dense::new(3, 2, Activation::Sigmoid, Init::XavierUniform, &mut rng);
-        let x = Matrix::uniform(4, 3, -1.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        assert_eq!(layer.cache_len(), 4 * 3 + 2 * 4 * 2);
-        layer.clear_cache();
-        assert_eq!(layer.cache_len(), 0);
-        assert_eq!(layer.forward_inference(&x), y);
-        layer.forward(&x);
-        assert_eq!(layer.backward(&y).shape(), (4, 3));
-    }
-
-    #[test]
-    fn zero_grad_resets_accumulators() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut layer = Dense::new(3, 2, Activation::Sigmoid, Init::XavierUniform, &mut rng);
-        let x = Matrix::uniform(2, 3, -1.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        layer.backward(&y);
-        layer.zero_grad();
-        for p in layer.params_mut() {
-            assert!(p.grad.as_slice().iter().all(|&g| g == 0.0));
-        }
-    }
-
-    #[test]
-    fn gradients_accumulate_across_calls() {
+    fn set_grads_replaces_the_last_step() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Dense::new(2, 2, Activation::Linear, Init::XavierUniform, &mut rng);
         let x = Matrix::uniform(1, 2, -1.0, 1.0, &mut rng);
-        let g = Matrix::filled(1, 2, 1.0);
-        layer.forward(&x);
-        layer.backward(&g);
-        let first = layer.dw.clone();
-        layer.forward(&x);
-        layer.backward(&g);
-        let mut doubled = first.clone();
-        doubled.scale(2.0);
-        for (a, b) in layer.dw.as_slice().iter().zip(doubled.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        backward(&mut layer, &x, &Matrix::filled(1, 2, 1.0));
+        let once = layer.dw.clone();
+        backward(&mut layer, &x, &Matrix::filled(1, 2, 3.0));
+        backward(&mut layer, &x, &Matrix::filled(1, 2, 1.0));
+        assert_eq!(layer.dw, once);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! During training each entry is zeroed with probability `p` and survivors
 //! are scaled by `1 / (1 - p)`, so the expected activation is unchanged and
-//! no rescaling is needed at inference time.
+//! no rescaling is needed at inference time. A training step draws one
+//! [`Dropout::mask`] for its whole batch and multiplies it in on the way
+//! forward and again on the way back; inference never draws one.
 
 use eventhit_rng::Rng;
 
@@ -12,8 +14,6 @@ use crate::matrix::Matrix;
 #[derive(Clone)]
 pub struct Dropout {
     p: f32,
-    training: bool,
-    mask: Option<Matrix>,
 }
 
 impl Dropout {
@@ -23,11 +23,7 @@ impl Dropout {
             (0.0..1.0).contains(&p),
             "dropout probability must be in [0, 1)"
         );
-        Dropout {
-            p,
-            training: true,
-            mask: None,
-        }
+        Dropout { p }
     }
 
     /// Drop probability.
@@ -35,27 +31,16 @@ impl Dropout {
         self.p
     }
 
-    /// Switches between training (stochastic) and inference (identity)
-    /// mode. Leaving training drops the cached mask: inference forwards
-    /// never read it.
-    pub fn set_training(&mut self, training: bool) {
-        self.training = training;
-        if !training {
-            self.mask = None;
-        }
-    }
-
-    /// Forward pass. In training mode, samples and caches a mask for the
-    /// following [`Dropout::backward`] call; in inference mode this is the
-    /// identity.
-    pub fn forward<R: Rng + ?Sized>(&mut self, x: &Matrix, rng: &mut R) -> Matrix {
-        if !self.training || self.p == 0.0 {
-            self.mask = None;
-            return x.clone();
+    /// The mask of one training batch of `rows x cols` activations: each
+    /// entry `0` or `1 / (1 - p)`, drawn in row-major order, one uniform
+    /// draw apiece. `None` at `p = 0`, which draws nothing: the identity.
+    pub fn mask<R: Rng + ?Sized>(&self, rows: usize, cols: usize, rng: &mut R) -> Option<Matrix> {
+        if self.p == 0.0 {
+            return None;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask_data: Vec<f32> = (0..x.len())
+        let data = (0..rows * cols)
             .map(|_| {
                 if rng.random::<f32>() < keep {
                     scale
@@ -64,18 +49,7 @@ impl Dropout {
                 }
             })
             .collect();
-        let mask = Matrix::from_vec(x.rows(), x.cols(), mask_data);
-        let out = x.hadamard(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
-    /// Backward pass: applies the cached mask to the incoming gradient.
-    pub fn backward(&self, grad_out: &Matrix) -> Matrix {
-        match &self.mask {
-            Some(mask) => grad_out.hadamard(mask),
-            None => grad_out.clone(),
-        }
+        Some(Matrix::from_vec(rows, cols, data))
     }
 }
 
@@ -86,58 +60,41 @@ mod tests {
     use eventhit_rng::SeedableRng;
 
     #[test]
-    fn inference_mode_is_identity() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut d = Dropout::new(0.5);
-        d.set_training(false);
-        let x = Matrix::uniform(3, 4, -1.0, 1.0, &mut rng);
-        let y = d.forward(&x, &mut rng);
-        assert_eq!(x, y);
-        let g = Matrix::filled(3, 4, 1.0);
-        assert_eq!(d.backward(&g), g);
-    }
-
-    #[test]
-    fn zero_probability_is_identity_even_in_training() {
+    fn zero_probability_is_identity_and_draws_nothing() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut d = Dropout::new(0.0);
-        let x = Matrix::uniform(2, 2, -1.0, 1.0, &mut rng);
-        assert_eq!(d.forward(&x, &mut rng), x);
+        let before = rng.clone();
+        assert!(Dropout::new(0.0).mask(2, 2, &mut rng).is_none());
+        assert_eq!(rng.random::<u64>(), before.clone().random::<u64>());
     }
 
     #[test]
-    fn training_mode_preserves_expectation() {
+    fn mask_preserves_expectation() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut d = Dropout::new(0.3);
-        let x = Matrix::filled(100, 100, 1.0);
-        let y = d.forward(&x, &mut rng);
-        let mean = y.as_slice().iter().sum::<f32>() / y.len() as f32;
+        let mask = Dropout::new(0.3).mask(100, 100, &mut rng).unwrap();
+        let mean = mask.as_slice().iter().sum::<f32>() / mask.len() as f32;
         assert!((mean - 1.0).abs() < 0.05, "mean={mean}");
     }
 
     #[test]
     fn surviving_entries_are_scaled() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut d = Dropout::new(0.5);
-        let x = Matrix::filled(10, 10, 1.0);
-        let y = d.forward(&x, &mut rng);
-        for &v in y.as_slice() {
+        let mask = Dropout::new(0.5).mask(10, 10, &mut rng).unwrap();
+        for &v in mask.as_slice() {
             assert!(v == 0.0 || (v - 2.0).abs() < 1e-6, "unexpected value {v}");
         }
     }
 
     #[test]
-    fn backward_uses_same_mask_as_forward() {
+    fn a_batch_mask_is_its_rows_drawn_in_order() {
+        // One draw per entry, row-major: a 6-row mask is the 2-row mask
+        // of the same stream followed by the next 4 rows.
+        let d = Dropout::new(0.4);
+        let whole = d.mask(6, 5, &mut StdRng::seed_from_u64(4)).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut d = Dropout::new(0.4);
-        let x = Matrix::filled(5, 5, 1.0);
-        let y = d.forward(&x, &mut rng);
-        let g = Matrix::filled(5, 5, 1.0);
-        let gy = d.backward(&g);
-        // Gradient is zero exactly where the output was zero.
-        for (o, gr) in y.as_slice().iter().zip(gy.as_slice()) {
-            assert_eq!(*o == 0.0, *gr == 0.0);
-        }
+        let top = d.mask(2, 5, &mut rng).unwrap();
+        let bottom = d.mask(4, 5, &mut rng).unwrap();
+        assert_eq!(whole.row_range(0..2), top);
+        assert_eq!(whole.row_range(2..6), bottom);
     }
 
     #[test]

@@ -22,9 +22,10 @@ use crate::matrix::Matrix;
 use crate::optimizer::ParamMut;
 use crate::packed::PackedAffine;
 use crate::quant::QuantizedAffine;
+use crate::step::{fold, GateGrad, Product};
 
-/// Per-timestep forward cache needed by BPTT.
-#[derive(Clone)]
+/// What one timestep of a training forward keeps for BPTT.
+#[derive(Clone, Debug)]
 struct StepCache {
     x: Matrix,
     h_prev: Matrix,
@@ -48,7 +49,13 @@ pub struct Gru {
     dwh: Matrix,
     dbx: Matrix,
     dbh: Matrix,
-    cache: Vec<StepCache>,
+}
+
+/// What a training forward over a block of rows keeps for
+/// [`Gru::bptt`]: every timestep's input, state and gate activations.
+#[derive(Clone, Debug)]
+pub struct GruTrace {
+    steps: Vec<StepCache>,
 }
 
 impl Gru {
@@ -66,7 +73,6 @@ impl Gru {
             dwh: Matrix::zeros(3 * hidden_dim, hidden_dim),
             dbx: Matrix::zeros(1, 3 * hidden_dim),
             dbh: Matrix::zeros(1, 3 * hidden_dim),
-            cache: Vec::new(),
         }
     }
 
@@ -85,19 +91,17 @@ impl Gru {
         self.wx.len() + self.wh.len() + self.bx.len() + self.bh.len()
     }
 
-    /// Runs the GRU over a sequence, caching for BPTT; returns the final
-    /// hidden state.
-    pub fn forward(&mut self, xs: &[Matrix]) -> Matrix {
+    /// Runs the GRU over a block of rows' sequence and returns the final
+    /// hidden state with the trace BPTT needs.
+    pub fn forward_trace(&self, xs: &[Matrix]) -> (Matrix, GruTrace) {
         assert!(!xs.is_empty(), "GRU requires at least one timestep");
-        let batch = xs[0].rows();
-        let hd = self.hidden_dim;
-        self.cache.clear();
-        let mut h = Matrix::zeros(batch, hd);
+        let mut steps = Vec::with_capacity(xs.len());
+        let mut h = Matrix::zeros(xs[0].rows(), self.hidden_dim);
         let affines = self.affines();
 
         for x in xs {
             let (r, z, n, hn_pre, h_new) = self.step(&affines, x, &h);
-            self.cache.push(StepCache {
+            steps.push(StepCache {
                 x: x.clone(),
                 h_prev: h,
                 r,
@@ -107,13 +111,13 @@ impl Gru {
             });
             h = h_new;
         }
-        h
+        (h, GruTrace { steps })
     }
 
-    /// Inference-only forward (no caching). Pure `&self`, so a trained
+    /// Inference-only forward (no trace). Pure `&self`, so a trained
     /// layer can be shared across threads for parallel inference; the
-    /// step arithmetic is shared with [`Gru::forward`], so the two are
-    /// bit-identical.
+    /// step arithmetic is shared with [`Gru::forward_trace`], so the two
+    /// are bit-identical.
     pub fn forward_inference(&self, xs: &[Matrix]) -> Matrix {
         assert!(!xs.is_empty(), "GRU requires at least one timestep");
         let batch = xs[0].rows();
@@ -172,19 +176,18 @@ impl Gru {
         (r, z, n, hn_pre, h_new)
     }
 
-    /// BPTT from the gradient of the loss w.r.t. the final hidden state:
-    /// accumulates the weight gradients. The gradient w.r.t. the inputs is
-    /// not computed: the encoder is the first layer, so nothing reads it.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward_last(&mut self, dh_last: &Matrix) {
-        assert!(!self.cache.is_empty(), "Gru::backward_last before forward");
+    /// BPTT over a traced block, from the gradient of the loss w.r.t.
+    /// its final hidden state: the recursion down to each timestep's
+    /// input-side and recurrent-side pre-activation gradients, returned
+    /// in timestep order with the inputs [`Gru::grad_products`]
+    /// multiplies them by. The gradient w.r.t. the inputs is not
+    /// computed: the encoder is the first layer, so nothing reads it.
+    pub fn bptt(&self, trace: GruTrace, dh_last: &Matrix) -> Vec<GateGrad> {
         let hd = self.hidden_dim;
-        let batch = self.cache[0].x.rows();
+        let mut grads = Vec::with_capacity(trace.steps.len());
         let mut dh = dh_last.clone();
 
-        for step in self.cache.iter().rev() {
+        for step in trace.steps.into_iter().rev() {
             // h = (1-z) ⊙ n + z ⊙ h_prev
             let dn = dh.hadamard(&step.z.map(|v| 1.0 - v));
             let mut dz = dh.hadamard(&step.h_prev);
@@ -202,27 +205,56 @@ impl Gru {
 
             // Assemble fused gradients: px gets [r|z|n] pre-gradients; ph
             // gets [r|z] pre-gradients plus dhn_pre on the n block.
-            let mut dpx = Matrix::zeros(batch, 3 * hd);
+            let mut dpx = Matrix::zeros(dh.rows(), 3 * hd);
             dpx.set_col_block(0, &dr_pre);
             dpx.set_col_block(hd, &dz_pre);
             dpx.set_col_block(2 * hd, &dn_pre);
-            let mut dph = Matrix::zeros(batch, 3 * hd);
+            let mut dph = Matrix::zeros(dh.rows(), 3 * hd);
             dph.set_col_block(0, &dr_pre);
             dph.set_col_block(hd, &dz_pre);
             dph.set_col_block(2 * hd, &dhn_pre);
 
-            self.dwx.add_assign(&dpx.t_matmul(&step.x));
-            self.dwh.add_assign(&dph.t_matmul(&step.h_prev));
-            for (g, &v) in self.dbx.as_mut_slice().iter_mut().zip(&dpx.sum_rows()) {
-                *g += v;
-            }
-            for (g, &v) in self.dbh.as_mut_slice().iter_mut().zip(&dph.sum_rows()) {
-                *g += v;
-            }
-
             dh_prev.add_assign(&dph.matmul(&self.wh));
             dh = dh_prev;
+            grads.push(GateGrad {
+                dpx,
+                dph: Some(dph),
+                x: step.x,
+                h_prev: step.h_prev,
+            });
         }
+        grads.reverse();
+        grads
+    }
+
+    /// The weight-gradient products of one step over the whole batch,
+    /// from its stacked [`Gru::bptt`] output: per timestep, last first,
+    /// `dpx^T x`, `dph^T h_prev` and the column sums of `dpx` and of
+    /// `dph`.
+    pub fn grad_products(steps: &[GateGrad]) -> Vec<Product<'_>> {
+        steps
+            .iter()
+            .rev()
+            .flat_map(|s| {
+                [
+                    Product::TMatmul(&s.dpx, &s.x),
+                    Product::TMatmul(s.dph(), &s.h_prev),
+                    Product::SumRows(&s.dpx),
+                    Product::SumRows(s.dph()),
+                ]
+            })
+            .collect()
+    }
+
+    /// Sets the gradient buffers to the computed [`Gru::grad_products`],
+    /// folded in their order.
+    ///
+    /// # Panics
+    /// Panics unless the values are four per timestep, of the buffers'
+    /// shapes.
+    pub fn set_grads(&mut self, values: impl IntoIterator<Item = Matrix>) {
+        let accs = &mut [&mut self.dwx, &mut self.dwh, &mut self.dbx, &mut self.dbh];
+        fold(accs, values);
     }
 
     /// Compiles the layer for exact-lane inference: both `[r|z|n]`
@@ -249,29 +281,6 @@ impl Gru {
             px: QuantizedAffine::quantize(&self.wx, self.bx.as_slice()),
             ph: QuantizedAffine::quantize(&self.wh, self.bh.as_slice()),
         }
-    }
-
-    /// Drops the BPTT cache (every step of the last forward batch). The
-    /// next [`Gru::forward`] refills it.
-    pub fn clear_cache(&mut self) {
-        self.cache = Vec::new();
-    }
-
-    /// Values the BPTT cache holds (`0` after [`Gru::clear_cache`]).
-    pub fn cache_len(&self) -> usize {
-        self.cache
-            .iter()
-            .flat_map(|s| [&s.x, &s.h_prev, &s.r, &s.z, &s.n, &s.hn_pre])
-            .map(Matrix::len)
-            .sum()
-    }
-
-    /// Zeros the accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dwx.fill_zero();
-        self.dwh.fill_zero();
-        self.dbx.fill_zero();
-        self.dbh.fill_zero();
     }
 
     /// The parameters alone, read-only, in [`Gru::params_mut`]'s order.
@@ -388,12 +397,23 @@ mod tests {
             .collect()
     }
 
+    /// A one-block step's backward from the final hidden state's
+    /// gradient: BPTT, then the products.
+    fn backward(gru: &mut Gru, trace: GruTrace, dh: &Matrix) {
+        let steps = gru.bptt(trace, dh);
+        let values: Vec<Matrix> = Gru::grad_products(&steps)
+            .iter()
+            .map(Product::compute)
+            .collect();
+        gru.set_grads(values);
+    }
+
     #[test]
     fn forward_shapes_and_bounds() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut gru = Gru::new(3, 5, &mut rng);
+        let gru = Gru::new(3, 5, &mut rng);
         let xs = seq(7, 4, 3, 1);
-        let h = gru.forward(&xs);
+        let (h, _) = gru.forward_trace(&xs);
         assert_eq!(h.shape(), (4, 5));
         // h is a convex combination of tanh outputs: |h| <= 1.
         assert!(h.as_slice().iter().all(|&v| v.abs() <= 1.0));
@@ -402,9 +422,9 @@ mod tests {
     #[test]
     fn inference_matches_training_forward() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut gru = Gru::new(2, 4, &mut rng);
+        let gru = Gru::new(2, 4, &mut rng);
         let xs = seq(5, 3, 2, 2);
-        assert_eq!(gru.forward(&xs), gru.forward_inference(&xs));
+        assert_eq!(gru.forward_trace(&xs).0, gru.forward_inference(&xs));
     }
 
     #[test]
@@ -437,36 +457,52 @@ mod tests {
     }
 
     #[test]
-    fn clear_cache_drops_the_last_batch_and_forward_refills_it() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut gru = Gru::new(3, 4, &mut rng);
-        let xs = seq(5, 2, 3, 25);
-        let h = gru.forward(&xs);
-        // Per step: x (2x3) + five 2x4 matrices.
-        assert_eq!(gru.cache_len(), 5 * (6 + 5 * 8));
-        gru.clear_cache();
-        assert_eq!(gru.cache_len(), 0);
-        assert_eq!(gru.forward_inference(&xs), h);
-        gru.forward(&xs);
-        gru.backward_last(&h);
-    }
-
-    #[test]
     fn gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut gru = Gru::new(3, 4, &mut rng);
         let xs = seq(5, 2, 3, 4);
         let loss_fn = |g: &mut Gru| {
-            let h = g.forward(&xs);
+            let h = g.forward_inference(&xs);
             0.5 * h.as_slice().iter().map(|&v| v * v).sum::<f32>()
         };
         let grad_fn = |g: &mut Gru| {
-            g.zero_grad();
-            let h = g.forward(&xs);
-            g.backward_last(&h);
+            let (h, trace) = g.forward_trace(&xs);
+            backward(g, trace, &h);
         };
         let err = check_gradients(&mut gru, loss_fn, grad_fn, |g| g.params_mut(), 1e-2);
         assert!(err < 3e-2, "max rel err {err}");
+    }
+
+    #[test]
+    fn blocks_of_rows_give_the_whole_batch_gradients_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut gru = Gru::new(3, 5, &mut rng);
+        let xs = seq(4, 7, 3, 6);
+        let dh = Matrix::uniform(7, 5, -1.0, 1.0, &mut rng);
+        let (h, trace) = gru.forward_trace(&xs);
+        backward(&mut gru, trace, &dh);
+        let grads = |g: &Gru| [g.dwx.clone(), g.dwh.clone(), g.dbx.clone(), g.dbh.clone()];
+        let want = grads(&gru);
+        for cut in [vec![0..4, 4..7], vec![0..1, 1..2, 2..3, 3..7]] {
+            let (mut hs, mut steps) = (Vec::new(), Vec::new());
+            for rows in cut {
+                let block: Vec<Matrix> = xs.iter().map(|x| x.row_range(rows.clone())).collect();
+                let (h, trace) = gru.forward_trace(&block);
+                steps.push(gru.bptt(trace, &dh.row_range(rows)));
+                hs.push(h);
+            }
+            assert_eq!(Matrix::stack_rows(hs), h);
+            let steps: Vec<GateGrad> = GateGrad::by_timestep(steps)
+                .into_iter()
+                .map(GateGrad::stack)
+                .collect();
+            let values: Vec<Matrix> = Gru::grad_products(&steps)
+                .iter()
+                .map(Product::compute)
+                .collect();
+            gru.set_grads(values);
+            assert_eq!(grads(&gru), want);
+        }
     }
 
     #[test]
@@ -509,17 +545,16 @@ mod tests {
             }
             let y = Matrix::from_vec(batch, 1, first);
 
-            gru.zero_grad();
-            readout.zero_grad();
-            let h = gru.forward(&xs);
-            let pred = readout.forward(&h);
-            let mut diff = pred.clone();
+            let (h, trace) = gru.forward_trace(&xs);
+            let pred = readout.forward_trace(&h);
+            let mut diff = pred.output().clone();
             diff.add_scaled(&y, -1.0);
             let loss = diff.as_slice().iter().map(|&d| d * d).sum::<f32>() / batch as f32;
             let mut dpred = diff;
             dpred.scale(2.0 / batch as f32);
-            let dh = readout.backward(&dpred);
-            gru.backward_last(&dh);
+            let (dpre, dh) = readout.backward_rows(&pred, &dpred);
+            readout.set_grads(Dense::grad_products(&dpre, &h).map(|p| p.compute()));
+            backward(&mut gru, trace, &dh);
             let mut params = gru.params_mut();
             params.extend(readout.params_mut());
             opt.step(&mut params);
@@ -537,7 +572,7 @@ mod tests {
     #[should_panic(expected = "at least one timestep")]
     fn rejects_empty_sequence() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut gru = Gru::new(2, 3, &mut rng);
-        let _ = gru.forward(&[]);
+        let gru = Gru::new(2, 3, &mut rng);
+        let _ = gru.forward_trace(&[]);
     }
 }

@@ -9,7 +9,11 @@
 //! The layer set is exactly what the paper's architecture (Fig. 3) needs:
 //! an LSTM encoder, fully connected layers with sigmoid/tanh/relu
 //! activations, and dropout. There is no general autograd — the model graph
-//! is fixed, and each layer exposes `forward` / `backward` / `params_mut`.
+//! is fixed. Each layer trains through pure `&self` primitives over a
+//! block of a batch's rows (a traced forward, then the per-row backward
+//! down to its pre-activation gradients) and whole-batch weight-gradient
+//! products it takes back with `set_grads` ([`step`] has the split and
+//! why it moves no bit); `params_mut` hands the optimizer the result.
 //!
 //! One product kernel serves training and inference: the tile sweep over
 //! k-major [`packed`] weight panels. Every [`matrix`] product runs on it
@@ -38,9 +42,9 @@
 //! use eventhit_rng::SeedableRng;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let mut layer = Dense::new(4, 2, Activation::Sigmoid, Init::XavierUniform, &mut rng);
+//! let layer = Dense::new(4, 2, Activation::Sigmoid, Init::XavierUniform, &mut rng);
 //! let x = Matrix::uniform(3, 4, -1.0, 1.0, &mut rng);
-//! let probs = layer.forward(&x);
+//! let probs = layer.forward_inference(&x);
 //! assert_eq!(probs.shape(), (3, 2));
 //! ```
 
@@ -63,14 +67,16 @@ pub mod matrix;
 pub mod optimizer;
 pub mod packed;
 pub mod quant;
+pub mod step;
 
 pub use activation::Activation;
 pub use cell::CellState;
-pub use dense::{Dense, PackedDense, QuantizedDense};
+pub use dense::{Dense, DenseTrace, PackedDense, QuantizedDense};
 pub use dropout::Dropout;
-pub use gru::{Gru, PackedGru, QuantizedGru};
+pub use gru::{Gru, GruTrace, PackedGru, QuantizedGru};
 pub use init::Init;
-pub use lstm::{Lstm, PackedLstm, QuantizedLstm};
+pub use lstm::{Lstm, LstmTrace, PackedLstm, QuantizedLstm};
 pub use matrix::Matrix;
 pub use optimizer::{Adam, ParamMut};
 pub use quant::{InferenceLane, QuantizedMatrix};
+pub use step::{GateGrad, Product};

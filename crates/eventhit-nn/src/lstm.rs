@@ -15,9 +15,10 @@ use crate::matrix::Matrix;
 use crate::optimizer::ParamMut;
 use crate::packed::PackedGate;
 use crate::quant::QuantizedGate;
+use crate::step::{fold, GateGrad, Product};
 
-/// Per-timestep forward cache needed by BPTT.
-#[derive(Clone)]
+/// What one timestep of a training forward keeps for BPTT.
+#[derive(Clone, Debug)]
 struct StepCache {
     x: Matrix,
     h_prev: Matrix,
@@ -40,7 +41,13 @@ pub struct Lstm {
     dwx: Matrix,
     dwh: Matrix,
     db: Matrix,
-    cache: Vec<StepCache>,
+}
+
+/// What a training forward over a block of rows keeps for
+/// [`Lstm::bptt`]: every timestep's input, state and gate activations.
+#[derive(Clone, Debug)]
+pub struct LstmTrace {
+    steps: Vec<StepCache>,
 }
 
 impl Lstm {
@@ -63,7 +70,6 @@ impl Lstm {
             dwx: Matrix::zeros(4 * hidden_dim, input_dim),
             dwh: Matrix::zeros(4 * hidden_dim, hidden_dim),
             db: Matrix::zeros(1, 4 * hidden_dim),
-            cache: Vec::new(),
         }
     }
 
@@ -82,14 +88,14 @@ impl Lstm {
         self.wx.len() + self.wh.len() + self.b.len()
     }
 
-    /// Runs the LSTM over a sequence (`xs[t]: batch x input_dim`), caching
-    /// intermediates for BPTT, and returns the final hidden state
-    /// (`batch x hidden_dim`).
-    pub fn forward(&mut self, xs: &[Matrix]) -> Matrix {
+    /// Runs the LSTM over a block of rows' sequence (`xs[t]: rows x
+    /// input_dim`) and returns the final hidden state (`rows x
+    /// hidden_dim`) with the trace BPTT needs.
+    pub fn forward_trace(&self, xs: &[Matrix]) -> (Matrix, LstmTrace) {
         assert!(!xs.is_empty(), "LSTM requires at least one timestep");
         let batch = xs[0].rows();
         let hd = self.hidden_dim;
-        self.cache.clear();
+        let mut steps = Vec::with_capacity(xs.len());
 
         let mut h = Matrix::zeros(batch, hd);
         let mut c = Matrix::zeros(batch, hd);
@@ -99,7 +105,7 @@ impl Lstm {
             let (i, f, g, o, c_new) = self.step(&gate, x, &h, &c, batch);
             let tanh_c = Tanh.apply(c_new.clone());
             let h_new = o.hadamard(&tanh_c);
-            self.cache.push(StepCache {
+            steps.push(StepCache {
                 x: x.clone(),
                 h_prev: h,
                 c_prev: c,
@@ -112,12 +118,12 @@ impl Lstm {
             h = h_new;
             c = c_new;
         }
-        h
+        (h, LstmTrace { steps })
     }
 
-    /// Runs the LSTM without caching. Pure `&self`, so a trained layer
+    /// Runs the LSTM without a trace. Pure `&self`, so a trained layer
     /// can be shared across threads for parallel inference; the step
-    /// arithmetic is shared with [`Lstm::forward`], so the two are
+    /// arithmetic is shared with [`Lstm::forward_trace`], so the two are
     /// bit-identical.
     pub fn forward_inference(&self, xs: &[Matrix]) -> Matrix {
         assert!(!xs.is_empty(), "LSTM requires at least one timestep");
@@ -170,21 +176,19 @@ impl Lstm {
         (i, f, g, o, c_new)
     }
 
-    /// BPTT given the gradient of the loss w.r.t. the *final* hidden state:
-    /// accumulates the weight gradients. The gradient w.r.t. the inputs is
-    /// not computed: the encoder is the first layer, so nothing reads it.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward_last(&mut self, dh_last: &Matrix) {
-        assert!(!self.cache.is_empty(), "Lstm::backward_last before forward");
+    /// BPTT over a traced block, from the gradient of the loss w.r.t.
+    /// its *final* hidden state: the recursion down to each timestep's
+    /// gate pre-activation gradient, returned in timestep order with the
+    /// inputs [`Lstm::grad_products`] multiplies it by. The gradient
+    /// w.r.t. the inputs is not computed: the encoder is the first layer,
+    /// so nothing reads it.
+    pub fn bptt(&self, trace: LstmTrace, dh_last: &Matrix) -> Vec<GateGrad> {
         let hd = self.hidden_dim;
-        let batch = self.cache[0].x.rows();
-
+        let mut grads = Vec::with_capacity(trace.steps.len());
         let mut dh = dh_last.clone();
-        let mut dc_next = Matrix::zeros(batch, hd);
+        let mut dc_next = Matrix::zeros(dh.rows(), hd);
 
-        for step in self.cache.iter().rev() {
+        for step in trace.steps.into_iter().rev() {
             // h = o ⊙ tanh(c), so dc = dh ⊙ o ⊙ (1 - tanh(c)^2) + dc_next.
             let do_gate = dh.hadamard(&step.tanh_c);
             let one_minus_t2 = step.tanh_c.map(|t| 1.0 - t * t);
@@ -203,23 +207,50 @@ impl Lstm {
             let dpre_g = dg.hadamard(&step.g.map(|t| 1.0 - t * t));
             let dpre_o = do_gate.hadamard(&step.o.map(|s| s * (1.0 - s)));
 
-            let mut dpre = Matrix::zeros(batch, 4 * hd);
+            let mut dpre = Matrix::zeros(dh.rows(), 4 * hd);
             dpre.set_col_block(0, &dpre_i);
             dpre.set_col_block(hd, &dpre_f);
             dpre.set_col_block(2 * hd, &dpre_g);
             dpre.set_col_block(3 * hd, &dpre_o);
 
-            // Accumulate weight gradients.
-            self.dwx.add_assign(&dpre.t_matmul(&step.x));
-            self.dwh.add_assign(&dpre.t_matmul(&step.h_prev));
-            let db = dpre.sum_rows();
-            for (g, &v) in self.db.as_mut_slice().iter_mut().zip(&db) {
-                *g += v;
-            }
-
             dh = dpre.matmul(&self.wh);
             dc_next = dc_prev;
+            grads.push(GateGrad {
+                dpx: dpre,
+                dph: None,
+                x: step.x,
+                h_prev: step.h_prev,
+            });
         }
+        grads.reverse();
+        grads
+    }
+
+    /// The weight-gradient products of one step over the whole batch,
+    /// from its stacked [`Lstm::bptt`] output: per timestep, last first,
+    /// `dpre^T x`, `dpre^T h_prev` and the column sums of `dpre`.
+    pub fn grad_products(steps: &[GateGrad]) -> Vec<Product<'_>> {
+        steps
+            .iter()
+            .rev()
+            .flat_map(|s| {
+                [
+                    Product::TMatmul(&s.dpx, &s.x),
+                    Product::TMatmul(&s.dpx, &s.h_prev),
+                    Product::SumRows(&s.dpx),
+                ]
+            })
+            .collect()
+    }
+
+    /// Sets the gradient buffers to the computed
+    /// [`Lstm::grad_products`], folded in their order.
+    ///
+    /// # Panics
+    /// Panics unless the values are three per timestep, of the
+    /// buffers' shapes.
+    pub fn set_grads(&mut self, values: impl IntoIterator<Item = Matrix>) {
+        fold(&mut [&mut self.dwx, &mut self.dwh, &mut self.db], values);
     }
 
     /// Compiles the layer for exact-lane inference: gate weights
@@ -243,32 +274,6 @@ impl Lstm {
             hidden_dim: self.hidden_dim,
             gate: QuantizedGate::quantize(&self.wx, &self.wh, self.b.as_slice()),
         }
-    }
-
-    /// Drops the BPTT cache (every step of the last forward batch). The
-    /// next [`Lstm::forward`] refills it.
-    pub fn clear_cache(&mut self) {
-        self.cache = Vec::new();
-    }
-
-    /// Values the BPTT cache holds (`0` after [`Lstm::clear_cache`]).
-    pub fn cache_len(&self) -> usize {
-        self.cache
-            .iter()
-            .flat_map(|s| {
-                [
-                    &s.x, &s.h_prev, &s.c_prev, &s.i, &s.f, &s.g, &s.o, &s.tanh_c,
-                ]
-            })
-            .map(Matrix::len)
-            .sum()
-    }
-
-    /// Zeros the accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dwx.fill_zero();
-        self.dwh.fill_zero();
-        self.db.fill_zero();
     }
 
     /// The parameters alone, read-only, in [`Lstm::params_mut`]'s order.
@@ -380,12 +385,23 @@ mod tests {
             .collect()
     }
 
+    /// A one-block step's backward from the final hidden state's
+    /// gradient: BPTT, then the products.
+    fn backward(lstm: &mut Lstm, trace: LstmTrace, dh: &Matrix) {
+        let steps = lstm.bptt(trace, dh);
+        let values: Vec<Matrix> = Lstm::grad_products(&steps)
+            .iter()
+            .map(Product::compute)
+            .collect();
+        lstm.set_grads(values);
+    }
+
     #[test]
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut lstm = Lstm::new(3, 5, &mut rng);
+        let lstm = Lstm::new(3, 5, &mut rng);
         let xs = seq(7, 4, 3, 1);
-        let h = lstm.forward(&xs);
+        let (h, _) = lstm.forward_trace(&xs);
         assert_eq!(h.shape(), (4, 5));
         assert!(h.all_finite());
     }
@@ -394,28 +410,18 @@ mod tests {
     fn hidden_state_is_bounded() {
         // h = o ⊙ tanh(c) with o in (0,1) implies |h| < 1.
         let mut rng = StdRng::seed_from_u64(1);
-        let mut lstm = Lstm::new(2, 4, &mut rng);
+        let lstm = Lstm::new(2, 4, &mut rng);
         let xs = seq(20, 3, 2, 2);
-        let h = lstm.forward(&xs);
+        let h = lstm.forward_inference(&xs);
         assert!(h.as_slice().iter().all(|&v| v.abs() < 1.0));
-    }
-
-    #[test]
-    fn forward_deterministic() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut lstm = Lstm::new(2, 3, &mut rng);
-        let xs = seq(5, 2, 2, 4);
-        let a = lstm.forward(&xs);
-        let b = lstm.forward(&xs);
-        assert_eq!(a, b);
     }
 
     #[test]
     fn inference_matches_training_forward() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut lstm = Lstm::new(3, 4, &mut rng);
+        let lstm = Lstm::new(3, 4, &mut rng);
         let xs = seq(6, 2, 3, 6);
-        let a = lstm.forward(&xs);
+        let (a, _) = lstm.forward_trace(&xs);
         let b = lstm.forward_inference(&xs);
         assert_eq!(a, b);
     }
@@ -455,36 +461,51 @@ mod tests {
     }
 
     #[test]
-    fn clear_cache_drops_the_last_batch_and_forward_refills_it() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let mut lstm = Lstm::new(3, 4, &mut rng);
-        let xs = seq(5, 2, 3, 26);
-        let h = lstm.forward(&xs);
-        // Per step: x (2x3) + seven 2x4 matrices.
-        assert_eq!(lstm.cache_len(), 5 * (6 + 7 * 8));
-        lstm.clear_cache();
-        assert_eq!(lstm.cache_len(), 0);
-        assert_eq!(lstm.forward_inference(&xs), h);
-        lstm.forward(&xs);
-        lstm.backward_last(&h);
-    }
-
-    #[test]
     fn gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut lstm = Lstm::new(3, 4, &mut rng);
         let xs = seq(5, 2, 3, 8);
         let loss_fn = |l: &mut Lstm| {
-            let h = l.forward(&xs);
+            let h = l.forward_inference(&xs);
             0.5 * h.as_slice().iter().map(|&v| v * v).sum::<f32>()
         };
         let grad_fn = |l: &mut Lstm| {
-            l.zero_grad();
-            let h = l.forward(&xs);
-            l.backward_last(&h);
+            let (h, trace) = l.forward_trace(&xs);
+            backward(l, trace, &h);
         };
         let err = check_gradients(&mut lstm, loss_fn, grad_fn, |l| l.params_mut(), 1e-2);
         assert!(err < 3e-2, "max rel err {err}");
+    }
+
+    #[test]
+    fn blocks_of_rows_give_the_whole_batch_gradients_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut lstm = Lstm::new(3, 5, &mut rng);
+        let xs = seq(4, 7, 3, 10);
+        let dh = Matrix::uniform(7, 5, -1.0, 1.0, &mut rng);
+        let (h, trace) = lstm.forward_trace(&xs);
+        backward(&mut lstm, trace, &dh);
+        let want = [lstm.dwx.clone(), lstm.dwh.clone(), lstm.db.clone()];
+        for cut in [vec![0..4, 4..7], vec![0..1, 1..2, 2..3, 3..7]] {
+            let (mut hs, mut steps) = (Vec::new(), Vec::new());
+            for rows in cut {
+                let block: Vec<Matrix> = xs.iter().map(|x| x.row_range(rows.clone())).collect();
+                let (h, trace) = lstm.forward_trace(&block);
+                steps.push(lstm.bptt(trace, &dh.row_range(rows)));
+                hs.push(h);
+            }
+            assert_eq!(Matrix::stack_rows(hs), h);
+            let steps: Vec<GateGrad> = GateGrad::by_timestep(steps)
+                .into_iter()
+                .map(GateGrad::stack)
+                .collect();
+            let values: Vec<Matrix> = Lstm::grad_products(&steps)
+                .iter()
+                .map(Product::compute)
+                .collect();
+            lstm.set_grads(values);
+            assert_eq!([lstm.dwx.clone(), lstm.dwh.clone(), lstm.db.clone()], want);
+        }
     }
 
     #[test]
@@ -538,17 +559,16 @@ mod tests {
         let mut last_loss = f32::MAX;
         for epoch in 0..200 {
             let (xs, y) = make_batch(&mut rng);
-            lstm.zero_grad();
-            readout.zero_grad();
-            let h = lstm.forward(&xs);
-            let pred = readout.forward(&h);
-            let mut diff = pred.clone();
+            let (h, trace) = lstm.forward_trace(&xs);
+            let pred = readout.forward_trace(&h);
+            let mut diff = pred.output().clone();
             diff.add_scaled(&y, -1.0);
             let loss = diff.as_slice().iter().map(|&d| d * d).sum::<f32>() / y.rows() as f32;
             let mut dpred = diff;
             dpred.scale(2.0 / y.rows() as f32);
-            let dh = readout.backward(&dpred);
-            lstm.backward_last(&dh);
+            let (dpre, dh) = readout.backward_rows(&pred, &dpred);
+            readout.set_grads(crate::dense::Dense::grad_products(&dpre, &h).map(|p| p.compute()));
+            backward(&mut lstm, trace, &dh);
             let mut params = lstm.params_mut();
             params.extend(readout.params_mut());
             opt.step(&mut params);

@@ -17,11 +17,13 @@
 //! never changes a bit: a chain that starts at `+0` never holds `-0`, so
 //! adding a `±0` product leaves it as it was.) Every product runs on the
 //! calling thread: the worker pool parallelises records, lanes, grid
-//! cells and sessions, never the inside of a product (DESIGN §9 has the
-//! measurement that retired the row-blocked path).
+//! cells, sessions, and a training step's row blocks and whole
+//! weight-gradient products ([`crate::step`]), never the inside of a
+//! product (DESIGN §9 has the measurement that retired the row-blocked
+//! path).
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 use eventhit_rng::Rng;
 
@@ -472,6 +474,30 @@ impl Matrix {
         out
     }
 
+    /// Copies the contiguous rows `rows` out: one block of a batch.
+    pub fn row_range(&self, rows: Range<usize>) -> Matrix {
+        let data = self.data[rows.start * self.cols..rows.end * self.cols].to_vec();
+        Matrix::from_vec(rows.len(), self.cols, data)
+    }
+
+    /// Stacks `blocks` top to bottom, the inverse of cutting a batch into
+    /// [`Matrix::row_range`]s. One block comes back as it is, uncopied.
+    ///
+    /// # Panics
+    /// Panics if there is no block or two differ in width.
+    pub fn stack_rows(blocks: Vec<Matrix>) -> Matrix {
+        let len: usize = blocks.iter().map(Matrix::len).sum();
+        let mut blocks = blocks.into_iter();
+        let mut out = blocks.next().expect("stack_rows needs a block");
+        out.data.reserve_exact(len - out.len());
+        for block in blocks {
+            assert_eq!(block.cols, out.cols, "stack_rows width mismatch");
+            out.data.extend_from_slice(&block.data);
+            out.rows += block.rows;
+        }
+        out
+    }
+
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
@@ -756,6 +782,16 @@ mod tests {
         let sel = a.select_rows(&[2, 0]);
         assert_eq!(sel.row(0), &[5.0, 6.0]);
         assert_eq!(sel.row(1), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn row_ranges_stack_back_into_the_batch() {
+        let a = sample(7, 3, 5);
+        assert_eq!(Matrix::stack_rows(vec![a.row_range(0..7)]), a);
+        for cut in [vec![0..3, 3..7], vec![0..1, 1..2, 2..6, 6..7]] {
+            let blocks = cut.into_iter().map(|r| a.row_range(r)).collect();
+            assert_eq!(Matrix::stack_rows(blocks), a);
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! 1. Each task `i` is a pure function of inputs that no other task
 //!    mutates (a batch of inference windows, a grid cell with its own
-//!    RNG substream, one stream lane, one served session).
+//!    RNG substream, one stream lane, one served session, a training
+//!    step's block of rows or run of whole weight-gradient products).
 //! 2. Within a task, the floating-point operation order is exactly the
 //!    order the sequential code uses for the same indices.
 //! 3. Partial results are folded by [`DeterministicReduce`] in task
@@ -27,6 +28,11 @@
 //! workspace root asserts end to end (loss curves, conformal quantiles,
 //! marshalling decisions, and telemetry fingerprints across worker counts
 //! {1, 2, 4, 8}).
+//!
+//! A [`Crew`] ([`Pool::crew`]) keeps a pool's workers resident across
+//! many short regions — a training run's steps — and holds to the same
+//! three properties: its jobs are values moved in, and each run returns
+//! their outputs in job order.
 //!
 //! ## Worker-count resolution
 //!
@@ -60,8 +66,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod crew;
 pub mod pool;
 pub mod reduce;
 
+pub use crew::Crew;
 pub use pool::{chunk_ranges, current_workers, with_workers, Pool};
 pub use reduce::DeterministicReduce;

@@ -9,6 +9,10 @@
 //! spawn cost (~tens of microseconds) is amortized by parallelising only
 //! coarse grains: chunked record batches in `eventhit-core::infer`,
 //! lanes, grid cells and sessions — never the inside of a matrix product.
+//! A training step is the one fine grain: its row blocks and whole
+//! weight-gradient products take ~0.1–0.5 ms each, thousands of times a
+//! run, so training keeps its workers resident in a
+//! [`Crew`](crate::Crew) instead of spawning them per region.
 //!
 //! The outer grain wins: a worker thread starts with its ambient count
 //! pinned to 1, so a [`Pool::current`] resolved inside a task runs

@@ -3,8 +3,11 @@
 //! A [`Telemetry`] value is shared by reference (or `Arc`) across the
 //! instrumented stack; all mutation happens behind one internal mutex, so
 //! call sites need only `&self`. Metric maps are `BTreeMap`s keyed by
-//! `(name, label)`, which makes every snapshot iterate in one
-//! deterministic order — a precondition for the fingerprinting scheme.
+//! the static name, then by the label, which makes every snapshot
+//! iterate in one deterministic order — `(name, label)`, a precondition
+//! for the fingerprinting scheme — and lets a call on a series that
+//! exists find it by the borrowed name and label, allocating nothing.
+//! Reading the wall clock takes no lock.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -61,17 +64,45 @@ impl SpanRecord {
     }
 }
 
-type MetricKey = (String, String);
+/// One kind of metric: series by name, then by label.
+type Series<V> = BTreeMap<&'static str, BTreeMap<String, V>>;
+
+/// The `label` series of `name`, made by `init` if it is new. Finding
+/// one that exists allocates nothing.
+fn series<'m, V>(
+    map: &'m mut Series<V>,
+    name: &'static str,
+    label: &str,
+    init: impl FnOnce() -> V,
+) -> &'m mut V {
+    let labels = map.entry(name).or_default();
+    if !labels.contains_key(label) {
+        labels.insert(label.to_owned(), init());
+    }
+    labels.get_mut(label).expect("the series exists")
+}
+
+/// Every series of `map` as `(name, label, value)`, in `(name, label)`
+/// order.
+fn flatten<V, T>(map: &Series<V>, value: impl Fn(&V) -> T) -> Vec<(String, String, T)> {
+    map.iter()
+        .flat_map(|(name, labels)| {
+            labels
+                .iter()
+                .map(|(label, v)| (name.to_string(), label.clone(), value(v)))
+        })
+        .collect()
+}
 
 #[derive(Debug, Default)]
 struct Inner {
     manual_now: f64,
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, GaugeStat>,
-    hists: BTreeMap<MetricKey, LogHistogram>,
-    windows: BTreeMap<MetricKey, WindowedSeries>,
-    exemplars: BTreeMap<MetricKey, BTreeMap<usize, u64>>,
-    slos: BTreeMap<MetricKey, SloStat>,
+    counters: Series<u64>,
+    gauges: Series<GaugeStat>,
+    hists: Series<LogHistogram>,
+    windows: Series<WindowedSeries>,
+    exemplars: Series<BTreeMap<usize, u64>>,
+    slos: Series<SloStat>,
     slow: SlowLog,
     spans: Vec<SpanRecord>,
     open: Vec<u32>,
@@ -140,13 +171,14 @@ impl Telemetry {
     }
 
     /// Current clock reading in seconds. A disabled recorder always
-    /// reads 0 so timing arithmetic around it stays finite.
+    /// reads 0 so timing arithmetic around it stays finite. The wall
+    /// clock is read without taking the recorder's lock.
     pub fn now(&self) -> f64 {
-        if !self.enabled {
-            return 0.0;
+        match (self.enabled, self.clock) {
+            (false, _) => 0.0,
+            (true, ClockKind::Wall) => self.epoch.elapsed().as_secs_f64(),
+            (true, ClockKind::Manual) => self.lock().manual_now,
         }
-        let inner = self.lock();
-        self.now_locked(&inner)
     }
 
     /// Advances the manual clock to `t` simulated seconds (no-op on the
@@ -219,18 +251,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let mut inner = self.lock();
-        match inner
-            .counters
-            .get_mut(&(name.to_string(), label.to_string()))
-        {
-            Some(c) => *c += delta,
-            None => {
-                inner
-                    .counters
-                    .insert((name.to_string(), label.to_string()), delta);
-            }
-        }
+        *series(&mut self.lock().counters, name, label, || 0) += delta;
     }
 
     /// Sets gauge `name` to `v`, tracking last/min/max. Non-finite values
@@ -240,15 +261,12 @@ impl Telemetry {
             return;
         }
         let mut inner = self.lock();
-        let entry = inner
-            .gauges
-            .entry((name.to_string(), String::new()))
-            .or_insert(GaugeStat {
-                last: v,
-                min: v,
-                max: v,
-                samples: 0,
-            });
+        let entry = series(&mut inner.gauges, name, "", || GaugeStat {
+            last: v,
+            min: v,
+            max: v,
+            samples: 0,
+        });
         entry.last = v;
         entry.min = entry.min.min(v);
         entry.max = entry.max.max(v);
@@ -281,25 +299,21 @@ impl Telemetry {
         }
         let mut inner = self.lock();
         let now = self.now_locked(&inner);
-        let key = (name.to_string(), label.to_string());
-        inner.hists.entry(key.clone()).or_default().observe(v);
-        inner
-            .windows
-            .entry(key.clone())
-            .or_insert_with(|| WindowedSeries::new(DEFAULT_WINDOW_SECS))
-            .observe(now, v);
+        let inner = &mut *inner;
+        series(&mut inner.hists, name, label, LogHistogram::default).observe(v);
+        series(&mut inner.windows, name, label, || {
+            WindowedSeries::new(DEFAULT_WINDOW_SECS)
+        })
+        .observe(now, v);
         if let Some(trace) = trace {
             if let Some(bucket) = LogHistogram::bucket_index(v) {
-                let slot = inner
-                    .exemplars
-                    .entry(key.clone())
-                    .or_default()
+                let slot = series(&mut inner.exemplars, name, label, BTreeMap::new)
                     .entry(bucket)
                     .or_insert(trace);
                 *slot = (*slot).min(trace);
             }
         }
-        if let Some(slo) = inner.slos.get_mut(&key) {
+        if let Some(slo) = inner.slos.get_mut(name).and_then(|s| s.get_mut(label)) {
             slo.observe(v);
         }
     }
@@ -312,11 +326,9 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let mut inner = self.lock();
-        inner
-            .slos
-            .entry((name.to_string(), label.to_string()))
-            .or_insert_with(|| SloStat::new(threshold, objective));
+        series(&mut self.lock().slos, name, label, || {
+            SloStat::new(threshold, objective)
+        });
     }
 
     /// Records a candidate entry into the bounded slow-decision log (the
@@ -336,43 +348,15 @@ impl Telemetry {
         let inner = self.lock();
         TelemetrySnapshot {
             clock: self.clock,
-            counters: inner
-                .counters
-                .iter()
-                .map(|((n, l), &v)| (n.clone(), l.clone(), v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|((n, l), &g)| (n.clone(), l.clone(), g))
-                .collect(),
-            histograms: inner
-                .hists
-                .iter()
-                .map(|((n, l), h)| (n.clone(), l.clone(), h.clone()))
-                .collect(),
+            counters: flatten(&inner.counters, |&c| c),
+            gauges: flatten(&inner.gauges, |&g| g),
+            histograms: flatten(&inner.hists, LogHistogram::clone),
             window_secs: DEFAULT_WINDOW_SECS,
-            windows: inner
-                .windows
-                .iter()
-                .map(|((n, l), w)| (n.clone(), l.clone(), w.stats()))
-                .collect(),
-            exemplars: inner
-                .exemplars
-                .iter()
-                .map(|((n, l), ex)| {
-                    (
-                        n.clone(),
-                        l.clone(),
-                        ex.iter().map(|(&b, &t)| (b, t)).collect(),
-                    )
-                })
-                .collect(),
-            slos: inner
-                .slos
-                .iter()
-                .map(|((n, l), &s)| (n.clone(), l.clone(), s))
-                .collect(),
+            windows: flatten(&inner.windows, WindowedSeries::stats),
+            exemplars: flatten(&inner.exemplars, |ex| {
+                ex.iter().map(|(&b, &t)| (b, t)).collect()
+            }),
+            slos: flatten(&inner.slos, |&s| s),
             slow: inner.slow.entries().to_vec(),
             spans: inner
                 .spans

@@ -12,10 +12,11 @@
 //! reply of one-event decisions allocates only its decision list, that a length
 //! prefix promising 16 MiB buys no more buffer than the bytes that
 //! follow it, and that a second predictor built from a clone of a served
-//! model keeps no compiled weights of its own. Counts and sizes read from
-//! disk are held to the same rule: a snapshot, conformal state or model
-//! file that declares more than it holds is a typed error that allocates
-//! next to nothing.
+//! model keeps no compiled weights of its own, and that a live telemetry
+//! recorder finds a series it already holds without allocating. Counts
+//! and sizes read from disk are held to the same rule: a snapshot,
+//! conformal state or model file that declares more than it holds is a
+//! typed error that allocates next to nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -138,6 +139,38 @@ fn anchor_allocations(policy: &SamplingPolicy) -> u64 {
         1
     } else {
         2
+    }
+}
+
+#[test]
+fn a_telemetry_series_allocates_only_on_its_first_call() {
+    // Both clocks: the wall clock is read without the recorder's lock,
+    // the manual one under it.
+    for tel in [Telemetry::new(), Telemetry::with_manual_clock()] {
+        type Call = fn(&Telemetry);
+        let calls: [(&str, Call); 5] = [
+            ("add", |t| t.add("alloc.frames", 3)),
+            ("add_labeled", |t| {
+                t.add_labeled("alloc.faults", "timeout", 1)
+            }),
+            ("observe_labeled", |t| {
+                t.observe_labeled("alloc.stage_seconds", "decode", 2e-6)
+            }),
+            ("observe_traced", |t| {
+                t.observe_traced("alloc.stage_seconds", "inference", 3e-5, 41)
+            }),
+            ("gauge_set", |t| t.gauge_set("alloc.depth", 4.0)),
+        ];
+        tel.set_slo("alloc.stage_seconds", "decode", 1e-3, 0.99);
+        for (name, call) in calls {
+            call(&tel);
+            let ((), (allocations, bytes)) = counted(|| call(&tel));
+            assert_eq!((allocations, bytes), (0, 0), "{name}: a second call");
+        }
+        let ((), cost) = counted(|| {
+            tel.now();
+        });
+        assert_eq!(cost, (0, 0), "now");
     }
 }
 

@@ -2,18 +2,26 @@
 //! produce bit-identical outputs for any worker count, including the
 //! inline `workers = 1` path. The baseline is always the sequential
 //! result; worker counts {2, 4, 8} are compared against it bit for bit
-//! — loss curves, conformal quantiles, marshalling decisions, and
+//! — loss curves and trained weights (at batches no worker count
+//! divides, at a last batch shorter than the worker count, and with
+//! either encoder), conformal quantiles, marshalling decisions, and
 //! telemetry trace fingerprints.
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::infer::{score_records, score_records_lane_with};
+use eventhit::core::model::EncoderKind;
+use eventhit::core::model_io;
 use eventhit::core::multi::{run_lanes, LaneDecision, StreamLane};
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
+use eventhit::core::train::{train, TrainConfig};
 use eventhit::core::tune::{search, Candidate, Objective};
+use eventhit::core::EventHit;
 use eventhit::core::InferenceLane;
 use eventhit::parallel::{with_workers, Pool};
+use eventhit::telemetry::Telemetry;
+use eventhit::video::records::Record;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -25,14 +33,29 @@ fn quick_run(seed: u64) -> TaskRun {
     TaskRun::execute(&task("TA10").unwrap(), &cfg)
 }
 
-/// The full training pipeline — stream synthesis, feature generation,
-/// model init, SGD — yields a bit-identical loss curve under every
-/// worker count.
-#[test]
-fn loss_curve_is_worker_count_invariant() {
-    let baseline = with_workers(1, || quick_run(31));
+/// The model file of `model`: every weight, bit for bit.
+fn model_bytes(model: &EventHit) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    model_io::save(model, &mut bytes).expect("a model saves to memory");
+    bytes
+}
+
+/// `quick_run(seed)` under `cfg`'s changes at every worker count: the
+/// loss curve and the trained weights are the one-worker run's, bit for
+/// bit.
+fn assert_training_is_worker_count_invariant(seed: u64, cfg: impl Fn(&mut ExperimentConfig)) {
+    let run = |w: usize| {
+        let mut c = ExperimentConfig {
+            scale: 0.08,
+            ..ExperimentConfig::quick(seed)
+        };
+        cfg(&mut c);
+        with_workers(w, || TaskRun::execute(&task("TA10").unwrap(), &c))
+    };
+    let baseline = run(1);
+    let weights = model_bytes(&baseline.model);
     for w in WORKER_COUNTS {
-        let run = with_workers(w, || quick_run(31));
+        let run = run(w);
         assert_eq!(
             run.train_report.epoch_losses, baseline.train_report.epoch_losses,
             "loss curve diverged at {w} workers"
@@ -41,6 +64,63 @@ fn loss_curve_is_worker_count_invariant() {
             run.train_report.final_loss.to_bits(),
             baseline.train_report.final_loss.to_bits()
         );
+        assert!(
+            model_bytes(&run.model) == weights,
+            "trained weights diverged at {w} workers"
+        );
+    }
+}
+
+/// The full training pipeline — stream synthesis, feature generation,
+/// model init, SGD — yields a bit-identical loss curve and bit-identical
+/// weights under every worker count.
+#[test]
+fn loss_curve_is_worker_count_invariant() {
+    assert_training_is_worker_count_invariant(31, |_| {});
+}
+
+/// A batch no worker count divides: the blocks of a step are uneven.
+#[test]
+fn training_with_a_batch_no_worker_count_divides_is_worker_count_invariant() {
+    assert_training_is_worker_count_invariant(34, |c| c.train.batch_size = 33);
+}
+
+/// The GRU encoder takes the same blocked step as the LSTM.
+#[test]
+fn gru_training_is_worker_count_invariant() {
+    assert_training_is_worker_count_invariant(35, |c| c.encoder = EncoderKind::Gru);
+}
+
+/// An epoch whose last batch has fewer rows than there are workers:
+/// that step runs one block per row.
+#[test]
+fn a_last_batch_shorter_than_the_worker_count_trains_invariantly() {
+    let run = quick_run(36);
+    // Negatives only, so the epoch's pool is the records themselves:
+    // 43 = 5 x 8 + 3.
+    let records: Vec<Record> = run
+        .train_records
+        .iter()
+        .filter(|r| r.labels.iter().all(|l| !l.present))
+        .take(43)
+        .cloned()
+        .collect();
+    assert_eq!(records.len(), 43, "the split holds 43 negatives");
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 8,
+        ..TrainConfig::default()
+    };
+    let fit = |w: usize| {
+        let mut model = EventHit::new(run.model.config().clone(), 9);
+        let report = with_workers(w, || {
+            train(&mut model, &records, &cfg, &Telemetry::disabled())
+        });
+        (report.epoch_losses, model_bytes(&model))
+    };
+    let baseline = fit(1);
+    for w in WORKER_COUNTS {
+        assert!(fit(w) == baseline, "training diverged at {w} workers");
     }
 }
 
