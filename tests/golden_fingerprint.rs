@@ -47,12 +47,24 @@ const GOLDEN_FIXTURE_MODEL: u64 = 0xf8e6_9b63_c292_da9b;
 /// EMA, so a change to any of them moves this constant.
 const GOLDEN_GATED_FINGERPRINT: u64 = 0x8469_d2dd_9b11_d2a9;
 
-fn pipeline_trace() -> (String, u64) {
+/// `model_io::fingerprint` (FNV-1a of the `model_io` bytes) of the quick
+/// fixture's trained model: the one every trace above is scored by. The
+/// trace goldens pin a product kernel's bits only where they move a
+/// decision; this one names the weights themselves.
+const GOLDEN_QUICK_MODEL: u64 = 0x2dcc_08f6_3f37_3149;
+
+/// The quick fixture every trace below runs on: TA10 at scale 0.08,
+/// `quick(40)`.
+fn quick_run() -> TaskRun {
     let cfg = ExperimentConfig {
         scale: 0.08,
         ..ExperimentConfig::quick(40)
     };
-    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    TaskRun::execute(&task("TA10").unwrap(), &cfg)
+}
+
+fn pipeline_trace() -> (String, u64) {
+    let run = quick_run();
     let stream = run.stream.clone();
     let features = run.features.clone();
     let from = run.window as u64;
@@ -95,6 +107,17 @@ fn pipeline_fingerprint_replays_identically_across_worker_counts() {
 }
 
 #[test]
+fn quick_model_fingerprint_matches_golden_constant_at_1_and_2_workers() {
+    for workers in [1usize, 2] {
+        let fp = model_io::fingerprint(&with_workers(workers, quick_run).model);
+        assert_eq!(
+            fp, GOLDEN_QUICK_MODEL,
+            "quick fixture model drifted at {workers} workers: got {fp:#018x}"
+        );
+    }
+}
+
+#[test]
 fn fixture_model_fingerprint_matches_golden_constant_at_1_and_4_workers() {
     let cfg = ExperimentConfig {
         scale: 0.3,
@@ -125,11 +148,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// merged by [`run_lanes`] and hashed in full (anchors, per-event
 /// intervals, degradation tags).
 fn quantized_trace(workers: usize) -> (String, u64) {
-    let cfg = ExperimentConfig {
-        scale: 0.08,
-        ..ExperimentConfig::quick(40)
-    };
-    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let run = quick_run();
     let state = run.state_for_lane(InferenceLane::Quantized);
     let lanes: Vec<StreamLane> = [0usize, 11]
         .iter()
@@ -166,11 +185,7 @@ fn served_quantized_trace(shards: u32) -> (String, u64) {
     use eventhit::serve::convert::decision_from_wire;
     use eventhit::serve::{ServeConfig, Server};
 
-    let cfg = ExperimentConfig {
-        scale: 0.08,
-        ..ExperimentConfig::quick(40)
-    };
-    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let run = quick_run();
     let state = run.state_for_lane(InferenceLane::Quantized);
     let (model, features) = (run.model, run.features);
     let factory_state = state.clone();
@@ -275,11 +290,7 @@ fn quantized_fingerprint_matches_golden_constant_at_any_worker_count() {
 /// [`quantized_trace`]'s two lanes on the exact lane, once per gated
 /// policy, with the policy's label heading its decisions.
 fn gated_trace(workers: usize) -> (String, u64) {
-    let cfg = ExperimentConfig {
-        scale: 0.08,
-        ..ExperimentConfig::quick(40)
-    };
-    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let run = quick_run();
     let mut text = String::new();
     for spec in ["delta:0.1", "adaptive:0:2"] {
         let policy = SamplingPolicy::parse(spec).expect("a valid spec");
