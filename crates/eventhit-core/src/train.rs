@@ -153,7 +153,7 @@ fn index_pool(records: &[Record]) -> Vec<usize> {
 /// for the whole run (a [`Pool::crew`]), in two grains: the batch's rows
 /// cut into one contiguous block per worker for the forward and the
 /// per-row half of the backward, then the weight gradients as whole
-/// products over the batch (see [`train_step`]). The loss, the gradient
+/// products over the batch (see `train_step`). The loss, the gradient
 /// norm and the Adam update stay on this thread. No product is split, so
 /// the trained weights are the same bits at any worker count.
 ///

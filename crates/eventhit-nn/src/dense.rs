@@ -13,7 +13,7 @@ use crate::step::{fold, Product};
 /// A fully connected layer `y = act(x W^T + b)`.
 ///
 /// Weights are stored `out x in` (row `j` holds the weights of output
-/// unit `j`), so the forward pass is `x.matmul_t(&w)` on a batch matrix
+/// unit `j`), so the forward pass is `x W^T` on a batch matrix
 /// `x: batch x in`.
 #[derive(Clone)]
 pub struct Dense {
@@ -83,7 +83,7 @@ impl Dense {
     }
 
     /// Pre-activation `x W^T + b` (single fused [`Matrix::affine_t`]
-    /// pass, bit-identical to `matmul_t` + bias broadcast).
+    /// pass: each dot completes before its bias is added).
     fn affine(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "dense input dim mismatch");
         x.affine_t(&self.w, self.b.as_slice())

@@ -13,9 +13,14 @@
 //!   runs up to [`Isa::Avx512`]: its `f64` reduction takes 8 lanes per
 //!   register, the `EXP2F_TAB` lookup becomes a 512-bit gather and the
 //!   bit-mask picks become mask-register blends;
-//! - the packed tile sweep (`packed::sweep`) runs up to [`Isa::Avx2`]:
-//!   its AVX-512 copy measured no faster, since each output's chain is
-//!   serial by contract and 64 outputs already fill the AVX2 tile.
+//! - the packed tile sweep (`packed::sweep`) runs a single row, the
+//!   serving forward, up to [`Isa::Avx2`]: its AVX-512 copy measured no
+//!   faster, since each output's chain is serial by contract and 64
+//!   outputs already fill the AVX2 tile's eight registers. A batched
+//!   product's blocks of four rows run up to [`Isa::Avx512`]: its 32
+//!   registers hold four rows of a 64-wide tile, 16 chains per weight
+//!   load, where AVX2's 16 hold four rows of a 16-wide one; the
+//!   benchmark fixture trained 10–14% faster on the AVX-512 blocks.
 //!
 //! Every copy gives the same bits. Each body does per-element
 //! operations only, with the same operands in the same order, and a

@@ -152,8 +152,8 @@ impl Gru {
         assert_eq!(x.cols(), self.input_dim, "GRU input dim mismatch");
         // One fused affine pass per operand over the concatenated [r|z|n]
         // gate weights (px and ph stay separate: the n gate needs ph's
-        // block before the reset product), bit-identical to matmul_t +
-        // add_row_broadcast.
+        // block before the reset product): each dot completes before its
+        // bias is added.
         let px = px.forward_rows(x);
         let ph = ph.forward_rows(h);
 

@@ -6,9 +6,10 @@
 //!
 //! The sweep meets its operands in three roles, and each is held to the
 //! naive oracles here:
-//! - *packed*: `[out][k]` weights repacked k-major — [`Matrix::matmul_t`],
-//!   [`Matrix::affine_t`], [`Matrix::fused_gate_affine`] and serving's
-//!   [`PackedAffine`] / [`PackedGate`];
+//! - *packed*: `[out][k]` weights repacked k-major — [`Matrix::affine_t`]
+//!   and the batched [`PackedAffine::forward_rows`] /
+//!   [`PackedGate::forward_rows`] training runs, row-blocked, and
+//!   serving's one-row `forward_into`;
 //! - *in place*: a row-major right operand swept as it lies —
 //!   [`Matrix::matmul`];
 //! - *in place, transposed coefficients*: either operand of
@@ -16,9 +17,11 @@
 //!   other, whichever is wider.
 //!
 //! Shapes are adversarial (empty, unit, primes, neighbours of the 8-wide
-//! sub-tile) and sit on the tile edges: one output, one short of a
-//! 32-wide tile, a tile, one over, six tiles (the LSTM's gates), and six
-//! tiles + a sub-tile + one (the head's `1 + H`). A quarter of every
+//! rung) and sit on the tile ladder's edges: one output, each rung of
+//! 64 (the AVX2 tile), 32, 16 and 8 with its neighbours, 48 (BPTT's
+//! `dpre Wh` and the shared layer's weight gradient), three 64-wide
+//! tiles (the LSTM's gates), and three tiles + 8 + 1 (the head's
+//! `1 + H`). Row counts cover every row-block tail. A quarter of every
 //! operand is exact zeros, which no kernel may skip.
 
 use crate::matrix::Matrix;
@@ -28,10 +31,13 @@ use eventhit_rng::testkit::from_fn;
 use eventhit_rng::{prop_assert, property, Rng, SeedableRng};
 
 /// Adversarial dimension pool: empty, unit, primes, powers of two, and
-/// off-by-one neighbours of the 8-wide sub-tile.
+/// off-by-one neighbours of the 8-wide rung.
 const DIMS: &[usize] = &[0, 1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 23, 31, 33, 64];
-/// Output counts on the tile edges (see the module docs).
-pub(crate) const TILE_OUTS: &[usize] = &[1, 31, 32, 33, 192, 201];
+/// Output counts on the tile ladder's edges (see the module docs).
+pub(crate) const TILE_OUTS: &[usize] =
+    &[1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 192, 201];
+/// Row counts: every row-block tail, on the first block and past many.
+const TILE_ROWS: &[usize] = &[1, 2, 3, 4, 5, 63, 64, 65];
 /// Reduction depths: the model's (5, 37, 48, 53) and ones no layer has.
 pub(crate) const DEPTHS: &[usize] = &[1, 5, 37, 48, 53, 257];
 
@@ -81,9 +87,11 @@ impl Case {
         let b = w.transpose();
         let at = x.transpose();
         let affine = x.affine_t_naive(w, bias);
-        let gate = x.fused_gate_affine_naive(w, h, wh, bias);
+        let gate = x.gate_affine_naive(w, h, wh, bias);
         let packed_affine = PackedAffine::pack(w, bias);
         let packed_gate = PackedGate::pack(w, wh, bias);
+        let affine_batch = packed_affine.forward_rows(x);
+        let gate_batch = packed_gate.forward_rows(x, h);
         let mut affine_rows = Matrix::filled(x.rows(), w.rows(), f32::NAN);
         let mut gate_rows = affine_rows.clone();
         for r in 0..x.rows() {
@@ -93,15 +101,11 @@ impl Case {
         let checks = [
             ("matmul", x.matmul(&b), x.matmul_naive(&b)),
             ("t_matmul", at.t_matmul(&b), at.t_matmul_naive(&b)),
-            ("matmul_t", x.matmul_t(w), x.matmul_t_naive(w)),
             ("affine_t", x.affine_t(w, bias), affine.clone()),
-            (
-                "fused_gate_affine",
-                x.fused_gate_affine(w, h, wh, bias),
-                gate.clone(),
-            ),
-            ("PackedAffine", affine_rows, affine),
-            ("PackedGate", gate_rows, gate),
+            ("PackedAffine::forward_rows", affine_batch, affine.clone()),
+            ("PackedGate::forward_rows", gate_batch, gate.clone()),
+            ("PackedAffine::forward_into", affine_rows, affine),
+            ("PackedGate::forward_into", gate_rows, gate),
         ];
         checks
             .into_iter()
@@ -137,19 +141,21 @@ property! {
     }
 }
 
-/// Every tile edge against every depth, in every role.
+/// Every tile edge against every depth and row count, in every role.
 #[test]
 fn tile_edges_bit_match_the_naive_chain() {
     let mut rng = StdRng::seed_from_u64(0x711e);
     for &n in TILE_OUTS {
         for &k in DEPTHS {
-            let hk = pick(&mut rng, DEPTHS);
-            let case = Case::new(&mut rng, 3, k, hk, n);
-            assert_eq!(
-                case.mismatches(),
-                Vec::<&str>::new(),
-                "{n} outputs, {k} deep"
-            );
+            for &m in TILE_ROWS {
+                let hk = pick(&mut rng, DEPTHS);
+                let case = Case::new(&mut rng, m, k, hk, n);
+                assert_eq!(
+                    case.mismatches(),
+                    Vec::<&str>::new(),
+                    "{m} rows, {n} outputs, {k} deep"
+                );
+            }
         }
     }
 }
@@ -170,9 +176,9 @@ fn million_flop_products_bit_match_naive() {
             "t_matmul 16x256x{n}"
         );
         assert_eq!(
-            bits(&a.matmul_t(&b.transpose())),
-            want,
-            "matmul_t 16x256x{n}"
+            bits(&PackedAffine::pack(&b.transpose(), &vec![0.0; n]).forward_rows(&a)),
+            bits(&a.affine_t_naive(&b.transpose(), &vec![0.0; n])),
+            "PackedAffine::forward_rows 16x256x{n}"
         );
     }
 }

@@ -27,11 +27,11 @@
 //!
 //! The two leaf kernels, the tile sweep and the activation slice pass,
 //! are each one `#[inline(always)]` body compiled once per instruction
-//! set by the crate's CPU dispatch module: baseline x86-64, AVX2 and (for
-//! the slice pass) AVX-512. The CPU picks at run time, and every copy
-//! gives the same bits (DESIGN §11). The dispatch module's one `unsafe`
-//! block is the only `unsafe` in the workspace's libraries; every other
-//! one forbids it.
+//! set by the crate's CPU dispatch module: baseline x86-64, AVX2 and
+//! AVX-512 (for the sweep, only a batched product's row blocks). The
+//! CPU picks at run time, and every copy gives the same bits (DESIGN
+//! §11). The dispatch module's one `unsafe` block is the only `unsafe`
+//! in the workspace's libraries; every other one forbids it.
 //!
 //! ```
 //! use eventhit_nn::activation::Activation;

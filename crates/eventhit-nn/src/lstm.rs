@@ -162,8 +162,8 @@ impl Lstm {
         let hd = self.hidden_dim;
         assert_eq!(x.cols(), self.input_dim, "LSTM input dim mismatch");
         assert_eq!(x.rows(), batch, "LSTM batch size changed mid-sequence");
-        // Single fused pass over the concatenated [i|f|g|o] gate weights,
-        // bit-identical to matmul_t + add_assign + add_row_broadcast.
+        // Single fused pass over the concatenated [i|f|g|o] gate weights:
+        // both dots complete, meet, then take the bias.
         let pre = gate.forward_rows(x, h);
 
         let i = Sigmoid.apply(pre.col_block(0, hd));
@@ -429,8 +429,8 @@ mod tests {
     #[test]
     fn packed_steps_are_bit_identical_to_inference_forward() {
         let mut rng = StdRng::seed_from_u64(23);
-        // 4 * 9 = 36 gate outputs: a full tile, a sub-tile... and none
-        // left over; 4 * 11 = 44 adds single outputs.
+        // 4 * 9 = 36 gate outputs: a 32-wide tile and four single
+        // outputs; 4 * 11 = 44 adds an 8-wide tile between them.
         for hd in [9, 11] {
             let lstm = Lstm::new(5, hd, &mut rng);
             let xs = seq(7, 3, 5, 24);

@@ -5,11 +5,10 @@
 //! treat parameters as flat slices.
 //!
 //! The products ([`Matrix::matmul`], [`Matrix::t_matmul`],
-//! [`Matrix::matmul_t`], [`Matrix::affine_t`],
-//! [`Matrix::fused_gate_affine`]) are what training and the batched
-//! reference forward run on, and they run on the one kernel serving
-//! does: the tile sweep of [`crate::packed`]. The forward products pack
-//! their weights k-major once per call; the backward ones sweep a
+//! [`Matrix::affine_t`]) are what training and the batched reference
+//! forward run on, and they run on the one kernel serving does: the tile
+//! sweep of [`crate::packed`], in blocks of rows. The forward product
+//! packs its weights k-major once per call; the backward ones sweep a
 //! row-major operand in place. Every output element is one chain that
 //! starts at `0.0` and adds `a * b` over ascending `k`, with no term
 //! skipped: a NaN or infinity in either operand reaches the output even
@@ -27,7 +26,7 @@ use std::ops::{Index, IndexMut, Range};
 
 use eventhit_rng::Rng;
 
-use crate::packed::{self, PackedAffine, PackedGate};
+use crate::packed::{self, PackedAffine};
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
@@ -213,11 +212,13 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            packed::sweep::<false>(&rhs.data, self.row(i), out.row_mut(i), |_, dots, out| {
-                out.copy_from_slice(dots)
-            });
-        }
+        packed::sweep::<false>(
+            &rhs.data,
+            self.rows,
+            &self.data,
+            &mut out.data,
+            |_, dots, out| out.copy_from_slice(dots),
+        );
         out
     }
 
@@ -255,33 +256,10 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self * rhs^T`: `rhs` transposed is its k-major
-    /// packing, so this is [`Matrix::matmul`] on it.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-    /// let b = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-    /// assert_eq!(a.matmul_t(&b)[(0, 0)], 11.0);
-    /// assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_t shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        self.matmul(&rhs.transpose())
-    }
-
     /// Affine map `self * w^T + bias` (bias broadcast to every row) in one
     /// pass — the [`crate::dense::Dense`] pre-activation, on
     /// [`PackedAffine`] packed once per call. Per output element the dot
-    /// product completes before the bias is added, exactly like
-    /// `matmul_t` followed by `add_row_broadcast`.
+    /// product completes before the bias is added.
     ///
     /// ```
     /// use eventhit_nn::matrix::Matrix;
@@ -300,36 +278,6 @@ impl Matrix {
         );
         assert_eq!(bias.len(), w.rows, "affine_t bias length mismatch");
         PackedAffine::pack(w, bias).forward_rows(self)
-    }
-
-    /// Fused recurrent gate pre-activation `self * wx^T + h * wh^T + bias`
-    /// on [`PackedGate`] packed once per call. For each output element
-    /// both dot products complete as independent chains, are added to
-    /// each other, then the bias is added — exactly the `matmul_t` +
-    /// `add_assign` + `add_row_broadcast` sequence. A recurrent layer
-    /// packs its gate once per sequence instead and steps through it.
-    ///
-    /// ```
-    /// use eventhit_nn::matrix::Matrix;
-    /// let x = Matrix::from_vec(1, 1, vec![2.0]);
-    /// let wx = Matrix::from_vec(1, 1, vec![3.0]);
-    /// let h = Matrix::from_vec(1, 1, vec![5.0]);
-    /// let wh = Matrix::from_vec(1, 1, vec![7.0]);
-    /// let pre = x.fused_gate_affine(&wx, &h, &wh, &[1.0]);
-    /// assert_eq!(pre[(0, 0)], 42.0); // 2*3 + 5*7 + 1
-    /// ```
-    ///
-    /// # Panics
-    /// Panics on any shape mismatch (`self.cols != wx.cols`,
-    /// `h.cols != wh.cols`, `self.rows != h.rows`, `wx.rows != wh.rows`,
-    /// or `bias.len() != wx.rows`).
-    pub fn fused_gate_affine(&self, wx: &Matrix, h: &Matrix, wh: &Matrix, bias: &[f32]) -> Matrix {
-        assert_eq!(self.cols, wx.cols, "fused_gate_affine x/wx mismatch");
-        assert_eq!(h.cols, wh.cols, "fused_gate_affine h/wh mismatch");
-        assert_eq!(self.rows, h.rows, "fused_gate_affine batch mismatch");
-        assert_eq!(wx.rows, wh.rows, "fused_gate_affine gate-count mismatch");
-        assert_eq!(bias.len(), wx.rows, "fused_gate_affine bias mismatch");
-        PackedGate::pack(wx, wh, bias).forward_rows(self, h)
     }
 
     /// Returns the transposed matrix.
@@ -566,7 +514,7 @@ impl Matrix {
 
     /// Naive `self * rhs^T`.
     pub(crate) fn matmul_t_naive(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
+        assert_eq!(self.cols, rhs.cols, "matmul_t_naive shape mismatch");
         Self::naive(
             self.rows,
             rhs.rows,
@@ -583,9 +531,9 @@ impl Matrix {
         out
     }
 
-    /// Two naive `matmul_t` products, an elementwise add, then the bias
-    /// broadcast: the unfused gate arithmetic.
-    pub(crate) fn fused_gate_affine_naive(
+    /// Two naive `self * w^T` products, an elementwise add, then the
+    /// bias broadcast: the unfused gate arithmetic.
+    pub(crate) fn gate_affine_naive(
         &self,
         wx: &Matrix,
         h: &Matrix,
@@ -644,6 +592,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::PackedGate;
     use eventhit_rng::rngs::StdRng;
     use eventhit_rng::SeedableRng;
 
@@ -707,18 +656,6 @@ mod tests {
         let fast = a.t_matmul(&b);
         let slow = a.transpose().matmul(&b);
         assert_eq!(fast.shape(), (3, 4));
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = sample(5, 3, 4);
-        let b = sample(4, 3, 5);
-        let fast = a.matmul_t(&b);
-        let slow = a.matmul(&b.transpose());
-        assert_eq!(fast.shape(), (5, 4));
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -804,20 +741,20 @@ mod tests {
     #[test]
     fn non_finite_operands_reach_the_output_through_zero_coefficients() {
         // A zero gradient against a non-finite weight row (`dx = dpre W`):
-        // 0 * NaN and 0 * inf are NaN, and no product may skip them.
-        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        // 0 * NaN and 0 * inf are NaN, and no product may skip them. Five
+        // rows: a row block of the sweep and a row past it.
+        let a = Matrix::from_rows(&vec![vec![0.0, 1.0]; 5]);
         let b = Matrix::from_vec(2, 2, vec![f32::NAN, f32::INFINITY, 2.0, 3.0]);
         let bt = b.transpose();
         let products = [
             a.matmul(&b),
             a.transpose().t_matmul(&b),
-            a.matmul_t(&bt),
             a.affine_t(&bt, &[0.0; 2]),
-            a.fused_gate_affine(&bt, &a, &Matrix::zeros(2, 2), &[0.0; 2]),
+            PackedGate::pack(&bt, &Matrix::zeros(2, 2), &[0.0; 2]).forward_rows(&a, &a),
             a.matmul_naive(&b),
         ];
         for (p, got) in products.iter().enumerate() {
-            assert_eq!(got.shape(), (1, 2), "product {p}");
+            assert_eq!(got.shape(), (5, 2), "product {p}");
             assert!(
                 got.as_slice().iter().all(|v| v.is_nan()),
                 "product {p}: {got:?}"
@@ -830,22 +767,9 @@ mod tests {
         let x = sample(5, 7, 20);
         let w = sample(11, 7, 21);
         let bias: Vec<f32> = (0..11).map(|i| i as f32 * 0.1 - 0.5).collect();
-        let mut want = x.matmul_t(&w);
+        let mut want = x.matmul(&w.transpose());
         want.add_row_broadcast(&bias);
         assert_eq!(x.affine_t(&w, &bias), want);
-    }
-
-    #[test]
-    fn fused_gate_affine_matches_unfused_sequence() {
-        let x = sample(4, 6, 22);
-        let wx = sample(20, 6, 23);
-        let h = sample(4, 5, 24);
-        let wh = sample(20, 5, 25);
-        let bias: Vec<f32> = (0..20).map(|i| (i as f32).sin()).collect();
-        let mut want = x.matmul_t(&wx);
-        want.add_assign(&h.matmul_t(&wh));
-        want.add_row_broadcast(&bias);
-        assert_eq!(x.fused_gate_affine(&wx, &h, &wh, &bias), want);
     }
 
     #[test]

@@ -12,17 +12,23 @@
 //! ([`Matrix::matmul`], [`Matrix::t_matmul`]) sweep a row-major operand
 //! in place, with no repack.
 //!
-//! The kernels process 32 outputs at a time (64 on a CPU with AVX2,
-//! where `sweep` runs the loop's AVX2 copy; then 8, then one), each
-//! output owning one accumulator that starts at `0.0` and adds
+//! One row of `x` runs down a ladder of tiles: 64 outputs at a time on
+//! a CPU with AVX2 (32 on the baseline), then at most one tile each of
+//! 32, 16 and 8, then single outputs. A batch runs in blocks of four
+//! rows that share every weight load, so the panel streams once per
+//! block, not once per row: 16-wide tiles at the top of the ladder on
+//! AVX2 (the same eight accumulator registers as one row's 64), 64-wide
+//! ones on AVX-512, whose 32 registers hold 16 accumulators. Each output
+//! of each row owns one accumulator that starts at `0.0` and adds
 //! `x[k] * w[k][j]` for `k = 0, 1, …` — multiply, then add, no fused
-//! multiply-add, no reassociation, no skipped terms. Tiling only chooses
-//! *which outputs share a pass over `x`*; it never touches the order
-//! inside one output's chain, so every result is bit-identical to the
-//! naive chains the kernel-equivalence tests hold it to. What vectorises
-//! is the tile (independent outputs side by side in one register); what
-//! does not is the reduction over `k`, which stays a serial chain per
-//! output.
+//! multiply-add, no reassociation, no skipped terms. Tiling and blocking
+//! only choose *which outputs and rows share a pass over `k`*; they never
+//! touch the order inside one chain, so every result is bit-identical to
+//! the naive chains the kernel-equivalence tests hold it to. What
+//! vectorises is the tile (independent outputs side by side in one
+//! register); what does not is the reduction over `k`, which stays a
+//! serial chain per output, so a pass runs as fast as the chains it
+//! keeps in flight.
 //!
 //! The int8 lane ([`crate::quant`]) runs on the same panels and the same
 //! tile loop: its weight and activation codes are integers in
@@ -38,23 +44,34 @@
 use crate::dispatch::{self, Isa, Kernel};
 use crate::matrix::Matrix;
 
-/// Outputs per register tile: 32 `f32` accumulators are eight 128-bit
-/// registers, which leaves the baseline x86-64 register file room for
-/// the broadcast input element and the weight loads.
+/// Outputs per register tile of one row on the baseline: 32 `f32`
+/// accumulators are eight 128-bit registers, which leaves the baseline
+/// x86-64 register file room for the broadcast input element and the
+/// weight loads.
 const TILE: usize = 32;
-/// Outputs per register tile on AVX2: the same eight registers, each
-/// 256 bits wide.
+/// Outputs per register tile of one row on AVX2 and AVX-512: eight
+/// 256-bit registers, or four 512-bit ones.
 const WIDE_TILE: usize = 64;
-/// Outputs per tile for the part of a row narrower than a full tile.
-const SUBTILE: usize = 8;
+/// Rows per block of a batched sweep: each weight a tile loads feeds
+/// this many rows' chains, so a block streams the panel once, not once
+/// per row. Where the register file has 16 registers (baseline, AVX2) a
+/// block's tile is this many times narrower than one row's, so it holds
+/// the same eight accumulators; AVX-512's 32 registers hold a block of
+/// 64-wide tiles, 16 accumulators. Four rows trained faster than two at
+/// both AVX2 and AVX-512 (DESIGN §11).
+const ROW_BLOCK: usize = 4;
 /// The most outputs one tile hands its epilogue: an array this long
 /// holds any tile's worth of results.
 pub(crate) const MAX_TILE: usize = WIDE_TILE;
-/// The widest instruction set the sweep runs at. Its AVX-512 copy
-/// measured no faster than the AVX2 one: the reduction over `k` is a
-/// serial chain per output, and the AVX2 tile already keeps eight
-/// chains in flight.
+/// The widest instruction set a sweep with no whole row block runs at:
+/// the serving forward's one row. Its AVX-512 copy measured no faster
+/// than the AVX2 one: one row's chains are serial over `k`, and the
+/// AVX2 tile already keeps eight in flight.
 const SWEEP_ISA: Isa = Isa::Avx2;
+/// The widest instruction set a sweep of [`ROW_BLOCK`] rows or more runs
+/// at: AVX-512's 32 registers keep 16 chains in flight per weight load,
+/// where AVX2's 16 keep eight.
+const BLOCK_ISA: Isa = Isa::Avx512;
 
 /// The deepest reduction whose every partial sum of int8-code products
 /// is an integer `f32` holds exactly: `1040 · 127² < 2^24 < 1041 · 127²`.
@@ -68,71 +85,111 @@ pub(crate) struct PackedPanel {
     w: Vec<f32>,
 }
 
-/// The dot products of `x` with outputs `j0 .. j0 + N` of a panel: one
-/// chain per output, from `0.0`, over ascending `k`.
+/// The dot products of each of the `R` rows `xs` with outputs
+/// `j0 .. j0 + N` of a panel: one chain per row and output, from `0.0`,
+/// over ascending `k`. Each weight row's tile is loaded once for all
+/// `R` rows.
 #[inline(always)]
-fn tile_dots<const N: usize>(w: &[f32], out_dim: usize, j0: usize, x: &[f32]) -> [f32; N] {
-    let mut acc = [0.0f32; N];
-    for (row, &a) in w.chunks_exact(out_dim).zip(x) {
+fn tile_dots<const N: usize, const R: usize>(
+    w: &[f32],
+    out_dim: usize,
+    j0: usize,
+    xs: [&[f32]; R],
+) -> [[f32; N]; R] {
+    let depth = xs[0].len();
+    let xs = xs.map(|x| &x[..depth]);
+    let mut acc = [[0.0f32; N]; R];
+    for (row, k) in w.chunks_exact(out_dim).zip(0..depth) {
         let row: &[f32; N] = row[j0..j0 + N]
             .try_into()
             .expect("the slice is N long by construction");
-        for (o, &b) in acc.iter_mut().zip(row) {
-            *o += a * b;
+        for (acc, x) in acc.iter_mut().zip(xs) {
+            let a = x[k];
+            for (o, &b) in acc.iter_mut().zip(row) {
+                *o += a * b;
+            }
         }
     }
     acc
 }
 
-/// [`tile_dots`] for either lane. With `CODES`, `w` and `x` hold int8
+/// [`tile_dots`] for either lane. With `CODES`, `w` and `xs` hold int8
 /// codes, so a chain of up to [`EXACT_ROWS`] rows is already the exact
 /// integer dot; a deeper panel is cut into blocks of that many rows,
 /// each its own exact chain, and the blocks' sums are added in `i32` —
 /// together the `i8 × i8 → i32` dot, converted to `f32` once.
 #[inline(always)]
-fn tile<const N: usize, const CODES: bool>(
+fn tile<const N: usize, const R: usize, const CODES: bool>(
     w: &[f32],
     out_dim: usize,
     j0: usize,
-    x: &[f32],
-) -> [f32; N] {
-    if !CODES || x.len() <= EXACT_ROWS {
-        return tile_dots::<N>(w, out_dim, j0, x);
+    xs: [&[f32]; R],
+) -> [[f32; N]; R] {
+    if !CODES || xs[0].len() <= EXACT_ROWS {
+        return tile_dots::<N, R>(w, out_dim, j0, xs);
     }
-    let mut total = [0i32; N];
-    for (w, x) in w.chunks(EXACT_ROWS * out_dim).zip(x.chunks(EXACT_ROWS)) {
-        for (t, a) in total.iter_mut().zip(tile_dots::<N>(w, out_dim, j0, x)) {
-            *t += a as i32;
+    let mut total = [[0i32; N]; R];
+    for (b, w) in w.chunks(EXACT_ROWS * out_dim).enumerate() {
+        let k0 = b * EXACT_ROWS;
+        let xs = xs.map(|x| &x[k0..x.len().min(k0 + EXACT_ROWS)]);
+        let dots = tile_dots::<N, R>(w, out_dim, j0, xs);
+        for (t, a) in total.iter_mut().flatten().zip(dots.iter().flatten()) {
+            *t += *a as i32;
         }
     }
-    total.map(|t| t as f32)
+    total.map(|t| t.map(|t| t as f32))
 }
 
-/// Calls `finish(j0, dots, &mut out[j0..j0 + dots.len()])` once per tile
-/// of the `[k][out]` panel `w` (`x.len()` rows of `out.len()` weights),
-/// where `dots[t]` is `dot_{j0 + t}(x)`: every output is finished exactly
-/// once, as one element of its tile. An epilogue written as a zip over
-/// the tile's slices vectorises inside the dispatched copy, where one
-/// call per output would be a scalar, bounds-checked step. `CODES` says
-/// the panel and `x` hold int8 codes (see [`tile`]); without it every
-/// dot is one `f32` chain.
+/// Calls `finish(j0, dots, &mut out_row[j0..j0 + dots.len()])` once per
+/// tile of each of the `rows` rows of `out`, where `dots[t]` is
+/// `dot_{j0 + t}` of that row of `x` with the `[k][out]` panel `w`:
+/// every output of every row is finished exactly once, as one element of
+/// its tile. An epilogue written as a zip over the tile's slices
+/// vectorises inside the dispatched copy, where one call per output
+/// would be a scalar, bounds-checked step. `CODES` says the panel and
+/// `x` hold int8 codes (see [`tile`]); without it every dot is one `f32`
+/// chain. One row is the serving forward; more are a batched product.
 ///
 /// The sweep runs as [`Sweep`] compiled for the widest instruction set
-/// this CPU has, up to [`SWEEP_ISA`]: on AVX2 with [`WIDE_TILE`]-wide
-/// tiles, elsewhere [`TILE`]-wide. Every copy computes every chain with
-/// the same operations in the same order, so all give the same bits.
+/// this CPU has, up to [`BLOCK_ISA`] for [`ROW_BLOCK`] rows or more and
+/// up to [`SWEEP_ISA`] for fewer: in blocks of [`ROW_BLOCK`] rows, then
+/// row by row, each down the tile ladder (see [`Sweep::blocks`]). Every
+/// copy computes every chain with the same operations in the same order,
+/// so all give the same bits.
 ///
 /// # Panics
-/// Panics if `w.len() != x.len() * out.len()`.
+/// Panics unless `x` and `out` are `rows` rows each and `w` is their
+/// widths' product.
 #[inline(always)]
 pub(crate) fn sweep<const CODES: bool>(
     w: &[f32],
+    rows: usize,
     x: &[f32],
     out: &mut [f32],
     finish: impl Fn(usize, &[f32], &mut [f32]),
 ) {
-    assert_eq!(w.len(), x.len() * out.len(), "panel shape mismatch");
-    dispatch::run(SWEEP_ISA, Sweep::<CODES, _> { w, x, out, finish });
+    let (depth, out_dim) = (x.len() / rows.max(1), out.len() / rows.max(1));
+    assert_eq!(x.len(), rows * depth, "input length mismatch");
+    assert_eq!(out.len(), rows * out_dim, "output length mismatch");
+    if out.is_empty() {
+        return;
+    }
+    assert_eq!(w.len(), depth * out_dim, "panel shape mismatch");
+    let isa = if rows < ROW_BLOCK {
+        SWEEP_ISA
+    } else {
+        BLOCK_ISA
+    };
+    dispatch::run(
+        isa,
+        Sweep::<CODES, _> {
+            w,
+            x,
+            out,
+            shape: [rows, depth, out_dim],
+            finish,
+        },
+    );
 }
 
 /// The body of [`sweep`], as a [`Kernel`].
@@ -140,6 +197,10 @@ struct Sweep<'a, const CODES: bool, F> {
     w: &'a [f32],
     x: &'a [f32],
     out: &'a mut [f32],
+    /// Rows of `x` and `out`, then each one's width: known where the
+    /// sweep is called, and a constant there for a single row, so the
+    /// body divides nothing.
+    shape: [usize; 3],
     finish: F,
 }
 
@@ -148,46 +209,77 @@ impl<const CODES: bool, F: Fn(usize, &[f32], &mut [f32])> Kernel for Sweep<'_, C
 
     #[inline(always)]
     fn run(self, isa: Isa) {
-        let Sweep { w, x, out, finish } = self;
-        if isa == Isa::Baseline {
-            sweep_tiles::<TILE, CODES>(w, x, out, finish);
-        } else {
-            sweep_tiles::<WIDE_TILE, CODES>(w, x, out, finish);
+        match isa {
+            Isa::Baseline => self.blocks::<TILE, { TILE / ROW_BLOCK }>(),
+            Isa::Avx2 => self.blocks::<WIDE_TILE, { WIDE_TILE / ROW_BLOCK }>(),
+            Isa::Avx512 => self.blocks::<WIDE_TILE, WIDE_TILE>(),
         }
     }
 }
 
-/// The tile loop of [`sweep`]: tiles of `T` outputs, then of
-/// [`SUBTILE`], then single outputs, each finished as it completes.
-/// Which outputs share a tile never changes a chain, and an epilogue
-/// does per-element work only, so every `T` gives the same bits.
+impl<const CODES: bool, F: Fn(usize, &[f32], &mut [f32])> Sweep<'_, CODES, F> {
+    /// Blocks of [`ROW_BLOCK`] rows down the tile ladder from `B`
+    /// outputs, then the rows left over one by one, from `T`.
+    #[inline(always)]
+    fn blocks<const T: usize, const B: usize>(self) {
+        let (w, mut out, finish) = (self.w, self.out, &self.finish);
+        let [rows, depth, out_dim] = self.shape;
+        let x_row = |r: usize| &self.x[r * depth..][..depth];
+        let mut out_row = || out.split_off_mut(..out_dim).expect("rows * out_dim long");
+        let mut r = 0;
+        while r + ROW_BLOCK <= rows {
+            let outs = std::array::from_fn(|_| out_row());
+            ladder::<B, ROW_BLOCK, CODES>(w, std::array::from_fn(|i| x_row(r + i)), outs, finish);
+            r += ROW_BLOCK;
+        }
+        for r in r..rows {
+            ladder::<T, 1, CODES>(w, [x_row(r)], [out_row()], finish);
+        }
+    }
+}
+
+/// The tile ladder of [`sweep`] over a block of `R` rows: tiles of `T`
+/// outputs while they fit, then at most one of each narrower rung of
+/// 32, 16 and 8, then single outputs, each finished as it completes. A
+/// remainder runs as few tiles as it can, so its chains are in flight
+/// together, where a run of one-register tiles would wait out each
+/// chain's add latency in turn. The block's rows share each weight load.
+/// Which outputs and rows share a tile never changes a chain, and an
+/// epilogue does per-element work only, so every `T` and `R` give the
+/// same bits.
 #[inline(always)]
-fn sweep_tiles<const T: usize, const CODES: bool>(
+fn ladder<const T: usize, const R: usize, const CODES: bool>(
     w: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    finish: impl Fn(usize, &[f32], &mut [f32]),
+    xs: [&[f32]; R],
+    mut outs: [&mut [f32]; R],
+    finish: &impl Fn(usize, &[f32], &mut [f32]),
 ) {
-    let out_dim = out.len();
-    if out_dim == 0 {
-        return;
+    let mut j = rung::<T, R, CODES>(w, xs, &mut outs, 0, finish);
+    j = rung::<32, R, CODES>(w, xs, &mut outs, j, finish);
+    j = rung::<16, R, CODES>(w, xs, &mut outs, j, finish);
+    j = rung::<8, R, CODES>(w, xs, &mut outs, j, finish);
+    rung::<1, R, CODES>(w, xs, &mut outs, j, finish);
+}
+
+/// Tiles of `N` outputs from output `j` on, while a whole one fits:
+/// returns where the next rung starts.
+#[inline(always)]
+fn rung<const N: usize, const R: usize, const CODES: bool>(
+    w: &[f32],
+    xs: [&[f32]; R],
+    outs: &mut [&mut [f32]; R],
+    mut j: usize,
+    finish: &impl Fn(usize, &[f32], &mut [f32]),
+) -> usize {
+    let out_dim = outs[0].len();
+    while j + N <= out_dim {
+        let dots = tile::<N, R, CODES>(w, out_dim, j, xs);
+        for (dots, out) in dots.iter().zip(outs.iter_mut()) {
+            finish(j, dots, &mut out[j..j + N]);
+        }
+        j += N;
     }
-    let mut j = 0;
-    while j + T <= out_dim {
-        let dots = tile::<T, CODES>(w, out_dim, j, x);
-        finish(j, &dots, &mut out[j..j + T]);
-        j += T;
-    }
-    while j + SUBTILE <= out_dim {
-        let dots = tile::<SUBTILE, CODES>(w, out_dim, j, x);
-        finish(j, &dots, &mut out[j..j + SUBTILE]);
-        j += SUBTILE;
-    }
-    while j < out_dim {
-        let dots = tile::<1, CODES>(w, out_dim, j, x);
-        finish(j, &dots, &mut out[j..=j]);
-        j += 1;
-    }
+    j
 }
 
 /// The affine epilogue of one tile starting at output `j0`:
@@ -234,24 +326,23 @@ impl PackedPanel {
         self.out_dim
     }
 
-    /// [`sweep`] over this panel.
+    /// [`sweep`] over this panel: `rows` rows of `x` into as many of
+    /// `out`.
     ///
     /// # Panics
     /// Panics if `x` or `out` has the wrong length.
     #[inline(always)]
     pub(crate) fn sweep<const CODES: bool>(
         &self,
+        rows: usize,
         x: &[f32],
         out: &mut [f32],
         finish: impl Fn(usize, &[f32], &mut [f32]),
     ) {
-        assert_eq!(x.len(), self.in_dim, "packed panel input length mismatch");
-        assert_eq!(
-            out.len(),
-            self.out_dim,
-            "packed panel output length mismatch"
-        );
-        sweep::<CODES>(&self.w, x, out, finish);
+        let (x_len, out_len) = (rows * self.in_dim, rows * self.out_dim);
+        assert_eq!(x.len(), x_len, "packed panel input length mismatch");
+        assert_eq!(out.len(), out_len, "packed panel output length mismatch");
+        sweep::<CODES>(&self.w, rows, x, out, finish);
     }
 }
 
@@ -297,24 +388,30 @@ impl PackedAffine {
     }
 
     /// `out[j] = dot(x, w_j) + bias[j]`: the dot completes before the
-    /// bias is added, as in `matmul_t` + `add_row_broadcast`.
+    /// bias is added.
     ///
     /// # Panics
     /// Panics if `x` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
-        let bias = &self.bias;
-        self.panel
-            .sweep::<false>(x, out, |j0, dots, out| add_bias(bias, j0, dots, out));
+        self.forward(1, x, out);
     }
 
-    /// [`PackedAffine::forward_into`] for every row of `x`: the batched
-    /// `x W^T + b` of training and of the reference forward.
+    /// [`PackedAffine::forward_into`] for every row of `x`, in row blocks
+    /// (see [`sweep`]): the batched `x W^T + b` of training and of the
+    /// reference forward.
     pub(crate) fn forward_rows(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.panel.out_dim);
-        for r in 0..x.rows() {
-            self.forward_into(x.row(r), out.row_mut(r));
-        }
+        self.forward(x.rows(), x.as_slice(), out.as_mut_slice());
         out
+    }
+
+    /// `rows` rows of `x` through [`PackedAffine::forward_into`]'s
+    /// arithmetic into as many rows of `out`.
+    #[inline(always)]
+    fn forward(&self, rows: usize, x: &[f32], out: &mut [f32]) {
+        let bias = &self.bias;
+        self.panel
+            .sweep::<false>(rows, x, out, |j0, dots, out| add_bias(bias, j0, dots, out));
     }
 }
 
@@ -344,33 +441,39 @@ impl PackedGate {
     }
 
     /// `out[j] = (dot(x, wx_j) + dot(h, wh_j)) + bias[j]`: both dots
-    /// complete as their own chains before they meet, as in `matmul_t` +
-    /// `add_assign` + `add_row_broadcast`. The `x` dots round-trip
-    /// through `out` between the two sweeps, which is exact.
+    /// complete as their own chains before they meet, then the bias is
+    /// added. The `x` dots round-trip through `out` between the two
+    /// sweeps, which is exact.
     ///
     /// # Panics
     /// Panics if `x`, `h` or `out` has the wrong length.
     pub fn forward_into(&self, x: &[f32], h: &[f32], out: &mut [f32]) {
-        self.wx
-            .sweep::<false>(x, out, |_, dots, out| out.copy_from_slice(dots));
-        let bias = &self.bias;
-        self.wh.sweep::<false>(h, out, |j0, dots, out| {
-            add_dots_and_bias(bias, j0, dots, out)
-        });
+        self.forward(1, x, h, out);
     }
 
-    /// [`PackedGate::forward_into`] for every row pair of `x` and `h`:
-    /// the batched gate pre-activation of one training timestep.
+    /// [`PackedGate::forward_into`] for every row pair of `x` and `h`, in
+    /// row blocks (see [`sweep`]): the batched gate pre-activation of one
+    /// training timestep.
     ///
     /// # Panics
     /// Panics if `x` and `h` differ in rows or either has the wrong width.
     pub(crate) fn forward_rows(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), h.rows(), "packed gate batch mismatch");
         let mut out = Matrix::zeros(x.rows(), self.wx.out_dim);
-        for r in 0..x.rows() {
-            self.forward_into(x.row(r), h.row(r), out.row_mut(r));
-        }
+        self.forward(x.rows(), x.as_slice(), h.as_slice(), out.as_mut_slice());
         out
+    }
+
+    /// `rows` row pairs of `x` and `h` through
+    /// [`PackedGate::forward_into`]'s arithmetic into as many rows of
+    /// `out`.
+    #[inline(always)]
+    fn forward(&self, rows: usize, x: &[f32], h: &[f32], out: &mut [f32]) {
+        self.wx
+            .sweep::<false>(rows, x, out, |_, dots, out| out.copy_from_slice(dots));
+        let bias = &self.bias;
+        self.wh.sweep::<false>(rows, h, out, |j0, dots, out| {
+            add_dots_and_bias(bias, j0, dots, out)
+        });
     }
 }
 
@@ -395,7 +498,8 @@ mod tests {
 
     #[test]
     fn affine_matches_the_naive_reference_across_tile_edges() {
-        // 75 = two full tiles, one sub-tile, three single outputs.
+        // 75 = a 64-wide tile (two 32-wide ones on the baseline), an
+        // 8-wide one and three single outputs.
         let x = sample(3, 19, 1);
         let w = sample(75, 19, 2);
         let bias: Vec<f32> = (0..75).map(|i| (i as f32).sin()).collect();
@@ -415,7 +519,7 @@ mod tests {
         let wx = sample(48, 5, 5);
         let wh = sample(48, 12, 6);
         let bias: Vec<f32> = (0..48).map(|i| (i as f32).cos()).collect();
-        let want = x.fused_gate_affine_naive(&wx, &h, &wh, &bias);
+        let want = x.gate_affine_naive(&wx, &h, &wh, &bias);
         let gate = PackedGate::pack(&wx, &wh, &bias);
         let mut out = vec![f32::NAN; 48];
         for r in 0..x.rows() {
@@ -425,44 +529,53 @@ mod tests {
     }
 
     /// Every instantiation of the sweep body the CPU runs, up to
-    /// [`SWEEP_ISA`], against the baseline: [`TILE`] wide there,
-    /// [`WIDE_TILE`] wide on AVX2. Every kernel-equivalence tile edge and
+    /// [`BLOCK_ISA`], against the baseline: [`TILE`] wide there,
+    /// [`WIDE_TILE`] wide on AVX2 and AVX-512. Every kernel-equivalence tile edge and
     /// depth, plus one depth past [`EXACT_ROWS`], for `f32` chains and for
-    /// int8 codes; one weight is a NaN with a payload. Compared by bit
-    /// pattern.
+    /// int8 codes, over one row block and a tail row; one weight is a NaN
+    /// with a payload. Compared by bit pattern.
     #[test]
     fn both_instantiations_agree_bit_for_bit_on_every_tile_edge() {
         use crate::kernel_equivalence::{DEPTHS, TILE_OUTS};
         use eventhit_rng::Rng;
         let isas: Vec<Isa> = dispatch::available()
             .into_iter()
-            .filter(|&isa| isa <= SWEEP_ISA)
+            .filter(|&isa| isa <= BLOCK_ISA)
             .collect();
         eprintln!("sweep instantiations run: {isas:?}");
         if isas.len() == 1 {
             eprintln!("this CPU has no AVX2: the baseline sweep is the only instantiation");
         }
+        let rows = ROW_BLOCK + 1;
         let mut rng = StdRng::seed_from_u64(0xa5a2);
         for &n in TILE_OUTS {
             for &k in DEPTHS.iter().chain(&[EXACT_ROWS + 1]) {
-                let mut floats: Vec<f32> = (0..(n + 1) * k)
+                let mut floats: Vec<f32> = (0..(n + rows) * k)
                     .map(|_| rng.random_range(-2.0f32..2.0))
                     .collect();
                 floats[k / 2 * n + n / 2] = f32::from_bits(0x7fc0_1234);
-                let codes: Vec<f32> = (0..(n + 1) * k)
+                let codes: Vec<f32> = (0..(n + rows) * k)
                     .map(|_| rng.random_range(-127i32..=127) as f32)
                     .collect();
                 let (w, x) = floats.split_at(k * n);
-                every_instantiation::<false>(&isas, w, x, n);
+                every_instantiation::<false>(&isas, w, x, rows, n);
                 let (w, x) = codes.split_at(k * n);
-                every_instantiation::<true>(&isas, w, x, n);
+                every_instantiation::<true>(&isas, w, x, rows, n);
             }
         }
     }
 
-    fn every_instantiation<const CODES: bool>(isas: &[Isa], w: &[f32], x: &[f32], n: usize) {
+    /// Sweeps `w` over the `rows` rows of `x` into `n` outputs each at
+    /// every `isas` instantiation, and holds each to the baseline's bits.
+    fn every_instantiation<const CODES: bool>(
+        isas: &[Isa],
+        w: &[f32],
+        x: &[f32],
+        rows: usize,
+        n: usize,
+    ) {
         let at = |isa| {
-            let mut out = vec![0.0f32; n];
+            let mut out = vec![0.0f32; rows * n];
             let finish = |_, dots: &[f32], out: &mut [f32]| out.copy_from_slice(dots);
             dispatch::run(
                 isa,
@@ -470,6 +583,7 @@ mod tests {
                     w,
                     x,
                     out: &mut out,
+                    shape: [rows, x.len() / rows, n],
                     finish,
                 },
             );
@@ -480,34 +594,70 @@ mod tests {
             assert_eq!(
                 at(isa),
                 base,
-                "{isa:?}: {n} outputs, {} deep, codes {CODES}",
-                x.len()
+                "{isa:?}: {rows} x {n} outputs, {} deep, codes {CODES}",
+                x.len() / rows
             );
         }
     }
 
+    /// The tiles a row of `n` outputs is cut into, widest first, when
+    /// the ladder starts at `t`.
+    fn ladder_widths(t: usize, n: usize) -> Vec<usize> {
+        let mut widths = Vec::new();
+        let mut left = n;
+        for rung in [t, 32, 16, 8, 1] {
+            while left >= rung {
+                widths.push(rung);
+                left -= rung;
+            }
+        }
+        widths
+    }
+
     /// The tile epilogue's indexing, at every instantiation the CPU runs:
-    /// output `j`'s weight is `j` and `x = [1]`, so its dot is `j`. Each
-    /// call's `j0`, `dots` and `out` must line up, and the calls must
-    /// finish every output exactly once, in `T`-wide tiles, then
-    /// [`SUBTILE`]-wide ones, then one-wide ones.
+    /// output `j`'s weight is `j` and row `r`'s `x` is `[r + 1]`, so its
+    /// dot is `(r + 1) j`. Each call's `j0`, `dots` and `out` must line
+    /// up, and the calls must finish every output of every row exactly
+    /// once: per block of [`ROW_BLOCK`] rows (then per single row), each
+    /// tile of the block's ladder once per row, widest tiles first.
     #[test]
     fn every_output_is_finished_once_at_its_own_index() {
         use std::cell::RefCell;
         for isa in dispatch::available() {
-            let t = if isa == Isa::Baseline {
-                TILE
-            } else {
-                WIDE_TILE
+            let (t, b) = match isa {
+                Isa::Baseline => (TILE, TILE / ROW_BLOCK),
+                Isa::Avx2 => (WIDE_TILE, WIDE_TILE / ROW_BLOCK),
+                Isa::Avx512 => (WIDE_TILE, WIDE_TILE),
             };
-            for n in [1, 7, 8, 9, t - 1, t, t + 1, t + 8, t + 15, 2 * t + 17] {
+            let widths = [
+                1,
+                7,
+                8,
+                9,
+                15,
+                16,
+                17,
+                31,
+                33,
+                47,
+                48,
+                49,
+                t - 1,
+                t,
+                t + 1,
+                2 * t + 17,
+            ];
+            for (rows, n) in [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+                .into_iter()
+                .flat_map(|rows| widths.map(|n| (rows, n)))
+            {
                 let w: Vec<f32> = (0..n).map(|j| j as f32).collect();
-                let mut out = vec![f32::NAN; n];
+                let x: Vec<f32> = (1..=rows).map(|r| r as f32).collect();
+                let mut out = vec![f32::NAN; rows * n];
                 let calls = RefCell::new(Vec::new());
                 let finish = |j0: usize, dots: &[f32], out: &mut [f32]| {
                     assert_eq!(out.len(), dots.len(), "{isa:?}, tile at {j0}");
                     for (i, (o, &d)) in out.iter_mut().zip(dots).enumerate() {
-                        assert_eq!(d, (j0 + i) as f32, "{isa:?}, dot {i} of the tile at {j0}");
                         assert!(o.is_nan(), "{isa:?}: output {} finished twice", j0 + i);
                         *o = d;
                     }
@@ -517,29 +667,35 @@ mod tests {
                     isa,
                     Sweep::<false, _> {
                         w: &w,
-                        x: &[1.0],
+                        x: &x,
                         out: &mut out,
+                        shape: [rows, 1, n],
                         finish,
                     },
                 );
-                let (full, rest) = (n / t, n % t);
-                let want: Vec<usize> = std::iter::repeat_n(t, full)
-                    .chain(std::iter::repeat_n(SUBTILE, rest / SUBTILE))
-                    .chain(std::iter::repeat_n(1, rest % SUBTILE))
-                    .collect();
+                let tiles = |top| {
+                    ladder_widths(top, n).into_iter().scan(0, |j0, width| {
+                        *j0 += width;
+                        Some((*j0 - width, width))
+                    })
+                };
+                let want: Vec<(usize, usize)> =
+                    std::iter::repeat_n((b, ROW_BLOCK), rows / ROW_BLOCK)
+                        .chain(std::iter::repeat_n((t, 1), rows % ROW_BLOCK))
+                        .flat_map(|(top, r)| {
+                            tiles(top).flat_map(move |tile| std::iter::repeat_n(tile, r))
+                        })
+                        .collect();
                 let calls = calls.into_inner();
-                let lens: Vec<usize> = calls.iter().map(|&(_, len)| len).collect();
-                assert_eq!(lens, want, "{isa:?}: tile widths for {n} outputs");
-                let starts = calls.iter().scan(0, |j, &(_, len)| {
-                    let j0 = *j;
-                    *j += len;
-                    Some(j0)
-                });
-                assert!(
-                    calls.iter().map(|&(j0, _)| j0).eq(starts),
-                    "{isa:?}: tiles for {n} outputs start at {calls:?}"
-                );
-                assert!(out.iter().enumerate().all(|(j, &o)| o == j as f32));
+                assert_eq!(calls, want, "{isa:?}: tiles for {rows} x {n} outputs");
+                for (r, row) in out.chunks(n).enumerate() {
+                    assert!(
+                        row.iter()
+                            .enumerate()
+                            .all(|(j, &o)| o == ((r + 1) * j) as f32),
+                        "{isa:?}: row {r} of {rows} x {n}: {row:?}"
+                    );
+                }
             }
         }
     }

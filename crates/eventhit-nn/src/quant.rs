@@ -233,7 +233,7 @@ impl CodePanel {
         finish: impl Fn(usize, &[f32], &mut [f32]),
     ) {
         let scales = &self.scales;
-        self.codes.sweep::<true>(xq, out, |j0, dots, out| {
+        self.codes.sweep::<true>(1, xq, out, |j0, dots, out| {
             let mut products = [0.0f32; MAX_TILE];
             let products = &mut products[..dots.len()];
             for ((p, &d), &s) in products

@@ -63,8 +63,8 @@ property! {
     }
 
     #[test]
-    fn matmul_t_kernel_agrees(a in matrix(4, 3), b in matrix(6, 3)) {
-        prop_assert!(close(&a.matmul_t(&b), &a.matmul(&b.transpose())));
+    fn affine_t_kernel_agrees(a in matrix(4, 3), b in matrix(6, 3)) {
+        prop_assert!(close(&a.affine_t(&b, &[0.0; 6]), &a.matmul(&b.transpose())));
     }
 
     #[test]
