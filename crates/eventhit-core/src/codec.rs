@@ -327,7 +327,7 @@ impl<'a> F32Run<'a> {
 
     /// The run cut into consecutive rows of `dim` floats.
     #[inline]
-    pub fn rows(self, dim: usize) -> impl Iterator<Item = F32Run<'a>> + 'a {
+    pub fn rows(self, dim: usize) -> impl ExactSizeIterator<Item = F32Run<'a>> + 'a {
         self.0.chunks_exact(dim * 4).map(F32Run)
     }
 }

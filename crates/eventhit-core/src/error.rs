@@ -33,6 +33,18 @@ pub enum CoreError {
         /// Observed length.
         got: usize,
     },
+    /// A restored predictor state disagrees with its own anchor cadence:
+    /// the rows it buffers or the countdown it carries are not what
+    /// feeding its `frames_seen` frames leaves.
+    CadenceMismatch {
+        /// What disagreed (`"restored window rows"` or
+        /// `"restored countdown"`).
+        what: &'static str,
+        /// The value `frames_seen` implies.
+        expected: u64,
+        /// The value the state carries.
+        got: u64,
+    },
     /// A configuration value is outside its valid domain.
     InvalidConfig(String),
     /// A task id is not in the Table II registry.
@@ -86,6 +98,14 @@ impl fmt::Display for CoreError {
             } => write!(
                 f,
                 "shape mismatch in {what}: expected {expected}, got {got}"
+            ),
+            CoreError::CadenceMismatch {
+                what,
+                expected,
+                got,
+            } => write!(
+                f,
+                "{what} off the anchor cadence: expected {expected}, got {got}"
             ),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::UnknownTask(id) => write!(f, "unknown task id {id:?}"),

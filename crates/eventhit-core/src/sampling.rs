@@ -44,10 +44,11 @@
 //! rescores the calibration split on *gated* trajectories (simulated by
 //! [`sampled_records`]) and refits, so the nonconformity quantiles come
 //! from the same score distribution the deployed gated lane produces.
-//! The anchor cadence and the carry-or-score rule are written once, in
-//! this module's crate-private anchor stepper: the deployed predictor
-//! holds one and [`sampled_records`] drives one, so the two cannot
-//! drift apart. The model and worked numbers live in `docs/SAMPLING.md`.
+//! The anchor cadence, the carry-or-score rule and the rule for which
+//! rows of a `Fixed` batch no read sees are written once, in this
+//! module's crate-private anchor stepper: the deployed predictor holds
+//! one and [`sampled_records`] drives one, so the two cannot drift
+//! apart. The model and worked numbers live in `docs/SAMPLING.md`.
 
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
@@ -312,7 +313,9 @@ impl Sampler {
             self.admitted += 1;
             return true;
         };
-        if !warmed {
+        // A gate with no reference yet (a policy set or a state restored
+        // on a full ring) takes the frame as its reference.
+        if !warmed || self.reference.is_empty() {
             self.accept(features);
             return true;
         }
@@ -409,8 +412,9 @@ pub(crate) struct CarryMemo<P> {
 }
 
 /// The anchor rule, written once: one stream's stepping state (sampler,
-/// window ring, anchor countdown, stream position) and the
-/// carry-or-score decision over the memo of the last scored anchor.
+/// window ring, anchor countdown, stream position), the rows a batch
+/// may pass over, and the carry-or-score decision over the memo of the
+/// last scored anchor.
 /// [`OnlinePredictor`](crate::streaming::OnlinePredictor) holds one and
 /// [`sampled_records`] drives one, so calibration scores exactly the
 /// windows deployment scores — the identity the conformal guarantee
@@ -479,6 +483,34 @@ impl<P> AnchorStepper<P> {
         }
         self.countdown = self.horizon - 1;
         Some(self.sampler.window_len())
+    }
+
+    /// Of the next `remaining` frames, advances past the leading ones no
+    /// read will see, and returns how many that was. A read is the
+    /// window of the next anchor, or the ring at the end of the
+    /// `remaining` frames (a snapshot, a fingerprint), whichever comes
+    /// first; it sees only the `M` frames that end at it. So every frame
+    /// before that read's window is passed over: the stream position,
+    /// the countdown, the admitted count and the ring position move as
+    /// [`AnchorStepper::step`] would move them, and no row is copied.
+    ///
+    /// Only the `Fixed` policy on a full ring passes frames over: a gate
+    /// reads every frame it admits or skips, and a ring still filling
+    /// keeps every frame it is given.
+    pub(crate) fn skip_unread(&mut self, remaining: usize) -> usize {
+        if !self.sampler.policy().is_fixed() || !self.buffer.is_full() {
+            return 0;
+        }
+        // The read falls on the frame `countdown` ahead, or on the last.
+        let read_end = (self.countdown + 1).min(remaining as u64);
+        let unread = read_end.saturating_sub(self.buffer.window() as u64);
+        if unread > 0 {
+            self.stream_pos += unread;
+            self.countdown -= unread;
+            self.sampler.admitted += unread;
+            self.buffer.skip(unread as usize);
+        }
+        unread as usize
     }
 
     /// Decides a gated anchor on its last `m` admitted rows: if that
@@ -682,6 +714,16 @@ mod tests {
         assert!(s.admit(&[0.9], true));
         assert_eq!(s.frames_skipped(), 2);
         assert_eq!(s.frames_admitted(), 2);
+    }
+
+    #[test]
+    fn a_gate_set_on_a_full_ring_takes_its_first_frame_as_reference() {
+        // A policy set mid-stream, or a state restored, meets a full ring
+        // with no reference: the first frame is admitted, as in warmup.
+        let mut s = Sampler::new(SamplingPolicy::DeltaGate { threshold: 0.5 }, 3);
+        assert!(s.admit(&[0.3, 0.3], true));
+        assert_eq!(s.reference(), &[0.3, 0.3]);
+        assert!(!s.admit(&[0.35, 0.3], true));
     }
 
     #[test]

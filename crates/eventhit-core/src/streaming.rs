@@ -1,13 +1,16 @@
 //! Frame-by-frame online prediction.
 //!
-//! [`OnlinePredictor`] consumes frames one at a time (a detector's
+//! [`OnlinePredictor`] consumes frames in stream order (a detector's
 //! per-frame feature vectors), maintains the collection-window ring buffer, and emits a relay decision
 //! once per horizon — the push-based complement to the batch
 //! [`Marshaller`](crate::marshal::Marshaller), for deployments where frames
-//! arrive from a live camera rather than a stored stream.
+//! arrive from a live camera rather than a stored stream. Every caller
+//! feeds it through one batch entry, [`OnlinePredictor::push_frames`];
+//! [`OnlinePredictor::push_frame`] is its one-row case.
 //!
-//! Under the default [`SamplingPolicy::Fixed`] every pushed frame is
-//! encoded into the window. A [`SamplingPolicy::DeltaGate`] or
+//! Under the default [`SamplingPolicy::Fixed`] every frame an anchor
+//! reads is encoded into the window, and a batch passes over the frames
+//! no anchor reads without copying them. A [`SamplingPolicy::DeltaGate`] or
 //! [`SamplingPolicy::Adaptive`] policy (see [`crate::sampling`]) gates
 //! low-motion frames in front of the encoder — they are acknowledged
 //! (the anchor cadence still advances) but not encoded, and anchors
@@ -26,6 +29,7 @@ use eventhit_telemetry::{fnv1a, Telemetry};
 use eventhit_video::online::WindowBuffer;
 use eventhit_video::records::EventLabel;
 
+use crate::codec::F32Run;
 use crate::error::{CoreError, CoreResult};
 use crate::infer::{score_window_into, IntervalPrediction, ScoredRecord};
 use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
@@ -110,9 +114,10 @@ impl PredictorState {
 /// [`InferencePlan`] for its lane, built once at construction and again
 /// on [`OnlinePredictor::reload_model`]); the trainable [`EventHit`] it
 /// was built from — gradients, optimizer-facing buffers — is dropped.
-/// After the first anchor has sized the reusable buffers, a non-anchor
-/// frame allocates nothing and a `Fixed`-policy anchor allocates only
-/// the decision it returns.
+/// After the first anchor has sized the reusable buffers, a batch
+/// allocates only the decisions it hands out: a non-anchor frame
+/// allocates nothing and a `Fixed`-policy anchor allocates only its
+/// decision.
 pub struct OnlinePredictor {
     /// The one scorer: the model compiled for this predictor's lane.
     plan: InferencePlan,
@@ -129,6 +134,8 @@ pub struct OnlinePredictor {
     /// predictions. [`SamplingPolicy::Fixed`] admits everything, keeps
     /// no memo, and is bit-identical to the pre-sampling predictor.
     stepper: AnchorStepper<Vec<IntervalPrediction>>,
+    /// The one row a wire-form frame is decoded into.
+    row: Vec<f32>,
     /// `stream.frames_skipped` already flushed to telemetry. Skips are
     /// counted in the sampler and flushed in batches at decision time so
     /// gated streams pay no per-frame telemetry the `Fixed` policy
@@ -185,6 +192,7 @@ impl OnlinePredictor {
         let cfg = plan.config();
         OnlinePredictor {
             stepper: AnchorStepper::new(policy, cfg.window, cfg.input_dim, cfg.horizon as u64),
+            row: Vec::with_capacity(cfg.input_dim),
             skipped_flushed: 0,
             scratch: plan.scratch(),
             scored: ScoredRecord {
@@ -263,7 +271,12 @@ impl OnlinePredictor {
     /// (possibly from another process: the durable recovery path). The
     /// predictor must have been built from the same model configuration;
     /// mismatched row counts or dimensionalities are rejected with a typed
-    /// error before anything is mutated.
+    /// error before anything is mutated, and so is a state that disagrees
+    /// with its own cadence ([`CoreError::CadenceMismatch`]): it must
+    /// buffer `min(frames_seen, M)` rows, and carry the countdown feeding
+    /// `frames_seen` frames leaves — `0` until the window fills, then
+    /// `H − 1 − (frames_seen − M) mod H`. The batch path passes frames
+    /// over on the strength of both.
     pub fn restore_state(&mut self, st: &PredictorState) -> CoreResult<()> {
         let cfg = self.plan.config();
         if st.rows.len() > cfg.window {
@@ -280,18 +293,26 @@ impl OnlinePredictor {
                 got: row.len(),
             });
         }
-        if st.frames_seen < st.rows.len() as u64 {
-            return Err(CoreError::InvalidConfig(format!(
-                "restored state claims {} frames seen but buffers {} rows",
-                st.frames_seen,
-                st.rows.len()
-            )));
+        let window = cfg.window as u64;
+        let rows = st.frames_seen.min(window);
+        if st.rows.len() as u64 != rows {
+            return Err(CoreError::CadenceMismatch {
+                what: "restored window rows",
+                expected: rows,
+                got: st.rows.len() as u64,
+            });
         }
-        if st.countdown >= self.stepper.horizon {
-            return Err(CoreError::InvalidConfig(format!(
-                "restored countdown {} is not below the horizon {}",
-                st.countdown, self.stepper.horizon
-            )));
+        let horizon = self.stepper.horizon;
+        let countdown = match st.frames_seen.checked_sub(window) {
+            None => 0,
+            Some(since_full) => horizon - 1 - since_full % horizon,
+        };
+        if st.countdown != countdown {
+            return Err(CoreError::CadenceMismatch {
+                what: "restored countdown",
+                expected: countdown,
+                got: st.countdown,
+            });
         }
         self.stepper.buffer =
             WindowBuffer::restore(cfg.window, cfg.input_dim, &st.rows, st.frames_seen);
@@ -347,8 +368,8 @@ impl OnlinePredictor {
         Ok(())
     }
 
-    /// Attaches a telemetry recorder. Every pushed frame bumps
-    /// `stream.frames`; gated frames accumulate in the sampler and flush
+    /// Attaches a telemetry recorder. Every batch adds its frame count
+    /// to `stream.frames`; gated frames accumulate in the sampler and flush
     /// into `stream.frames_skipped` in one batch per decision (so the
     /// counter trails the true skip count by at most one horizon's
     /// frames); each decision records its latency into
@@ -372,7 +393,8 @@ impl OnlinePredictor {
     }
 
     /// Feeds one frame's features. Returns a decision when this frame is a
-    /// prediction anchor.
+    /// prediction anchor: the one-row case of
+    /// [`OnlinePredictor::push_frames`].
     ///
     /// Under a gating [`SamplingPolicy`] a low-motion frame is
     /// acknowledged but not encoded: the stream position (and hence the
@@ -389,17 +411,52 @@ impl OnlinePredictor {
     /// and the policy, so decisions are bit-reproducible at any worker
     /// count. The gate stays open until the window first fills, so
     /// warmup is identical under every policy.
-    pub fn push_frame(&mut self, features: impl AsRef<[f32]>) -> Option<HorizonDecision> {
-        self.push_row(features.as_ref())
+    pub fn push_frame(&mut self, features: impl FrameRow) -> Option<HorizonDecision> {
+        let mut decision = None;
+        self.push_frames(std::iter::once(features), |d| decision = Some(d));
+        decision
     }
 
-    /// [`OnlinePredictor::push_frame`] on the borrowed row.
-    fn push_row(&mut self, features: &[f32]) -> Option<HorizonDecision> {
+    /// Feeds a batch of frames in stream order, handing each decision to
+    /// `emit` as its anchor fires. The decisions, and the state the batch
+    /// leaves ([`OnlinePredictor::export_state`], snapshots, every
+    /// fingerprint), are those of [`OnlinePredictor::push_frame`] called
+    /// once per row: the batch end is a read point.
+    ///
+    /// Under the `Fixed` policy a full ring keeps only the frames a read
+    /// will see — the `M`-frame window before each anchor, and the last
+    /// `M` frames of the batch. The frames before those are passed over
+    /// by position (see [`crate::sampling`]'s anchor stepper): never
+    /// copied, and a row still in wire form is never decoded. A gating
+    /// policy reads every frame, so it is fed every frame.
+    pub fn push_frames<I>(&mut self, rows: I, mut emit: impl FnMut(HorizonDecision))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: FrameRow,
+    {
+        let mut rows = rows.into_iter();
         if let Some(t) = &self.telemetry {
-            t.add("stream.frames", 1);
+            t.add("stream.frames", rows.len() as u64);
         }
-        let m = self.stepper.step(features)?;
+        let skips = self.stepper.sampler.policy().is_fixed();
+        loop {
+            if skips {
+                let unread = self.stepper.skip_unread(rows.len());
+                if unread > 0 {
+                    rows.nth(unread - 1);
+                }
+            }
+            let Some(row) = rows.next() else { break };
+            let features = row.features(&mut self.row);
+            if let Some(m) = self.stepper.step(features) {
+                emit(self.decide(m));
+            }
+        }
+    }
 
+    /// Decides the anchor the stepper just reached, on its last `m` rows.
+    fn decide(&mut self, m: usize) -> HorizonDecision {
         let started = self.telemetry.as_deref().map(Telemetry::now);
         let anchor = self.stepper.stream_pos - 1;
         self.scored.anchor = anchor;
@@ -474,19 +531,46 @@ impl OnlinePredictor {
                 self.stepper.horizon.saturating_sub(relayed),
             );
         }
-        Some(decision)
+        decision
     }
 
-    /// Convenience: drains a full feature matrix through the predictor,
-    /// starting at row `from`, collecting every decision.
+    /// Drains a full feature matrix through the predictor, starting at
+    /// row `from`, collecting every decision: one
+    /// [`OnlinePredictor::push_frames`] batch, so under the `Fixed`
+    /// policy only the rows an anchor reads are copied into the ring.
     pub fn run_over(&mut self, features: &Matrix, from: usize) -> Vec<HorizonDecision> {
         let mut out = Vec::new();
-        for r in from..features.rows() {
-            if let Some(d) = self.push_frame(features.row(r)) {
-                out.push(d);
-            }
-        }
+        // The rows as whole chunks of the storage, so passing over them
+        // costs nothing per row. A matrix with no columns holds no rows.
+        let rows = features.as_slice().chunks_exact(features.cols().max(1));
+        self.push_frames(rows.skip(from), |d| out.push(d));
         out
+    }
+}
+
+/// One frame's features as a batch hands them to
+/// [`OnlinePredictor::push_frames`]: a slice of `f32`s in memory, or a
+/// row still in wire form ([`F32Run`]), decoded only if a read will see
+/// it.
+pub trait FrameRow {
+    /// The features as a slice, decoding into `scratch` if they are not
+    /// one already.
+    fn features<'a>(&'a self, scratch: &'a mut Vec<f32>) -> &'a [f32];
+}
+
+impl<T: AsRef<[f32]>> FrameRow for T {
+    #[inline]
+    fn features<'a>(&'a self, _: &'a mut Vec<f32>) -> &'a [f32] {
+        self.as_ref()
+    }
+}
+
+impl FrameRow for F32Run<'_> {
+    #[inline]
+    fn features<'a>(&'a self, scratch: &'a mut Vec<f32>) -> &'a [f32] {
+        scratch.clear();
+        scratch.extend(self.iter());
+        scratch
     }
 }
 
@@ -655,6 +739,95 @@ mod tests {
             countdown: horizon,
         };
         assert!(p.restore_state(&bad_countdown).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_state_off_its_own_cadence() {
+        let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(64));
+        let (window, horizon) = (run.window as u64, run.horizon as u64);
+        let features = run.features.clone();
+        let mut p =
+            OnlinePredictor::new(run.model, run.state, Strategy::Ehcr { c: 0.9, alpha: 0.5 });
+        // A true state, mid-horizon with a full ring: 7 frames past the
+        // second anchor, so its countdown is H - 1 - 7.
+        let seen = window + horizon + 7;
+        p.push_frames((0..seen as usize).map(|r| features.row(r)), drop);
+        let good = p.export_state();
+        assert_eq!(good.countdown, horizon - 8);
+        let rows = |n: usize| good.rows[..n].to_vec();
+        let cadence = |p: &mut OnlinePredictor, st: &PredictorState| match p.restore_state(st) {
+            Err(CoreError::CadenceMismatch {
+                what,
+                expected,
+                got,
+            }) => Some((what, expected, got)),
+            Ok(()) => None,
+            Err(e) => panic!("{e}"),
+        };
+        let m = window as usize;
+        for (st, want) in [
+            // A full ring claimed by a stream that has not filled one.
+            (
+                PredictorState {
+                    rows: rows(m),
+                    frames_seen: window - 1,
+                    countdown: 0,
+                },
+                ("restored window rows", window - 1, window),
+            ),
+            // A full stream that lost a row.
+            (
+                PredictorState {
+                    rows: rows(m - 1),
+                    ..good.clone()
+                },
+                ("restored window rows", window, window - 1),
+            ),
+            // The countdown shifted by one frame, either way.
+            (
+                PredictorState {
+                    countdown: good.countdown + 1,
+                    ..good.clone()
+                },
+                ("restored countdown", horizon - 8, horizon - 7),
+            ),
+            (
+                PredictorState {
+                    countdown: good.countdown - 1,
+                    ..good.clone()
+                },
+                ("restored countdown", horizon - 8, horizon - 9),
+            ),
+            // A countdown before the window fills.
+            (
+                PredictorState {
+                    rows: rows(3),
+                    frames_seen: 3,
+                    countdown: 1,
+                },
+                ("restored countdown", 0, 1),
+            ),
+        ] {
+            assert_eq!(cadence(&mut p, &st), Some(want), "{st:?}");
+            assert_eq!(p.export_state(), good, "a refused restore mutates nothing");
+        }
+        // The edges of the rule: the ring just full, one horizon later,
+        // and a stream still filling.
+        for (frames_seen, countdown, n) in [
+            (window, horizon - 1, m),
+            (window + horizon - 1, 0, m),
+            (window + horizon, horizon - 1, m),
+            (3, 0, 3),
+            (0, 0, 0),
+        ] {
+            let st = PredictorState {
+                rows: rows(n),
+                frames_seen,
+                countdown,
+            };
+            assert_eq!(cadence(&mut p, &st), None, "{st:?}");
+            assert_eq!(p.export_state(), st);
+        }
     }
 
     #[test]

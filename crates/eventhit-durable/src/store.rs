@@ -509,12 +509,10 @@ pub fn replay(
                         "frame batch dimension differs from its stream's",
                     ));
                 }
-                for row in data.chunks(*dim as usize) {
-                    if let Some(d) = lane.predictor.push_frame(row) {
-                        pending.entry(*stream_id).or_default().push_back(d);
-                    }
-                    lane.frames += 1;
-                }
+                let rows = data.chunks_exact(*dim as usize);
+                lane.frames += rows.len() as u64;
+                let pending = pending.entry(*stream_id).or_default();
+                lane.predictor.push_frames(rows, |d| pending.push_back(d));
             }
             SessionEvent::DecisionEmitted {
                 stream_id,
@@ -567,7 +565,7 @@ mod tests {
     use super::*;
     use crate::log::frame_record;
     use crate::snapshot::LaneSnapshot;
-    use eventhit_core::{task, ExperimentConfig, Strategy, TaskRun};
+    use eventhit_core::{task, CoreError, ExperimentConfig, Strategy, TaskRun};
     use std::io::Write;
     use std::os::unix::fs::MetadataExt;
     use std::sync::OnceLock;
@@ -897,6 +895,70 @@ mod tests {
         let after = serve_rows(&mut store, &mut lane, 0, &rows[cut..]);
         assert_eq!(after, expected[done_before..].to_vec());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_refuses_a_snapshot_off_its_cadence() {
+        let run = trained();
+        let dim = run.features.cols() as u32;
+        let rows: Vec<Vec<f32>> = (0..run.window + 5)
+            .map(|r| run.features.row(r).to_vec())
+            .collect();
+        type Tamper = fn(&mut PredictorState);
+        let tampers: [(&str, &str, Tamper); 2] = [
+            ("cadence-countdown", "restored countdown", |st| {
+                st.countdown -= 1
+            }),
+            ("cadence-rows", "restored window rows", |st| {
+                drop(st.rows.pop())
+            }),
+        ];
+        for (tag, what, tamper) in tampers {
+            let dir = tmp(tag);
+            let _ = fs::remove_dir_all(&dir);
+            let (mut store, _) = DurableStore::open(&dir).unwrap();
+            store
+                .append(&SessionEvent::StreamAdmitted { stream_id: 0, dim })
+                .unwrap();
+            let mut lane = ReplayedLane {
+                predictor: boot_lane(0),
+                dim,
+                frames: 0,
+                decisions: 0,
+            };
+            serve_rows(&mut store, &mut lane, 0, &rows);
+            // A snapshot whose lane claims a countdown, or a row count,
+            // its frames_seen cannot leave; its fingerprint is its own.
+            let mut st = lane.predictor.export_state();
+            tamper(&mut st);
+            store
+                .write_snapshot(&Snapshot {
+                    events_applied: store.events_applied(),
+                    reload_fingerprint: None,
+                    lanes: vec![LaneSnapshot {
+                        stream_id: 0,
+                        dim,
+                        frames: lane.frames,
+                        decisions: lane.decisions,
+                        frames_seen: st.frames_seen,
+                        countdown: st.countdown,
+                        state_fingerprint: st.fingerprint(),
+                        rows: st.rows,
+                    }],
+                })
+                .unwrap();
+            drop(store);
+            let (_, recovery) = DurableStore::open(&dir).unwrap();
+            assert!(recovery.snapshot.is_some());
+            match replay(&dir, &recovery, &mut boot_lane) {
+                Err(DurableError::Core(CoreError::CadenceMismatch { what: got, .. })) => {
+                    assert_eq!(got, what)
+                }
+                Err(e) => panic!("{tag}: {e}"),
+                Ok(_) => panic!("{tag}: a snapshot off its cadence was restored"),
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

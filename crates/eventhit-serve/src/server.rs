@@ -34,8 +34,8 @@
 //! [`MAX_BATCH_FRAMES`] are refused whole (`BatchTooLarge`; a size check,
 //! so no hint: resending the same batch cannot succeed) — the client
 //! keeps the data. Nothing is queued between requests: an accepted batch
-//! is fed row by row straight from the receive buffer and the reply is
-//! written before the next request is read.
+//! is fed as one predictor batch straight from the receive buffer and
+//! the reply is written before the next request is read.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
@@ -168,15 +168,12 @@ struct Lane {
     frames: u64,
     decisions: u64,
     slot: Option<SlotGuard>,
-    /// The one row being fed, decoded out of the receive buffer.
-    row: Vec<f32>,
 }
 
 impl Lane {
     /// A lane at the start of its stream.
     fn new(predictor: OnlinePredictor, slot: Option<SlotGuard>) -> Self {
         Lane {
-            row: Vec::with_capacity(predictor.input_dim()),
             predictor,
             frames: 0,
             decisions: 0,
@@ -184,23 +181,15 @@ impl Lane {
         }
     }
 
-    /// Feeds a batch of `dim`-wide rows, each decoded straight out of
-    /// the receive buffer into the lane's one row, with the batch's trace
-    /// attached, so the predictor's inference / conformal stage samples
-    /// carry the client's trace id as exemplars. Allocates only for the
-    /// decisions it returns.
+    /// Feeds a batch of `dim`-wide rows straight out of the receive
+    /// buffer as one predictor batch — a row is decoded only if a read
+    /// will see it — with the batch's trace attached, so the predictor's
+    /// inference / conformal stage samples carry the client's trace id
+    /// as exemplars. Allocates only for the decisions it returns.
     fn feed(&mut self, data: F32Run<'_>, dim: usize, trace: Option<u64>) -> Vec<HorizonDecision> {
         self.predictor.set_trace(trace);
-        let mut row = std::mem::take(&mut self.row);
-        let out = data
-            .rows(dim)
-            .filter_map(|wire| {
-                row.clear();
-                row.extend(wire.iter());
-                self.predictor.push_frame(&row)
-            })
-            .collect();
-        self.row = row;
+        let mut out = Vec::new();
+        self.predictor.push_frames(data.rows(dim), |d| out.push(d));
         self.predictor.set_trace(None);
         out
     }

@@ -52,6 +52,20 @@ impl WindowBuffer {
         self.pushed += 1;
     }
 
+    /// Advances a full ring past `k` frames no window will read: the
+    /// stream position moves as `k` pushes would move it, and no row is
+    /// copied. The `k` slots those pushes would have written keep stale
+    /// rows, so a reader must push `window` fresh rows before it reads
+    /// again.
+    ///
+    /// # Panics
+    /// Panics if the ring is not full.
+    pub fn skip(&mut self, k: usize) {
+        assert!(self.is_full(), "skip on a ring that is not full");
+        self.next = (self.next + k) % self.window;
+        self.pushed += k as u64;
+    }
+
     /// True when a full collection window is buffered.
     pub fn is_full(&self) -> bool {
         self.len == self.window
@@ -312,6 +326,42 @@ mod tests {
             assert_eq!(a.covariates(), b.covariates());
             assert_eq!(a.frames_seen(), b.frames_seen());
         }
+    }
+
+    #[test]
+    fn a_skip_then_a_window_of_pushes_is_every_push() {
+        let window = 4;
+        for skip in 0..3 * window {
+            let (mut every, mut skipped) =
+                (WindowBuffer::new(window, 3), WindowBuffer::new(window, 3));
+            for i in 0..window + 1 {
+                every.push(row(i));
+                skipped.push(row(i));
+            }
+            for i in window + 1..window + 1 + skip {
+                every.push(row(i));
+            }
+            skipped.skip(skip);
+            assert_eq!(skipped.frames_seen(), every.frames_seen());
+            for i in window + 1 + skip..2 * window + 1 + skip {
+                every.push(row(i));
+                skipped.push(row(i));
+            }
+            assert_eq!(
+                skipped.snapshot_rows(),
+                every.snapshot_rows(),
+                "skip {skip}"
+            );
+            assert_eq!((skipped.next, skipped.pushed), (every.next, every.pushed));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not full")]
+    fn skip_requires_a_full_ring() {
+        let mut buf = WindowBuffer::new(3, 3);
+        buf.push(row(0));
+        buf.skip(1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! allocates only the decision it returns plus, under a gating policy
 //! (`delta`, `adaptive`), the predictions it memoizes for carried
 //! anchors — no `Matrix`, no `Record`, no per-frame `Vec`, on either
-//! lane. The same counter shows that a wire message lying
+//! lane, whether frames come one at a time or in batches of any size.
+//! The same counter shows that a wire message lying
 //! about its float count is refused before anything is reserved for it,
 //! and one lying about its item count reserves at most 64 KiB, that a
 //! warm `SubmitFrames` returning no decision allocates nothing at
@@ -223,6 +224,58 @@ fn warm_predictor_allocates_only_the_decisions_it_returns() {
             assert_eq!(
                 (anchors, quiet),
                 (3, 3 * run.horizon - 3),
+                "{spec}, {lane} lane"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_warm_batch_allocates_only_the_decisions_it_returns() {
+    let cfg = ExperimentConfig {
+        scale: 0.15,
+        ..ExperimentConfig::quick(93)
+    };
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+    let warm_up = run.window + 2 * run.horizon;
+    // Batches on both sides of the window and of the horizon, and one
+    // spanning several anchors.
+    let (m, h) = (run.window, run.horizon);
+    let batches = [1, m - 1, m, m + 1, h - 1, h, h + 1, 3 * h + 7];
+    assert!(run.features.rows() >= warm_up + batches.iter().sum::<usize>());
+
+    for spec in ["fixed", "delta:0.1", "adaptive:0:2"] {
+        let policy = SamplingPolicy::parse(spec).unwrap();
+        let budget = anchor_allocations(&policy);
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let state = run.state_for_sampling(&policy, lane);
+            let mut online = OnlinePredictor::with_policy(
+                run.model.clone(),
+                state,
+                strategy,
+                lane,
+                policy.clone(),
+            );
+            online.push_frames((0..warm_up).map(|r| run.features.row(r)), drop);
+            let (mut at, mut anchors) = (warm_up, 0);
+            for batch in batches {
+                let rows = (at..at + batch).map(|r| run.features.row(r));
+                // Room for every decision, reserved outside the count.
+                let mut out = Vec::with_capacity(8);
+                let ((), (allocations, _)) = counted(|| online.push_frames(rows, |d| out.push(d)));
+                assert!(
+                    allocations <= out.len() as u64 * budget,
+                    "{spec}, {lane} lane, batch of {batch} at frame {at}: \
+                     {allocations} allocations for {} decisions",
+                    out.len()
+                );
+                anchors += out.len();
+                at += batch;
+            }
+            assert_eq!(
+                anchors,
+                (at - m) / h - (warm_up - m) / h,
                 "{spec}, {lane} lane"
             );
         }
