@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use eventhit::core::ci::CiConfig;
+use eventhit::core::ci::{CiConfig, CostReport};
+use eventhit::core::ci_queue::{simulate, submissions_from_segments, QueueConfig, QueueReport};
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::marshal::Marshaller;
 use eventhit::core::model_io;
@@ -52,6 +53,13 @@ const GOLDEN_GATED_FINGERPRINT: u64 = 0x8469_d2dd_9b11_d2a9;
 /// trace goldens pin a product kernel's bits only where they move a
 /// decision; this one names the weights themselves.
 const GOLDEN_QUICK_MODEL: u64 = 0x2dcc_08f6_3f37_3149;
+
+/// `TelemetrySnapshot::fingerprint` of one manual-clock recorder shared
+/// by the marshaller's whole-stream walk of the quick fixture and the CI
+/// queue simulation of the segments it relayed: pins the order of the
+/// walk's segments, detections, counters and spans, and every queue
+/// metric the simulator records.
+const GOLDEN_MARSHAL_TRACE: u64 = 0xf04a_814d_07a4_af5f;
 
 /// The quick fixture every trace below runs on: TA10 at scale 0.08,
 /// `quick(40)`.
@@ -104,6 +112,75 @@ fn pipeline_fingerprint_replays_identically_across_worker_counts() {
         assert_eq!(jsonl_w, jsonl_1, "trace diverged at {w} workers");
         assert_eq!(fp_w, GOLDEN_FINGERPRINT);
     }
+}
+
+#[test]
+fn marshal_and_queue_trace_matches_golden_constant() {
+    let run = quick_run();
+    let stream = run.stream.clone();
+    let features = run.features.clone();
+    let tel = Arc::new(Telemetry::with_manual_clock());
+    let mut m = Marshaller::new(
+        run.model,
+        run.state,
+        Strategy::Ehcr { c: 0.9, alpha: 0.5 },
+        CiConfig::default(),
+    );
+    m.set_telemetry(Arc::clone(&tel));
+    let res = m
+        .try_run(&stream, &features, run.window as u64, stream.len)
+        .expect("range inside the stream");
+    let spans: Vec<(u64, u64)> = res.segments.iter().map(|s| (s.start, s.end)).collect();
+    let queue = simulate(
+        &submissions_from_segments(&spans),
+        &QueueConfig::default(),
+        &tel,
+    )
+    .expect("the run relays something");
+    let walk = format!(
+        "{:?}\n{:?}\n{:?}",
+        res.segments, res.detections, res.ground_truth
+    );
+    assert_eq!(
+        (res.horizons, res.segments.len(), res.detections.len()),
+        (95, 14, 10)
+    );
+    assert_eq!(res.ground_truth.len(), 12);
+    assert_eq!(
+        fnv1a(walk.as_bytes()),
+        0x08b7_0030_7a65_9323,
+        "segment, detection or instance order drifted"
+    );
+    assert_eq!(
+        res.cost,
+        CostReport {
+            frames_relayed: 2303,
+            expense: 2.303,
+            feature_seconds: 9.5,
+            predictor_seconds: 0.095,
+            ci_seconds: 287.875,
+            frames_covered: 19000,
+        }
+    );
+    assert_eq!(
+        queue,
+        QueueReport {
+            completed: 14,
+            utilization: 0.4448465025239518,
+            mean_latency: 29.001190476190466,
+            p50_latency: 25.0,
+            p95_latency: 45.67500000000001,
+            p99_latency: 45.67500000000001,
+            max_latency: 45.67500000000001,
+            max_backlog_frames: 519,
+        }
+    );
+
+    let fp = tel.snapshot().fingerprint();
+    assert_eq!(
+        fp, GOLDEN_MARSHAL_TRACE,
+        "marshal + queue trace drifted: got {fp:#018x}"
+    );
 }
 
 #[test]
