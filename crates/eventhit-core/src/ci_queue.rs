@@ -12,8 +12,6 @@
 use eventhit_telemetry::{percentile, Telemetry};
 use eventhit_video::detector::StageModel;
 
-use crate::resilient::{ResilientCiClient, SubmissionOutcome};
-
 /// A relay request: `frames` frames submitted when stream frame
 /// `arrival_frame` has been captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,34 +62,6 @@ pub struct QueueReport {
     pub max_backlog_frames: u64,
 }
 
-impl QueueReport {
-    /// The single construction path for a latency profile, so the plain
-    /// and resilient reports stay field-for-field comparable. Sorts
-    /// `latencies` in place; with nothing served (an all-degraded run)
-    /// every field but the backlog is zero rather than a division by
-    /// zero.
-    fn from_latencies(
-        latencies: &mut [f64],
-        busy: f64,
-        span: f64,
-        max_backlog_frames: u64,
-    ) -> Self {
-        latencies.sort_by(f64::total_cmp);
-        let n = latencies.len();
-        let span = span.max(f64::MIN_POSITIVE);
-        QueueReport {
-            completed: n,
-            utilization: (busy / span).min(1.0),
-            mean_latency: latencies.iter().sum::<f64>() / n.max(1) as f64,
-            p50_latency: percentile(latencies, 0.50).unwrap_or(0.0),
-            p95_latency: percentile(latencies, 0.95).unwrap_or(0.0),
-            p99_latency: percentile(latencies, 0.99).unwrap_or(0.0),
-            max_latency: latencies.last().copied().unwrap_or(0.0),
-            max_backlog_frames,
-        }
-    }
-}
-
 /// Simulates the FIFO queue over submissions (must be sorted by
 /// `arrival_frame`). Returns `None` for an empty submission list or a
 /// non-positive capture rate (a dead camera offers no load — nothing to
@@ -106,53 +76,6 @@ pub fn simulate(
     cfg: &QueueConfig,
     tel: &Telemetry,
 ) -> Option<QueueReport> {
-    run_queue(submissions, cfg, None, tel).map(|report| report.queue)
-}
-
-/// [`QueueReport`] plus the resilience counters of a faulted run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientQueueReport {
-    /// Queue metrics over *delivered* submissions only.
-    pub queue: QueueReport,
-    /// Submissions degraded (never served).
-    pub degraded: usize,
-    /// Frames belonging to degraded submissions.
-    pub degraded_frames: u64,
-    /// Fraction of submissions that were served.
-    pub availability: f64,
-}
-
-/// Simulates the FIFO queue with every submission passing through the
-/// resilient client first. Retries re-enter the discrete-event timeline:
-/// a submission delivered after `wasted` seconds of failed attempts and
-/// backoff effectively *arrives* that much later, so outages and retry
-/// storms grow the backlog exactly as they would in a deployment.
-/// Degraded submissions never occupy the server but are counted.
-///
-/// Returns `None` under the same conditions as [`simulate`]. `tel`
-/// receives the queue metrics of [`simulate`] under a
-/// `ciq.simulate_resilient` span, beside the resilient client's own
-/// counters (faults, retries, breaker transitions) when the client
-/// carries the same recorder.
-pub fn simulate_resilient(
-    submissions: &[Submission],
-    cfg: &QueueConfig,
-    client: &mut ResilientCiClient,
-    tel: &Telemetry,
-) -> Option<ResilientQueueReport> {
-    run_queue(submissions, cfg, Some(client), tel)
-}
-
-/// The one queue loop. Without a `client` every submission is delivered
-/// at its arrival with no time wasted and the configured service time —
-/// what a client on a reliable channel reports, so the two modes agree
-/// field for field there.
-fn run_queue(
-    submissions: &[Submission],
-    cfg: &QueueConfig,
-    mut client: Option<&mut ResilientCiClient>,
-    tel: &Telemetry,
-) -> Option<ResilientQueueReport> {
     if submissions.is_empty() || !cfg.stream_fps.is_finite() || cfg.stream_fps <= 0.0 {
         return None;
     }
@@ -168,13 +91,8 @@ fn run_queue(
     let mut busy = 0.0f64;
     let mut max_backlog = 0u64;
     let mut backlog_until: Vec<(f64, u64)> = Vec::new(); // (finish_time, frames)
-    let mut degraded = 0usize;
-    let mut degraded_frames = 0u64;
 
-    let _sim = tel.span(match client {
-        Some(_) => "ciq.simulate_resilient",
-        None => "ciq.simulate",
-    });
+    let _sim = tel.span("ciq.simulate");
     let first_arrival = submissions[0].arrival_frame as f64 / cfg.stream_fps;
     let mut last_finish = first_arrival;
     for sub in submissions {
@@ -188,38 +106,15 @@ fn run_queue(
         tel.add("ciq.frames", sub.frames);
         tel.gauge_set("ciq.backlog_frames", backlog as f64);
 
-        // `Ok((wasted, service))` when delivered, `Err(deadline)` when the
-        // client gave the submission up.
-        let delivery = match client.as_deref_mut() {
-            None => Ok((0.0, cfg.ci.seconds_for(sub.frames))),
-            Some(client) => match client.submit(sub.frames, arrival) {
-                SubmissionOutcome::Delivered {
-                    wasted, service, ..
-                } => Ok((wasted, service)),
-                SubmissionOutcome::Degraded { .. } => Err(client.config_deadline()),
-            },
-        };
-        match delivery {
-            Ok((wasted, service)) => {
-                let start = free_at.max(arrival + wasted);
-                let finish = start + service;
-                busy += service;
-                let latency = finish - arrival;
-                latencies.push(latency);
-                backlog_until.push((finish, sub.frames));
-                free_at = finish;
-                last_finish = last_finish.max(finish);
-                tel.observe("ciq.latency_seconds", latency);
-            }
-            Err(deadline) => {
-                degraded += 1;
-                degraded_frames += sub.frames;
-                // The frames linger as backlog until the client abandons
-                // them: pending from arrival until its deadline passes.
-                backlog_until.push((arrival + deadline, sub.frames));
-                tel.add("ciq.degraded", 1);
-            }
-        }
+        let service = cfg.ci.seconds_for(sub.frames);
+        let finish = free_at.max(arrival) + service;
+        busy += service;
+        let latency = finish - arrival;
+        latencies.push(latency);
+        backlog_until.push((finish, sub.frames));
+        free_at = finish;
+        last_finish = last_finish.max(finish);
+        tel.observe("ciq.latency_seconds", latency);
     }
     tel.set_time(last_finish);
     tel.add("ciq.completed", latencies.len() as u64);
@@ -228,13 +123,18 @@ fn run_queue(
     // (all arrivals equal, zero-frame requests => span 0) and offered
     // load at or above the service rate (span = busy time, utilization
     // exactly 1, never a negative residual).
+    let span = (last_finish - first_arrival).max(f64::MIN_POSITIVE);
+    latencies.sort_by(f64::total_cmp);
     let n = latencies.len();
-    let span = last_finish - first_arrival;
-    Some(ResilientQueueReport {
-        queue: QueueReport::from_latencies(&mut latencies, busy, span, max_backlog),
-        degraded,
-        degraded_frames,
-        availability: n as f64 / (n + degraded) as f64,
+    Some(QueueReport {
+        completed: n,
+        utilization: (busy / span).min(1.0),
+        mean_latency: latencies.iter().sum::<f64>() / n as f64,
+        p50_latency: percentile(&latencies, 0.50)?,
+        p95_latency: percentile(&latencies, 0.95)?,
+        p99_latency: percentile(&latencies, 0.99)?,
+        max_latency: latencies[n - 1],
+        max_backlog_frames: max_backlog,
     })
 }
 
@@ -420,90 +320,6 @@ mod tests {
         let subs = submissions_from_segments(&[(80, 50), (10, 20)]);
         assert_eq!(subs[1].frames, 0);
         assert_eq!(subs[0].frames, 11);
-    }
-
-    #[test]
-    fn resilient_queue_reliable_channel_matches_plain_simulation() {
-        use crate::faults::FaultConfig;
-        use crate::resilient::{ResilienceConfig, ResilientCiClient};
-        let subs: Vec<Submission> = (1..=10)
-            .map(|i| Submission {
-                arrival_frame: i * 1000,
-                frames: 80,
-            })
-            .collect();
-        let c = cfg(30.0, 10.0);
-        let plain = simulate(&subs, &c, &Telemetry::disabled()).unwrap();
-        let mut client = ResilientCiClient::new(
-            FaultConfig::reliable(),
-            ResilienceConfig::default(),
-            c.ci.clone(),
-            1,
-        )
-        .unwrap();
-        let res = simulate_resilient(&subs, &c, &mut client, &Telemetry::disabled()).unwrap();
-        assert_eq!(res.availability, 1.0);
-        assert_eq!(res.degraded, 0);
-        assert_eq!(res.queue, plain, "no faults => identical queue profile");
-    }
-
-    #[test]
-    fn outages_grow_backlog_and_cut_availability() {
-        use crate::faults::FaultConfig;
-        use crate::resilient::{ResilienceConfig, ResilientCiClient};
-        let subs: Vec<Submission> = (1..=60)
-            .map(|i| Submission {
-                arrival_frame: i * 600,
-                frames: 100,
-            })
-            .collect();
-        let c = cfg(30.0, 10.0);
-        let clean = simulate(&subs, &c, &Telemetry::disabled()).unwrap();
-        let faults = FaultConfig {
-            p_good_to_bad: 0.15,
-            p_bad_to_good: 0.25,
-            bad_loss: 1.0,
-            transient_prob: 0.1,
-            ..FaultConfig::reliable()
-        };
-        let mut client =
-            ResilientCiClient::new(faults, ResilienceConfig::default(), c.ci.clone(), 5).unwrap();
-        let res = simulate_resilient(&subs, &c, &mut client, &Telemetry::disabled()).unwrap();
-        assert!(res.availability < 1.0, "outages must cost availability");
-        assert!(res.degraded > 0);
-        assert!(
-            res.queue.max_backlog_frames >= clean.max_backlog_frames,
-            "outages cannot shrink the backlog: {} vs {}",
-            res.queue.max_backlog_frames,
-            clean.max_backlog_frames
-        );
-        assert_eq!(res.queue.completed + res.degraded, subs.len());
-    }
-
-    #[test]
-    fn fully_dead_service_reports_zero_availability() {
-        use crate::faults::FaultConfig;
-        use crate::resilient::{ResilienceConfig, ResilientCiClient};
-        let subs: Vec<Submission> = (1..=5)
-            .map(|i| Submission {
-                arrival_frame: i * 100,
-                frames: 10,
-            })
-            .collect();
-        let c = cfg(30.0, 10.0);
-        let faults = FaultConfig {
-            p_good_to_bad: 1.0,
-            p_bad_to_good: 0.0,
-            bad_loss: 1.0,
-            ..FaultConfig::reliable()
-        };
-        let mut client =
-            ResilientCiClient::new(faults, ResilienceConfig::default(), c.ci.clone(), 2).unwrap();
-        let res = simulate_resilient(&subs, &c, &mut client, &Telemetry::disabled()).unwrap();
-        assert_eq!(res.availability, 0.0);
-        assert_eq!(res.queue.completed, 0);
-        assert_eq!(res.degraded, 5);
-        assert!(res.queue.mean_latency == 0.0 && res.queue.utilization == 0.0);
     }
 
     #[test]

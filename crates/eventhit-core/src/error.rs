@@ -1,8 +1,8 @@
 //! The crate's typed error vocabulary.
 //!
 //! Fallible paths (model persistence, stream marshalling, conformal
-//! fitting, the resilient CI client) return [`CoreError`] instead of
-//! panicking, so injected faults and malformed inputs surface as values a
+//! fitting, predictor state restore) return [`CoreError`] instead of
+//! panicking, so corrupt files and malformed inputs surface as values a
 //! caller can branch on. Hand-rolled on `std` only — the workspace is
 //! hermetic, so no `thiserror`.
 
@@ -47,8 +47,6 @@ pub enum CoreError {
     },
     /// A configuration value is outside its valid domain.
     InvalidConfig(String),
-    /// A task id is not in the Table II registry.
-    UnknownTask(String),
     /// A dataset split came out empty (scale too small for the stride).
     EmptySplit {
         /// Task id whose split collapsed.
@@ -67,18 +65,6 @@ pub enum CoreError {
         to: u64,
         /// Stream length.
         len: u64,
-    },
-    /// The circuit breaker is open: the CI is presumed down.
-    CircuitOpen,
-    /// A submission blew its end-to-end deadline.
-    DeadlineExceeded {
-        /// The deadline that was exceeded (seconds).
-        deadline: f64,
-    },
-    /// Every allowed attempt failed.
-    RetriesExhausted {
-        /// Attempts made before giving up.
-        attempts: u32,
     },
 }
 
@@ -108,7 +94,6 @@ impl fmt::Display for CoreError {
                 "{what} off the anchor cadence: expected {expected}, got {got}"
             ),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            CoreError::UnknownTask(id) => write!(f, "unknown task id {id:?}"),
             CoreError::EmptySplit { task } => {
                 write!(f, "{task}: empty split (scale too small?)")
             }
@@ -121,13 +106,6 @@ impl fmt::Display for CoreError {
                     f,
                     "marshal range ends at frame {to}, beyond stream length {len}"
                 )
-            }
-            CoreError::CircuitOpen => write!(f, "circuit breaker open: CI presumed unavailable"),
-            CoreError::DeadlineExceeded { deadline } => {
-                write!(f, "submission deadline of {deadline} s exceeded")
-            }
-            CoreError::RetriesExhausted { attempts } => {
-                write!(f, "all {attempts} attempts failed")
             }
         }
     }
@@ -164,10 +142,6 @@ mod tests {
         };
         assert!(e.to_string().contains("record scores"));
         assert!(e.to_string().contains("expected 3"));
-        assert!(CoreError::CircuitOpen.to_string().contains("circuit"));
-        assert!(CoreError::UnknownTask("XX".into())
-            .to_string()
-            .contains("XX"));
     }
 
     #[test]
@@ -180,6 +154,7 @@ mod tests {
 
     #[test]
     fn non_io_errors_have_no_source() {
-        assert!(std::error::Error::source(&CoreError::CircuitOpen).is_none());
+        let e = CoreError::InvalidConfig("stride = 0".into());
+        assert!(std::error::Error::source(&e).is_none());
     }
 }

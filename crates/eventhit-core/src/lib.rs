@@ -34,8 +34,6 @@ pub mod model;
 pub mod model_io;
 pub mod multi;
 pub mod pipeline;
-pub mod report;
-pub mod resilient;
 pub mod sampling;
 pub mod streaming;
 pub mod tasks;
@@ -50,15 +48,11 @@ pub use infer::{EventScores, IntervalPrediction, ScoredRecord};
 pub use metrics::{evaluate, try_evaluate, EvalOutcome};
 pub use model::{EventHit, EventHitConfig, InferencePlan, InferenceScratch};
 pub use pipeline::{ConformalState, Strategy};
-pub use report::TelemetrySnapshot;
-pub use resilient::{
-    BreakerConfig, BreakerState, CircuitBreaker, DegradationMode, DegradationTag, ResilienceConfig,
-    ResilienceStats, ResilientCiClient, RetryPolicy, SubmissionOutcome,
-};
 pub use sampling::SamplingPolicy;
+pub use streaming::DegradationTag;
 pub use tasks::{all_tasks, task, DatasetKind, Task};
 pub use train::{train, TrainConfig, TrainReport};
 
-pub use eventhit_telemetry::Telemetry;
+pub use eventhit_telemetry::{Telemetry, TelemetrySnapshot};
 
 pub use eventhit_nn::quant::InferenceLane;

@@ -324,49 +324,6 @@ pub fn coverage(
         .collect()
 }
 
-/// Where each ground-truth event instance of a (possibly faulted) run
-/// ended up. Under fault injection a miss has two distinct causes — the
-/// local predictor filtered the frames out, or the predictor relayed them
-/// but the cloud path dropped the submission — and the distinction decides
-/// whether to retune the predictor or harden the link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MissAttribution {
-    /// Instances with at least one frame confirmed by the CI.
-    pub detected: usize,
-    /// Instances covered only by the local-only fallback (no CI
-    /// confirmation; counted as covered but flagged).
-    pub local_unconfirmed: usize,
-    /// Instances missed because the predictor never relayed any of their
-    /// frames.
-    pub filtered_by_predictor: usize,
-    /// Instances whose frames were relayed but lost to faults
-    /// (dead-lettered or degraded submissions).
-    pub dropped_by_faults: usize,
-}
-
-impl MissAttribution {
-    /// Total ground-truth instances accounted for.
-    pub fn total(&self) -> usize {
-        self.detected + self.local_unconfirmed + self.filtered_by_predictor + self.dropped_by_faults
-    }
-
-    /// Instance recall counting only CI-confirmed coverage.
-    pub fn confirmed_recall(&self) -> f64 {
-        if self.total() == 0 {
-            return 1.0;
-        }
-        self.detected as f64 / self.total() as f64
-    }
-
-    /// Instance recall counting local-only coverage as found.
-    pub fn effective_recall(&self) -> f64 {
-        if self.total() == 0 {
-            return 1.0;
-        }
-        (self.detected + self.local_unconfirmed) as f64 / self.total() as f64
-    }
-}
-
 /// Number of distinct horizon frames covered by at least one predicted
 /// interval.
 pub fn union_frames(preds: &[IntervalPrediction]) -> u64 {
@@ -606,22 +563,6 @@ mod tests {
         assert_eq!(union_frames(&[pred(1, 10), pred(20, 29)]), 20); // disjoint
         assert_eq!(union_frames(&[IntervalPrediction::absent()]), 0);
         assert_eq!(union_frames(&[]), 0);
-    }
-
-    #[test]
-    fn miss_attribution_recalls() {
-        let a = MissAttribution {
-            detected: 6,
-            local_unconfirmed: 1,
-            filtered_by_predictor: 2,
-            dropped_by_faults: 1,
-        };
-        assert_eq!(a.total(), 10);
-        assert!((a.confirmed_recall() - 0.6).abs() < 1e-12);
-        assert!((a.effective_recall() - 0.7).abs() < 1e-12);
-        let empty = MissAttribution::default();
-        assert_eq!(empty.confirmed_recall(), 1.0);
-        assert_eq!(empty.effective_recall(), 1.0);
     }
 
     /// A scored record whose θ clears 0.3 over offsets 2..=8 and 0.5 over

@@ -34,8 +34,17 @@ use crate::error::{CoreError, CoreResult};
 use crate::infer::{score_window_into, IntervalPrediction, ScoredRecord};
 use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
 use crate::pipeline::{ConformalState, Strategy};
-use crate::resilient::DegradationTag;
 use crate::sampling::{AnchorStepper, SamplingPolicy, HIT_TAU1};
+
+/// How (if at all) a decision was degraded on its way to the CI. Every
+/// decision EventHit emits is delivered as predicted, so `None` is the
+/// only value; the field stays on [`HorizonDecision`] until the callers
+/// that still name it are gone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DegradationTag {
+    /// Delivered as predicted.
+    None,
+}
 
 /// A relay decision emitted at a prediction anchor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +54,8 @@ pub struct HorizonDecision {
     /// Per-event predicted intervals (offsets relative to the anchor,
     /// 1-based, as everywhere else).
     pub predictions: Vec<IntervalPrediction>,
-    /// How (if at all) this decision was degraded by the cloud path.
-    /// The online predictor never consults the cloud, so it always emits
-    /// [`DegradationTag::None`]; the wire keeps the tag for other callers.
+    /// Always [`DegradationTag::None`]: the online predictor never
+    /// consults the cloud.
     pub degradation: DegradationTag,
 }
 
@@ -921,7 +929,7 @@ mod tests {
                 },
                 IntervalPrediction::absent(),
             ],
-            degradation: crate::resilient::DegradationTag::None,
+            degradation: DegradationTag::None,
         };
         assert_eq!(d.segments(), vec![(0usize, 105u64, 110u64)]);
     }

@@ -11,8 +11,7 @@
 
 use crate::{DurableError, DurableResult};
 use eventhit_core::codec::{Reader, Writer};
-use eventhit_core::resilient::DegradationTag;
-use eventhit_core::streaming::HorizonDecision;
+use eventhit_core::streaming::{DegradationTag, HorizonDecision};
 use eventhit_telemetry::fnv1a;
 
 const TAG_STREAM_ADMITTED: u8 = 1;
@@ -159,21 +158,15 @@ impl SessionEvent {
 }
 
 /// FNV-1a fingerprint of a decision's observable content: the anchor,
-/// the degradation tag, and every predicted interval. Two decisions
-/// fingerprint equal iff a downstream consumer could not tell them apart.
+/// the degradation tag (the byte `0`: `None` is the only tag), and every
+/// predicted interval. Two decisions fingerprint equal iff a downstream
+/// consumer could not tell them apart.
 pub fn decision_fingerprint(d: &HorizonDecision) -> u64 {
     let mut bytes = Vec::with_capacity(16 + d.predictions.len() * 9);
     let mut w = Writer::new(&mut bytes);
     w.u64(d.anchor);
     match d.degradation {
         DegradationTag::None => w.u8(0),
-        DegradationTag::Retried { retries } => {
-            w.u8(1);
-            w.u32(retries);
-        }
-        DegradationTag::Dropped => w.u8(2),
-        DegradationTag::Deferred => w.u8(3),
-        DegradationTag::LocalOnly => w.u8(4),
     }
     w.count(d.predictions.len());
     for p in &d.predictions {
@@ -283,12 +276,8 @@ mod tests {
         moved.anchor += 1;
         assert_ne!(fp, decision_fingerprint(&moved));
 
-        let mut widened = base.clone();
+        let mut widened = base;
         widened.predictions[0].end = 10;
         assert_ne!(fp, decision_fingerprint(&widened));
-
-        let mut degraded = base;
-        degraded.degradation = DegradationTag::Retried { retries: 1 };
-        assert_ne!(fp, decision_fingerprint(&degraded));
     }
 }

@@ -10,8 +10,7 @@
 //! in-process `run_lanes` output for bit-identity.
 
 use eventhit_core::infer::IntervalPrediction;
-use eventhit_core::resilient::DegradationTag;
-use eventhit_core::streaming::HorizonDecision;
+use eventhit_core::streaming::{DegradationTag, HorizonDecision};
 
 use crate::protocol::{WireDecision, WirePrediction};
 

@@ -14,7 +14,7 @@
 //!   was created; the right choice for profiling real work (training
 //!   steps, decision latency).
 //! * **manual (sim) clock** — the discrete-event simulated seconds used
-//!   by `ci_queue` and the resilient client. Instrumented simulators call
+//!   by `ci_queue`. Instrumented simulators call
 //!   [`Telemetry::set_time`] as their event clock advances, so spans and
 //!   gauge samples line up with the simulation timeline and the whole
 //!   telemetry stream is a pure function of the inputs (bit-reproducible).

@@ -1,8 +1,7 @@
 //! Nearest-rank percentiles over exact sample sets.
 //!
 //! The single source of truth for the `⌈q·n⌉`-th order statistic used by
-//! the queue simulator, the resilience stats, and the telemetry
-//! snapshot — previously copy-pasted inline at each site.
+//! the queue simulator and the telemetry snapshot.
 
 /// Nearest-rank percentile of an **ascending-sorted** slice: the
 /// `⌈q·n⌉`-th smallest sample (`q` clamped into `[0, 1]`, rank clamped

@@ -1,4 +1,4 @@
-//! Telemetry quickstart: thread one recorder through training, resilient
+//! Telemetry quickstart: thread one recorder through training,
 //! marshalling, and the CI queue simulator, then render the run dashboard
 //! — counters, gauges, latency quantiles (p50/p95/p99), and a span
 //! flamegraph — and export the canonical JSONL trace.
@@ -14,16 +14,14 @@
 
 use std::sync::Arc;
 
-use eventhit::core::ci_queue::{simulate, QueueConfig, Submission};
+use eventhit::core::ci_queue::{simulate, submissions_from_segments, QueueConfig, Submission};
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::marshal::Marshaller;
 use eventhit::core::pipeline::Strategy;
-use eventhit::core::resilient::{ResilienceConfig, ResilientCiClient};
 use eventhit::core::tasks::task;
 use eventhit::core::train::{train, TrainConfig};
-use eventhit::core::{CiConfig, FaultConfig};
+use eventhit::core::CiConfig;
 use eventhit::telemetry::Telemetry;
-use eventhit::video::detector::StageModel;
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -49,9 +47,8 @@ fn main() {
         &tel,
     );
 
-    // Resilient marshalling over a bursty channel, with the marshaller and
-    // the CI client reporting to the same recorder: degradation tags,
-    // fault kinds, retries, breaker transitions, delivery latencies.
+    // Marshalling on the same recorder: the `marshal.run` span plus
+    // horizon and relayed-frame counters.
     let (stream, features) = (run.stream.clone(), run.features.clone());
     let (from, to) = (run.window as u64, run.stream.len);
     let mut m = Marshaller::new(
@@ -61,41 +58,27 @@ fn main() {
         CiConfig::default(),
     );
     m.set_telemetry(Arc::clone(&tel));
-
-    let faults = FaultConfig {
-        p_good_to_bad: 0.2,
-        p_bad_to_good: 0.3,
-        bad_loss: 1.0,
-        transient_prob: 0.05,
-        ..FaultConfig::reliable()
-    };
-    let mut client = ResilientCiClient::new(
-        faults,
-        ResilienceConfig::default(),
-        StageModel::new("ci", 1000.0),
-        seed,
-    )
-    .unwrap();
-    client.set_telemetry(Arc::clone(&tel));
-
-    let res = m
-        .run_resilient(&stream, &features, from, to, 30.0, &mut client)
-        .unwrap();
+    let res = m.try_run(&stream, &features, from, to).unwrap();
     println!(
-        "Marshalled {} horizons (availability {:.3}).",
+        "Marshalled {} horizons (frame recall {:.3}).",
         res.horizons,
-        res.stats.availability()
+        res.frame_recall()
     );
 
-    // A CI queue simulation on the same recorder: backlog gauge plus the
-    // `ciq.latency_seconds` histogram behind the dashboard's quantiles.
-    let subs: Vec<Submission> = (0..120)
-        .map(|i| Submission {
-            arrival_frame: i * 45,
-            frames: 60,
-        })
-        .collect();
-    simulate(&subs, &QueueConfig::default(), &tel).unwrap();
+    // The CI queue fed by the segments just relayed, on the same
+    // recorder: backlog gauge plus the `ciq.latency_seconds` histogram
+    // behind the dashboard's quantiles.
+    let spans: Vec<(u64, u64)> = res.segments.iter().map(|s| (s.start, s.end)).collect();
+    if let Some(q) = simulate(
+        &submissions_from_segments(&spans),
+        &QueueConfig::default(),
+        &tel,
+    ) {
+        println!(
+            "CI queue: {} requests, p95 latency {:.2} s.",
+            q.completed, q.p95_latency
+        );
+    }
 
     // The run dashboard.
     let snap = tel.snapshot();

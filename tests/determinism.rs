@@ -108,102 +108,24 @@ fn fault_traces_replay_bit_identically() {
     assert_ne!(drive(77), drive(78));
 }
 
-/// The full resilient marshalling path under correlated outages: the run
-/// completes without panicking, reports availability below 1.0,
-/// attributes every ground-truth instance to exactly one bucket, and
-/// replaying the same seed yields a bit-identical fault trace, stats,
-/// and report.
-#[test]
-fn faulted_marshalling_is_reproducible_and_accounted() {
-    use eventhit::core::ci::CiConfig;
-    use eventhit::core::faults::FaultConfig;
-    use eventhit::core::marshal::Marshaller;
-    use eventhit::core::pipeline::Strategy;
-    use eventhit::core::report::ResilienceReport;
-    use eventhit::core::resilient::{ResilienceConfig, ResilientCiClient};
-    use eventhit::video::detector::StageModel;
-
-    let run = quick_run(24);
-    let stream = run.stream.clone();
-    let features = run.features.clone();
-    let from = run.window as u64;
-    let to = stream.len;
-    let mut m = Marshaller::new(
-        run.model,
-        run.state,
-        Strategy::Ehcr { c: 0.9, alpha: 0.5 },
-        CiConfig::default(),
-    );
-
-    let faults = FaultConfig {
-        p_good_to_bad: 0.25,
-        p_bad_to_good: 0.25,
-        bad_loss: 1.0,
-        transient_prob: 0.05,
-        ..FaultConfig::reliable()
-    };
-    let mut go = || {
-        let mut client = ResilientCiClient::new(
-            faults.clone(),
-            ResilienceConfig::default(),
-            StageModel::new("ci", 1000.0),
-            24,
-        )
-        .unwrap();
-        m.run_resilient(&stream, &features, from, to, 30.0, &mut client)
-            .unwrap()
-    };
-
-    let a = go();
-    assert!(a.availability() < 1.0, "outages must degrade availability");
-    assert_eq!(
-        a.attribution.total(),
-        a.ground_truth.len(),
-        "every ground-truth instance lands in exactly one bucket"
-    );
-
-    let b = go();
-    assert_eq!(a.fault_fingerprint, b.fault_fingerprint);
-    assert_eq!(a.stats, b.stats);
-    assert_eq!(a.attribution, b.attribution);
-    assert_eq!(a.horizon_tags, b.horizon_tags);
-    assert_eq!(
-        ResilienceReport::from_stats(&a.stats, a.attribution).to_markdown(),
-        ResilienceReport::from_stats(&b.stats, b.attribution).to_markdown()
-    );
-}
-
 /// Under the manual clock, the telemetry trace is a pure function of the
-/// run's inputs: replaying resilient marshalling plus an instrumented
-/// queue simulation with the same seeds yields a bit-identical JSONL
-/// export and FNV-1a fingerprint, while a different fault seed realises
+/// run's inputs: marshalling the stream and simulating the CI queue over
+/// the relayed segments yields a bit-identical JSONL export and FNV-1a
+/// fingerprint at any worker count, while a different run seed realises
 /// a different trace.
 #[test]
 fn telemetry_trace_replays_bit_identically() {
     use std::sync::Arc;
 
     use eventhit::core::ci::CiConfig;
-    use eventhit::core::ci_queue::{simulate, QueueConfig, Submission};
-    use eventhit::core::faults::FaultConfig;
+    use eventhit::core::ci_queue::{simulate, submissions_from_segments, QueueConfig};
     use eventhit::core::marshal::Marshaller;
     use eventhit::core::pipeline::Strategy;
-    use eventhit::core::resilient::{ResilienceConfig, ResilientCiClient};
+    use eventhit::parallel::with_workers;
     use eventhit::telemetry::Telemetry;
-    use eventhit::video::detector::StageModel;
 
-    let faults = FaultConfig {
-        transient_prob: 0.1,
-        ..FaultConfig::reliable()
-    };
-    let subs: Vec<Submission> = (0..40)
-        .map(|i| Submission {
-            arrival_frame: i * 90,
-            frames: 60,
-        })
-        .collect();
-
-    let trace = |fault_seed: u64| {
-        let run = quick_run(25);
+    let trace = |seed: u64| {
+        let run = quick_run(seed);
         let stream = run.stream.clone();
         let features = run.features.clone();
         let from = run.window as u64;
@@ -217,35 +139,34 @@ fn telemetry_trace_replays_bit_identically() {
             CiConfig::default(),
         );
         m.set_telemetry(Arc::clone(&tel));
-        let mut client = ResilientCiClient::new(
-            faults.clone(),
-            ResilienceConfig::default(),
-            StageModel::new("ci", 1000.0),
-            fault_seed,
+        let res = m.try_run(&stream, &features, from, to).unwrap();
+        let spans: Vec<(u64, u64)> = res.segments.iter().map(|s| (s.start, s.end)).collect();
+        simulate(
+            &submissions_from_segments(&spans),
+            &QueueConfig::default(),
+            &tel,
         )
         .unwrap();
-        client.set_telemetry(Arc::clone(&tel));
-        m.run_resilient(&stream, &features, from, to, 30.0, &mut client)
-            .unwrap();
-        simulate(&subs, &QueueConfig::default(), &tel).unwrap();
 
         let snap = tel.snapshot();
         (snap.to_jsonl(), snap.fingerprint())
     };
 
-    let (jsonl_a, fp_a) = trace(24);
-    let (jsonl_b, fp_b) = trace(24);
-    assert_eq!(
-        jsonl_a, jsonl_b,
-        "telemetry JSONL must replay bit-identically"
-    );
-    assert_eq!(fp_a, fp_b);
+    let (jsonl_a, fp_a) = with_workers(1, || trace(25));
     assert!(jsonl_a.contains("\"clock\":\"manual\""));
-    assert!(jsonl_a.contains("marshal.run_resilient"));
+    assert!(jsonl_a.contains("marshal.run"));
     assert!(jsonl_a.contains("ciq.latency_seconds"));
+    for w in [1usize, 2, 4, 8] {
+        let (jsonl_w, fp_w) = with_workers(w, || trace(25));
+        assert_eq!(
+            jsonl_w, jsonl_a,
+            "telemetry JSONL must replay bit-identically at {w} workers"
+        );
+        assert_eq!(fp_w, fp_a);
+    }
 
     let (_, fp_c) = trace(26);
-    assert_ne!(fp_a, fp_c, "a different fault seed must change the trace");
+    assert_ne!(fp_a, fp_c, "a different run seed must change the trace");
 }
 
 /// Evaluation outcomes are a pure function of the run: two identically

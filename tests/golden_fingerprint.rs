@@ -222,8 +222,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The quantized-lane counterpart of [`pipeline_trace`]: two stream lanes
 /// on int8 predictors over the quickstart run's features, decisions
-/// merged by [`run_lanes`] and hashed in full (anchors, per-event
-/// intervals, degradation tags).
+/// merged by [`run_lanes`] and hashed in full (stream ids, anchors,
+/// per-event intervals).
 fn quantized_trace(workers: usize) -> (String, u64) {
     let run = quick_run();
     let state = run.state_for_lane(InferenceLane::Quantized);

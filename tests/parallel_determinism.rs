@@ -178,8 +178,8 @@ fn marshalling_decisions_are_worker_count_invariant() {
     }
 }
 
-/// The manual-clock telemetry trace of a full resilient-marshalling run
-/// has the same fingerprint under every worker count: pool wall-clock
+/// The manual-clock telemetry trace of a full marshalling run has the
+/// same fingerprint under every worker count: pool wall-clock
 /// diagnostics live in a separate recorder and never touch the
 /// pipeline's trace.
 #[test]
@@ -187,16 +187,8 @@ fn telemetry_fingerprint_is_worker_count_invariant() {
     use std::sync::Arc;
 
     use eventhit::core::ci::CiConfig;
-    use eventhit::core::faults::FaultConfig;
     use eventhit::core::marshal::Marshaller;
-    use eventhit::core::resilient::{ResilienceConfig, ResilientCiClient};
-    use eventhit::telemetry::Telemetry;
-    use eventhit::video::detector::StageModel;
 
-    let faults = FaultConfig {
-        transient_prob: 0.1,
-        ..FaultConfig::reliable()
-    };
     let trace = |w: usize| {
         with_workers(w, || {
             let run = quick_run(34);
@@ -213,16 +205,7 @@ fn telemetry_fingerprint_is_worker_count_invariant() {
                 CiConfig::default(),
             );
             m.set_telemetry(Arc::clone(&tel));
-            let mut client = ResilientCiClient::new(
-                faults.clone(),
-                ResilienceConfig::default(),
-                StageModel::new("ci", 1000.0),
-                34,
-            )
-            .unwrap();
-            client.set_telemetry(Arc::clone(&tel));
-            m.run_resilient(&stream, &features, from, to, 30.0, &mut client)
-                .unwrap();
+            m.try_run(&stream, &features, from, to).unwrap();
             let snap = tel.snapshot();
             (snap.to_jsonl(), snap.fingerprint())
         })
