@@ -5,7 +5,7 @@ use eventhit_nn::quant::InferenceLane;
 use eventhit_parallel::{DeterministicReduce, Pool};
 use eventhit_video::records::{EventLabel, Record};
 
-use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
+use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch, BATCH_WINDOWS};
 
 /// Per-event scores of one record: the existence score `b_k` and the
 /// per-offset occurrence scores `θ_{k,1..H}` (index `v - 1` holds offset
@@ -49,11 +49,13 @@ pub fn score_records(model: &EventHit, records: &[Record], batch_size: usize) ->
 ///
 /// Scoring runs on the model's [`InferencePlan`] for the lane (compiled
 /// on first use, then shared) — `Exact` on packed f32 panels,
-/// `Quantized` on int8 codes in the same panels — and every record is scored on its own through the plan, so batching only
-/// decides how the work is split: one pool task per minibatch, merged in
-/// record order, bit-identical for any batch size and worker count.
-/// Records may have different window lengths (the adaptive-window
-/// calibration path).
+/// `Quantized` on int8 codes in the same panels. Each minibatch is one
+/// pool task, and each run of records of equal window length in it is
+/// scored in [`InferencePlan::forward_rows`] batches, whose every window
+/// scores as it would alone; so batching only decides how the work is
+/// split, and the scores, merged in record order, are bit-identical for
+/// any batch size and worker count. Records may have different window
+/// lengths (the adaptive-window calibration path).
 pub fn score_records_lane_with(
     model: &EventHit,
     records: &[Record],
@@ -66,11 +68,23 @@ pub fn score_records_lane_with(
     let chunks: Vec<&[Record]> = records.chunks(batch_size).collect();
     let reduce = DeterministicReduce::with_capacity(chunks.len());
     pool.run_tasks(chunks, |ci, chunk| {
-        let mut scratch = plan.scratch();
-        let scored: Vec<ScoredRecord> = chunk
-            .iter()
-            .map(|record| score_record(&plan, record, &mut scratch))
-            .collect();
+        let mut scratch = InferenceScratch::default();
+        let mut scored = Vec::with_capacity(chunk.len());
+        let runs = chunk.chunk_by(|a, b| a.covariates.rows() == b.covariates.rows());
+        for run in runs.flat_map(|run| run.chunks(BATCH_WINDOWS)) {
+            let windows = run.iter().map(|r| window_rows(&r.covariates));
+            let outputs = plan.forward_rows(windows, &mut scratch);
+            let width = outputs.len() / run.len();
+            for (record, window) in run.iter().zip(outputs.chunks_exact(width)) {
+                let mut scores = Vec::new();
+                scores_into(&mut scores, window, plan.head_len());
+                scored.push(ScoredRecord {
+                    anchor: record.anchor,
+                    scores,
+                    labels: record.labels.clone(),
+                });
+            }
+        }
         reduce.submit(ci, scored);
     });
     let mut out = Vec::with_capacity(records.len());
@@ -80,21 +94,15 @@ pub fn score_records_lane_with(
     out
 }
 
-/// Scores one window on `plan` into `scores`, one [`EventScores`] per
-/// event head. `scores` is overwritten in place: once it has held a
-/// window's scores, scoring the next one allocates nothing.
-pub fn score_window_into<'a>(
-    plan: &InferencePlan,
-    rows: impl IntoIterator<Item = &'a [f32]>,
-    scratch: &mut InferenceScratch,
-    scores: &mut Vec<EventScores>,
-) {
-    let outputs = plan.forward(rows, scratch);
-    scores.resize_with(plan.config().num_events, || EventScores {
+/// Overwrites `scores` with one window's head outputs, `K x head_len`
+/// row-major as [`InferencePlan::forward_rows`] writes them: in place,
+/// so once `scores` has held a window's scores this allocates nothing.
+pub(crate) fn scores_into(scores: &mut Vec<EventScores>, outputs: &[f32], head_len: usize) {
+    scores.resize_with(outputs.len() / head_len, || EventScores {
         b: 0.0,
         theta: Vec::new(),
     });
-    for (s, head) in scores.iter_mut().zip(outputs.chunks_exact(plan.head_len())) {
+    for (s, head) in scores.iter_mut().zip(outputs.chunks_exact(head_len)) {
         s.b = head[0] as f64;
         s.theta.clear();
         s.theta.extend_from_slice(&head[1..]);
@@ -108,7 +116,8 @@ pub fn score_record(
     scratch: &mut InferenceScratch,
 ) -> ScoredRecord {
     let mut scores = Vec::new();
-    score_window_into(plan, window_rows(&record.covariates), scratch, &mut scores);
+    let outputs = plan.forward(window_rows(&record.covariates), scratch);
+    scores_into(&mut scores, outputs, plan.head_len());
     ScoredRecord {
         anchor: record.anchor,
         scores,
@@ -306,21 +315,24 @@ mod tests {
     }
 
     #[test]
-    fn score_window_into_reuses_its_output() {
+    fn scores_into_reuses_its_output() {
         use crate::model::{EventHit, EventHitConfig};
         let model = EventHit::new(EventHitConfig::new(3, 4, 6, 2), 1);
         let plan = InferencePlan::compile(&model, InferenceLane::Exact);
         let mut scratch = plan.scratch();
         let mut scores = Vec::new();
+        let mut score = |window: &Matrix, scores: &mut Vec<EventScores>| {
+            let outputs = plan.forward(window_rows(window), &mut scratch);
+            scores_into(scores, outputs, plan.head_len());
+        };
         let window = Matrix::filled(4, 3, 0.25);
-        score_window_into(&plan, window_rows(&window), &mut scratch, &mut scores);
+        score(&window, &mut scores);
         let first = scores.clone();
         let theta_at = scores[0].theta.as_ptr();
-        let other = Matrix::filled(2, 3, -0.5);
-        score_window_into(&plan, window_rows(&other), &mut scratch, &mut scores);
+        score(&Matrix::filled(2, 3, -0.5), &mut scores);
         assert_ne!(scores, first);
         assert_eq!(scores[0].theta.as_ptr(), theta_at, "theta buffer reused");
-        score_window_into(&plan, window_rows(&window), &mut scratch, &mut scores);
+        score(&window, &mut scores);
         assert_eq!(scores, first, "no state leaks between windows");
     }
 }

@@ -729,6 +729,13 @@ fn batch_sequence(config: &EventHitConfig, records: &[&Record]) -> Vec<Matrix> {
         .collect()
 }
 
+/// The most windows the batch callers hand one
+/// [`InferencePlan::forward_rows`] call. Four already fill a row block,
+/// and past that a window costs no less (8.70, 8.39 and 8.41 µs at 4, 8
+/// and 16 windows, DESIGN §11), while the scratch grows with the batch:
+/// this bound keeps it in the tens of kilobytes.
+pub(crate) const BATCH_WINDOWS: usize = 16;
+
 /// The plan's recurrent encoder: either lane of either cell.
 enum PlanEncoder {
     Lstm(PackedLstm),
@@ -738,10 +745,13 @@ enum PlanEncoder {
 }
 
 impl PlanEncoder {
-    fn step(&self, x: &[f32], state: &mut CellState) {
+    /// Advances the sequences of `state`, one input row each in `x`: all
+    /// of them in one step on the exact lane, the one sequence an int8
+    /// state holds on the quantized lane.
+    fn step_rows(&self, x: &[f32], state: &mut CellState) {
         match self {
-            PlanEncoder::Lstm(l) => l.step(x, state),
-            PlanEncoder::Gru(g) => g.step(x, state),
+            PlanEncoder::Lstm(l) => l.step_rows(x, state),
+            PlanEncoder::Gru(g) => g.step_rows(x, state),
             PlanEncoder::QuantizedLstm(l) => l.step(x, state),
             PlanEncoder::QuantizedGru(g) => g.step(x, state),
         }
@@ -755,27 +765,78 @@ enum PlanDense {
 }
 
 impl PlanDense {
-    fn forward_into(&self, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
+    /// `rows` rows of `x` into as many of `out`; the int8 lane takes one.
+    fn forward_rows_into(&self, rows: usize, x: &[f32], xq: &mut Vec<f32>, out: &mut [f32]) {
         match self {
-            PlanDense::Packed(d) => d.forward_into(x, out),
+            PlanDense::Packed(d) => d.forward_rows_into(rows, x, out),
             PlanDense::Quantized(d) => d.forward_into(x, xq, out),
         }
     }
 }
 
-/// Per-lane buffers an [`InferencePlan`] forward works in, sized once
-/// from the plan ([`InferencePlan::scratch`]) and reused for every
-/// window scored after that.
-#[derive(Clone, Debug)]
+/// The buffers an [`InferencePlan`] forward works in, reused for every
+/// batch scored after that: a buffer grows to the largest batch it has
+/// held and then allocates nothing. Any plan's forward may use any
+/// scratch.
+#[derive(Clone, Debug, Default)]
 pub struct InferenceScratch {
     cell: CellState,
-    /// The head input `z ⊕ X_n`.
+    /// The batch's window rows, time-major: row `t` of window `i` of `b`
+    /// starts at `(t * b + i) * D`.
+    xs: Vec<f32>,
+    /// The shared layer's outputs `z`, one row per window of a block.
+    z: Vec<f32>,
+    /// The head input `z ⊕ X_n`, one row per window of a block.
     concat: Vec<f32>,
     /// Int8 codes of the dense layers' activations, as `f32` (int8 lane
     /// only).
     xq: Vec<f32>,
-    /// The head outputs, `K x (1 + H)` row-major.
+    /// One head's outputs, one row per window of a block.
+    head: Vec<f32>,
+    /// The head outputs, `b x K x (1 + H)` row-major.
     out: Vec<f32>,
+}
+
+impl InferenceScratch {
+    /// Copies `b` windows of `d`-wide rows, each between 1 and
+    /// `window` rows long, into [`InferenceScratch::xs`], time-major, and
+    /// returns the length they share.
+    ///
+    /// # Panics
+    /// Panics if there is no window, a window is empty or longer than
+    /// `window` rows, a row is not `d` long, or two windows differ in
+    /// length.
+    fn gather<'a, W>(
+        &mut self,
+        windows: impl ExactSizeIterator<Item = W>,
+        d: usize,
+        window: usize,
+    ) -> usize
+    where
+        W: IntoIterator<Item = &'a [f32]>,
+    {
+        let b = windows.len();
+        if self.xs.len() < window * b * d {
+            self.xs.resize(window * b * d, 0.0);
+        }
+        let mut len = None;
+        for (i, rows) in windows.enumerate() {
+            let mut t = 0;
+            for x in rows {
+                assert!(t < window, "window length {} outside [1, {window}]", t + 1);
+                assert_eq!(x.len(), d, "window row dimensionality mismatch");
+                self.xs[(t * b + i) * d..][..d].copy_from_slice(x);
+                t += 1;
+            }
+            assert!(t >= 1, "window length 0 outside [1, {window}]");
+            assert_eq!(
+                *len.get_or_insert(t),
+                t,
+                "the windows of a batch share one length"
+            );
+        }
+        len.expect("empty batch")
+    }
 }
 
 /// A trained [`EventHit`] compiled for inference on one
@@ -831,70 +892,122 @@ impl InferencePlan {
 
     /// Whether `self` and `other` are handles on the same compiled
     /// weights.
-    #[cfg(test)]
     pub(crate) fn shares_weights_with(&self, other: &InferencePlan) -> bool {
         Arc::ptr_eq(&self.compiled, &other.compiled)
     }
 
-    /// Buffers for [`InferencePlan::forward`], sized for this plan.
+    /// Buffers sized for one full window of this plan, so that not even
+    /// the first [`InferencePlan::forward`] allocates: what a predictor
+    /// takes at construction.
     pub fn scratch(&self) -> InferenceScratch {
         let cfg = self.config();
-        InferenceScratch {
-            cell: CellState::new(cfg.hidden_dim),
-            concat: vec![0.0; cfg.shared_dim + cfg.input_dim],
-            xq: Vec::with_capacity(cfg.shared_dim + cfg.input_dim),
+        let (d, s) = (cfg.input_dim, cfg.shared_dim);
+        let mut scratch = InferenceScratch {
+            xs: vec![0.0; cfg.window * d],
+            z: vec![0.0; s],
+            concat: vec![0.0; s + d],
+            xq: Vec::with_capacity(s + d),
             out: vec![0.0; cfg.num_events * self.head_len()],
-        }
+            ..InferenceScratch::default()
+        };
+        scratch.cell.start(cfg.hidden_dim, 1);
+        scratch
     }
 
-    /// Scores one collection window. `rows` are its frames' features,
-    /// oldest first — between 1 and `M` of them (a shrunken adaptive
-    /// window runs the encoder for fewer steps). Returns the sigmoid
-    /// outputs of all heads, `K x (1 + H)` row-major, borrowed from
-    /// `scratch`. Allocates nothing; sequential, so bit-identical at any
-    /// worker count.
+    /// Scores one collection window: [`InferencePlan::forward_rows`] with
+    /// a batch of one. `rows` are its frames' features, oldest first —
+    /// between 1 and `M` of them (a shrunken adaptive window runs the
+    /// encoder for fewer steps). Returns the sigmoid outputs of all
+    /// heads, `K x (1 + H)` row-major, borrowed from `scratch`.
     ///
     /// # Panics
-    /// Panics if `rows` yields no row, more than `M` rows, or a row that
-    /// is not `D` long, or if `scratch` came from a differently shaped
-    /// plan.
+    /// As [`InferencePlan::forward_rows`].
     pub fn forward<'s, 'a>(
         &self,
         rows: impl IntoIterator<Item = &'a [f32]>,
         scratch: &'s mut InferenceScratch,
     ) -> &'s [f32] {
+        self.forward_rows(std::iter::once(rows), scratch)
+    }
+
+    /// Scores a batch of `b` collection windows that share one length
+    /// `m`, each given as its frames' features, oldest first. Returns the
+    /// sigmoid outputs of all heads, `b x K x (1 + H)` row-major (window
+    /// `i`'s `K x (1 + H)` scores first at `i * K * (1 + H)`), borrowed
+    /// from `scratch`.
+    ///
+    /// On the exact lane the windows run side by side: every product
+    /// serves the whole batch, its rows sharing each weight load, and
+    /// each output is still the one chain over ascending `k` a window
+    /// scored alone computes, so every window's scores are its
+    /// [`InferencePlan::forward`] scores, bit for bit, whatever batch it
+    /// rides in. The int8 lane scores the windows one at a time.
+    /// Allocates nothing once `scratch` has held a batch this large;
+    /// sequential, so bit-identical at any worker count.
+    ///
+    /// # Panics
+    /// Panics if there is no window, the windows differ in length, `m`
+    /// is outside `[1, M]`, or a row is not `D` long.
+    pub fn forward_rows<'s, 'a, W>(
+        &self,
+        windows: impl IntoIterator<Item = W, IntoIter: ExactSizeIterator>,
+        scratch: &'s mut InferenceScratch,
+    ) -> &'s [f32]
+    where
+        W: IntoIterator<Item = &'a [f32]>,
+    {
         let Compiled {
             config: cfg,
+            lane,
             encoder,
             shared_fc,
             heads,
-            ..
         } = &*self.compiled;
+        let windows = windows.into_iter();
+        let (b, d, s) = (windows.len(), cfg.input_dim, cfg.shared_dim);
+        let m = scratch.gather(windows, d, cfg.window);
         let InferenceScratch {
             cell,
+            xs,
+            z,
             concat,
             xq,
+            head,
             out,
         } = scratch;
-        cell.reset();
-        let mut last: Option<&[f32]> = None;
-        let mut m = 0;
-        for x in rows {
-            assert_eq!(x.len(), cfg.input_dim, "window row dimensionality mismatch");
-            encoder.step(x, cell);
-            last = Some(x);
-            m += 1;
-        }
-        assert!(
-            m >= 1 && m <= cfg.window,
-            "window length {m} outside [1, {}]",
-            cfg.window
-        );
-        let (z, x_last) = concat.split_at_mut(cfg.shared_dim);
-        shared_fc.forward_into(cell.hidden(), xq, z);
-        x_last.copy_from_slice(last.expect("at least one row was stepped"));
-        for (head, scores) in heads.iter().zip(out.chunks_exact_mut(self.head_len())) {
-            head.forward_into(concat, xq, scores);
+        let (n, k) = (self.head_len(), heads.len());
+        out.resize(b * k * n, 0.0);
+        let block = match lane {
+            InferenceLane::Exact => b,
+            InferenceLane::Quantized => 1,
+        };
+        for first in (0..b).step_by(block) {
+            let rows = |t: usize| &xs[(t * b + first) * d..][..block * d];
+            cell.start(cfg.hidden_dim, block);
+            for t in 0..m {
+                encoder.step_rows(rows(t), cell);
+            }
+            z.resize(block * s, 0.0);
+            shared_fc.forward_rows_into(block, cell.hidden(), xq, z);
+            concat.resize(block * (s + d), 0.0);
+            let inputs = z.chunks_exact(s).zip(rows(m - 1).chunks_exact(d));
+            for (row, (z, x)) in concat.chunks_exact_mut(s + d).zip(inputs) {
+                row[..s].copy_from_slice(z);
+                row[s..].copy_from_slice(x);
+            }
+            for (kk, layer) in heads.iter().enumerate() {
+                if block == 1 {
+                    // One window's head outputs are one run of `out`.
+                    let scores = &mut out[(first * k + kk) * n..][..n];
+                    layer.forward_rows_into(1, concat, xq, scores);
+                    continue;
+                }
+                head.resize(block * n, 0.0);
+                layer.forward_rows_into(block, concat, xq, head);
+                for (i, scores) in head.chunks_exact(n).enumerate() {
+                    out[((first + i) * k + kk) * n..][..n].copy_from_slice(scores);
+                }
+            }
         }
         out
     }
@@ -902,17 +1015,23 @@ impl InferencePlan {
     /// Scores a batch of records, one `batch x (1 + H)` matrix per event
     /// head — the shape [`EventHit::forward_inference`] returns, for
     /// callers that want matrices and tests that compare the two.
-    /// Records may have different window lengths: each is scored on its
-    /// own.
+    /// Records may have different window lengths: each run of equal
+    /// lengths is scored in [`InferencePlan::forward_rows`] batches.
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
-        let head_len = self.head_len();
-        let mut outputs = vec![Matrix::zeros(records.len(), head_len); self.config().num_events];
-        let mut scratch = self.scratch();
-        for (i, record) in records.iter().enumerate() {
-            let scores = self.forward(window_rows(&record.covariates), &mut scratch);
-            for (head, row) in outputs.iter_mut().zip(scores.chunks_exact(head_len)) {
-                head.set_row(i, row);
+        let n = self.head_len();
+        let mut outputs = vec![Matrix::zeros(records.len(), n); self.config().num_events];
+        let mut scratch = InferenceScratch::default();
+        let mut i = 0;
+        let runs = records.chunk_by(|a, b| a.covariates.rows() == b.covariates.rows());
+        for run in runs.flat_map(|run| run.chunks(BATCH_WINDOWS)) {
+            let windows = run.iter().map(|r| window_rows(&r.covariates));
+            let scores = self.forward_rows(windows, &mut scratch);
+            for window in scores.chunks_exact(n * outputs.len()) {
+                for (head, row) in outputs.iter_mut().zip(window.chunks_exact(n)) {
+                    head.set_row(i, row);
+                }
+                i += 1;
             }
         }
         outputs
@@ -1163,6 +1282,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `forward_rows` over batches on both sides of every row block, at
+    /// the shortest, a middle and the full window, equals one `forward`
+    /// per window, by bit pattern — on both lanes of both encoders, with
+    /// one scratch that grows and shrinks between batches.
+    #[test]
+    fn batched_equivalence_forward_rows_matches_single_windows_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let (model, records) = trained(kind);
+            let window = model.config().window;
+            for plan in [model.packed(), model.quantized()] {
+                let (mut batched, mut single) = Default::default();
+                for m in [1, window / 2, window] {
+                    let cut: Vec<Record> = records.iter().map(|r| newest(r, m)).collect();
+                    for b in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17] {
+                        // Distinct windows, wrapping past the 24 records.
+                        let batch: Vec<&Record> =
+                            (0..b).map(|i| &cut[(i * 5) % cut.len()]).collect();
+                        let windows = batch.iter().map(|r| window_rows(&r.covariates));
+                        let got = bits(plan.forward_rows(windows, &mut batched));
+                        let want: Vec<u32> = batch
+                            .iter()
+                            .flat_map(|r| {
+                                bits(plan.forward(window_rows(&r.covariates), &mut single))
+                            })
+                            .collect();
+                        assert_eq!(got, want, "{kind:?} {:?} m={m} b={b}", plan.lane());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn a_batch_rejects_windows_of_different_lengths() {
+        let plan = EventHit::new(tiny_config(), 9).packed();
+        let (a, b) = (record(5, 4, 0.1), record(3, 4, 0.1));
+        let windows = [&a, &b].map(|r| window_rows(&r.covariates));
+        plan.forward_rows(windows, &mut InferenceScratch::default());
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! It also hosts the multi-*stream* execution path: a deployment
 //! marshalling several cameras runs one [`StreamLane`] per stream, each
 //! an independent [`OnlinePredictor`] over its own feature matrix.
-//! [`run_lanes`] scores the lanes in parallel and merges their decisions
+//! [`run_lanes`] runs the lanes in parallel groups, scoring each group's
+//! co-timed anchors in batched forwards, and merges their decisions
 //! into one deterministic timeline ordered by `(anchor, stream_id)` —
 //! the order a sequential loop interleaving the streams would produce.
+
+use std::iter::Skip;
+use std::slice::ChunksExact;
 
 use eventhit_conformal::regress::IntervalCalibration;
 use eventhit_nn::matrix::Matrix;
@@ -21,6 +25,7 @@ use eventhit_parallel::{DeterministicReduce, Pool};
 use eventhit_video::stream::VideoStream;
 
 use crate::infer::EventScores;
+use crate::model::{InferenceScratch, BATCH_WINDOWS};
 use crate::streaming::{HorizonDecision, OnlinePredictor};
 
 /// Ground truth of one (horizon, event) pair in the multi-instance
@@ -181,28 +186,139 @@ pub struct LaneDecision {
     pub decision: HorizonDecision,
 }
 
-/// Runs every lane to completion — one pool task per lane — and merges
-/// the decisions into a single timeline sorted by `(anchor, stream_id)`.
+/// Runs every lane to completion and merges the decisions into a single
+/// timeline sorted by `(anchor, stream_id)`.
 ///
-/// Each lane's arithmetic is untouched by the parallelism (the lane owns
-/// all its state), and the merge key is a total order over decisions, so
-/// the output is bit-identical for any worker count.
+/// The lanes are cut into `min(workers, lanes)` contiguous groups, one
+/// pool task each. A group runs its lanes in lockstep: each lane
+/// advances to its next anchor that needs the encoder (deciding the
+/// anchors it carries on the way), the pending windows that share a plan
+/// and a window length are scored together, up to 16 at a time, in
+/// [`forward_rows`](crate::model::InferencePlan::forward_rows) batches,
+/// and each lane decides its anchor from its window's scores. A window
+/// scores the same bits in any batch, and every other piece of state is
+/// its lane's own, so each lane decides exactly as
+/// [`OnlinePredictor::push_frames`] over its rows would; the merge key
+/// is a total order over decisions, so the output is bit-identical for
+/// any worker count.
 pub fn run_lanes(lanes: Vec<StreamLane>, pool: &Pool) -> Vec<LaneDecision> {
-    let reduce = DeterministicReduce::with_capacity(lanes.len());
-    pool.run_tasks(lanes, |i, mut lane| {
-        let decisions = lane.predictor.run_over(&lane.features, lane.from);
-        let tagged: Vec<LaneDecision> = decisions
-            .into_iter()
-            .map(|decision| LaneDecision {
-                stream_id: lane.stream_id,
-                decision,
-            })
-            .collect();
-        reduce.submit(i, tagged);
+    let n = lanes.len();
+    let groups = pool.workers().clamp(1, n.max(1));
+    let mut lanes = lanes.into_iter();
+    let tasks: Vec<Vec<StreamLane>> = (0..groups)
+        .map(|g| {
+            lanes
+                .by_ref()
+                .take((g + 1) * n / groups - g * n / groups)
+                .collect()
+        })
+        .collect();
+    let reduce = DeterministicReduce::with_capacity(groups);
+    pool.run_tasks(tasks, |g, mut group| {
+        reduce.submit(g, run_group(&mut group))
     });
-    let mut all: Vec<LaneDecision> = reduce.into_ordered().into_iter().flatten().collect();
+    let parts = reduce.into_ordered();
+    let mut all = Vec::with_capacity(parts.iter().flatten().map(Vec::len).sum());
+    all.extend(parts.into_iter().flatten().flatten());
     all.sort_by_key(|d| (d.decision.anchor, d.stream_id));
     all
+}
+
+/// One lane of a [`run_lanes`] group in flight.
+struct Cursor<'a> {
+    predictor: &'a mut OnlinePredictor,
+    /// The rows the lane has yet to take.
+    rows: Skip<ChunksExact<'a, f32>>,
+    stream_id: usize,
+    decisions: Vec<LaneDecision>,
+    /// The window length of the anchor the lane waits at for its scores.
+    pending: Option<usize>,
+}
+
+/// Runs a group of lanes in lockstep (see [`run_lanes`]) and returns
+/// each lane's decisions, in lane order.
+fn run_group(lanes: &mut [StreamLane]) -> Vec<Vec<LaneDecision>> {
+    let mut cursors: Vec<Cursor<'_>> = lanes
+        .iter_mut()
+        .map(|lane| {
+            let StreamLane {
+                stream_id,
+                predictor,
+                features,
+                from,
+            } = lane;
+            // The rows as whole chunks of the storage, so passing over
+            // them costs nothing per row. A matrix with no columns holds
+            // no rows.
+            let rows = features.as_slice().chunks_exact(features.cols().max(1));
+            let rows = rows.skip(*from);
+            predictor.count_frames(rows.len());
+            Cursor {
+                decisions: Vec::with_capacity(predictor.anchors_in(rows.len())),
+                predictor,
+                rows,
+                stream_id: *stream_id,
+                pending: None,
+            }
+        })
+        .collect();
+    let mut scratch = InferenceScratch::default();
+    let mut batch = Vec::with_capacity(cursors.len());
+    loop {
+        for c in cursors.iter_mut().filter(|c| c.pending.is_none()) {
+            let (stream_id, decisions) = (c.stream_id, &mut c.decisions);
+            c.pending = c.predictor.advance(&mut c.rows, &mut |decision| {
+                decisions.push(LaneDecision {
+                    stream_id,
+                    decision,
+                })
+            });
+        }
+        if cursors.iter().all(|c| c.pending.is_none()) {
+            break;
+        }
+        while let Some(first) = cursors.iter().position(|c| c.pending.is_some()) {
+            let (m, plan) = (cursors[first].pending, cursors[first].predictor.plan());
+            batch.clear();
+            let alike = (first..cursors.len()).filter(|&i| {
+                cursors[i].pending == m && cursors[i].predictor.plan().shares_weights_with(plan)
+            });
+            batch.extend(alike.take(BATCH_WINDOWS));
+            score_batch(&mut cursors, &batch, &mut scratch);
+        }
+    }
+    cursors.into_iter().map(|c| c.decisions).collect()
+}
+
+/// Scores the pending windows of the `batch` cursors — one plan, one
+/// window length — as one forward, and decides each lane's anchor.
+fn score_batch(cursors: &mut [Cursor<'_>], batch: &[usize], scratch: &mut InferenceScratch) {
+    let m = cursors[batch[0]]
+        .pending
+        .expect("a batch holds pending lanes");
+    for &i in batch {
+        cursors[i].predictor.inference_started();
+    }
+    let windows = batch.iter().map(|&i| cursors[i].predictor.window(m));
+    let scores = cursors[batch[0]]
+        .predictor
+        .plan()
+        .forward_rows(windows, scratch);
+    for &i in batch {
+        cursors[i].predictor.inference_ended(batch.len());
+    }
+    for (&i, scores) in batch
+        .iter()
+        .zip(scores.chunks_exact(scores.len() / batch.len()))
+    {
+        let c = &mut cursors[i];
+        let decision = c.predictor.finish(m, scores);
+        c.decisions.push(LaneDecision {
+            stream_id: c.stream_id,
+            decision,
+        });
+        c.pending = None;
+    }
 }
 
 /// Frame-level evaluation over interval sets.

@@ -55,7 +55,7 @@ use eventhit_nn::quant::InferenceLane;
 use eventhit_video::online::WindowBuffer;
 use eventhit_video::records::Record;
 
-use crate::model::{window_rows, EventHit, InferencePlan};
+use crate::model::{EventHit, InferencePlan};
 
 /// Raw-score existence threshold used for the window-adaptation hit
 /// indicator (`hit = max_k b_k >= HIT_TAU1`). Deliberately taken from
@@ -485,6 +485,21 @@ impl<P> AnchorStepper<P> {
         Some(self.sampler.window_len())
     }
 
+    /// How many of the next `frames` frames are anchors: the first falls
+    /// on the frame that fills the ring, or `countdown` frames on once it
+    /// is full, then one every `horizon` frames.
+    pub(crate) fn anchors_in(&self, frames: u64) -> u64 {
+        let first = if self.buffer.is_full() {
+            self.countdown + 1
+        } else {
+            self.buffer.window() as u64 - self.buffer.frames_seen()
+        };
+        match frames.checked_sub(first) {
+            Some(after) => 1 + after / self.horizon,
+            None => 0,
+        }
+    }
+
     /// Of the next `remaining` frames, advances past the leading ones no
     /// read will see, and returns how many that was. A read is the
     /// window of the next anchor, or the ring at the end of the
@@ -513,52 +528,50 @@ impl<P> AnchorStepper<P> {
         unread as usize
     }
 
-    /// Decides a gated anchor on its last `m` admitted rows: if that
-    /// window drifted less than the gate threshold from the memo's
-    /// (per-dimension window means, same `m`, at most [`MAX_CARRY`] in a
-    /// row) the anchor is carried off the memo; otherwise `score` runs on
-    /// the window, returning the payload to memoize and the raw hit bit,
-    /// and the memo is replaced. Either way the hit bit then feeds the
-    /// adaptive window. Returns the memo the anchor resolved to.
-    pub(crate) fn carry_or_score(
-        &mut self,
-        m: usize,
-        score: impl FnOnce(&Matrix) -> (P, bool),
-    ) -> &CarryMemo<P> {
+    /// The first half of deciding a gated anchor on its last `m`
+    /// admitted rows: if that window drifted less than the gate threshold
+    /// from the memo's (per-dimension window means, same `m`, at most
+    /// [`MAX_CARRY`] in a row) the anchor is carried off the memo, whose
+    /// hit bit then feeds the adaptive window, and the memo is returned.
+    /// Otherwise returns `None`: the window needs the encoder, and
+    /// [`AnchorStepper::memoize`] takes what scoring it produced.
+    pub(crate) fn carry(&mut self, m: usize) -> Option<&CarryMemo<P>> {
         self.buffer.covariates_last_into(m, &mut self.candidate);
-        let candidate = &self.candidate;
-        let carried = match (self.sampler.policy().threshold(), &self.memo) {
-            (Some(threshold), Some(c)) => {
-                c.m == m && carries(threshold, window_drift(candidate, &c.covariates), c.run)
+        let memo = self.memo.as_mut()?;
+        let threshold = self.sampler.policy().threshold()?;
+        let drift = window_drift(&self.candidate, &memo.covariates);
+        if memo.m != m || !carries(threshold, drift, memo.run) {
+            return None;
+        }
+        memo.run += 1;
+        self.sampler.observe_hit(memo.hit);
+        Some(memo)
+    }
+
+    /// The second half, for an anchor [`AnchorStepper::carry`] did not
+    /// carry: memoizes the payload and raw hit bit of scoring its window,
+    /// replacing the memo; the hit bit then feeds the adaptive window.
+    pub(crate) fn memoize(&mut self, m: usize, payload: P, hit: bool) -> &CarryMemo<P> {
+        match &mut self.memo {
+            Some(memo) => {
+                std::mem::swap(&mut memo.covariates, &mut self.candidate);
+                (memo.payload, memo.hit, memo.m, memo.run) = (payload, hit, m, 0);
             }
-            _ => false,
-        };
-        if carried {
-            self.memo.as_mut().expect("carried implies memo").run += 1;
-        } else {
-            let (payload, hit) = score(candidate);
-            match &mut self.memo {
-                Some(memo) => {
-                    std::mem::swap(&mut memo.covariates, &mut self.candidate);
-                    (memo.payload, memo.hit, memo.m, memo.run) = (payload, hit, m, 0);
-                }
-                None => {
-                    // The first memo takes the candidate's storage; the
-                    // next candidate gets storage for the full window.
-                    let full = Matrix::zeros(self.buffer.window(), self.buffer.dim());
-                    self.memo = Some(CarryMemo {
-                        payload,
-                        hit,
-                        m,
-                        covariates: std::mem::replace(&mut self.candidate, full),
-                        run: 0,
-                    });
-                }
+            None => {
+                // The first memo takes the candidate's storage; the next
+                // candidate gets storage for the full window.
+                let full = Matrix::zeros(self.buffer.window(), self.buffer.dim());
+                self.memo = Some(CarryMemo {
+                    payload,
+                    hit,
+                    m,
+                    covariates: std::mem::replace(&mut self.candidate, full),
+                    run: 0,
+                });
             }
         }
-        let memo = self.memo.as_ref().expect("anchor scored or carried");
-        self.sampler.observe_hit(memo.hit);
-        memo
+        self.sampler.observe_hit(hit);
+        self.memo.as_ref().expect("just memoized")
     }
 }
 
@@ -624,18 +637,17 @@ pub fn sampled_records(
     let mut out: Vec<Option<Record>> = vec![None; records.len()];
 
     for row in 0..=max_anchor {
-        let memo = stepper.step(features.row(row as usize)).map(|m| {
-            stepper.carry_or_score(m, |covariates| {
-                let hit = scorer.as_mut().is_some_and(|(plan, scratch)| {
-                    plan.forward(window_rows(covariates), scratch)
-                        .chunks_exact(plan.head_len())
-                        .any(|head| f64::from(head[0]) >= HIT_TAU1)
-                });
-                ((), hit)
-            })
-        });
+        let anchor = stepper.step(features.row(row as usize));
+        if let Some(m) = anchor.filter(|&m| stepper.carry(m).is_none()) {
+            let hit = scorer.as_mut().is_some_and(|(plan, scratch)| {
+                plan.forward(stepper.buffer.last_rows(m), scratch)
+                    .chunks_exact(plan.head_len())
+                    .any(|head| f64::from(head[0]) >= HIT_TAU1)
+            });
+            stepper.memoize(m, (), hit);
+        }
         if let Some(idxs) = wanted.get(&row) {
-            let covariates = match memo {
+            let covariates = match anchor.and(stepper.memo.as_ref()) {
                 Some(memo) => memo.covariates.clone(),
                 None => stepper.buffer.covariates_last(stepper.sampler.window_len()),
             };

@@ -20,6 +20,13 @@
 //! The cadence and the carry-or-score rule are not written here: the
 //! predictor holds the one anchor stepper of [`crate::sampling`], the
 //! same type gated calibration drives, and supplies only the scorer.
+//!
+//! A batch runs in two halves: advance to the next anchor whose window
+//! needs the encoder (deciding every carried anchor on the way), then
+//! finish that anchor from its window's scores. `push_frames` scores
+//! each window alone between the two;
+//! [`run_lanes`](crate::multi::run_lanes) drives the same halves and
+//! scores the windows of co-timed lanes in batches.
 
 use std::sync::Arc;
 
@@ -31,8 +38,8 @@ use eventhit_video::records::EventLabel;
 
 use crate::codec::F32Run;
 use crate::error::{CoreError, CoreResult};
-use crate::infer::{score_window_into, IntervalPrediction, ScoredRecord};
-use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch};
+use crate::infer::{scores_into, IntervalPrediction, ScoredRecord};
+use crate::model::{EventHit, InferencePlan, InferenceScratch};
 use crate::pipeline::{ConformalState, Strategy};
 use crate::sampling::{AnchorStepper, SamplingPolicy, HIT_TAU1};
 
@@ -156,6 +163,12 @@ pub struct OnlinePredictor {
     /// serving layer sets it per traced batch). Not part of the exported
     /// predictor state: tracing never influences decisions or replay.
     trace: Option<u64>,
+    /// The pending anchor's inference stage so far, in seconds on the
+    /// recorder's clock: building and drift-testing its window, then its
+    /// share of the forward that scores it. `0` without a recorder.
+    inference: f64,
+    /// When the forward scoring the pending anchor started.
+    mark: Option<f64>,
 }
 
 impl OnlinePredictor {
@@ -213,6 +226,8 @@ impl OnlinePredictor {
             strategy,
             telemetry: None,
             trace: None,
+            inference: 0.0,
+            mark: None,
         }
     }
 
@@ -370,8 +385,6 @@ impl OnlinePredictor {
             });
         }
         self.plan = InferencePlan::compile(&model, self.plan.lane());
-        // Hidden and latent sizes may differ between the two models.
-        self.scratch = self.plan.scratch();
         self.state = state;
         Ok(())
     }
@@ -383,8 +396,10 @@ impl OnlinePredictor {
     /// frames); each decision records its latency into
     /// `stream.decision_seconds`, its model-forward and conformal stage
     /// latencies into the `inference` / `conformal` series of
-    /// `stream.stage_seconds` (carried decisions skip the stage series
-    /// and bump `stream.decisions_carried` instead), sets the
+    /// `stream.stage_seconds` (a window scored in a batch of `b` windows
+    /// takes `1/b` of the batch's forward as its share; carried decisions
+    /// skip the stage series and bump `stream.decisions_carried`
+    /// instead), sets the
     /// `stream.window_len` gauge to the window length it scored, and
     /// splits the horizon's frames into `stream.frames_relayed` /
     /// `stream.frames_filtered`.
@@ -444,102 +459,180 @@ impl OnlinePredictor {
         I::Item: FrameRow,
     {
         let mut rows = rows.into_iter();
-        if let Some(t) = &self.telemetry {
-            t.add("stream.frames", rows.len() as u64);
+        self.count_frames(rows.len());
+        let mut scratch = std::mem::take(&mut self.scratch);
+        while let Some(m) = self.advance(&mut rows, &mut emit) {
+            self.inference_started();
+            let scores = self.plan.forward(self.window(m), &mut scratch);
+            self.inference_ended(1);
+            emit(self.finish(m, scores));
         }
-        let skips = self.stepper.sampler.policy().is_fixed();
+        self.scratch = scratch;
+    }
+
+    /// Adds a batch of `frames` frames to `stream.frames`.
+    pub(crate) fn count_frames(&self, frames: usize) {
+        if let Some(t) = &self.telemetry {
+            t.add("stream.frames", frames as u64);
+        }
+    }
+
+    /// Feeds `rows` up to the next anchor whose window needs the encoder,
+    /// handing every anchor carried on the way to `emit`, and returns
+    /// that window's length `m`: the window is
+    /// [`OnlinePredictor::window`]`(m)`, and [`OnlinePredictor::finish`]
+    /// decides the anchor from its scores. `None` once `rows` runs out.
+    ///
+    /// Under the `Fixed` policy a full ring keeps only the frames a read
+    /// will see (see [`OnlinePredictor::push_frames`]).
+    pub(crate) fn advance<I>(
+        &mut self,
+        rows: &mut I,
+        emit: &mut impl FnMut(HorizonDecision),
+    ) -> Option<usize>
+    where
+        I: ExactSizeIterator,
+        I::Item: FrameRow,
+    {
+        let fixed = self.stepper.sampler.policy().is_fixed();
         loop {
-            if skips {
+            if fixed {
                 let unread = self.stepper.skip_unread(rows.len());
                 if unread > 0 {
                     rows.nth(unread - 1);
                 }
             }
-            let Some(row) = rows.next() else { break };
-            let features = row.features(&mut self.row);
-            if let Some(m) = self.stepper.step(features) {
-                emit(self.decide(m));
+            let row = rows.next()?;
+            let Some(m) = self.stepper.step(row.features(&mut self.row)) else {
+                continue;
+            };
+            // Fixed: every anchor is scored straight off the ring — no
+            // candidate window to build and no memo to keep.
+            if fixed {
+                self.inference = 0.0;
+                return Some(m);
             }
+            let started = self.now();
+            let Some(memo) = self.stepper.carry(m) else {
+                self.inference = self.since(started);
+                return Some(m);
+            };
+            let predictions = memo.payload.clone();
+            let decision = self.decision(predictions);
+            self.observe(&decision, m, self.since(started), None);
+            emit(decision);
         }
     }
 
-    /// Decides the anchor the stepper just reached, on its last `m` rows.
-    fn decide(&mut self, m: usize) -> HorizonDecision {
-        let started = self.telemetry.as_deref().map(Telemetry::now);
-        let anchor = self.stepper.stream_pos - 1;
-        self.scored.anchor = anchor;
-        let mut scored_at = None;
-        let predictions = if self.stepper.sampler.policy().is_fixed() {
-            // Fixed: every anchor is scored, straight off the ring — no
-            // candidate window to build and no memo to keep.
-            score_window_into(
-                &self.plan,
-                self.stepper.buffer.last_rows(m),
-                &mut self.scratch,
-                &mut self.scored.scores,
-            );
-            scored_at = self.telemetry.as_deref().map(Telemetry::now);
-            self.state.predict(&self.scored, &self.strategy)
-        } else {
-            let memo = self.stepper.carry_or_score(m, |candidate| {
-                score_window_into(
-                    &self.plan,
-                    window_rows(candidate),
-                    &mut self.scratch,
-                    &mut self.scored.scores,
-                );
-                scored_at = self.telemetry.as_deref().map(Telemetry::now);
-                (
-                    self.state.predict(&self.scored, &self.strategy),
-                    self.scored.scores.iter().any(|s| s.b >= HIT_TAU1),
-                )
-            });
-            memo.payload.clone()
-        };
-        let decision = HorizonDecision {
-            anchor,
+    /// The window of the anchor [`OnlinePredictor::advance`] stopped at:
+    /// the ring's last `m` rows, oldest first.
+    pub(crate) fn window(&self, m: usize) -> impl Iterator<Item = &[f32]> + Clone {
+        self.stepper.buffer.last_rows(m)
+    }
+
+    /// Decides the anchor [`OnlinePredictor::advance`] stopped at, of
+    /// window length `m`, from its window's `scores` (`K x (1 + H)`, as
+    /// [`InferencePlan::forward_rows`] writes one window's).
+    pub(crate) fn finish(&mut self, m: usize, scores: &[f32]) -> HorizonDecision {
+        let started = self.now();
+        scores_into(&mut self.scored.scores, scores, self.plan.head_len());
+        self.scored.anchor = self.stepper.stream_pos - 1;
+        let mut predictions = self.state.predict(&self.scored, &self.strategy);
+        if !self.stepper.sampler.policy().is_fixed() {
+            let hit = self.scored.scores.iter().any(|s| s.b >= HIT_TAU1);
+            predictions = self.stepper.memoize(m, predictions, hit).payload.clone();
+        }
+        let decision = self.decision(predictions);
+        let conformal = self.since(started);
+        let stages = (self.inference, conformal);
+        self.observe(&decision, m, self.inference + conformal, Some(stages));
+        decision
+    }
+
+    /// The plan this predictor scores on.
+    pub(crate) fn plan(&self) -> &InferencePlan {
+        &self.plan
+    }
+
+    /// How many anchors the next `frames` frames hold.
+    pub(crate) fn anchors_in(&self, frames: usize) -> usize {
+        self.stepper.anchors_in(frames as u64) as usize
+    }
+
+    /// Marks the start of the forward that scores the pending window.
+    pub(crate) fn inference_started(&mut self) {
+        self.mark = self.now();
+    }
+
+    /// Adds the pending window's share of the forward marked by
+    /// [`OnlinePredictor::inference_started`], one of `b` windows it
+    /// scored, to the window's inference stage.
+    pub(crate) fn inference_ended(&mut self, b: usize) {
+        self.inference += self.since(self.mark) / b as f64;
+    }
+
+    /// The recorder's clock, when there is a recorder.
+    fn now(&self) -> Option<f64> {
+        self.telemetry.as_deref().map(Telemetry::now)
+    }
+
+    /// Seconds on the recorder's clock since `t0` (`0` without one).
+    fn since(&self, t0: Option<f64>) -> f64 {
+        self.now().zip(t0).map_or(0.0, |(t, t0)| t - t0)
+    }
+
+    /// The decision at the anchor the stepper just reached.
+    fn decision(&self, predictions: Vec<IntervalPrediction>) -> HorizonDecision {
+        HorizonDecision {
+            anchor: self.stepper.stream_pos - 1,
             predictions,
             degradation: DegradationTag::None,
-        };
-        if let (Some(t), Some(t0)) = (&self.telemetry, started) {
-            t.add("stream.decisions", 1);
-            // Skips accumulate in the sampler and flush here in one
-            // batch per decision, keeping gated streams' per-frame cost
-            // identical to Fixed's.
-            let skipped = self.stepper.sampler.frames_skipped();
-            if skipped > self.skipped_flushed {
-                t.add("stream.frames_skipped", skipped - self.skipped_flushed);
-                self.skipped_flushed = skipped;
-            }
-            t.gauge_set("stream.window_len", m as f64);
-            t.observe("stream.decision_seconds", t.now() - t0);
-            if let Some(tm) = scored_at {
-                let (infer, conformal) = (tm - t0, t.now() - tm);
-                match self.trace {
-                    Some(id) => {
-                        t.observe_traced("stream.stage_seconds", "inference", infer, id);
-                        t.observe_traced("stream.stage_seconds", "conformal", conformal, id);
-                    }
-                    None => {
-                        t.observe_labeled("stream.stage_seconds", "inference", infer);
-                        t.observe_labeled("stream.stage_seconds", "conformal", conformal);
-                    }
-                }
-            } else {
-                t.add("stream.decisions_carried", 1);
-            }
-            let relayed: u64 = decision
-                .segments()
-                .iter()
-                .map(|&(_, s, e)| e.saturating_sub(s) + 1)
-                .sum();
-            t.add("stream.frames_relayed", relayed);
-            t.add(
-                "stream.frames_filtered",
-                self.stepper.horizon.saturating_sub(relayed),
-            );
         }
-        decision
+    }
+
+    /// Records a decision of window length `m` that took `seconds`:
+    /// `stages` holds a scored anchor's `(inference, conformal)` stage
+    /// seconds, and a carried anchor has none.
+    fn observe(
+        &mut self,
+        decision: &HorizonDecision,
+        m: usize,
+        seconds: f64,
+        stages: Option<(f64, f64)>,
+    ) {
+        let Some(t) = &self.telemetry else { return };
+        t.add("stream.decisions", 1);
+        // Skips accumulate in the sampler and flush here in one batch
+        // per decision, keeping gated streams' per-frame cost identical
+        // to Fixed's.
+        let skipped = self.stepper.sampler.frames_skipped();
+        if skipped > self.skipped_flushed {
+            t.add("stream.frames_skipped", skipped - self.skipped_flushed);
+            self.skipped_flushed = skipped;
+        }
+        t.gauge_set("stream.window_len", m as f64);
+        t.observe("stream.decision_seconds", seconds);
+        match (stages, self.trace) {
+            (Some((infer, conformal)), Some(id)) => {
+                t.observe_traced("stream.stage_seconds", "inference", infer, id);
+                t.observe_traced("stream.stage_seconds", "conformal", conformal, id);
+            }
+            (Some((infer, conformal)), None) => {
+                t.observe_labeled("stream.stage_seconds", "inference", infer);
+                t.observe_labeled("stream.stage_seconds", "conformal", conformal);
+            }
+            (None, _) => t.add("stream.decisions_carried", 1),
+        }
+        let relayed: u64 = decision
+            .segments()
+            .iter()
+            .map(|&(_, s, e)| e.saturating_sub(s) + 1)
+            .sum();
+        t.add("stream.frames_relayed", relayed);
+        t.add(
+            "stream.frames_filtered",
+            self.stepper.horizon.saturating_sub(relayed),
+        );
     }
 
     /// Drains a full feature matrix through the predictor, starting at

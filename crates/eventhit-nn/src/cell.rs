@@ -2,7 +2,10 @@
 //!
 //! The inference forms of [`crate::lstm::Lstm`] and [`crate::gru::Gru`]
 //! — packed `f32` and int8 alike — step one sequence at a time through a
-//! reused [`CellState`] instead of building a matrix per gate per step.
+//! reused [`CellState`] instead of building a matrix per gate per step;
+//! the packed forms also step a block of sequences side by side
+//! (`step_rows`), one gate product for the block and the cell update row
+//! by row.
 //! The element arithmetic here is the training forward's, operation for
 //! operation (same products, same order of additions), so a layer stepped
 //! through these functions reproduces `forward_inference` bit for bit.
@@ -12,9 +15,11 @@
 
 use crate::activation::{sigmoid_slice, tanh_slice};
 
-/// One sequence's recurrent state plus the buffers a step needs, reused
-/// across steps and across sequences so stepping allocates nothing.
-#[derive(Clone, Debug)]
+/// The recurrent state of one sequence — or of a block of sequences
+/// stepped side by side, row after row — plus the buffers a step needs,
+/// reused across steps and across sequences so stepping allocates
+/// nothing.
+#[derive(Clone, Debug, Default)]
 pub struct CellState {
     pub(crate) h: Vec<f32>,
     /// LSTM cell state (unused by the GRU).
@@ -31,25 +36,29 @@ pub struct CellState {
 }
 
 impl CellState {
-    /// Buffers for a layer of `hidden_dim` units, at the zero state.
+    /// Buffers for one sequence through a layer of `hidden_dim` units, at
+    /// the zero state.
     pub fn new(hidden_dim: usize) -> Self {
-        CellState {
-            h: vec![0.0; hidden_dim],
-            c: vec![0.0; hidden_dim],
-            pre: vec![0.0; 4 * hidden_dim],
-            ph: vec![0.0; 3 * hidden_dim],
-            xq: Vec::new(),
-            hq: Vec::new(),
+        let mut state = CellState::default();
+        state.start(hidden_dim, 1);
+        state
+    }
+
+    /// Back to the zero state, sized for `rows` sequences through a layer
+    /// of `hidden_dim` units; allocates only to grow.
+    pub fn start(&mut self, hidden_dim: usize, rows: usize) {
+        let n = rows * hidden_dim;
+        for state in [&mut self.h, &mut self.c] {
+            state.clear();
+            state.resize(n, 0.0);
         }
+        // Every step overwrites these before it reads them.
+        self.pre.resize(4 * n, 0.0);
+        self.ph.resize(3 * n, 0.0);
     }
 
-    /// Back to the zero state a sequence starts from.
-    pub fn reset(&mut self) {
-        self.h.fill(0.0);
-        self.c.fill(0.0);
-    }
-
-    /// The hidden state after the steps taken since the last reset.
+    /// The hidden state after the steps taken since the last start: one
+    /// row per sequence.
     pub fn hidden(&self) -> &[f32] {
         &self.h
     }

@@ -206,6 +206,17 @@ impl PackedDense {
         self.affine.forward_into(x, out);
         self.act.apply_slice(out);
     }
+
+    /// [`PackedDense::forward_into`] for `rows` rows of `x` into as many
+    /// rows of `out`, the rows sharing each weight load; allocates
+    /// nothing, and every row comes out as its own forward would.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` is not `rows` rows long.
+    pub fn forward_rows_into(&self, rows: usize, x: &[f32], out: &mut [f32]) {
+        self.affine.forward_rows_into(rows, x, out);
+        self.act.apply_slice(out);
+    }
 }
 
 /// An int8 snapshot of a [`Dense`] layer: the quantized inference lane

@@ -343,6 +343,32 @@ impl PackedGru {
         self.ph.forward_into(&state.h, &mut state.ph);
         gru_cell(px, &state.ph, &mut state.h);
     }
+
+    /// Advances every sequence of a block by one timestep: `x` holds one
+    /// input row per sequence of `state` (sized by [`CellState::start`]).
+    /// Each affine half is one product over the block, the rows sharing
+    /// each weight load, then the cell updates run row by row; every row
+    /// comes out as [`PackedGru::step`] would leave it. Allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `x` is not one `input_dim` row per sequence of `state`.
+    pub fn step_rows(&self, x: &[f32], state: &mut CellState) {
+        let hd = self.hidden_dim;
+        // One sequence steps as the serving forward does.
+        if state.h.len() == hd {
+            return self.step(x, state);
+        }
+        let rows = state.h.len() / hd;
+        let px = &mut state.pre[..3 * hd * rows];
+        self.px.forward_rows_into(rows, x, px);
+        self.ph.forward_rows_into(rows, &state.h, &mut state.ph);
+        let halves = px
+            .chunks_exact_mut(3 * hd)
+            .zip(state.ph.chunks_exact(3 * hd));
+        for ((px, ph), h) in halves.zip(state.h.chunks_exact_mut(hd)) {
+            gru_cell(px, ph, h);
+        }
+    }
 }
 
 /// An int8 snapshot of a [`Gru`]: the quantized inference lane. Same
@@ -432,13 +458,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         // 3 * 13 = 39 gate outputs: a full tile and seven single outputs.
         let gru = Gru::new(4, 13, &mut rng);
-        let xs = seq(7, 3, 4, 23);
+        let xs = seq(7, 5, 4, 23);
         let exact = gru.forward_inference(&xs);
         let packed = gru.packed();
-        for r in 0..3 {
+        for r in 0..5 {
             let h = final_hidden(&xs, r, 13, |x, st| packed.step(x, st));
             assert_eq!(h, exact.row(r), "row {r}");
         }
+        // The five sequences side by side: a block of four and one more.
+        let mut state = CellState::default();
+        state.start(13, 5);
+        for x in &xs {
+            packed.step_rows(x.as_slice(), &mut state);
+        }
+        assert_eq!(state.hidden(), exact.as_slice());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! once onto the same panels (the exact lane, bit-identical to the
 //! [`matrix`] forward) or onto int8 codes of them (the quantized lane,
 //! see [`quant::InferenceLane`]). Both lanes step one row at a time
-//! through a reused [`cell::CellState`] and allocate nothing per forward.
+//! through a reused [`cell::CellState`], the exact lane also a block of
+//! rows side by side (`step_rows`), and allocate nothing per forward.
 //!
 //! The two leaf kernels, the tile sweep and the activation slice pass,
 //! are each one `#[inline(always)]` body compiled once per instruction

@@ -332,6 +332,32 @@ impl PackedLstm {
         self.gate.forward_into(x, &state.h, pre);
         lstm_cell(pre, &mut state.h, &mut state.c);
     }
+
+    /// Advances every sequence of a block by one timestep: `x` holds one
+    /// input row per sequence of `state` (sized by [`CellState::start`]).
+    /// One gate product serves the block, the rows sharing each weight
+    /// load, then the cell updates run row by row; every row comes out as
+    /// [`PackedLstm::step`] would leave it. Allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `x` is not one `input_dim` row per sequence of `state`.
+    pub fn step_rows(&self, x: &[f32], state: &mut CellState) {
+        let hd = self.hidden_dim;
+        // One sequence steps as the serving forward does.
+        if state.h.len() == hd {
+            return self.step(x, state);
+        }
+        let rows = state.h.len() / hd;
+        let pre = &mut state.pre[..4 * hd * rows];
+        self.gate.forward_rows_into(rows, x, &state.h, pre);
+        let cells = state
+            .h
+            .chunks_exact_mut(hd)
+            .zip(state.c.chunks_exact_mut(hd));
+        for (pre, (h, c)) in pre.chunks_exact_mut(4 * hd).zip(cells) {
+            lstm_cell(pre, h, c);
+        }
+    }
 }
 
 /// An int8 snapshot of an [`Lstm`]: the quantized inference lane. Same
@@ -433,13 +459,21 @@ mod tests {
         // outputs; 4 * 11 = 44 adds an 8-wide tile between them.
         for hd in [9, 11] {
             let lstm = Lstm::new(5, hd, &mut rng);
-            let xs = seq(7, 3, 5, 24);
+            let xs = seq(7, 5, 5, 24);
             let exact = lstm.forward_inference(&xs);
             let packed = lstm.packed();
-            for r in 0..3 {
+            for r in 0..5 {
                 let h = final_hidden(&xs, r, hd, |x, st| packed.step(x, st));
                 assert_eq!(h, exact.row(r), "hidden {hd} row {r}");
             }
+            // The five sequences side by side: a block of four and one
+            // more.
+            let mut state = CellState::default();
+            state.start(hd, 5);
+            for x in &xs {
+                packed.step_rows(x.as_slice(), &mut state);
+            }
+            assert_eq!(state.hidden(), exact.as_slice(), "hidden {hd}");
         }
     }
 

@@ -37,9 +37,10 @@
 //! every step; deeper reductions are cut into blocks of that many rows
 //! whose exact sums meet in `i32`.
 //!
-//! The serving forms (`forward_into`) write into caller-provided slices:
-//! after a plan and its scratch exist, a forward allocates nothing. The
-//! batched forms training runs return one fresh matrix per call.
+//! The inference forms (`forward_into` for one row, `forward_rows_into`
+//! for a block of rows) write into caller-provided slices: after a plan
+//! and its scratch exist, a forward allocates nothing. The batched forms
+//! training runs return one fresh matrix per call.
 
 use crate::dispatch::{self, Isa, Kernel};
 use crate::matrix::Matrix;
@@ -396,8 +397,24 @@ impl PackedAffine {
         self.forward(1, x, out);
     }
 
-    /// [`PackedAffine::forward_into`] for every row of `x`, in row blocks
-    /// (see [`sweep`]): the batched `x W^T + b` of training and of the
+    /// [`PackedAffine::forward_into`] for `rows` rows of `x` into as many
+    /// rows of `out`, in row blocks that share each weight load (see the
+    /// module docs); allocates nothing. Every output is the chain
+    /// [`PackedAffine::forward_into`] computes for its row.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` is not `rows` rows long.
+    pub fn forward_rows_into(&self, rows: usize, x: &[f32], out: &mut [f32]) {
+        // One row is the serving forward's case: a constant row count
+        // spares the sweep its divisions.
+        match rows {
+            1 => self.forward(1, x, out),
+            _ => self.forward(rows, x, out),
+        }
+    }
+
+    /// [`PackedAffine::forward_rows_into`] over every row of `x`, into a
+    /// fresh matrix: the batched `x W^T + b` of training and of the
     /// reference forward.
     pub(crate) fn forward_rows(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.panel.out_dim);
@@ -451,8 +468,22 @@ impl PackedGate {
         self.forward(1, x, h, out);
     }
 
-    /// [`PackedGate::forward_into`] for every row pair of `x` and `h`, in
-    /// row blocks (see [`sweep`]): the batched gate pre-activation of one
+    /// [`PackedGate::forward_into`] for `rows` row pairs of `x` and `h`
+    /// into as many rows of `out`, in row blocks that share each weight
+    /// load (see the module docs); allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `x`, `h` or `out` is not `rows` rows long.
+    pub fn forward_rows_into(&self, rows: usize, x: &[f32], h: &[f32], out: &mut [f32]) {
+        // As in `PackedAffine::forward_rows_into`.
+        match rows {
+            1 => self.forward(1, x, h, out),
+            _ => self.forward(rows, x, h, out),
+        }
+    }
+
+    /// [`PackedGate::forward_rows_into`] over every row pair of `x` and
+    /// `h`, into a fresh matrix: the batched gate pre-activation of one
     /// training timestep.
     ///
     /// # Panics
@@ -500,7 +531,7 @@ mod tests {
     fn affine_matches_the_naive_reference_across_tile_edges() {
         // 75 = a 64-wide tile (two 32-wide ones on the baseline), an
         // 8-wide one and three single outputs.
-        let x = sample(3, 19, 1);
+        let x = sample(5, 19, 1);
         let w = sample(75, 19, 2);
         let bias: Vec<f32> = (0..75).map(|i| (i as f32).sin()).collect();
         let want = x.affine_t_naive(&w, &bias);
@@ -510,12 +541,16 @@ mod tests {
             affine.forward_into(x.row(r), &mut out);
             assert_eq!(out, want.row(r));
         }
+        // All five rows at once: a row block and a row left over.
+        let mut rows = vec![0.0; 5 * 75];
+        affine.forward_rows_into(5, x.as_slice(), &mut rows);
+        assert_eq!(rows, want.as_slice());
     }
 
     #[test]
     fn gate_matches_the_naive_reference() {
-        let x = sample(2, 5, 3);
-        let h = sample(2, 12, 4);
+        let x = sample(5, 5, 3);
+        let h = sample(5, 12, 4);
         let wx = sample(48, 5, 5);
         let wh = sample(48, 12, 6);
         let bias: Vec<f32> = (0..48).map(|i| (i as f32).cos()).collect();
@@ -526,6 +561,9 @@ mod tests {
             gate.forward_into(x.row(r), h.row(r), &mut out);
             assert_eq!(out, want.row(r));
         }
+        let mut rows = vec![f32::NAN; 5 * 48];
+        gate.forward_rows_into(5, x.as_slice(), h.as_slice(), &mut rows);
+        assert_eq!(rows, want.as_slice());
     }
 
     /// Every instantiation of the sweep body the CPU runs, up to

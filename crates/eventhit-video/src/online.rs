@@ -47,7 +47,11 @@ impl WindowBuffer {
         let features = features.as_ref();
         assert_eq!(features.len(), self.dim, "frame dimensionality mismatch");
         self.data[self.next * self.dim..(self.next + 1) * self.dim].copy_from_slice(features);
-        self.next = (self.next + 1) % self.window;
+        // Compare and wrap: no division on the per-frame path.
+        self.next += 1;
+        if self.next == self.window {
+            self.next = 0;
+        }
         self.len = (self.len + 1).min(self.window);
         self.pushed += 1;
     }

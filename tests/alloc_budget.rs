@@ -4,7 +4,9 @@
 //! allocates only the decision it returns plus, under a gating policy
 //! (`delta`, `adaptive`), the predictions it memoizes for carried
 //! anchors — no `Matrix`, no `Record`, no per-frame `Vec`, on either
-//! lane, whether frames come one at a time or in batches of any size.
+//! lane, whether frames come one at a time or in batches of any size,
+//! and a warm `run_lanes` group adds only its bookkeeping and batch
+//! buffers, however many anchors its lanes cross.
 //! The same counter shows that a wire message lying
 //! about its float count is refused before anything is reserved for it,
 //! and one lying about its item count reserves at most 64 KiB, that a
@@ -28,12 +30,14 @@ use std::sync::Arc;
 use eventhit::core::codec::{seal, Writer};
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
 use eventhit::core::model_io;
+use eventhit::core::multi::{run_lanes, StreamLane};
 use eventhit::core::pipeline::Strategy;
 use eventhit::core::streaming::OnlinePredictor;
 use eventhit::core::tasks::task;
 use eventhit::core::{CoreError, EventHit, EventHitConfig, InferenceLane, SamplingPolicy};
 use eventhit::durable::state_io::decode_state;
 use eventhit::durable::{DurableError, DurableStore, SessionEvent, Snapshot};
+use eventhit::nn::matrix::Matrix;
 use eventhit::parallel::Pool;
 use eventhit::serve::protocol::{
     decode_payload, encode, Message, ProtocolError, WireDecision, WirePrediction, MAX_FRAME_BYTES,
@@ -278,6 +282,74 @@ fn a_warm_batch_allocates_only_the_decisions_it_returns() {
                 (at - m) / h - (warm_up - m) / h,
                 "{spec}, {lane} lane"
             );
+        }
+    }
+}
+
+#[test]
+fn a_warm_run_lanes_group_allocates_only_its_decisions_and_batch_buffers() {
+    let cfg = ExperimentConfig {
+        scale: 0.15,
+        ..ExperimentConfig::quick(93)
+    };
+    let run = TaskRun::execute(&task("TA10").unwrap(), &cfg);
+    let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+    let (warm_up, dim, lanes) = (run.window + 2 * run.horizon, run.features.cols(), 8);
+    assert!(run.features.rows() >= warm_up + 12 * run.horizon);
+
+    for spec in ["fixed", "delta:0.1", "adaptive:0:2"] {
+        let policy = SamplingPolicy::parse(spec).unwrap();
+        let budget = anchor_allocations(&policy) as i64;
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let state = run.state_for_sampling(&policy, lane);
+            // One group of lanes, each warmed on its first `warm_up`
+            // rows, then run over `horizons` more: returns the decisions
+            // and the allocations past `budget` per decision.
+            let excess = |horizons: usize| {
+                let len = warm_up + horizons * run.horizon;
+                let slab: Vec<StreamLane> = (0..lanes)
+                    .map(|stream_id| {
+                        let mut predictor = OnlinePredictor::with_policy(
+                            run.model.clone(),
+                            state.clone(),
+                            strategy,
+                            lane,
+                            policy.clone(),
+                        );
+                        predictor.push_frames((0..warm_up).map(|r| run.features.row(r)), drop);
+                        let rows = run.features.as_slice()[..len * dim].to_vec();
+                        StreamLane {
+                            stream_id,
+                            predictor,
+                            features: Matrix::from_vec(len, dim, rows),
+                            from: warm_up,
+                        }
+                    })
+                    .collect();
+                let (decisions, (allocations, _)) = counted(|| run_lanes(slab, &Pool::new(1)));
+                let n = decisions.len() as i64;
+                (n, allocations as i64 - budget * n)
+            };
+            let (short, long) = (excess(3), excess(12));
+            assert_eq!(long.0, 4 * short.0, "{spec}, {lane} lane");
+            // What is left is a fixed count however many anchors the
+            // lanes cross: a decision list per lane, a dozen batch
+            // buffers, the group's and the merge's bookkeeping. A carried
+            // anchor allocates less than a scored one, so under a gate
+            // the longer run may come in under it.
+            assert!(
+                short.1 <= lanes as i64 + 32,
+                "{spec}, {lane} lane: {} allocations past the decisions",
+                short.1
+            );
+            if policy.is_fixed() {
+                assert_eq!(long.1, short.1, "{lane} lane");
+            } else {
+                assert!(
+                    long.1 <= short.1,
+                    "{spec}, {lane} lane: {long:?} vs {short:?}"
+                );
+            }
         }
     }
 }

@@ -335,6 +335,104 @@ fn hyper_parameter_search_is_pool_invariant() {
     }
 }
 
+/// `run_lanes` batches the co-timed anchors of a lane group into one
+/// forward; every lane must still decide exactly as it does alone. The
+/// first lanes mix start rows, stream lengths, policies, both inference
+/// lanes and two models (two plans); twenty more share one of
+/// everything, more co-timed windows than one batch takes. Some lanes
+/// record, with and without a trace id. Each lane's decisions and its
+/// whole telemetry snapshot (a manual clock, so every count, label and
+/// exemplar is compared) equal those of its own `push_frames` pass, at
+/// 1, 2, 4 and 8 workers.
+#[test]
+fn run_lanes_decides_mixed_lanes_as_each_lane_alone() {
+    use eventhit::core::SamplingPolicy;
+    use eventhit::nn::matrix::Matrix;
+    use std::sync::Arc;
+
+    let runs = [quick_run(38), quick_run(39)];
+    let policies =
+        ["fixed", "delta:0.1", "adaptive:0.1:3"].map(|p| SamplingPolicy::parse(p).unwrap());
+    let (window, horizon, rows) = (runs[0].window, runs[0].horizon, runs[0].features.rows());
+    let froms = [0, 3, window - 1, window + 7, 40, 2 * horizon + 1];
+    let (mixed, lanes) = (14, 34);
+    // Lane `i`'s (run, policy, inference lane, first row).
+    let spec = |i: usize| match i < mixed {
+        true => (
+            usize::from(i % 5 == 4),
+            i % 3,
+            [InferenceLane::Exact, InferenceLane::Quantized][(i / 3) % 2],
+            froms[i % froms.len()],
+        ),
+        false => (0, 0, InferenceLane::Exact, 0),
+    };
+    let states: Vec<_> = (0..lanes)
+        .map(|i| {
+            let (run, policy, lane, _) = spec(i);
+            runs[run].state_for_sampling(&policies[policy], lane)
+        })
+        .collect();
+    // Each lane on a fresh predictor, with its recorder: lanes 0, 4, 8, ...
+    // trace, lanes 1, 5, 9, ... record without a trace id.
+    let build = |i: usize| {
+        let (run, policy, lane, from) = spec(i);
+        let run = &runs[run];
+        let mut predictor = OnlinePredictor::with_policy(
+            run.model.clone(),
+            states[i].clone(),
+            Strategy::Ehcr { c: 0.9, alpha: 0.5 },
+            lane,
+            policies[policy].clone(),
+        );
+        let telemetry = (i % 4 < 2).then(|| Arc::new(Telemetry::with_manual_clock()));
+        if let Some(t) = &telemetry {
+            predictor.set_telemetry(Arc::clone(t));
+            if i.is_multiple_of(4) {
+                predictor.set_trace(Some(1000 + i as u64));
+            }
+        }
+        let len = rows - (i * 37) % (rows / 3);
+        let dim = run.features.cols();
+        let features = Matrix::from_vec(len, dim, run.features.as_slice()[..len * dim].to_vec());
+        let lane = StreamLane {
+            stream_id: (i * 5) % lanes,
+            predictor,
+            features,
+            from,
+        };
+        (lane, telemetry)
+    };
+
+    let (mut alone, mut alone_telemetry) = (Vec::new(), Vec::new());
+    for i in 0..lanes {
+        let (mut lane, telemetry) = build(i);
+        for decision in lane.predictor.run_over(&lane.features, lane.from) {
+            alone.push(LaneDecision {
+                stream_id: lane.stream_id,
+                decision,
+            });
+        }
+        alone_telemetry.push(telemetry.map(|t| t.snapshot()));
+    }
+    alone.sort_by_key(|d| (d.decision.anchor, d.stream_id));
+    assert!(alone.len() > 10 * lanes, "{} decisions", alone.len());
+
+    for w in WORKER_COUNTS {
+        let (batch, telemetry): (Vec<StreamLane>, Vec<_>) = (0..lanes).map(build).unzip();
+        assert!(
+            run_lanes(batch, &Pool::new(w)) == alone,
+            "decisions at {w} workers"
+        );
+        for (i, (t, want)) in telemetry.iter().zip(&alone_telemetry).enumerate() {
+            assert_eq!(
+                t.as_ref().map(|t| t.snapshot()),
+                *want,
+                "lane {i}'s telemetry at {w} workers"
+            );
+        }
+    }
+}
+
 /// Multi-stream lanes merge into one deterministic timeline: the same
 /// decisions, in `(anchor, stream_id)` order, for any pool.
 #[test]
