@@ -45,10 +45,13 @@
 //! [`sampled_records`]) and refits, so the nonconformity quantiles come
 //! from the same score distribution the deployed gated lane produces.
 //! The anchor cadence, the carry-or-score rule and the rule for which
-//! rows of a `Fixed` batch no read sees are written once, in this
-//! module's crate-private anchor stepper: the deployed predictor holds
-//! one and [`sampled_records`] drives one, so the two cannot drift
-//! apart. The model and worked numbers live in `docs/SAMPLING.md`.
+//! rows of a batch no read sees are written once, in this module's
+//! crate-private anchor stepper: the deployed predictor holds one and
+//! [`sampled_records`] drives one, so the two cannot drift apart. A
+//! gate that can close ([`SamplingPolicy::gates`]) reads every frame; a
+//! policy whose gate cannot close (`Fixed`, a threshold of 0) reads
+//! only the windows its anchors score, and a batch passes over the
+//! rest. The model and worked numbers live in `docs/SAMPLING.md`.
 
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
@@ -119,7 +122,15 @@ impl SamplingPolicy {
         matches!(self, SamplingPolicy::Fixed)
     }
 
-    /// The gate threshold, when the policy gates at all.
+    /// Whether the gate can close: a threshold above 0. No delta or
+    /// window drift is below a threshold of 0, and none is below NaN, so
+    /// such a policy admits every frame and scores every anchor, as
+    /// `Fixed` does; only its adaptive window still moves.
+    pub fn gates(&self) -> bool {
+        self.threshold().is_some_and(|t| t > 0.0)
+    }
+
+    /// The gate threshold, when the policy has a gate at all.
     pub fn threshold(&self) -> Option<f32> {
         match *self {
             SamplingPolicy::Fixed => None,
@@ -509,11 +520,14 @@ impl<P> AnchorStepper<P> {
     /// the countdown, the admitted count and the ring position move as
     /// [`AnchorStepper::step`] would move them, and no row is copied.
     ///
-    /// Only the `Fixed` policy on a full ring passes frames over: a gate
-    /// reads every frame it admits or skips, and a ring still filling
-    /// keeps every frame it is given.
+    /// Only a policy whose gate cannot close passes frames over, on a
+    /// full ring: a gate that can close reads every frame it admits or
+    /// skips, and a ring still filling keeps every frame it is given. A
+    /// gate that cannot close admits every frame, so the admitted count
+    /// moves with the position, and the `M` frames stepped before each
+    /// read leave the gate's reference at the read's last frame.
     pub(crate) fn skip_unread(&mut self, remaining: usize) -> usize {
-        if !self.sampler.policy().is_fixed() || !self.buffer.is_full() {
+        if self.sampler.policy().gates() || !self.buffer.is_full() {
             return 0;
         }
         // The read falls on the frame `countdown` ahead, or on the last.
@@ -828,6 +842,25 @@ mod tests {
         }
         assert_eq!(s.frames_skipped(), 0);
         assert_eq!(s.frames_admitted(), 100);
+    }
+
+    #[test]
+    fn only_a_positive_threshold_gates() {
+        assert!(!SamplingPolicy::Fixed.gates());
+        for spec in ["delta:0", "adaptive:0:2"] {
+            assert!(!SamplingPolicy::parse(spec).unwrap().gates(), "{spec}");
+        }
+        let nan = SamplingPolicy::DeltaGate {
+            threshold: f32::NAN,
+        };
+        assert!(!nan.gates());
+        // No delta is below NaN: the gate admits every frame.
+        let mut s = Sampler::new(nan, 2);
+        assert!((0..10).all(|i| s.admit(&[0.0], i >= 2)));
+        assert_eq!(s.frames_skipped(), 0);
+        for spec in ["delta:0.1", "adaptive:0.1:2"] {
+            assert!(SamplingPolicy::parse(spec).unwrap().gates(), "{spec}");
+        }
     }
 
     #[test]

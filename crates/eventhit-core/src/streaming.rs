@@ -10,8 +10,10 @@
 //!
 //! Under the default [`SamplingPolicy::Fixed`] every frame an anchor
 //! reads is encoded into the window, and a batch passes over the frames
-//! no anchor reads without copying them. A [`SamplingPolicy::DeltaGate`] or
-//! [`SamplingPolicy::Adaptive`] policy (see [`crate::sampling`]) gates
+//! no anchor reads without copying them; so does any policy whose gate
+//! cannot close ([`SamplingPolicy::gates`]: a threshold of 0). A
+//! [`SamplingPolicy::DeltaGate`] or [`SamplingPolicy::Adaptive`] policy
+//! with a positive threshold (see [`crate::sampling`]) gates
 //! low-motion frames in front of the encoder — they are acknowledged
 //! (the anchor cadence still advances) but not encoded, and anchors
 //! whose window content did not change reuse the previous anchor's
@@ -131,8 +133,8 @@ impl PredictorState {
 /// was built from — gradients, optimizer-facing buffers — is dropped.
 /// After the first anchor has sized the reusable buffers, a batch
 /// allocates only the decisions it hands out: a non-anchor frame
-/// allocates nothing and a `Fixed`-policy anchor allocates only its
-/// decision.
+/// allocates nothing, and an anchor under a policy whose gate cannot
+/// close allocates only its decision.
 pub struct OnlinePredictor {
     /// The one scorer: the model compiled for this predictor's lane.
     plan: InferencePlan,
@@ -144,10 +146,11 @@ pub struct OnlinePredictor {
     state: ConformalState,
     strategy: Strategy,
     /// The stream's stepping state — sampler, window ring, anchor
-    /// countdown, stream position — and, under a gating policy, the
-    /// duplicate-carry memo of the last scored anchor with its
-    /// predictions. [`SamplingPolicy::Fixed`] admits everything, keeps
-    /// no memo, and is bit-identical to the pre-sampling predictor.
+    /// countdown, stream position — and, under a gate that can close,
+    /// the duplicate-carry memo of the last scored anchor with its
+    /// predictions. A policy whose gate cannot close admits everything
+    /// and keeps no memo; [`SamplingPolicy::Fixed`] is bit-identical to
+    /// the pre-sampling predictor.
     stepper: AnchorStepper<Vec<IntervalPrediction>>,
     /// The one row a wire-form frame is decoded into.
     row: Vec<f32>,
@@ -419,7 +422,7 @@ impl OnlinePredictor {
     /// prediction anchor: the one-row case of
     /// [`OnlinePredictor::push_frames`].
     ///
-    /// Under a gating [`SamplingPolicy`] a low-motion frame is
+    /// Under a [`SamplingPolicy`] whose gate can close a low-motion frame is
     /// acknowledged but not encoded: the stream position (and hence the
     /// anchor cadence) advances, the window buffer does not. An anchor
     /// whose candidate window drifted less than the gate threshold from
@@ -446,12 +449,13 @@ impl OnlinePredictor {
     /// fingerprint), are those of [`OnlinePredictor::push_frame`] called
     /// once per row: the batch end is a read point.
     ///
-    /// Under the `Fixed` policy a full ring keeps only the frames a read
-    /// will see — the `M`-frame window before each anchor, and the last
-    /// `M` frames of the batch. The frames before those are passed over
-    /// by position (see [`crate::sampling`]'s anchor stepper): never
-    /// copied, and a row still in wire form is never decoded. A gating
-    /// policy reads every frame, so it is fed every frame.
+    /// Under a policy whose gate cannot close (`Fixed`, a threshold of
+    /// 0) a full ring keeps only the frames a read will see — the
+    /// `M`-frame window before each anchor, and the last `M` frames of
+    /// the batch. The frames before those are passed over by position
+    /// (see [`crate::sampling`]'s anchor stepper): never copied, and a
+    /// row still in wire form is never decoded. A gate that can close
+    /// reads every frame, so it is fed every frame.
     pub fn push_frames<I>(&mut self, rows: I, mut emit: impl FnMut(HorizonDecision))
     where
         I: IntoIterator,
@@ -483,8 +487,8 @@ impl OnlinePredictor {
     /// [`OnlinePredictor::window`]`(m)`, and [`OnlinePredictor::finish`]
     /// decides the anchor from its scores. `None` once `rows` runs out.
     ///
-    /// Under the `Fixed` policy a full ring keeps only the frames a read
-    /// will see (see [`OnlinePredictor::push_frames`]).
+    /// Under a policy whose gate cannot close a full ring keeps only the
+    /// frames a read will see (see [`OnlinePredictor::push_frames`]).
     pub(crate) fn advance<I>(
         &mut self,
         rows: &mut I,
@@ -494,21 +498,20 @@ impl OnlinePredictor {
         I: ExactSizeIterator,
         I::Item: FrameRow,
     {
-        let fixed = self.stepper.sampler.policy().is_fixed();
+        let gates = self.stepper.sampler.policy().gates();
         loop {
-            if fixed {
-                let unread = self.stepper.skip_unread(rows.len());
-                if unread > 0 {
-                    rows.nth(unread - 1);
-                }
+            let unread = self.stepper.skip_unread(rows.len());
+            if unread > 0 {
+                rows.nth(unread - 1);
             }
             let row = rows.next()?;
             let Some(m) = self.stepper.step(row.features(&mut self.row)) else {
                 continue;
             };
-            // Fixed: every anchor is scored straight off the ring — no
-            // candidate window to build and no memo to keep.
-            if fixed {
+            // A gate that cannot close carries no anchor: every anchor is
+            // scored straight off the ring — no candidate window to build
+            // and no memo to keep.
+            if !gates {
                 self.inference = 0.0;
                 return Some(m);
             }
@@ -538,9 +541,11 @@ impl OnlinePredictor {
         scores_into(&mut self.scored.scores, scores, self.plan.head_len());
         self.scored.anchor = self.stepper.stream_pos - 1;
         let mut predictions = self.state.predict(&self.scored, &self.strategy);
-        if !self.stepper.sampler.policy().is_fixed() {
-            let hit = self.scored.scores.iter().any(|s| s.b >= HIT_TAU1);
+        let hit = self.scored.scores.iter().any(|s| s.b >= HIT_TAU1);
+        if self.stepper.sampler.policy().gates() {
             predictions = self.stepper.memoize(m, predictions, hit).payload.clone();
+        } else {
+            self.stepper.sampler.observe_hit(hit);
         }
         let decision = self.decision(predictions);
         let conformal = self.since(started);
@@ -637,8 +642,9 @@ impl OnlinePredictor {
 
     /// Drains a full feature matrix through the predictor, starting at
     /// row `from`, collecting every decision: one
-    /// [`OnlinePredictor::push_frames`] batch, so under the `Fixed`
-    /// policy only the rows an anchor reads are copied into the ring.
+    /// [`OnlinePredictor::push_frames`] batch, so under a policy whose
+    /// gate cannot close only the rows an anchor reads are copied into
+    /// the ring.
     pub fn run_over(&mut self, features: &Matrix, from: usize) -> Vec<HorizonDecision> {
         let mut out = Vec::new();
         // The rows as whole chunks of the storage, so passing over them

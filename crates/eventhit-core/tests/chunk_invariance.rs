@@ -3,12 +3,14 @@
 //! decisions, the exported state after every chunk, and the
 //! `stream.frames` total that `push_frame` gives one row at a time.
 //!
-//! Under the `Fixed` policy a batch passes over the frames no read
-//! sees, so the chunk sizes straddle every edge of that rule: the
-//! collection window `M`, the horizon `H` and the batch end. Each size
-//! runs under all three policies, on a fresh predictor, on one restored
-//! from a mid-stream export, and across a policy switch and a model
-//! reload between chunks, with and without a telemetry recorder.
+//! Under a policy whose gate cannot close (`fixed`, `delta:0`,
+//! `adaptive:0:2`) a batch passes over the frames no read sees, so the
+//! chunk sizes straddle every edge of that rule: the collection window
+//! `M`, the horizon `H` and the batch end. Each size runs under those
+//! three policies and two gates that can close, on a fresh predictor,
+//! on one restored from a mid-stream export, and across a policy switch
+//! and a model reload between chunks, with and without a telemetry
+//! recorder.
 
 use std::sync::{Arc, OnceLock};
 
@@ -28,8 +30,15 @@ fn runs() -> &'static (TaskRun, TaskRun) {
     })
 }
 
-fn policies() -> [SamplingPolicy; 3] {
-    ["fixed", "delta:0.1", "adaptive:0.1:3"].map(|spec| SamplingPolicy::parse(spec).unwrap())
+fn policies() -> [SamplingPolicy; 5] {
+    [
+        "fixed",
+        "delta:0",
+        "adaptive:0:2",
+        "delta:0.1",
+        "adaptive:0.1:3",
+    ]
+    .map(|spec| SamplingPolicy::parse(spec).unwrap())
 }
 
 /// What happens to both predictors between two chunks.
@@ -134,7 +143,7 @@ fn run_case(case: Case, policy: &SamplingPolicy, chunk: usize, traced: bool) {
     for (k, chunk_rows) in rows[at..].chunks(chunk).enumerate() {
         if let Case::Switched = case {
             if k == 2 {
-                switched = (switched + 1) % 3;
+                switched = (switched + 1) % policies().len();
                 let next = &policies()[switched];
                 pair.chunked.set_policy(next.clone());
                 pair.single.set_policy(next.clone());

@@ -135,12 +135,13 @@ fn retained<R>(f: impl FnOnce() -> R) -> (R, i64) {
 }
 
 /// What a warm anchor may allocate: the `predictions` vector of the
-/// `HorizonDecision` it returns and, under a gating policy, the
+/// `HorizonDecision` it returns and, under a gate that can close, the
 /// predictions a scored anchor memoizes for the anchors that carry them.
 /// The candidate window and the gate's reference frame reuse their
-/// storage.
+/// storage; a gate that cannot close keeps neither a memo nor a
+/// candidate.
 fn anchor_allocations(policy: &SamplingPolicy) -> u64 {
-    if policy.is_fixed() {
+    if !policy.gates() {
         1
     } else {
         2
@@ -342,8 +343,8 @@ fn a_warm_run_lanes_group_allocates_only_its_decisions_and_batch_buffers() {
                 "{spec}, {lane} lane: {} allocations past the decisions",
                 short.1
             );
-            if policy.is_fixed() {
-                assert_eq!(long.1, short.1, "{lane} lane");
+            if !policy.gates() {
+                assert_eq!(long.1, short.1, "{spec}, {lane} lane");
             } else {
                 assert!(
                     long.1 <= short.1,
