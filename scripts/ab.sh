@@ -5,8 +5,9 @@
 # directory, builds each one's own `bench/` unedited with its own
 # CARGO_TARGET_DIR, and runs the benchmark driver in ABBA order (pair 1
 # runs A then B, pair 2 B then A, ...). Every run's stdout is kept as
-# RUNS/A-<pair>.out and RUNS/B-<pair>.out. Then, for each end-to-end
-# metric of BENCHMARK.json, it prints A's and B's medians, how many pairs
+# RUNS/A-<pair>.out and RUNS/B-<pair>.out. Then, for each metric of
+# BENCHMARK.json the result lines report (the end-to-end ones; under
+# --trace 1, the per-layer ones), it prints A's and B's medians, how many pairs
 # B wins, A's interquartile range, the per-pair ratios B/A, and the same
 # figures over the pairs whose two runs saw the host in one speed state
 # (read from the driver's `host speed X of the reference` line; a run is
@@ -20,10 +21,11 @@
 #
 # Usage:
 #   scripts/ab.sh A B --workload W --pairs N [--seed S]... [--trace 0|1]
-#                 [--seconds S] [--claim METRIC:+X%] [--out DIR]
+#                 [--claim METRIC:+X%] [--out DIR]
 #   scripts/ab.sh --from-dir RUNS [--claim METRIC:+X%]
 #
 # --seed may repeat: pair i runs the (i mod count)-th seed (default 7).
+# Every run lasts A's BENCHMARK.json `run_seconds`.
 # --out keeps the runs there (default: a fresh directory under $TMPDIR);
 # the checkouts and builds under it are removed on exit. --from-dir
 # skips the builds and the runs and reads RUNS as written above
@@ -40,14 +42,13 @@ usage() {
     exit 2
 }
 
-sides=() seeds=() workload="" pairs="" trace=0 seconds="" claim="" out="" from=""
+sides=() seeds=() workload="" pairs="" trace=0 claim="" out="" from=""
 while (($#)); do
     case "$1" in
         --workload) workload=${2:?}; shift 2 ;;
         --pairs) pairs=${2:?}; shift 2 ;;
         --seed) seeds+=("${2:?}"); shift 2 ;;
         --trace) trace=${2:?}; shift 2 ;;
-        --seconds) seconds=${2:?}; shift 2 ;;
         --claim) claim=${2:?}; shift 2 ;;
         --out) out=${2:?}; shift 2 ;;
         --from-dir) from=${2:?}; shift 2 ;;
@@ -117,10 +118,10 @@ analyse() {
             return "no change"
         }
         BEGIN {
+            # Every metric from "end_to_end" on: the per-layer list follows it.
             while ((getline line < spec) > 0) {
-                if (line ~ /"end_to_end"/) e2e = 1
-                else if (line ~ /"per_layer"/) e2e = 0
-                if (!e2e) continue
+                if (line ~ /"end_to_end"/) on = 1
+                if (!on) continue
                 if (match(line, /"name": *"[^"]*"/)) {
                     m = substr(line, RSTART, RLENGTH); sub(/^"name": *"/, "", m); sub(/"$/, "", m)
                     names[++nm] = m
@@ -130,7 +131,7 @@ analyse() {
                     b = substr(line, RSTART, RLENGTH); sub(/^"bound": */, "", b); bound[m] = b + 0
                 }
             }
-            if (!nm) { print "ab: no end-to-end metric in " spec > "/dev/stderr"; exit 2 }
+            if (!nm) { print "ab: no metric in " spec > "/dev/stderr"; exit 2 }
         }
         FNR == 1 {
             f = FILENAME; sub(/.*\//, "", f); side = substr(f, 1, 1)
@@ -171,17 +172,30 @@ analyse() {
             }
             printf "pairs %d; host state per pair (A/B):%s\n", pairs, states
             printf "same-state pairs %d (fast %d, slow %d)\n", same, kind["fast"], kind["slow"]
-            printf "failed operations: A %d of %d, B %d of %d\n\n", fail["A"], att["A"], fail["B"], att["B"]
-            printf "%-17s %14s %14s %8s %7s %12s  %-10s %s\n", "metric", "median A", "median B", "change", "B wins", "IQR A", "verdict", "bound"
+            printf "failed operations: A %d of %d, B %d of %d\n", fail["A"], att["A"], fail["B"], att["B"]
+            if (pairs < 10) print "fewer than 10 pairs: a verdict is a hint, not a claim"
+            print ""
+            # A metric no run reports is not listed; one some runs miss is.
+            w = 17
             for (i = 1; i <= nm; i++) {
-                m = names[i]; missing = 0
-                for (p = 1; p <= pairs; p++) if (!seen["A", p, m] || !seen["B", p, m]) missing = 1
-                if (missing) { printf "%-17s (not in every result line)\n", m; continue }
+                m = names[i]; runs = 0
+                for (p = 1; p <= pairs; p++) runs += seen["A", p, m] + seen["B", p, m]
+                every[m] = runs == 2 * pairs
+                if (runs && length(m) > w) w = length(m)
+            }
+            col = "%-" w "s"
+            printf col " %14s %14s %8s %7s %12s  %-10s %s\n", "metric", "median A", "median B", "change", "B wins", "IQR A", "verdict", "bound"
+            for (i = 1; i <= nm; i++) {
+                m = names[i]
+                if (!every[m]) {
+                    for (p = 1; p <= pairs; p++) if (seen["A", p, m] || seen["B", p, m]) { printf col " (not in every result line)\n", m; break }
+                    continue
+                }
                 stats(m, all, pairs)
                 change = medA != 0 ? (medB - medA) / medA : 0
                 v = verdict(m, pairs); verdicts[m] = v; changes[m] = change
                 worse = higher[m] ? -change : change
-                printf "%-17s %14.6g %14.6g %8s %4d/%-2d %12.6g  %-10s %s\n", m, medA, medB, pct(change), wins, pairs, iqr, v, \
+                printf col " %14.6g %14.6g %8s %4d/%-2d %12.6g  %-10s %s\n", m, medA, medB, pct(change), wins, pairs, iqr, v, \
                     (m in bound) ? (worse > bound[m] ? "beyond " : "within ") sprintf("%g%%", 100 * bound[m]) : "-"
                 printf "  ratios B/A:%s\n", ratios
                 if (same > 0 && same < pairs) {
@@ -238,7 +252,7 @@ for i in 0 1; do
         --manifest-path "$src/bench/Cargo.toml" || { echo "ab: $side's build failed" >&2; exit 3; }
 done
 cp "$out/src-A/BENCHMARK.json" "$out/runs/BENCHMARK.json"
-seconds=${seconds:-$(awk -F: '/"run_seconds"/ { gsub(/[ ,]/, "", $2); print $2 }' "$out/runs/BENCHMARK.json")}
+seconds=$(awk -F: '/"run_seconds"/ { gsub(/[ ,]/, "", $2); print $2 }' "$out/runs/BENCHMARK.json")
 
 for ((p = 1; p <= pairs; p++)); do
     seed=${seeds[$(((p - 1) % ${#seeds[@]}))]}
