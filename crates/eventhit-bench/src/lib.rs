@@ -11,6 +11,7 @@ use eventhit_core::experiment::{grids, ExperimentConfig, TaskRun};
 use eventhit_core::metrics::EvalOutcome;
 use eventhit_core::pipeline::Strategy;
 use eventhit_core::tasks::{task, Task};
+use eventhit_parallel::Pool;
 
 /// Command-line arguments shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -135,24 +136,13 @@ pub fn mean_outcome(outcomes: &[EvalOutcome]) -> MeanOutcome {
     }
 }
 
-/// Executes all trials of a task, in parallel when multiple trials are
-/// requested.
+/// Executes all trials of a task (at least one), one job each on the
+/// ambient pool. The outer grain wins: beside other trials, a trial
+/// trains at an ambient width of 1, so trials never multiply the thread
+/// count; a lone trial runs inline at the full width.
 pub fn run_trials(task: &Task, args: &CommonArgs) -> Vec<TaskRun> {
-    if args.trials <= 1 {
-        return vec![TaskRun::execute(task, &args.config(0))];
-    }
-    let mut runs: Vec<Option<TaskRun>> = (0..args.trials).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (trial, slot) in runs.iter_mut().enumerate() {
-            let cfg = args.config(trial);
-            scope.spawn(move || {
-                *slot = Some(TaskRun::execute(task, &cfg));
-            });
-        }
-    });
-    runs.into_iter()
-        .map(|r| r.expect("trial completed"))
-        .collect()
+    let trials = (0..args.trials.max(1)).collect();
+    Pool::current().run(trials, |trial| TaskRun::execute(task, &args.config(trial)))
 }
 
 /// Evaluates one strategy across trials and averages.

@@ -354,13 +354,11 @@ impl TaskRun {
     }
 
     /// Evaluates many strategies (sweeps share the scored records), one
-    /// grid cell per task on `pool`. Each cell is a pure function of the
+    /// grid cell per job on `pool`. Each cell is a pure function of the
     /// already-scored splits, so the grid evaluates in parallel with
     /// bit-identical results, returned in grid order.
     pub fn sweep(&self, strategies: &[Strategy], pool: &Pool) -> Vec<(Strategy, EvalOutcome)> {
-        pool.map_chunked(strategies.len(), 1, |i| {
-            (strategies[i], self.evaluate(&strategies[i]))
-        })
+        pool.run(strategies.to_vec(), |s| (s, self.evaluate(&s)))
     }
 
     /// The OPT oracle: relays exactly the true occurrence intervals.

@@ -2,7 +2,7 @@
 
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
-use eventhit_parallel::{DeterministicReduce, Pool};
+use eventhit_parallel::Pool;
 use eventhit_video::records::{EventLabel, Record};
 
 use crate::model::{window_rows, EventHit, InferencePlan, InferenceScratch, BATCH_WINDOWS};
@@ -50,7 +50,7 @@ pub fn score_records(model: &EventHit, records: &[Record], batch_size: usize) ->
 /// Scoring runs on the model's [`InferencePlan`] for the lane (compiled
 /// on first use, then shared) — `Exact` on packed f32 panels,
 /// `Quantized` on int8 codes in the same panels. Each minibatch is one
-/// pool task, and each run of records of equal window length in it is
+/// [`Pool::run`] job, and each run of records of equal window length in it is
 /// scored in [`InferencePlan::forward_rows`] batches, whose every window
 /// scores as it would alone; so batching only decides how the work is
 /// split, and the scores, merged in record order, are bit-identical for
@@ -66,8 +66,7 @@ pub fn score_records_lane_with(
     assert!(batch_size > 0);
     let plan = InferencePlan::compile(model, lane);
     let chunks: Vec<&[Record]> = records.chunks(batch_size).collect();
-    let reduce = DeterministicReduce::with_capacity(chunks.len());
-    pool.run_tasks(chunks, |ci, chunk| {
+    let parts = pool.run(chunks, |chunk| {
         let mut scratch = InferenceScratch::default();
         let mut scored = Vec::with_capacity(chunk.len());
         let runs = chunk.chunk_by(|a, b| a.covariates.rows() == b.covariates.rows());
@@ -85,10 +84,10 @@ pub fn score_records_lane_with(
                 });
             }
         }
-        reduce.submit(ci, scored);
+        scored
     });
     let mut out = Vec::with_capacity(records.len());
-    for part in reduce.into_ordered() {
+    for part in parts {
         out.extend(part);
     }
     out

@@ -21,7 +21,7 @@ use std::slice::ChunksExact;
 
 use eventhit_conformal::regress::IntervalCalibration;
 use eventhit_nn::matrix::Matrix;
-use eventhit_parallel::{DeterministicReduce, Pool};
+use eventhit_parallel::Pool;
 use eventhit_video::stream::VideoStream;
 
 use crate::infer::EventScores;
@@ -190,7 +190,7 @@ pub struct LaneDecision {
 /// timeline sorted by `(anchor, stream_id)`.
 ///
 /// The lanes are cut into `min(workers, lanes)` contiguous groups, one
-/// pool task each. A group runs its lanes in lockstep: each lane
+/// [`Pool::run`] job each. A group runs its lanes in lockstep: each lane
 /// advances to its next anchor that needs the encoder (deciding the
 /// anchors it carries on the way), the pending windows that share a plan
 /// and a window length are scored together, up to 16 at a time, in
@@ -213,11 +213,7 @@ pub fn run_lanes(lanes: Vec<StreamLane>, pool: &Pool) -> Vec<LaneDecision> {
                 .collect()
         })
         .collect();
-    let reduce = DeterministicReduce::with_capacity(groups);
-    pool.run_tasks(tasks, |g, mut group| {
-        reduce.submit(g, run_group(&mut group))
-    });
-    let parts = reduce.into_ordered();
+    let parts = pool.run(tasks, |mut group| run_group(&mut group));
     let mut all = Vec::with_capacity(parts.iter().flatten().map(Vec::len).sum());
     all.extend(parts.into_iter().flatten().flatten());
     all.sort_by_key(|d| (d.decision.anchor, d.stream_id));

@@ -175,7 +175,7 @@ pub fn substream_seed(seed: u64, index: usize) -> u64 {
     mix64(seed ^ mix64(index as u64 + 1))
 }
 
-/// Runs a search over explicit candidates on `pool`: one task per
+/// Runs a search over explicit candidates on `pool`: one job per
 /// candidate, each training its model on its own [`substream_seed`].
 /// Results come back sorted best first; the ranking sorts by score with
 /// a stable tiebreak on grid order, so it is deterministic for any
@@ -191,7 +191,7 @@ pub fn search(
 ) -> Vec<TrialResult> {
     assert!(!candidates.is_empty(), "no candidates to search");
     assert!(!train_records.is_empty() && !val_records.is_empty());
-    let mut results: Vec<TrialResult> = pool.map_chunked(candidates.len(), 1, |i| {
+    let mut results: Vec<TrialResult> = pool.run((0..candidates.len()).collect(), |i| {
         evaluate_candidate(
             &candidates[i],
             model_cfg,

@@ -1,20 +1,19 @@
 //! A crew: a pool's workers kept resident across many short regions.
 //!
-//! [`Pool::run_tasks`](crate::Pool::run_tasks) spawns its threads per
-//! region, which costs tens of microseconds a thread and starts each on
-//! cold caches. That is nothing beside a scoring batch or a grid cell,
-//! and everything beside a region of a millisecond that runs thousands
-//! of times in a row — a training step's blocks. [`Pool::crew`] spawns
-//! the workers once for the closure it runs; every [`Crew::run`] inside
-//! it hands them a list of jobs, the caller working beside them, and
-//! waits for all of them. The jobs are values of one type, moved in and
-//! out, so they may carry anything the closure owns, and one handler,
-//! borrowed for the crew's life, runs them all.
+//! Every region in the workspace runs on a crew. [`Pool::crew`] spawns
+//! `workers - 1` threads once for the closure it runs; every
+//! [`Crew::run`] inside it hands them a list of jobs, the caller working
+//! beside them, and waits for all of them. The jobs are values of one
+//! type, moved in and out, so they may carry anything the closure owns,
+//! and one handler, borrowed for the crew's life, runs them all. A
+//! training run keeps one crew for its thousands of millisecond-long
+//! step regions; [`Pool::run`] is the one-shot form, one crew with one
+//! run, for coarse regions that happen once.
 //!
-//! The determinism contract is the pool's: jobs are independent, a job
-//! computes the same output on any thread, and [`Crew::run`] returns the
-//! outputs in job order, so the worker count decides where a job runs,
-//! never what the run returns.
+//! The determinism contract: jobs are independent, a job computes the
+//! same output on any thread, and [`Crew::run`] returns the outputs in
+//! job order, so the worker count decides where a job runs, never what
+//! the run returns.
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -1,30 +1,23 @@
-//! The scoped thread pool: fixed worker count, one shared task queue,
-//! and panic propagation.
+//! The pool: a worker count, its resolution, and the one-shot region.
 //!
-//! The pool spawns scoped threads per parallel region rather than keeping
-//! a resident worker set: scoped threads may borrow from the caller's
-//! stack (records, lanes and the model are shared by reference, without
-//! `unsafe`), and nested regions — a task that itself calls into the pool
-//! — cannot deadlock because every region brings its own workers. The
-//! spawn cost (~tens of microseconds) is amortized by parallelising only
-//! coarse grains: chunked record batches in `eventhit-core::infer`,
-//! lanes, grid cells and sessions — never the inside of a matrix product.
-//! A training step is the one fine grain: its row blocks and whole
-//! weight-gradient products take ~0.1–0.5 ms each, thousands of times a
-//! run, so training keeps its workers resident in a
-//! [`Crew`](crate::Crew) instead of spawning them per region.
+//! A [`Pool`] holds no threads. Every region runs on a
+//! [`Crew`](crate::Crew): [`Pool::crew`] keeps `workers - 1` threads
+//! resident for a closure of many short regions (a training run's
+//! steps), and [`Pool::run`] is one crew with one run (a scoring batch,
+//! a lane group, a grid cell, a served session). Either way the caller
+//! works as one of the workers and the threads are scoped, so jobs may
+//! borrow from the caller's stack (records, lanes and the model are
+//! shared by reference, without `unsafe`), and a job that itself opens
+//! an explicit pool's region cannot deadlock: that region brings its own
+//! workers.
 //!
-//! The outer grain wins: a worker thread starts with its ambient count
-//! pinned to 1, so a [`Pool::current`] resolved inside a task runs
-//! inline instead of multiplying the thread count. An explicit
-//! `Pool::new(n)` inside a task still brings its own `n` workers.
+//! The outer grain wins: a job runs with its thread's ambient count
+//! pinned to 1, so a [`Pool::current`] resolved inside it runs inline
+//! instead of multiplying the thread count. An explicit `Pool::new(n)`
+//! inside a job still brings its own `n` workers.
 
-use std::any::Any;
 use std::cell::Cell;
-use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::OnceLock;
 use std::thread;
 
 thread_local! {
@@ -57,7 +50,7 @@ pub fn current_workers() -> usize {
 /// Runs `f` with this thread's default worker count pinned to `workers`
 /// (minimum 1). Every `Pool::current()` resolved inside `f` on this
 /// thread — including the implicit pool behind `score_records` — uses
-/// that count; inside a task of such a pool the ambient count is 1, so a
+/// that count; inside a job of such a pool the ambient count is 1, so a
 /// nested ambient region runs inline on the worker that reached it. The
 /// previous override is restored on exit, panic included.
 ///
@@ -75,32 +68,19 @@ pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Splits `0..n` into contiguous chunks of at most `chunk` indices, in
-/// order. Every index is covered exactly once (property-tested).
-pub fn chunk_ranges(n: usize, chunk: usize) -> Vec<Range<usize>> {
-    assert!(chunk > 0, "chunk size must be positive");
-    (0..n.div_ceil(chunk))
-        .map(|c| c * chunk..((c + 1) * chunk).min(n))
-        .collect()
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A deterministic scoped thread pool with a fixed worker count.
+/// A deterministic thread pool with a fixed worker count.
 ///
-/// Cheap to construct (one word); the threads live only for the duration
-/// of each parallel region. See the crate docs for the determinism
-/// argument and [`Pool::current`] for worker-count resolution.
+/// Cheap to construct (one word); threads live only as long as a region.
+/// See the crate docs for the determinism argument and
+/// [`Pool::current`] for worker-count resolution.
 ///
 /// ```
 /// use eventhit_parallel::Pool;
 ///
-/// // map() preserves input order no matter which worker computes what.
-/// let doubled = Pool::new(4).map(5, |i| i * 2);
+/// // run() returns outputs in job order no matter which thread ran what.
+/// let doubled = Pool::new(4).run((0..5).collect(), |i: usize| i * 2);
 /// assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
-/// assert_eq!(doubled, Pool::sequential().map(5, |i| i * 2));
+/// assert_eq!(doubled, Pool::sequential().run((0..5).collect(), |i: usize| i * 2));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Pool {
@@ -115,8 +95,8 @@ impl Pool {
         }
     }
 
-    /// The single-worker pool: every task runs inline on the calling
-    /// thread, in submission order.
+    /// The single-worker pool: every job runs inline on the calling
+    /// thread, in order.
     pub fn sequential() -> Self {
         Pool::new(1)
     }
@@ -132,154 +112,36 @@ impl Pool {
         self.workers.max(1)
     }
 
-    /// The core primitive: runs `run(index, task)` exactly once for every
-    /// task, on up to `workers` scoped threads.
+    /// Calls `job` once on each of `jobs` and returns the outputs in job
+    /// order, on a one-shot [`Crew`](crate::Crew) of `min(workers, jobs)`
+    /// threads, the caller one of them. One job or one worker spawns
+    /// nothing and runs inline, in order. An idle thread takes the next
+    /// unstarted job, so uneven jobs rebalance and none waits behind a
+    /// busy thread.
     ///
-    /// Tasks wait in one shared queue; an idle worker takes the next
-    /// unstarted task in submission order, so uneven task durations
-    /// rebalance and no task waits behind a busy worker. If a task
-    /// panics, the first panic payload is captured, remaining *unstarted*
-    /// tasks are abandoned, in-flight tasks finish, all workers join, and
-    /// the panic resumes exactly once on the caller.
-    ///
-    /// Determinism: `index` is the task's submission position. The pool
-    /// guarantees each task runs at most once and (absent panics) exactly
-    /// once; it makes no ordering guarantee between tasks, which is why
-    /// callers merge results through
-    /// [`DeterministicReduce`](crate::DeterministicReduce) keyed on
-    /// `index`.
-    pub fn run_tasks<I: Send>(&self, tasks: Vec<I>, run: impl Fn(usize, I) + Sync) {
-        let n = tasks.len();
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers().min(n);
-        if workers <= 1 {
-            for (i, task) in tasks.into_iter().enumerate() {
-                run(i, task);
-            }
-            return;
-        }
-
-        let queue = Mutex::new(tasks.into_iter().enumerate());
-        let queue = &queue;
-        let run = &run;
-        let poisoned = AtomicBool::new(false);
-        let poisoned = &poisoned;
-        let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let panic_slot = &panic_slot;
-
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    // The outer grain wins: an ambient pool resolved
-                    // inside a task runs inline on this worker.
-                    WORKER_OVERRIDE.with(|c| c.set(Some(1)));
-                    while !poisoned.load(Ordering::Acquire) {
-                        // The guard is a temporary of this statement: the
-                        // queue is unlocked before the task runs.
-                        let Some((idx, task)) = lock(queue).next() else {
-                            break;
-                        };
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(idx, task))) {
-                            let mut slot = lock(panic_slot);
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            poisoned.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-
-        let payload = lock(panic_slot).take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-
-    /// The chunk size [`Pool::map`] uses for `n` items: ~4 chunks per
-    /// worker, so the queue can rebalance uneven durations without
-    /// drowning in per-chunk overhead.
-    pub fn default_chunk(&self, n: usize) -> usize {
-        if self.workers() <= 1 {
-            n.max(1)
-        } else {
-            n.div_ceil(self.workers() * 4).max(1)
-        }
-    }
-
-    /// Computes `f(i)` for every `i in 0..n` and returns the results in
-    /// index order — bit-identical for any worker count when `f` is pure
-    /// per index.
-    pub fn map<T: Send, F: Fn(usize) -> T + Sync>(&self, n: usize, f: F) -> Vec<T> {
-        self.map_chunked(n, self.default_chunk(n), f)
-    }
-
-    /// [`Pool::map`] with an explicit chunk size (one task per chunk of
-    /// indices). The chunking never affects the output, only scheduling
-    /// granularity (property-tested).
-    pub fn map_chunked<T: Send, F: Fn(usize) -> T + Sync>(
-        &self,
-        n: usize,
-        chunk: usize,
-        f: F,
-    ) -> Vec<T> {
-        let ranges = chunk_ranges(n, chunk);
-        let reduce = crate::DeterministicReduce::with_capacity(ranges.len());
-        self.run_tasks(ranges, |ci, range| {
-            reduce.submit(ci, range.map(&f).collect::<Vec<T>>());
-        });
-        let mut out = Vec::with_capacity(n);
-        for part in reduce.into_ordered() {
-            out.extend(part);
-        }
-        out
+    /// If a job panics, the jobs not yet started are dropped, the running
+    /// ones finish, and the first panic resumes once on the caller.
+    pub fn run<J: Send, O: Send>(&self, jobs: Vec<J>, job: impl Fn(J) -> O + Sync) -> Vec<O> {
+        Pool::new(self.workers().min(jobs.len())).crew(job, |crew| crew.run(jobs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::panic::catch_unwind;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn map_returns_results_in_index_order() {
-        for workers in [1, 2, 4, 8] {
-            let pool = Pool::new(workers);
-            let got = pool.map(100, |i| i * i);
-            let want: Vec<usize> = (0..100).map(|i| i * i).collect();
-            assert_eq!(got, want, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn map_handles_empty_and_single() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.map(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn run_tasks_executes_each_task_exactly_once() {
+    fn run_executes_each_job_exactly_once() {
         let n = 257;
         let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let pool = Pool::new(4);
-        pool.run_tasks((0..n).collect(), |idx, task| {
-            assert_eq!(idx, task);
-            counts[task].fetch_add(1, Ordering::Relaxed);
+        let out = Pool::new(4).run((0..n).collect(), |job: usize| {
+            counts[job].fetch_add(1, Ordering::Relaxed);
+            job
         });
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn chunk_ranges_partition() {
-        assert_eq!(chunk_ranges(0, 3), Vec::<Range<usize>>::new());
-        assert_eq!(chunk_ranges(7, 3), vec![0..3, 3..6, 6..7]);
-        assert_eq!(chunk_ranges(6, 3), vec![0..3, 3..6]);
-        assert_eq!(chunk_ranges(2, 10), vec![0..2]);
     }
 
     #[test]
@@ -298,7 +160,7 @@ mod tests {
         let nested = with_workers(4, || {
             let pool = Pool::current();
             assert_eq!(pool.workers(), 4);
-            pool.map_chunked(8, 1, |_| Pool::current().workers())
+            pool.run(vec![(); 8], |()| Pool::current().workers())
         });
         assert_eq!(nested, vec![1; 8]);
     }

@@ -1,6 +1,6 @@
-//! Panic propagation: a panicking task must surface exactly once at the
-//! call site, must not lose sibling tasks silently (the pool stops
-//! picking up new work but joins cleanly), and must leave the pool
+//! Panic propagation: a panicking job must surface exactly once at the
+//! call site, must not lose sibling jobs silently (the region stops
+//! picking up new jobs but joins cleanly), and must leave the pool
 //! reusable. Kept in its own test binary so the temporary no-op panic
 //! hook cannot swallow backtraces from unrelated tests.
 
@@ -27,7 +27,7 @@ fn panic_propagates_once_and_pool_stays_usable() {
             for _ in 0..25 {
                 let ran = AtomicUsize::new(0);
                 let err = catch_unwind(AssertUnwindSafe(|| {
-                    pool.run_tasks((0..16usize).collect(), |_, idx| {
+                    pool.run((0..16usize).collect(), |idx| {
                         if idx == 5 {
                             panic!("boom from task {idx}");
                         }
@@ -40,12 +40,12 @@ fn panic_propagates_once_and_pool_stays_usable() {
                     .cloned()
                     .expect("payload should be the formatted panic message");
                 assert_eq!(msg, "boom from task 5");
-                // Tasks that ran completed exactly once; none ran twice.
+                // Jobs that ran completed exactly once; none ran twice.
                 assert!(ran.load(Ordering::SeqCst) <= 15);
 
                 // Clean shutdown: the same pool value works immediately
                 // afterwards and produces ordered results.
-                let out = pool.map(8, |i| i * 2);
+                let out = pool.run((0..8).collect(), |i: usize| i * 2);
                 assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
             }
         }
@@ -58,14 +58,14 @@ fn first_of_many_panics_wins_and_only_one_propagates() {
         let pool = Pool::new(4);
         for _ in 0..25 {
             let err = catch_unwind(AssertUnwindSafe(|| {
-                pool.run_tasks((0..32usize).collect(), |_, idx| {
+                pool.run((0..32usize).collect(), |idx| {
                     if idx % 3 == 0 {
                         panic!("multi-panic {idx}");
                     }
                 });
             }));
             // Exactly one payload reaches the caller even though many
-            // tasks panic; which one is first is scheduling-dependent,
+            // jobs panic; which one is first is scheduling-dependent,
             // but it is always one of ours.
             let payload = err.expect_err("panic must propagate");
             let msg = payload.downcast_ref::<String>().expect("formatted message");
@@ -79,9 +79,9 @@ fn panic_in_nested_region_unwinds_through_outer_region() {
     with_quiet_panics(|| {
         let outer = Pool::new(2);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            outer.run_tasks((0..4usize).collect(), |_, i| {
+            outer.run((0..4usize).collect(), |i| {
                 let inner = Pool::new(2);
-                inner.run_tasks((0..4usize).collect(), |_, j| {
+                inner.run((0..4usize).collect(), |j| {
                     if i == 2 && j == 3 {
                         panic!("nested boom");
                     }
@@ -93,6 +93,6 @@ fn panic_in_nested_region_unwinds_through_outer_region() {
         let msg = payload.downcast_ref::<&str>().expect("literal message");
         assert_eq!(*msg, "nested boom");
         // Both pools remain usable.
-        assert_eq!(outer.map(3, |i| i + 1), vec![1, 2, 3]);
+        assert_eq!(outer.run(vec![0, 1, 2], |i: usize| i + 1), vec![1, 2, 3]);
     });
 }

@@ -1,10 +1,10 @@
-//! Property tests of the determinism substrate: ordered reduction equals
-//! the sequential fold, and chunking is an exact partition — for random
-//! task counts, chunk sizes, and worker counts.
+//! Property test of the determinism substrate: folding a region's
+//! outputs, which come back in job order, equals the sequential fold —
+//! for random job and worker counts.
 
-use eventhit_parallel::{chunk_ranges, DeterministicReduce, Pool};
+use eventhit_parallel::Pool;
 use eventhit_rng::testkit::from_fn;
-use eventhit_rng::{prop_assert, prop_assert_eq, property, Rng};
+use eventhit_rng::{prop_assert_eq, property, Rng};
 
 fn values(n: usize) -> impl eventhit_rng::testkit::Strategy<Value = Vec<f64>> {
     from_fn(move |rng| (0..n).map(|_| rng.random_range(-1.0e3..1.0e3)).collect())
@@ -12,7 +12,7 @@ fn values(n: usize) -> impl eventhit_rng::testkit::Strategy<Value = Vec<f64>> {
 
 property! {
     #[test]
-    fn reduce_equals_sequential_fold(
+    fn folding_outputs_equals_sequential_fold(
         n in 0usize..200,
         workers in 1usize..9,
         seed_vals in values(200),
@@ -20,72 +20,10 @@ property! {
         let vals = &seed_vals[..n];
         // Sequential baseline: a plain left fold in index order.
         let want = vals.iter().fold(0.25f64, |acc, &v| acc * 0.5 + v);
-        // Parallel: submit from pool tasks in whatever order the
-        // scheduler picks, fold through DeterministicReduce.
-        let reduce = DeterministicReduce::with_capacity(n);
-        Pool::new(workers).run_tasks((0..n).collect(), |i, idx| {
-            reduce.submit(i, vals[idx]);
-        });
-        let got = reduce.fold(0.25f64, |acc, v| acc * 0.5 + v);
+        // Parallel: jobs finish in whatever order the scheduler picks;
+        // the outputs come back in job order and fold as above.
+        let outputs = Pool::new(workers).run((0..n).collect(), |idx: usize| vals[idx]);
+        let got = outputs.iter().fold(0.25f64, |acc, &v| acc * 0.5 + v);
         prop_assert_eq!(got.to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn chunking_covers_every_index_exactly_once(
-        n in 0usize..500,
-        chunk in 1usize..64,
-    ) {
-        let ranges = chunk_ranges(n, chunk);
-        let mut seen = vec![0u32; n];
-        for r in &ranges {
-            prop_assert!(r.start < r.end || n == 0, "empty chunk emitted");
-            prop_assert!(r.end - r.start <= chunk, "oversized chunk");
-            for i in r.clone() {
-                seen[i] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&c| c == 1) || n == 0);
-        prop_assert_eq!(seen.iter().map(|&c| c as usize).sum::<usize>(), n);
-        // Chunks are emitted in order and contiguous.
-        for pair in ranges.windows(2) {
-            prop_assert_eq!(pair[0].end, pair[1].start);
-        }
-    }
-
-    #[test]
-    fn map_chunked_is_invariant_to_chunk_and_workers(
-        n in 0usize..120,
-        chunk in 1usize..40,
-        workers in 1usize..9,
-    ) {
-        // f folds the index through nontrivial float ops so any reorder
-        // or double-execution would change bits.
-        let f = |i: usize| ((i as f64) * 0.37 + 1.0).ln().to_bits();
-        let want: Vec<u64> = (0..n).map(f).collect();
-        let got = Pool::new(workers).map_chunked(n, chunk, f);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn reduce_orders_random_submission_patterns(perm_seed in 0u64..1_000_000) {
-        // Submit a fixed payload under a random permutation of indices;
-        // the output order must not care.
-        let n = 40usize;
-        let mut order: Vec<usize> = (0..n).collect();
-        // Fisher–Yates off the raw seed (no RNG state shared with the
-        // harness draw).
-        let mut s = perm_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        for i in (1..n).rev() {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            order.swap(i, (s as usize) % (i + 1));
-        }
-        let reduce = DeterministicReduce::new();
-        for &idx in &order {
-            reduce.submit(idx, idx * 3);
-        }
-        let got = reduce.into_ordered();
-        prop_assert_eq!(got, (0..n).map(|i| i * 3).collect::<Vec<_>>());
     }
 }

@@ -108,9 +108,10 @@ pub struct ServeConfig {
     /// a durable directory must keep the shard count it was created
     /// with, or per-shard journals end up on the wrong shard.
     pub shards: u32,
-    /// Workers per shard pool when serving with more than one shard
-    /// (`0` resolves the ambient `eventhit-parallel` worker count).
-    /// Ignored at `shards == 1`, where the caller's pool serves alone.
+    /// Workers per shard when serving with more than one shard: sessions
+    /// run on one pool of `shards × workers_per_shard` workers (`0` falls
+    /// back to the caller's pool width per shard). Ignored at
+    /// `shards == 1`, where the caller's pool serves alone.
     pub workers_per_shard: usize,
     /// Cap on concurrently open streams, across all sessions and shards.
     /// Partitioned evenly across shards (shard `i` gets
@@ -551,55 +552,36 @@ impl Server {
         serve_session(&self.shared, io)
     }
 
-    /// Accepts and serves exactly `n` sessions. Returns when all `n`
-    /// sessions have ended.
-    ///
-    /// A single-shard server multiplexes sessions onto the caller's
-    /// `pool` (up to `pool.workers()` concurrently), exactly as before
-    /// sharding existed. A sharded server gives every shard its own
-    /// [`Pool`] of [`ServeConfig::workers_per_shard`] workers (falling
-    /// back to `pool.workers()`) and deals the `n` sessions round-robin
-    /// across the shard pools — total session concurrency scales with
-    /// the shard count.
+    /// Accepts and serves exactly `n` sessions, one [`Pool::run`] job
+    /// each, the calling thread serving one of them. Returns when all `n`
+    /// sessions have ended. The sessions run on `pool` on an unsharded
+    /// server, otherwise on one pool of `shards ×`
+    /// [`workers_per_shard`](ServeConfig::workers_per_shard) workers.
     pub fn serve_sessions(&self, n: usize, pool: &Pool) {
-        let shared = &self.shared;
-        let shards = shared.cfg.shards as usize;
-        self.dispatch(
-            pool,
-            |i, _| n / shards + usize::from(i < n % shards),
-            |_, ()| {
-                if let Some(sock) = self.accept() {
-                    // Counted under `serve.session_errors`; the next
-                    // session is served regardless.
-                    let _ = serve_session(shared, sock);
-                }
-            },
-        );
-    }
-
-    /// Runs `task` on the session pools: the caller's `pool` alone on an
-    /// unsharded server, otherwise one pool per shard — each of
-    /// `workers_per_shard` workers, falling back to `pool`'s width when
-    /// unset. `tasks(i, pool)` is how many tasks shard `i`'s pool runs.
-    fn dispatch(
-        &self,
-        pool: &Pool,
-        tasks: impl Fn(usize, &Pool) -> usize + Sync,
-        task: impl Fn(usize, ()) + Sync,
-    ) {
-        let cfg = &self.shared.cfg;
-        if cfg.shards <= 1 {
-            pool.run_tasks(vec![(); tasks(0, pool)], task);
-            return;
-        }
-        let w = cfg.workers_per_shard;
-        let shard_pool = Pool::new(if w > 0 { w } else { pool.workers() });
-        std::thread::scope(|scope| {
-            for i in 0..cfg.shards as usize {
-                let (shard_pool, tasks, task) = (shard_pool.clone(), &tasks, &task);
-                scope.spawn(move || shard_pool.run_tasks(vec![(); tasks(i, &shard_pool)], task));
+        self.session_pool(pool).run(vec![(); n], |()| {
+            if let Some(sock) = self.accept() {
+                // Counted under `serve.session_errors`; the next
+                // session is served regardless.
+                let _ = serve_session(&self.shared, sock);
             }
         });
+    }
+
+    /// The pool sessions run on: the caller's `pool` on an unsharded
+    /// server, otherwise one pool of `shards × workers_per_shard` workers
+    /// (`pool`'s width per shard when unset). A session is not bound to a
+    /// shard, so one pool of the shards' summed width serves as many
+    /// sessions at once as a pool per shard would.
+    fn session_pool(&self, pool: &Pool) -> Pool {
+        let cfg = &self.shared.cfg;
+        if cfg.shards <= 1 {
+            return pool.clone();
+        }
+        let per_shard = match cfg.workers_per_shard {
+            0 => pool.workers(),
+            w => w,
+        };
+        Pool::new(cfg.shards as usize * per_shard)
     }
 
     /// Hot-swaps the serving model mid-serve (durable servers only).
@@ -660,20 +642,18 @@ impl Server {
         Ok(())
     }
 
-    /// Serves sessions until the process exits: every pool worker loops
-    /// on accept. Intended for the `eventhit-cli serve` command; tests
-    /// use [`Server::serve_sessions`] so the server can wind down.
+    /// Serves sessions until the process exits: every worker of the
+    /// session pool (as in [`Server::serve_sessions`]), the calling
+    /// thread among them, loops on accept. Intended for the
+    /// `eventhit-cli serve` command; tests use [`Server::serve_sessions`]
+    /// so the server can wind down.
     pub fn serve_forever(&self, pool: &Pool) {
-        let shared = &self.shared;
-        self.dispatch(
-            pool,
-            |_, pool| pool.workers().max(1),
-            |_, ()| {
-                while let Some(sock) = self.accept() {
-                    let _ = serve_session(shared, sock);
-                }
-            },
-        );
+        let pool = self.session_pool(pool);
+        pool.run(vec![(); pool.workers()], |()| {
+            while let Some(sock) = self.accept() {
+                let _ = serve_session(&self.shared, sock);
+            }
+        });
     }
 }
 

@@ -20,8 +20,8 @@
 //! * [`baselines`] — VQS, APP-VAE-style point process, COX adapter.
 //! * [`telemetry`] — deterministic spans, counters/gauges/histograms,
 //!   JSONL traces, and run dashboards.
-//! * [`parallel`] — scoped thread pool plus order-preserving reduction;
-//!   every parallel path in the workspace is bit-identical for any worker
+//! * [`parallel`] — a thread pool whose regions run on crews of scoped
+//!   workers and return outputs in job order; every parallel path in the workspace is bit-identical for any worker
 //!   count (set `EVENTHIT_WORKERS`, or `with_workers` in-process).
 //! * [`serve`] — the stream-serving frontend: a versioned binary wire
 //!   protocol, a TCP server with admission control and bounded queues, and
