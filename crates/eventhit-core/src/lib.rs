@@ -26,7 +26,6 @@ pub mod codec;
 pub mod drift;
 pub mod error;
 pub mod experiment;
-pub mod faults;
 pub mod infer;
 pub mod marshal;
 pub mod metrics;
@@ -43,7 +42,6 @@ pub mod tune;
 pub use ci::{CiConfig, CostReport};
 pub use error::{CoreError, CoreResult};
 pub use experiment::{ExperimentConfig, TaskRun};
-pub use faults::{FaultConfig, FaultInjector, FaultKind, FaultTrace};
 pub use infer::{EventScores, IntervalPrediction, ScoredRecord};
 pub use metrics::{evaluate, try_evaluate, EvalOutcome};
 pub use model::{EventHit, EventHitConfig, InferencePlan, InferenceScratch};

@@ -279,7 +279,6 @@ pub struct Sampler {
     /// The adaptive window's lower bound, clamped into `[1, M]`.
     m_min: usize,
     skipped: u64,
-    admitted: u64,
 }
 
 impl Sampler {
@@ -304,7 +303,6 @@ impl Sampler {
             ema: 1.0,
             m_min,
             skipped: 0,
-            admitted: 0,
         }
     }
 
@@ -318,10 +316,9 @@ impl Sampler {
     /// this frame — the gate stays open until the first full window so
     /// the buffer always fills on schedule. Updates the gate state, the
     /// delta reference (refilled in place, so once it has held a frame
-    /// the gate allocates nothing), and the skip/admit counters.
+    /// the gate allocates nothing), and the skip counter.
     pub fn admit(&mut self, features: &[f32], warmed: bool) -> bool {
         let Some(threshold) = self.policy.threshold() else {
-            self.admitted += 1;
             return true;
         };
         // A gate with no reference yet (a policy set or a state restored
@@ -358,7 +355,6 @@ impl Sampler {
     fn accept(&mut self, features: &[f32]) {
         self.reference.clear();
         self.reference.extend_from_slice(features);
-        self.admitted += 1;
     }
 
     /// Feeds one anchor's hit indicator (`max_k b_k >= `[`HIT_TAU1`])
@@ -388,11 +384,6 @@ impl Sampler {
     /// Frames gated (acknowledged but not encoded) so far.
     pub fn frames_skipped(&self) -> u64 {
         self.skipped
-    }
-
-    /// Frames admitted into the window buffer so far.
-    pub fn frames_admitted(&self) -> u64 {
-        self.admitted
     }
 
     /// The last accepted frame — the delta reference the gate compares
@@ -517,15 +508,15 @@ impl<P> AnchorStepper<P> {
     /// `remaining` frames (a snapshot, a fingerprint), whichever comes
     /// first; it sees only the `M` frames that end at it. So every frame
     /// before that read's window is passed over: the stream position,
-    /// the countdown, the admitted count and the ring position move as
+    /// the countdown and the ring position move as
     /// [`AnchorStepper::step`] would move them, and no row is copied.
     ///
     /// Only a policy whose gate cannot close passes frames over, on a
     /// full ring: a gate that can close reads every frame it admits or
     /// skips, and a ring still filling keeps every frame it is given. A
-    /// gate that cannot close admits every frame, so the admitted count
-    /// moves with the position, and the `M` frames stepped before each
-    /// read leave the gate's reference at the read's last frame.
+    /// gate that cannot close admits every frame, and the `M` frames
+    /// stepped before each read leave the gate's reference at the read's
+    /// last frame.
     pub(crate) fn skip_unread(&mut self, remaining: usize) -> usize {
         if self.sampler.policy().gates() || !self.buffer.is_full() {
             return 0;
@@ -536,7 +527,6 @@ impl<P> AnchorStepper<P> {
         if unread > 0 {
             self.stream_pos += unread;
             self.countdown -= unread;
-            self.sampler.admitted += unread;
             self.buffer.skip(unread as usize);
         }
         unread as usize
@@ -739,7 +729,6 @@ mod tests {
         // Motion relative to the *reference* (0.0), not the last frame.
         assert!(s.admit(&[0.9], true));
         assert_eq!(s.frames_skipped(), 2);
-        assert_eq!(s.frames_admitted(), 2);
     }
 
     #[test]
@@ -841,7 +830,6 @@ mod tests {
             assert!(s.admit(&[i as f32 * 1e-6], i >= 4));
         }
         assert_eq!(s.frames_skipped(), 0);
-        assert_eq!(s.frames_admitted(), 100);
     }
 
     #[test]

@@ -143,9 +143,8 @@ impl CommitHandle {
         Ok(())
     }
 
-    /// Test hook (the PR 2 fault-injector pattern, for the disk): the
-    /// `nth` sync from now fails (1 = the next one), as a full or dying
-    /// disk would make it.
+    /// Test hook: the `nth` sync from now fails (1 = the next one), as a
+    /// full or dying disk would make it.
     #[doc(hidden)]
     pub fn fail_sync_at(&self, nth: u64) {
         if let Ok(mut state) = self.state.lock() {

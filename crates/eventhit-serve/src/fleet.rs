@@ -11,10 +11,10 @@
 //!
 //! Arrivals come in two patterns: [`ArrivalPattern::Uniform`] spaces
 //! streams one slot apart, and [`ArrivalPattern::Bursty`] drives the
-//! slots from a Gilbert–Elliott chain (the `eventhit-core` fault
-//! injector), packing whole outage-style bursts of streams into the same
-//! slot — the arrival shape that saturates per-shard admission and makes
-//! `TooManyStreams` rejects and retry-after behavior observable.
+//! slots from a seeded two-state Gilbert–Elliott chain, packing whole
+//! bursts of streams into the same slot — the arrival shape that
+//! saturates per-shard admission and makes `TooManyStreams` rejects and
+//! retry-after behavior observable.
 //!
 //! The harness reports what the driver side sees: admission rejects and
 //! honored retry-after hints. Stage latencies are the server's own
@@ -26,7 +26,8 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use eventhit_core::faults::{FaultConfig, FaultInjector};
+use eventhit_rng::rngs::StdRng;
+use eventhit_rng::Rng;
 
 use crate::client::{Response, ServeClient};
 use crate::protocol::{RejectCode, WireDecision};
@@ -118,21 +119,23 @@ pub fn arrival_slots(streams: u32, pattern: ArrivalPattern, seed: u64) -> Vec<u6
     match pattern {
         ArrivalPattern::Uniform => (0..streams as u64).collect(),
         ArrivalPattern::Bursty => {
-            // Gilbert–Elliott chain with total loss in Bad: an attempt
-            // that "fails" is a burst member and shares the current slot;
-            // a success opens the next slot. Sticky Bad state (0.25
-            // recovery) gives bursts of ~4 arrivals.
-            let cfg = FaultConfig {
-                p_good_to_bad: 0.1,
-                p_bad_to_good: 0.25,
-                bad_loss: 1.0,
-                ..FaultConfig::reliable()
-            };
-            let mut chain = FaultInjector::new(cfg, seed);
+            // Gilbert–Elliott chain with total loss in Bad: a Bad arrival
+            // is a burst member and shares the current slot; a Good one
+            // opens the next slot. Sticky Bad state (0.25 recovery) gives
+            // bursts of ~4 arrivals.
+            let mut rng = StdRng::stream(seed, 0xFA_17);
+            let mut bad = false;
             let mut slot = 0u64;
             (0..streams)
                 .map(|_| {
-                    if chain.attempt(0.0).is_success() {
+                    bad = if bad {
+                        !rng.random_bool(0.25)
+                    } else {
+                        rng.random_bool(0.1)
+                    };
+                    // Unused loss draw: keeps the schedule the old injector's.
+                    let _: f64 = rng.random();
+                    if !bad {
                         slot += 1;
                     }
                     slot
@@ -341,6 +344,17 @@ mod tests {
             a,
             arrival_slots(2_000, ArrivalPattern::Bursty, 8),
             "different seed, different schedule"
+        );
+    }
+
+    #[test]
+    fn bursty_schedule_is_pinned() {
+        assert_eq!(
+            arrival_slots(24, ArrivalPattern::Bursty, 7),
+            [
+                1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 10, 11, 12, 13, 13, 13, 13, 14, 15, 16, 17, 18, 18,
+                18
+            ]
         );
     }
 

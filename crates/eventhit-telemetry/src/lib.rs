@@ -4,8 +4,7 @@
 //! workspace: a metric registry (counters, gauges, log-bucketed
 //! histograms), lightweight nested spans recorded into an in-memory trace
 //! buffer, JSONL export, and an FNV-1a fingerprint so determinism tests
-//! can assert bit-identical telemetry across seed replays — the same
-//! trick `eventhit-core::faults` uses for fault traces.
+//! can assert bit-identical telemetry across seed replays.
 //!
 //! Two clocks are supported, mirroring the workspace's two notions of
 //! time:

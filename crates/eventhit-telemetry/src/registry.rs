@@ -246,7 +246,7 @@ impl Telemetry {
     }
 
     /// Adds `delta` to the `label` series of counter `name` (e.g.
-    /// `add_labeled("ci.faults", "outage", 1)`).
+    /// `add_labeled("serve.rejected", "too_many_streams", 1)`).
     pub fn add_labeled(&self, name: &'static str, label: &str, delta: u64) {
         if !self.enabled {
             return;

@@ -15,8 +15,8 @@ use crate::slo::SloStat;
 use crate::slowlog::SlowDecision;
 use crate::window::WindowStat;
 
-/// FNV-1a over a byte stream — the same fingerprinting primitive the
-/// fault-injection trace uses, kept dependency-free on purpose.
+/// FNV-1a over a byte stream — the workspace's fingerprinting
+/// primitive, kept dependency-free on purpose.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -89,25 +89,6 @@ fn conformal_state_is_bit_identical() {
     }
 }
 
-/// A fault trace is a pure function of `(config, seed)`: replaying the
-/// same seed reproduces every attempt outcome bit-for-bit, and a
-/// different seed realises a different trace.
-#[test]
-fn fault_traces_replay_bit_identically() {
-    use eventhit::core::faults::{FaultConfig, FaultInjector};
-
-    let cfg = FaultConfig::lossy();
-    let drive = |seed: u64| {
-        let mut inj = FaultInjector::new(cfg.clone(), seed);
-        for _ in 0..500 {
-            inj.attempt(2.0);
-        }
-        inj.trace.fingerprint()
-    };
-    assert_eq!(drive(77), drive(77));
-    assert_ne!(drive(77), drive(78));
-}
-
 /// Under the manual clock, the telemetry trace is a pure function of the
 /// run's inputs: marshalling the stream and simulating the CI queue over
 /// the relayed segments yields a bit-identical JSONL export and FNV-1a

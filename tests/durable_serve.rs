@@ -1,11 +1,11 @@
 //! Kill-and-recover soak tests for durable serving: a server is killed at
-//! a fault-injector-chosen point mid-serve, restarted over the same
-//! durable directory, and clients reconnect with `Resume` — the combined
-//! decision stream must be bit-identical to an uninterrupted in-process
-//! `run_lanes` pass, at 1 and 4 workers. Plus model hot-reload across a
-//! crash, an injected log-sync failure (the shard must stop without ever
-//! acknowledging the failed commit), durable-specific admission rules,
-//! and the client's typed `Disconnected` error.
+//! a pinned point mid-serve, restarted over the same durable directory,
+//! and clients reconnect with `Resume` — the combined decision stream
+//! must be bit-identical to an uninterrupted in-process `run_lanes` pass,
+//! at 1 and 4 workers. Plus model hot-reload across a crash, an injected
+//! log-sync failure (the shard must stop without ever acknowledging the
+//! failed commit), durable-specific admission rules, and the client's
+//! typed `Disconnected` error.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -13,7 +13,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use eventhit::core::experiment::{ExperimentConfig, TaskRun};
-use eventhit::core::faults::{FaultConfig, FaultInjector};
 use eventhit::core::model::EventHit;
 use eventhit::core::multi::{run_lanes, LaneDecision, StreamLane};
 use eventhit::core::pipeline::{ConformalState, Strategy};
@@ -120,9 +119,9 @@ fn feed(
     }));
 }
 
-/// The tentpole scenario at one worker count: serve, kill at a
-/// fault-injector-chosen batch, restart over the same directory, resume,
-/// finish — then demand bit-identity with the uninterrupted baseline.
+/// The soak scenario at one worker count: serve, kill at a pinned batch,
+/// restart over the same directory, resume, finish — then demand
+/// bit-identity with the uninterrupted baseline.
 fn kill_and_recover_scenario(workers: usize) {
     let t = trained();
     let rows = t.features.rows();
@@ -143,19 +142,12 @@ fn kill_and_recover_scenario(workers: usize) {
     let baseline = with_workers(workers, || run_lanes(lanes, &Pool::current()));
     assert!(!baseline.is_empty(), "baseline produced no decisions");
 
-    // The kill point: the round of the fault injector's first fault on a
-    // lossy channel, clamped to fall strictly mid-serve. Deterministic
-    // per (seed), different per worker count so the two scenarios kill
-    // at different places.
+    // The kill point, clamped to fall strictly mid-serve: different per
+    // worker count so the two scenarios kill at different places. Rounds
+    // 6 and 3 are the ones the retired fault injector chose (its first
+    // fault on a lossy channel seeded 9000 + workers).
     let rounds = rows.div_ceil(batch);
-    let mut injector = FaultInjector::new(FaultConfig::lossy(), 9000 + workers as u64);
-    let mut kill_round = rounds / 2;
-    for i in 0..rounds {
-        if !injector.attempt(0.01).is_success() {
-            kill_round = i;
-            break;
-        }
-    }
+    let kill_round: usize = if workers == 1 { 6 } else { 3 };
     let kill_round = kill_round.clamp(1, rounds - 1);
 
     let dir = fresh_dir(&format!("soak{workers}"));
